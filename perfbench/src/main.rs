@@ -14,6 +14,7 @@
 //! under `.bench_work/` in the current directory. `perfbench/README.md`
 //! says what each workload and metric is for.
 
+mod mem;
 mod recon;
 mod serve;
 mod stats;
@@ -114,16 +115,6 @@ struct Metric {
 
 fn m(name: impl Into<String>, value: f64, unit: &'static str) -> Metric {
     Metric { name: name.into(), value, unit }
-}
-
-/// Peak resident set size of this process in MB (VmHWM).
-fn peak_rss_mb() -> f64 {
-    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("VmHWM:"))
-        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
-        .map_or(0.0, |kb| kb * 1024.0 / 1e6)
 }
 
 /// The checked-out commit when the working directory is a git checkout,
@@ -234,6 +225,7 @@ fn bench_in(args: &Args, work: &Path, run_dir: &Path) -> Result<(), String> {
     let scans = workload::stream(args.seed);
     let mut recon_keys: Option<Vec<(u64, u64)>> = None;
     for &w in &args.workloads {
+        mem::reset_peak_rss()?;
         let run = match w {
             Workload::Recon | Workload::Cluster => Run::Stream(recon::run(
                 &inputs,
@@ -343,18 +335,28 @@ impl Run {
         }
     }
 
-    /// Scans reconstructed, or jobs submitted.
+    /// Scans reconstructed, or jobs submitted, over every pass.
     fn attempted(&self) -> u64 {
         match self {
             Run::Stream(r) => r.scans.len() as u64,
-            Run::Serve(r) => {
-                r.passes.len() as u64 * r.workloads.iter().map(|w| w.jobs.len() as u64).sum::<u64>()
+            Run::Serve(r) => (r.passes.len() * r.submitted()) as u64,
+        }
+    }
+
+    /// Share of the first pass's scans or jobs that failed; the repeat
+    /// check across passes fails the run but is not counted here.
+    fn failed_share(&self) -> f64 {
+        match self {
+            Run::Stream(r) => {
+                let failed = r.first_pass().filter(|s| s.check().is_some()).count();
+                failed as f64 / r.first_pass().count().max(1) as f64
             }
+            Run::Serve(r) => r.failed_jobs() as f64 / r.submitted().max(1) as f64,
         }
     }
 
     fn end_to_end(&self) -> Vec<Metric> {
-        let success = 1.0 - self.failures().len() as f64 / self.attempted().max(1) as f64;
+        let success = 1.0 - self.failed_share();
         let mut out = vec![
             m("wall_s", median(&self.walls(false)), "s"),
             m(
@@ -365,7 +367,7 @@ impl Run {
                 ),
                 "s",
             ),
-            m("peak_rss_mb", peak_rss_mb(), "MB"),
+            m("peak_rss_mb", mem::peak_rss_mb(), "MB"),
         ];
         match self {
             Run::Stream(r) => {

@@ -2,6 +2,7 @@
 //! harness-scale baggage scans reconstructed through one geometry, each
 //! scan starting after the previous image is written.
 
+use crate::mem;
 use crate::stats::{median, percentile};
 use crate::trace::Tracer;
 use crate::workload::{sinogram_path, ScanSpec};
@@ -44,11 +45,15 @@ pub struct ScanResult {
     pub traced: bool,
     /// Host seconds before the first `GpuIcd::iteration`.
     pub prep_s: f64,
+    /// Host seconds from reading the sinogram to the written image.
+    pub wall_s: f64,
     pub modeled_s: f64,
     pub equits: f64,
     pub rmse_hu: f64,
     pub fbp_rmse_hu: f64,
     pub iterations: u64,
+    /// Modeled seconds of each `GpuIcd::iteration`.
+    pub iter_modeled_s: Vec<f64>,
     pub stopped: bool,
     pub finite: bool,
     pub hash: u64,
@@ -99,11 +104,12 @@ pub struct StreamRun {
     pub setup_geom_s: Vec<f64>,
     pub sysmat_bytes: f64,
     pub scans: Vec<ScanResult>,
-    /// `(wall seconds, traced)` per pass over the stream.
+    /// `(host seconds of its scans, traced)` per pass over the stream;
+    /// the untimed heap release between scans is left out.
     pub passes: Vec<(f64, bool)>,
     /// Modeled-clock profile of the first traced pass.
     pub profile: Option<ProfileReport>,
-    /// Lowest share of a traced pass covered by layer spans.
+    /// Lowest share of a traced pass's scan time covered by layer spans.
     pub coverage: f64,
     pub trace: Tracer,
 }
@@ -142,6 +148,7 @@ pub fn run(
     for _ in 0..SETUP_REPS {
         // Drop the previous build first so peak memory holds one copy.
         drop(geometry.take());
+        mem::release_free_memory();
         let (a, t_a) = tracer
             .time("sysmat", "setup", None, || SystemMatrix::compute_parallel(&geom, opts.threads));
         let (plan, t_p) = tracer.time("plan", "setup", None, || {
@@ -168,16 +175,21 @@ pub fn run(
         let traced = trace && pass % 2 == 0;
         tracer.set_enabled(traced);
         let sink = (traced && out.profile.is_none()).then(|| Arc::new(RecordingSink::new()));
-        let t0 = tracer.now();
+        let (mut wall, mut covered) = (0.0, 0.0);
         for (i, truth) in truths.iter().enumerate() {
             let ctx = ScanCtx { a: &a, plan: &plan, prior: &prior, opts, cluster, truth };
+            let t0 = tracer.now();
             let r = ctx.run(inputs, outputs, i, pass, sink.as_ref(), &mut tracer)?;
+            wall += r.wall_s;
+            covered += r.wall_s * tracer.coverage(t0, t0 + r.wall_s);
             out.scans.push(r);
+            // Untimed: without this, heap fragmentation left by earlier
+            // drivers grows the peak RSS from pass to pass.
+            mem::release_free_memory();
         }
-        let t1 = tracer.now();
-        out.passes.push((t1 - t0, traced));
+        out.passes.push((wall, traced));
         if traced {
-            out.coverage = out.coverage.min(tracer.coverage(t0, t1));
+            out.coverage = out.coverage.min(covered / wall);
         }
         if let Some(s) = sink {
             out.profile = Some(s.report(if cluster { "cluster" } else { "recon" }));
@@ -241,12 +253,14 @@ impl ScanCtx<'_> {
         let mut state = StopState::new(STOP_RULE);
         let nvox = geom.grid.num_voxels();
         let mut batches = 0u64;
+        let mut iter_modeled_s = Vec::new();
         let mut last = tracer.now();
         gpu.run_with_boundary(MAX_ITERS, |g, r| {
             let now = tracer.now();
             tracer.record("icd.iter", &id, solve, last, now);
             last = now;
             batches += r.batches as u64;
+            iter_modeled_s.push(r.modeled_seconds);
             let pass_stats =
                 IcdStats { updates: r.updates, skipped: r.skipped, total_abs_delta: r.abs_delta };
             state.observe(&pass_stats, &g.stats(), 0.0, nvox);
@@ -260,6 +274,7 @@ impl ScanCtx<'_> {
             io::write_pgm(&path, gpu.image(), mu_from_hu(-1000.0), mu_from_hu(1500.0))
         });
         written.map_err(|e| format!("{}: {e}", path.display()))?;
+        let wall_s = tracer.now() - t0;
 
         let img = gpu.image();
         let stats = gpu.stats();
@@ -270,11 +285,13 @@ impl ScanCtx<'_> {
             pass,
             traced: tracer.enabled(),
             prep_s,
+            wall_s,
             modeled_s: gpu.modeled_seconds(),
             equits: gpu.equits(),
             rmse_hu: rmse_hu(img, self.truth) as f64,
             fbp_rmse_hu,
             iterations: gpu.iterations(),
+            iter_modeled_s,
             stopped: state.should_stop(),
             finite: img.data().iter().all(|v| v.is_finite()),
             hash: image_hash(img),
@@ -332,8 +349,12 @@ impl StreamRun {
         self.first_pass().map(f).collect()
     }
 
-    /// Percentile `p` of the per-scan modeled seconds.
+    /// Percentile `p` of the modeled seconds of every first-pass
+    /// iteration. A stream of four scans has too few scans for a p90,
+    /// and the slowest scan's iteration count swings from seed to seed;
+    /// its 150-odd iterations are the stream's latency samples instead.
     pub fn modeled_p(&self, p: f64) -> f64 {
-        percentile(&self.per_scan(|s| s.modeled_s), p)
+        let iters: Vec<f64> = self.first_pass().flat_map(|s| s.iter_modeled_s.clone()).collect();
+        percentile(&iters, p)
     }
 }

@@ -22,8 +22,9 @@ use supervoxel::tiling::Tiling;
 
 /// Devices in the serve fleet.
 pub const DEVICES: usize = 4;
-/// Set-ups per run; `setup_s` reports their median.
-pub const SETUP_REPS: usize = 3;
+/// Set-ups per run; `setup_s` reports their median. Each takes about
+/// 40 ms, so one stray pause moves a median of three.
+pub const SETUP_REPS: usize = 9;
 /// Completed jobs replayed alone per rate to check the served image and
 /// count the job's equits.
 pub const REPLAYS: usize = 4;
@@ -262,6 +263,26 @@ fn replay(
 }
 
 impl ServeRun {
+    /// Jobs submitted in one pass, over both rates.
+    pub fn submitted(&self) -> usize {
+        self.workloads.iter().map(|w| w.jobs.len()).sum()
+    }
+
+    /// Distinct first-pass jobs, over both rates, that were rejected,
+    /// missed their deadline or did not run their requested iterations.
+    pub fn failed_jobs(&self) -> usize {
+        let rates = self.passes[0].0.iter().zip(&self.workloads);
+        rates
+            .map(|(rate, w)| {
+                let jobs = rate.report.jobs.iter().zip(&w.jobs);
+                jobs.filter(|(j, spec)| {
+                    j.status != "completed" || j.missed_deadline || j.iterations != spec.iters
+                })
+                .count()
+            })
+            .sum()
+    }
+
     /// Host seconds of both rates, per untraced or traced pass.
     pub fn walls(&self, traced: bool) -> Vec<f64> {
         self.passes

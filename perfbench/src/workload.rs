@@ -4,7 +4,7 @@
 
 use ct_core::geometry::Geometry;
 use ct_core::io;
-use ct_core::phantom::{Phantom, Shape, MU_WATER};
+use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel};
 use ct_core::sysmat::SystemMatrix;
 use std::path::{Path, PathBuf};
@@ -14,12 +14,13 @@ pub const STREAM_SCANS: usize = 4;
 
 /// Serve arrival rates in jobs per modeled second. Fixed constants,
 /// never recalibrated at runtime, so faster service shows as lower
-/// latency rather than as a higher offered load. They aim at 70% and
-/// 130% of the 4-device fleet's modeled capacity for the job mix below
-/// (about 1 ms of device time per job when they were set).
-pub const NOMINAL_RATE: f64 = 2800.0;
+/// latency rather than as a higher offered load. They offer 70% and
+/// 130% of the 4-device fleet's modeled capacity for the job mix below,
+/// which takes 1.1 ms of device time per job (lease devices × busy
+/// modeled seconds, median over ten seeds when the rates were set).
+pub const NOMINAL_RATE: f64 = 2550.0;
 /// See [`NOMINAL_RATE`].
-pub const OVERLOAD_RATE: f64 = 5200.0;
+pub const OVERLOAD_RATE: f64 = 4730.0;
 /// Jobs submitted at each rate.
 pub const SERVE_JOBS: usize = 120;
 
@@ -58,26 +59,19 @@ impl ScanSpec {
     }
 }
 
-/// Densest insert a stream phantom may hold, as a multiple of water.
-/// Baggage scenes draw a quarter of their inserts from a metal-like
-/// 3-6x band; at harness scale GPU-ICD's mean update keeps oscillating
-/// around such inserts, so the stop rule would not fire within the cap.
-pub const MAX_DENSITY: f32 = 2.5;
-
-fn without_metal(p: &Phantom) -> bool {
-    p.shapes().iter().all(|s| match *s {
-        Shape::Ellipse { value, .. } | Shape::Rect { value, .. } => value <= MAX_DENSITY * MU_WATER,
-    })
-}
-
-/// The scans of a stream, derived from the workload seed: the first
-/// `STREAM_SCANS` baggage phantoms the seed draws that hold no
-/// metal-like insert.
+/// The scans of a stream: the first `STREAM_SCANS` phantoms of the
+/// program's baggage suite (`Phantom::baggage_suite`), each measured
+/// with photon noise drawn from the workload seed.
+///
+/// The phantoms are fixed because they, not the noise, set how hard a
+/// scan is: across random baggage scenes the final RMSE runs from 12 to
+/// 80 HU and the equits to the stop rule from 3 to 30, which would
+/// swamp any seed-to-seed comparison of a four-scan stream. Every one
+/// of these four holds metal-like inserts (3.8-5x water).
 pub fn stream(seed: u64) -> Vec<ScanSpec> {
     let mut rng = SplitMix::new(seed ^ 0x7265636f6e);
-    std::iter::repeat_with(|| ScanSpec { phantom_seed: rng.next_u64(), noise_seed: rng.next_u64() })
-        .filter(|s| without_metal(&s.phantom()))
-        .take(STREAM_SCANS)
+    (0..STREAM_SCANS as u64)
+        .map(|phantom_seed| ScanSpec { phantom_seed, noise_seed: rng.next_u64() })
         .collect()
 }
 
@@ -102,6 +96,21 @@ pub fn write_stream(dir: &Path, geom: &Geometry, scans: &[ScanSpec]) -> std::io:
 /// The three serve tenants.
 pub const TENANTS: [&str; 3] = ["trauma", "radiology", "archive"];
 
+/// Fisher-Yates shuffle driven by `rng`.
+fn shuffle<T>(v: &mut [T], rng: &mut SplitMix) {
+    for i in (1..v.len()).rev() {
+        let k = (rng.next_u64() % (i as u64 + 1)) as usize;
+        v.swap(i, k);
+    }
+}
+
+/// Tenant of each job in a block of five: one trauma, three radiology,
+/// one archive, shuffled per block.
+const MIX_BLOCK: [usize; 5] = [0, 1, 1, 1, 2];
+/// Inter-arrival gaps drawn together, one from each equal-probability
+/// stratum of the exponential distribution.
+const GAP_BLOCK: usize = 10;
+
 /// One rate's serve workload as the JSON `WorkloadSpec::parse` reads.
 ///
 /// Poisson arrivals at `rate` jobs per modeled second; each job is
@@ -109,30 +118,41 @@ pub const TENANTS: [&str; 3] = ["trauma", "radiology", "archive"];
 /// - 60% routine priority-1 test-scale radiology jobs with streaming
 ///   ingest,
 /// - 20% priority -1 test-scale archive jobs on 2-device leases.
+///
+/// Both draws are stratified so the seed changes the order of jobs and
+/// gaps but hardly their totals: every block of five jobs holds the mix
+/// exactly, and every block of ten gaps takes one gap from each tenth of
+/// the exponential distribution, in shuffled order. This cut the
+/// seed-to-seed spread of a 120-job replay's nominal p90 latency from
+/// 41% to 11% of its median.
 pub fn serve_workload(seed: u64, rate: f64, jobs: usize) -> String {
     let mut rng = SplitMix::new(seed ^ 0x7365727665 ^ rate.to_bits());
     let mut t = 0.0f64;
     let mut out = String::from("{\"jobs\": [\n");
+    let (mut kinds, mut gaps) = (Vec::new(), Vec::new());
     for j in 0..jobs {
-        // Exponential inter-arrival gap; 1 - u lies in (0, 1].
-        t += -(1.0 - rng.next_f64()).ln() / rate;
+        if kinds.is_empty() {
+            kinds = MIX_BLOCK.to_vec();
+            shuffle(&mut kinds, &mut rng);
+        }
+        if gaps.is_empty() {
+            let mut strata: Vec<usize> = (0..GAP_BLOCK).collect();
+            shuffle(&mut strata, &mut rng);
+            // Exponential quantile of a uniform draw inside stratum k;
+            // 1 - u lies in (0, 1].
+            let n = GAP_BLOCK as f64;
+            gaps = strata
+                .iter()
+                .map(|&k| -(1.0 - (k as f64 + rng.next_f64()) / n).ln() / rate)
+                .collect();
+        }
+        t += gaps.pop().expect("refilled above");
         let phantom = rng.next_u64() % 1_000_000;
         let noise = rng.next_u64() % 1_000_000;
-        let pick = rng.next_f64();
-        let body = if pick < 0.2 {
-            format!(
-                "\"tenant\": \"trauma\", \"priority\": 5, \"scale\": \"tiny\", \"devices\": 1, \
-                 \"iters\": 4, \"deadline_seconds\": {}",
-                t + TRAUMA_DEADLINE_S
-            )
-        } else if pick < 0.8 {
-            "\"tenant\": \"radiology\", \"priority\": 1, \"scale\": \"test\", \"devices\": 1, \
-             \"iters\": 6, \"view_rate\": 200000.0"
-                .to_string()
-        } else {
-            "\"tenant\": \"archive\", \"priority\": -1, \"scale\": \"test\", \"devices\": 2, \
-             \"iters\": 8"
-                .to_string()
+        let body = match kinds.pop().expect("refilled above") {
+            0 => format!("{TRAUMA_JOB}, \"deadline_seconds\": {}", t + TRAUMA_DEADLINE_S),
+            1 => RADIOLOGY_JOB.to_string(),
+            _ => ARCHIVE_JOB.to_string(),
         };
         out.push_str(&format!(
             "  {{\"id\": \"job-{j}\", {body}, \"phantom\": \"baggage:{phantom}\", \
@@ -146,6 +166,14 @@ pub fn serve_workload(seed: u64, rate: f64, jobs: usize) -> String {
 
 /// Modeled seconds a trauma job may take from arrival to completion.
 pub const TRAUMA_DEADLINE_S: f64 = 0.05;
+
+/// The fixed fields of each tenant's jobs.
+const TRAUMA_JOB: &str =
+    "\"tenant\": \"trauma\", \"priority\": 5, \"scale\": \"tiny\", \"devices\": 1, \"iters\": 4";
+const RADIOLOGY_JOB: &str = "\"tenant\": \"radiology\", \"priority\": 1, \"scale\": \"test\", \
+                             \"devices\": 1, \"iters\": 6, \"view_rate\": 200000.0";
+const ARCHIVE_JOB: &str =
+    "\"tenant\": \"archive\", \"priority\": -1, \"scale\": \"test\", \"devices\": 2, \"iters\": 8";
 
 #[cfg(test)]
 mod tests {
@@ -170,10 +198,12 @@ mod tests {
     }
 
     #[test]
-    fn scans_in_a_stream_differ() {
+    fn stream_images_the_baggage_suite_with_distinct_noise() {
         let s = stream(3);
+        let suite = Phantom::baggage_suite(STREAM_SCANS);
         for (i, x) in s.iter().enumerate() {
-            assert!(s[..i].iter().all(|y| y.phantom_seed != x.phantom_seed));
+            assert_eq!(x.phantom().name(), suite[i].name());
+            assert!(s[..i].iter().all(|y| y.noise_seed != x.noise_seed));
         }
     }
 
@@ -196,12 +226,18 @@ mod tests {
     }
 
     #[test]
-    fn serve_mix_has_every_tenant_and_rising_arrivals() {
+    fn serve_mix_is_exact_per_block_and_arrivals_rise() {
         let w = WorkloadSpec::parse(&serve_workload(5, OVERLOAD_RATE, SERVE_JOBS)).expect("parses");
         assert_eq!(w.jobs.len(), SERVE_JOBS);
-        for t in TENANTS {
-            assert!(w.jobs.iter().any(|j| j.tenant == t), "tenant {t} missing");
+        for block in w.jobs.chunks(MIX_BLOCK.len()) {
+            let count = |t: &str| block.iter().filter(|j| j.tenant == t).count();
+            assert_eq!(TENANTS.map(count), [1, 3, 1]);
         }
         assert!(w.jobs.windows(2).all(|p| p[0].arrival_seconds < p[1].arrival_seconds));
+        let other =
+            WorkloadSpec::parse(&serve_workload(6, OVERLOAD_RATE, SERVE_JOBS)).expect("parses");
+        let tenants =
+            |w: &WorkloadSpec| w.jobs.iter().map(|j| j.tenant.clone()).collect::<Vec<_>>();
+        assert_ne!(tenants(&w), tenants(&other));
     }
 }
