@@ -14,6 +14,7 @@
 //! under `.bench_work/` in the current directory. `perfbench/README.md`
 //! says what each workload and metric is for.
 
+mod cpu;
 mod mem;
 mod recon;
 mod serve;
@@ -312,12 +313,21 @@ impl Run {
         }
     }
 
-    /// Host seconds per unit of `wall_s` (a scan, or a pass over both
-    /// serve rates) for each traced or untraced pass.
+    /// Host wall seconds of each scan, or of each pass over both serve
+    /// rates, in the traced or untraced passes.
     fn walls(&self, traced: bool) -> Vec<f64> {
         match self {
-            Run::Stream(r) => r.scan_walls(traced),
-            Run::Serve(r) => r.walls(traced),
+            Run::Stream(r) => r.per_scan_host(traced, |s| s.wall_s),
+            Run::Serve(r) => r.per_pass_host(traced, |x| x.wall_s),
+        }
+    }
+
+    /// Host CPU seconds of each scan, or of each pass over both serve
+    /// rates, in the untraced passes.
+    fn cpus(&self) -> Vec<f64> {
+        match self {
+            Run::Stream(r) => r.per_scan_host(false, |s| s.cpu_s),
+            Run::Serve(r) => r.per_pass_host(false, |x| x.cpu_s),
         }
     }
 
@@ -358,7 +368,7 @@ impl Run {
     fn end_to_end(&self) -> Vec<Metric> {
         let success = 1.0 - self.failed_share();
         let mut out = vec![
-            m("wall_s", median(&self.walls(false)), "s"),
+            m("cpu_s", median(&self.cpus()), "s"),
             m(
                 "setup_s",
                 self.stream().map_or_else(
@@ -371,7 +381,10 @@ impl Run {
         ];
         match self {
             Run::Stream(r) => {
-                let modeled = mean(&r.per_scan(|s| s.modeled_s));
+                // Medians over the stream's scans: now and then one scan's
+                // mean update hovers near the stop threshold and it runs
+                // 1.5-2x the iterations it takes under other noise draws.
+                let modeled = median(&r.per_scan(|s| s.modeled_s));
                 let mut busy: Vec<f64> = Vec::new();
                 for s in r.first_pass() {
                     busy.resize(s.fleet_busy.len(), 0.0);
@@ -379,7 +392,7 @@ impl Run {
                 }
                 out.extend([
                     m("modeled_s", modeled, "s"),
-                    m("equits", mean(&r.per_scan(|s| s.equits)), "equit"),
+                    m("equits", median(&r.per_scan(|s| s.equits)), "equit"),
                     m("rmse_hu", mean(&r.per_scan(|s| s.rmse_hu)), "HU"),
                     m("success_ratio", success, "ratio"),
                     m("jobs_per_h", 3600.0 / modeled, "jobs/h"),
@@ -423,6 +436,7 @@ impl Run {
         let skipped = avg(&|s| s.skipped as f64);
         let iter_s = t.durations("icd.iter");
         let mut out = vec![
+            m("host.wall_s", median(&self.walls(false)), "s"),
             m("ingest.read_s", per("ingest"), "s"),
             m("sysmat.build_s", per("sysmat"), "s"),
             m("sysmat.bytes", self.stream().map_or(0.0, |r| r.sysmat_bytes), "B"),

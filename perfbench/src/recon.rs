@@ -2,6 +2,7 @@
 //! harness-scale baggage scans reconstructed through one geometry, each
 //! scan starting after the previous image is written.
 
+use crate::cpu::process_cpu_s;
 use crate::mem;
 use crate::stats::{median, percentile};
 use crate::trace::Tracer;
@@ -43,10 +44,12 @@ pub struct ScanResult {
     pub scan: usize,
     pub pass: usize,
     pub traced: bool,
-    /// Host seconds before the first `GpuIcd::iteration`.
-    pub prep_s: f64,
-    /// Host seconds from reading the sinogram to the written image.
+    /// Host CPU seconds before the first `GpuIcd::iteration`.
+    pub prep_cpu_s: f64,
+    /// Host wall and CPU seconds from reading the sinogram to the
+    /// written image.
     pub wall_s: f64,
+    pub cpu_s: f64,
     pub modeled_s: f64,
     pub equits: f64,
     pub rmse_hu: f64,
@@ -100,13 +103,10 @@ impl ScanResult {
 
 /// A whole stream run.
 pub struct StreamRun {
-    /// Host seconds of each geometry set-up (system matrix + plan).
+    /// Host CPU seconds of each geometry set-up (system matrix + plan).
     pub setup_geom_s: Vec<f64>,
     pub sysmat_bytes: f64,
     pub scans: Vec<ScanResult>,
-    /// `(host seconds of its scans, traced)` per pass over the stream;
-    /// the untimed heap release between scans is left out.
-    pub passes: Vec<(f64, bool)>,
     /// Modeled-clock profile of the first traced pass.
     pub profile: Option<ProfileReport>,
     /// Lowest share of a traced pass's scan time covered by layer spans.
@@ -149,13 +149,14 @@ pub fn run(
         // Drop the previous build first so peak memory holds one copy.
         drop(geometry.take());
         mem::release_free_memory();
-        let (a, t_a) = tracer
+        let c0 = process_cpu_s();
+        let (a, _) = tracer
             .time("sysmat", "setup", None, || SystemMatrix::compute_parallel(&geom, opts.threads));
-        let (plan, t_p) = tracer.time("plan", "setup", None, || {
+        let (plan, _) = tracer.time("plan", "setup", None, || {
             let tiling = Tiling::new(geom.grid, opts.sv_side);
             Arc::new(SvPlanSet::build(&a, &tiling, plan_config(&opts), opts.threads))
         });
-        setup_geom_s.push(t_a + t_p);
+        setup_geom_s.push(process_cpu_s() - c0);
         geometry = Some((a, plan));
     }
     let (a, plan) = geometry.expect("at least one set-up");
@@ -164,7 +165,6 @@ pub fn run(
         setup_geom_s,
         sysmat_bytes: a.bytes() as f64,
         scans: Vec::new(),
-        passes: Vec::new(),
         profile: None,
         coverage: 1.0,
         trace: Tracer::new(false),
@@ -187,7 +187,6 @@ pub fn run(
             // drivers grows the peak RSS from pass to pass.
             mem::release_free_memory();
         }
-        out.passes.push((wall, traced));
         if traced {
             out.coverage = out.coverage.min(covered / wall);
         }
@@ -222,7 +221,7 @@ impl ScanCtx<'_> {
     ) -> Result<ScanResult, String> {
         let id = format!("scan-{i}");
         let geom = self.a.geometry();
-        let t0 = tracer.now();
+        let (t0, c0) = (tracer.now(), process_cpu_s());
         let (ingested, _) = tracer.time("ingest", &id, None, || {
             let path = sinogram_path(inputs, i);
             let y = io::read_sinogram_csv(&path).map_err(|e| format!("{}: {e}", path.display()))?;
@@ -247,7 +246,7 @@ impl ScanCtx<'_> {
         if let Some(s) = sink {
             gpu.set_profile_sink(s.clone());
         }
-        let prep_s = tracer.now() - t0;
+        let prep_cpu_s = process_cpu_s() - c0;
 
         let solve = tracer.open("icd.solve", &id, None);
         let mut state = StopState::new(STOP_RULE);
@@ -274,7 +273,7 @@ impl ScanCtx<'_> {
             io::write_pgm(&path, gpu.image(), mu_from_hu(-1000.0), mu_from_hu(1500.0))
         });
         written.map_err(|e| format!("{}: {e}", path.display()))?;
-        let wall_s = tracer.now() - t0;
+        let (wall_s, cpu_s) = (tracer.now() - t0, process_cpu_s() - c0);
 
         let img = gpu.image();
         let stats = gpu.stats();
@@ -284,8 +283,9 @@ impl ScanCtx<'_> {
             scan: i,
             pass,
             traced: tracer.enabled(),
-            prep_s,
+            prep_cpu_s,
             wall_s,
+            cpu_s,
             modeled_s: gpu.modeled_seconds(),
             equits: gpu.equits(),
             rmse_hu: rmse_hu(img, self.truth) as f64,
@@ -331,16 +331,17 @@ impl StreamRun {
             .collect()
     }
 
-    /// Host seconds per scan of each traced or untraced pass.
-    pub fn scan_walls(&self, traced: bool) -> Vec<f64> {
-        let n = self.first_pass().count().max(1) as f64;
-        self.passes.iter().filter(|p| p.1 == traced).map(|p| p.0 / n).collect()
+    /// Host time `f` of every scan of the traced or untraced passes.
+    pub fn per_scan_host(&self, traced: bool, f: impl Fn(&ScanResult) -> f64) -> Vec<f64> {
+        self.scans.iter().filter(|s| s.traced == traced).map(f).collect()
     }
 
-    /// Host seconds before a scan's first iteration: the median geometry
-    /// set-up plus the median per-scan preparation of untraced passes.
+    /// Host CPU seconds before a scan's first iteration: the median
+    /// geometry set-up plus the median per-scan preparation of untraced
+    /// passes.
     pub fn setup_s(&self) -> f64 {
-        let prep: Vec<f64> = self.scans.iter().filter(|s| !s.traced).map(|s| s.prep_s).collect();
+        let prep: Vec<f64> =
+            self.scans.iter().filter(|s| !s.traced).map(|s| s.prep_cpu_s).collect();
         median(&self.setup_geom_s) + median(&prep)
     }
 

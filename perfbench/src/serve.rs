@@ -2,6 +2,7 @@
 //! open loop on the modeled clock at two fixed rates against a 4-device
 //! PCIe fleet, with no backfill.
 
+use crate::cpu::process_cpu_s;
 use crate::recon::image_hash;
 use crate::stats::mean;
 use crate::trace::Tracer;
@@ -57,7 +58,9 @@ fn modeled_key(out: &ServeOutcome) -> ModeledKey {
 
 /// One rate of one pass.
 pub struct RateRun {
+    /// Host wall and CPU seconds of `Server::run`.
     pub wall_s: f64,
+    pub cpu_s: f64,
     pub report: ServeReport,
     pub key: ModeledKey,
 }
@@ -65,6 +68,7 @@ pub struct RateRun {
 /// A whole serve run.
 pub struct ServeRun {
     pub workloads: Vec<WorkloadSpec>,
+    /// Host CPU seconds of each set-up.
     pub setup_s: Vec<f64>,
     /// `[nominal, overload]` per pass, and whether the pass was traced.
     pub passes: Vec<([RateRun; 2], bool)>,
@@ -93,7 +97,7 @@ pub fn run(seed: u64, seconds: f64, min_passes: usize, trace: bool) -> Result<Se
     let mut geometry: Vec<(Scale, Arc<SystemMatrix>, Arc<SvPlanSet>)> = Vec::new();
     for _ in 0..SETUP_REPS {
         geometry.clear();
-        let t0 = tracer.now();
+        let c0 = process_cpu_s();
         let (parsed, _) = tracer.time("serve.parse", "setup", None, || {
             texts.iter().map(|t| WorkloadSpec::parse(t)).collect::<Result<Vec<_>, _>>()
         });
@@ -110,7 +114,7 @@ pub fn run(seed: u64, seconds: f64, min_passes: usize, trace: bool) -> Result<Se
             });
             geometry.push((scale, a, plan));
         }
-        setup_s.push(tracer.now() - t0);
+        setup_s.push(process_cpu_s() - c0);
     }
 
     let fleet = FleetSpec::titan_x_pcie(DEVICES);
@@ -129,12 +133,15 @@ pub fn run(seed: u64, seconds: f64, min_passes: usize, trace: bool) -> Result<Se
             let sink = (traced && profile.is_none() && label == "nominal")
                 .then(|| Arc::new(RecordingSink::new()));
             let server = Server::new(fleet.clone(), w.clone());
+            let c0 = process_cpu_s();
             let (out, wall_s) = tracer.time("serve.run", label, None, || server.run(sink.as_ref()));
+            let cpu_s = process_cpu_s() - c0;
             let out = out.map_err(|e| e.to_string())?;
             if let Some(s) = sink {
                 profile = Some(s.report("serve"));
             }
-            rates.push(RateRun { wall_s, key: modeled_key(&out), report: out.report.clone() });
+            let key = modeled_key(&out);
+            rates.push(RateRun { wall_s, cpu_s, key, report: out.report.clone() });
             if pass == 0 {
                 outcomes.push(out);
             }
@@ -283,12 +290,9 @@ impl ServeRun {
             .sum()
     }
 
-    /// Host seconds of both rates, per untraced or traced pass.
-    pub fn walls(&self, traced: bool) -> Vec<f64> {
-        self.passes
-            .iter()
-            .filter(|p| p.1 == traced)
-            .map(|p| p.0.iter().map(|r| r.wall_s).sum())
-            .collect()
+    /// Host time `f` of both rates together, per untraced or traced
+    /// pass.
+    pub fn per_pass_host(&self, traced: bool, f: impl Fn(&RateRun) -> f64) -> Vec<f64> {
+        self.passes.iter().filter(|p| p.1 == traced).map(|p| p.0.iter().map(&f).sum()).collect()
     }
 }
