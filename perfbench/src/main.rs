@@ -1,5 +1,5 @@
 //! End-to-end benchmark of the MBIR reproduction on both clocks: host
-//! wall-clock seconds and modeled Titan X seconds.
+//! seconds (CPU and wall) and modeled Titan X seconds.
 //!
 //! ```text
 //! cargo run --release --manifest-path perfbench/Cargo.toml -- \
