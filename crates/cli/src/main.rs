@@ -258,25 +258,13 @@ fn cmd_reconstruct(args: &Args) -> Result<(), MbirError> {
         let value = args.get("fleet").ok_or_else(|| {
             usage_err("--fleet requires nodes=<N>x<M>[,slabs=<K>] or a spec path")
         })?;
-        let fa = parse_fleet_arg(value)?;
-        let n = fa.devices();
+        let n = parse_fleet_arg(value)?.devices();
         if args.has("devices") && devices != n {
             return Err(usage_err(format!(
                 "--devices {devices} contradicts --fleet ({n} devices)"
             )));
         }
         devices = n;
-        if matches!(fa, FleetArg::Cluster(_)) {
-            if args.has("faults") {
-                return Err(usage_err("--faults and cluster topologies are mutually exclusive"));
-            }
-            if args.has("checkpoint") {
-                return Err(usage_err(
-                    "--checkpoint is not supported on cluster topologies (slab residency \
-                     does not survive a restore)",
-                ));
-            }
-        }
     }
     if args.has("checkpoint") && args.get("checkpoint").is_none() {
         return Err(usage_err("--checkpoint requires a directory path"));

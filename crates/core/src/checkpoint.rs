@@ -12,13 +12,20 @@
 //!
 //! The format is a flat little-endian binary layout behind an 8-byte
 //! magic (`MBIRCKP1`): fixed header fields, then the three payload
-//! arrays. Readers validate the magic, every dimension, and a size cap
-//! before allocating, and report [`MbirError::Checkpoint`] — never a
-//! panic — on anything malformed. Not captured (and documented as
-//! such): the per-kernel `run_stats` aggregates and the fleet's
-//! per-device busy ledger, which restart at zero and then cover only
-//! the post-resume stretch; the fleet wall clock *is* restored so
-//! profiled spans continue on the same timeline.
+//! arrays. A slab-streaming cluster run (`slabs > 1`) appends one more
+//! array, the *residency trailer*: `devices` u64 entries after
+//! `update_amount`, each the slab that device holds resident
+//! ([`NO_SLAB`] for none), so the resumed run charges exactly the slab
+//! loads the interrupted one would have. Every other run writes no
+//! trailer, so one-slab checkpoints keep the original byte layout.
+//! Readers validate the magic, every dimension, a size cap, and the
+//! trailer length (exactly 0 or `8 × devices` bytes) before
+//! allocating, and report [`MbirError::Checkpoint`] — never a panic —
+//! on anything malformed. Not captured (and documented as such): the
+//! per-kernel `run_stats` aggregates and the fleet's per-device busy
+//! ledger, which restart at zero and then cover only the post-resume
+//! stretch; the fleet wall clock *is* restored so profiled spans
+//! continue on the same timeline.
 
 use crate::error::MbirError;
 use ct_core::geometry::ImageGrid;
@@ -27,6 +34,9 @@ use std::io::Write;
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"MBIRCKP1";
+
+/// Residency-trailer entry of a device holding no slab.
+pub const NO_SLAB: u64 = u64::MAX;
 
 /// Refuse to allocate checkpoint arrays beyond this many elements —
 /// far above any supported scale, small enough that a corrupt header
@@ -62,6 +72,9 @@ pub struct Checkpoint {
     pub error: Vec<f32>,
     /// Per-SV update amounts driving SV selection.
     pub update_amount: Vec<f64>,
+    /// Per device, the slab it holds resident ([`NO_SLAB`] for none):
+    /// the trailer of slab-streaming runs, empty for every other run.
+    pub resident: Vec<u64>,
 }
 
 impl Checkpoint {
@@ -87,7 +100,7 @@ impl Checkpoint {
             MAGIC.len()
                 + 12 * 8
                 + 4 * (self.image.len() + self.error.len())
-                + 8 * self.update_amount.len(),
+                + 8 * (self.update_amount.len() + self.resident.len()),
         );
         buf.extend_from_slice(MAGIC);
         for v in [
@@ -115,6 +128,9 @@ impl Checkpoint {
             buf.extend_from_slice(&v.to_le_bytes());
         }
         for &v in &self.update_amount {
+            buf.extend_from_slice(&v.to_le_bytes());
+        }
+        for &v in &self.resident {
             buf.extend_from_slice(&v.to_le_bytes());
         }
         buf
@@ -180,7 +196,10 @@ impl Checkpoint {
                 bytes.len()
             )));
         }
-        if bytes.len() as u64 > expected {
+        // Anything past the payload must be exactly the residency
+        // trailer: one u64 per device.
+        let trailing = bytes.len() as u64 - expected;
+        if trailing != 0 && Some(trailing) != devices.checked_mul(8) {
             return Err(corrupt("trailing bytes after payload"));
         }
         let image = f32_vec(&bytes[pos..pos + 4 * voxels]);
@@ -188,6 +207,11 @@ impl Checkpoint {
         let error = f32_vec(&bytes[pos..pos + 4 * samples]);
         pos += 4 * samples;
         let update_amount = f64_vec(&bytes[pos..pos + 8 * sv_count as usize]);
+        pos += 8 * sv_count as usize;
+        let resident = bytes[pos..]
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact yields 8 bytes")))
+            .collect();
         Ok(Checkpoint {
             grid: ImageGrid {
                 nx: nx as usize,
@@ -205,6 +229,7 @@ impl Checkpoint {
             image,
             error,
             update_amount,
+            resident,
         })
     }
 }
@@ -247,6 +272,7 @@ mod tests {
             image: vec![0.0, 1.0, -2.5, f32::MIN_POSITIVE, 4.0, 5.5],
             error: (0..8).map(|i| i as f32 * 0.1).collect(),
             update_amount: vec![0.5, 0.0, 1e-9],
+            resident: Vec::new(),
         }
     }
 
@@ -343,5 +369,33 @@ mod tests {
         assert!(format!("{err:?}").contains("not a valid f32 bit pattern"));
         // And the unmodified bytes still parse.
         Checkpoint::from_bytes(&good, "good").expect("canonical bytes parse");
+    }
+
+    #[test]
+    fn residency_trailer_round_trips_and_one_slab_layout_is_unchanged() {
+        let flat = sample().to_bytes();
+        let streaming = Checkpoint { resident: vec![1, 0, NO_SLAB, 3], ..sample() };
+        let bytes = streaming.to_bytes();
+        assert_eq!(bytes.len(), flat.len() + 8 * 4, "one u64 per device");
+        assert_eq!(&bytes[..flat.len()], &flat[..], "the trailer only appends");
+        let back = Checkpoint::from_bytes(&bytes, "memory").expect("trailer accepted");
+        assert_eq!(back, streaming);
+        assert_eq!(back.to_bytes(), bytes);
+    }
+
+    #[test]
+    fn trailers_other_than_one_entry_per_device_are_rejected() {
+        let good = Checkpoint { resident: vec![0; 4], ..sample() }.to_bytes();
+        for len in [good.len() - 1, good.len() - 8, good.len() + 8, good.len() + 3] {
+            let mut bytes = good.clone();
+            bytes.resize(len, 0);
+            let err = Checkpoint::from_bytes(&bytes, "evil").expect_err("must refuse");
+            assert!(format!("{err:?}").contains("trailing bytes after payload"), "{len}: {err:?}");
+        }
+        // A device count whose trailer size overflows u64 cannot match.
+        let mut huge = sample().to_bytes();
+        huge[8 + 12 * 8..8 + 13 * 8].copy_from_slice(&(u64::MAX / 4).to_le_bytes());
+        huge.extend_from_slice(&[0; 8]);
+        assert!(matches!(Checkpoint::from_bytes(&huge, "evil"), Err(MbirError::Checkpoint(_))));
     }
 }

@@ -14,9 +14,9 @@
 //! - SVs of one checkerboard group never share boundary voxels, so the
 //!   emulation order within a batch cannot change results.
 
-use crate::checkpoint::Checkpoint;
+use crate::checkpoint::{Checkpoint, NO_SLAB};
 use crate::error::MbirError;
-use crate::fleet::FleetState;
+use crate::fleet::{BatchContext, FleetState};
 use crate::model::{BatchTiming, GpuWorkModel, ProfileSkeleton};
 use crate::opts::{GpuOptions, Layout};
 use crate::tally::{BatchTally, SvTally};
@@ -28,10 +28,8 @@ use gpu_sim::timing::KernelTiming;
 use mbir::convergence::ConvergenceTrace;
 use mbir::prior::{clique_weight, Prior};
 use mbir::sequential::IcdStats;
-use mbir_fleet::{FaultEvent, FaultSpec, FleetReport, FleetSpec};
-use mbir_telemetry::{
-    ConvergencePoint, ExchangeRecord, FaultRecord, IterationSample, ProfileSink, RecordingSink,
-};
+use mbir_fleet::{FaultSpec, FleetReport, FleetSpec};
+use mbir_telemetry::{ConvergencePoint, IterationSample, ProfileSink, RecordingSink};
 use mbir_topo::ClusterSpec;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -180,7 +178,7 @@ pub struct GpuRunStats {
 }
 
 impl GpuRunStats {
-    fn add(&mut self, b: &BatchTiming) {
+    pub(crate) fn add(&mut self, b: &BatchTiming) {
         self.create.add(&b.create);
         self.mbir.add(&b.mbir);
         self.writeback.add(&b.writeback);
@@ -277,7 +275,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 &tiling,
                 &opts,
                 a.geometry().num_channels,
-                FleetSpec::titan_x_pcie(opts.devices),
+                ClusterSpec::single_node(FleetSpec::titan_x_pcie(opts.devices)),
             )
         });
         GpuIcd {
@@ -305,42 +303,11 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     }
 
     /// Replace the fleet's machine description (e.g. to price NVLink
-    /// instead of the default PCIe). Must be called before the first
-    /// iteration, with a spec sized for `opts.devices`; a request for
-    /// a single-device run is rejected the same way. An installed
-    /// fault schedule carries over to the new fleet state.
+    /// instead of the default PCIe). A flat fleet runs as a one-node,
+    /// one-slab cluster, so this is [`GpuIcd::set_cluster_spec`] with
+    /// [`ClusterSpec::single_node`] and the same rules.
     pub fn set_fleet_spec(&mut self, spec: FleetSpec) -> Result<(), MbirError> {
-        if self.opts.devices <= 1 {
-            return Err(MbirError::Usage(
-                "fleet spec applies to multi-device runs only (set --devices > 1)".into(),
-            ));
-        }
-        if self.iter != 0 {
-            return Err(MbirError::Usage(
-                "fleet spec must be set before the first iteration".into(),
-            ));
-        }
-        if spec.devices != self.opts.devices {
-            return Err(MbirError::Usage(format!(
-                "fleet spec sized for {} devices, run uses {}",
-                spec.devices, self.opts.devices
-            )));
-        }
-        let faults = self.fleet.as_ref().map(|fs| fs.faults.clone());
-        let mut fs = FleetState::new(
-            &self.model,
-            &self.skeleton,
-            &self.plan,
-            &self.tiling,
-            &self.opts,
-            self.a.geometry().num_channels,
-            spec,
-        );
-        if let Some(f) = faults {
-            fs.set_faults(f);
-        }
-        self.fleet = Some(fs);
-        Ok(())
+        self.set_cluster_spec(ClusterSpec::single_node(spec))
     }
 
     /// Replace the fleet with a multi-node cluster: SVs shard within
@@ -349,35 +316,31 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     /// exchange, intra-node broadcast), and slab streaming loads and
     /// seam halos are booked on the same timeline. Must be called
     /// before the first iteration, with a cluster whose total device
-    /// count matches `opts.devices`. Mutually exclusive with fault
-    /// schedules and checkpoint restore — both replay flat-fleet
-    /// reshard/resume paths that do not know slab residency.
+    /// count matches `opts.devices`; a request for a single-device run
+    /// is rejected the same way. An installed fault schedule carries
+    /// over to the new fleet state.
     pub fn set_cluster_spec(&mut self, cluster: ClusterSpec) -> Result<(), MbirError> {
-        if self.opts.devices <= 1 {
+        let Some(old) = self.fleet.as_ref() else {
             return Err(MbirError::Usage(
-                "cluster spec applies to multi-device runs only (set --devices > 1)".into(),
+                "fleet spec applies to multi-device runs only (set --devices > 1)".into(),
             ));
-        }
+        };
         if self.iter != 0 {
             return Err(MbirError::Usage(
-                "cluster spec must be set before the first iteration".into(),
+                "fleet spec must be set before the first iteration".into(),
             ));
         }
         if cluster.total_devices() != self.opts.devices {
             return Err(MbirError::Usage(format!(
-                "cluster spec sized for {} devices ({} nodes x {}), run uses {}",
+                "fleet spec sized for {} devices ({} nodes x {}), run uses {}",
                 cluster.total_devices(),
                 cluster.nodes,
                 cluster.devices_per_node(),
                 self.opts.devices
             )));
         }
-        if self.fleet.as_ref().is_some_and(|fs| !fs.faults.is_empty()) {
-            return Err(MbirError::Usage(
-                "fault schedules and cluster topologies are mutually exclusive".into(),
-            ));
-        }
-        self.fleet = Some(FleetState::new_cluster(
+        let faults = old.faults().clone();
+        let mut fs = FleetState::new(
             &self.model,
             &self.skeleton,
             &self.plan,
@@ -385,7 +348,9 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
             &self.opts,
             self.a.geometry().num_channels,
             cluster,
-        ));
+        );
+        fs.set_faults(faults);
+        self.fleet = Some(fs);
         Ok(())
     }
 
@@ -404,12 +369,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 "fault injection requires a multi-device run (set --devices > 1)".into(),
             ));
         };
-        if fs.topo.is_some() {
-            return Err(MbirError::Usage(
-                "fault schedules and cluster topologies are mutually exclusive".into(),
-            ));
-        }
-        spec.validate(fs.fleet.devices()).map_err(MbirError::Usage)?;
+        spec.validate(self.opts.devices).map_err(MbirError::Usage)?;
         fs.set_faults(spec);
         Ok(())
     }
@@ -615,481 +575,25 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
             svb.scatter_delta(&origs[bi], &mut self.error);
         }
 
-        let num_channels = self.a.geometry().num_channels;
-        if self.fleet.is_some() {
-            return self.price_fleet_batch(&tally, batch);
-        }
-        if let Some(sink) = self.sink.clone() {
-            // The batch starts where the previous one ended on the
-            // modeled timeline: completed iterations plus the batches
-            // already accumulated into this iteration's report.
-            let start = self.modeled_seconds + report.modeled_seconds;
-            let t = self.model.batch_profiled(
-                &self.skeleton,
-                &tally,
-                num_channels,
-                sink.as_ref(),
-                0,
-                self.iter,
-                self.batch_seq,
-                start,
-            );
-            self.batch_seq += 1;
-            self.run_stats.add(&t);
-            t.seconds()
-        } else {
-            let t = self.model.batch_with(&self.skeleton, &tally, num_channels);
-            self.run_stats.add(&t);
-            t.seconds()
-        }
-    }
-
-    /// Price one batch on the fleet timeline: split the batch's tallies
-    /// by the shard plan, model each device's kernels on its own host
-    /// worker, and advance the fleet clock by the slowest device plus
-    /// the all-gather exchange. Per-device timings accumulate into
-    /// `run_stats` (which therefore sums *device-seconds*, while
-    /// `modeled_seconds` tracks the wall timeline).
-    ///
-    /// With no fault schedule installed this is the exact pre-fault
-    /// pricing path; with one, the faulty path layers stragglers,
-    /// degraded links, and reshard-and-retry recovery on top of the
-    /// same functional results (which `process_batch` already
-    /// committed — faults can only bend the timeline).
-    fn price_fleet_batch(&mut self, tally: &BatchTally, batch: &[usize]) -> f64 {
-        let fs = self.fleet.as_ref().expect("fleet path requires fleet state");
-        if fs.topo.is_some() {
-            self.price_cluster_batch(tally, batch)
-        } else if fs.faults.is_empty() {
-            self.price_fleet_batch_healthy(tally, batch)
-        } else {
-            self.price_fleet_batch_faulty(tally, batch)
-        }
-    }
-
-    /// Model each device's kernels for one batch attempt on its own
-    /// host worker; `None` marks a device with nothing launched.
-    /// Profiled spans are emitted against `batch_id`, starting at
-    /// `start` on the fleet timeline.
-    fn price_device_tallies(
-        &self,
-        device_tallies: &[BatchTally],
-        batch_id: u64,
-        start: f64,
-    ) -> Vec<Option<BatchTiming>> {
-        let num_channels = self.a.geometry().num_channels;
-        let model = &self.model;
-        let skeleton = &self.skeleton;
-        let sink = self.sink.clone();
-        let iter = self.iter;
-        mbir_parallel::par_map(self.opts.threads, device_tallies.len(), |d| {
-            let t = &device_tallies[d];
-            if t.svs.is_empty() {
-                return None; // nothing launched on this device
-            }
-            Some(match &sink {
-                Some(s) => model.batch_profiled(
-                    skeleton,
-                    t,
-                    num_channels,
-                    s.as_ref(),
-                    d as u64,
-                    iter,
-                    batch_id,
-                    start,
-                ),
-                None => model.batch_with(skeleton, t, num_channels),
-            })
-        })
-    }
-
-    /// The healthy fleet pricing path (no fault schedule).
-    fn price_fleet_batch_healthy(&mut self, tally: &BatchTally, batch: &[usize]) -> f64 {
-        let fs = self.fleet.as_ref().expect("fleet path requires fleet state");
-        let devices = fs.fleet.devices();
-
-        // Shard the batch's tallies and exchange payloads, preserving
-        // batch order within each device.
-        let mut device_tallies: Vec<BatchTally> =
-            (0..devices).map(|_| BatchTally::default()).collect();
-        let mut payloads = vec![0u64; devices];
-        for (bi, &sv) in batch.iter().enumerate() {
-            let d = fs.device_of(sv);
-            device_tallies[d].svs.push(tally.svs[bi]);
-            payloads[d] += fs.payload_bytes[sv];
-        }
-
-        // Every device's kernels start together at the batch boundary
-        // on the fleet's bulk-synchronous timeline.
-        let start = fs.fleet.wall_seconds();
-        let timings = self.price_device_tallies(&device_tallies, self.batch_seq, start);
+        let k = BatchContext {
+            model: &self.model,
+            skeleton: &self.skeleton,
+            num_channels: self.a.geometry().num_channels,
+            threads: self.opts.threads,
+            sink: self.sink.as_deref(),
+            iter: self.iter,
+            batch: self.batch_seq,
+        };
         self.batch_seq += 1;
-
-        let kernel_seconds: Vec<f64> =
-            timings.iter().map(|t| t.as_ref().map_or(0.0, |t| t.seconds())).collect();
-        for t in timings.iter().flatten() {
-            self.run_stats.add(t);
+        if let Some(fs) = self.fleet.as_mut() {
+            return fs.price_batch(&k, &tally, batch, &mut self.run_stats);
         }
-        let fs = self.fleet.as_mut().expect("fleet path requires fleet state");
-        fs.fleet.batch(&kernel_seconds, &payloads).wall_seconds()
-    }
-
-    /// The cluster pricing path: slab streaming loads, the
-    /// bulk-synchronous compute span, seam-halo transfers, and the
-    /// hierarchical all-gather — booked in that order onto the
-    /// flattened fleet's ledger (so [`FleetReport`] keeps its shape),
-    /// with every movement surfaced as a schema-v6 exchange record
-    /// when profiling. Loads and halos stay inside a node and are
-    /// priced on the intra-node link, concurrent across devices;
-    /// the exchange is the three-phase hierarchical reduce.
-    fn price_cluster_batch(&mut self, tally: &BatchTally, batch: &[usize]) -> f64 {
-        let batch_id = self.batch_seq;
-        let iter = self.iter;
-        let mut records: Vec<ExchangeRecord> = Vec::new();
-
-        // Shard the batch and charge slab residency switches.
-        let fs = self.fleet.as_mut().expect("fleet path requires fleet state");
-        let devices = fs.fleet.devices();
-        let mut device_tallies: Vec<BatchTally> =
-            (0..devices).map(|_| BatchTally::default()).collect();
-        let mut payloads = vec![0u64; devices];
-        let mut halo_bytes = vec![0u64; devices];
-        let mut loads = vec![0u64; devices];
-        {
-            let topo = fs.topo.as_mut().expect("cluster path requires topo state");
-            for (bi, &sv) in batch.iter().enumerate() {
-                let d = fs.device_ids[fs.shard.device_of(sv)];
-                device_tallies[d].svs.push(tally.svs[bi]);
-                payloads[d] += fs.payload_bytes[sv];
-                halo_bytes[d] += topo.seam_bytes[sv];
-                if topo.slabs > 1 && topo.streamer.touch(d, topo.sv_slab[sv]) {
-                    loads[d] += 1;
-                }
-            }
-        }
-
-        // Slab loads stream in before the kernels launch; devices
-        // load concurrently, multiple loads on one device serialize.
-        let topo = fs.topo.as_ref().expect("cluster path requires topo state");
-        let slab_bytes = topo.streamer.slab_bytes();
-        let per_load = topo.topology.intra().transfer_seconds(slab_bytes);
-        let load_start = fs.fleet.wall_seconds();
-        let load_span = loads.iter().map(|&l| l as f64 * per_load).fold(0.0, f64::max);
-        if load_span > 0.0 {
-            for (d, &l) in loads.iter().enumerate() {
-                if l > 0 {
-                    records.push(ExchangeRecord {
-                        phase: "slab_load".into(),
-                        node: Some(topo.topology.spec().node_of(d) as u64),
-                        iteration: iter,
-                        batch: batch_id,
-                        start_seconds: load_start,
-                        duration_seconds: l as f64 * per_load,
-                        bytes: l * slab_bytes,
-                    });
-                }
-            }
-            let total = loads.iter().sum::<u64>() * slab_bytes;
-            fs.fleet.book_transfer(load_span, total);
-        }
-
-        // Every device's kernels start together after the loads.
-        let start = fs.fleet.wall_seconds();
-        let timings = self.price_device_tallies(&device_tallies, batch_id, start);
-        self.batch_seq += 1;
-        let kernel_seconds: Vec<f64> =
-            timings.iter().map(|t| t.as_ref().map_or(0.0, |t| t.seconds())).collect();
-        for t in timings.iter().flatten() {
-            self.run_stats.add(t);
-        }
-
-        let fs = self.fleet.as_mut().expect("fleet path requires fleet state");
-        let compute_span = fs.fleet.span(&kernel_seconds);
-
-        // Seam halos: devices on a slab seam trade one boundary row
-        // with the neighbor slab, concurrently, on the intra link.
-        let topo = fs.topo.as_ref().expect("cluster path requires topo state");
-        let halo_start = fs.fleet.wall_seconds();
-        let halo_seconds: Vec<f64> = halo_bytes
-            .iter()
-            .map(|&b| if b == 0 { 0.0 } else { topo.topology.intra().transfer_seconds(b) })
-            .collect();
-        let halo_span = halo_seconds.iter().fold(0.0f64, |a, &b| a.max(b));
-        if halo_span > 0.0 {
-            for (d, (&b, &s)) in halo_bytes.iter().zip(&halo_seconds).enumerate() {
-                if b > 0 {
-                    records.push(ExchangeRecord {
-                        phase: "seam_halo".into(),
-                        node: Some(topo.topology.spec().node_of(d) as u64),
-                        iteration: iter,
-                        batch: batch_id,
-                        start_seconds: halo_start,
-                        duration_seconds: s,
-                        bytes: b,
-                    });
-                }
-            }
-            fs.fleet.book_transfer(halo_span, halo_bytes.iter().sum());
-        }
-
-        // The hierarchical reduce replaces the flat ring all-gather.
-        let cost = topo.topology.allgather(&payloads);
-        let ex_start = fs.fleet.wall_seconds();
-        for (node, p) in cost.intra_gather.iter().enumerate() {
-            if p.bytes > 0 {
-                records.push(ExchangeRecord {
-                    phase: "intra_gather".into(),
-                    node: Some(node as u64),
-                    iteration: iter,
-                    batch: batch_id,
-                    start_seconds: ex_start,
-                    duration_seconds: p.seconds,
-                    bytes: p.bytes,
-                });
-            }
-        }
-        let inter_start = ex_start + cost.gather_span();
-        if cost.inter_exchange.bytes > 0 {
-            records.push(ExchangeRecord {
-                phase: "inter_exchange".into(),
-                node: None,
-                iteration: iter,
-                batch: batch_id,
-                start_seconds: inter_start,
-                duration_seconds: cost.inter_exchange.seconds,
-                bytes: cost.inter_exchange.bytes,
-            });
-        }
-        let bcast_start = inter_start + cost.inter_exchange.seconds;
-        for (node, p) in cost.intra_broadcast.iter().enumerate() {
-            if p.bytes > 0 {
-                records.push(ExchangeRecord {
-                    phase: "intra_broadcast".into(),
-                    node: Some(node as u64),
-                    iteration: iter,
-                    batch: batch_id,
-                    start_seconds: bcast_start,
-                    duration_seconds: p.seconds,
-                    bytes: p.bytes,
-                });
-            }
-        }
-        fs.fleet.book_exchange(cost.seconds, cost.bytes);
-        // Callers accumulate per-batch spans. Sum the booked spans in
-        // booking order (rather than differencing the wall clock) so
-        // the degenerate 1-node, 1-slab shape reproduces the flat
-        // path's `kernel + exchange` bit for bit.
-        let span = load_span + compute_span + halo_span + cost.seconds;
-
-        if let Some(sink) = &self.sink {
-            for r in &records {
-                sink.exchange(r);
-            }
-        }
-        span
-    }
-
-    /// The fault-injected fleet pricing path: apply straggler and
-    /// degraded-link episodes, and on a scheduled device failure lose
-    /// the attempt's span at the barrier, charge the detect/re-init
-    /// backoff, reshard over the survivors, and re-price the failed
-    /// shard's work there before the (shrunken-ring) exchange.
-    fn price_fleet_batch_faulty(&mut self, tally: &BatchTally, batch: &[usize]) -> f64 {
-        let batch_id = self.batch_seq;
-        self.batch_seq += 1;
-        self.note_episode_onsets(batch_id);
-
-        let fs = self.fleet.as_ref().expect("fleet path requires fleet state");
-        let devices = fs.fleet.devices();
-        let wall_before = fs.fleet.wall_seconds();
-
-        // Shard the tallies over the live owners, remembering which
-        // device holds each batch entry so a failure knows exactly
-        // what to re-run.
-        let mut device_tallies: Vec<BatchTally> =
-            (0..devices).map(|_| BatchTally::default()).collect();
-        let mut owner = vec![0usize; batch.len()];
-        for (bi, &sv) in batch.iter().enumerate() {
-            let d = fs.device_of(sv);
-            owner[bi] = d;
-            device_tallies[d].svs.push(tally.svs[bi]);
-        }
-
-        // Price the attempt. Stragglers stretch the *ledger* seconds;
-        // profiled spans keep their nominal kernel durations (the
-        // slowdown is an episode on the timeline, not a new kernel).
-        let timings = self.price_device_tallies(&device_tallies, batch_id, wall_before);
-        for t in timings.iter().flatten() {
-            self.run_stats.add(t);
-        }
-        let fs = self.fleet.as_ref().expect("fleet path requires fleet state");
-        let mut kernel_seconds: Vec<f64> =
-            timings.iter().map(|t| t.as_ref().map_or(0.0, |t| t.seconds())).collect();
-        for (d, k) in kernel_seconds.iter_mut().enumerate() {
-            *k *= fs.faults.slowdown(d, batch_id);
-        }
-
-        // A degraded link divides the interconnect bandwidth by the
-        // episode factor (factor 1.0 is the exact healthy pricing).
-        let link = fs.faults.link_factor(batch_id);
-        let bw = if link == 1.0 { 1.0 } else { 1.0 / link };
-
-        let failures: Vec<usize> =
-            fs.faults.failures_at(batch_id).into_iter().filter(|&d| fs.live[d]).collect();
-
-        // Returned batch seconds are summed from the per-batch cost
-        // components (never differenced off the wall clock), so a
-        // resumed run — whose wall clock fast-forwards to the
-        // checkpoint's total — accumulates bitwise-identical modeled
-        // seconds to an uninterrupted one.
-        if failures.is_empty() {
-            let mut payloads = vec![0u64; devices];
-            for (bi, &sv) in batch.iter().enumerate() {
-                payloads[owner[bi]] += fs.payload_bytes[sv];
-            }
-            let live = fs.live.clone();
-            let fs = self.fleet.as_mut().expect("fleet path requires fleet state");
-            return fs
-                .fleet
-                .batch_among(&kernel_seconds, &payloads, Some(&live), bw)
-                .wall_seconds();
-        }
-
-        // Device failure(s) strike at this batch's barrier: the
-        // attempt's span elapses, the failed devices' work is lost.
-        let backoff = fs.faults.backoff_seconds;
-        let fs = self.fleet.as_mut().expect("fleet path requires fleet state");
-        let attempt_span = fs.fleet.span(&kernel_seconds);
-        let barrier = fs.fleet.wall_seconds();
-        for &f in &failures {
-            fs.fleet.record_fault();
-            fs.fleet.record_lost(kernel_seconds[f]);
-        }
-        fs.fleet.penalty(backoff);
-        if let Some(sink) = &self.sink {
-            for &f in &failures {
-                sink.fault(&FaultRecord {
-                    kind: "device_failure".into(),
-                    device: Some(f as u64),
-                    iteration: self.iter,
-                    batch: batch_id,
-                    start_seconds: barrier,
-                    duration_seconds: 0.0,
-                    detail: format!("device {f} failed at the batch barrier; shard work lost"),
-                });
-            }
-        }
-
-        // Reshard over the survivors (deterministic: the retained
-        // per-SV costs re-run the same LPT partition any device count
-        // would get), then re-price only the lost entries there.
-        for &f in &failures {
-            fs.kill(f);
-        }
-        let mut retry_tallies: Vec<BatchTally> =
-            (0..devices).map(|_| BatchTally::default()).collect();
-        let mut retried = 0usize;
-        for (bi, &sv) in batch.iter().enumerate() {
-            if failures.contains(&owner[bi]) {
-                let d = fs.device_of(sv);
-                owner[bi] = d;
-                retry_tallies[d].svs.push(tally.svs[bi]);
-                retried += 1;
-            }
-        }
-        let retry_start = fs.fleet.wall_seconds();
-
-        let retry_timings = self.price_device_tallies(&retry_tallies, batch_id, retry_start);
-        for t in retry_timings.iter().flatten() {
-            self.run_stats.add(t);
-        }
-        let fs = self.fleet.as_mut().expect("fleet path requires fleet state");
-        let mut retry_seconds: Vec<f64> =
-            retry_timings.iter().map(|t| t.as_ref().map_or(0.0, |t| t.seconds())).collect();
-        for (d, k) in retry_seconds.iter_mut().enumerate() {
-            *k *= fs.faults.slowdown(d, batch_id);
-        }
-        let retry_span = fs.fleet.span(&retry_seconds);
-        fs.fleet.record_recovery(retry_span);
-
-        // The all-gather runs once, after recovery, over the shrunken
-        // ring, with every payload published by its final owner.
-        let mut payloads = vec![0u64; devices];
-        for (bi, &sv) in batch.iter().enumerate() {
-            payloads[owner[bi]] += fs.payload_bytes[sv];
-        }
-        let live = fs.live.clone();
-        let survivors = fs.live_devices();
-        let exchange =
-            fs.fleet.batch_among(&vec![0.0; devices], &payloads, Some(&live), bw).wall_seconds();
-        if let Some(sink) = &self.sink {
-            sink.fault(&FaultRecord {
-                kind: "recovery".into(),
-                device: None,
-                iteration: self.iter,
-                batch: batch_id,
-                start_seconds: barrier,
-                duration_seconds: backoff + retry_span,
-                detail: format!(
-                    "resharded over {survivors} survivors; re-ran {retried} SV(s): \
-                     {backoff:.3}s backoff + {retry_span:.3e}s retry"
-                ),
-            });
-        }
-        attempt_span + backoff + retry_span + exchange
-    }
-
-    /// Surface straggler / degraded-link episode onsets to the fault
-    /// lane, once per episode, at the first batch each covers.
-    fn note_episode_onsets(&mut self, batch_id: u64) {
-        let Some(fs) = self.fleet.as_mut() else { return };
-        for (i, ev) in fs.faults.events.clone().iter().enumerate() {
-            if fs.episode_emitted[i] {
-                continue;
-            }
-            let record = match *ev {
-                FaultEvent::Straggler { device, from_batch, to_batch, factor }
-                    if (from_batch..=to_batch).contains(&batch_id) =>
-                {
-                    Some(FaultRecord {
-                        kind: "straggler".into(),
-                        device: Some(device as u64),
-                        iteration: self.iter,
-                        batch: batch_id,
-                        start_seconds: fs.fleet.wall_seconds(),
-                        duration_seconds: 0.0,
-                        detail: format!(
-                            "device {device} running {factor:.2}x slower for batches \
-                             {from_batch}..={to_batch}"
-                        ),
-                    })
-                }
-                FaultEvent::DegradedLink { from_batch, to_batch, factor }
-                    if (from_batch..=to_batch).contains(&batch_id) =>
-                {
-                    Some(FaultRecord {
-                        kind: "degraded_link".into(),
-                        device: None,
-                        iteration: self.iter,
-                        batch: batch_id,
-                        start_seconds: fs.fleet.wall_seconds(),
-                        duration_seconds: 0.0,
-                        detail: format!(
-                            "interconnect at 1/{factor:.2} bandwidth for batches \
-                             {from_batch}..={to_batch}"
-                        ),
-                    })
-                }
-                _ => None,
-            };
-            if let Some(r) = record {
-                fs.episode_emitted[i] = true;
-                fs.fleet.record_fault();
-                if let Some(sink) = &self.sink {
-                    sink.fault(&r);
-                }
-            }
-        }
+        // One device: the batch starts where the previous one ended on
+        // the modeled timeline — completed iterations plus the batches
+        // already accumulated into this iteration's report.
+        let t = k.time(&tally, 0, self.modeled_seconds + report.modeled_seconds);
+        self.run_stats.add(&t);
+        t.seconds()
     }
 
     /// Iterate until RMSE against `golden` drops below `threshold_hu`,
@@ -1194,32 +698,27 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
             image: self.image.data().to_vec(),
             error: self.error.data().to_vec(),
             update_amount: self.update_amount.clone(),
+            resident: self.fleet.as_ref().map_or_else(Vec::new, FleetState::residency),
         }
     }
 
     /// Restore a checkpointed state into a freshly-built driver. The
     /// driver must be configured exactly as the checkpointed run was
-    /// (same geometry, seed, and device count; if fault injection is
-    /// in play, install the same schedule via [`GpuIcd::set_fault_spec`]
-    /// *before* this call) — resuming then continues bitwise
-    /// identically to a run that was never interrupted. Per-kernel
-    /// `run_stats` and the fleet's per-device busy ledger restart at
-    /// zero and cover only the post-resume stretch; the fleet wall
-    /// clock fast-forwards so the timeline (and any profiled spans)
-    /// continues where it left off, and any failures the schedule
-    /// placed before the checkpoint are replayed so the shard plan
-    /// matches the interrupted run's.
+    /// (same geometry, seed, device count, and fleet or cluster spec;
+    /// if fault injection is in play, install the same schedule via
+    /// [`GpuIcd::set_fault_spec`] *before* this call) — resuming then
+    /// continues bitwise identically to a run that was never
+    /// interrupted. Per-kernel `run_stats` and the fleet's per-device
+    /// busy ledger restart at zero and cover only the post-resume
+    /// stretch; the fleet wall clock fast-forwards so the timeline (and
+    /// any profiled spans) continues where it left off, any failures
+    /// the schedule placed before the checkpoint are replayed so the
+    /// shard plan matches the interrupted run's, and a slab-streaming
+    /// run reinstalls each device's resident slab from the trailer.
     pub fn restore(&mut self, ckp: &Checkpoint) -> Result<(), MbirError> {
         if self.iter != 0 {
             return Err(MbirError::Checkpoint(
                 "restore requires a freshly-built driver (no iterations run)".into(),
-            ));
-        }
-        if self.fleet.as_ref().is_some_and(|fs| fs.topo.is_some()) {
-            return Err(MbirError::Checkpoint(
-                "checkpoint restore is not supported on cluster topologies (slab residency \
-                 resets on restore, so the resumed timeline would diverge)"
-                    .into(),
             ));
         }
         if ckp.grid != self.image.grid() {
@@ -1261,6 +760,20 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 self.tiling.len()
             )));
         }
+        let slabs = self.fleet.as_ref().map_or(1, FleetState::slabs);
+        let trailer = if slabs > 1 { self.opts.devices } else { 0 };
+        if ckp.resident.len() != trailer {
+            return Err(MbirError::Checkpoint(if slabs > 1 {
+                format!("checkpoint lacks the slab-residency trailer a {slabs}-slab run needs")
+            } else {
+                "checkpoint carries slab residency, but the run holds a single slab".into()
+            }));
+        }
+        if let Some(s) = ckp.resident.iter().find(|&&s| s != NO_SLAB && s >= slabs as u64) {
+            return Err(MbirError::Checkpoint(format!(
+                "checkpoint holds slab {s} resident, run has {slabs} slabs"
+            )));
+        }
         self.image.data_mut().copy_from_slice(&ckp.image);
         self.error.data_mut().copy_from_slice(&ckp.error);
         self.update_amount.copy_from_slice(&ckp.update_amount);
@@ -1269,27 +782,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         self.stats = ckp.stats;
         self.modeled_seconds = ckp.modeled_seconds;
         if let Some(fs) = self.fleet.as_mut() {
-            fs.fleet.fast_forward_to(ckp.modeled_seconds);
-            // Replay the schedule's history up to the checkpoint:
-            // failures already struck (re-kill, resharding exactly as
-            // the interrupted run did) and episodes already surfaced
-            // (don't re-emit their onsets).
-            for (i, ev) in fs.faults.events.clone().iter().enumerate() {
-                match *ev {
-                    FaultEvent::DeviceFailure { device, batch }
-                        if batch < ckp.batch_seq && fs.live[device] =>
-                    {
-                        fs.kill(device);
-                    }
-                    FaultEvent::Straggler { from_batch, .. } if from_batch < ckp.batch_seq => {
-                        fs.episode_emitted[i] = true;
-                    }
-                    FaultEvent::DegradedLink { from_batch, .. } if from_batch < ckp.batch_seq => {
-                        fs.episode_emitted[i] = true;
-                    }
-                    _ => {}
-                }
-            }
+            fs.restore(ckp);
         }
         Ok(())
     }
@@ -1684,5 +1177,65 @@ mod tests {
         assert!(rs.mbir.launches >= 1);
         let total = rs.mbir.seconds + rs.create.seconds + rs.writeback.seconds;
         assert!((total - gpu.modeled_seconds()).abs() / total < 1e-9);
+    }
+
+    /// A fresh two-device driver on one node streaming `slabs` slabs.
+    fn streaming<'a>(
+        g: &Geometry,
+        a: &'a SystemMatrix,
+        s: &'a Scan,
+        prior: &'a QggmrfPrior,
+        slabs: usize,
+    ) -> GpuIcd<'a, QggmrfPrior> {
+        let o = GpuOptions { devices: 2, ..opts() };
+        let mut gpu = GpuIcd::new(a, &s.y, &s.weights, prior, Image::zeros(g.grid), o);
+        gpu.set_cluster_spec(ClusterSpec::titan_x_cluster(1, 2).with_slabs(slabs)).unwrap();
+        gpu
+    }
+
+    fn checkpoint_error(gpu: &mut GpuIcd<'_, QggmrfPrior>, ckp: &Checkpoint) -> String {
+        match gpu.restore(ckp) {
+            Err(MbirError::Checkpoint(msg)) => msg,
+            other => panic!("expected a checkpoint error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_residency_trailer_on_a_one_slab_run() {
+        let (g, a, s) = setup();
+        let prior = QggmrfPrior::standard(0.002);
+        let mut donor = streaming(&g, &a, &s, &prior, 1);
+        donor.iteration();
+        let ckp = Checkpoint { resident: vec![0, 0], ..donor.checkpoint() };
+        let msg = checkpoint_error(&mut streaming(&g, &a, &s, &prior, 1), &ckp);
+        assert!(msg.contains("single slab"), "{msg}");
+        // The fleet-free single-device path holds one slab too.
+        let mut one = GpuIcd::new(&a, &s.y, &s.weights, &prior, Image::zeros(g.grid), opts());
+        let ckp = Checkpoint { resident: vec![0], ..one.checkpoint() };
+        assert!(checkpoint_error(&mut one, &ckp).contains("single slab"));
+    }
+
+    #[test]
+    fn restore_rejects_a_streaming_checkpoint_without_its_trailer() {
+        let (g, a, s) = setup();
+        let prior = QggmrfPrior::standard(0.002);
+        let mut donor = streaming(&g, &a, &s, &prior, 2);
+        donor.iteration();
+        let ckp = Checkpoint { resident: Vec::new(), ..donor.checkpoint() };
+        let msg = checkpoint_error(&mut streaming(&g, &a, &s, &prior, 2), &ckp);
+        assert!(msg.contains("lacks the slab-residency trailer"), "{msg}");
+    }
+
+    #[test]
+    fn restore_rejects_a_resident_slab_outside_the_run() {
+        let (g, a, s) = setup();
+        let prior = QggmrfPrior::standard(0.002);
+        let mut donor = streaming(&g, &a, &s, &prior, 2);
+        donor.iteration();
+        let ckp = Checkpoint { resident: vec![NO_SLAB, 2], ..donor.checkpoint() };
+        let msg = checkpoint_error(&mut streaming(&g, &a, &s, &prior, 2), &ckp);
+        assert!(msg.contains("slab 2 resident, run has 2 slabs"), "{msg}");
+        let ckp = Checkpoint { resident: vec![NO_SLAB, 1], ..ckp };
+        streaming(&g, &a, &s, &prior, 2).restore(&ckp).expect("in-range residency restores");
     }
 }

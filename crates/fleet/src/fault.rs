@@ -90,11 +90,6 @@ impl FaultSpec {
         FaultSpec { events: Vec::new(), backoff_seconds: DEFAULT_BACKOFF_SECONDS }
     }
 
-    /// `true` when no events are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// A reproducible adverse scenario for a `devices`-wide fleet:
     /// one device failure, one straggler episode, and one
     /// degraded-link episode, all placed in the first few batches so
@@ -378,7 +373,7 @@ mod tests {
     #[test]
     fn empty_spec_is_inert() {
         let spec = FaultSpec::none();
-        assert!(spec.is_empty());
+        assert!(spec.events.is_empty());
         assert!(spec.failures_at(0).is_empty());
         assert_eq!(spec.slowdown(0, 0), 1.0);
         assert_eq!(spec.link_factor(0), 1.0);

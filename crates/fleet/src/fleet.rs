@@ -2,35 +2,19 @@
 //!
 //! The fleet's timeline is bulk-synchronous: within a batch every
 //! device runs its shard's kernels independently, then all devices
-//! join an all-gather exchange before the next batch. A batch's wall
-//! time is therefore the slowest device's kernel time plus the
-//! exchange; faster devices accrue the difference as idle time, and
-//! every device accrues the communication. The resulting ledger —
-//! busy / idle / communication per device — is what the scaling study
-//! reports and what flattens the speedup curve as devices grow.
+//! join an exchange before the next batch. A batch's wall time is
+//! therefore the slowest device's kernel time plus the exchange;
+//! faster devices accrue the difference as idle time, and every device
+//! accrues the communication. The resulting ledger — busy / idle /
+//! communication per device — is what the scaling study reports and
+//! what flattens the speedup curve as devices grow.
+//!
+//! [`Fleet`] is a pure ledger: it prices nothing itself. Callers book
+//! the compute span ([`Fleet::span`]) and the exchange priced by the
+//! topology layer ([`Fleet::book_exchange`]), plus any transfers and
+//! recovery penalties in between.
 
 use serde::Serialize;
-
-use crate::interconnect::Interconnect;
-use crate::spec::FleetSpec;
-
-/// The modeled cost of one sharded batch.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchCost {
-    /// Slowest device's kernel seconds (the compute span of the batch).
-    pub kernel_seconds: f64,
-    /// Ring all-gather seconds appended after the compute span.
-    pub exchange_seconds: f64,
-    /// Bytes the exchange moved across all links.
-    pub exchange_bytes: u64,
-}
-
-impl BatchCost {
-    /// Wall-clock seconds the batch occupies on the fleet timeline.
-    pub fn wall_seconds(&self) -> f64 {
-        self.kernel_seconds + self.exchange_seconds
-    }
-}
 
 /// One device's slice of the fleet ledger.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -74,8 +58,6 @@ pub struct FleetReport {
 /// N simulated devices sharing one bulk-synchronous timeline.
 #[derive(Debug, Clone)]
 pub struct Fleet {
-    spec: FleetSpec,
-    interconnect: Interconnect,
     wall_seconds: f64,
     exchange_seconds: f64,
     exchange_bytes: u64,
@@ -87,14 +69,10 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// A fleet of `spec.devices` devices with zeroed clocks.
-    pub fn new(spec: FleetSpec) -> Self {
-        assert!(spec.devices >= 1, "a fleet needs at least one device");
-        let interconnect = Interconnect::new(spec.interconnect.clone());
-        let busy = vec![0.0; spec.devices];
+    /// A ledger for `devices` devices with zeroed clocks.
+    pub fn new(devices: usize) -> Self {
+        assert!(devices >= 1, "a fleet needs at least one device");
         Fleet {
-            spec,
-            interconnect,
             wall_seconds: 0.0,
             exchange_seconds: 0.0,
             exchange_bytes: 0,
@@ -102,58 +80,18 @@ impl Fleet {
             faults: 0,
             recovery_seconds: 0.0,
             lost_seconds: 0.0,
-            busy,
+            busy: vec![0.0; devices],
         }
-    }
-
-    /// The machine description the fleet prices against.
-    pub fn spec(&self) -> &FleetSpec {
-        &self.spec
     }
 
     /// Number of devices.
     pub fn devices(&self) -> usize {
-        self.spec.devices
+        self.busy.len()
     }
 
     /// Seconds elapsed on the fleet timeline so far.
     pub fn wall_seconds(&self) -> f64 {
         self.wall_seconds
-    }
-
-    /// Advance the timeline by one sharded batch. `kernel_seconds[d]`
-    /// is device `d`'s modeled time for its shard (zero if the shard
-    /// was empty); `payload_bytes[d]` is what it must publish to its
-    /// peers (error-band delta + image halo). Returns the priced cost
-    /// and leaves the ledger updated.
-    pub fn batch(&mut self, kernel_seconds: &[f64], payload_bytes: &[u64]) -> BatchCost {
-        self.batch_among(kernel_seconds, payload_bytes, None, 1.0)
-    }
-
-    /// [`Fleet::batch`] for a partially-live fleet: devices marked
-    /// dead in `live` are out of the exchange ring (and must carry
-    /// zero kernel time — they hold no shard), and the interconnect
-    /// bandwidth is scaled by `bandwidth_factor` (degraded-link
-    /// episodes pass `1/factor`). `live` of `None` with factor 1
-    /// prices bitwise identically to [`Fleet::batch`].
-    pub fn batch_among(
-        &mut self,
-        kernel_seconds: &[f64],
-        payload_bytes: &[u64],
-        live: Option<&[bool]>,
-        bandwidth_factor: f64,
-    ) -> BatchCost {
-        assert_eq!(payload_bytes.len(), self.devices(), "one payload per device");
-        let slowest = self.span(kernel_seconds);
-        let exchange =
-            self.interconnect.allgather_seconds_among(payload_bytes, live, bandwidth_factor);
-        let bytes = self.interconnect.allgather_bytes_among(payload_bytes, live);
-
-        self.wall_seconds += exchange;
-        self.exchange_seconds += exchange;
-        self.exchange_bytes += bytes;
-        self.batches += 1;
-        BatchCost { kernel_seconds: slowest, exchange_seconds: exchange, exchange_bytes: bytes }
     }
 
     /// Book a pre-priced transfer (slab streaming load, seam halo)
@@ -174,9 +112,8 @@ impl Fleet {
 
     /// Book a pre-priced exchange (the topology layer's hierarchical
     /// reduce) onto the timeline and count the batch. The compute span
-    /// must already have been priced via [`Fleet::span`]; together
-    /// `span` + `book_exchange` are the cluster path's equivalent of
-    /// [`Fleet::batch`].
+    /// must already have been booked via [`Fleet::span`]; together
+    /// `span` + `book_exchange` advance the ledger by one batch.
     pub fn book_exchange(&mut self, seconds: f64, bytes: u64) {
         self.book_transfer(seconds, bytes);
         self.batches += 1;
@@ -184,10 +121,11 @@ impl Fleet {
 
     /// Advance the timeline by one bulk-synchronous compute span
     /// without an exchange or a batch count: all devices run, the
-    /// slowest sets the span, busy time accrues per device. The
-    /// recovery path uses this for the doomed first attempt of a
-    /// failure batch (whose exchange never happens) and for the
-    /// resharded retry. Returns the span seconds.
+    /// slowest sets the span, busy time accrues per device
+    /// (`kernel_seconds[d]` is device `d`'s modeled time, zero if it
+    /// launched nothing). The recovery path uses it for the doomed
+    /// first attempt of a failure batch and for the resharded retry
+    /// alike. Returns the span seconds.
     pub fn span(&mut self, kernel_seconds: &[f64]) -> f64 {
         assert_eq!(kernel_seconds.len(), self.devices(), "one kernel time per device");
         let slowest = kernel_seconds.iter().fold(0.0f64, |a, &b| a.max(b));
@@ -219,8 +157,9 @@ impl Fleet {
         self.faults += 1;
     }
 
-    /// Count retry compute as recovery time in the ledger (the wall
-    /// advance itself comes from the [`Fleet::span`] that priced it).
+    /// Count retry work (slab re-loads and resharded compute) as
+    /// recovery time in the ledger; the wall advance itself comes from
+    /// the bookings that priced it.
     pub fn record_recovery(&mut self, seconds: f64) {
         self.recovery_seconds += seconds;
     }
@@ -268,18 +207,37 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Interconnect, InterconnectSpec};
 
     fn fleet(devices: usize) -> Fleet {
-        Fleet::new(FleetSpec::titan_x_pcie(devices))
+        Fleet::new(devices)
+    }
+
+    /// One batch the way the driver books it: the compute span, then a
+    /// PCIe ring all-gather over the live devices at `bandwidth` times
+    /// the nominal link rate. Returns (span, exchange seconds, bytes).
+    fn batch(
+        f: &mut Fleet,
+        kernel_seconds: &[f64],
+        payloads: &[u64],
+        live: Option<&[bool]>,
+        bandwidth: f64,
+    ) -> (f64, f64, u64) {
+        let ic = Interconnect::new(InterconnectSpec::pcie3_x16());
+        let span = f.span(kernel_seconds);
+        let seconds = ic.allgather_seconds_among(payloads, live, bandwidth);
+        let bytes = ic.allgather_bytes_among(payloads, live);
+        f.book_exchange(seconds, bytes);
+        (span, seconds, bytes)
     }
 
     #[test]
     fn single_device_batch_is_pure_kernel_time() {
         let mut f = fleet(1);
-        let cost = f.batch(&[0.25], &[1 << 20]);
-        assert_eq!(cost.kernel_seconds, 0.25);
-        assert_eq!(cost.exchange_seconds, 0.0);
-        assert_eq!(cost.exchange_bytes, 0);
+        let (span, exchange, bytes) = batch(&mut f, &[0.25], &[1 << 20], None, 1.0);
+        assert_eq!(span, 0.25);
+        assert_eq!(exchange, 0.0);
+        assert_eq!(bytes, 0);
         assert_eq!(f.wall_seconds(), 0.25);
         let r = f.report();
         assert_eq!(r.per_device[0].utilization, 1.0);
@@ -289,11 +247,11 @@ mod tests {
     #[test]
     fn slowest_device_sets_the_batch_span() {
         let mut f = fleet(2);
-        let cost = f.batch(&[0.1, 0.3], &[0, 0]);
-        assert_eq!(cost.kernel_seconds, 0.3);
+        let (span, exchange, _) = batch(&mut f, &[0.1, 0.3], &[0, 0], None, 1.0);
+        assert_eq!(span, 0.3);
         // Zero payloads still pay the all-gather latency.
-        assert!(cost.exchange_seconds > 0.0);
-        assert_eq!(cost.wall_seconds(), 0.3 + cost.exchange_seconds);
+        assert!(exchange > 0.0);
+        assert_eq!(f.wall_seconds(), 0.3 + exchange);
         let r = f.report();
         assert!(r.per_device[0].idle_seconds > r.per_device[1].idle_seconds);
         assert!(r.per_device[1].utilization > r.per_device[0].utilization);
@@ -303,12 +261,14 @@ mod tests {
     #[test]
     fn ledger_accumulates_across_batches() {
         let mut f = fleet(4);
-        let c1 = f.batch(&[0.1, 0.2, 0.15, 0.05], &[1000, 2000, 1500, 500]);
-        let c2 = f.batch(&[0.2, 0.1, 0.05, 0.15], &[500, 1000, 250, 750]);
+        let (s1, e1, b1) =
+            batch(&mut f, &[0.1, 0.2, 0.15, 0.05], &[1000, 2000, 1500, 500], None, 1.0);
+        let (s2, e2, b2) =
+            batch(&mut f, &[0.2, 0.1, 0.05, 0.15], &[500, 1000, 250, 750], None, 1.0);
         let r = f.report();
         assert_eq!(r.batches, 2);
-        assert!((r.wall_seconds - (c1.wall_seconds() + c2.wall_seconds())).abs() < 1e-15);
-        assert_eq!(r.exchange_bytes, c1.exchange_bytes + c2.exchange_bytes);
+        assert!((r.wall_seconds - (s1 + e1 + s2 + e2)).abs() < 1e-15);
+        assert_eq!(r.exchange_bytes, b1 + b2);
         // Both batches' busy time lands on the right device.
         assert!((r.per_device[0].busy_seconds - 0.3).abs() < 1e-15);
         assert!((r.per_device[3].busy_seconds - 0.2).abs() < 1e-15);
@@ -317,7 +277,7 @@ mod tests {
     #[test]
     fn report_serializes() {
         let mut f = fleet(2);
-        f.batch(&[0.1, 0.2], &[100, 200]);
+        batch(&mut f, &[0.1, 0.2], &[100, 200], None, 1.0);
         let text = serde_json::to_string(&f.report()).expect("serializes");
         assert!(text.contains("\"utilization\""));
         assert!(text.contains("\"exchange_bytes\""));
@@ -326,19 +286,19 @@ mod tests {
     #[test]
     #[should_panic(expected = "one kernel time per device")]
     fn mismatched_kernel_vector_is_rejected() {
-        fleet(2).batch(&[0.1], &[0, 0]);
+        fleet(2).span(&[0.1]);
     }
 
     #[test]
-    fn batch_among_all_live_matches_batch_bitwise() {
+    fn all_live_exchange_books_the_full_ring_ledger_bitwise() {
         let k = [0.1, 0.3, 0.2];
         let p = [1u64 << 20, 1 << 19, 1 << 18];
         let mut a = fleet(3);
         let mut b = fleet(3);
-        let ca = a.batch(&k, &p);
-        let cb = b.batch_among(&k, &p, Some(&[true, true, true]), 1.0);
+        let ca = batch(&mut a, &k, &p, None, 1.0);
+        let cb = batch(&mut b, &k, &p, Some(&[true, true, true]), 1.0);
         assert_eq!(ca, cb);
-        assert_eq!(a.wall_seconds(), b.wall_seconds());
+        assert_eq!(a.report(), b.report());
     }
 
     #[test]
@@ -346,11 +306,12 @@ mod tests {
         let mut healthy = fleet(3);
         let mut faulty = fleet(3);
         let p = [1u64 << 20, 1 << 20, 1 << 20];
-        let ch = healthy.batch(&[0.1, 0.1, 0.1], &p);
+        let (_, eh, bh) = batch(&mut healthy, &[0.1, 0.1, 0.1], &p, None, 1.0);
         // Device 2 dead: no kernel time, no chunk, a 2-ring exchange.
-        let cf = faulty.batch_among(&[0.15, 0.15, 0.0], &p, Some(&[true, true, false]), 1.0);
-        assert!(cf.exchange_seconds < ch.exchange_seconds, "smaller ring, fewer steps");
-        assert!(cf.exchange_bytes < ch.exchange_bytes);
+        let (_, ef, bf) =
+            batch(&mut faulty, &[0.15, 0.15, 0.0], &p, Some(&[true, true, false]), 1.0);
+        assert!(ef < eh, "smaller ring, fewer steps");
+        assert!(bf < bh);
         assert_eq!(faulty.report().per_device[2].busy_seconds, 0.0);
     }
 
@@ -367,8 +328,8 @@ mod tests {
         // Resharded retry on the survivor, then the batch completes.
         let retry = f.span(&[0.15, 0.0]);
         f.record_recovery(retry);
-        let cost = f.batch_among(&[0.0, 0.0], &[1 << 10, 0], Some(&[true, false]), 1.0);
-        assert_eq!(cost.exchange_seconds, 0.0, "one survivor exchanges nothing");
+        let (_, exchange, _) = batch(&mut f, &[0.0, 0.0], &[1 << 10, 0], Some(&[true, false]), 1.0);
+        assert_eq!(exchange, 0.0, "one survivor exchanges nothing");
         let r = f.report();
         assert_eq!(r.faults, 1);
         assert_eq!(r.batches, 1);
@@ -382,23 +343,14 @@ mod tests {
     }
 
     #[test]
-    fn booked_exchanges_match_the_batch_ledger_shape() {
-        // span + book_exchange must leave the same ledger a batch
-        // with the same numbers would: that is what makes the cluster
-        // pricing path a drop-in peer of the flat one.
-        let mut flat = fleet(2);
-        let cost = flat.batch(&[0.1, 0.2], &[1 << 20, 1 << 19]);
-        let mut booked = fleet(2);
-        let span = booked.span(&[0.1, 0.2]);
-        assert_eq!(span, cost.kernel_seconds);
-        booked.book_exchange(cost.exchange_seconds, cost.exchange_bytes);
-        assert_eq!(flat.report(), booked.report());
-        // A transfer books time and bytes but no batch.
-        booked.book_transfer(0.5, 100);
-        let r = booked.report();
+    fn booked_transfers_add_time_and_bytes_but_no_batch() {
+        let mut f = fleet(2);
+        let (_, exchange, bytes) = batch(&mut f, &[0.1, 0.2], &[1 << 20, 1 << 19], None, 1.0);
+        f.book_transfer(0.5, 100);
+        let r = f.report();
         assert_eq!(r.batches, 1);
-        assert_eq!(r.exchange_bytes, cost.exchange_bytes + 100);
-        assert!((r.exchange_seconds - (cost.exchange_seconds + 0.5)).abs() < 1e-15);
+        assert_eq!(r.exchange_bytes, bytes + 100);
+        assert!((r.exchange_seconds - (exchange + 0.5)).abs() < 1e-15);
     }
 
     #[test]
@@ -410,7 +362,7 @@ mod tests {
     #[test]
     fn fast_forward_only_moves_the_clock_forward() {
         let mut f = fleet(2);
-        f.batch(&[0.1, 0.1], &[0, 0]);
+        batch(&mut f, &[0.1, 0.1], &[0, 0], None, 1.0);
         let wall = f.wall_seconds();
         f.fast_forward_to(wall - 0.05);
         assert_eq!(f.wall_seconds(), wall, "never rewinds");
@@ -424,10 +376,10 @@ mod tests {
         let p = [1u64 << 22, 1 << 22];
         let mut nominal = fleet(2);
         let mut degraded = fleet(2);
-        let cn = nominal.batch(&k, &p);
-        let cd = degraded.batch_among(&k, &p, None, 0.5);
-        assert_eq!(cd.kernel_seconds, cn.kernel_seconds);
-        assert!(cd.exchange_seconds > cn.exchange_seconds);
-        assert_eq!(cd.exchange_bytes, cn.exchange_bytes, "bytes moved are bytes moved");
+        let (sn, en, bn) = batch(&mut nominal, &k, &p, None, 1.0);
+        let (sd, ed, bd) = batch(&mut degraded, &k, &p, None, 0.5);
+        assert_eq!(sd, sn);
+        assert!(ed > en);
+        assert_eq!(bd, bn, "bytes moved are bytes moved");
     }
 }

@@ -7,9 +7,10 @@
 //! hop — `latency + bytes / bandwidth` — of the largest chunk in
 //! flight during that step (which, with every chunk moving every step,
 //! is the largest live payload). A single device never exchanges
-//! anything. Fault episodes plug in through the `_among` variants: a
-//! dead device drops out of the ring (fewer chunks *and* fewer steps)
-//! and a degraded link scales the bandwidth term.
+//! anything. Fault episodes plug in through the `_among` variants and
+//! the bandwidth factors: a dead device drops out of the ring (fewer
+//! chunks *and* fewer steps) and a degraded link scales the bandwidth
+//! term.
 
 use crate::spec::InterconnectSpec;
 
@@ -103,12 +104,14 @@ impl Interconnect {
     /// source alone) costs nothing. This is the intra-node fan-out
     /// phase of the hierarchical reduce: after the inter-node
     /// exchange, each node leader chains the foreign bytes through its
-    /// `d - 1` peers.
-    pub fn broadcast_seconds(&self, bytes: u64, hops: usize) -> f64 {
+    /// `d - 1` peers. `bandwidth_factor` scales the byte term as in
+    /// [`Interconnect::transfer_seconds_scaled`].
+    pub fn broadcast_seconds(&self, bytes: u64, hops: usize, bandwidth_factor: f64) -> f64 {
         if hops == 0 {
             return 0.0;
         }
-        hops as f64 * self.spec.latency_us * 1e-6 + bytes as f64 / (self.spec.link_gbps * 1e9)
+        hops as f64 * self.spec.latency_us * 1e-6
+            + bytes as f64 / (self.spec.link_gbps * 1e9 * bandwidth_factor)
     }
 
     /// Total bytes a chain broadcast moves: the payload crosses every
@@ -272,13 +275,16 @@ mod tests {
     fn chain_broadcast_pays_one_latency_per_hop_and_streams_bytes_once() {
         let ic = pcie();
         let spec = ic.spec().clone();
-        assert_eq!(ic.broadcast_seconds(1 << 20, 0), 0.0, "the source alone moves nothing");
+        assert_eq!(ic.broadcast_seconds(1 << 20, 0, 1.0), 0.0, "the source alone moves nothing");
         assert_eq!(ic.broadcast_bytes(1 << 20, 0), 0);
         // 3 hops: three latencies, but the byte term appears once —
         // the stream pipelines through the chain at line rate.
-        let secs = ic.broadcast_seconds(12_000_000, 3);
+        let secs = ic.broadcast_seconds(12_000_000, 3, 1.0);
         let expect = 3.0 * spec.latency_us * 1e-6 + 1e-3;
         assert!((secs - expect).abs() < 1e-12, "{secs} vs {expect}");
+        // A degraded link stretches the byte term, never the latencies.
+        let slow = ic.broadcast_seconds(12_000_000, 3, 0.5);
+        assert!((slow - (expect + 1e-3)).abs() < 1e-12, "{slow}");
         assert_eq!(ic.broadcast_bytes(12_000_000, 3), 36_000_000);
         // A chain broadcast beats relaying the payload hop by serial
         // hop, which would pay the byte term per hop.

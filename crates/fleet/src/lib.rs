@@ -23,11 +23,12 @@
 //!   must see its peers' error-sinogram band deltas and boundary-voxel
 //!   (halo) image updates before the next batch gathers — as a ring
 //!   all-gather: `(N-1)` steps of `latency + bytes/bandwidth`.
-//! - [`Fleet`]: N per-device clocks advancing in batch steps. A batch's
-//!   wall time is the slowest device's kernel time plus the exchange;
-//!   faster devices accrue idle time, every device accrues the
-//!   communication — the strong-scaling-vs-communication ledger the
-//!   scaling study reports.
+//! - [`Fleet`]: N per-device clocks advancing in batch steps — a pure
+//!   ledger. A batch's wall time is the slowest device's kernel time
+//!   plus the exchange (priced by the topology layer over
+//!   [`Interconnect`] and booked here); faster devices accrue idle
+//!   time, every device accrues the communication — the
+//!   strong-scaling-vs-communication ledger the scaling study reports.
 //!
 //! Telemetry: per-device kernel spans carry a `device` id and merge
 //! into one report with a deterministic order (stable sort by start
@@ -36,9 +37,9 @@
 //!
 //! Fault tolerance: [`FaultSpec`] schedules deterministic adverse
 //! events (device failures, straggler episodes, degraded-link
-//! episodes) against the batch sequence; the `_among` interconnect and
-//! fleet entry points price shrunken rings and scaled bandwidth, and
-//! the ledger gains fault / recovery / lost-time counters. Faults bend
+//! episodes) against the batch sequence; the `_among` interconnect
+//! entry points price shrunken rings and scaled bandwidth, and the
+//! ledger gains fault / recovery / lost-time counters. Faults bend
 //! only the modeled timeline — the functional reconstruction stays
 //! bitwise identical to a healthy run.
 
@@ -52,7 +53,7 @@ pub mod shard;
 pub mod spec;
 
 pub use fault::{FaultEvent, FaultSpec, DEFAULT_BACKOFF_SECONDS};
-pub use fleet::{BatchCost, DeviceReport, Fleet, FleetReport};
+pub use fleet::{DeviceReport, Fleet, FleetReport};
 pub use interconnect::Interconnect;
 pub use ledger::{TenantUsage, UsageLedger};
 pub use shard::ShardPlan;

@@ -112,6 +112,12 @@ impl SlabStreamer {
         self.resident[device]
     }
 
+    /// Reinstall `slab` as what `device` holds, charging no load —
+    /// resuming a checkpointed run, whose devices already paid for it.
+    pub fn set_resident(&mut self, device: usize, slab: Option<usize>) {
+        self.resident[device] = slab;
+    }
+
     /// Note that `device` is about to work on `slab`. Returns `true`
     /// (and charges a load) if the slab had to stream in — on first
     /// touch or after the device hosted a different slab.
@@ -194,6 +200,12 @@ mod tests {
         assert_eq!(s.loads(), 4);
         assert_eq!(s.resident(0), Some(0));
         assert_eq!(s.resident(1), Some(1));
+        // Reinstalled residency (a resume) is free until it changes.
+        s.set_resident(1, Some(0));
+        assert!(!s.touch(1, 0));
+        s.set_resident(0, None);
+        assert_eq!(s.loads(), 4);
+        assert!(s.touch(0, 0), "an emptied device loads again");
     }
 
     proptest! {

@@ -67,6 +67,18 @@ impl ClusterSpec {
         }
     }
 
+    /// A flat fleet as a cluster: one node holding every device, one
+    /// slab. Its hierarchical reduce is the fleet's own ring
+    /// all-gather, so this is how the driver runs every flat fleet.
+    pub fn single_node(fleet: FleetSpec) -> Self {
+        ClusterSpec {
+            nodes: 1,
+            node: NodeSpec { fleet },
+            inter: InterconnectSpec::net_100gbe(),
+            slabs: 1,
+        }
+    }
+
     /// Builder: the same cluster reconstructing `slabs` axial slabs.
     pub fn with_slabs(mut self, slabs: usize) -> Self {
         assert!(slabs >= 1, "a volume has at least one slab");
@@ -111,10 +123,7 @@ impl ClusterSpec {
     /// and the synchronous ring's steps wait for the slowest hop, so
     /// the flat baseline prices every step on the inter-node link; a
     /// single-node cluster flattens to its intra-node fleet. This is
-    /// both the baseline the hierarchical reduce is judged against and
-    /// the fleet the driver's clocks run on (the link choice only
-    /// matters for the baseline — the cluster path books its own
-    /// exchange pricing).
+    /// the baseline the hierarchical reduce is judged against.
     pub fn flatten(&self) -> FleetSpec {
         FleetSpec {
             devices: self.total_devices(),

@@ -100,43 +100,73 @@ impl Topology {
     /// Price the hierarchical reduce for one batch, `payload_bytes[g]`
     /// being what global device `g` must publish.
     pub fn allgather(&self, payload_bytes: &[u64]) -> ExchangeCost {
+        self.allgather_among(payload_bytes, &vec![true; payload_bytes.len()], 1.0)
+    }
+
+    /// [`Topology::allgather`] over the devices marked `true` in
+    /// `live`, with every link's bandwidth scaled by
+    /// `bandwidth_factor` (degraded-link episodes pass `1/factor`).
+    /// Dead devices publish nothing and leave their node's ring; a
+    /// node's lowest live device leads it on the inter-node link (so a
+    /// dead leader hands the link to the next live device), and a node
+    /// with no live device leaves the inter-node ring and receives no
+    /// broadcast. Every device live at factor 1 is exactly
+    /// [`Topology::allgather`]; one node is exactly the flat intra-node
+    /// ring over the live devices.
+    pub fn allgather_among(
+        &self,
+        payload_bytes: &[u64],
+        live: &[bool],
+        bandwidth_factor: f64,
+    ) -> ExchangeCost {
         let d = self.spec.devices_per_node();
         let n = self.spec.nodes;
         assert_eq!(payload_bytes.len(), n * d, "one payload per device");
+        assert_eq!(live.len(), n * d, "one liveness flag per device");
 
         // Phase 1: per-node ring all-gather on the intra link.
         let mut intra_gather = Vec::with_capacity(n);
         let mut node_totals = Vec::with_capacity(n);
+        let mut node_live = Vec::with_capacity(n);
         for node in 0..n {
             let slice = &payload_bytes[node * d..(node + 1) * d];
-            node_totals.push(slice.iter().sum::<u64>());
+            let mask = &live[node * d..(node + 1) * d];
+            node_totals.push(slice.iter().zip(mask).filter(|(_, &l)| l).map(|(&p, _)| p).sum());
+            node_live.push(mask.iter().filter(|&&l| l).count());
             intra_gather.push(PhaseCost {
-                seconds: self.intra.allgather_seconds(slice),
-                bytes: self.intra.allgather_bytes(slice),
+                seconds: self.intra.allgather_seconds_among(slice, Some(mask), bandwidth_factor),
+                bytes: self.intra.allgather_bytes_among(slice, Some(mask)),
             });
         }
 
         // Phase 2: leaders exchange per-node aggregates on the inter
-        // link.
+        // link; nodes without a live device sit the ring out.
+        let leaders: Vec<bool> = node_live.iter().map(|&l| l > 0).collect();
         let inter_exchange = PhaseCost {
-            seconds: self.inter.allgather_seconds(&node_totals),
-            bytes: self.inter.allgather_bytes(&node_totals),
+            seconds: self.inter.allgather_seconds_among(
+                &node_totals,
+                Some(&leaders),
+                bandwidth_factor,
+            ),
+            bytes: self.inter.allgather_bytes_among(&node_totals, Some(&leaders)),
         };
 
         // Phase 3: each leader chains the foreign bytes through its
-        // node. No foreign bytes (single node, or silent peers) means
-        // no broadcast at all — not even the latency.
+        // live peers. No foreign bytes (single node, or silent peers)
+        // and no peers (a lone or empty node) both mean no broadcast
+        // at all — not even the latency.
         let total: u64 = node_totals.iter().sum();
         let intra_broadcast = node_totals
             .iter()
-            .map(|&own| {
-                let foreign = total - own;
+            .zip(&node_live)
+            .map(|(&own, &alive)| {
+                let (foreign, hops) = (total - own, alive.saturating_sub(1));
                 if foreign == 0 {
                     PhaseCost::default()
                 } else {
                     PhaseCost {
-                        seconds: self.intra.broadcast_seconds(foreign, d - 1),
-                        bytes: self.intra.broadcast_bytes(foreign, d - 1),
+                        seconds: self.intra.broadcast_seconds(foreign, hops, bandwidth_factor),
+                        bytes: self.intra.broadcast_bytes(foreign, hops),
                     }
                 }
             })
@@ -173,6 +203,7 @@ impl Topology {
 mod tests {
     use super::*;
     use mbir_fleet::InterconnectSpec;
+    use proptest::prelude::*;
 
     fn payloads(cluster: &ClusterSpec, each: u64) -> Vec<u64> {
         vec![each; cluster.total_devices()]
@@ -277,5 +308,84 @@ mod tests {
         let fast_intra = Topology::new(ClusterSpec::titan_x_cluster(2, 2)).allgather(&[1 << 20; 4]);
         assert!(cost.gather_span() > fast_intra.gather_span());
         assert_eq!(cost.inter_exchange, fast_intra.inter_exchange);
+    }
+
+    #[test]
+    fn all_live_at_nominal_bandwidth_is_the_plain_reduce() {
+        for (nodes, dpn) in [(1, 4), (2, 2), (4, 3), (8, 1)] {
+            let topo = Topology::new(ClusterSpec::titan_x_cluster(nodes, dpn));
+            let p: Vec<u64> = (0..(nodes * dpn) as u64).map(|g| 4096 + 512 * g).collect();
+            let among = topo.allgather_among(&p, &vec![true; p.len()], 1.0);
+            assert_eq!(among, topo.allgather(&p), "{nodes}x{dpn}");
+            assert_eq!(among.seconds.to_bits(), topo.allgather(&p).seconds.to_bits());
+        }
+    }
+
+    #[test]
+    fn a_dead_leader_hands_the_inter_link_to_the_next_live_device() {
+        // Node 0 loses its leader (device 0): device 1 speaks for the
+        // node, which stays in the inter-node ring with its live total
+        // and chains the foreign bytes to its one remaining peer.
+        let topo = Topology::new(ClusterSpec::titan_x_cluster(2, 3));
+        let p = [1u64 << 20, 1 << 18, 1 << 19, 1 << 17, 1 << 16, 1 << 15];
+        let live = [false, true, true, true, true, true];
+        let cost = topo.allgather_among(&p, &live, 1.0);
+        let node0 = (1u64 << 18) + (1 << 19);
+        let node1 = (1u64 << 17) + (1 << 16) + (1 << 15);
+        let inter = Interconnect::new(InterconnectSpec::net_100gbe());
+        assert_eq!(cost.inter_exchange.seconds, inter.allgather_seconds(&[node0, node1]));
+        assert_eq!(cost.inter_exchange.bytes, inter.allgather_bytes(&[node0, node1]));
+        assert_eq!(cost.intra_broadcast[0].seconds, topo.intra().broadcast_seconds(node1, 1, 1.0));
+        assert_eq!(cost.intra_broadcast[1].seconds, topo.intra().broadcast_seconds(node0, 2, 1.0));
+        assert_eq!(
+            cost.intra_gather[0].seconds,
+            topo.intra().allgather_seconds(&[1 << 18, 1 << 19]),
+            "the dead device's chunk leaves node 0's ring"
+        );
+    }
+
+    #[test]
+    fn a_node_with_no_live_device_leaves_the_inter_ring_and_gets_no_broadcast() {
+        let topo = Topology::new(ClusterSpec::titan_x_cluster(2, 2));
+        let p = [1u64 << 20, 1 << 19, 1 << 20, 1 << 20];
+        let cost = topo.allgather_among(&p, &[true, true, false, false], 1.0);
+        assert_eq!(cost.intra_gather[1], PhaseCost::default());
+        assert_eq!(cost.inter_exchange, PhaseCost::default(), "one node left: no inter ring");
+        assert_eq!(cost.intra_broadcast, vec![PhaseCost::default(); 2]);
+        assert_eq!(cost.seconds, topo.intra().allgather_seconds(&[1 << 20, 1 << 19]));
+    }
+
+    #[test]
+    fn a_degraded_link_stretches_every_phase() {
+        let topo = Topology::new(ClusterSpec::titan_x_cluster(2, 2));
+        let p = [1u64 << 20; 4];
+        let live = [true; 4];
+        let nominal = topo.allgather_among(&p, &live, 1.0);
+        let degraded = topo.allgather_among(&p, &live, 0.5);
+        assert!(degraded.gather_span() > nominal.gather_span());
+        assert!(degraded.inter_exchange.seconds > nominal.inter_exchange.seconds);
+        assert!(degraded.broadcast_span() > nominal.broadcast_span());
+        assert_eq!(degraded.bytes, nominal.bytes, "bytes moved are bytes moved");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn one_node_is_the_flat_intra_ring_among_the_live(
+            payloads in prop::collection::vec(0u64..1 << 24, 1..9),
+            mask in 0u16..512,
+            factor in 0.05f64..4.0,
+        ) {
+            let topo = Topology::new(ClusterSpec::titan_x_cluster(1, payloads.len()));
+            let live: Vec<bool> = (0..payloads.len()).map(|d| mask >> d & 1 == 1).collect();
+            let cost = topo.allgather_among(&payloads, &live, factor);
+            let ring = topo.intra();
+            prop_assert_eq!(
+                cost.seconds.to_bits(),
+                ring.allgather_seconds_among(&payloads, Some(&live), factor).to_bits()
+            );
+            prop_assert_eq!(cost.bytes, ring.allgather_bytes_among(&payloads, Some(&live)));
+        }
     }
 }

@@ -2,9 +2,10 @@
 //! interrupted at ANY iteration boundary and resumed from its saved
 //! checkpoint must produce an image, error sinogram, work counters,
 //! and modeled timeline bitwise identical to the run that was never
-//! interrupted — on the single-device path, on the fleet path, and on
-//! the fleet path with a fault schedule mid-flight (failure before,
-//! at, and after the interruption point).
+//! interrupted — on the single-device path, on flat fleets and
+//! clusters (slabs pinned to device groups, and streamed through fewer
+//! devices than slabs), with and without a fault schedule mid-flight
+//! (failure before, at, and after the interruption point).
 
 use ct_core::fbp;
 use ct_core::geometry::Geometry;
@@ -17,6 +18,7 @@ use gpu_icd::{Checkpoint, GpuIcd, GpuOptions, MbirError};
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::IcdStats;
 use mbir_fleet::FaultSpec;
+use mbir_topo::ClusterSpec;
 use std::path::PathBuf;
 
 struct Setup {
@@ -74,14 +76,24 @@ fn tmp_dir(name: &str) -> PathBuf {
 }
 
 /// Interrupt a `total`-iteration run at every boundary `k`, round the
-/// checkpoint through disk, resume in a fresh driver (installing
-/// `faults` first, as the documented contract requires), and demand
-/// the final state match the uninterrupted run bit for bit.
-fn assert_resume_invisible(s: &Setup, o: GpuOptions, faults: Option<&str>, total: u64, tag: &str) {
+/// checkpoint through disk, resume in a fresh driver (installing the
+/// cluster and `faults` first, as the documented contract requires),
+/// and demand the final state match the uninterrupted run bit for bit.
+fn assert_resume_invisible(
+    s: &Setup,
+    o: GpuOptions,
+    cluster: Option<ClusterSpec>,
+    faults: Option<&str>,
+    total: u64,
+    tag: &str,
+) {
     let dir = tmp_dir(tag);
     let path = dir.join("checkpoint.mbir");
     let make = || {
         let mut g = driver(s, o);
+        if let Some(c) = &cluster {
+            g.set_cluster_spec(c.clone()).expect("cluster installs");
+        }
         if let Some(text) = faults {
             let spec = FaultSpec::parse(text, o.devices).expect("valid fault schedule");
             g.set_fault_spec(spec).expect("fault spec installs");
@@ -119,13 +131,13 @@ fn assert_resume_invisible(s: &Setup, o: GpuOptions, faults: Option<&str>, total
 #[test]
 fn single_device_resume_is_bitwise_identical_at_every_boundary() {
     let s = setup();
-    assert_resume_invisible(&s, opts(1), None, 5, "single");
+    assert_resume_invisible(&s, opts(1), None, None, 5, "single");
 }
 
 #[test]
 fn fleet_resume_is_bitwise_identical_at_every_boundary() {
     let s = setup();
-    assert_resume_invisible(&s, opts(3), None, 5, "fleet");
+    assert_resume_invisible(&s, opts(3), None, None, 5, "fleet");
 }
 
 #[test]
@@ -137,7 +149,33 @@ fn faulted_fleet_resume_is_bitwise_identical_at_every_boundary() {
     // episode onsets without touching the functional state.
     let s = setup();
     let faults = "fail:1@2,slow:0@0..4x2,link:1..6x1.5,backoff:0.25";
-    assert_resume_invisible(&s, opts(4), Some(faults), 5, "faulted");
+    assert_resume_invisible(&s, opts(4), None, Some(faults), 5, "faulted");
+}
+
+#[test]
+fn cluster_resume_is_bitwise_identical_at_every_boundary() {
+    // Pinned (two slabs over 2x2: each device keeps one slab) and
+    // streaming (four slabs through two devices: residency churns, so
+    // the checkpoint's residency trailer decides which loads the
+    // resumed run pays).
+    let s = setup();
+    let pinned = ClusterSpec::titan_x_cluster(2, 2).with_slabs(2);
+    let streaming = ClusterSpec::titan_x_cluster(1, 2).with_slabs(4);
+    assert_resume_invisible(&s, opts(4), Some(pinned), None, 5, "cluster-pinned");
+    assert_resume_invisible(&s, opts(2), Some(streaming), None, 5, "cluster-streaming");
+}
+
+#[test]
+fn faulted_cluster_resume_is_bitwise_identical_at_every_boundary() {
+    // A leader failure and then the rest of its node on the pinned
+    // cluster; the streaming cluster loses a device mid-run.
+    let s = setup();
+    let pinned = ClusterSpec::titan_x_cluster(2, 2).with_slabs(2);
+    let streaming = ClusterSpec::titan_x_cluster(1, 2).with_slabs(4);
+    let node_loss = "fail:2@2,fail:3@5,slow:0@0..4x2,link:1..6x1.5,backoff:0.25";
+    let lone = "fail:1@3,slow:0@0..4x2,link:1..6x1.5,backoff:0.25";
+    assert_resume_invisible(&s, opts(4), Some(pinned), Some(node_loss), 5, "faulted-pinned");
+    assert_resume_invisible(&s, opts(2), Some(streaming), Some(lone), 5, "faulted-streaming");
 }
 
 #[test]

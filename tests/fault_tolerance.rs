@@ -1,11 +1,11 @@
 //! Fault injection bends the modeled timeline, never the mathematics:
-//! a fleet run with any schedule of device failures, stragglers, and
-//! degraded links must produce an image bitwise identical to the
-//! healthy run at the same device count — recovery re-prices the lost
-//! shard over the survivors, it does not recompute anything. The
-//! telemetry profile (schema v3) carries the fault lane and validates
-//! against the checked-in schema, and a dead device stops receiving
-//! work.
+//! a fleet or cluster run with any schedule of device failures,
+//! stragglers, and degraded links must produce an image bitwise
+//! identical to the healthy run on the same machine and to one device —
+//! recovery re-prices the lost shard over the survivors, it does not
+//! recompute anything. The telemetry profile (schema v3) carries the
+//! fault lane and validates against the checked-in schema, and a dead
+//! device stops receiving work.
 
 use ct_core::fbp;
 use ct_core::geometry::Geometry;
@@ -17,6 +17,7 @@ use gpu_icd::{GpuIcd, GpuOptions, MbirError};
 use mbir::prior::QggmrfPrior;
 use mbir_fleet::FaultSpec;
 use mbir_telemetry::json;
+use mbir_topo::ClusterSpec;
 
 struct Setup {
     a: SystemMatrix,
@@ -55,7 +56,20 @@ fn run<'a>(
     faults: Option<&str>,
     iters: usize,
 ) -> GpuIcd<'a, QggmrfPrior> {
+    run_on(s, o, None, faults, iters)
+}
+
+fn run_on<'a>(
+    s: &'a Setup,
+    o: GpuOptions,
+    cluster: Option<ClusterSpec>,
+    faults: Option<&str>,
+    iters: usize,
+) -> GpuIcd<'a, QggmrfPrior> {
     let mut g = driver(s, o);
+    if let Some(c) = cluster {
+        g.set_cluster_spec(c).expect("cluster installs");
+    }
     if let Some(text) = faults {
         let spec = FaultSpec::parse(text, g.options().devices).expect("valid fault schedule");
         g.set_fault_spec(spec).expect("fault spec installs");
@@ -76,25 +90,30 @@ fn any_fault_schedule_leaves_the_image_bitwise_identical() {
         "link:0..8x2",
         "fail:2@3,slow:1@0..4x2,link:1..6x1.5,backoff:0.25",
         "random:7",
+        // On a 2x2 cluster: node 1's leader, then the whole of node 1.
+        "fail:2@3",
+        "fail:2@2,fail:3@3",
     ];
-    for devices in [2usize, 4] {
-        let healthy = run(&s, opts(devices), None, 4);
+    let one = run(&s, opts(1), None, 4);
+    let cluster =
+        |nodes, dpn, slabs| Some(ClusterSpec::titan_x_cluster(nodes, dpn).with_slabs(slabs));
+    // Flat fleets, a pinned 2x2 cluster, and the streaming regime
+    // (more slabs than devices).
+    for (devices, shape) in [(2, None), (4, None), (4, cluster(2, 2, 2)), (2, cluster(1, 2, 4))] {
+        let healthy = run_on(&s, opts(devices), shape.clone(), None, 4);
+        assert_eq!(healthy.image(), one.image(), "{devices} devices {shape:?}");
         for schedule in schedules {
             if FaultSpec::parse(schedule, devices).is_err() {
                 continue; // fail:2@3 needs > 2 devices
             }
-            let faulted = run(&s, opts(devices), Some(schedule), 4);
-            assert_eq!(
-                healthy.image(),
-                faulted.image(),
-                "{devices} devices, `{schedule}` changed the image"
-            );
-            assert_eq!(healthy.error(), faulted.error(), "`{schedule}` changed the error");
-            assert_eq!(healthy.stats(), faulted.stats(), "`{schedule}` changed the counters");
+            let faulted = run_on(&s, opts(devices), shape.clone(), Some(schedule), 4);
+            let tag = format!("{devices} devices {shape:?}, `{schedule}`");
+            assert_eq!(healthy.image(), faulted.image(), "{tag} changed the image");
+            assert_eq!(one.error(), faulted.error(), "{tag} changed the error");
+            assert_eq!(one.stats(), faulted.stats(), "{tag} changed the counters");
             assert!(
                 faulted.modeled_seconds() > healthy.modeled_seconds(),
-                "{devices} devices, `{schedule}`: faults must cost modeled time \
-                 ({} vs {})",
+                "{tag}: faults must cost modeled time ({} vs {})",
                 faulted.modeled_seconds(),
                 healthy.modeled_seconds()
             );

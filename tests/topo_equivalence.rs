@@ -5,9 +5,9 @@
 //! counters — bitwise identical to the single-device driver at ANY
 //! (nodes, devices-per-node, slabs) shape. Degenerate shapes must
 //! collapse onto the flat fleet timeline exactly, a profiled cluster
-//! run must emit a deterministic schema-v6 report with the exchange
-//! lane populated, and the guards (faults, checkpoint restore) must
-//! hold.
+//! run (healthy or faulted) must emit a deterministic schema-v6 report
+//! with the exchange lane populated, and faults and checkpoint restore
+//! compose with any cluster shape.
 
 use ct_core::fbp;
 use ct_core::geometry::Geometry;
@@ -19,6 +19,7 @@ use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::golden_image;
+use mbir_fleet::FaultSpec;
 use mbir_telemetry::json;
 use mbir_topo::ClusterSpec;
 
@@ -147,11 +148,20 @@ fn slab_streaming_and_seams_only_stretch_the_timeline() {
 
 #[test]
 fn profiled_cluster_run_is_deterministic_and_valid() {
+    for faults in [None, Some("fail:1@2,slow:0@0..4x2,link:1..6x1.5,backoff:0.25")] {
+        check_profiled_cluster_run(faults);
+    }
+}
+
+fn check_profiled_cluster_run(faults: Option<&str>) {
     let s = setup();
     let profiled = |threads: usize| {
         let o = GpuOptions { profile: true, threads, ..opts(4) };
         let mut gpu = GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), o);
         gpu.set_cluster_spec(ClusterSpec::titan_x_cluster(2, 2).with_slabs(2)).expect("cluster");
+        if let Some(text) = faults {
+            gpu.set_fault_spec(FaultSpec::parse(text, 4).expect("schedule")).expect("installs");
+        }
         for _ in 0..3 {
             gpu.iteration();
         }
@@ -162,6 +172,12 @@ fn profiled_cluster_run_is_deterministic_and_valid() {
     assert_eq!(img1, img4);
     let text1 = rep1.to_json_pretty();
     assert_eq!(text1, rep4.to_json_pretty(), "merged profile depends on interleaving");
+    if faults.is_some() {
+        let kinds: Vec<&str> = rep1.faults.iter().map(|f| f.kind.as_str()).collect();
+        for kind in ["device_failure", "recovery", "straggler", "degraded_link"] {
+            assert!(kinds.contains(&kind), "missing {kind} in {kinds:?}");
+        }
+    }
 
     // The exchange lane carries every phase of the cluster batch.
     assert!(rep1.totals.exchanges > 0);
@@ -209,33 +225,52 @@ fn checked_in_cluster_exemplar_parses_to_the_preset() {
 }
 
 #[test]
-fn cluster_guards_reject_faults_mismatches_and_restore() {
+fn cluster_rejects_size_mismatch_and_composes_with_faults_and_restore() {
     let s = setup();
+    let cluster = || ClusterSpec::titan_x_cluster(2, 2).with_slabs(2);
     let mk = || GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), opts(4));
 
     // Size mismatch.
     let err = mk().set_cluster_spec(ClusterSpec::titan_x_cluster(2, 4)).unwrap_err();
     assert!(err.to_string().contains("sized for 8 devices"), "{err}");
 
-    // Faults x cluster, both orders.
-    let faults = mbir_fleet::FaultSpec::seeded(13, 4);
-    let mut gpu = mk();
-    gpu.set_fault_spec(faults.clone()).expect("faults alone are fine");
-    let err = gpu.set_cluster_spec(ClusterSpec::titan_x_cluster(2, 2)).unwrap_err();
-    assert!(err.to_string().contains("mutually exclusive"), "{err}");
-    let mut gpu = mk();
-    gpu.set_cluster_spec(ClusterSpec::titan_x_cluster(2, 2)).expect("cluster alone is fine");
-    let err = gpu.set_fault_spec(faults).unwrap_err();
-    assert!(err.to_string().contains("mutually exclusive"), "{err}");
+    // Faults x cluster, both installation orders: the same timeline,
+    // and the same functional state as the healthy cluster and as one
+    // device.
+    let base = run_cluster(&s, opts(1), None);
+    let healthy = run_cluster(&s, opts(4), Some(cluster()));
+    let faults = FaultSpec::parse("fail:2@3,slow:0@0..4x2,backoff:0.25", 4).unwrap();
+    let mut faults_first = mk();
+    faults_first.set_fault_spec(faults.clone()).expect("faults install");
+    faults_first.set_cluster_spec(cluster()).expect("the schedule carries over");
+    let mut cluster_first = mk();
+    cluster_first.set_cluster_spec(cluster()).expect("cluster installs");
+    cluster_first.set_fault_spec(faults).expect("faults install on a cluster");
+    for gpu in [&mut faults_first, &mut cluster_first] {
+        gpu.run_to_rmse(&s.golden, 10.0, 40);
+        assert_eq!(gpu.image(), &healthy.image);
+        assert_eq!(gpu.image(), &base.image);
+        assert_eq!(gpu.error(), &base.error);
+        assert_eq!(gpu.equits().to_bits(), base.equits.to_bits());
+        assert!(gpu.modeled_seconds() > healthy.modeled_seconds + 0.25, "backoff unpriced");
+        assert_eq!(gpu.fleet_report().expect("fleet").faults, 2, "one failure, one episode");
+    }
+    assert_eq!(faults_first.modeled_seconds().to_bits(), cluster_first.modeled_seconds().to_bits());
 
-    // Checkpoint restore on a cluster topology: take a valid flat
-    // 4-device checkpoint, then try to resume it on a fresh driver
-    // with a cluster installed.
+    // Checkpoint restore onto a cluster: resume a slab-streamed run
+    // after one iteration and land bitwise on the uninterrupted one.
     let mut donor = mk();
+    donor.set_cluster_spec(cluster()).expect("cluster");
     donor.iteration();
     let ckp = donor.checkpoint();
+    assert_eq!(ckp.resident.len(), 4, "streaming checkpoints carry the residency trailer");
     let mut fresh = mk();
-    fresh.set_cluster_spec(ClusterSpec::titan_x_cluster(2, 2).with_slabs(2)).expect("cluster");
-    let err = fresh.restore(&ckp).unwrap_err();
-    assert!(err.to_string().contains("not supported on cluster topologies"), "{err}");
+    fresh.set_cluster_spec(cluster()).expect("cluster");
+    fresh.restore(&ckp).expect("cluster checkpoints restore");
+    for _ in 0..2 {
+        donor.iteration();
+        fresh.iteration();
+    }
+    assert_eq!(fresh.image(), donor.image());
+    assert_eq!(fresh.modeled_seconds().to_bits(), donor.modeled_seconds().to_bits());
 }
