@@ -1,7 +1,7 @@
-//! Plan-cache benchmarks: the one-time per-SV plan build, and one
-//! GPU-ICD iteration with the cache on vs off (outputs are bitwise
-//! identical — see tests/plan_cache_equivalence.rs — so the delta is
-//! pure wall-clock).
+//! Plan-cache benchmarks: the one-time per-SV plan build, the per-scan
+//! driver build on a shared plan, and one GPU-ICD iteration with the
+//! cache on vs off (outputs are bitwise identical — see
+//! tests/plan_cache_equivalence.rs — so the delta is pure wall-clock).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use ct_core::fbp;
@@ -12,7 +12,9 @@ use ct_core::project::{scan, NoiseModel, Scan};
 use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{plan_config, GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
+use mbir_simd::SimdBackend;
 use std::hint::black_box;
+use std::sync::Arc;
 use supervoxel::{SvPlanSet, Tiling};
 
 struct Setup {
@@ -50,6 +52,36 @@ fn bench_sv_plan_build(c: &mut Criterion) {
     group.finish();
 }
 
+/// What each scan pays on top of the shared plan: `GpuIcd::with_plan`
+/// under each SIMD backend. The plan holds everything scan-invariant,
+/// so this is the forward projection of the initial image and little
+/// else; per-scan work creeping back into the driver shows up here.
+fn bench_driver_build(c: &mut Criterion) {
+    let su = setup();
+    let prior = QggmrfPrior::standard(0.002);
+    let tiling = Tiling::new(su.init.grid(), opts().sv_side);
+    let plan = Arc::new(SvPlanSet::build(&su.a, &tiling, plan_config(&opts()), 0));
+    let mut group = c.benchmark_group("driver_build");
+    group.sample_size(10);
+    for simd in [SimdBackend::Scalar, SimdBackend::Lanes] {
+        let o = GpuOptions { simd, ..opts() };
+        group.bench_function(&format!("with_plan_64_{simd}"), |b| {
+            b.iter(|| {
+                black_box(GpuIcd::with_plan(
+                    &su.a,
+                    &su.s.y,
+                    &su.s.weights,
+                    &prior,
+                    su.init.clone(),
+                    o,
+                    plan.clone(),
+                ))
+            })
+        });
+    }
+    group.finish();
+}
+
 /// One GPU-ICD iteration, plan cache on vs off. The driver is rebuilt
 /// per sample (iter_batched) so the measured region is iteration-only;
 /// the cached driver reads the plan, the uncached one re-quantizes and
@@ -72,5 +104,10 @@ fn bench_iteration_cached_vs_uncached(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_sv_plan_build, bench_iteration_cached_vs_uncached);
+criterion_group!(
+    benches,
+    bench_sv_plan_build,
+    bench_driver_build,
+    bench_iteration_cached_vs_uncached
+);
 criterion_main!(benches);

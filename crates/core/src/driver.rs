@@ -28,7 +28,9 @@ use gpu_sim::timing::KernelTiming;
 use mbir::convergence::ConvergenceTrace;
 use mbir::prior::{clique_weight, Prior};
 use mbir::sequential::IcdStats;
+use mbir::update::Thetas;
 use mbir_fleet::{FaultSpec, FleetReport, FleetSpec};
+use mbir_simd::AColumn;
 use mbir_telemetry::{ConvergencePoint, IterationSample, ProfileSink, RecordingSink};
 use mbir_topo::ClusterSpec;
 use rand::rngs::StdRng;
@@ -36,13 +38,12 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::Arc;
 use supervoxel::checkerboard::checkerboard_groups;
-use supervoxel::chunks::chunk_column;
+use supervoxel::chunks::chunk_tally;
 use supervoxel::plan::{PlanConfig, SvPlan, SvPlanSet, VoxelPlan};
 use supervoxel::quant::QuantizedColumn;
 use supervoxel::selection::{select_svs, Selection};
 use supervoxel::svb::{Svb, SvbLayout};
 use supervoxel::tiling::Tiling;
-use supervoxel::LaneTables;
 
 /// The [`PlanConfig`] implied by a set of GPU options.
 ///
@@ -193,10 +194,6 @@ pub struct GpuIcd<'a, P: Prior> {
     opts: GpuOptions,
     tiling: Tiling,
     plan: Arc<SvPlanSet>,
-    /// Folded `w*a` tables for the lane backend, indexed `[sv][vi]` in
-    /// plan-voxel order (empty when the resolved backend is scalar);
-    /// see [`supervoxel::LaneTables`].
-    lane_tables: Vec<Vec<LaneTables>>,
     skeleton: ProfileSkeleton,
     image: Image,
     error: Sinogram,
@@ -229,8 +226,10 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     }
 
     /// Initialize with a pre-built plan set (shared via `Arc` across
-    /// drivers/runs). The plan must have been built for the same system
-    /// matrix, an identical tiling, and `plan_config(&opts)`.
+    /// drivers/runs). The plan must have been built for the same
+    /// geometry, an identical tiling, and `plan_config(&opts)`; it holds
+    /// nothing scan-dependent, so one plan serves every scan of its
+    /// geometry and this constructor only projects `init`.
     pub fn with_plan(
         a: &'a SystemMatrix,
         y: &Sinogram,
@@ -241,21 +240,9 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         plan: Arc<SvPlanSet>,
     ) -> Self {
         let tiling = Tiling::new(init.grid(), opts.sv_side);
+        assert_eq!(plan.geometry(), a.geometry(), "plan built for a different geometry");
         assert_eq!(plan.config(), plan_config(&opts), "plan built for different options");
         assert_eq!(plan.plans().len(), tiling.len(), "plan built for different tiling");
-        // One-time fold of the iteration-invariant theta streams for
-        // the lane backend (bitwise-neutral; the scalar backend keeps
-        // the canonical per-element walk as the honest baseline).
-        let lane_tables = if mbir_simd::resolve(opts.simd) == mbir_simd::SimdBackend::Lanes {
-            let quant_bits = if opts.amatrix.quantized() { Some(opts.amatrix_bits) } else { None };
-            let layout = match opts.layout {
-                Layout::Naive => SvbLayout::SensorMajor,
-                Layout::Chunked { .. } => SvbLayout::Transposed,
-            };
-            LaneTables::build_for_plan(a, weights, quant_bits, &plan, layout, opts.threads)
-        } else {
-            Vec::new()
-        };
         let ax = a.forward(&init);
         let mut error = y.clone();
         for (e, axv) in error.data_mut().iter_mut().zip(ax.data()) {
@@ -285,7 +272,6 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
             opts,
             tiling,
             plan,
-            lane_tables,
             skeleton,
             image: init,
             error,
@@ -536,7 +522,6 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         let prior = self.prior;
         let opts = &self.opts;
         let iter = self.iter;
-        let lane_tables = &self.lane_tables[..];
         let workers = if opts.checkerboard { opts.threads } else { 1 };
         let shared = self.image.as_shared();
         let results: Vec<(Svb<'_>, SvTally)> = mbir_parallel::par_map(workers, batch.len(), |bi| {
@@ -548,7 +533,6 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 prior,
                 opts,
                 plan.plan(sv),
-                lane_tables.get(sv).map_or(&[][..], |v| &v[..]),
                 iter,
                 &mut svb,
                 rounds,
@@ -803,9 +787,10 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
 /// shared image view so batch SVs can run on worker threads).
 ///
 /// When `opts.plan_cache` is on, every iteration-invariant quantity
-/// (chunk tallies, quantized columns, band geometry) comes from the
-/// [`SvPlan`]; otherwise it is recomputed per visit exactly as the
-/// pre-cache driver did. Both paths are bitwise identical.
+/// (chunk tallies, quantized columns) comes from the [`SvPlan`];
+/// otherwise it is recomputed per visit exactly as the pre-cache driver
+/// did. Band geometry and offsets always come from the plan. Both paths
+/// are bitwise identical.
 #[allow(clippy::too_many_arguments)]
 fn update_sv<P: Prior>(
     a: &SystemMatrix,
@@ -813,10 +798,6 @@ fn update_sv<P: Prior>(
     prior: &P,
     opts: &GpuOptions,
     plan: &SvPlan,
-    // This SV's folded lane tables, in plan-voxel order (empty when the
-    // backend is scalar). Per-SV because boundary voxels shared between
-    // adjacent SVs need distinct band offsets per covering SV.
-    lane_tables: &[LaneTables],
     iter: u64,
     svb: &mut Svb<'_>,
     rounds: usize,
@@ -873,13 +854,14 @@ fn update_sv<P: Prior>(
     // extreme block-to-voxel ratios that the hardware self-limits.
     let window = (rounds / 2).clamp(1, (order.len() / 16).max(1));
     let mut fifo: std::collections::VecDeque<(u32, f32)> = std::collections::VecDeque::new();
-    let lanes = simd == mbir_simd::SimdBackend::Lanes;
     let commit = |svb: &mut Svb<'_>, oi: u32, delta: f32| {
         if delta != 0.0 {
             let vp = &vox[oi as usize];
             image.set(vp.voxel, image.get(vp.voxel) + delta);
-            let tables = if lanes { lane_tables.get(oi as usize) } else { None };
-            apply_delta_quant(a, vp, svb, delta, quantized, cached, tables, simd);
+            let col = a.column(vp.voxel);
+            with_entries(vp, &col, quantized, cached, |e| {
+                svb.apply_delta(&col, e, plan.offsets(vp), delta, simd)
+            });
         }
     };
     for (pos, &oi) in order.iter().enumerate() {
@@ -894,9 +876,10 @@ fn update_sv<P: Prior>(
             commit(svb, oj, d);
         }
         let col = a.column(j);
-        let tables = if lanes { lane_tables.get(oi as usize) } else { None };
-        let delta =
-            compute_delta(image, prior, opts, vp, &col, svb, quantized, cached, tables, simd);
+        let th = with_entries(vp, &col, quantized, cached, |e| {
+            svb.thetas(&col, e, plan.offsets(vp), simd)
+        });
+        let delta = compute_delta(image, prior, opts.positivity, j, th);
         t.updates += 1;
         t.abs_delta += delta.abs() as f64;
         t.nnz += vp.nnz as f64;
@@ -906,9 +889,9 @@ fn update_sv<P: Prior>(
             t.dense += vp.dense as f64;
             t.descriptors += vp.descriptors as f64;
         } else if let Some(w) = chunk_width {
-            let chunks = chunk_column(&col, w);
-            t.dense += chunks.iter().map(|c| c.len() as f64).sum::<f64>();
-            t.descriptors += chunks.len() as f64;
+            let (dense, descriptors) = chunk_tally(&col, w);
+            t.dense += dense as f64;
+            t.descriptors += descriptors as f64;
         } else {
             t.dense += col.nnz() as f64;
             t.descriptors += nviews as f64;
@@ -927,89 +910,41 @@ fn update_sv<P: Prior>(
     t
 }
 
-/// Compute a voxel's step without committing it (thetas against the
-/// current SVB state, prior against the current image). The theta
-/// accumulation dispatches on the already-resolved `simd` backend via
-/// the SVB lane-kernel methods — bitwise identical for every backend.
-#[allow(clippy::too_many_arguments)]
+/// The A entries a visit reads: the plan's cached u8 codes, codes
+/// quantized afresh (the uncached baseline re-quantizes on every
+/// visit), or the f32 column.
+fn with_entries<R>(
+    vp: &VoxelPlan,
+    col: &ColumnView<'_>,
+    quantized: Option<u32>,
+    cached: bool,
+    f: impl FnOnce(AColumn<'_>) -> R,
+) -> R {
+    match quantized {
+        Some(_) if cached => f(vp.quant.as_ref().expect("plan caches quantized columns").entries()),
+        Some(bits) => f(QuantizedColumn::quantize_bits(col, bits).entries()),
+        None => f(AColumn::F32(col.values_flat())),
+    }
+}
+
+/// Compute a voxel's step from its thetas without committing it (the
+/// prior against the current image).
 fn compute_delta<P: Prior>(
     image: &SharedImage<'_>,
     prior: &P,
-    opts: &GpuOptions,
-    vp: &VoxelPlan,
-    col: &ColumnView<'_>,
-    svb: &Svb<'_>,
-    quantized: Option<u32>,
-    cached: bool,
-    tables: Option<&LaneTables>,
-    simd: mbir_simd::SimdBackend,
+    positivity: bool,
+    j: usize,
+    th: Thetas,
 ) -> f32 {
-    // The lane backend's fast path: the folded `w*a` tables built at
-    // driver setup (bitwise-equal to the walks below by construction;
-    // orthogonal to `cached`, which covers the plan's quantized codes).
-    let th = if let Some(t) = tables {
-        svb.thetas_tabled(t)
-    } else if let Some(bits) = quantized {
-        let fresh;
-        let q = if cached {
-            vp.quant.as_ref().expect("plan caches quantized columns")
-        } else {
-            fresh = QuantizedColumn::quantize_bits(col, bits);
-            &fresh
-        };
-        svb.thetas_quant(col, q, simd)
-    } else {
-        svb.thetas(col, simd)
-    };
-    let (theta1, theta2) = (th.theta1, th.theta2);
-
-    let v = image.get(vp.voxel);
-    let nb = image.neighbors8(vp.voxel);
+    let v = image.get(j);
+    let nb = image.neighbors8(j);
     let mut neigh = nb.iter().map(|(k, edge)| (image.get(k), clique_weight(edge)));
-    let mut delta = prior.step(v, theta1, theta2, &mut neigh);
+    let mut delta = prior.step(v, th.theta1, th.theta2, &mut neigh);
     drop(neigh);
-    if opts.positivity && v + delta < 0.0 {
+    if positivity && v + delta < 0.0 {
         delta = -v;
     }
     delta
-}
-
-/// Commit a voxel's error update into the SVB (atomic adds on the real
-/// hardware), with the same quantized A used for the thetas. Dispatches
-/// on the already-resolved `simd` backend; the update is element-wise,
-/// so every backend performs identical ops.
-#[allow(clippy::too_many_arguments)]
-fn apply_delta_quant(
-    a: &SystemMatrix,
-    vp: &VoxelPlan,
-    svb: &mut Svb<'_>,
-    delta: f32,
-    quantized: Option<u32>,
-    cached: bool,
-    tables: Option<&LaneTables>,
-    simd: mbir_simd::SimdBackend,
-) {
-    // Lane fast path: one branchless scatter through the precomputed
-    // flat offsets; the table's A entries skip the per-element
-    // `code * scale / levels` divide, rounding identically (folded
-    // once at setup).
-    if let Some(t) = tables {
-        svb.apply_tabled(t, delta);
-        return;
-    }
-    let col = a.column(vp.voxel);
-    if let Some(bits) = quantized {
-        let fresh;
-        let q = if cached {
-            vp.quant.as_ref().expect("plan caches quantized columns")
-        } else {
-            fresh = QuantizedColumn::quantize_bits(&col, bits);
-            &fresh
-        };
-        svb.apply_quant_delta(&col, q, delta, simd);
-    } else {
-        svb.apply_col_delta(&col, delta, simd);
-    }
 }
 
 #[cfg(test)]

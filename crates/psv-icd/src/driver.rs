@@ -9,6 +9,7 @@ use ct_core::sysmat::{ColumnView, SystemMatrix};
 use mbir::convergence::ConvergenceTrace;
 use mbir::prior::{clique_weight, Prior};
 use mbir::sequential::{IcdConfig, IcdStats};
+use mbir_simd::AColumn;
 use mbir_telemetry::{ConvergencePoint, IterationSample, KernelSpan, ProfileSink, RecordingSink};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -113,10 +114,6 @@ pub struct PsvIcd<'a, P: Prior> {
     config: PsvConfig,
     tiling: Tiling,
     plan: Arc<SvPlanSet>,
-    /// Folded `w*a` tables for the lane backend, indexed `[sv][vi]` in
-    /// plan-voxel order (empty when the resolved backend is scalar);
-    /// see [`supervoxel::LaneTables`].
-    lane_tables: Vec<Vec<supervoxel::LaneTables>>,
     image: AtomicImage,
     error: Sinogram,
     update_amount: Vec<f64>,
@@ -146,8 +143,9 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
     }
 
     /// Initialize with a pre-built plan set (shared via `Arc` across
-    /// drivers/runs). The plan must have been built for the same system
-    /// matrix, an identical tiling, and [`psv_plan_config`].
+    /// drivers/runs). The plan must have been built for the same
+    /// geometry, an identical tiling, and [`psv_plan_config`]; one plan
+    /// serves every scan of its geometry.
     pub fn with_plan(
         a: &'a SystemMatrix,
         y: &Sinogram,
@@ -158,6 +156,7 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
         plan: Arc<SvPlanSet>,
     ) -> Self {
         let tiling = Tiling::new(init.grid(), config.sv_side);
+        assert_eq!(plan.geometry(), a.geometry(), "plan built for a different geometry");
         assert_eq!(plan.config(), psv_plan_config(), "plan built for different options");
         assert_eq!(plan.plans().len(), tiling.len(), "plan built for different tiling");
         let ax = a.forward(&init);
@@ -168,21 +167,6 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
         let n = tiling.len();
         let recording = config.profile.then(|| Arc::new(RecordingSink::new()));
         let sink = recording.clone().map(|r| r as Arc<dyn ProfileSink>);
-        // One-time fold of the iteration-invariant theta streams for
-        // the lane backend (bitwise-neutral; PSV runs f32 columns in
-        // sensor-major buffers).
-        let lane_tables = if mbir_simd::resolve(config.simd) == mbir_simd::SimdBackend::Lanes {
-            supervoxel::LaneTables::build_for_plan(
-                a,
-                weights,
-                None,
-                &plan,
-                SvbLayout::SensorMajor,
-                config.threads,
-            )
-        } else {
-            Vec::new()
-        };
         PsvIcd {
             a,
             weights,
@@ -190,7 +174,6 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
             config,
             tiling,
             plan,
-            lane_tables,
             image: AtomicImage::from_image(&init),
             error,
             update_amount: vec![0.0; n],
@@ -285,7 +268,6 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
             // Resolve the lane-kernel backend once per group (the env
             // fallback is not free) and hand it to every voxel visit.
             let simd = mbir_simd::resolve(self.config.simd);
-            let lane_tables = &self.lane_tables[..];
             let results: Vec<(Svb<'_>, SvVisit)> =
                 mbir_parallel::par_map(self.config.threads, group.len(), |i| {
                     let sv = group[i];
@@ -310,11 +292,15 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
                             continue;
                         }
                         let col = a.column(j);
-                        let tables = (simd == mbir_simd::SimdBackend::Lanes)
-                            .then(|| lane_tables.get(sv).and_then(|v| v.get(oi as usize)))
-                            .flatten();
                         let delta = update_voxel_shared(
-                            j, image, &col, &mut svb, prior, positivity, simd, tables,
+                            j,
+                            image,
+                            &col,
+                            plan.plan(sv).offsets(vp),
+                            &mut svb,
+                            prior,
+                            positivity,
+                            simd,
                         );
                         visit.updates += 1;
                         visit.abs_delta += delta.abs() as f64;
@@ -465,25 +451,22 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
 /// The single-voxel update against a shared image and a private SVB —
 /// Algorithm 1 with the image reads/writes going through atomics. The
 /// theta/apply inner loops dispatch on the already-resolved `simd`
-/// backend (bitwise identical for every choice).
+/// backend (bitwise identical for every choice); `offsets` are the
+/// voxel's band offsets from the SV's plan.
 #[allow(clippy::too_many_arguments)]
 fn update_voxel_shared<P: Prior>(
     j: usize,
     image: &AtomicImage,
     col: &ColumnView<'_>,
+    offsets: &[u32],
     svb: &mut Svb<'_>,
     prior: &P,
     positivity: bool,
     simd: mbir_simd::SimdBackend,
-    tables: Option<&supervoxel::LaneTables>,
 ) -> f32 {
     let v = image.get(j);
-    // The folded tables are the lane backend's fast path (bitwise-equal
-    // to the walk; see `supervoxel::LaneTables`).
-    let th = match tables {
-        Some(t) => svb.thetas_tabled(t),
-        None => svb.thetas(col, simd),
-    };
+    let a = AColumn::F32(col.values_flat());
+    let th = svb.thetas(col, a, offsets, simd);
     let nb = Neighbors8::of_grid(image.grid(), j);
     let mut neigh = nb.iter().map(|(k, edge)| (image.get(k), clique_weight(edge)));
     let mut delta = prior.step(v, th.theta1, th.theta2, &mut neigh);
@@ -493,10 +476,7 @@ fn update_voxel_shared<P: Prior>(
     }
     if delta != 0.0 {
         image.set(j, v + delta);
-        match tables {
-            Some(t) => svb.apply_tabled(t, delta),
-            None => svb.apply_col_delta(col, delta, simd),
-        }
+        svb.apply_delta(col, a, offsets, delta, simd);
     }
     delta
 }

@@ -1,10 +1,10 @@
 //! Fixed-width f32 lane kernels with one canonical arithmetic order.
 //!
 //! Every reduction in the reconstruction hot paths (theta accumulation
-//! over a voxel's flattened-CSR column, FBP filter dots, backprojection
-//! lerp sums) is defined here in terms of a **canonical 8-lane
-//! reduction tree**: element `k` of the input stream is added into
-//! partial accumulator `k % 8`, and the eight partials are combined as
+//! over a voxel's column, FBP filter dots, backprojection lerp sums) is
+//! defined here in terms of a **canonical 8-lane reduction tree**:
+//! element `k` of the input stream is added into partial accumulator
+//! `k % 8`, and the eight partials are combined as
 //!
 //! ```text
 //! ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
@@ -42,9 +42,9 @@ pub enum SimdBackend {
     /// Defer to the process-wide setting ([`backend`]), else `Lanes`.
     #[default]
     Auto,
-    /// Element-at-a-time reference kernels (same bits, no staging).
+    /// Element-at-a-time reference kernels (same bits).
     Scalar,
-    /// Chunked 8-wide kernels over staged contiguous buffers.
+    /// Chunked 8-wide kernels (the ICD walk gathers through offsets).
     Lanes,
 }
 
@@ -132,8 +132,8 @@ pub fn tree_reduce(l: [f32; LANES]) -> f32 {
 /// Scalar-reference accumulator for the ICD thetas (paper Alg. 1):
 /// per element, `theta1 -= w*A*e` and `theta2 += w*A*A`, into the
 /// canonical lane for the element's position in the column's flat
-/// entry stream. This *is* the definition of the reduction — the lane
-/// kernels ([`theta_flat_lanes`]) must match it bitwise.
+/// entry stream. This *is* the definition of the reduction — the
+/// gather kernel ([`theta_gather`]) must match it bitwise.
 #[derive(Debug, Clone)]
 pub struct ThetaAcc {
     t1: [f32; LANES],
@@ -155,14 +155,6 @@ impl ThetaAcc {
         self.k += 1;
     }
 
-    /// Fold in a u8-quantized A entry, dequantized in the canonical
-    /// order (`code as f32 * scale / levels`, no factor hoisting).
-    #[inline]
-    pub fn push_quant(&mut self, code: u8, scale: f32, levels: f32, e: f32, w: f32) {
-        let a = code as f32 * scale / levels;
-        self.push(a, e, w);
-    }
-
     /// Tree-reduce to `(theta1, theta2)`.
     pub fn finish(&self) -> (f32, f32) {
         (tree_reduce(self.t1), tree_reduce(self.t2))
@@ -179,202 +171,108 @@ fn check_len(n: usize, m: usize) {
     assert_eq!(n, m, "lane kernel slice lengths differ");
 }
 
-/// Thetas over flat parallel slices, scalar reference order.
-pub fn theta_flat_ref(a: &[f32], e: &[f32], w: &[f32]) -> (f32, f32) {
-    check_len(a.len(), e.len());
-    check_len(a.len(), w.len());
-    let mut acc = ThetaAcc::new();
-    for k in 0..a.len() {
-        acc.push(a[k], e[k], w[k]);
-    }
-    acc.finish()
+/// The canonical u8 dequantization, `code as f32 * scale / levels`:
+/// multiply first, then divide, with no factor hoisted (hoisting
+/// `scale / levels` would round differently).
+#[inline]
+pub fn dequant(code: u8, scale: f32, levels: f32) -> f32 {
+    code as f32 * scale / levels
 }
 
-/// Thetas over flat parallel slices, chunked 8-wide. Bitwise-equal to
-/// [`theta_flat_ref`]: lane `l` of a full chunk holds flat position
-/// `8*c + l`, and the tail (at a multiple-of-8 offset) keeps lane
-/// `i % 8` for tail offset `i`.
-pub fn theta_flat_lanes(a: &[f32], e: &[f32], w: &[f32]) -> (f32, f32) {
-    check_len(a.len(), e.len());
-    check_len(a.len(), w.len());
-    let full = a.len() - a.len() % LANES;
-    let (ah, at) = a.split_at(full);
-    let (eh, et) = e.split_at(full);
-    let (wh, wt) = w.split_at(full);
-    let mut t1 = [0.0f32; LANES];
-    let mut t2 = [0.0f32; LANES];
-    for ((ca, ce), cw) in
-        ah.chunks_exact(LANES).zip(eh.chunks_exact(LANES)).zip(wh.chunks_exact(LANES))
-    {
-        for l in 0..LANES {
-            t1[l] -= cw[l] * ca[l] * ce[l];
-            t2[l] += cw[l] * ca[l] * ca[l];
+/// One voxel column's A entries in flat element order, as a visit
+/// reads them: the f32 column, or its u8 codes dequantized per element
+/// by [`dequant`].
+#[derive(Debug, Clone, Copy)]
+pub enum AColumn<'a> {
+    /// Full-precision entries.
+    F32(&'a [f32]),
+    /// Quantized entries with their per-column scale and level count.
+    U8 { codes: &'a [u8], scale: f32, levels: f32 },
+}
+
+impl AColumn<'_> {
+    fn len(&self) -> usize {
+        match self {
+            AColumn::F32(v) => v.len(),
+            AColumn::U8 { codes, .. } => codes.len(),
         }
     }
-    for (i, ((&av, &ev), &wv)) in at.iter().zip(et).zip(wt).enumerate() {
-        t1[i] -= wv * av * ev;
-        t2[i] += wv * av * av;
-    }
-    (tree_reduce(t1), tree_reduce(t2))
 }
 
-/// Backend-dispatched thetas over flat parallel slices.
-#[inline]
-pub fn theta_flat(backend: SimdBackend, a: &[f32], e: &[f32], w: &[f32]) -> (f32, f32) {
-    match resolve(backend) {
-        SimdBackend::Lanes => theta_flat_lanes(a, e, w),
-        _ => theta_flat_ref(a, e, w),
-    }
-}
-
-/// Thetas over a u8-quantized column, scalar reference order.
-pub fn theta_quant_flat_ref(
-    codes: &[u8],
-    scale: f32,
-    levels: f32,
-    e: &[f32],
-    w: &[f32],
-) -> (f32, f32) {
-    check_len(codes.len(), e.len());
-    check_len(codes.len(), w.len());
-    let mut acc = ThetaAcc::new();
-    for k in 0..codes.len() {
-        acc.push_quant(codes[k], scale, levels, e[k], w[k]);
-    }
-    acc.finish()
-}
-
-/// Thetas over a u8-quantized column, chunked 8-wide; bitwise-equal to
-/// [`theta_quant_flat_ref`] (per-element dequantization keeps the
-/// canonical `code as f32 * scale / levels` order).
-pub fn theta_quant_flat_lanes(
-    codes: &[u8],
-    scale: f32,
-    levels: f32,
-    e: &[f32],
-    w: &[f32],
-) -> (f32, f32) {
-    check_len(codes.len(), e.len());
-    check_len(codes.len(), w.len());
-    let full = codes.len() - codes.len() % LANES;
-    let (ch, ct) = codes.split_at(full);
-    let (eh, et) = e.split_at(full);
-    let (wh, wt) = w.split_at(full);
-    let mut t1 = [0.0f32; LANES];
-    let mut t2 = [0.0f32; LANES];
-    for ((cc, ce), cw) in
-        ch.chunks_exact(LANES).zip(eh.chunks_exact(LANES)).zip(wh.chunks_exact(LANES))
-    {
-        for l in 0..LANES {
-            let a = cc[l] as f32 * scale / levels;
-            t1[l] -= cw[l] * a * ce[l];
-            t2[l] += cw[l] * a * a;
+/// Thetas of one voxel visit, gathered straight from an SV band: entry
+/// `k` of `a` pairs with `e[idx[k]]` and `w[idx[k]]`. Chunked 8-wide
+/// and bitwise-equal to pushing `(a[k], e[idx[k]], w[idx[k]])`
+/// through a [`ThetaAcc`]: lane `l` of chunk `c` holds flat position
+/// `8*c + l`, the tail keeps the lane phase, and each lane computes
+/// `theta1 -= (w*a)*e`, `theta2 += (w*a)*a` — the trees Rust parses
+/// `w * a * e` and `w * a * a` into. Only the product `w*a` is shared
+/// between the two, never re-associated.
+pub fn theta_gather(a: AColumn<'_>, idx: &[u32], e: &[f32], w: &[f32]) -> (f32, f32) {
+    check_len(a.len(), idx.len());
+    check_len(e.len(), w.len());
+    match a {
+        AColumn::F32(v) => theta_gather_with(v, idx, e, w, |x| x),
+        AColumn::U8 { codes, scale, levels } => {
+            theta_gather_with(codes, idx, e, w, |c| dequant(c, scale, levels))
         }
     }
-    for (i, ((&code, &ev), &wv)) in ct.iter().zip(et).zip(wt).enumerate() {
-        let a = code as f32 * scale / levels;
-        t1[i] -= wv * a * ev;
-        t2[i] += wv * a * a;
-    }
-    (tree_reduce(t1), tree_reduce(t2))
 }
 
-/// Backend-dispatched thetas over a u8-quantized column.
-#[inline]
-pub fn theta_quant_flat(
-    backend: SimdBackend,
-    codes: &[u8],
-    scale: f32,
-    levels: f32,
+/// [`theta_gather`] over one A representation: per chunk, gather the
+/// eight `(a, e, w)` triples, then run the lane arithmetic on them.
+#[inline(always)]
+fn theta_gather_with<T: Copy>(
+    a: &[T],
+    idx: &[u32],
     e: &[f32],
     w: &[f32],
+    deq: impl Fn(T) -> f32,
 ) -> (f32, f32) {
-    match resolve(backend) {
-        SimdBackend::Lanes => theta_quant_flat_lanes(codes, scale, levels, e, w),
-        _ => theta_quant_flat_ref(codes, scale, levels, e, w),
-    }
-}
-
-/// Thetas over a voxel column whose weight products were folded into
-/// per-element tables at driver setup: `wa[k] = w[k] * a[k]` and
-/// `waa[k] = (w[k] * a[k]) * a[k]`, both rounded once when the table
-/// was built. Scalar reference order.
-///
-/// Bitwise-equal to [`theta_flat_ref`] on the original `(a, e, w)`
-/// stream: Rust parses `w * a * e` as `(w * a) * e` and `w * a * a` as
-/// `(w * a) * a`, so the per-element expression trees are unchanged —
-/// the table merely memoizes the already-rounded inner product `w * a`
-/// (and, for quantized columns, the canonical
-/// `code as f32 * scale / levels` dequantization folded into it).
-/// Weights and the A matrix are both iteration-invariant, which is why
-/// the fold is legal as a one-time staging step.
-pub fn theta_tables_ref(wa: &[f32], waa: &[f32], e: &[f32]) -> (f32, f32) {
-    check_len(wa.len(), waa.len());
-    check_len(wa.len(), e.len());
+    let full = idx.len() - idx.len() % LANES;
     let mut t1 = [0.0f32; LANES];
     let mut t2 = [0.0f32; LANES];
-    for k in 0..wa.len() {
-        let l = k % LANES;
-        t1[l] -= wa[k] * e[k];
-        t2[l] += waa[k];
-    }
-    (tree_reduce(t1), tree_reduce(t2))
-}
-
-/// Thetas over folded tables, chunked 8-wide; bitwise-equal to
-/// [`theta_tables_ref`] (two flops per element, no divides — this is
-/// the form the ICD inner loop actually runs on the lane backend).
-pub fn theta_tables_lanes(wa: &[f32], waa: &[f32], e: &[f32]) -> (f32, f32) {
-    check_len(wa.len(), waa.len());
-    check_len(wa.len(), e.len());
-    let full = wa.len() - wa.len() % LANES;
-    let (wah, wat) = wa.split_at(full);
-    let (wh, wt) = waa.split_at(full);
-    let (eh, et) = e.split_at(full);
-    let mut t1 = [0.0f32; LANES];
-    let mut t2 = [0.0f32; LANES];
-    for ((cwa, cw), ce) in
-        wah.chunks_exact(LANES).zip(wh.chunks_exact(LANES)).zip(eh.chunks_exact(LANES))
-    {
+    for (ca, ci) in a[..full].chunks_exact(LANES).zip(idx[..full].chunks_exact(LANES)) {
+        let mut av = [0.0f32; LANES];
+        let mut ev = [0.0f32; LANES];
+        let mut wv = [0.0f32; LANES];
         for l in 0..LANES {
-            t1[l] -= cwa[l] * ce[l];
-            t2[l] += cw[l];
+            let i = ci[l] as usize;
+            av[l] = deq(ca[l]);
+            ev[l] = e[i];
+            wv[l] = w[i];
+        }
+        for l in 0..LANES {
+            let wa = wv[l] * av[l];
+            t1[l] -= wa * ev[l];
+            t2[l] += wa * av[l];
         }
     }
-    for (i, ((&wav, &wv), &ev)) in wat.iter().zip(wt).zip(et).enumerate() {
-        t1[i] -= wav * ev;
-        t2[i] += wv;
+    for (l, (&c, &i)) in a[full..].iter().zip(&idx[full..]).enumerate() {
+        let av = deq(c);
+        let wa = w[i as usize] * av;
+        t1[l] -= wa * e[i as usize];
+        t2[l] += wa * av;
     }
     (tree_reduce(t1), tree_reduce(t2))
 }
 
-/// Backend-dispatched thetas over folded `wa`/`waa` tables.
-#[inline]
-pub fn theta_tables(backend: SimdBackend, wa: &[f32], waa: &[f32], e: &[f32]) -> (f32, f32) {
-    match resolve(backend) {
-        SimdBackend::Lanes => theta_tables_lanes(wa, waa, e),
-        _ => theta_tables_ref(wa, waa, e),
-    }
-}
-
-/// `e[k] -= a[k] * delta` — the error update after a voxel commit.
-/// Element-wise with no reduction, so one implementation serves every
-/// backend (same ops, same order; the compiler may vectorize freely).
-#[inline]
-pub fn sub_scaled(e: &mut [f32], a: &[f32], delta: f32) {
-    check_len(e.len(), a.len());
-    for (ev, &av) in e.iter_mut().zip(a) {
-        *ev -= av * delta;
-    }
-}
-
-/// Quantized-column variant of [`sub_scaled`], canonical dequant order.
-#[inline]
-pub fn sub_scaled_quant(e: &mut [f32], codes: &[u8], scale: f32, levels: f32, delta: f32) {
-    check_len(e.len(), codes.len());
-    for (ev, &code) in e.iter_mut().zip(codes) {
-        let av = code as f32 * scale / levels;
-        *ev -= av * delta;
+/// The write-back after a voxel commit, through the same offsets:
+/// `e[idx[k]] -= a[k] * delta`. Element-wise with no reduction (a
+/// column's band cells are distinct, so order is immaterial), and the
+/// same `e - (a * delta)` the scalar walk computes.
+pub fn scatter_sub(a: AColumn<'_>, idx: &[u32], e: &mut [f32], delta: f32) {
+    check_len(a.len(), idx.len());
+    match a {
+        AColumn::F32(v) => {
+            for (&av, &i) in v.iter().zip(idx) {
+                e[i as usize] -= av * delta;
+            }
+        }
+        AColumn::U8 { codes, scale, levels } => {
+            for (&c, &i) in codes.iter().zip(idx) {
+                e[i as usize] -= dequant(c, scale, levels) * delta;
+            }
+        }
     }
 }
 
@@ -512,24 +410,70 @@ mod tests {
         assert_eq!(tree_reduce(l).to_bits(), expect.to_bits());
     }
 
+    /// Distinct pseudo-random offsets of `n` elements into a band of
+    /// `n + pad` cells (a seeded Fisher-Yates prefix).
+    fn scattered_offsets(n: usize, pad: usize, seed: u64) -> Vec<u32> {
+        let mut cells: Vec<u32> = (0..(n + pad) as u32).collect();
+        let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        for i in (1..cells.len()).rev() {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            cells.swap(i, (s % (i as u64 + 1)) as usize);
+        }
+        cells.truncate(n);
+        cells
+    }
+
+    /// Entry `k` of a column as the scalar reference reads it.
+    fn entry(a: AColumn<'_>, k: usize) -> f32 {
+        match a {
+            AColumn::F32(v) => v[k],
+            AColumn::U8 { codes, scale, levels } => dequant(codes[k], scale, levels),
+        }
+    }
+
+    /// The reference the gather kernel must match: the scalar
+    /// accumulator over the gathered triples.
+    fn acc_over(a: AColumn<'_>, idx: &[u32], e: &[f32], w: &[f32]) -> (f32, f32) {
+        let mut acc = ThetaAcc::new();
+        for (k, &i) in idx.iter().enumerate() {
+            acc.push(entry(a, k), e[i as usize], w[i as usize]);
+        }
+        acc.finish()
+    }
+
     #[test]
-    fn theta_acc_matches_flat_kernels_on_fixed_input() {
+    fn theta_gather_matches_acc_on_fixed_input() {
         let n = 29; // deliberately n % 8 != 0
         let a: Vec<f32> = (0..n).map(|k| 0.01 + k as f32 * 0.37).collect();
-        let e: Vec<f32> = (0..n).map(|k| (k as f32).sin()).collect();
-        let w: Vec<f32> = (0..n).map(|k| 1.0 / (1.0 + k as f32)).collect();
-        let r = theta_flat_ref(&a, &e, &w);
-        let l = theta_flat_lanes(&a, &e, &w);
+        let idx = scattered_offsets(n, 11, 5);
+        let e: Vec<f32> = (0..n + 11).map(|k| (k as f32).sin()).collect();
+        let w: Vec<f32> = (0..n + 11).map(|k| 1.0 / (1.0 + k as f32)).collect();
+        let r = acc_over(AColumn::F32(&a), &idx, &e, &w);
+        let l = theta_gather(AColumn::F32(&a), &idx, &e, &w);
         assert_eq!(r.0.to_bits(), l.0.to_bits());
         assert_eq!(r.1.to_bits(), l.1.to_bits());
     }
 
     #[test]
-    fn sub_scaled_matches_per_element() {
+    fn gather_kernels_on_an_empty_column_are_no_ops() {
+        let band = [1.0f32, 2.0, 3.0];
+        for a in [AColumn::F32(&[]), AColumn::U8 { codes: &[], scale: 1.0, levels: 255.0 }] {
+            let (t1, t2) = theta_gather(a, &[], &band, &band);
+            assert_eq!((t1.to_bits(), t2.to_bits()), (0.0f32.to_bits(), 0.0f32.to_bits()));
+            let mut e = band;
+            scatter_sub(a, &[], &mut e, 5.0);
+            assert_eq!(e, band);
+        }
+    }
+
+    #[test]
+    fn scatter_sub_matches_per_element() {
         let a = [0.5f32, 0.25, 1.5];
-        let mut e = [10.0f32, 20.0, 30.0];
-        sub_scaled(&mut e, &a, 2.0);
-        assert_eq!(e, [9.0, 19.5, 27.0]);
+        let mut e = [10.0f32, 20.0, 30.0, 40.0];
+        scatter_sub(AColumn::F32(&a), &[3, 0, 1], &mut e, 2.0);
+        assert_eq!(e, [9.5, 17.0, 30.0, 39.0]);
     }
 
     #[test]
@@ -577,69 +521,73 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
             #[test]
-            fn theta_lanes_bitwise_equals_ref(t in triple(67)) {
-                let (a, e, w) = unzip3(t);
-                let r = theta_flat_ref(&a, &e, &w);
-                let l = theta_flat_lanes(&a, &e, &w);
+            fn theta_gather_f32_bitwise_equals_acc(
+                t in triple(67),
+                pad in 0usize..24,
+                seed in 0u64..1000,
+            ) {
+                // Lengths 0..=67 cover the empty column and every tail
+                // n % 8; offsets land anywhere in a padded band.
+                let (a, e_run, w_run) = unzip3(t);
+                let n = a.len();
+                let idx = scattered_offsets(n, pad, seed);
+                let mut e = vec![-7.5f32; n + pad];
+                let mut w = vec![0.25f32; n + pad];
+                for (k, &i) in idx.iter().enumerate() {
+                    e[i as usize] = e_run[k];
+                    w[i as usize] = w_run[k];
+                }
+                let r = acc_over(AColumn::F32(&a), &idx, &e, &w);
+                let l = theta_gather(AColumn::F32(&a), &idx, &e, &w);
                 prop_assert_eq!(r.0.to_bits(), l.0.to_bits());
                 prop_assert_eq!(r.1.to_bits(), l.1.to_bits());
             }
 
             #[test]
-            fn theta_quant_lanes_bitwise_equals_ref(
+            fn theta_gather_u8_bitwise_equals_acc(
                 codes in prop::collection::vec(0u8..=255, 0..67),
                 scale in 0.0f32..10.0,
                 bits in 1u32..=8,
+                pad in 0usize..24,
                 seed in 0u64..1000,
             ) {
+                // The inline dequantization must round exactly as the
+                // reference's canonical `code as f32 * scale / levels`.
                 let levels = ((1u32 << bits) - 1) as f32;
                 let n = codes.len();
-                let e: Vec<f32> = (0..n).map(|k| ((k as u64 * 31 + seed) % 997) as f32 * 0.013 - 6.0).collect();
-                let w: Vec<f32> = (0..n).map(|k| ((k as u64 * 17 + seed) % 991) as f32 * 0.001).collect();
-                let r = theta_quant_flat_ref(&codes, scale, levels, &e, &w);
-                let l = theta_quant_flat_lanes(&codes, scale, levels, &e, &w);
+                let idx = scattered_offsets(n, pad, seed);
+                let e: Vec<f32> = (0..n + pad).map(|k| ((k as u64 * 31 + seed) % 997) as f32 * 0.013 - 6.0).collect();
+                let w: Vec<f32> = (0..n + pad).map(|k| ((k as u64 * 17 + seed) % 991) as f32 * 0.001).collect();
+                let a = AColumn::U8 { codes: &codes, scale, levels };
+                let r = acc_over(a, &idx, &e, &w);
+                let l = theta_gather(a, &idx, &e, &w);
                 prop_assert_eq!(r.0.to_bits(), l.0.to_bits());
                 prop_assert_eq!(r.1.to_bits(), l.1.to_bits());
             }
 
             #[test]
-            fn theta_tables_bitwise_equal_unfolded_ref(t in triple(67)) {
-                // Folding w*a (and (w*a)*a) into tables at build time
-                // must not change a single bit vs. the canonical
-                // per-element walk over (a, e, w).
-                let (a, e, w) = unzip3(t);
-                let wa: Vec<f32> = a.iter().zip(&w).map(|(&av, &wv)| wv * av).collect();
-                let waa: Vec<f32> = a.iter().zip(&wa).map(|(&av, &wav)| wav * av).collect();
-                let r = theta_flat_ref(&a, &e, &w);
-                let tr = theta_tables_ref(&wa, &waa, &e);
-                let tl = theta_tables_lanes(&wa, &waa, &e);
-                prop_assert_eq!(r.0.to_bits(), tr.0.to_bits());
-                prop_assert_eq!(r.1.to_bits(), tr.1.to_bits());
-                prop_assert_eq!(r.0.to_bits(), tl.0.to_bits());
-                prop_assert_eq!(r.1.to_bits(), tl.1.to_bits());
-            }
-
-            #[test]
-            fn theta_tables_bitwise_equal_quant_ref(
+            fn scatter_sub_bitwise_equals_scalar_walk(
                 codes in prop::collection::vec(0u8..=255, 0..67),
                 scale in 0.0f32..10.0,
+                delta in -2.0f32..2.0,
+                pad in 0usize..24,
                 seed in 0u64..1000,
             ) {
-                // Quantized fold: the canonical dequantization
-                // `code as f32 * scale / levels` is rounded into the
-                // table exactly as the per-visit walk rounds it.
                 let levels = 255.0f32;
                 let n = codes.len();
-                let e: Vec<f32> = (0..n).map(|k| ((k as u64 * 31 + seed) % 997) as f32 * 0.013 - 6.0).collect();
-                let w: Vec<f32> = (0..n).map(|k| ((k as u64 * 17 + seed) % 991) as f32 * 0.001).collect();
-                let wa: Vec<f32> = codes.iter().zip(&w)
-                    .map(|(&c, &wv)| wv * (c as f32 * scale / levels)).collect();
-                let waa: Vec<f32> = codes.iter().zip(&wa)
-                    .map(|(&c, &wav)| wav * (c as f32 * scale / levels)).collect();
-                let r = theta_quant_flat_ref(&codes, scale, levels, &e, &w);
-                let tl = theta_tables_lanes(&wa, &waa, &e);
-                prop_assert_eq!(r.0.to_bits(), tl.0.to_bits());
-                prop_assert_eq!(r.1.to_bits(), tl.1.to_bits());
+                let idx = scattered_offsets(n, pad, seed);
+                let values: Vec<f32> = codes.iter().map(|&c| c as f32 * 0.01).collect();
+                for a in [AColumn::U8 { codes: &codes, scale, levels }, AColumn::F32(&values)] {
+                    let mut e1: Vec<f32> = (0..n + pad).map(|k| k as f32 * 0.11 - 3.0).collect();
+                    let mut e2 = e1.clone();
+                    scatter_sub(a, &idx, &mut e1, delta);
+                    for (k, &i) in idx.iter().enumerate() {
+                        e2[i as usize] -= entry(a, k) * delta;
+                    }
+                    let b1: Vec<u32> = e1.iter().map(|v| v.to_bits()).collect();
+                    let b2: Vec<u32> = e2.iter().map(|v| v.to_bits()).collect();
+                    prop_assert_eq!(b1, b2);
+                }
             }
 
             #[test]
@@ -655,25 +603,6 @@ mod tests {
                 let r = lerp_sum_ref(&a, &b, &f);
                 let l = lerp_sum_lanes(&a, &b, &f);
                 prop_assert_eq!(r.to_bits(), l.to_bits());
-            }
-
-            #[test]
-            fn sub_scaled_quant_matches_scalar_walk(
-                codes in prop::collection::vec(0u8..=255, 0..67),
-                scale in 0.0f32..10.0,
-                delta in -2.0f32..2.0,
-            ) {
-                let levels = 255.0f32;
-                let n = codes.len();
-                let mut e1: Vec<f32> = (0..n).map(|k| k as f32 * 0.11 - 3.0).collect();
-                let mut e2 = e1.clone();
-                sub_scaled_quant(&mut e1, &codes, scale, levels, delta);
-                for (k, ev) in e2.iter_mut().enumerate() {
-                    *ev -= codes[k] as f32 * scale / levels * delta;
-                }
-                let b1: Vec<u32> = e1.iter().map(|v| v.to_bits()).collect();
-                let b2: Vec<u32> = e2.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(b1, b2);
             }
         }
     }

@@ -42,16 +42,29 @@ impl Chunk {
 /// while subsequent runs stay inside it — the sinusoidal drift
 /// eventually forces a new chunk.
 pub fn chunk_column(col: &ColumnView<'_>, width: usize) -> Vec<Chunk> {
+    chunks(col, width).collect()
+}
+
+/// The `(dense elements, chunk count)` tally of [`chunk_column`],
+/// without materializing the chunks.
+pub fn chunk_tally(col: &ColumnView<'_>, width: usize) -> (u64, u32) {
+    chunks(col, width).fold((0, 0), |(dense, n), c| (dense + c.len() as u64, n + 1))
+}
+
+/// The chunk walk behind [`chunk_column`] and [`chunk_tally`].
+fn chunks<'a>(col: &ColumnView<'a>, width: usize) -> impl Iterator<Item = Chunk> + 'a {
     assert!(width >= 1);
+    let col = *col;
     let nviews = col.num_views();
-    let mut chunks = Vec::new();
     let mut v = 0usize;
-    while v < nviews {
-        let (fc, n) = col.run(v);
-        if n == 0 {
+    std::iter::from_fn(move || {
+        while v < nviews && col.run(v).1 == 0 {
             v += 1;
-            continue;
         }
+        if v == nviews {
+            return None;
+        }
+        let (fc, n) = col.run(v);
         assert!(n <= width, "run of {n} channels cannot fit a chunk of width {width}");
         // Center the window on this first run, leaving slack on both
         // sides for the sinusoid to drift.
@@ -68,9 +81,8 @@ pub fn chunk_column(col: &ColumnView<'_>, width: usize) -> Vec<Chunk> {
             height += 1;
             v += 1;
         }
-        chunks.push(Chunk { view0: view0 as u32, height, ch0: ch0 as u32, width: width as u32 });
-    }
-    chunks
+        Some(Chunk { view0: view0 as u32, height, ch0: ch0 as u32, width: width as u32 })
+    })
 }
 
 /// A voxel column materialized in the padded chunk format: for each
@@ -194,6 +206,19 @@ mod tests {
                     assert!(fc >= c.ch0 as usize);
                     assert!(fc + n <= (c.ch0 + c.width) as usize);
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn tally_matches_materialized_chunks() {
+        let (g, a) = col_setup();
+        for j in [0usize, 77, 300, g.grid.num_voxels() - 1] {
+            let col = a.column(j);
+            for width in [4usize, 16, 32] {
+                let chunks = chunk_column(&col, width);
+                let dense = chunks.iter().map(|c| c.len() as u64).sum::<u64>();
+                assert_eq!(chunk_tally(&col, width), (dense, chunks.len() as u32), "voxel {j}");
             }
         }
     }

@@ -1,163 +1,76 @@
-//! One-time folded tables for the SIMD lane backend's ICD inner loop.
+//! Plan-owned band offsets for the SIMD lane backend's ICD walk.
 //!
-//! The theta accumulation (Algorithm 1 steps 3-6) folds three streams
-//! per element: `theta1 -= w * A * e`, `theta2 += w * A * A`. Of those,
-//! only `e` changes between voxel visits — the weights and the system
-//! matrix are iteration-invariant, and on the default quantized path
-//! the dequantization `code as f32 * scale / levels` costs a divide
-//! per element per visit. On top of that, the run-major walk pays
-//! per-view bookkeeping (band indexing, run slicing) for runs that
-//! average only ~2-3 channels, which is where a naive staged lane
-//! path loses its vector win. A [`LaneTables`] folds everything
-//! invariant once at driver setup:
+//! A voxel visit folds three streams per column element:
+//! `theta1 -= w * A * e` and `theta2 += w * A * A`, then writes back
+//! `e -= A * delta`. The scalar reference walks the column run by run
+//! and addresses the SV's buffered band through `(view, channel)`; at
+//! ~2-3 channels per run, that per-view bookkeeping is where the time
+//! goes. The lane backend instead reads every element through its flat
+//! offset in the band, so a visit is two branchless loops: gather
+//! `e[idx]` and `w[idx]` into the 8-wide theta kernel, then scatter
+//! the committed step back through the same offsets
+//! ([`mbir_simd::theta_gather`], [`mbir_simd::scatter_sub`]).
 //!
-//! - `wa[k] = w[k] * a[k]` — the weighted A entry,
-//! - `waa[k] = (w[k] * a[k]) * a[k]` — its theta2 contribution,
-//! - `adq[k] = a[k]` — the (dequantized) A entry, for the write-back
-//!   `e[k] -= a[k] * delta`,
-//! - `idx[k]` — the element's offset in the SV's buffered band, which
-//!   depends only on the band shape and layout,
+//! The offsets depend only on the column's runs and the SV's band
+//! shape and layout — the geometry, never a scan — so [`fill_offsets`]
+//! runs once per geometry, inside [`crate::SvPlan::build`]'s per-voxel
+//! pass, and every scan of that geometry shares them. Each SV stores
+//! its voxels' offsets back to back in one array
+//! ([`crate::SvPlan::offsets`] slices out a voxel's), keyed by the SV
+//! and not by voxel id: adjacent SVs share boundary voxels, and a
+//! shared voxel's offsets are relative to the band of the SV visiting
+//! it.
 //!
-//! so a visit is two branchless element-wise loops: gather `e` by
-//! `idx` and run the two-flop 8-wide theta kernel, then scatter the
-//! committed delta back through the same offsets.
-//!
-//! The fold is bitwise-neutral: Rust parses `w * a * e` as
-//! `(w * a) * e`, so memoizing the rounded product `w * a` (with the
-//! canonical dequantization already applied) leaves every per-element
-//! expression tree of the scalar reference walk unchanged — pinned by
-//! the `theta_tables_*` proptests in `mbir-simd` and end-to-end by
+//! Nothing scan-dependent is folded: the kernel forms `w * a` from the
+//! band's weight entry at the visit, and A comes from the f32 column or
+//! the u8 codes dequantized inline. Rust parses `w * a * e` as
+//! `(w * a) * e`, so the kernel's per-element trees are the scalar
+//! walk's and the results are bitwise equal — pinned by the gather
+//! proptests in `mbir-simd` and end to end by
 //! `tests/determinism_simd.rs`.
 
-use crate::plan::SvPlanSet;
-use crate::quant::QuantizedColumn;
-use crate::svb::{SvbLayout, SvbShape};
-use ct_core::sinogram::Sinogram;
-use ct_core::sysmat::{ColumnView, SystemMatrix};
+use ct_core::sysmat::ColumnView;
+use mbir_simd::LANES;
 
-/// Per-voxel folded tables, in `values_flat` element order, bound to
-/// one SV band shape and layout (the `idx` offsets).
-#[derive(Debug, Clone, Default)]
-pub struct LaneTables {
-    /// `w * a` per element (dequantized `a` for quantized columns).
-    pub wa: Vec<f32>,
-    /// `(w * a) * a` per element — the theta2 summand.
-    pub waa: Vec<f32>,
-    /// The A entry per element, exactly as the per-visit walk sees it:
-    /// dequantized in canonical order for quantized columns, the raw
-    /// `values_flat` entry otherwise.
-    pub adq: Vec<f32>,
-    /// Offset of the element in the SV's buffered band.
-    pub idx: Vec<u32>,
-}
-
-impl LaneTables {
-    /// Fold one column against the weight sinogram and its SV's band
-    /// geometry. `quant` carries the quantized codes when the driver
-    /// runs the u8 A-matrix path.
-    pub fn build(
-        col: &ColumnView<'_>,
-        quant: Option<&QuantizedColumn>,
-        w: &Sinogram,
-        shape: &SvbShape,
-        layout: SvbLayout,
-    ) -> LaneTables {
-        let values = col.values_flat();
-        let n = values.len();
-        let mut t = LaneTables {
-            wa: Vec::with_capacity(n),
-            waa: Vec::with_capacity(n),
-            adq: Vec::with_capacity(n),
-            idx: Vec::with_capacity(n),
-        };
-        let mut k = 0usize;
-        for v in 0..col.num_views() {
-            let (fc, run) = col.run(v);
-            let wv = w.view(v);
-            for kk in 0..run {
-                let a = match quant {
-                    Some(q) => q.dequant(k),
-                    None => values[k],
-                };
-                let wa = wv[fc + kk] * a;
-                t.wa.push(wa);
-                t.waa.push(wa * a);
-                t.adq.push(a);
-                t.idx.push(shape.index_of(layout, v, fc + kk) as u32);
-                k += 1;
-            }
+/// Write the offset of each element of `col`, in flat element order,
+/// to the front of `out`, for a band whose per-view row bases are
+/// `bases` (see [`crate::SvbShape::row_bases`]).
+///
+/// A run's offsets are consecutive in either layout, so each run is
+/// written with one fixed 8-wide store from its first cell (runs
+/// average ~2-3 channels; longer ones finish element-wise). The next
+/// run overwrites the overhang, so `out` must hold `col.nnz() + LANES`
+/// slots, and the `LANES` past the column are left as slack for the
+/// caller's next column or final truncation.
+pub fn fill_offsets(col: &ColumnView<'_>, bases: &[u32], out: &mut [u32]) {
+    let mut k = 0usize;
+    for ((&fc, &n), &b) in col.first_channels().iter().zip(col.counts()).zip(bases) {
+        let first = b.wrapping_add(fc as u32);
+        let lane: &mut [u32; LANES] = out[k..].first_chunk_mut().expect("slack for one store");
+        for (l, o) in lane.iter_mut().enumerate() {
+            *o = first.wrapping_add(l as u32);
         }
-        t
-    }
-
-    /// Fold every voxel of a plan set's tiling, in parallel on
-    /// `threads` workers (0 = all; deterministic — per-SV folds are
-    /// independent and `par_map` preserves SV order). `quant_bits`
-    /// mirrors the driver's A-matrix mode; `layout` must match the
-    /// layout the driver gathers SVBs with.
-    ///
-    /// Indexed `[sv][vi]` with `vi` the voxel's position in
-    /// `plan.plan(sv).voxels()` — NOT by linear voxel id: adjacent SVs
-    /// share boundary voxels, and a shared voxel's `idx` offsets are
-    /// relative to the band shape of the SV visiting it, so one voxel
-    /// needs a distinct fold per covering SV.
-    pub fn build_for_plan(
-        a: &SystemMatrix,
-        w: &Sinogram,
-        quant_bits: Option<u32>,
-        plan: &SvPlanSet,
-        layout: SvbLayout,
-        threads: usize,
-    ) -> Vec<Vec<LaneTables>> {
-        mbir_parallel::par_map(threads, plan.plans().len(), |sv| {
-            let sp = plan.plan(sv);
-            sp.voxels()
-                .iter()
-                .map(|vp| {
-                    let col = a.column(vp.voxel);
-                    let fresh;
-                    let quant = match quant_bits {
-                        Some(bits) => Some(match &vp.quant {
-                            Some(q) => q,
-                            None => {
-                                fresh = QuantizedColumn::quantize_bits(&col, bits);
-                                &fresh
-                            }
-                        }),
-                        None => None,
-                    };
-                    LaneTables::build(&col, quant, w, &sp.shape, layout)
-                })
-                .collect()
-        })
-    }
-
-    /// Elements in the fold.
-    pub fn len(&self) -> usize {
-        self.idx.len()
-    }
-
-    /// Whether the fold is empty (a voxel with no footprint).
-    pub fn is_empty(&self) -> bool {
-        self.idx.is_empty()
-    }
-
-    /// Resident bytes of this voxel's tables.
-    pub fn bytes(&self) -> usize {
-        4 * (self.wa.len() + self.waa.len() + self.adq.len() + self.idx.len())
+        let n = n as usize;
+        for i in LANES..n {
+            out[k + i] = first.wrapping_add(i as u32);
+        }
+        k += n;
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::plan::PlanConfig;
-    use crate::svb::Svb;
+    use crate::plan::{PlanConfig, SvPlanSet};
+    use crate::quant::QuantizedColumn;
+    use crate::svb::{Svb, SvbLayout};
     use crate::tiling::Tiling;
     use ct_core::geometry::Geometry;
     use ct_core::phantom::Phantom;
+    use ct_core::sinogram::Sinogram;
+    use ct_core::sysmat::SystemMatrix;
+    use mbir_simd::{AColumn, SimdBackend};
 
-    fn setup() -> (Geometry, SystemMatrix, Tiling, Sinogram, Sinogram) {
+    fn setup() -> (SystemMatrix, Tiling, Sinogram, Sinogram) {
         let g = Geometry::tiny_scale();
         let a = SystemMatrix::compute(&g);
         let t = Tiling::new(g.grid, 8);
@@ -169,76 +82,79 @@ mod tests {
                 *val = 0.5 + ((v * 31 + c * 7) % 13) as f32 * 0.1;
             }
         }
-        (g, a, t, y, w)
+        (a, t, y, w)
     }
 
-    fn plan_for(
-        a: &SystemMatrix,
-        t: &Tiling,
-        quant_bits: Option<u32>,
-        layout: SvbLayout,
-    ) -> SvPlanSet {
-        SvPlanSet::build(a, t, PlanConfig { chunk_width: None, quant_bits, layout }, 1)
+    fn plan_for(a: &SystemMatrix, t: &Tiling, layout: SvbLayout, threads: usize) -> SvPlanSet {
+        SvPlanSet::build(a, t, PlanConfig { chunk_width: None, quant_bits: None, layout }, threads)
     }
 
     #[test]
-    fn tabled_thetas_match_scalar_walk_bitwise() {
-        let (_, a, t, y, w) = setup();
-        let layout = SvbLayout::Transposed;
-        let plan = plan_for(&a, &t, None, layout);
-        let tables = LaneTables::build_for_plan(&a, &w, None, &plan, layout, 1);
-        for (sv, sv_tables) in tables.iter().enumerate() {
-            let svb = Svb::gather(&plan.plan(sv).shape, layout, &y, &w);
-            for (vi, j) in t.voxels(sv).enumerate() {
-                let col = a.column(j);
-                let reference = svb.thetas(&col, mbir_simd::SimdBackend::Scalar);
-                let tabled = svb.thetas_tabled(&sv_tables[vi]);
-                assert_eq!(reference.theta1.to_bits(), tabled.theta1.to_bits(), "voxel {j}");
-                assert_eq!(reference.theta2.to_bits(), tabled.theta2.to_bits(), "voxel {j}");
+    fn offsets_equal_index_of_per_element_in_both_layouts() {
+        let (a, t, _, _) = setup();
+        for layout in [SvbLayout::SensorMajor, SvbLayout::Transposed] {
+            let plan = plan_for(&a, &t, layout, 1);
+            for sp in plan.plans() {
+                for vp in sp.voxels() {
+                    let col = a.column(vp.voxel);
+                    let mut expect = Vec::with_capacity(col.nnz());
+                    for seg in col.segments() {
+                        for k in 0..seg.values.len() {
+                            let i = sp.shape.index_of(layout, seg.view, seg.first_channel + k);
+                            expect.push(i as u32);
+                        }
+                    }
+                    assert_eq!(
+                        sp.offsets(vp),
+                        expect,
+                        "sv {} voxel {} {layout:?}",
+                        sp.sv,
+                        vp.voxel
+                    );
+                }
             }
         }
     }
 
     #[test]
-    fn tabled_quant_thetas_and_apply_match_scalar_walk_bitwise() {
-        let (_, a, t, y, w) = setup();
-        let layout = SvbLayout::SensorMajor;
-        let plan = plan_for(&a, &t, Some(8), layout);
-        let tables = LaneTables::build_for_plan(&a, &w, Some(8), &plan, layout, 1);
-        let sv = t.len() / 2;
-        let mut svb = Svb::gather(&plan.plan(sv).shape, layout, &y, &w);
-        let mut svb_ref = svb.clone();
-        for (vi, j) in t.voxels(sv).enumerate() {
-            let col = a.column(j);
-            let q = QuantizedColumn::quantize_bits(&col, 8);
-            let reference = svb_ref.thetas_quant(&col, &q, mbir_simd::SimdBackend::Scalar);
-            let tabled = svb.thetas_tabled(&tables[sv][vi]);
-            assert_eq!(reference.theta1.to_bits(), tabled.theta1.to_bits(), "voxel {j}");
-            assert_eq!(reference.theta2.to_bits(), tabled.theta2.to_bits(), "voxel {j}");
-            let delta = 0.001 + (j % 5) as f32 * 1e-4;
-            svb_ref.apply_quant_delta(&col, &q, delta, mbir_simd::SimdBackend::Scalar);
-            svb.apply_tabled(&tables[sv][vi], delta);
-            let eb: Vec<u32> = svb.e.iter().map(|x| x.to_bits()).collect();
-            let rb: Vec<u32> = svb_ref.e.iter().map(|x| x.to_bits()).collect();
-            assert_eq!(eb, rb, "voxel {j} write-back");
+    fn offsets_are_thread_count_invariant() {
+        let (a, t, _, _) = setup();
+        let p1 = plan_for(&a, &t, SvbLayout::Transposed, 1);
+        let p4 = plan_for(&a, &t, SvbLayout::Transposed, 4);
+        for (s1, s4) in p1.plans().iter().zip(p4.plans()) {
+            assert_eq!(s1.band_offsets, s4.band_offsets, "sv {}", s1.sv);
         }
     }
 
     #[test]
-    fn build_is_thread_count_invariant() {
-        let (_, a, t, _, w) = setup();
-        let layout = SvbLayout::Transposed;
-        let plan = plan_for(&a, &t, Some(8), layout);
-        let t1 = LaneTables::build_for_plan(&a, &w, Some(8), &plan, layout, 1);
-        let t4 = LaneTables::build_for_plan(&a, &w, Some(8), &plan, layout, 4);
-        assert_eq!(t1.len(), t4.len());
-        for (sv1, sv4) in t1.iter().zip(&t4) {
-            assert_eq!(sv1.len(), sv4.len());
-            for (x, y) in sv1.iter().zip(sv4) {
-                assert_eq!(x.wa, y.wa);
-                assert_eq!(x.waa, y.waa);
-                assert_eq!(x.adq, y.adq);
-                assert_eq!(x.idx, y.idx);
+    fn gathered_thetas_and_write_back_match_the_scalar_walk_bitwise() {
+        // Every SV of a real plan, both layouts, f32 and u8 columns:
+        // thetas and the committed write-back through the offsets must
+        // equal the scalar walk bit for bit, visit after visit.
+        let (a, t, y, w) = setup();
+        for layout in [SvbLayout::SensorMajor, SvbLayout::Transposed] {
+            let plan = plan_for(&a, &t, layout, 1);
+            for sp in plan.plans() {
+                let mut lanes = Svb::gather(&sp.shape, layout, &y, &w);
+                let mut scalar = lanes.clone();
+                for (step, vp) in sp.voxels().iter().enumerate() {
+                    let col = a.column(vp.voxel);
+                    let q = QuantizedColumn::quantize(&col);
+                    let entries =
+                        if step % 2 == 0 { AColumn::F32(col.values_flat()) } else { q.entries() };
+                    let offsets = sp.offsets(vp);
+                    let s = scalar.thetas(&col, entries, offsets, SimdBackend::Scalar);
+                    let l = lanes.thetas(&col, entries, offsets, SimdBackend::Lanes);
+                    let tag = format!("sv {} voxel {} {layout:?}", sp.sv, vp.voxel);
+                    assert_eq!(s.theta1.to_bits(), l.theta1.to_bits(), "{tag}");
+                    assert_eq!(s.theta2.to_bits(), l.theta2.to_bits(), "{tag}");
+                    let delta = 0.001 + (step % 5) as f32 * 1e-4;
+                    scalar.apply_delta(&col, entries, offsets, delta, SimdBackend::Scalar);
+                    lanes.apply_delta(&col, entries, offsets, delta, SimdBackend::Lanes);
+                    let sb: Vec<u32> = scalar.e.iter().map(|x| x.to_bits()).collect();
+                    let lb: Vec<u32> = lanes.e.iter().map(|x| x.to_bits()).collect();
+                    assert_eq!(sb, lb, "{tag} write-back");
+                }
             }
         }
     }

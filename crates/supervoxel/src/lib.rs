@@ -16,10 +16,12 @@
 //!   concurrently updated SVs from sharing boundary voxels.
 //! - [`selection`]: the per-iteration SV working-set policies (all /
 //!   top-f% by update amount / random f%).
-//! - [`plan`]: iteration-invariant per-SV plans — shapes, chunk
-//!   tallies, quantized columns, column norms, and row coalescing
-//!   counts computed once at driver setup and shared across
-//!   iterations.
+//! - [`plan`]: geometry-invariant per-SV plans — shapes, chunk
+//!   tallies, quantized columns, band offsets, and row coalescing
+//!   counts computed once per geometry and shared across iterations
+//!   and scans.
+//! - [`lanes`]: the per-element band offsets the SIMD lane backend
+//!   gathers through.
 
 #![warn(missing_docs)]
 
@@ -33,8 +35,7 @@ pub mod svb;
 pub mod tiling;
 
 pub use checkerboard::checkerboard_groups;
-pub use chunks::{chunk_column, Chunk, PaddedColumn};
-pub use lanes::LaneTables;
+pub use chunks::{chunk_column, chunk_tally, Chunk, PaddedColumn};
 pub use plan::{PlanConfig, RowTransactions, SvPlan, SvPlanSet, VoxelPlan};
 pub use quant::QuantizedColumn;
 pub use selection::{select_svs, Selection};

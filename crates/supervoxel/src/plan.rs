@@ -14,13 +14,21 @@
 //! what the per-visit recomputation would produce, so cached and
 //! uncached runs are bitwise identical (enforced by the
 //! `plan_cache_equivalence` regression test).
+//!
+//! A plan depends on the geometry alone, never on a scan: the weights
+//! and the measurement enter at visit time. One plan set therefore
+//! serves every scan of its geometry, and it records that geometry so
+//! a driver can refuse a plan built for another.
 
-use crate::chunks::chunk_column;
+use crate::chunks::chunk_tally;
+use crate::lanes::fill_offsets;
 use crate::quant::QuantizedColumn;
 use crate::svb::{SvbLayout, SvbShape};
 use crate::tiling::Tiling;
+use ct_core::geometry::Geometry;
 use ct_core::sysmat::SystemMatrix;
 use gpu_sim::coalesce::affine_transactions;
+use mbir_simd::LANES;
 
 /// The iteration-invariant knobs a plan set is specialized for —
 /// derived from the driver's options at construction.
@@ -49,11 +57,12 @@ pub struct VoxelPlan {
     /// Chunk descriptors read per visit (chunk count when chunking,
     /// else the view count).
     pub descriptors: u32,
-    /// `sum A^2` of the column (`SystemMatrix::column_norm_sq`).
-    pub norm_sq: f32,
     /// The column quantized once, replacing the two per-visit
     /// `quantize_bits` calls (theta accumulation + write-back).
     pub quant: Option<QuantizedColumn>,
+    /// Where this voxel's band offsets start in its SV's
+    /// [`SvPlan::band_offsets`] (see [`SvPlan::offsets`]).
+    pub offsets_start: u32,
 }
 
 /// Warp transaction counts for streaming one row of the transformed
@@ -88,6 +97,11 @@ pub struct SvPlan {
     /// Coalescing transaction counts of the SV's padded rows (only
     /// when chunking; the naive layout has no fixed row shape).
     pub row_tx: Option<RowTransactions>,
+    /// The offset of every column element in this SV's buffered band,
+    /// voxel after voxel in `voxels` order (see [`crate::lanes`]).
+    /// Built for every plan: it depends only on the band shape and the
+    /// layout.
+    pub band_offsets: Vec<u32>,
 }
 
 impl SvPlan {
@@ -97,15 +111,25 @@ impl SvPlan {
         let nviews = shape.num_views();
         let svb_bytes = shape.bytes(config.layout) as f64;
         let band_width = shape.width.iter().map(|&w| w as f64).sum::<f64>() / nviews.max(1) as f64;
+        let band_len = shape.bytes(config.layout) / 4;
+        assert!(
+            u32::try_from(band_len).is_ok(),
+            "SV {sv} band of {band_len} cells overflows u32 offsets"
+        );
+        let bases = shape.row_bases(config.layout);
+        let elements: usize = tiling.voxels(sv).map(|j| a.column(j).nnz()).sum();
+        assert!(u32::try_from(elements).is_ok(), "SV {sv} has {elements} elements, past u32");
+        let mut band_offsets = vec![0u32; elements + LANES];
+        let mut start = 0usize;
         let voxels = tiling
             .voxels(sv)
             .map(|j| {
                 let col = a.column(j);
+                fill_offsets(&col, &bases, &mut band_offsets[start..]);
+                let offsets_start = start as u32;
+                start += col.nnz();
                 let (dense, descriptors) = match config.chunk_width {
-                    Some(w) => {
-                        let chunks = chunk_column(&col, w);
-                        (chunks.iter().map(|c| c.len() as u64).sum(), chunks.len() as u32)
-                    }
+                    Some(w) => chunk_tally(&col, w),
                     None => (col.nnz() as u64, nviews as u32),
                 };
                 VoxelPlan {
@@ -113,11 +137,12 @@ impl SvPlan {
                     nnz: col.nnz() as u32,
                     dense,
                     descriptors,
-                    norm_sq: col.values_flat().iter().map(|&v| v * v).sum(),
                     quant: config.quant_bits.map(|bits| QuantizedColumn::quantize_bits(&col, bits)),
+                    offsets_start,
                 }
             })
             .collect();
+        band_offsets.truncate(elements);
         let row_tx = config.chunk_width.map(|w| {
             let a_bytes = if config.quant_bits.is_some() { 1 } else { 4 };
             RowTransactions {
@@ -126,7 +151,13 @@ impl SvPlan {
                 a_row: affine_transactions(0, a_bytes, a_bytes, w as u32),
             }
         });
-        SvPlan { sv, shape, voxels, svb_bytes, band_width, row_tx }
+        SvPlan { sv, shape, voxels, svb_bytes, band_width, row_tx, band_offsets }
+    }
+
+    /// One voxel's band offsets, in its column's flat element order.
+    #[inline]
+    pub fn offsets(&self, vp: &VoxelPlan) -> &[u32] {
+        &self.band_offsets[vp.offsets_start as usize..][..vp.nnz as usize]
     }
 
     /// Per-voxel plans, in `tiling.voxels(sv)` order.
@@ -140,6 +171,7 @@ impl SvPlan {
 #[derive(Debug, Clone)]
 pub struct SvPlanSet {
     config: PlanConfig,
+    geometry: Geometry,
     tiling: Tiling,
     plans: Vec<SvPlan>,
 }
@@ -152,12 +184,17 @@ impl SvPlanSet {
         let plans = mbir_parallel::par_map(threads, tiling.len(), |sv| {
             SvPlan::build(a, tiling, sv, config)
         });
-        SvPlanSet { config, tiling: tiling.clone(), plans }
+        SvPlanSet { config, geometry: *a.geometry(), tiling: tiling.clone(), plans }
     }
 
     /// The configuration the plans were specialized for.
     pub fn config(&self) -> PlanConfig {
         self.config
+    }
+
+    /// The geometry of the system matrix the plans were built from.
+    pub fn geometry(&self) -> &Geometry {
+        &self.geometry
     }
 
     /// The tiling the plans cover.
@@ -189,7 +226,7 @@ impl SvPlanSet {
                         std::mem::size_of::<VoxelPlan>() + v.quant.as_ref().map_or(0, |q| q.bytes())
                     })
                     .sum();
-                shape + vox
+                shape + vox + 4 * p.band_offsets.capacity()
             })
             .sum()
     }
@@ -227,10 +264,10 @@ mod tests {
                 assert_eq!(vp.voxel, j);
                 let col = a.column(j);
                 assert_eq!(vp.nnz as usize, col.nnz());
-                let chunks = chunk_column(&col, 16);
+                assert_eq!(plan.offsets(vp).len(), col.nnz());
+                let chunks = crate::chunks::chunk_column(&col, 16);
                 assert_eq!(vp.dense, chunks.iter().map(|c| c.len() as u64).sum::<u64>());
                 assert_eq!(vp.descriptors as usize, chunks.len());
-                assert_eq!(vp.norm_sq, a.column_norm_sq(j));
                 let q = vp.quant.as_ref().expect("quantized plan");
                 let fresh_q = QuantizedColumn::quantize_bits(&col, 8);
                 assert_eq!(q.scale, fresh_q.scale);
@@ -311,5 +348,37 @@ mod tests {
             0,
         );
         assert!(quant.bytes() > plain.bytes());
+    }
+
+    #[test]
+    fn plan_bytes_count_the_band_offsets() {
+        // Offsets are 4 B per column element, on top of the shapes and
+        // the per-voxel records.
+        let (_, a, t) = setup();
+        let set = SvPlanSet::build(
+            &a,
+            &t,
+            PlanConfig { chunk_width: None, quant_bits: None, layout: SvbLayout::SensorMajor },
+            0,
+        );
+        let mut records = 0usize;
+        let mut elements = 0usize;
+        for p in set.plans() {
+            records += 4 * (p.shape.first.len() + p.shape.width.len() + p.shape.row_offset.len());
+            records += std::mem::size_of_val(p.voxels());
+            elements += p.voxels().iter().map(|v| v.nnz as usize).sum::<usize>();
+        }
+        assert!(elements > 0);
+        assert!(
+            set.bytes() >= records + 4 * elements,
+            "{} < {records} + 4 * {elements}",
+            set.bytes()
+        );
+    }
+
+    #[test]
+    fn plan_records_its_geometry() {
+        let (g, a, t) = setup();
+        assert_eq!(*SvPlanSet::build(&a, &t, chunked_config(), 0).geometry(), g);
     }
 }

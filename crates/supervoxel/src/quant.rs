@@ -12,6 +12,7 @@
 //! at a quantization error bounded by `max_A / 510` per entry.
 
 use ct_core::sysmat::ColumnView;
+use mbir_simd::AColumn;
 
 /// One voxel's column quantized to bytes.
 #[derive(Debug, Clone)]
@@ -42,8 +43,8 @@ impl QuantizedColumn {
     /// quantizes everything to code 0 (and stores scale 0.0, so
     /// dequantization yields exactly 0.0 rather than NaN), and every
     /// code is explicitly clamped to `[0, levels]` so a value above
-    /// `scale` — or a NaN, which maps to 0 — cannot land outside the
-    /// code range. A scale large enough that `levels * scale`
+    /// `scale` cannot land outside the code range. A NaN entry stays
+    /// NaN through the clamp and the saturating `as u8` maps it to 0. A scale large enough that `levels * scale`
     /// overflows f32 is degenerate too: the canonical dequantization
     /// multiplies before dividing (the order the SIMD paths pin
     /// bitwise), so such a scale would decode top codes to infinity.
@@ -54,24 +55,20 @@ impl QuantizedColumn {
         if !(scale.is_finite() && scale > 0.0) || overflows {
             return QuantizedColumn { scale: 0.0, levels, codes: vec![0u8; values.len()] };
         }
-        let codes = values
-            .iter()
-            .map(|&a| {
-                let code = (a / scale) * levels + 0.5;
-                if code.is_nan() {
-                    0
-                } else {
-                    code.clamp(0.0, levels) as u8
-                }
-            })
-            .collect();
+        let codes =
+            values.iter().map(|&a| ((a / scale) * levels + 0.5).clamp(0.0, levels) as u8).collect();
         QuantizedColumn { scale, levels, codes }
     }
 
     /// Dequantize entry `k` back to a float A value.
     #[inline]
     pub fn dequant(&self, k: usize) -> f32 {
-        self.codes[k] as f32 * self.scale / self.levels
+        mbir_simd::dequant(self.codes[k], self.scale, self.levels)
+    }
+
+    /// The codes as the A entries an ICD visit reads.
+    pub fn entries(&self) -> AColumn<'_> {
+        AColumn::U8 { codes: &self.codes, scale: self.scale, levels: self.levels }
     }
 
     /// Dequantize the whole column.

@@ -15,15 +15,18 @@
 //!   view, all rows padded to the same width and aligned to 32-byte
 //!   boundaries ("we make the SVB perfectly rectangular by
 //!   zero-padding, and place each row at an aligned address").
+//!
+//! A voxel visit reads and updates the buffer in one of two ways,
+//! bitwise equal: the scalar reference walks the column's runs by
+//! `(view, channel)`, and the lane backend reaches the same cells
+//! through the offsets the SV's plan stores per element
+//! ([`crate::lanes`]).
 
-use std::cell::RefCell;
-
-use crate::quant::QuantizedColumn;
 use crate::tiling::Tiling;
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::{ColumnView, SystemMatrix};
 use mbir::update::{Thetas, WeightedError};
-use mbir_simd::SimdBackend;
+use mbir_simd::{AColumn, SimdBackend};
 
 /// Floats per 32-byte alignment sector; padded row widths are rounded
 /// up to this.
@@ -114,8 +117,8 @@ impl SvbShape {
 
     /// Buffer offset of `(view, channel)` in the given layout;
     /// `channel` is absolute. The pure-shape form of [`Svb::index`],
-    /// usable before any buffer is gathered (the lane tables
-    /// precompute these offsets once per voxel).
+    /// usable before any buffer is gathered (the plan precomputes
+    /// these offsets once per voxel; see [`crate::lanes`]).
     #[inline]
     pub fn index_of(&self, layout: SvbLayout, view: usize, ch: usize) -> usize {
         let rel = ch - self.first[view] as usize;
@@ -124,6 +127,22 @@ impl SvbShape {
             SvbLayout::SensorMajor => self.row_offset[view] as usize + rel,
             SvbLayout::Transposed => view * self.padded_width + rel,
         }
+    }
+
+    /// Per view, the buffer offset of absolute channel 0 in the given
+    /// layout, wrapped so that `(view, ch)` in the band sits at
+    /// `bases[view].wrapping_add(ch)` — [`SvbShape::index_of`] with the
+    /// layout and the band's first channel folded out of the loop.
+    pub fn row_bases(&self, layout: SvbLayout) -> Vec<u32> {
+        (0..self.num_views())
+            .map(|v| {
+                let row = match layout {
+                    SvbLayout::SensorMajor => self.row_offset[v],
+                    SvbLayout::Transposed => (v * self.padded_width) as u32,
+                };
+                row.wrapping_sub(self.first[v])
+            })
+            .collect()
     }
 
     /// Bytes of one f32 buffer in the given layout (the paper's SVB
@@ -214,193 +233,47 @@ impl<'a> Svb<'a> {
         }
     }
 
-    /// Stage the error/weight entries under a voxel column's runs into
-    /// flat buffers aligned with [`ColumnView::values_flat`]. Per-view
-    /// runs are contiguous in both layouts, so this is a handful of
-    /// `memcpy`s per view — the staging that lets the lane kernels run
-    /// one long vectorized loop instead of a per-element indexed walk.
-    fn stage_column(&self, col: &ColumnView<'_>, es: &mut Vec<f32>, ws: &mut Vec<f32>) {
-        es.clear();
-        ws.clear();
-        es.reserve(col.nnz());
-        ws.reserve(col.nnz());
-        let first = col.first_channels();
-        let count = col.counts();
-        for v in 0..first.len() {
-            let n = count[v] as usize;
-            if n == 0 {
-                continue;
-            }
-            let i0 = self.index(v, first[v] as usize);
-            es.extend_from_slice(&self.e[i0..i0 + n]);
-            ws.extend_from_slice(&self.w[i0..i0 + n]);
-        }
-    }
-
-    /// Theta accumulation via a voxel's folded [`crate::LaneTables`] —
-    /// the lane backend's fast path. Gathers the error band through the
-    /// precomputed flat offsets (one branchless loop, no per-view
-    /// bookkeeping — the weights and A entries are already folded into
-    /// `t`) and runs the two-flop 8-wide kernel. Bitwise-identical to
-    /// the scalar walk: the fold memoizes `(w * a)` exactly as
-    /// `w * a * e` rounds it (see `mbir_simd::theta_tables_ref`), and
-    /// the gather reads the same cells in the same flat order.
-    pub fn thetas_tabled(&self, t: &crate::LaneTables) -> Thetas {
-        STAGE.with(|s| {
-            let (es, _) = &mut *s.borrow_mut();
-            es.resize(t.idx.len(), 0.0);
-            for (o, &i) in es.iter_mut().zip(&t.idx) {
-                *o = self.e[i as usize];
-            }
-            let (theta1, theta2) = mbir_simd::theta_tables_lanes(&t.wa, &t.waa, es);
-            Thetas { theta1, theta2 }
-        })
-    }
-
-    /// Write-back via the table: `e[idx[k]] -= adq[k] * delta`, with
-    /// `adq[k]` rounded at fold time exactly as the per-visit
-    /// dequantization rounds — bitwise-equal to
-    /// [`Svb::apply_quant_delta`] / [`Svb::apply_col_delta`], minus
-    /// their per-element divides and per-view bookkeeping. A column's
-    /// cells are distinct, so the scatter order is immaterial; the
-    /// flat order used here is the scalar walk's order anyway.
-    pub fn apply_tabled(&mut self, t: &crate::LaneTables, delta: f32) {
-        for (&i, &av) in t.idx.iter().zip(&t.adq) {
-            self.e[i as usize] -= av * delta;
-        }
-    }
-
-    /// Theta accumulation over a voxel's column (Algorithm 1 steps
-    /// 3-6), backend-dispatched. `Scalar` walks element-at-a-time
-    /// through the [`WeightedError`] view (the canonical reference);
-    /// `Lanes` stages the band into flat buffers and runs the chunked
-    /// 8-wide kernel. Bitwise-identical results either way.
-    pub fn thetas(&self, col: &ColumnView<'_>, backend: SimdBackend) -> Thetas {
-        match mbir_simd::resolve(backend) {
-            SimdBackend::Lanes => STAGE.with(|s| {
-                let (es, ws) = &mut *s.borrow_mut();
-                self.stage_column(col, es, ws);
-                let (theta1, theta2) = mbir_simd::theta_flat_lanes(col.values_flat(), es, ws);
-                Thetas { theta1, theta2 }
-            }),
-            _ => mbir::update::compute_thetas(col, self),
-        }
-    }
-
-    /// Theta accumulation over a u8-quantized column (paper Section
-    /// 4.3.1), backend-dispatched; dequantization stays in the
-    /// canonical `code * scale / levels` per-entry order.
-    pub fn thetas_quant(
+    /// Theta accumulation over one voxel visit (Algorithm 1 steps
+    /// 3-6), backend-dispatched. `a` holds the column's A entries (f32,
+    /// or u8 codes) and `offsets` their cells in this band, from the
+    /// SV's plan (see [`crate::lanes`]). `Scalar` walks the column's
+    /// runs element at a time ([`mbir::update::column_thetas`], the
+    /// canonical reference); `Lanes` gathers `e` and `w` through the
+    /// offsets into the 8-wide kernel ([`mbir_simd::theta_gather`]).
+    /// Bitwise-identical results either way.
+    pub fn thetas(
         &self,
         col: &ColumnView<'_>,
-        q: &QuantizedColumn,
+        a: AColumn<'_>,
+        offsets: &[u32],
         backend: SimdBackend,
     ) -> Thetas {
         match mbir_simd::resolve(backend) {
-            SimdBackend::Lanes => STAGE.with(|s| {
-                let (es, ws) = &mut *s.borrow_mut();
-                self.stage_column(col, es, ws);
-                let (theta1, theta2) =
-                    mbir_simd::theta_quant_flat_lanes(&q.codes, q.scale, q.levels, es, ws);
-                Thetas { theta1, theta2 }
-            }),
-            _ => {
-                let first = col.first_channels();
-                let count = col.counts();
-                let mut acc = mbir_simd::ThetaAcc::new();
-                let mut k = 0usize;
-                for v in 0..first.len() {
-                    let n = count[v] as usize;
-                    let fc = first[v] as usize;
-                    for kk in 0..n {
-                        let (e, w) = self.get(v, fc + kk);
-                        acc.push_quant(q.codes[k], q.scale, q.levels, e, w);
-                        k += 1;
-                    }
-                }
-                let (theta1, theta2) = acc.finish();
+            SimdBackend::Lanes => {
+                let (theta1, theta2) = mbir_simd::theta_gather(a, offsets, &self.e, &self.w);
                 Thetas { theta1, theta2 }
             }
+            _ => mbir::update::column_thetas(col, a, self),
         }
     }
 
     /// Scatter `e -= A * delta` over the voxel's footprint (Algorithm 1
-    /// steps 9-11), backend-dispatched. The update is element-wise
-    /// (`e[k] -= a[k] * delta`, no reduction), so the backends perform
-    /// identical ops; `Lanes` just runs them on contiguous run slices.
-    pub fn apply_col_delta(&mut self, col: &ColumnView<'_>, delta: f32, backend: SimdBackend) {
-        match mbir_simd::resolve(backend) {
-            SimdBackend::Lanes => {
-                let first = col.first_channels();
-                let count = col.counts();
-                let values = col.values_flat();
-                let mut off = 0usize;
-                for v in 0..first.len() {
-                    let n = count[v] as usize;
-                    if n > 0 {
-                        let i0 = self.index(v, first[v] as usize);
-                        mbir_simd::sub_scaled(
-                            &mut self.e[i0..i0 + n],
-                            &values[off..off + n],
-                            delta,
-                        );
-                    }
-                    off += n;
-                }
-            }
-            _ => mbir::update::apply_delta(col, self, delta),
-        }
-    }
-
-    /// Quantized-column variant of [`Svb::apply_col_delta`].
-    pub fn apply_quant_delta(
+    /// steps 9-11), dispatched like [`Svb::thetas`]. The update is
+    /// element-wise (no reduction), so both backends perform identical
+    /// ops; `Lanes` addresses the cells through the plan's offsets.
+    pub fn apply_delta(
         &mut self,
         col: &ColumnView<'_>,
-        q: &QuantizedColumn,
+        a: AColumn<'_>,
+        offsets: &[u32],
         delta: f32,
         backend: SimdBackend,
     ) {
-        let first = col.first_channels();
-        let count = col.counts();
         match mbir_simd::resolve(backend) {
-            SimdBackend::Lanes => {
-                let mut off = 0usize;
-                for v in 0..first.len() {
-                    let n = count[v] as usize;
-                    if n > 0 {
-                        let i0 = self.index(v, first[v] as usize);
-                        mbir_simd::sub_scaled_quant(
-                            &mut self.e[i0..i0 + n],
-                            &q.codes[off..off + n],
-                            q.scale,
-                            q.levels,
-                            delta,
-                        );
-                    }
-                    off += n;
-                }
-            }
-            _ => {
-                let mut k = 0usize;
-                for v in 0..first.len() {
-                    let n = count[v] as usize;
-                    let fc = first[v] as usize;
-                    for kk in 0..n {
-                        let av = q.dequant(k);
-                        self.sub(v, fc + kk, av * delta);
-                        k += 1;
-                    }
-                }
-            }
+            SimdBackend::Lanes => mbir_simd::scatter_sub(a, offsets, &mut self.e, delta),
+            _ => mbir::update::column_apply(col, a, self, delta),
         }
     }
-}
-
-thread_local! {
-    /// Per-thread staging buffers for the lane backend: the (e, w)
-    /// entries under one voxel column, flattened to `values_flat`
-    /// order. Reused across voxel visits to keep staging allocation-free.
-    static STAGE: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
 }
 
 impl WeightedError for Svb<'_> {
@@ -562,55 +435,6 @@ mod tests {
     }
 
     #[test]
-    fn theta_backends_bitwise_equal_on_real_columns() {
-        let (_g, a, t, y, w) = setup();
-        for layout in [SvbLayout::SensorMajor, SvbLayout::Transposed] {
-            for sv in [0, 4, t.len() - 1] {
-                let shape = SvbShape::compute(&a, &t, sv);
-                let svb = Svb::gather(&shape, layout, &y, &w);
-                for j in t.voxels(sv) {
-                    let col = a.column(j);
-                    let q = QuantizedColumn::quantize(&col);
-                    let s = svb.thetas(&col, SimdBackend::Scalar);
-                    let l = svb.thetas(&col, SimdBackend::Lanes);
-                    assert_eq!(s.theta1.to_bits(), l.theta1.to_bits(), "sv {sv} voxel {j}");
-                    assert_eq!(s.theta2.to_bits(), l.theta2.to_bits(), "sv {sv} voxel {j}");
-                    let sq = svb.thetas_quant(&col, &q, SimdBackend::Scalar);
-                    let lq = svb.thetas_quant(&col, &q, SimdBackend::Lanes);
-                    assert_eq!(sq.theta1.to_bits(), lq.theta1.to_bits(), "quant sv {sv} voxel {j}");
-                    assert_eq!(sq.theta2.to_bits(), lq.theta2.to_bits(), "quant sv {sv} voxel {j}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn apply_backends_bitwise_equal_on_real_columns() {
-        let (_, a, t, y, w) = setup();
-        let sv = 4;
-        let shape = SvbShape::compute(&a, &t, sv);
-        for layout in [SvbLayout::SensorMajor, SvbLayout::Transposed] {
-            let mut svb_s = Svb::gather(&shape, layout, &y, &w);
-            let mut svb_l = svb_s.clone();
-            for (step, j) in t.voxels(sv).enumerate() {
-                let col = a.column(j);
-                let q = QuantizedColumn::quantize(&col);
-                let delta = 0.001 + step as f32 * 0.0007;
-                if step % 2 == 0 {
-                    svb_s.apply_col_delta(&col, delta, SimdBackend::Scalar);
-                    svb_l.apply_col_delta(&col, delta, SimdBackend::Lanes);
-                } else {
-                    svb_s.apply_quant_delta(&col, &q, delta, SimdBackend::Scalar);
-                    svb_l.apply_quant_delta(&col, &q, delta, SimdBackend::Lanes);
-                }
-            }
-            let bs: Vec<u32> = svb_s.e.iter().map(|v| v.to_bits()).collect();
-            let bl: Vec<u32> = svb_l.e.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bs, bl);
-        }
-    }
-
-    #[test]
     fn thetas_dispatch_matches_generic_walk() {
         // The Scalar backend must be literally the generic
         // compute_thetas walk, and Lanes must equal it bitwise.
@@ -618,11 +442,15 @@ mod tests {
         let sv = 2;
         let shape = SvbShape::compute(&a, &t, sv);
         let svb = Svb::gather(&shape, SvbLayout::Transposed, &y, &w);
+        let bases = shape.row_bases(SvbLayout::Transposed);
         for j in t.voxels(sv) {
             let col = a.column(j);
+            let mut offsets = vec![0u32; col.nnz() + mbir_simd::LANES];
+            crate::lanes::fill_offsets(&col, &bases, &mut offsets);
+            offsets.truncate(col.nnz());
             let reference = compute_thetas(&col, &svb);
             for backend in [SimdBackend::Scalar, SimdBackend::Lanes] {
-                let got = svb.thetas(&col, backend);
+                let got = svb.thetas(&col, AColumn::F32(col.values_flat()), &offsets, backend);
                 assert_eq!(got.theta1.to_bits(), reference.theta1.to_bits());
                 assert_eq!(got.theta2.to_bits(), reference.theta2.to_bits());
             }
