@@ -6,13 +6,13 @@
 //! ```
 
 use ct_core::phantom::Phantom;
-use gpu_icd::GpuIcd;
-use mbir_bench::{gpu_options_for, Args, Pipeline};
+use gpu_icd::{Args, GpuIcd, MbirError};
+use mbir_bench::{gpu_options_for, Pipeline};
 
-fn main() {
-    let args = Args::capture();
-    let scale = args.scale();
-    let p = Pipeline::build(scale, &Phantom::baggage(args.get_or("seed", 0u64)), 1000, None);
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale", "seed"])?;
+    let scale = args.scale()?;
+    let p = Pipeline::build(scale, &Phantom::baggage(args.get_or("seed", 0u64)?), 1000, None);
     let opts = gpu_options_for(scale);
     let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
     let trace = gpu.run_to_rmse(&p.golden, 10.0, 300);
@@ -45,4 +45,5 @@ fn main() {
     for pt in trace.points.iter().step_by(4) {
         println!("  eq {:6.2}  t {:9.5}s  rmse {:9.3} HU", pt.equits, pt.seconds, pt.rmse_hu);
     }
+    Ok(())
 }

@@ -14,8 +14,8 @@
 //! ```
 
 use ct_core::phantom::Phantom;
-use gpu_icd::{AMatrixMode, GpuOptions};
-use mbir_bench::{gpu_options_for, run_gpu, Args, Pipeline};
+use gpu_icd::{AMatrixMode, Args, GpuOptions, MbirError};
+use mbir_bench::{gpu_options_for, run_gpu, Pipeline};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -28,9 +28,9 @@ struct Row {
     converged: bool,
 }
 
-fn main() {
-    let args = Args::capture();
-    let scale = args.scale();
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale"])?;
+    let scale = args.scale()?;
     let base = gpu_options_for(scale);
     let p = Pipeline::build(scale, &Phantom::baggage(0), 42, None);
     let mut rows: Vec<Row> = Vec::new();
@@ -81,5 +81,5 @@ fn main() {
         push("amatrix-bits", format!("{bits}"), &r);
     }
 
-    mbir_bench::write_json("ablation", &rows);
+    mbir_bench::write_json("ablation", &rows)
 }

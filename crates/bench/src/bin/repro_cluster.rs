@@ -19,8 +19,8 @@
 use ct_core::image::Image;
 use ct_core::phantom::Phantom;
 use ct_core::sinogram::Sinogram;
-use gpu_icd::{GpuIcd, GpuOptions};
-use mbir_bench::{gpu_options_for, Args, Pipeline};
+use gpu_icd::{Args, GpuIcd, GpuOptions, MbirError};
+use mbir_bench::{gpu_options_for, Pipeline};
 use mbir_fleet::FleetReport;
 use mbir_topo::ClusterSpec;
 use serde::Serialize;
@@ -91,11 +91,11 @@ fn run(p: &Pipeline, base: GpuOptions, devices: usize, topo: Option<Topo>, iters
     }
 }
 
-fn main() {
-    let args = Args::capture();
-    let scale = args.scale();
-    let iters: usize = args.get_or("iters", 4);
-    let threads: usize = args.get_or("threads", mbir_parallel::available());
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale", "iters", "threads"])?;
+    let scale = args.scale()?;
+    let iters: usize = args.get_or("iters", 4)?;
+    let threads: usize = args.get_or("threads", mbir_parallel::available())?;
     let p = Pipeline::build(scale, &Phantom::baggage(0), 42, None);
     let base = GpuOptions { threads, ..gpu_options_for(scale) };
 
@@ -213,5 +213,5 @@ fn main() {
 
     let report =
         Report { scale: format!("{scale:?}"), iterations: iters, threads, shapes, slab_study };
-    mbir_bench::write_json("BENCH_cluster", &report);
+    mbir_bench::write_json("BENCH_cluster", &report)
 }

@@ -17,8 +17,8 @@
 use ct_core::image::Image;
 use ct_core::phantom::Phantom;
 use ct_core::sinogram::Sinogram;
-use gpu_icd::{Checkpoint, GpuIcd, GpuOptions};
-use mbir_bench::{gpu_options_for, Args, Pipeline};
+use gpu_icd::{Args, Checkpoint, GpuIcd, GpuOptions, MbirError};
+use mbir_bench::{gpu_options_for, Pipeline};
 use mbir_fleet::FaultSpec;
 use serde::Serialize;
 
@@ -85,12 +85,12 @@ fn run(p: &Pipeline, opts: GpuOptions, faults: Option<&str>, iters: usize) -> Ru
     }
 }
 
-fn main() {
-    let args = Args::capture();
-    let scale = args.scale();
-    let iters: usize = args.get_or("iters", 8);
-    let devices: usize = args.get_or("devices", 4);
-    let threads: usize = args.get_or("threads", mbir_parallel::available());
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale", "iters", "devices", "threads"])?;
+    let scale = args.scale()?;
+    let iters: usize = args.get_or("iters", 8)?;
+    let devices: usize = args.get_or("devices", 4)?;
+    let threads: usize = args.get_or("threads", mbir_parallel::available())?;
     assert!(devices >= 2, "the fault study needs a fleet (--devices >= 2)");
     let p = Pipeline::build(scale, &Phantom::baggage(0), 42, None);
     let opts = GpuOptions { threads, devices, ..gpu_options_for(scale) };
@@ -209,5 +209,5 @@ fn main() {
         schedules: rows,
         resume,
     };
-    mbir_bench::write_json("BENCH_fault_tolerance", &report);
+    mbir_bench::write_json("BENCH_fault_tolerance", &report)
 }

@@ -6,7 +6,8 @@
 //! ```
 
 use ct_core::phantom::Phantom;
-use mbir_bench::{gpu_options_for, run_gpu, run_psv, Args, Pipeline};
+use gpu_icd::{Args, MbirError};
+use mbir_bench::{gpu_options_for, run_gpu, run_psv, Pipeline};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -16,9 +17,9 @@ struct Series {
     rmse_hu: Vec<f32>,
 }
 
-fn main() {
-    let args = Args::capture();
-    let scale = args.scale();
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale"])?;
+    let scale = args.scale()?;
     let (cpu_side, _) = scale.sv_sides();
 
     let p = Pipeline::build(scale, &Phantom::baggage(0), 42, None);
@@ -71,5 +72,5 @@ fn main() {
             rmse_hu: gpu.trace.points.iter().map(|p| p.rmse_hu).collect(),
         },
     ];
-    mbir_bench::write_json("fig5", &series);
+    mbir_bench::write_json("fig5", &series)
 }

@@ -6,8 +6,8 @@
 //! ```
 
 use ct_core::phantom::Phantom;
-use gpu_icd::{GpuOptions, Layout};
-use mbir_bench::{gpu_options_for, run_gpu, Args, Pipeline};
+use gpu_icd::{Args, GpuOptions, Layout, MbirError};
+use mbir_bench::{gpu_options_for, run_gpu, Pipeline};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -17,9 +17,9 @@ struct Point {
     speedup_over_naive: f64,
 }
 
-fn main() {
-    let args = Args::capture();
-    let scale = args.scale();
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale"])?;
+    let scale = args.scale()?;
     let base = gpu_options_for(scale);
 
     let p = Pipeline::build(scale, &Phantom::baggage(0), 42, None);
@@ -45,5 +45,5 @@ fn main() {
         "\nBest width: {} at {:.2}X   (paper: width 32 at 2.1X)",
         best.chunk_width, best.speedup_over_naive
     );
-    mbir_bench::write_json("fig6", &points);
+    mbir_bench::write_json("fig6", &points)
 }

@@ -12,8 +12,8 @@
 //! Omit `--panel` to run all four.
 
 use ct_core::phantom::Phantom;
-use gpu_icd::{GpuIcd, GpuOptions};
-use mbir_bench::{gpu_options_for, Args, Pipeline, Scale};
+use gpu_icd::{Args, GpuIcd, GpuOptions, MbirError};
+use mbir_bench::{gpu_options_for, Pipeline, Scale};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -33,10 +33,14 @@ fn run(p: &Pipeline, opts: GpuOptions) -> (f64, f64, f64, bool) {
     (gpu.modeled_seconds(), gpu.equits(), gpu.run_stats().mbir.l2_gbps(), converged)
 }
 
-fn main() {
-    let args = Args::capture();
-    let scale = args.scale();
-    let panel = args.get("panel").map(|s| s.chars().next().unwrap());
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale", "panel"])?;
+    let scale = args.scale()?;
+    let panel = match args.get("panel")? {
+        None => None,
+        Some(p @ ("a" | "b" | "c" | "d")) => p.chars().next(),
+        Some(p) => return Err(MbirError::Usage(format!("unknown --panel '{p}' (a, b, c, d)"))),
+    };
     let base = gpu_options_for(scale);
     let p = Pipeline::build(scale, &Phantom::baggage(0), 42, None);
     let mut points: Vec<Point> = Vec::new();
@@ -127,5 +131,5 @@ fn main() {
         }
     }
 
-    mbir_bench::write_json("fig7", &points);
+    mbir_bench::write_json("fig7", &points)
 }

@@ -15,8 +15,8 @@
 use ct_core::fbp;
 use ct_core::phantom::Phantom;
 use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{GpuIcd, GpuOptions};
-use mbir_bench::{gpu_options_for, Args, Pipeline};
+use gpu_icd::{Args, GpuIcd, GpuOptions, MbirError};
+use mbir_bench::{gpu_options_for, Pipeline};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -39,10 +39,10 @@ struct Report {
     points: Vec<Point>,
 }
 
-fn main() {
-    let args = Args::capture();
-    let scale = args.scale();
-    let iters: usize = args.get_or("iters", 10);
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale", "iters"])?;
+    let scale = args.scale()?;
+    let iters: usize = args.get_or("iters", 10)?;
     let p = Pipeline::build(scale, &Phantom::baggage(0), 42, None);
     let base = gpu_options_for(scale);
 
@@ -112,5 +112,5 @@ fn main() {
         bitwise_identical: identical,
         points,
     };
-    mbir_bench::write_json("BENCH_host_parallel", &report);
+    mbir_bench::write_json("BENCH_host_parallel", &report)
 }

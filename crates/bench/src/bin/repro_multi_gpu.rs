@@ -17,8 +17,8 @@
 use ct_core::image::Image;
 use ct_core::phantom::Phantom;
 use ct_core::sinogram::Sinogram;
-use gpu_icd::{GpuIcd, GpuOptions};
-use mbir_bench::{gpu_options_for, mean, Args, Pipeline};
+use gpu_icd::{Args, GpuIcd, GpuOptions, MbirError};
+use mbir_bench::{gpu_options_for, mean, Pipeline};
 use mbir_fleet::{FleetReport, FleetSpec};
 use serde::Serialize;
 
@@ -84,11 +84,11 @@ fn run(
     }
 }
 
-fn main() {
-    let args = Args::capture();
-    let scale = args.scale();
-    let iters: usize = args.get_or("iters", 8);
-    let threads: usize = args.get_or("threads", mbir_parallel::available());
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale", "iters", "threads"])?;
+    let scale = args.scale()?;
+    let iters: usize = args.get_or("iters", 8)?;
+    let threads: usize = args.get_or("threads", mbir_parallel::available())?;
     let p = Pipeline::build(scale, &Phantom::baggage(0), 42, None);
     let base = GpuOptions { threads, ..gpu_options_for(scale) };
 
@@ -171,5 +171,5 @@ fn main() {
 
     let report =
         Report { scale: format!("{scale:?}"), iterations: iters, threads, device_counts, configs };
-    mbir_bench::write_json("BENCH_multi_gpu", &report);
+    mbir_bench::write_json("BENCH_multi_gpu", &report)
 }

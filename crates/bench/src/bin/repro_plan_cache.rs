@@ -13,8 +13,8 @@
 //! GPU seconds are identical by construction.
 
 use ct_core::phantom::Phantom;
-use gpu_icd::{GpuIcd, GpuOptions};
-use mbir_bench::{gpu_options_for, Args, Pipeline};
+use gpu_icd::{Args, GpuIcd, GpuOptions, MbirError};
+use mbir_bench::{gpu_options_for, Pipeline};
 use serde::Serialize;
 use std::time::Instant;
 
@@ -31,11 +31,11 @@ struct Report {
     bitwise_identical: bool,
 }
 
-fn main() {
-    let args = Args::capture();
-    let scale = args.scale();
-    let iters: usize = args.get_or("iters", 10);
-    let threads: usize = args.get_or("threads", 1);
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale", "iters", "threads"])?;
+    let scale = args.scale()?;
+    let iters: usize = args.get_or("iters", 10)?;
+    let threads: usize = args.get_or("threads", 1)?;
     let p = Pipeline::build(scale, &Phantom::baggage(0), 42, None);
     let base = gpu_options_for(scale);
 
@@ -79,5 +79,5 @@ fn main() {
         speedup,
         bitwise_identical: identical,
     };
-    mbir_bench::write_json("BENCH_plan_cache", &report);
+    mbir_bench::write_json("BENCH_plan_cache", &report)
 }

@@ -14,10 +14,10 @@ use ct_core::metrics::{cnr_disc, ssim_global};
 use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel};
 use ct_core::sysmat::SystemMatrix;
-use gpu_icd::GpuIcd;
+use gpu_icd::{Args, GpuIcd, MbirError};
 use mbir::prior::QggmrfPrior;
 use mbir::stopping::StopRule;
-use mbir_bench::{gpu_options_for, Args};
+use mbir_bench::gpu_options_for;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -29,9 +29,9 @@ struct Row {
     rmse_hu: f32,
 }
 
-fn main() {
-    let args = Args::capture();
-    let scale = args.scale();
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale"])?;
+    let scale = args.scale()?;
     let geom = scale.geometry();
     let a = SystemMatrix::compute(&geom);
     let truth = Phantom::contrast_disks().render(geom.grid, 2);
@@ -78,5 +78,5 @@ fn main() {
     println!("\nMBIR's statistical weighting buys CNR and SSIM, most at low dose —");
     println!("the reason the paper calls its image quality 'state-of-the-art'.");
     let _ = Image::zeros(geom.grid);
-    mbir_bench::write_json("quality", &rows);
+    mbir_bench::write_json("quality", &rows)
 }

@@ -4,10 +4,10 @@
 //! fairness at each size — `results/BENCH_serve.json`.
 //!
 //! ```text
-//! cargo run --release -p mbir-serve --bin repro_serve [-- --scale tiny --jobs 12]
+//! cargo run --release -p mbir-bench --bin repro_serve [-- --scale tiny --jobs 12]
 //! ```
 
-use mbir_bench::Args;
+use gpu_icd::{Args, MbirError, Scale};
 use mbir_fleet::FleetSpec;
 use mbir_serve::{JobSpec, Server, WorkloadSpec};
 use serde::Serialize;
@@ -37,7 +37,7 @@ struct BenchServe {
 /// mixed priorities/leases/iteration counts, some streaming, some
 /// deadline-bearing. `spread` staggers arrivals relative to one
 /// iteration's modeled cost so the queue actually contends.
-fn workload(scale: mbir_bench::Scale, n: usize, spread: f64) -> WorkloadSpec {
+fn workload(scale: Scale, n: usize, spread: f64) -> WorkloadSpec {
     let tenants = ["radiology", "trauma", "archive"];
     let jobs = (0..n)
         .map(|i| {
@@ -71,10 +71,10 @@ fn workload(scale: mbir_bench::Scale, n: usize, spread: f64) -> WorkloadSpec {
     WorkloadSpec { jobs }
 }
 
-fn main() {
-    let args = Args::capture();
-    let scale = args.scale();
-    let n = args.get_or("jobs", 12usize);
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale", "jobs"])?;
+    let scale = args.scale()?;
+    let n = args.get_or("jobs", 12usize)?;
     // Calibrate arrival spacing off one iteration's modeled cost so
     // the same workload shape contends at every scale.
     let probe = {
@@ -119,5 +119,5 @@ fn main() {
             fairness_jain: r.fairness_jain,
         });
     }
-    mbir_bench::write_json("BENCH_serve", &out);
+    mbir_bench::write_json("BENCH_serve", &out)
 }

@@ -11,8 +11,8 @@
 use ct_core::fbp;
 use ct_core::phantom::Phantom;
 use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{GpuIcd, GpuOptions};
-use mbir_bench::{gpu_options_for, Args, Pipeline};
+use gpu_icd::{Args, GpuIcd, GpuOptions, MbirError};
+use mbir_bench::{gpu_options_for, Pipeline};
 use mbir_simd::SimdBackend;
 use serde::Serialize;
 use std::time::Instant;
@@ -56,12 +56,12 @@ fn path(label: &str, scalar_s: f64, lanes_s: f64, identical: bool) -> PathReport
     PathReport { scalar_s, lanes_s, speedup, bitwise_identical: identical }
 }
 
-fn main() {
-    let args = Args::capture();
-    let scale = args.scale();
-    let iters: usize = args.get_or("iters", 10);
-    let threads: usize = args.get_or("threads", 1);
-    let reps: usize = args.get_or("reps", 3);
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale", "iters", "threads", "reps"])?;
+    let scale = args.scale()?;
+    let iters: usize = args.get_or("iters", 10)?;
+    let threads: usize = args.get_or("threads", 1)?;
+    let reps: usize = args.get_or("reps", 3)?;
     mbir_parallel::set_threads(threads);
     let p = Pipeline::build(scale, &Phantom::baggage(0), 42, None);
     let base = gpu_options_for(scale);
@@ -114,5 +114,5 @@ fn main() {
         sysmat_build,
         fbp: fbp_report,
     };
-    mbir_bench::write_json("BENCH_simd", &report);
+    mbir_bench::write_json("BENCH_simd", &report)
 }

@@ -16,10 +16,10 @@ use ct_core::hu::rmse_hu;
 use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel};
 use ct_core::sysmat::SystemMatrix;
-use gpu_icd::GpuIcd;
+use gpu_icd::{Args, GpuIcd, MbirError};
 use mbir::prior::QggmrfPrior;
 use mbir::stopping::StopRule;
-use mbir_bench::{gpu_options_for, Args};
+use mbir_bench::gpu_options_for;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -30,9 +30,9 @@ struct Row {
     mbir_advantage: f32,
 }
 
-fn main() {
-    let args = Args::capture();
-    let scale = args.scale();
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale"])?;
+    let scale = args.scale()?;
     let base = scale.geometry();
 
     println!("Sparse-view reconstruction: FBP vs GPU-ICD MBIR (RMSE vs truth, HU)");
@@ -67,5 +67,5 @@ fn main() {
     println!("\nMBIR holds a multiple-fold accuracy advantage at every view count and");
     println!("keeps heavily undersampled scans usable far longer than FBP — the");
     println!("sparse-view property the paper's Section 7 credits ICD-based MBIR with.");
-    mbir_bench::write_json("sparse_views", &rows);
+    mbir_bench::write_json("sparse_views", &rows)
 }

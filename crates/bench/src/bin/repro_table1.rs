@@ -8,8 +8,9 @@
 //! ```
 
 use ct_core::phantom::Phantom;
+use gpu_icd::{Args, MbirError};
 use mbir_bench::{
-    geo_mean, gpu_options_for, mean, run_gpu, run_psv, run_sequential, std_dev, Args, Pipeline,
+    geo_mean, gpu_options_for, mean, run_gpu, run_psv, run_sequential, std_dev, Pipeline,
 };
 use serde::Serialize;
 
@@ -24,10 +25,10 @@ struct CaseRecord {
     gpu_equits: f64,
 }
 
-fn main() {
-    let args = Args::capture();
-    let scale = args.scale();
-    let cases: usize = args.get_or("cases", 8);
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale", "cases"])?;
+    let scale = args.scale()?;
+    let cases: usize = args.get_or("cases", 8)?;
     let (cpu_side, _) = scale.sv_sides();
     let gpu_opts = gpu_options_for(scale);
 
@@ -105,5 +106,5 @@ fn main() {
         gpu_opts.threadblocks_per_sv, gpu_opts.svs_per_batch
     );
 
-    mbir_bench::write_json("table1", &records);
+    mbir_bench::write_json("table1", &records)
 }

@@ -12,8 +12,8 @@
 //! ```
 
 use ct_core::phantom::Phantom;
-use gpu_icd::{AMatrixMode, GpuIcd, GpuOptions, GpuWorkModel};
-use mbir_bench::{gpu_options_for, Args, Pipeline};
+use gpu_icd::{AMatrixMode, Args, GpuIcd, GpuOptions, GpuWorkModel, MbirError};
+use mbir_bench::{gpu_options_for, Pipeline};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -32,15 +32,9 @@ struct Row {
     tex_hit_pct_telemetry: f64,
 }
 
-fn main() {
-    let args = Args::capture();
-    let unknown = args.unknown_flags(&["scale", "threads"]);
-    if !unknown.is_empty() {
-        eprintln!("repro_table2: unknown flag(s): {}", unknown.join(", "));
-        eprintln!("usage: repro_table2 [--scale tiny|test|harness|paper] [--threads N]");
-        std::process::exit(1);
-    }
-    let scale = args.scale();
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale"])?;
+    let scale = args.scale()?;
     let base = gpu_options_for(scale);
     let p = Pipeline::build(scale, &Phantom::baggage(0), 42, None);
     let model = GpuWorkModel::titan_x();
@@ -129,5 +123,5 @@ fn main() {
         "\nSpeedup (Texture,char) over (Global,float): {:.2}X   (paper: 0.48/0.41 = 1.17X)",
         rows[0].seconds / rows[3].seconds
     );
-    mbir_bench::write_json("table2", &rows);
+    mbir_bench::write_json("table2", &rows)
 }

@@ -6,8 +6,8 @@
 //! ```
 
 use ct_core::phantom::Phantom;
-use gpu_icd::{GpuOptions, L2ReadWidth, RegisterMode};
-use mbir_bench::{gpu_options_for, run_gpu, Args, Pipeline};
+use gpu_icd::{Args, GpuOptions, L2ReadWidth, MbirError, RegisterMode};
+use mbir_bench::{gpu_options_for, run_gpu, Pipeline};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -19,9 +19,9 @@ struct Row {
     paper_slowdown: f64,
 }
 
-fn main() {
-    let args = Args::capture();
-    let scale = args.scale();
+fn main() -> Result<(), MbirError> {
+    let args = Args::capture(&["scale"])?;
+    let scale = args.scale()?;
     let base_opts = gpu_options_for(scale);
     let p = Pipeline::build(scale, &Phantom::baggage(0), 42, None);
 
@@ -67,5 +67,5 @@ fn main() {
             paper_slowdown: paper,
         });
     }
-    mbir_bench::write_json("table3", &rows);
+    mbir_bench::write_json("table3", &rows)
 }

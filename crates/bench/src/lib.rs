@@ -16,7 +16,7 @@ use ct_core::image::Image;
 use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel, Scan};
 use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{GpuIcd, GpuOptions};
+use gpu_icd::{GpuIcd, GpuOptions, MbirError};
 use mbir::convergence::ConvergenceTrace;
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::{golden_image, IcdConfig, SequentialIcd};
@@ -24,52 +24,9 @@ use psv_icd::cpu_model::CpuModel;
 use psv_icd::{PsvConfig, PsvIcd};
 use serde::Serialize;
 
-/// Problem scales selectable from the command line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Scale {
-    /// 24x24, 24 views — smoke tests.
-    Tiny,
-    /// 64x64, 96 views — the default for full sweeps on a laptop.
-    Test,
-    /// 256x256, 360 views — closer to paper conditions (minutes).
-    Harness,
-    /// 512x512, 720 views — the paper's exact geometry (slow).
-    Paper,
-}
-
-impl Scale {
-    /// Parse `tiny|test|harness|paper`.
-    pub fn parse(s: &str) -> Option<Scale> {
-        match s {
-            "tiny" => Some(Scale::Tiny),
-            "test" => Some(Scale::Test),
-            "harness" => Some(Scale::Harness),
-            "paper" => Some(Scale::Paper),
-            _ => None,
-        }
-    }
-
-    /// The geometry of this scale.
-    pub fn geometry(self) -> Geometry {
-        match self {
-            Scale::Tiny => Geometry::tiny_scale(),
-            Scale::Test => Geometry::test_scale(),
-            Scale::Harness => Geometry::harness_scale(),
-            Scale::Paper => Geometry::paper_scale(),
-        }
-    }
-
-    /// SV sides scaled from the paper's 13 (CPU) / 33 (GPU) to keep a
-    /// comparable number of SVs at smaller grids.
-    pub fn sv_sides(self) -> (usize, usize) {
-        match self {
-            Scale::Tiny => (4, 6),
-            Scale::Test => (6, 8),
-            Scale::Harness => (13, 17),
-            Scale::Paper => (13, 33),
-        }
-    }
-}
+/// The scale presets live with the strict argument parser in
+/// `gpu-icd`; re-exported here for the harness's existing callers.
+pub use gpu_icd::{gpu_options_for, Scale};
 
 /// One fully prepared test case.
 pub struct Pipeline {
@@ -202,25 +159,6 @@ pub fn run_gpu(p: &Pipeline, opts: GpuOptions, max_iters: usize) -> RunResult {
     }
 }
 
-/// GPU options adapted to a scale (SV side and batch sized down so the
-/// checkerboard still has enough SVs per group).
-pub fn gpu_options_for(scale: Scale) -> GpuOptions {
-    let (_, gpu_side) = scale.sv_sides();
-    // Keep batch * blocks-per-SV at or above the machine's ~192
-    // concurrent block slots, as the paper's tuned 32 x 40 does.
-    let svs_per_batch = match scale {
-        Scale::Tiny => 8,
-        Scale::Test => 16,
-        _ => 32,
-    };
-    let threadblocks_per_sv = match scale {
-        Scale::Tiny => 8,
-        Scale::Test => 24,
-        _ => 40,
-    };
-    GpuOptions { sv_side: gpu_side, svs_per_batch, threadblocks_per_sv, ..Default::default() }
-}
-
 /// Geometric mean of a nonempty slice.
 pub fn geo_mean(v: &[f64]) -> f64 {
     (v.iter().map(|x| x.max(1e-300).ln()).sum::<f64>() / v.len() as f64).exp()
@@ -240,77 +178,18 @@ pub fn std_dev(v: &[f64]) -> f64 {
     (v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (v.len() as f64 - 1.0)).sqrt()
 }
 
-/// Parse `--key value` style CLI arguments.
-pub struct Args {
-    args: Vec<String>,
-}
-
-impl Args {
-    /// Capture the process arguments.
-    pub fn capture() -> Args {
-        Self::capture_offset(0)
-    }
-
-    /// Capture arguments, skipping `extra` leading positionals (e.g. a
-    /// subcommand name).
-    pub fn capture_offset(extra: usize) -> Args {
-        Args { args: std::env::args().skip(1 + extra).collect() }
-    }
-
-    /// Build from an explicit list (tests).
-    pub fn from_vec(args: Vec<String>) -> Args {
-        Args { args }
-    }
-
-    /// Value of `--name`, if present.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        let key = format!("--{name}");
-        self.args
-            .iter()
-            .position(|a| a == &key)
-            .and_then(|i| self.args.get(i + 1))
-            .map(|s| s.as_str())
-    }
-
-    /// Parse `--name` as `T` with a default.
-    pub fn get_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.get(name).and_then(|s| s.parse().ok()).unwrap_or(default)
-    }
-
-    /// Whether `--name` appears at all (with or without a value).
-    pub fn has(&self, name: &str) -> bool {
-        let key = format!("--{name}");
-        self.args.iter().any(|a| a == &key)
-    }
-
-    /// Every `--flag` token whose name is not in `allowed`, in
-    /// appearance order. Lets binaries reject typo'd options instead
-    /// of silently ignoring them.
-    pub fn unknown_flags(&self, allowed: &[&str]) -> Vec<String> {
-        self.args
-            .iter()
-            .filter_map(|a| a.strip_prefix("--"))
-            .filter(|name| !allowed.contains(name))
-            .map(|s| format!("--{s}"))
-            .collect()
-    }
-
-    /// The scale argument (`--scale`), defaulting to `test`.
-    pub fn scale(&self) -> Scale {
-        self.get("scale").and_then(Scale::parse).unwrap_or(Scale::Test)
-    }
-}
-
-/// Write a JSON report next to stdout output (under `results/`).
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
+/// Write `value` as pretty JSON to `results/<name>.json` (relative to
+/// the working directory), creating the directory. Each failure is an
+/// error naming the path it struck.
+pub fn write_json<T: Serialize>(name: &str, value: &T) -> Result<(), MbirError> {
     let dir = std::path::Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{name}.json"));
-        if let Ok(s) = serde_json::to_string_pretty(value) {
-            let _ = std::fs::write(&path, s);
-            eprintln!("(wrote {})", path.display());
-        }
-    }
+    std::fs::create_dir_all(dir).map_err(|e| MbirError::io(dir, e))?;
+    let path = dir.join(format!("{name}.json"));
+    let text = serde_json::to_string_pretty(value)
+        .map_err(|e| MbirError::InvalidData(format!("serializing {}: {e}", path.display())))?;
+    std::fs::write(&path, text).map_err(|e| MbirError::io(&path, e))?;
+    eprintln!("(wrote {})", path.display());
+    Ok(())
 }
 
 #[cfg(test)]
@@ -323,47 +202,6 @@ mod tests {
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
         assert!((std_dev(&[1.0, 3.0]) - std::f64::consts::SQRT_2).abs() < 1e-12);
         assert_eq!(std_dev(&[5.0]), 0.0);
-    }
-
-    #[test]
-    fn scale_parsing() {
-        assert_eq!(Scale::parse("tiny"), Some(Scale::Tiny));
-        assert_eq!(Scale::parse("paper"), Some(Scale::Paper));
-        assert_eq!(Scale::parse("nope"), None);
-    }
-
-    #[test]
-    fn args_parsing() {
-        let args = Args::from_vec(
-            ["--scale", "harness", "--cases", "12", "--flag"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        );
-        assert_eq!(args.scale(), Scale::Harness);
-        assert_eq!(args.get_or("cases", 0usize), 12);
-        assert_eq!(args.get("missing"), None);
-        assert_eq!(args.get_or("missing", 7u32), 7);
-        // A flag with no value yields None for its value lookup.
-        assert_eq!(args.get("flag"), None);
-        // Unparseable values fall back to the default.
-        let bad = Args::from_vec(vec!["--cases".into(), "abc".into()]);
-        assert_eq!(bad.get_or("cases", 3usize), 3);
-    }
-
-    #[test]
-    fn unknown_flag_detection() {
-        let args = Args::from_vec(
-            ["--scale", "tiny", "--typo", "x", "--flag"].iter().map(|s| s.to_string()).collect(),
-        );
-        assert!(args.has("scale"));
-        assert!(args.has("flag"));
-        assert!(!args.has("typo2"));
-        assert_eq!(args.unknown_flags(&["scale", "flag"]), vec!["--typo".to_string()]);
-        assert!(args.unknown_flags(&["scale", "flag", "typo"]).is_empty());
-        // Values never count as flags, even when they look odd.
-        let v = Args::from_vec(vec!["--out".into(), "a-b.pgm".into()]);
-        assert!(v.unknown_flags(&["out"]).is_empty());
     }
 
     #[test]

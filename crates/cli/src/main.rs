@@ -8,7 +8,6 @@
 //! ```
 
 use ct_core::fbp;
-use ct_core::geometry::Geometry;
 use ct_core::hu::{hu_from_mu, mu_from_hu, rmse_hu};
 use ct_core::image::Image;
 use ct_core::io;
@@ -16,11 +15,11 @@ use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel};
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{BoundaryAction, Checkpoint, GpuIcd, MbirError};
+use gpu_icd::{gpu_options_for, Args, BoundaryAction, Checkpoint, GpuIcd, MbirError};
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::{golden_image, IcdConfig, SequentialIcd};
-use mbir_bench::{gpu_options_for, Args};
 use mbir_fleet::{FaultSpec, FleetSpec};
+use mbir_simd::SimdBackend;
 use mbir_telemetry::{chrome_trace, ProfileReport};
 use mbir_topo::ClusterSpec;
 use psv_icd::{PsvConfig, PsvIcd};
@@ -28,8 +27,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Flags every subcommand accepts, plus each subcommand's own. Any
-/// other `--flag` is rejected up front — a typo'd option used to be
-/// silently ignored, leaving the run on defaults.
+/// other `--flag` is rejected up front, and every value is read and
+/// checked before the work starts.
 const COMMON_FLAGS: &[&str] = &["scale", "threads"];
 
 fn allowed_flags(cmd: &str) -> Option<&'static [&'static str]> {
@@ -61,45 +60,40 @@ fn allowed_flags(cmd: &str) -> Option<&'static [&'static str]> {
 }
 
 fn usage() {
-    eprintln!("usage: mbirctl <scan|reconstruct|fan-demo|volume|info> [--scale tiny|test|harness|paper] [--threads N] ...");
+    eprintln!("usage: mbirctl <scan|reconstruct|fan-demo|volume|serve|info> [--scale tiny|test|harness|paper] [--threads N] ...");
     eprintln!("  scan        --phantom shepp-logan|water|baggage:<seed> --out <sino.csv> [--truth <t.pgm>] [--i0 <dose>]");
     eprintln!("  reconstruct --sino <sino.csv> --algo fbp|sequential|psv|gpu --out <img.pgm> [--csv <img.csv>] [--profile <report.json>] [--devices N] [--simd auto|scalar|lanes]");
     eprintln!("              [--checkpoint <dir> [--checkpoint-every N] [--resume]] [--faults fail:<d>@<b>,slow:<d>@<a>..<b>x<f>,link:<a>..<b>x<f>,backoff:<s>|random:<seed>]");
     eprintln!("              [--fleet nodes=<N>x<M>[,slabs=<K>] | --fleet <fleet-or-cluster.json>] (multi-node cluster with hierarchical exchange and slab streaming)");
     eprintln!("  fan-demo    (fan acquisition -> rebin -> reconstruction demo)");
     eprintln!("  volume      --slices <n> (3-D multi-slice reconstruction demo)");
-    eprintln!("  serve       --jobs <workload.json> [--devices N | --fleet <fleet.json>] [--backfill] [--out <report.json>] [--profile <p.json>]");
+    eprintln!("  serve       --jobs <workload.json> [--devices N | --fleet nodes=1x<M> | --fleet <fleet-or-cluster.json>] (one node, one slab) [--backfill] [--out <report.json>] [--profile <p.json>]");
     eprintln!("  info        (geometry and system-matrix statistics)");
 }
 
 fn main() -> ExitCode {
     let mut argv = std::env::args().skip(1);
     let cmd = argv.next().unwrap_or_default();
-    let args = Args::capture_offset(1);
     let Some(extra) = allowed_flags(&cmd) else {
         usage();
         return ExitCode::FAILURE;
     };
     let allowed: Vec<&str> = COMMON_FLAGS.iter().chain(extra).copied().collect();
-    let unknown = args.unknown_flags(&allowed);
-    if !unknown.is_empty() {
-        eprintln!("mbirctl {cmd}: unknown flag(s): {}", unknown.join(", "));
-        usage();
-        return ExitCode::FAILURE;
-    }
-    // Host worker threads for all parallel loops (system-matrix build,
-    // projections, per-SV batches). 0 = auto-detect; every path is
-    // deterministic, so the value changes wall-clock time only.
-    mbir_parallel::set_threads(args.get_or("threads", 0usize));
-    let result = match cmd.as_str() {
-        "scan" => cmd_scan(&args),
-        "reconstruct" => cmd_reconstruct(&args),
-        "fan-demo" => cmd_fan_demo(&args),
-        "volume" => cmd_volume(&args),
-        "serve" => cmd_serve(&args),
-        "info" => cmd_info(&args),
-        _ => unreachable!("allowed_flags vetted the subcommand"),
-    };
+    let result = Args::parse(argv, &allowed).and_then(|args| {
+        // Host worker threads for all parallel loops (system-matrix build,
+        // projections, per-SV batches). 0 = auto-detect; every path is
+        // deterministic, so the value changes wall-clock time only.
+        mbir_parallel::set_threads(args.get_or("threads", 0usize)?);
+        match cmd.as_str() {
+            "scan" => cmd_scan(&args),
+            "reconstruct" => cmd_reconstruct(&args),
+            "fan-demo" => cmd_fan_demo(&args),
+            "volume" => cmd_volume(&args),
+            "serve" => cmd_serve(&args),
+            "info" => cmd_info(&args),
+            _ => unreachable!("allowed_flags vetted the subcommand"),
+        }
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -112,28 +106,11 @@ fn main() -> ExitCode {
     }
 }
 
-/// A parsed `--fleet` argument: a flat fleet spec or a multi-node
-/// cluster (the latter switches the driver onto the hierarchical
-/// exchange and slab-streaming path).
-enum FleetArg {
-    Flat(FleetSpec),
-    Cluster(ClusterSpec),
-}
-
-impl FleetArg {
-    fn devices(&self) -> usize {
-        match self {
-            FleetArg::Flat(f) => f.devices,
-            FleetArg::Cluster(c) => c.total_devices(),
-        }
-    }
-}
-
 /// Parse `--fleet`: the `nodes=<N>x<M>[,slabs=<K>]` shorthand builds
 /// the Titan-X/NVLink/100GbE cluster preset; anything else is a path
-/// to a JSON spec — a cluster if it has a top-level `nodes` field, a
-/// flat fleet otherwise.
-fn parse_fleet_arg(value: &str) -> Result<FleetArg, MbirError> {
+/// to a JSON spec — a cluster if it has a top-level `nodes` field, else
+/// a flat fleet, which runs as a one-node, one-slab cluster.
+fn parse_fleet_arg(value: &str) -> Result<ClusterSpec, MbirError> {
     if let Some(shape) = value.strip_prefix("nodes=") {
         let (shape, slabs) = match shape.split_once(',') {
             Some((s, rest)) => {
@@ -156,51 +133,35 @@ fn parse_fleet_arg(value: &str) -> Result<FleetArg, MbirError> {
         if nodes == 0 || dpn == 0 || slabs == 0 {
             return Err(usage_err("--fleet nodes, devices-per-node, and slabs must be >= 1"));
         }
-        return Ok(FleetArg::Cluster(ClusterSpec::titan_x_cluster(nodes, dpn).with_slabs(slabs)));
+        return Ok(ClusterSpec::titan_x_cluster(nodes, dpn).with_slabs(slabs));
     }
     let text = std::fs::read_to_string(value).map_err(|e| MbirError::io(value, e))?;
     let v = mbir_telemetry::json::parse(&text)
         .map_err(|e| usage_err(format!("bad fleet spec '{value}': {e}")))?;
     let is_cluster = matches!(&v, serde::json::Value::Object(fields)
         if fields.iter().any(|(k, _)| k == "nodes"));
-    if is_cluster {
+    let spec = if is_cluster {
         ClusterSpec::from_json(&v)
-            .map(FleetArg::Cluster)
-            .map_err(|e| usage_err(format!("bad cluster spec '{value}': {e}")))
     } else {
-        FleetSpec::from_json(&v)
-            .map(FleetArg::Flat)
-            .map_err(|e| usage_err(format!("bad fleet spec '{value}': {e}")))
-    }
+        FleetSpec::from_json(&v).map(ClusterSpec::single_node)
+    };
+    spec.map_err(|e| usage_err(format!("bad fleet spec '{value}': {e}")))
 }
 
 fn usage_err(msg: impl Into<String>) -> MbirError {
     MbirError::Usage(msg.into())
 }
 
-fn parse_phantom(spec: &str) -> Result<Phantom, MbirError> {
-    if let Some(seed) = spec.strip_prefix("baggage:") {
-        let seed: u64 =
-            seed.parse().map_err(|_| usage_err(format!("bad baggage seed '{seed}'")))?;
-        return Ok(Phantom::baggage(seed));
-    }
-    match spec {
-        "shepp-logan" => Ok(Phantom::shepp_logan()),
-        "water" => Ok(Phantom::water_cylinder(0.6)),
-        "baggage" => Ok(Phantom::baggage(0)),
-        other => Err(usage_err(format!(
-            "unknown phantom '{other}' (shepp-logan, water, baggage[:seed])"
-        ))),
-    }
-}
-
 fn cmd_scan(args: &Args) -> Result<(), MbirError> {
-    let scale = args.scale();
+    let scale = args.scale()?;
     let geom = scale.geometry();
-    let phantom = parse_phantom(args.get("phantom").unwrap_or("shepp-logan"))?;
+    let phantom =
+        Phantom::parse(args.get("phantom")?.unwrap_or("shepp-logan")).map_err(MbirError::Usage)?;
     let out =
-        PathBuf::from(args.get("out").ok_or_else(|| usage_err("scan requires --out <sino.csv>"))?);
-    let i0: f32 = args.get_or("i0", 2.0e4f32);
+        PathBuf::from(args.get("out")?.ok_or_else(|| usage_err("scan requires --out <sino.csv>"))?);
+    let truth_out = args.get("truth")?.map(PathBuf::from);
+    let i0: f32 = args.get_or("i0", 2.0e4f32)?;
+    let seed = args.get_or("seed", 0u64)?;
 
     eprintln!(
         "computing system matrix ({}x{}, {} views)...",
@@ -208,7 +169,7 @@ fn cmd_scan(args: &Args) -> Result<(), MbirError> {
     );
     let a = SystemMatrix::compute_parallel(&geom, 0);
     let truth = phantom.render(geom.grid, 2);
-    let s = scan(&a, &truth, Some(NoiseModel { i0 }), args.get_or("seed", 0u64));
+    let s = scan(&a, &truth, Some(NoiseModel { i0 }), seed);
     io::write_sinogram_csv(&out, &s.y).map_err(|e| MbirError::io(&out, e))?;
     eprintln!(
         "wrote {} ({} views x {} channels)",
@@ -216,8 +177,7 @@ fn cmd_scan(args: &Args) -> Result<(), MbirError> {
         s.y.num_views(),
         s.y.num_channels()
     );
-    if let Some(t) = args.get("truth") {
-        let path = PathBuf::from(t);
+    if let Some(path) = truth_out {
         io::write_pgm(&path, &truth, mu_from_hu(-1000.0), mu_from_hu(1500.0))
             .map_err(|e| MbirError::io(&path, e))?;
         eprintln!("wrote {} (window -1000..1500 HU)", path.display());
@@ -226,23 +186,43 @@ fn cmd_scan(args: &Args) -> Result<(), MbirError> {
 }
 
 fn cmd_reconstruct(args: &Args) -> Result<(), MbirError> {
-    let scale = args.scale();
-    let geom = scale.geometry();
     let sino_path = PathBuf::from(
-        args.get("sino").ok_or_else(|| usage_err("reconstruct requires --sino <sino.csv>"))?,
+        args.get("sino")?.ok_or_else(|| usage_err("reconstruct requires --sino <sino.csv>"))?,
     );
     let out = PathBuf::from(
-        args.get("out").ok_or_else(|| usage_err("reconstruct requires --out <img.pgm>"))?,
+        args.get("out")?.ok_or_else(|| usage_err("reconstruct requires --out <img.pgm>"))?,
     );
-    let algo = args.get("algo").unwrap_or("gpu");
-    let profile = args.get("profile");
-    if args.has("profile") && profile.is_none() {
-        return Err(usage_err("--profile requires a path (e.g. --profile results/profile.json)"));
+    let csv = args.get("csv")?;
+    let (img, note) = reconstruct(&sino_path, args)?;
+    io::write_pgm(&out, &img, mu_from_hu(-1000.0), mu_from_hu(1500.0))
+        .map_err(|e| MbirError::io(&out, e))?;
+    eprintln!("wrote {} — {note}", out.display());
+    if let Some(csv) = csv {
+        io::write_image_csv(&PathBuf::from(csv), &img).map_err(|e| MbirError::io(csv, e))?;
+        eprintln!("wrote {csv} (lossless CSV)");
     }
+    let peak_hu = img.data().iter().fold(f32::MIN, |m, &v| m.max(hu_from_mu(v)));
+    eprintln!("peak value: {peak_hu:.0} HU");
+    Ok(())
+}
+
+/// Read and check every `reconstruct` setting, so a bad one fails
+/// before any work starts; then reconstruct the sinogram at
+/// `sino_path`.
+fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirError> {
+    let scale = args.scale()?;
+    let geom = scale.geometry();
+    let algo = args.get("algo")?.unwrap_or("gpu");
+    if !matches!(algo, "fbp" | "sequential" | "psv" | "gpu") {
+        return Err(usage_err(format!("unknown algorithm '{algo}' (fbp, sequential, psv, gpu)")));
+    }
+    let profile = args.get("profile").map_err(|_| {
+        usage_err("--profile requires a path (e.g. --profile results/profile.json)")
+    })?;
     if profile.is_some() && !matches!(algo, "psv" | "gpu") {
         return Err(usage_err(format!("--profile supports --algo psv|gpu, not '{algo}'")));
     }
-    let mut devices: usize = args.get_or("devices", 1);
+    let mut devices: usize = args.get_or("devices", 1)?;
     if devices < 1 {
         return Err(usage_err("--devices must be at least 1"));
     }
@@ -254,11 +234,9 @@ fn cmd_reconstruct(args: &Args) -> Result<(), MbirError> {
             return Err(usage_err(format!("--{flag} supports --algo gpu only, not '{algo}'")));
         }
     }
-    if args.has("fleet") {
-        let value = args.get("fleet").ok_or_else(|| {
-            usage_err("--fleet requires nodes=<N>x<M>[,slabs=<K>] or a spec path")
-        })?;
-        let n = parse_fleet_arg(value)?.devices();
+    let cluster = args.get("fleet")?.map(parse_fleet_arg).transpose()?;
+    if let Some(c) = &cluster {
+        let n = c.total_devices();
         if args.has("devices") && devices != n {
             return Err(usage_err(format!(
                 "--devices {devices} contradicts --fleet ({n} devices)"
@@ -266,31 +244,38 @@ fn cmd_reconstruct(args: &Args) -> Result<(), MbirError> {
         }
         devices = n;
     }
-    if args.has("checkpoint") && args.get("checkpoint").is_none() {
-        return Err(usage_err("--checkpoint requires a directory path"));
+    let checkpoint = args.get("checkpoint")?.map(Path::new);
+    let every = args.get_or("checkpoint-every", 1u64)?;
+    if every == 0 {
+        return Err(usage_err("--checkpoint-every must be at least 1"));
     }
-    if args.has("resume") && !args.has("checkpoint") {
-        return Err(usage_err("--resume requires --checkpoint <dir>"));
-    }
-    if args.has("faults") {
-        if args.get("faults").is_none() {
-            return Err(usage_err("--faults requires a schedule (e.g. --faults fail:1@3)"));
-        }
-        if devices < 2 {
-            return Err(usage_err("--faults requires --devices >= 2 (a fleet to degrade)"));
+    let resume = args.switch("resume")?;
+    for flag in ["resume", "checkpoint-every"] {
+        if args.has(flag) && checkpoint.is_none() {
+            return Err(usage_err(format!("--{flag} requires --checkpoint <dir>")));
         }
     }
+    let faults = match args.get("faults")? {
+        Some(_) if devices < 2 => {
+            return Err(usage_err("--faults requires --devices >= 2 (a fleet to degrade)"))
+        }
+        Some(spec) => Some(FaultSpec::parse(spec, devices).map_err(MbirError::Usage)?),
+        None => None,
+    };
     // SIMD lane backend for the hot paths. Every backend is bitwise
     // identical, so this is a speed knob, never a correctness one; the
     // process-wide default covers FBP/sysmat while the per-run options
     // carry the choice into the ICD drivers.
-    let simd_str = args.get("simd").unwrap_or("auto");
-    let simd = mbir_simd::SimdBackend::parse(simd_str).ok_or_else(|| {
+    let simd_str = args.get("simd")?.unwrap_or("auto");
+    let simd = SimdBackend::parse(simd_str).ok_or_else(|| {
         usage_err(format!("unknown --simd backend '{simd_str}' (auto, scalar, lanes)"))
     })?;
+    let i0: f32 = args.get_or("i0", 2.0e4f32)?;
+    let prior = QggmrfPrior::standard(args.get_or("sigma", 0.002f32)?);
+    let max_iters: usize = args.get_or("max-iters", 200)?;
     mbir_simd::set_backend(simd);
 
-    let y = io::read_sinogram_csv(&sino_path).map_err(|e| MbirError::io(&sino_path, e))?;
+    let y = io::read_sinogram_csv(sino_path).map_err(|e| MbirError::io(sino_path, e))?;
     if y.num_views() != geom.num_views || y.num_channels() != geom.num_channels {
         return Err(MbirError::InvalidData(format!(
             "sinogram is {}x{} but --scale {:?} expects {}x{}",
@@ -301,53 +286,26 @@ fn cmd_reconstruct(args: &Args) -> Result<(), MbirError> {
             geom.num_channels
         )));
     }
-
-    let (img, note) = reconstruct(&geom, &y, algo, profile, devices, simd, args)?;
-    io::write_pgm(&out, &img, mu_from_hu(-1000.0), mu_from_hu(1500.0))
-        .map_err(|e| MbirError::io(&out, e))?;
-    eprintln!("wrote {} — {note}", out.display());
-    if let Some(csv) = args.get("csv") {
-        io::write_image_csv(&PathBuf::from(csv), &img).map_err(|e| MbirError::io(csv, e))?;
-        eprintln!("wrote {csv} (lossless CSV)");
-    }
-    let peak_hu = img.data().iter().fold(f32::MIN, |m, &v| m.max(hu_from_mu(v)));
-    eprintln!("peak value: {peak_hu:.0} HU");
-    Ok(())
-}
-
-fn reconstruct(
-    geom: &Geometry,
-    y: &Sinogram,
-    algo: &str,
-    profile: Option<&str>,
-    devices: usize,
-    simd: mbir_simd::SimdBackend,
-    args: &Args,
-) -> Result<(Image, String), MbirError> {
     let simd_name = mbir_simd::resolve(simd).name();
     if algo == "fbp" {
-        return Ok((fbp::reconstruct(geom, y), format!("FBP (direct method), simd {simd_name}")));
+        return Ok((fbp::reconstruct(&geom, &y), format!("FBP (direct method), simd {simd_name}")));
     }
     eprintln!("computing system matrix...");
-    let a = SystemMatrix::compute_parallel(geom, 0);
+    let a = SystemMatrix::compute_parallel(&geom, 0);
     // Approximate the statistical weights from the measurement itself
     // (w = I0 exp(-y); the usual move when raw counts are unavailable).
-    let i0: f32 = args.get_or("i0", 2.0e4f32);
-    let mut w = Sinogram::zeros(geom);
+    let mut w = Sinogram::zeros(&geom);
     for (wi, &yi) in w.data_mut().iter_mut().zip(y.data()) {
         *wi = i0 * (-yi.max(0.0)).exp();
     }
-    let prior = QggmrfPrior::standard(args.get_or("sigma", 0.002f32));
-    let init = fbp::reconstruct(geom, y);
-    let max_iters: usize = args.get_or("max-iters", 200);
-    let scale = args.scale();
+    let init = fbp::reconstruct(&geom, &y);
 
     eprintln!("computing 40-equit golden for the convergence criterion...");
-    let golden = golden_image(&a, y, &w, &prior, init.clone(), 40.0);
+    let golden = golden_image(&a, &y, &w, &prior, init.clone(), 40.0);
 
     match algo {
         "sequential" => {
-            let mut icd = SequentialIcd::new(&a, y, &w, &prior, init, IcdConfig::default());
+            let mut icd = SequentialIcd::new(&a, &y, &w, &prior, init, IcdConfig::default());
             let rmse = icd.run_to_rmse(&golden, 10.0, max_iters);
             let note = format!("sequential ICD, {:.1} equits, final {rmse:.1} HU", icd.equits());
             Ok((icd.into_image(), note))
@@ -361,7 +319,7 @@ fn reconstruct(
                 simd,
                 ..Default::default()
             };
-            let mut psv = PsvIcd::new(&a, y, &w, &prior, init, config);
+            let mut psv = PsvIcd::new(&a, &y, &w, &prior, init, config);
             psv.run_to_rmse(&golden, 10.0, max_iters);
             if let Some(path) = profile {
                 let rec = psv.recording().ok_or_else(|| {
@@ -378,25 +336,21 @@ fn reconstruct(
             );
             Ok((psv.image(), note))
         }
-        "gpu" => {
+        _ => {
             let opts = gpu_icd::GpuOptions {
                 profile: profile.is_some(),
                 devices,
                 simd,
                 ..gpu_options_for(scale)
             };
-            let mut gpu = GpuIcd::new(&a, y, &w, &prior, init, opts);
-            if let Some(value) = args.get("fleet") {
-                match parse_fleet_arg(value)? {
-                    FleetArg::Flat(spec) => gpu.set_fleet_spec(spec)?,
-                    FleetArg::Cluster(cluster) => gpu.set_cluster_spec(cluster)?,
-                }
+            let mut gpu = GpuIcd::new(&a, &y, &w, &prior, init, opts);
+            if let Some(cluster) = cluster {
+                gpu.set_cluster_spec(cluster)?;
             }
-            if let Some(spec) = args.get("faults") {
-                let spec = FaultSpec::parse(spec, devices).map_err(MbirError::Usage)?;
+            if let Some(spec) = faults {
                 gpu.set_fault_spec(spec)?;
             }
-            run_gpu(&mut gpu, &golden, max_iters, args)?;
+            run_gpu(&mut gpu, &golden, max_iters, checkpoint, every, resume)?;
             if let Some(path) = profile {
                 let rec = gpu.recording().ok_or_else(|| {
                     MbirError::Profile(
@@ -428,7 +382,6 @@ fn reconstruct(
             }
             Ok((gpu.image().clone(), note))
         }
-        other => Err(usage_err(format!("unknown algorithm '{other}' (fbp, sequential, psv, gpu)"))),
     }
 }
 
@@ -441,20 +394,21 @@ fn run_gpu<P: mbir::prior::Prior + Sync>(
     gpu: &mut GpuIcd<'_, P>,
     golden: &Image,
     max_iters: usize,
-    args: &Args,
+    checkpoint: Option<&Path>,
+    every: u64,
+    resume: bool,
 ) -> Result<(), MbirError> {
-    let Some(dir) = args.get("checkpoint").map(PathBuf::from) else {
+    let Some(dir) = checkpoint else {
         gpu.run_to_rmse(golden, 10.0, max_iters);
         return Ok(());
     };
-    std::fs::create_dir_all(&dir).map_err(|e| MbirError::io(&dir, e))?;
-    let path = checkpoint_path(&dir);
-    if args.has("resume") {
+    std::fs::create_dir_all(dir).map_err(|e| MbirError::io(dir, e))?;
+    let path = checkpoint_path(dir);
+    if resume {
         let ckp = Checkpoint::load(&path)?;
         gpu.restore(&ckp)?;
         eprintln!("resumed from {} at iteration {}", path.display(), gpu.iterations());
     }
-    let every = args.get_or("checkpoint-every", 1u64).max(1);
     let start = gpu.iterations();
     let remaining = (max_iters as u64).saturating_sub(start) as usize;
     if remaining > 0 && rmse_hu(gpu.image(), golden) >= 10.0 {
@@ -488,7 +442,8 @@ fn write_profile(path: &str, report: &ProfileReport) -> Result<(), MbirError> {
 }
 
 fn cmd_fan_demo(args: &Args) -> Result<(), MbirError> {
-    let scale = args.scale();
+    let scale = args.scale()?;
+    let out = args.get("out")?;
     let geom = scale.geometry();
     let fan = ct_core::fanbeam::FanGeometry::covering(&geom, geom.grid.bounding_radius() * 4.0);
     eprintln!(
@@ -504,7 +459,7 @@ fn cmd_fan_demo(args: &Args) -> Result<(), MbirError> {
     let rec = fbp::reconstruct(&geom, &y);
     let rmse = ct_core::hu::rmse_hu(&rec, &truth);
     println!("fan scan -> rebin -> FBP: RMSE vs truth {rmse:.1} HU");
-    if let Some(out) = args.get("out") {
+    if let Some(out) = out {
         io::write_pgm(&PathBuf::from(out), &rec, mu_from_hu(-1000.0), mu_from_hu(1500.0))
             .map_err(|e| MbirError::io(out, e))?;
         eprintln!("wrote {out}");
@@ -515,9 +470,15 @@ fn cmd_fan_demo(args: &Args) -> Result<(), MbirError> {
 fn cmd_volume(args: &Args) -> Result<(), MbirError> {
     use ct_core::volume::Volume;
     use mbir::volume_icd::VolumeIcd;
-    let scale = args.scale();
+    let scale = args.scale()?;
     let geom = scale.geometry();
-    let nz: usize = args.get_or("slices", 5);
+    let nz: usize = args.get_or("slices", 5)?;
+    if nz == 0 {
+        return Err(usage_err("--slices must be at least 1"));
+    }
+    let sigma = args.get_or("sigma", 0.002f32)?;
+    let passes = args.get_or("passes", 6usize)?;
+    let prefix = args.get("out")?;
     eprintln!("scanning {nz} slices of a varying cylinder at {scale:?}...");
     let a = SystemMatrix::compute_parallel(&geom, 0);
     let radii: Vec<f32> =
@@ -532,16 +493,16 @@ fn cmd_volume(args: &Args) -> Result<(), MbirError> {
         ys.push(sc.y);
         ws.push(sc.weights);
     }
-    let prior = QggmrfPrior::standard(args.get_or("sigma", 0.002f32));
+    let prior = QggmrfPrior::standard(sigma);
     let init =
         Volume::from_slices(&ys.iter().map(|y| fbp::reconstruct(&geom, y)).collect::<Vec<_>>());
     let mut icd = VolumeIcd::new(&a, &ys, &ws, &prior, init);
     let to_hu = 1000.0 / ct_core::phantom::MU_WATER;
-    for pass in 0..args.get_or("passes", 6usize) {
+    for pass in 0..passes {
         icd.pass_slice_parallel(2);
         println!("pass {pass}: RMSE vs truth {:.1} HU", icd.volume().rmse(&truth) * to_hu);
     }
-    if let Some(prefix) = args.get("out") {
+    if let Some(prefix) = prefix {
         for z in 0..nz {
             let path = PathBuf::from(format!("{prefix}-z{z}.pgm"));
             io::write_pgm(&path, &icd.volume().slice(z), mu_from_hu(-1000.0), mu_from_hu(1500.0))
@@ -560,28 +521,35 @@ fn cmd_serve(args: &Args) -> Result<(), MbirError> {
         return Err(usage_err("pass either --devices or --fleet, not both"));
     }
     let jobs_path =
-        args.get("jobs").ok_or_else(|| usage_err("serve requires --jobs <workload.json>"))?;
+        args.get("jobs")?.ok_or_else(|| usage_err("serve requires --jobs <workload.json>"))?;
+    let out = args.get("out")?;
+    let profile = args.get("profile")?;
+    let backfill = args.switch("backfill")?;
     let text = std::fs::read_to_string(jobs_path).map_err(|e| MbirError::io(jobs_path, e))?;
     let workload = WorkloadSpec::parse(&text)
         .map_err(|e| usage_err(format!("bad workload '{jobs_path}': {e}")))?;
-    let fleet = match args.get("fleet") {
-        Some(path) => {
-            let t = std::fs::read_to_string(path).map_err(|e| MbirError::io(path, e))?;
-            let v = mbir_telemetry::json::parse(&t)
-                .map_err(|e| usage_err(format!("bad fleet spec '{path}': {e}")))?;
-            FleetSpec::from_json(&v)
-                .map_err(|e| usage_err(format!("bad fleet spec '{path}': {e}")))?
+    let fleet = match args.get("fleet")? {
+        Some(value) => {
+            // Serve leases devices from one flat fleet.
+            let cluster = parse_fleet_arg(value)?;
+            if cluster.nodes != 1 || cluster.slabs != 1 {
+                return Err(usage_err(format!(
+                    "--fleet {value}: serve runs one node with one slab, not {} node(s) x {} slab(s)",
+                    cluster.nodes, cluster.slabs
+                )));
+            }
+            cluster.node.fleet
         }
         None => {
-            let devices = args.get_or("devices", 2usize);
+            let devices = args.get_or("devices", 2usize)?;
             if devices == 0 {
                 return Err(usage_err("--devices must be at least 1"));
             }
             FleetSpec::titan_x_pcie(devices)
         }
     };
-    let sink = args.get("profile").map(|_| Arc::new(RecordingSink::new()));
-    let outcome = Server::new(fleet, workload).backfill(args.has("backfill")).run(sink.as_ref())?;
+    let sink = profile.map(|_| Arc::new(RecordingSink::new()));
+    let outcome = Server::new(fleet, workload).backfill(backfill).run(sink.as_ref())?;
     let r = &outcome.report;
     println!(
         "serve: {} devices, {} completed, {} rejected, {} preemption(s), \
@@ -618,20 +586,20 @@ fn cmd_serve(args: &Args) -> Result<(), MbirError> {
             _ => println!("  {:<12} {:<10} REJECTED: {}", j.id, j.tenant, j.reason),
         }
     }
-    if let Some(path) = args.get("out") {
+    if let Some(path) = out {
         let s = serde_json::to_string_pretty(r)
             .map_err(|e| MbirError::InvalidData(format!("report serialization: {e}")))?;
         std::fs::write(path, s).map_err(|e| MbirError::io(path, e))?;
         eprintln!("wrote {path} (serve report)");
     }
-    if let (Some(path), Some(sink)) = (args.get("profile"), &sink) {
+    if let (Some(path), Some(sink)) = (profile, &sink) {
         write_profile(path, &sink.report("serve"))?;
     }
     Ok(())
 }
 
 fn cmd_info(args: &Args) -> Result<(), MbirError> {
-    let scale = args.scale();
+    let scale = args.scale()?;
     let geom = scale.geometry();
     println!("scale {:?}", scale);
     println!("  image: {} x {} voxels of {} mm", geom.grid.nx, geom.grid.ny, geom.grid.pixel_size);

@@ -50,6 +50,52 @@ fn known_flags_pass_validation() {
 }
 
 #[test]
+fn malformed_values_are_usage_errors_naming_the_flag() {
+    // Each of these used to run on a default (or write a file named
+    // after the next flag, or panic); now each exits 1 with usage and
+    // an error naming the flag.
+    let dir = temp_dir("strict-args");
+    let ckpt = dir.join("ckpt");
+    let ckpt = ckpt.to_str().unwrap();
+    let cases: &[(&[&str], &str)] = &[
+        (&["info", "--scale", "harnes"], "--scale"),
+        (&["info", "--threads", "abc"], "--threads"),
+        (&["scan", "--seed", "zz", "--out", "s.csv"], "--seed"),
+        (&["scan", "--out", "--truth", "x"], "--out"),
+        (&["info", "--scale", "tiny", "--scale", "paper"], "--scale"),
+        (&["volume", "--slices", "0"], "--slices"),
+        (
+            &[
+                "reconstruct",
+                "--sino",
+                "s.csv",
+                "--out",
+                "x.pgm",
+                "--checkpoint",
+                ckpt,
+                "--checkpoint-every",
+                "0",
+            ],
+            "--checkpoint-every",
+        ),
+    ];
+    for (argv, flag) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_mbirctl"))
+            .args(*argv)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn mbirctl");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv:?} must be a usage error: {err}");
+        assert!(err.contains(flag), "{argv:?}: stderr lacks {flag}: {err}");
+        assert!(err.contains("usage: mbirctl"), "{argv:?}: {err}");
+    }
+    let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+    assert!(leftovers.is_empty(), "a rejected command wrote {leftovers:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn profile_without_path_fails() {
     let out = mbirctl(&["reconstruct", "--sino", "missing.csv", "--out", "x.pgm", "--profile"]);
     assert!(!out.status.success());

@@ -36,9 +36,12 @@
 //! - [`kernels`]: the MBIR kernel expressed in the `gpu-sim` warp IR,
 //!   used to cross-validate the analytic model against a trace-driven
 //!   execution.
+//! - [`args`]: the scale presets and the strict command-line parser
+//!   every binary shares.
 
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod checkpoint;
 pub mod driver;
 pub mod error;
@@ -48,6 +51,7 @@ pub mod model;
 pub mod opts;
 pub mod tally;
 
+pub use args::{gpu_options_for, Args, Scale};
 pub use checkpoint::Checkpoint;
 pub use driver::{plan_config, BoundaryAction, GpuIcd, GpuIterationReport};
 pub use error::MbirError;

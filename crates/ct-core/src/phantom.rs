@@ -95,6 +95,22 @@ impl Phantom {
         Phantom { shapes: Vec::new(), name: name.into() }
     }
 
+    /// Resolve a phantom spec, the grammar `mbirctl scan --phantom` and
+    /// a serve job's `phantom` field share: `shepp-logan`, `water`, or
+    /// `baggage[:seed]`.
+    pub fn parse(spec: &str) -> Result<Phantom, String> {
+        if let Some(seed) = spec.strip_prefix("baggage:") {
+            let seed: u64 = seed.parse().map_err(|_| format!("bad baggage seed '{seed}'"))?;
+            return Ok(Phantom::baggage(seed));
+        }
+        match spec {
+            "shepp-logan" => Ok(Phantom::shepp_logan()),
+            "water" => Ok(Phantom::water_cylinder(0.6)),
+            "baggage" => Ok(Phantom::baggage(0)),
+            other => Err(format!("unknown phantom '{other}' (shepp-logan, water, baggage[:seed])")),
+        }
+    }
+
     /// Display name.
     pub fn name(&self) -> &str {
         &self.name
@@ -289,6 +305,16 @@ mod tests {
 
     fn grid() -> ImageGrid {
         ImageGrid::square(64, 1.0)
+    }
+
+    #[test]
+    fn spec_strings_resolve_or_name_the_bad_part() {
+        assert_eq!(Phantom::parse("shepp-logan").unwrap().name(), Phantom::shepp_logan().name());
+        assert_eq!(Phantom::parse("baggage").unwrap().name(), "baggage-0");
+        assert_eq!(Phantom::parse("baggage:7").unwrap().name(), "baggage-7");
+        assert!(Phantom::parse("water").is_ok());
+        assert!(Phantom::parse("baggage:x").unwrap_err().contains("bad baggage seed 'x'"));
+        assert!(Phantom::parse("cube").unwrap_err().contains("unknown phantom 'cube'"));
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! checked-in spec file can reproduce a scaling run exactly.
 
 use gpu_sim::GpuSpec;
+use mbir_telemetry::json::{self, Fields};
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -52,10 +53,16 @@ impl InterconnectSpec {
     /// `serde_json` stand-in only serializes, so round-trips go through
     /// [`mbir_telemetry::json::parse`]).
     pub fn from_json(v: &Value) -> Result<Self, String> {
+        json::read_object(v, "", Self::read)
+    }
+
+    /// Read the fields of an interconnect object (see
+    /// [`json::read_object`]).
+    pub fn read(f: &mut Fields<'_>) -> Result<Self, String> {
         Ok(InterconnectSpec {
-            name: get_str(v, "name")?,
-            link_gbps: get_f64(v, "link_gbps")?,
-            latency_us: get_f64(v, "latency_us")?,
+            name: f.req("name")?,
+            link_gbps: f.req("link_gbps")?,
+            latency_us: f.req("latency_us")?,
         })
     }
 }
@@ -123,17 +130,18 @@ impl FleetSpec {
     /// Parse a fleet spec (including the embedded [`GpuSpec`]) back out
     /// of a JSON value tree.
     pub fn from_json(v: &Value) -> Result<Self, String> {
-        let gpu = field(v, "gpu")?;
-        let ic = field(v, "interconnect")?;
-        let devices = get_usize(v, "devices")?;
+        json::read_object(v, "", Self::read)
+    }
+
+    /// Read the fields of a fleet object (see [`json::read_object`]).
+    pub fn read(f: &mut Fields<'_>) -> Result<Self, String> {
+        let gpu = f.object("gpu", read_gpu)?;
+        let interconnect = f.object("interconnect", InterconnectSpec::read)?;
+        let devices = f.req("devices")?;
         if devices == 0 {
             return Err("field 'devices' must be at least 1".into());
         }
-        Ok(FleetSpec {
-            devices,
-            gpu: gpu_from_json(gpu)?,
-            interconnect: InterconnectSpec::from_json(ic)?,
-        })
+        Ok(FleetSpec { devices, gpu, interconnect })
     }
 
     /// Carve a sub-fleet lease of `devices` devices out of this fleet:
@@ -155,99 +163,37 @@ impl FleetSpec {
     }
 }
 
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    match v {
-        Value::Object(fields) => fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field '{key}'")),
-        _ => Err(format!("expected object looking up '{key}'")),
-    }
-}
-
-fn get_str(v: &Value, key: &str) -> Result<String, String> {
-    match field(v, key)? {
-        Value::Str(s) => Ok(s.clone()),
-        other => Err(format!("field '{key}' is not a string: {other:?}")),
-    }
-}
-
-fn get_f64(v: &Value, key: &str) -> Result<f64, String> {
-    let x = match field(v, key)? {
-        Value::F64(x) => *x,
-        Value::U64(x) => *x as f64,
-        Value::I64(x) => *x as f64,
-        other => return Err(format!("field '{key}' is not a number: {other:?}")),
-    };
-    // JSON happily encodes `1e400`, which parses to infinity; a
-    // non-finite bandwidth or latency would turn every downstream
-    // makespan into NaN/inf, so refuse it at the boundary.
-    if !x.is_finite() {
-        return Err(format!("field '{key}' is not finite: {x}"));
-    }
-    // Every f64 field in these specs is a physical rate, size, or
-    // delay; a negative bandwidth or latency would make transfers
-    // finish before they start, so refuse those at the boundary too.
-    if x < 0.0 {
-        return Err(format!("field '{key}' is negative: {x}"));
-    }
-    Ok(x)
-}
-
-fn get_u64(v: &Value, key: &str) -> Result<u64, String> {
-    match field(v, key)? {
-        Value::U64(x) => Ok(*x),
-        Value::I64(x) if *x >= 0 => Ok(*x as u64),
-        other => Err(format!("field '{key}' is not an unsigned integer: {other:?}")),
-    }
-}
-
-/// Checked narrowing to `u32`: a hostile or fat-fingered spec with
-/// `"clock_mhz": 4294968296` used to silently truncate to 1000 via
-/// `as u32`; now it is a parse error naming the field and value.
-fn get_u32(v: &Value, key: &str) -> Result<u32, String> {
-    let x = get_u64(v, key)?;
-    u32::try_from(x).map_err(|_| format!("field '{key}' value {x} does not fit in u32"))
-}
-
-fn get_usize(v: &Value, key: &str) -> Result<usize, String> {
-    let x = get_u64(v, key)?;
-    usize::try_from(x).map_err(|_| format!("field '{key}' value {x} does not fit in usize"))
-}
-
-fn gpu_from_json(v: &Value) -> Result<GpuSpec, String> {
+fn read_gpu(f: &mut Fields<'_>) -> Result<GpuSpec, String> {
     Ok(GpuSpec {
-        name: get_str(v, "name")?,
-        num_smm: get_u32(v, "num_smm")?,
-        cores_per_smm: get_u32(v, "cores_per_smm")?,
-        clock_mhz: get_u32(v, "clock_mhz")?,
-        warp_size: get_u32(v, "warp_size")?,
-        max_threads_per_smm: get_u32(v, "max_threads_per_smm")?,
-        max_blocks_per_smm: get_u32(v, "max_blocks_per_smm")?,
-        max_threads_per_block: get_u32(v, "max_threads_per_block")?,
-        registers_per_smm: get_u32(v, "registers_per_smm")?,
-        register_granularity: get_u32(v, "register_granularity")?,
-        shared_mem_per_smm: get_u32(v, "shared_mem_per_smm")?,
-        shared_mem_per_block: get_u32(v, "shared_mem_per_block")?,
-        shared_mem_granularity: get_u32(v, "shared_mem_granularity")?,
-        l1_tex_bytes_per_smm: get_u32(v, "l1_tex_bytes_per_smm")?,
-        l2_bytes: get_u32(v, "l2_bytes")?,
-        sector_bytes: get_u32(v, "sector_bytes")?,
-        dram_gbps: get_f64(v, "dram_gbps")?,
-        l2_gbps: get_f64(v, "l2_gbps")?,
-        tex_gbps: get_f64(v, "tex_gbps")?,
-        shared_gbps: get_f64(v, "shared_gbps")?,
-        issue_per_smm_per_cycle: get_f64(v, "issue_per_smm_per_cycle")?,
-        kernel_launch_us: get_f64(v, "kernel_launch_us")?,
-        atomic_cycles: get_f64(v, "atomic_cycles")?,
+        name: f.req("name")?,
+        num_smm: f.req("num_smm")?,
+        cores_per_smm: f.req("cores_per_smm")?,
+        clock_mhz: f.req("clock_mhz")?,
+        warp_size: f.req("warp_size")?,
+        max_threads_per_smm: f.req("max_threads_per_smm")?,
+        max_blocks_per_smm: f.req("max_blocks_per_smm")?,
+        max_threads_per_block: f.req("max_threads_per_block")?,
+        registers_per_smm: f.req("registers_per_smm")?,
+        register_granularity: f.req("register_granularity")?,
+        shared_mem_per_smm: f.req("shared_mem_per_smm")?,
+        shared_mem_per_block: f.req("shared_mem_per_block")?,
+        shared_mem_granularity: f.req("shared_mem_granularity")?,
+        l1_tex_bytes_per_smm: f.req("l1_tex_bytes_per_smm")?,
+        l2_bytes: f.req("l2_bytes")?,
+        sector_bytes: f.req("sector_bytes")?,
+        dram_gbps: f.req("dram_gbps")?,
+        l2_gbps: f.req("l2_gbps")?,
+        tex_gbps: f.req("tex_gbps")?,
+        shared_gbps: f.req("shared_gbps")?,
+        issue_per_smm_per_cycle: f.req("issue_per_smm_per_cycle")?,
+        kernel_launch_us: f.req("kernel_launch_us")?,
+        atomic_cycles: f.req("atomic_cycles")?,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbir_telemetry::json;
 
     #[test]
     fn fleet_spec_round_trips_through_json() {
@@ -324,6 +270,15 @@ mod tests {
         assert!(err.contains("not finite"), "{err}");
         let err = parse_with("dram_gbps", "1e400").unwrap_err();
         assert!(err.contains("dram_gbps"), "{err}");
+    }
+
+    #[test]
+    fn unknown_keys_are_rejected_with_their_path() {
+        // A typo'd key is an error naming its full path, never ignored.
+        let err = parse_with("num_smm", "24, \"num_smn\": 24").unwrap_err();
+        assert!(err.contains("unknown field 'gpu.num_smn'"), "{err}");
+        let err = parse_with("latency_us", "8.0, \"latency\": 1").unwrap_err();
+        assert!(err.contains("unknown field 'interconnect.latency'"), "{err}");
     }
 
     #[test]

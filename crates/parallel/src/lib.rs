@@ -37,14 +37,25 @@ pub fn threads() -> usize {
     if pinned != 0 {
         return pinned;
     }
-    if let Ok(v) = std::env::var("MBIR_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n != 0 {
-                return n;
-            }
-        }
+    let from_env = match std::env::var("MBIR_THREADS") {
+        Err(std::env::VarError::NotPresent) => 0,
+        v => parse_threads_env(v.as_deref().unwrap_or("<non-UTF-8>"))
+            .unwrap_or_else(|e| panic!("{e}")),
+    };
+    if from_env != 0 {
+        from_env
+    } else {
+        available()
     }
-    available()
+}
+
+/// Parse an `MBIR_THREADS` value: a thread count, `0` meaning all
+/// cores. Anything else is an error naming the variable, so a typo
+/// never silently runs on every core.
+fn parse_threads_env(v: &str) -> Result<usize, String> {
+    v.trim().parse().map_err(|_| {
+        format!("MBIR_THREADS={v:?} is not a thread count (0 for all cores, or N >= 1)")
+    })
 }
 
 /// Cores available to this process (at least 1).
@@ -136,6 +147,16 @@ where
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
+
+    #[test]
+    fn thread_env_values_parse_or_name_the_variable() {
+        assert_eq!(parse_threads_env("0"), Ok(0));
+        assert_eq!(parse_threads_env(" 8 "), Ok(8));
+        for bad in ["abc", "", "-1", "2.5", "4x"] {
+            let err = parse_threads_env(bad).unwrap_err();
+            assert!(err.contains("MBIR_THREADS") && err.contains("0 for all cores"), "{err}");
+        }
+    }
 
     #[test]
     fn par_map_preserves_order_at_any_thread_count() {

@@ -33,9 +33,8 @@ use ct_core::image::Image;
 use ct_core::project::{scan, NoiseModel};
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{plan_config, Checkpoint, GpuIcd, GpuOptions, MbirError};
+use gpu_icd::{gpu_options_for, plan_config, Checkpoint, GpuIcd, GpuOptions, MbirError, Scale};
 use mbir::prior::QggmrfPrior;
-use mbir_bench::{gpu_options_for, Scale};
 use mbir_fleet::{FleetSpec, UsageLedger};
 use mbir_telemetry::{JobRecord, ProfileSink, RecordingSink};
 use std::sync::Arc;

@@ -1,15 +1,18 @@
 //! Declarative workload specifications.
 //!
 //! A workload is a JSON document — `{"jobs": [...]}` or a bare array —
-//! parsed through the same hardened conventions as
-//! [`mbir_fleet::FleetSpec`]: unknown types are errors, numbers are
-//! range-checked at the boundary (no silent `as` narrowing), and
+//! read through the same strict field reader as
+//! [`mbir_fleet::FleetSpec`] ([`mbir_telemetry::json::read_object`]):
+//! unknown keys and wrong types are errors, numbers are range-checked
+//! at the boundary (no silent `as` narrowing), and negative or
 //! non-finite times are rejected before they can poison the modeled
 //! timeline. The parser is CLI-reachable (`mbirctl serve --jobs`), so
-//! every error names the field and the offending value.
+//! every error names the field's path (`jobs[3].priority`) and the
+//! offending value.
 
 use ct_core::phantom::Phantom;
-use mbir_bench::Scale;
+use gpu_icd::Scale;
+use mbir_telemetry::json::{self, Fields};
 use serde::json::Value;
 
 /// One job in a workload.
@@ -65,40 +68,26 @@ impl JobSpec {
 
     /// Resolve the phantom spec string.
     pub fn resolve_phantom(&self) -> Result<Phantom, String> {
-        parse_phantom(&self.phantom)
+        Phantom::parse(&self.phantom)
     }
 
-    fn from_json(v: &Value) -> Result<JobSpec, String> {
-        let id = get_str(v, "id")?;
+    fn read(f: &mut Fields<'_>) -> Result<JobSpec, String> {
+        let id: String = f.req("id")?;
         let d = JobSpec::named(&id);
         let spec = JobSpec {
+            tenant: f.opt("tenant")?.unwrap_or(d.tenant),
+            priority: f.opt("priority")?.unwrap_or(d.priority),
+            scale: f.opt::<String>("scale")?.map(|s| s.parse()).transpose()?.unwrap_or(d.scale),
+            phantom: f.opt("phantom")?.unwrap_or(d.phantom),
+            seed: f.opt("seed")?.unwrap_or(d.seed),
+            devices: f.opt("devices")?.unwrap_or(d.devices),
+            arrival_seconds: f.opt("arrival_seconds")?.unwrap_or(d.arrival_seconds),
+            deadline_seconds: f.opt("deadline_seconds")?,
+            iters: f.opt("iters")?.unwrap_or(d.iters),
+            view_rate: f.opt("view_rate")?,
+            sigma: f.opt::<f64>("sigma")?.map_or(d.sigma, |x| x as f32),
             id,
-            tenant: opt_str(v, "tenant")?.unwrap_or(d.tenant),
-            priority: opt_i64(v, "priority")?.unwrap_or(d.priority),
-            scale: match opt_str(v, "scale")? {
-                Some(s) => Scale::parse(&s)
-                    .ok_or_else(|| format!("unknown scale '{s}' (tiny|test|harness|paper)"))?,
-                None => d.scale,
-            },
-            phantom: opt_str(v, "phantom")?.unwrap_or(d.phantom),
-            seed: opt_u64(v, "seed")?.unwrap_or(d.seed),
-            devices: match opt_u64(v, "devices")? {
-                Some(n) => usize::try_from(n)
-                    .map_err(|_| format!("field 'devices' value {n} does not fit in usize"))?,
-                None => d.devices,
-            },
-            arrival_seconds: opt_f64(v, "arrival_seconds")?.unwrap_or(d.arrival_seconds),
-            deadline_seconds: opt_f64(v, "deadline_seconds")?,
-            iters: opt_u64(v, "iters")?.unwrap_or(d.iters),
-            view_rate: opt_f64(v, "view_rate")?,
-            sigma: opt_f64(v, "sigma")?.map(|x| x as f32).unwrap_or(d.sigma),
         };
-        if spec.arrival_seconds < 0.0 {
-            return Err(format!(
-                "job '{}': arrival_seconds must be >= 0, got {}",
-                spec.id, spec.arrival_seconds
-            ));
-        }
         if let Some(r) = spec.view_rate {
             if r <= 0.0 {
                 return Err(format!("job '{}': view_rate must be > 0, got {r}", spec.id));
@@ -127,15 +116,10 @@ impl WorkloadSpec {
 
     /// Build from a parsed JSON value: `{"jobs": [...]}` or `[...]`.
     pub fn from_json(v: &Value) -> Result<WorkloadSpec, String> {
-        let items = match v {
-            Value::Array(items) => items,
-            Value::Object(_) => match field(v, "jobs")? {
-                Value::Array(items) => items,
-                other => return Err(format!("field 'jobs' is not an array: {other:?}")),
-            },
-            other => return Err(format!("workload must be an object or array, got {other:?}")),
+        let jobs = match v {
+            Value::Array(_) => json::read_objects(v, "", JobSpec::read)?,
+            _ => json::read_object(v, "", |f| f.objects("jobs", JobSpec::read))?,
         };
-        let jobs: Vec<JobSpec> = items.iter().map(JobSpec::from_json).collect::<Result<_, _>>()?;
         if jobs.is_empty() {
             return Err("workload has no jobs".into());
         }
@@ -146,93 +130,6 @@ impl WorkloadSpec {
         }
         Ok(WorkloadSpec { jobs })
     }
-}
-
-/// Resolve a phantom spec string (same grammar as `mbirctl scan`).
-pub fn parse_phantom(spec: &str) -> Result<Phantom, String> {
-    if let Some(seed) = spec.strip_prefix("baggage:") {
-        let seed: u64 = seed.parse().map_err(|_| format!("bad baggage seed '{seed}'"))?;
-        return Ok(Phantom::baggage(seed));
-    }
-    match spec {
-        "shepp-logan" => Ok(Phantom::shepp_logan()),
-        "water" => Ok(Phantom::water_cylinder(0.6)),
-        "baggage" => Ok(Phantom::baggage(0)),
-        other => Err(format!("unknown phantom '{other}' (shepp-logan, water, baggage[:seed])")),
-    }
-}
-
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    match v {
-        Value::Object(fields) => fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field '{key}'")),
-        _ => Err(format!("expected object looking up '{key}'")),
-    }
-}
-
-fn opt<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
-    match v {
-        Value::Object(fields) => fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .filter(|v| !matches!(v, Value::Null)),
-        _ => None,
-    }
-}
-
-fn get_str(v: &Value, key: &str) -> Result<String, String> {
-    match field(v, key)? {
-        Value::Str(s) => Ok(s.clone()),
-        other => Err(format!("field '{key}' is not a string: {other:?}")),
-    }
-}
-
-fn opt_str(v: &Value, key: &str) -> Result<Option<String>, String> {
-    match opt(v, key) {
-        None => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s.clone())),
-        Some(other) => Err(format!("field '{key}' is not a string: {other:?}")),
-    }
-}
-
-fn opt_u64(v: &Value, key: &str) -> Result<Option<u64>, String> {
-    match opt(v, key) {
-        None => Ok(None),
-        Some(Value::U64(x)) => Ok(Some(*x)),
-        Some(Value::I64(x)) if *x >= 0 => Ok(Some(*x as u64)),
-        Some(other) => Err(format!("field '{key}' is not an unsigned integer: {other:?}")),
-    }
-}
-
-fn opt_i64(v: &Value, key: &str) -> Result<Option<i64>, String> {
-    match opt(v, key) {
-        None => Ok(None),
-        Some(Value::I64(x)) => Ok(Some(*x)),
-        Some(Value::U64(x)) => i64::try_from(*x)
-            .map(Some)
-            .map_err(|_| format!("field '{key}' value {x} does not fit in i64")),
-        Some(other) => Err(format!("field '{key}' is not an integer: {other:?}")),
-    }
-}
-
-fn opt_f64(v: &Value, key: &str) -> Result<Option<f64>, String> {
-    let x = match opt(v, key) {
-        None => return Ok(None),
-        Some(Value::F64(x)) => *x,
-        Some(Value::U64(x)) => *x as f64,
-        Some(Value::I64(x)) => *x as f64,
-        Some(other) => return Err(format!("field '{key}' is not a number: {other:?}")),
-    };
-    // `1e400` parses to infinity; a non-finite arrival or deadline
-    // would wedge the event loop, so refuse it at the boundary.
-    if !x.is_finite() {
-        return Err(format!("field '{key}' is not finite: {x}"));
-    }
-    Ok(Some(x))
 }
 
 #[cfg(test)]
@@ -282,6 +179,13 @@ mod tests {
             (r#"{"jobs": [{"id": 7}]}"#, "not a string"),
             (r#"{"nojobs": 1}"#, "missing field 'jobs'"),
             ("[", ""),
+            (r#"{"jobs": [{"id": "a"}, {"id": "b", "priorty": 9}]}"#, "'jobs[1].priorty'"),
+            (r#"[{"id": "a", "deadline_secnds": 1e-6}]"#, "unknown field '[0].deadline_secnds'"),
+            (r#"{"jobs": [{"id": "a", "deadline_seconds": -1}]}"#, "deadline_seconds' is negative"),
+            (
+                r#"{"jobs": [{"id": "a"}], "options": {"backfill": true}}"#,
+                "unknown field 'options'",
+            ),
         ];
         for (text, needle) in cases {
             let err = WorkloadSpec::parse(text).expect_err(text);

@@ -96,12 +96,19 @@ pub fn backend() -> SimdBackend {
         2 => return SimdBackend::Lanes,
         _ => {}
     }
-    if let Ok(v) = std::env::var("MBIR_SIMD") {
-        if let Some(b) = SimdBackend::parse(&v) {
-            return b;
-        }
+    match std::env::var("MBIR_SIMD") {
+        Err(std::env::VarError::NotPresent) => SimdBackend::Auto,
+        v => parse_backend_env(v.as_deref().unwrap_or("<non-UTF-8>"))
+            .unwrap_or_else(|e| panic!("{e}")),
     }
-    SimdBackend::Auto
+}
+
+/// Parse an `MBIR_SIMD` value. Anything but a backend name is an error
+/// naming the variable, so a typo'd CI leg cannot silently test the
+/// default backend twice.
+fn parse_backend_env(v: &str) -> Result<SimdBackend, String> {
+    SimdBackend::parse(v)
+        .ok_or_else(|| format!("MBIR_SIMD={v:?} is not a SIMD backend (auto, scalar, lanes)"))
 }
 
 /// Resolve a caller-supplied backend request to a concrete backend:
@@ -387,6 +394,17 @@ mod tests {
         assert_eq!(SimdBackend::parse(" Lanes "), Some(SimdBackend::Lanes));
         assert_eq!(SimdBackend::parse("avx512"), None);
         assert_eq!(SimdBackend::parse(""), None);
+    }
+
+    #[test]
+    fn simd_env_values_parse_or_name_the_variable() {
+        assert_eq!(parse_backend_env("scalar"), Ok(SimdBackend::Scalar));
+        assert_eq!(parse_backend_env(" LANES"), Ok(SimdBackend::Lanes));
+        assert_eq!(parse_backend_env("auto"), Ok(SimdBackend::Auto));
+        for bad in ["lane", "", "avx2"] {
+            let err = parse_backend_env(bad).unwrap_err();
+            assert!(err.contains("MBIR_SIMD") && err.contains("auto, scalar, lanes"), "{err}");
+        }
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! subset of JSON Schema the checked-in `schemas/profile.schema.json`
 //! uses: `type` (string or list), `required`, `properties`, `items`,
 //! `minimum`, and `minItems`.
+//!
+//! [`read_object`] is the one way a spec (fleet, cluster, workload)
+//! turns a parsed tree into typed values; its errors name the field's
+//! path (`node.fleet.gpu.num_smm`, `jobs[3].priority`).
 
 use serde::json::Value;
 
@@ -64,19 +68,21 @@ impl From<JsonError> for String {
 
 /// Parse a JSON document. Errors carry a byte offset and message.
 pub fn parse(text: &str) -> Result<Value, JsonError> {
-    let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0, depth: 0 };
+    let mut p = Parser { text, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != bytes.len() {
+    if p.pos != text.len() {
         return Err(JsonError::Syntax { msg: "trailing data".into(), at: p.pos });
     }
     Ok(v)
 }
 
+/// Recursive-descent state. `pos` only ever advances past ASCII
+/// tokens or whole runs of string content, so it always sits on a
+/// char boundary of `text`.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
     depth: usize,
 }
@@ -103,7 +109,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -122,7 +128,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -230,12 +236,12 @@ impl Parser<'_> {
                         Some(b'b') => s.push('\u{8}'),
                         Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
+                            if self.pos + 4 >= self.text.len() {
                                 return self.err("truncated \\u escape");
                             }
-                            let hex = &self.bytes[self.pos + 1..self.pos + 5];
-                            let hex = std::str::from_utf8(hex)
-                                .ok()
+                            let hex = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
                                 .and_then(|h| u32::from_str_radix(h, 16).ok())
                                 .ok_or(JsonError::Syntax {
                                     msg: "bad \\u escape".into(),
@@ -252,20 +258,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar. Truncated input must
-                    // surface as a parse error, never a panic — this
-                    // path is reachable from any profile JSON on disk.
-                    let rest = &self.bytes[self.pos..];
-                    let s_rest = std::str::from_utf8(rest).map_err(|_| JsonError::Syntax {
-                        msg: "invalid UTF-8".into(),
-                        at: self.pos,
-                    })?;
-                    let c = s_rest.chars().next().ok_or(JsonError::Syntax {
-                        msg: "unterminated string".into(),
-                        at: self.pos,
-                    })?;
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash
+                    // in one step. Both are ASCII, so the run ends on
+                    // a char boundary; a run that reaches the end of
+                    // the input is reported as unterminated above.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    s.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -297,7 +297,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.text[start..self.pos];
         if integral {
             if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::U64(u));
@@ -310,6 +310,156 @@ impl Parser<'_> {
             .map(Value::F64)
             .map_err(|_| JsonError::Syntax { msg: format!("bad number '{text}'"), at: start })
     }
+}
+
+/// A scalar a [`Fields`] reader can extract.
+pub trait Field: Sized {
+    /// Convert `v`, or say why it does not fit; the reader prefixes
+    /// the message with the field's path.
+    fn from_value(v: &Value) -> Result<Self, String>;
+}
+
+impl Field for String {
+    fn from_value(v: &Value) -> Result<Self, String> {
+        match v {
+            Value::Str(s) => Ok(s.clone()),
+            other => Err(format!("is not a string: {other:?}")),
+        }
+    }
+}
+
+/// Integers narrow with a check: `"clock_mhz": 4294968296` is an error
+/// naming the field, never a silent `as` truncation to 1000.
+macro_rules! integer_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn from_value(v: &Value) -> Result<Self, String> {
+                let x: i128 = match v {
+                    Value::U64(x) => (*x).into(),
+                    Value::I64(x) => (*x).into(),
+                    other => return Err(format!("is not an integer: {other:?}")),
+                };
+                <$t>::try_from(x)
+                    .map_err(|_| format!("value {x} does not fit in {}", stringify!($t)))
+            }
+        }
+    )*};
+}
+integer_field!(u32, u64, usize, i64);
+
+/// Every float in the workspace's specs is a rate, size, time, or
+/// delay: `1e400` (which parses to infinity) would poison every
+/// downstream makespan, and a negative value would make work finish
+/// before it starts, so both are refused here.
+impl Field for f64 {
+    fn from_value(v: &Value) -> Result<Self, String> {
+        let x = as_f64(v).ok_or_else(|| format!("is not a number: {v:?}"))?;
+        if !x.is_finite() {
+            return Err(format!("is not finite: {x}"));
+        }
+        if x < 0.0 {
+            return Err(format!("is negative: {x}"));
+        }
+        Ok(x)
+    }
+}
+
+/// An object being read field by field; see [`read_object`].
+pub struct Fields<'v> {
+    /// Path prefix of this object's keys: `""` or `"jobs[3]."`.
+    prefix: String,
+    fields: &'v [(String, Value)],
+    read: Vec<bool>,
+}
+
+impl<'v> Fields<'v> {
+    fn path(&self, key: &str) -> String {
+        format!("{}{key}", self.prefix)
+    }
+
+    /// The value under `key`, marking it read.
+    fn find(&mut self, key: &str) -> Option<&'v Value> {
+        let i = self.fields.iter().position(|(k, _)| k == key)?;
+        self.read[i] = true;
+        Some(&self.fields[i].1)
+    }
+
+    fn require(&mut self, key: &str) -> Result<&'v Value, String> {
+        self.find(key).ok_or_else(|| format!("missing field '{}'", self.path(key)))
+    }
+
+    fn convert<T: Field>(&self, key: &str, v: &Value) -> Result<T, String> {
+        T::from_value(v).map_err(|e| format!("field '{}' {e}", self.path(key)))
+    }
+
+    /// A required scalar field.
+    pub fn req<T: Field>(&mut self, key: &str) -> Result<T, String> {
+        let v = self.require(key)?;
+        self.convert(key, v)
+    }
+
+    /// An optional scalar field; `null` means absent.
+    pub fn opt<T: Field>(&mut self, key: &str) -> Result<Option<T>, String> {
+        match self.find(key) {
+            None | Some(Value::Null) => Ok(None),
+            Some(v) => self.convert(key, v).map(Some),
+        }
+    }
+
+    /// A required nested object, read with `read` (see [`read_object`]).
+    pub fn object<T>(
+        &mut self,
+        key: &str,
+        read: impl FnOnce(&mut Fields<'v>) -> Result<T, String>,
+    ) -> Result<T, String> {
+        let v = self.require(key)?;
+        read_object(v, &self.path(key), read)
+    }
+
+    /// A required array of objects, each read with `read`.
+    pub fn objects<T>(
+        &mut self,
+        key: &str,
+        read: impl FnMut(&mut Fields<'v>) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let v = self.require(key)?;
+        read_objects(v, &self.path(key), read)
+    }
+}
+
+/// Read the object `v`, found at dotted `path` in its document (`""`
+/// for the root), with `read`; then refuse the first key `read` never
+/// looked up, so a typo'd or stale key is an error, not ignored.
+pub fn read_object<'v, T>(
+    v: &'v Value,
+    path: &str,
+    read: impl FnOnce(&mut Fields<'v>) -> Result<T, String>,
+) -> Result<T, String> {
+    let Value::Object(fields) = v else {
+        let what = if path.is_empty() { "document".into() } else { format!("field '{path}'") };
+        return Err(format!("{what} is not an object: {v:?}"));
+    };
+    let prefix = if path.is_empty() { String::new() } else { format!("{path}.") };
+    let mut f = Fields { prefix, fields, read: vec![false; fields.len()] };
+    let out = read(&mut f)?;
+    match f.read.iter().position(|&r| !r) {
+        Some(i) => Err(format!("unknown field '{}'", f.path(&fields[i].0))),
+        None => Ok(out),
+    }
+}
+
+/// Read every element of the array `v`, found at `path`, as an object
+/// with `read`; element `i` reports its fields as `path[i].key`.
+pub fn read_objects<'v, T>(
+    v: &'v Value,
+    path: &str,
+    mut read: impl FnMut(&mut Fields<'v>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let Value::Array(items) = v else {
+        return Err(format!("field '{path}' is not an array: {v:?}"));
+    };
+    let item = |i: usize| format!("{path}[{i}]");
+    items.iter().enumerate().map(|(i, v)| read_object(v, &item(i), &mut read)).collect()
 }
 
 fn get<'v>(obj: &'v Value, key: &str) -> Option<&'v Value> {
@@ -518,6 +668,110 @@ mod tests {
         // the *current* nesting counts.
         let wide = format!("[{}0]", "[0],".repeat(10_000));
         assert!(parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn multibyte_characters_survive_inside_strings_and_next_to_escapes() {
+        // 2-, 3- and 4-byte UTF-8 scalars, alone, in runs, and directly
+        // before and after escapes.
+        let cases: &[(&str, &str)] = &[
+            (r#""é""#, "é"),
+            (r#""日本""#, "日本"),
+            (r#""🦀""#, "🦀"),
+            (r#""a\"é\n日\t🦀\\""#, "a\"é\n日\t🦀\\"),
+            (r#""\u00e9é""#, "éé"),
+            (r#""🦀\u0041""#, "🦀A"),
+        ];
+        for (doc, want) in cases {
+            assert_eq!(parse(doc).unwrap(), Value::Str(want.to_string()), "{doc}");
+        }
+        let v = parse(r#"{"ключ": ["値", "x🦀y"]}"#).unwrap();
+        assert_eq!(
+            get(&v, "ключ"),
+            Some(&Value::Array(vec![Value::Str("値".into()), Value::Str("x🦀y".into())]))
+        );
+        // A string cut off after a multibyte character is unterminated.
+        assert!(parse("\"日本").is_err());
+    }
+
+    fn read_doc<T>(
+        text: &str,
+        read: impl FnOnce(&mut Fields<'_>) -> Result<T, String>,
+    ) -> Result<T, String> {
+        read_object(&parse(text).unwrap(), "", read)
+    }
+
+    #[test]
+    fn reader_extracts_every_type() {
+        let doc = r#"{"s": "x", "a": 7, "b": 8, "c": 9, "i": -3, "f": 2.5, "g": 4,
+                      "n": {"k": 1}, "l": [{"k": 2}, {"k": 3}]}"#;
+        let got = read_doc(doc, |f| {
+            Ok((
+                f.req::<String>("s")?,
+                f.req::<u32>("a")?,
+                f.req::<u64>("b")?,
+                f.req::<usize>("c")?,
+                f.req::<i64>("i")?,
+                f.req::<f64>("f")?,
+                f.req::<f64>("g")?,
+                f.object("n", |n| n.req::<u32>("k"))?,
+                f.objects("l", |e| e.req::<u32>("k"))?,
+            ))
+        })
+        .unwrap();
+        assert_eq!(got, ("x".into(), 7, 8, 9, -3, 2.5, 4.0, 1, vec![2, 3]));
+    }
+
+    #[test]
+    fn reader_errors_name_the_path_and_keep_the_wording() {
+        let cases: &[(&str, &str)] = &[
+            (
+                r#"{"a": {"b": {"k": 4294968296}}}"#,
+                "field 'a.b.k' value 4294968296 does not fit in u32",
+            ),
+            (r#"{"a": {"b": {"k": -1}}}"#, "field 'a.b.k' value -1 does not fit in u32"),
+            (r#"{"a": {"b": {"k": "7"}}}"#, "field 'a.b.k' is not an integer"),
+            (r#"{"a": {"b": {}}}"#, "missing field 'a.b.k'"),
+            (r#"{"a": {"b": 3}}"#, "field 'a.b' is not an object"),
+            (r#"{"a": {"b": {"k": 1, "kk": 2}}}"#, "unknown field 'a.b.kk'"),
+        ];
+        for (doc, needle) in cases {
+            let err = read_doc(doc, |f| f.object("a", |a| a.object("b", |b| b.req::<u32>("k"))))
+                .unwrap_err();
+            assert!(err.contains(needle), "{doc}: {err:?} lacks {needle:?}");
+        }
+        let f64_cases: &[(&str, &str)] = &[
+            (r#"{"l": [{"x": 1}, {"x": 1e400}]}"#, "field 'l[1].x' is not finite"),
+            (r#"{"l": [{"x": -0.5}]}"#, "field 'l[0].x' is negative: -0.5"),
+            (r#"{"l": [{"x": "1"}]}"#, "field 'l[0].x' is not a number"),
+            (r#"{"l": {"x": 1}}"#, "field 'l' is not an array"),
+        ];
+        for (doc, needle) in f64_cases {
+            let err = read_doc(doc, |f| f.objects("l", |e| e.req::<f64>("x"))).unwrap_err();
+            assert!(err.contains(needle), "{doc}: {err:?} lacks {needle:?}");
+        }
+        let err = read_doc(r#"{"s": 1}"#, |f| f.req::<String>("s")).unwrap_err();
+        assert!(err.contains("field 's' is not a string"), "{err}");
+        let err = read_doc(r#"{"i": 9223372036854775808}"#, |f| f.req::<i64>("i")).unwrap_err();
+        assert!(err.contains("does not fit in i64"), "{err}");
+        let err = read_object(&Value::U64(1), "", |f| f.req::<u32>("k")).unwrap_err();
+        assert!(err.contains("document is not an object"), "{err}");
+    }
+
+    #[test]
+    fn reader_treats_null_as_absent_and_refuses_unread_keys() {
+        let doc = r#"{"a": null, "b": 2}"#;
+        let got =
+            read_doc(doc, |f| Ok((f.opt::<f64>("a")?, f.opt::<u32>("b")?, f.opt::<u32>("c")?)));
+        assert_eq!(got.unwrap(), (None, Some(2), None));
+        // A required field given as null is present but of the wrong type.
+        assert!(read_doc(doc, |f| f.req::<f64>("a")).is_err());
+        // Reading only `a` leaves `b` unread: an error naming it.
+        let err = read_doc(doc, |f| f.opt::<f64>("a")).unwrap_err();
+        assert_eq!(err, "unknown field 'b'");
+        // The caller's own error wins over the unknown-key check.
+        let err = read_doc(doc, |f| f.req::<u32>("z")).unwrap_err();
+        assert_eq!(err, "missing field 'z'");
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! [`crate::slab`]).
 
 use mbir_fleet::{FleetSpec, InterconnectSpec};
+use mbir_telemetry::json;
 use serde::json::Value;
 use serde::{Deserialize, Serialize};
 
@@ -29,11 +30,6 @@ impl NodeSpec {
     /// cluster presets.
     pub fn titan_x_nvlink(devices: usize) -> Self {
         NodeSpec { fleet: FleetSpec::titan_x_nvlink(devices) }
-    }
-
-    /// Parse a node spec back out of a JSON value tree.
-    pub fn from_json(v: &Value) -> Result<Self, String> {
-        Ok(NodeSpec { fleet: FleetSpec::from_json(field(v, "fleet")?)? })
     }
 }
 
@@ -138,47 +134,30 @@ impl ClusterSpec {
 
     /// Parse a cluster spec back out of a JSON value tree.
     pub fn from_json(v: &Value) -> Result<Self, String> {
-        let nodes = get_usize(v, "nodes")?;
-        if nodes == 0 {
-            return Err("field 'nodes' must be at least 1".into());
-        }
-        let slabs = get_usize(v, "slabs")?;
-        if slabs == 0 {
-            return Err("field 'slabs' must be at least 1".into());
-        }
-        Ok(ClusterSpec {
-            nodes,
-            node: NodeSpec::from_json(field(v, "node")?)?,
-            inter: InterconnectSpec::from_json(field(v, "inter")?)?,
-            slabs,
+        json::read_object(v, "", |f| {
+            let nodes = f.req("nodes")?;
+            if nodes == 0 {
+                return Err("field 'nodes' must be at least 1".into());
+            }
+            let slabs = f.req("slabs")?;
+            if slabs == 0 {
+                return Err("field 'slabs' must be at least 1".into());
+            }
+            Ok(ClusterSpec {
+                nodes,
+                node: f.object("node", |n| {
+                    Ok(NodeSpec { fleet: n.object("fleet", FleetSpec::read)? })
+                })?,
+                inter: f.object("inter", InterconnectSpec::read)?,
+                slabs,
+            })
         })
     }
-}
-
-fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
-    match v {
-        Value::Object(fields) => fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field '{key}'")),
-        _ => Err(format!("expected object looking up '{key}'")),
-    }
-}
-
-fn get_usize(v: &Value, key: &str) -> Result<usize, String> {
-    let x = match field(v, key)? {
-        Value::U64(x) => *x,
-        Value::I64(x) if *x >= 0 => *x as u64,
-        other => return Err(format!("field '{key}' is not an unsigned integer: {other:?}")),
-    };
-    usize::try_from(x).map_err(|_| format!("field '{key}' value {x} does not fit in usize"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbir_telemetry::json;
 
     #[test]
     fn cluster_spec_round_trips_through_json() {

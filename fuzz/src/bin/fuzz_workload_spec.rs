@@ -14,7 +14,7 @@ mbir_fuzz::fuzz_target!(|data: &[u8]| {
             assert!(w.jobs[..i].iter().all(|j| j.id != job.id), "duplicate id accepted");
             assert!(job.arrival_seconds.is_finite() && job.arrival_seconds >= 0.0);
             if let Some(d) = job.deadline_seconds {
-                assert!(d.is_finite());
+                assert!(d.is_finite() && d >= 0.0);
             }
             if let Some(r) = job.view_rate {
                 assert!(r.is_finite() && r > 0.0);
