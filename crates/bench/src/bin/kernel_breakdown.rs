@@ -7,7 +7,7 @@
 
 use ct_core::phantom::Phantom;
 use gpu_icd::{Args, GpuIcd, MbirError};
-use mbir_bench::{gpu_options_for, Pipeline};
+use mbir_bench::{gpu_options_for, to_golden, Pipeline};
 
 fn main() -> Result<(), MbirError> {
     let args = Args::capture(&["scale", "seed"])?;
@@ -15,7 +15,7 @@ fn main() -> Result<(), MbirError> {
     let p = Pipeline::build(scale, &Phantom::baggage(args.get_or("seed", 0u64)?), 1000, None);
     let opts = gpu_options_for(scale);
     let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
-    let trace = gpu.run_to_rmse(&p.golden, 10.0, 300);
+    let trace = to_golden(&mut gpu, &p, 300).trace;
 
     println!(
         "total {:.5}s, {:.2} equits, final RMSE {:.2} HU",

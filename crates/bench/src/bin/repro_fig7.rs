@@ -13,7 +13,7 @@
 
 use ct_core::phantom::Phantom;
 use gpu_icd::{Args, GpuIcd, GpuOptions, MbirError};
-use mbir_bench::{gpu_options_for, Pipeline, Scale};
+use mbir_bench::{gpu_options_for, to_golden, Pipeline, Scale};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -28,7 +28,7 @@ struct Point {
 
 fn run(p: &Pipeline, opts: GpuOptions) -> (f64, f64, f64, bool) {
     let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
-    let trace = gpu.run_to_rmse(&p.golden, 10.0, 400);
+    let trace = to_golden(&mut gpu, p, 400).trace;
     let converged = trace.last().map(|pt| pt.rmse_hu < 10.0).unwrap_or(false);
     (gpu.modeled_seconds(), gpu.equits(), gpu.run_stats().mbir.l2_gbps(), converged)
 }

@@ -16,7 +16,7 @@ use ct_core::project::{scan, NoiseModel};
 use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{Args, GpuIcd, MbirError};
 use mbir::prior::QggmrfPrior;
-use mbir::stopping::StopRule;
+use mbir::stopping::{run, BoundaryAction, Stop, StopRule};
 use mbir_bench::gpu_options_for;
 use serde::Serialize;
 
@@ -58,7 +58,8 @@ fn main() -> Result<(), MbirError> {
         let prior = QggmrfPrior::standard(0.002);
         let mut gpu =
             GpuIcd::new(&a, &s.y, &s.weights, &prior, fbp_img.clone(), gpu_options_for(scale));
-        gpu.run_until(StopRule::MeanUpdate { hu: 0.3 }, 100);
+        let stop = Stop::Rule(StopRule::MeanUpdate { hu: 0.3 });
+        run(&mut gpu, stop, 100, |_, _| BoundaryAction::Continue);
 
         for (algo, img) in [("fbp", &fbp_img), ("mbir", gpu.image())] {
             let row = Row {

@@ -13,7 +13,7 @@
 
 use ct_core::phantom::Phantom;
 use gpu_icd::{AMatrixMode, Args, GpuIcd, GpuOptions, GpuWorkModel, MbirError};
-use mbir_bench::{gpu_options_for, Pipeline};
+use mbir_bench::{gpu_options_for, to_golden, Pipeline};
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -61,14 +61,14 @@ fn main() -> Result<(), MbirError> {
         // time column and the baseline for the bitwise-identity check.
         let opts = GpuOptions { amatrix: mode, ..base };
         let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
-        gpu.run_to_rmse(&p.golden, 10.0, 300);
+        to_golden(&mut gpu, &p, 300);
 
         // Profiled run: the sink observes every kernel launch; the
         // counter columns are recovered from its spans.
         let opts = GpuOptions { amatrix: mode, profile: true, ..base };
         let mut prof =
             GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
-        prof.run_to_rmse(&p.golden, 10.0, 300);
+        to_golden(&mut prof, &p, 300);
         assert_eq!(
             gpu.modeled_seconds().to_bits(),
             prof.modeled_seconds().to_bits(),

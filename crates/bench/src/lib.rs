@@ -20,6 +20,7 @@ use gpu_icd::{GpuIcd, GpuOptions, MbirError};
 use mbir::convergence::ConvergenceTrace;
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::{golden_image, IcdConfig, SequentialIcd};
+use mbir::stopping::{run, BoundaryAction, Driver, RunOutcome, Stop};
 use psv_icd::cpu_model::CpuModel;
 use psv_icd::{PsvConfig, PsvIcd};
 use serde::Serialize;
@@ -83,12 +84,18 @@ pub struct RunResult {
 }
 
 impl RunResult {
-    /// Modeled seconds per equit.
-    pub fn time_per_equit(&self) -> f64 {
-        if self.equits > 0.0 {
-            self.seconds / self.equits
-        } else {
-            0.0
+    /// Run `driver` to the paper's criterion and report it in the
+    /// driver's modeled seconds.
+    fn measure<D: Driver>(algo: &str, driver: &mut D, p: &Pipeline, max_iters: usize) -> RunResult {
+        let outcome = to_golden(driver, p, max_iters);
+        let last = outcome.trace.last().expect("a golden run traces");
+        RunResult {
+            algo: algo.into(),
+            seconds: driver.seconds(),
+            equits: last.equits,
+            rmse_hu: last.rmse_hu,
+            converged: outcome.converged,
+            trace: outcome.trace,
         }
     }
 }
@@ -105,58 +112,29 @@ pub fn run_sequential(p: &Pipeline, max_passes: usize) -> RunResult {
         p.init.clone(),
         IcdConfig::default(),
     );
-    let mut trace = ConvergenceTrace::default();
-    trace.record(0.0, 0.0, icd.image(), &p.golden);
-    let mut rmse = ct_core::hu::rmse_hu(icd.image(), &p.golden);
-    for _ in 0..max_passes {
-        if rmse < CONVERGENCE_HU {
-            break;
-        }
-        icd.pass();
-        rmse = ct_core::hu::rmse_hu(icd.image(), &p.golden);
-        let secs = model.sequential_time(icd.stats().updates as f64 * mean_nnz);
-        trace.record(icd.equits(), secs, icd.image(), &p.golden);
-    }
-    let seconds = model.sequential_time(icd.stats().updates as f64 * mean_nnz);
-    RunResult {
-        algo: "sequential-icd".into(),
-        seconds,
-        equits: icd.equits(),
-        rmse_hu: rmse,
-        converged: rmse < CONVERGENCE_HU,
-        trace,
-    }
+    let mut result = RunResult::measure("sequential-icd", &mut icd, p, max_passes);
+    result.seconds = model.sequential_time(icd.stats().updates as f64 * mean_nnz);
+    result
 }
 
 /// Run PSV-ICD to convergence, modeling 16-core time.
 pub fn run_psv(p: &Pipeline, sv_side: usize, max_iters: usize) -> RunResult {
     let config = PsvConfig { sv_side, threads: 2, ..Default::default() };
     let mut psv = PsvIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), config);
-    let trace = psv.run_to_rmse(&p.golden, CONVERGENCE_HU, max_iters);
-    let rmse = ct_core::hu::rmse_hu(&psv.image(), &p.golden);
-    RunResult {
-        algo: "psv-icd".into(),
-        seconds: psv.modeled_seconds(),
-        equits: psv.equits(),
-        rmse_hu: rmse,
-        converged: rmse < CONVERGENCE_HU,
-        trace,
-    }
+    RunResult::measure("psv-icd", &mut psv, p, max_iters)
 }
 
 /// Run GPU-ICD to convergence on the simulated Titan X.
 pub fn run_gpu(p: &Pipeline, opts: GpuOptions, max_iters: usize) -> RunResult {
     let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
-    let trace = gpu.run_to_rmse(&p.golden, CONVERGENCE_HU, max_iters);
-    let rmse = ct_core::hu::rmse_hu(gpu.image(), &p.golden);
-    RunResult {
-        algo: "gpu-icd".into(),
-        seconds: gpu.modeled_seconds(),
-        equits: gpu.equits(),
-        rmse_hu: rmse,
-        converged: rmse < CONVERGENCE_HU,
-        trace,
-    }
+    RunResult::measure("gpu-icd", &mut gpu, p, max_iters)
+}
+
+/// Run `driver` to the paper's criterion: RMSE below
+/// [`CONVERGENCE_HU`] against the case's golden, or `max_iters`.
+pub fn to_golden<D: Driver>(driver: &mut D, p: &Pipeline, max_iters: usize) -> RunOutcome {
+    let stop = Stop::Golden { image: &p.golden, hu: CONVERGENCE_HU };
+    run(driver, stop, max_iters, |_, _| BoundaryAction::Continue)
 }
 
 /// Geometric mean of a nonempty slice.

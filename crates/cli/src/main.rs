@@ -8,7 +8,7 @@
 //! ```
 
 use ct_core::fbp;
-use ct_core::hu::{hu_from_mu, mu_from_hu, rmse_hu};
+use ct_core::hu::{hu_from_mu, mu_from_hu, CONVERGENCE_HU};
 use ct_core::image::Image;
 use ct_core::io;
 use ct_core::phantom::Phantom;
@@ -18,6 +18,7 @@ use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{gpu_options_for, Args, BoundaryAction, Checkpoint, GpuIcd, MbirError};
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::{golden_image, IcdConfig, SequentialIcd};
+use mbir::stopping::{run, RunOutcome, Stop};
 use mbir_fleet::{FaultSpec, FleetSpec};
 use mbir_simd::SimdBackend;
 use mbir_telemetry::{chrome_trace, ProfileReport};
@@ -160,7 +161,7 @@ fn cmd_scan(args: &Args) -> Result<(), MbirError> {
     let out =
         PathBuf::from(args.get("out")?.ok_or_else(|| usage_err("scan requires --out <sino.csv>"))?);
     let truth_out = args.get("truth")?.map(PathBuf::from);
-    let i0: f32 = args.get_or("i0", 2.0e4f32)?;
+    let i0 = args.positive_or("i0", 2.0e4)?;
     let seed = args.get_or("seed", 0u64)?;
 
     eprintln!(
@@ -270,8 +271,8 @@ fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirErr
     let simd = SimdBackend::parse(simd_str).ok_or_else(|| {
         usage_err(format!("unknown --simd backend '{simd_str}' (auto, scalar, lanes)"))
     })?;
-    let i0: f32 = args.get_or("i0", 2.0e4f32)?;
-    let prior = QggmrfPrior::standard(args.get_or("sigma", 0.002f32)?);
+    let i0 = args.positive_or("i0", 2.0e4)?;
+    let prior = QggmrfPrior::standard(args.positive_or("sigma", 0.002)?);
     let max_iters: usize = args.get_or("max-iters", 200)?;
     mbir_simd::set_backend(simd);
 
@@ -302,13 +303,15 @@ fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirErr
 
     eprintln!("computing 40-equit golden for the convergence criterion...");
     let golden = golden_image(&a, &y, &w, &prior, init.clone(), 40.0);
+    let stop = Stop::Golden { image: &golden, hu: CONVERGENCE_HU };
 
-    match algo {
+    let (img, mut note, out, recording) = match algo {
         "sequential" => {
             let mut icd = SequentialIcd::new(&a, &y, &w, &prior, init, IcdConfig::default());
-            let rmse = icd.run_to_rmse(&golden, 10.0, max_iters);
+            let out = run(&mut icd, stop, max_iters, |_, _| BoundaryAction::Continue);
+            let rmse = out.trace.last().expect("a golden run traces").rmse_hu;
             let note = format!("sequential ICD, {:.1} equits, final {rmse:.1} HU", icd.equits());
-            Ok((icd.into_image(), note))
+            (icd.into_image(), note, out, None)
         }
         "psv" => {
             let (cpu_side, _) = scale.sv_sides();
@@ -320,21 +323,13 @@ fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirErr
                 ..Default::default()
             };
             let mut psv = PsvIcd::new(&a, &y, &w, &prior, init, config);
-            psv.run_to_rmse(&golden, 10.0, max_iters);
-            if let Some(path) = profile {
-                let rec = psv.recording().ok_or_else(|| {
-                    MbirError::Profile(
-                        "PSV-ICD ran without its recording sink despite --profile".into(),
-                    )
-                })?;
-                write_profile(path, &rec.report("psv-icd"))?;
-            }
+            let out = run(&mut psv, stop, max_iters, |_, _| BoundaryAction::Continue);
             let note = format!(
                 "PSV-ICD, {:.1} equits, modeled 16-core time {:.3} s, simd {simd_name}",
                 psv.equits(),
                 psv.modeled_seconds()
             );
-            Ok((psv.image(), note))
+            (psv.image(), note, out, psv.recording().cloned())
         }
         _ => {
             let opts = gpu_icd::GpuOptions {
@@ -350,15 +345,7 @@ fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirErr
             if let Some(spec) = faults {
                 gpu.set_fault_spec(spec)?;
             }
-            run_gpu(&mut gpu, &golden, max_iters, checkpoint, every, resume)?;
-            if let Some(path) = profile {
-                let rec = gpu.recording().ok_or_else(|| {
-                    MbirError::Profile(
-                        "GPU-ICD ran without its recording sink despite --profile".into(),
-                    )
-                })?;
-                write_profile(path, &rec.report("gpu-icd"))?;
-            }
+            let out = run_gpu(&mut gpu, stop, max_iters, checkpoint, every, resume)?;
             let mut note = format!(
                 "GPU-ICD, {:.1} equits, modeled Titan X time {:.4} s, simd {simd_name}",
                 gpu.equits(),
@@ -380,55 +367,61 @@ fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirErr
                     ));
                 }
             }
-            Ok((gpu.image().clone(), note))
+            (gpu.image().clone(), note, out, gpu.recording().cloned())
         }
+    };
+    if let Some(path) = profile {
+        let rec = recording.ok_or_else(|| {
+            MbirError::Profile(format!("--algo {algo} ran without its recording sink"))
+        })?;
+        write_profile(path, &rec.report(&format!("{algo}-icd")))?;
     }
+    if !out.converged {
+        note.push_str(&format!("; reached --max-iters {max_iters} without converging"));
+    }
+    Ok((img, note))
 }
 
-/// Run the GPU driver to convergence, threading the `--checkpoint`,
+/// Run the GPU driver to `stop`, threading the `--checkpoint`,
 /// `--checkpoint-every`, and `--resume` flags through: the run saves
 /// its state every N iteration boundaries (atomically, so an interrupt
-/// never corrupts the file) and `--resume` restarts from the saved
-/// state, continuing bitwise identically to an uninterrupted run.
+/// never corrupts the file) and at its end, and `--resume` restarts
+/// from the saved state, continuing bitwise identically to an
+/// uninterrupted run.
 fn run_gpu<P: mbir::prior::Prior + Sync>(
     gpu: &mut GpuIcd<'_, P>,
-    golden: &Image,
+    stop: Stop<'_>,
     max_iters: usize,
     checkpoint: Option<&Path>,
     every: u64,
     resume: bool,
-) -> Result<(), MbirError> {
-    let Some(dir) = checkpoint else {
-        gpu.run_to_rmse(golden, 10.0, max_iters);
-        return Ok(());
-    };
-    std::fs::create_dir_all(dir).map_err(|e| MbirError::io(dir, e))?;
-    let path = checkpoint_path(dir);
-    if resume {
-        let ckp = Checkpoint::load(&path)?;
-        gpu.restore(&ckp)?;
+) -> Result<RunOutcome, MbirError> {
+    let path = checkpoint.map(|dir| dir.join("checkpoint.mbir"));
+    if let Some(dir) = checkpoint {
+        std::fs::create_dir_all(dir).map_err(|e| MbirError::io(dir, e))?;
+    }
+    if let Some(path) = path.as_ref().filter(|_| resume) {
+        gpu.restore(&Checkpoint::load(path)?)?;
         eprintln!("resumed from {} at iteration {}", path.display(), gpu.iterations());
     }
     let start = gpu.iterations();
     let remaining = (max_iters as u64).saturating_sub(start) as usize;
-    if remaining > 0 && rmse_hu(gpu.image(), golden) >= 10.0 {
-        gpu.run_with_boundary(remaining, |gpu, _report| {
-            if (gpu.iterations() - start).is_multiple_of(every) {
-                gpu.checkpoint().save(&path)?;
-            }
-            Ok(if rmse_hu(gpu.image(), golden) < 10.0 {
-                BoundaryAction::Stop
-            } else {
-                BoundaryAction::Continue
-            })
-        })?;
+    let mut saved = Ok(());
+    let out = run(gpu, stop, remaining, |gpu, _| {
+        let due = (gpu.iterations() - start).is_multiple_of(every);
+        if let Some(path) = path.as_ref().filter(|_| due) {
+            saved = gpu.checkpoint().save(path);
+        }
+        match saved {
+            Ok(()) => BoundaryAction::Continue,
+            Err(_) => BoundaryAction::Stop,
+        }
+    });
+    saved?;
+    if let Some(path) = &path {
+        gpu.checkpoint().save(path)?;
     }
-    gpu.checkpoint().save(&path)
-}
-
-/// The checkpoint file inside a `--checkpoint` directory.
-fn checkpoint_path(dir: &Path) -> PathBuf {
-    dir.join("checkpoint.mbir")
+    Ok(out)
 }
 
 /// Write the structured report at `path` and its Chrome `trace_event`
@@ -476,7 +469,7 @@ fn cmd_volume(args: &Args) -> Result<(), MbirError> {
     if nz == 0 {
         return Err(usage_err("--slices must be at least 1"));
     }
-    let sigma = args.get_or("sigma", 0.002f32)?;
+    let sigma = args.positive_or("sigma", 0.002)?;
     let passes = args.get_or("passes", 6usize)?;
     let prefix = args.get("out")?;
     eprintln!("scanning {nz} slices of a varying cylinder at {scale:?}...");

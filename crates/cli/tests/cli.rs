@@ -64,6 +64,13 @@ fn malformed_values_are_usage_errors_naming_the_flag() {
         (&["scan", "--out", "--truth", "x"], "--out"),
         (&["info", "--scale", "tiny", "--scale", "paper"], "--scale"),
         (&["volume", "--slices", "0"], "--slices"),
+        (&["scan", "--i0", "-1", "--out", "s.csv"], "--i0"),
+        (&["scan", "--i0", "0", "--out", "s.csv"], "--i0"),
+        (&["reconstruct", "--sino", "s.csv", "--out", "x.pgm", "--i0", "-5"], "--i0"),
+        (&["reconstruct", "--sino", "s.csv", "--out", "x.pgm", "--i0", "nan"], "--i0"),
+        (&["reconstruct", "--sino", "s.csv", "--out", "x.pgm", "--sigma", "inf"], "--sigma"),
+        (&["reconstruct", "--sino", "s.csv", "--out", "x.pgm", "--sigma", "0"], "--sigma"),
+        (&["volume", "--sigma", "nan"], "--sigma"),
         (
             &[
                 "reconstruct",
@@ -210,6 +217,64 @@ fn fleet_summary_names_simd_backend() {
     assert!(out.status.success(), "gpu run: {err}");
     assert!(err.contains("simd scalar"), "stderr: {err}");
     assert!(err.contains("on 2 devices"), "stderr: {err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A checkpointed run goes through the same loop as a plain one, so its
+/// profile keeps the convergence lane.
+#[test]
+fn checkpointed_profile_keeps_its_convergence_points() {
+    let dir = temp_dir("ckpt-profile");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let out = mbirctl(&["scan", "--scale", "tiny", "--phantom", "water", "--out", &path("s.csv")]);
+    assert!(out.status.success(), "scan: {}", String::from_utf8_lossy(&out.stderr));
+    let base = ["reconstruct", "--scale", "tiny", "--sino", &path("s.csv"), "--algo", "gpu"];
+    let mut points = Vec::new();
+    for (tag, extra) in [("plain", vec![]), ("ckpt", vec!["--checkpoint", &path("ckpt")])] {
+        let (img, prof) = (path(&format!("{tag}.pgm")), path(&format!("{tag}.json")));
+        let mut argv = base.to_vec();
+        argv.extend(["--out", &img, "--profile", &prof]);
+        argv.extend(extra);
+        let out = mbirctl(&argv);
+        assert!(out.status.success(), "{tag}: {}", String::from_utf8_lossy(&out.stderr));
+        points.push(std::fs::read_to_string(&prof).unwrap().matches("\"rmse_hu\"").count());
+    }
+    assert!(points[0] > 0, "the plain run recorded no convergence points");
+    assert_eq!(points[0], points[1], "checkpointing dropped convergence points");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A run the iteration cap ends says so; one that meets its stop does
+/// not. Both still exit 0.
+#[test]
+fn a_capped_run_says_it_did_not_converge() {
+    let dir = temp_dir("capped");
+    let sino = dir.join("s.csv");
+    let sino = sino.to_str().unwrap();
+    let out = mbirctl(&["scan", "--scale", "tiny", "--phantom", "water", "--out", sino]);
+    assert!(out.status.success(), "scan: {}", String::from_utf8_lossy(&out.stderr));
+    let img = dir.join("r.pgm");
+    for algo in ["sequential", "psv", "gpu"] {
+        for (iters, capped) in [("1", true), ("200", false)] {
+            let out = mbirctl(&[
+                "reconstruct",
+                "--scale",
+                "tiny",
+                "--sino",
+                sino,
+                "--algo",
+                algo,
+                "--max-iters",
+                iters,
+                "--out",
+                img.to_str().unwrap(),
+            ]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(out.status.success(), "{algo} --max-iters {iters}: {err}");
+            let says = err.contains(&format!("reached --max-iters {iters} without converging"));
+            assert_eq!(says, capped, "{algo} --max-iters {iters}: {err}");
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

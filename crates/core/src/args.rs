@@ -165,6 +165,17 @@ impl Args {
         }
     }
 
+    /// `--name` as a finite, positive number, or `default` when the
+    /// flag is absent.
+    pub fn positive_or(&self, name: &str, default: f32) -> Result<f32, MbirError> {
+        let v = self.get_or(name, default)?;
+        if v.is_finite() && v > 0.0 {
+            Ok(v)
+        } else {
+            Err(Usage(format!("bad --{name} value '{v}': must be finite and positive")))
+        }
+    }
+
     /// The `--scale` preset, `test` when absent.
     pub fn scale(&self) -> Result<Scale, MbirError> {
         self.get_or("scale", Scale::Test)
@@ -206,7 +217,7 @@ mod tests {
 
     #[test]
     fn every_malformed_command_line_is_an_error_naming_the_flag() {
-        let allowed = ["scale", "threads", "out", "truth", "seed", "backfill"];
+        let allowed = ["scale", "threads", "out", "truth", "seed", "backfill", "sigma"];
         let build_errors: &[(&[&str], &str)] = &[
             (&["--scale", "tiny", "--typo", "x", "--typo2"], "unknown flag(s): --typo, --typo2"),
             (&["--scale", "tiny", "--scale", "paper"], "--scale given more than once"),
@@ -225,6 +236,8 @@ mod tests {
             (&["--out", "--truth", "t"], |a| a.get("out").map(drop), "--out requires a value"),
             (&["--out"], |a| a.get("out").map(drop), "--out requires a value"),
             (&["--backfill", "no"], |a| a.switch("backfill").map(drop), "--backfill takes no"),
+            (&["--sigma", "0"], |a| a.positive_or("sigma", 1.0).map(drop), "bad --sigma value '0'"),
+            (&["--sigma", "nan"], |a| a.positive_or("sigma", 1.0).map(drop), "bad --sigma"),
         ];
         for (argv, access, needle) in access_errors {
             let err = access(&args(argv, &allowed).unwrap()).unwrap_err().to_string();

@@ -20,14 +20,14 @@ use crate::fleet::{BatchContext, FleetState};
 use crate::model::{BatchTiming, GpuWorkModel, ProfileSkeleton};
 use crate::opts::{GpuOptions, Layout};
 use crate::tally::{BatchTally, SvTally};
-use ct_core::hu::rmse_hu;
 use ct_core::image::{Image, SharedImage};
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::{ColumnView, SystemMatrix};
 use gpu_sim::timing::KernelTiming;
-use mbir::convergence::ConvergenceTrace;
+use mbir::convergence::TracePoint;
 use mbir::prior::{clique_weight, Prior};
 use mbir::sequential::IcdStats;
+use mbir::stopping::{run, BoundaryAction, Driver, Stop};
 use mbir::update::Thetas;
 use mbir_fleet::{FaultSpec, FleetReport, FleetSpec};
 use mbir_simd::AColumn;
@@ -36,6 +36,7 @@ use mbir_topo::ClusterSpec;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::sync::Arc;
 use supervoxel::checkerboard::checkerboard_groups;
 use supervoxel::chunks::chunk_tally;
@@ -70,16 +71,6 @@ pub fn plan_config(opts: &GpuOptions) -> PlanConfig {
     }
 }
 
-/// What a boundary hook (see [`GpuIcd::run_with_boundary`]) tells the
-/// driver to do after this iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoundaryAction {
-    /// Keep iterating.
-    Continue,
-    /// Stop at this boundary (converged, preempted, or out of budget).
-    Stop,
-}
-
 /// What one outer iteration did.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuIterationReport {
@@ -101,6 +92,13 @@ pub struct GpuIterationReport {
     pub abs_delta: f64,
     /// Modeled GPU seconds for this iteration.
     pub modeled_seconds: f64,
+}
+
+/// A report's work counters, as the stop rules read them.
+impl From<GpuIterationReport> for IcdStats {
+    fn from(r: GpuIterationReport) -> IcdStats {
+        IcdStats { updates: r.updates, skipped: r.skipped, total_abs_delta: r.abs_delta }
+    }
 }
 
 /// Time/traffic aggregation for one kernel type across launches.
@@ -447,9 +445,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         }
 
         self.modeled_seconds += report.modeled_seconds;
-        self.stats.updates += report.updates;
-        self.stats.skipped += report.skipped;
-        self.stats.total_abs_delta += report.abs_delta;
+        self.stats += IcdStats::from(report);
         if let Some(sink) = &self.sink {
             sink.iteration(&IterationSample {
                 iter: self.iter,
@@ -464,32 +460,6 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
             });
         }
         report
-    }
-
-    /// Run iterations until a golden-free [`mbir::stopping::StopRule`]
-    /// fires or `max_iters` elapse; returns iterations used.
-    pub fn run_until(&mut self, rule: mbir::stopping::StopRule, max_iters: usize) -> usize {
-        let mut state = mbir::stopping::StopState::new(rule);
-        let nvox = self.image.grid().num_voxels();
-        for i in 0..max_iters {
-            let report = self.iteration();
-            let pass_stats = IcdStats {
-                updates: report.updates,
-                skipped: report.skipped,
-                total_abs_delta: report.abs_delta,
-            };
-            let cost = match rule {
-                mbir::stopping::StopRule::CostPlateau { .. } => {
-                    mbir::convergence::cost(&self.image, &self.error, self.weights, self.prior)
-                }
-                _ => 0.0,
-            };
-            state.observe(&pass_stats, &self.stats, cost, nvox);
-            if state.should_stop() {
-                return i + 1;
-            }
-        }
-        max_iters
     }
 
     /// Process one batch: gather SVBs, update every SV's voxels in
@@ -580,35 +550,12 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         t.seconds()
     }
 
-    /// Iterate until RMSE against `golden` drops below `threshold_hu`,
-    /// recording the trace in modeled GPU seconds.
-    pub fn run_to_rmse(
-        &mut self,
-        golden: &Image,
-        threshold_hu: f32,
-        max_iters: usize,
-    ) -> ConvergenceTrace {
-        let mut trace = ConvergenceTrace::default();
-        trace.record(self.equits(), self.modeled_seconds, &self.image, golden);
-        self.emit_convergence(&trace);
-        for _ in 0..max_iters {
-            if rmse_hu(&self.image, golden) < threshold_hu {
-                break;
-            }
-            self.iteration();
-            trace.record(self.equits(), self.modeled_seconds, &self.image, golden);
-            self.emit_convergence(&trace);
-        }
-        trace
-    }
-
-    /// Run up to `max_iters` further iterations, invoking `hook` at
-    /// every iteration boundary — the only point where a checkpoint
-    /// captures a bitwise-resumable state. The hook sees the driver
-    /// immutably (snapshot a [`Checkpoint`], inspect progress, save to
-    /// disk) and decides whether to continue; errors abort the run.
-    /// This is the preemption point the serve layer stops victims at,
-    /// and the cadence `mbirctl --checkpoint-every` saves on.
+    /// Run up to `max_iters` further iterations under [`Stop::Cap`],
+    /// invoking `hook` at every iteration boundary — the only point
+    /// where a checkpoint captures a bitwise-resumable state. The hook
+    /// sees the driver immutably (snapshot a [`Checkpoint`], inspect
+    /// progress, save to disk) and decides whether to continue; an
+    /// error stops the run at that boundary and is returned.
     ///
     /// Returns the number of iterations actually run.
     pub fn run_with_boundary(
@@ -616,28 +563,14 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         max_iters: usize,
         mut hook: impl FnMut(&Self, &GpuIterationReport) -> Result<BoundaryAction, MbirError>,
     ) -> Result<u64, MbirError> {
-        let start = self.iter;
-        for _ in 0..max_iters {
-            let report = self.iteration();
-            match hook(self, &report)? {
-                BoundaryAction::Continue => {}
-                BoundaryAction::Stop => break,
-            }
-        }
-        Ok(self.iter - start)
-    }
-
-    /// Forward the latest trace point to the sink, if any.
-    fn emit_convergence(&self, trace: &ConvergenceTrace) {
-        if let Some(sink) = &self.sink {
-            let p = trace.last().expect("point just recorded");
-            sink.convergence(&ConvergencePoint {
-                iter: self.iter,
-                equits: p.equits,
-                seconds: p.seconds,
-                rmse_hu: p.rmse_hu as f64,
-            });
-        }
+        let mut failure = None;
+        let outcome = run(self, Stop::Cap, max_iters, |gpu, report| {
+            hook(gpu, report).unwrap_or_else(|e| {
+                failure = Some(e);
+                BoundaryAction::Stop
+            })
+        });
+        failure.map_or(Ok(outcome.iterations as u64), Err)
     }
 
     /// Current reconstruction.
@@ -779,6 +712,37 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     /// Per-kernel aggregates (bandwidths, time split).
     pub fn run_stats(&self) -> GpuRunStats {
         self.run_stats
+    }
+}
+
+/// One step is one outer iteration; golden trace points go to the
+/// profile sink.
+impl<P: Prior + Sync> Driver for GpuIcd<'_, P> {
+    type Report = GpuIterationReport;
+    fn step(&mut self) -> GpuIterationReport {
+        self.iteration()
+    }
+    fn stats(&self) -> IcdStats {
+        self.stats
+    }
+    fn image(&self) -> Cow<'_, Image> {
+        Cow::Borrowed(&self.image)
+    }
+    fn seconds(&self) -> f64 {
+        self.modeled_seconds
+    }
+    fn cost(&self) -> f64 {
+        mbir::convergence::cost(&self.image, &self.error, self.weights, self.prior)
+    }
+    fn trace_point(&self, p: &TracePoint) {
+        if let Some(sink) = &self.sink {
+            sink.convergence(&ConvergencePoint {
+                iter: self.iter,
+                equits: p.equits,
+                seconds: p.seconds,
+                rmse_hu: p.rmse_hu as f64,
+            });
+        }
     }
 }
 
@@ -977,7 +941,8 @@ mod tests {
         let init = fbp::reconstruct(&g, &s.y);
         let golden = golden_image(&a, &s.y, &s.weights, &prior, init.clone(), 40.0);
         let mut gpu = GpuIcd::new(&a, &s.y, &s.weights, &prior, init, opts());
-        let trace = gpu.run_to_rmse(&golden, 10.0, 80);
+        let stop = Stop::Golden { image: &golden, hu: 10.0 };
+        let trace = run(&mut gpu, stop, 80, |_, _| BoundaryAction::Continue).trace;
         let last = trace.last().unwrap();
         assert!(last.rmse_hu < 10.0, "rmse {} after {} iters", last.rmse_hu, trace.points.len());
         assert!(gpu.modeled_seconds() > 0.0);
@@ -1025,7 +990,8 @@ mod tests {
         let golden = golden_image(&a, &s.y, &s.weights, &prior, init.clone(), 40.0);
         let o = GpuOptions { amatrix: AMatrixMode::TextureU8, ..opts() };
         let mut gpu = GpuIcd::new(&a, &s.y, &s.weights, &prior, init, o);
-        let trace = gpu.run_to_rmse(&golden, 10.0, 80);
+        let stop = Stop::Golden { image: &golden, hu: 10.0 };
+        let trace = run(&mut gpu, stop, 80, |_, _| BoundaryAction::Continue).trace;
         assert!(trace.last().unwrap().rmse_hu < 10.0);
     }
 
@@ -1040,7 +1006,8 @@ mod tests {
         let run = |blocks: u32| {
             let o = GpuOptions { threadblocks_per_sv: blocks, intra_sv: blocks > 1, ..opts() };
             let mut gpu = GpuIcd::new(&a, &s.y, &s.weights, &prior, init.clone(), o);
-            gpu.run_to_rmse(&golden, 10.0, 120);
+            let stop = Stop::Golden { image: &golden, hu: 10.0 };
+            mbir::stopping::run(&mut gpu, stop, 120, |_, _| BoundaryAction::Continue);
             gpu.equits()
         };
         let serial = run(1);

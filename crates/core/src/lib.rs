@@ -53,9 +53,10 @@ pub mod tally;
 
 pub use args::{gpu_options_for, Args, Scale};
 pub use checkpoint::Checkpoint;
-pub use driver::{plan_config, BoundaryAction, GpuIcd, GpuIterationReport};
+pub use driver::{plan_config, GpuIcd, GpuIterationReport};
 pub use error::MbirError;
 pub use fleet::FleetState;
+pub use mbir::stopping::BoundaryAction;
 pub use model::{GpuWorkModel, ProfileSkeleton};
 pub use opts::{AMatrixMode, GpuOptions, L2ReadWidth, Layout, RegisterMode};
 pub use tally::{BatchTally, SvTally};

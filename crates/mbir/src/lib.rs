@@ -20,6 +20,8 @@
 //! - [`sequential`]: the sequential ICD driver (random visit order,
 //!   zero-skipping, equit accounting) used to produce golden images.
 //! - [`convergence`]: cost evaluation and RMSE-in-HU tracking.
+//! - [`stopping`]: the stop rules and [`stopping::run`], the one loop
+//!   every 2-D ICD driver runs to its stop through.
 
 #![warn(missing_docs)]
 

@@ -11,14 +11,15 @@
 
 use crate::prior::Prior;
 use crate::sequential::IcdStats;
+use crate::stopping::Driver;
 use crate::update::{update_voxel, zero_skippable, SinogramPair};
-use ct_core::hu::rmse_hu;
 use ct_core::image::Image;
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::SystemMatrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::borrow::Cow;
 
 /// NH-ICD configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,17 +84,18 @@ impl<'a, P: Prior> NhIcd<'a, P> {
         }
     }
 
-    fn visit(&mut self, j: usize) {
+    fn visit(&mut self, j: usize, pass: &mut IcdStats) {
         let col = self.a.column(j);
         let mut pair = SinogramPair { e: &mut self.error, w: self.weights };
         let delta = update_voxel(j, &mut self.image, &col, &mut pair, self.prior, true);
         self.last_delta[j] = delta.abs();
-        self.stats.updates += 1;
-        self.stats.total_abs_delta += delta.abs() as f64;
+        pass.updates += 1;
+        pass.total_abs_delta += delta.abs() as f64;
     }
 
     /// One full pass (randomized order, zero-skipping after round 0).
-    pub fn full_pass(&mut self) {
+    /// Returns the pass's own counters.
+    pub fn full_pass(&mut self) -> IcdStats {
         self.rounds += 1;
         let n = self.image.grid().num_voxels();
         let mut order: Vec<u32> = (0..n as u32).collect();
@@ -101,18 +103,22 @@ impl<'a, P: Prior> NhIcd<'a, P> {
             StdRng::seed_from_u64(self.config.seed ^ self.rounds.wrapping_mul(0x9e3779b9));
         order.shuffle(&mut rng);
         let allow_skip = self.config.zero_skip && self.rounds > 1;
+        let mut pass = IcdStats::default();
         for &j in &order {
             let j = j as usize;
             if allow_skip && zero_skippable(&self.image, j) {
-                self.stats.skipped += 1;
+                pass.skipped += 1;
                 continue;
             }
-            self.visit(j);
+            self.visit(j, &mut pass);
         }
+        self.stats += pass;
+        pass
     }
 
     /// One partial pass: revisit the top-`fraction` voxels by VSC.
-    pub fn partial_pass(&mut self) {
+    /// Returns the pass's own counters.
+    pub fn partial_pass(&mut self) -> IcdStats {
         self.rounds += 1;
         let n = self.image.grid().num_voxels();
         let count = ((n as f32 * self.config.fraction).ceil() as usize).clamp(1, n);
@@ -126,9 +132,12 @@ impl<'a, P: Prior> NhIcd<'a, P> {
         let mut rng =
             StdRng::seed_from_u64(self.config.seed ^ self.rounds.wrapping_mul(0xc2b2ae35));
         ids.shuffle(&mut rng);
+        let mut pass = IcdStats::default();
         for &j in &ids {
-            self.visit(j as usize);
+            self.visit(j as usize, &mut pass);
         }
+        self.stats += pass;
+        pass
     }
 
     /// One NH-ICD *cycle*: a full pass followed by the configured
@@ -140,30 +149,6 @@ impl<'a, P: Prior> NhIcd<'a, P> {
         }
     }
 
-    /// Run cycles until RMSE against `golden` drops below
-    /// `threshold_hu`; checks between passes. Returns the final RMSE.
-    pub fn run_to_rmse(&mut self, golden: &Image, threshold_hu: f32, max_passes: usize) -> f32 {
-        let mut rmse = rmse_hu(&self.image, golden);
-        let mut passes = 0usize;
-        'outer: while passes < max_passes {
-            if rmse < threshold_hu {
-                break;
-            }
-            self.full_pass();
-            passes += 1;
-            rmse = rmse_hu(&self.image, golden);
-            for _ in 0..self.config.partials_per_full {
-                if rmse < threshold_hu || passes >= max_passes {
-                    break 'outer;
-                }
-                self.partial_pass();
-                passes += 1;
-                rmse = rmse_hu(&self.image, golden);
-            }
-        }
-        rmse
-    }
-
     /// Current reconstruction.
     pub fn image(&self) -> &Image {
         &self.image
@@ -173,10 +158,27 @@ impl<'a, P: Prior> NhIcd<'a, P> {
     pub fn equits(&self) -> f64 {
         self.stats.equits(self.image.grid().num_voxels())
     }
+}
 
-    /// Work counters.
-    pub fn stats(&self) -> IcdStats {
+/// One step is the next pass of the cycle: a full pass, then
+/// `partials_per_full` partial passes.
+impl<P: Prior> Driver for NhIcd<'_, P> {
+    type Report = IcdStats;
+    fn step(&mut self) -> IcdStats {
+        if self.rounds.is_multiple_of(1 + self.config.partials_per_full as u64) {
+            self.full_pass()
+        } else {
+            self.partial_pass()
+        }
+    }
+    fn stats(&self) -> IcdStats {
         self.stats
+    }
+    fn image(&self) -> Cow<'_, Image> {
+        Cow::Borrowed(&self.image)
+    }
+    fn cost(&self) -> f64 {
+        crate::convergence::cost(&self.image, &self.error, self.weights, self.prior)
     }
 }
 
@@ -185,6 +187,7 @@ mod tests {
     use super::*;
     use crate::prior::QggmrfPrior;
     use crate::sequential::{golden_image, IcdConfig, SequentialIcd};
+    use crate::stopping::{run, BoundaryAction, Stop};
     use ct_core::fbp;
     use ct_core::geometry::Geometry;
     use ct_core::phantom::Phantom;
@@ -207,7 +210,9 @@ mod tests {
         let init = fbp::reconstruct(&g, &s.y);
         let golden = golden_image(&a, &s.y, &s.weights, &prior, init.clone(), 40.0);
         let mut nh = NhIcd::new(&a, &s.y, &s.weights, &prior, init, NhConfig::default());
-        let rmse = nh.run_to_rmse(&golden, 10.0, 60);
+        let stop = Stop::Golden { image: &golden, hu: 10.0 };
+        let out = run(&mut nh, stop, 60, |_, _| BoundaryAction::Continue);
+        let rmse = out.trace.last().unwrap().rmse_hu;
         assert!(rmse < 10.0, "rmse {rmse} after {:.1} equits", nh.equits());
     }
 
@@ -228,7 +233,8 @@ mod tests {
             init.clone(),
             IcdConfig { zero_skip: false, ..Default::default() },
         );
-        plain.run_to_rmse(&golden, 10.0, 60);
+        let stop = Stop::Golden { image: &golden, hu: 10.0 };
+        run(&mut plain, stop, 60, |_, _| BoundaryAction::Continue);
 
         let mut nh = NhIcd::new(
             &a,
@@ -238,7 +244,7 @@ mod tests {
             init,
             NhConfig { zero_skip: false, ..Default::default() },
         );
-        nh.run_to_rmse(&golden, 10.0, 200);
+        run(&mut nh, stop, 200, |_, _| BoundaryAction::Continue);
 
         assert!(
             nh.equits() < plain.equits() * 1.05,

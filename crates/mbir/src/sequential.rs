@@ -8,14 +8,15 @@
 //! voxel count.
 
 use crate::prior::Prior;
+use crate::stopping::Driver;
 use crate::update::{update_voxel, zero_skippable, SinogramPair};
-use ct_core::hu::rmse_hu;
 use ct_core::image::Image;
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::SystemMatrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::borrow::Cow;
 
 /// Knobs shared by the ICD drivers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,6 +53,14 @@ impl IcdStats {
     /// voxels.
     pub fn equits(&self, nvox: usize) -> f64 {
         self.updates as f64 / nvox as f64
+    }
+}
+
+impl std::ops::AddAssign for IcdStats {
+    fn add_assign(&mut self, pass: IcdStats) {
+        self.updates += pass.updates;
+        self.skipped += pass.skipped;
+        self.total_abs_delta += pass.total_abs_delta;
     }
 }
 
@@ -130,9 +139,7 @@ impl<'a, P: Prior> SequentialIcd<'a, P> {
             pass_stats.updates += 1;
             pass_stats.total_abs_delta += delta.abs() as f64;
         }
-        self.stats.updates += pass_stats.updates;
-        self.stats.skipped += pass_stats.skipped;
-        self.stats.total_abs_delta += pass_stats.total_abs_delta;
+        self.stats += pass_stats;
         pass_stats
     }
 
@@ -148,42 +155,6 @@ impl<'a, P: Prior> SequentialIcd<'a, P> {
         }
     }
 
-    /// Run passes until the RMSE against `golden` drops below
-    /// `threshold_hu`, or `max_passes` is reached. Returns the final
-    /// RMSE in HU.
-    pub fn run_to_rmse(&mut self, golden: &Image, threshold_hu: f32, max_passes: usize) -> f32 {
-        let mut rmse = rmse_hu(&self.image, golden);
-        for _ in 0..max_passes {
-            if rmse < threshold_hu {
-                break;
-            }
-            self.pass();
-            rmse = rmse_hu(&self.image, golden);
-        }
-        rmse
-    }
-
-    /// Run passes until a golden-free [`crate::stopping::StopRule`]
-    /// fires or `max_passes` elapse; returns passes used.
-    pub fn run_until(&mut self, rule: crate::stopping::StopRule, max_passes: usize) -> usize {
-        let mut state = crate::stopping::StopState::new(rule);
-        let nvox = self.image.grid().num_voxels();
-        for p in 0..max_passes {
-            let pass_stats = self.pass();
-            let cost = match rule {
-                crate::stopping::StopRule::CostPlateau { .. } => {
-                    crate::convergence::cost(&self.image, &self.error, self.weights, self.prior)
-                }
-                _ => 0.0,
-            };
-            state.observe(&pass_stats, &self.stats, cost, nvox);
-            if state.should_stop() {
-                return p + 1;
-            }
-        }
-        max_passes
-    }
-
     /// Current reconstruction.
     pub fn image(&self) -> &Image {
         &self.image
@@ -194,11 +165,6 @@ impl<'a, P: Prior> SequentialIcd<'a, P> {
         &self.error
     }
 
-    /// Cumulative work counters.
-    pub fn stats(&self) -> IcdStats {
-        self.stats
-    }
-
     /// Equits of work done so far.
     pub fn equits(&self) -> f64 {
         self.stats.equits(self.image.grid().num_voxels())
@@ -207,6 +173,23 @@ impl<'a, P: Prior> SequentialIcd<'a, P> {
     /// Consume the driver, returning the reconstruction.
     pub fn into_image(self) -> Image {
         self.image
+    }
+}
+
+/// One step is one pass.
+impl<P: Prior> Driver for SequentialIcd<'_, P> {
+    type Report = IcdStats;
+    fn step(&mut self) -> IcdStats {
+        self.pass()
+    }
+    fn stats(&self) -> IcdStats {
+        self.stats
+    }
+    fn image(&self) -> Cow<'_, Image> {
+        Cow::Borrowed(&self.image)
+    }
+    fn cost(&self) -> f64 {
+        crate::convergence::cost(&self.image, &self.error, self.weights, self.prior)
     }
 }
 
@@ -231,7 +214,9 @@ mod tests {
     use super::*;
     use crate::convergence::cost;
     use crate::prior::QggmrfPrior;
+    use crate::stopping::{run, BoundaryAction, Stop};
     use ct_core::geometry::Geometry;
+    use ct_core::hu::rmse_hu;
     use ct_core::phantom::Phantom;
     use ct_core::project::{scan, NoiseModel};
 
@@ -276,7 +261,9 @@ mod tests {
         // The golden image itself must be anatomically accurate.
         assert!(rmse_hu(&golden, &s.ground_truth) < 60.0);
         let mut icd = SequentialIcd::new(&a, &s.y, &s.weights, &prior, init, IcdConfig::default());
-        let rmse = icd.run_to_rmse(&golden, 10.0, 12);
+        let stop = Stop::Golden { image: &golden, hu: 10.0 };
+        let out = run(&mut icd, stop, 12, |_, _| BoundaryAction::Continue);
+        let rmse = out.trace.last().unwrap().rmse_hu;
         assert!(rmse < 10.0, "rmse {rmse} HU after {:.1} equits", icd.equits());
         assert!(icd.equits() < 10.0, "took {:.1} equits", icd.equits());
     }

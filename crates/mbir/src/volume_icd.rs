@@ -15,7 +15,6 @@
 
 use crate::prior::Prior;
 use crate::update::{compute_thetas, SinogramPair};
-use ct_core::hu::rmse_hu;
 use ct_core::image::Image;
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::SystemMatrix;
@@ -191,26 +190,6 @@ impl<'a, P: Prior> VolumeIcd<'a, P> {
             }
         }
     }
-
-    /// Run passes until RMSE (HU) against `golden` drops below the
-    /// threshold or `max_passes` elapse; returns the final RMSE.
-    pub fn run_to_rmse(&mut self, golden: &Volume, threshold_hu: f32, max_passes: usize) -> f32 {
-        let to_hu = 1000.0 / ct_core::phantom::MU_WATER;
-        let mut rmse = self.volume.rmse(golden) * to_hu;
-        for _ in 0..max_passes {
-            if rmse < threshold_hu {
-                break;
-            }
-            self.pass();
-            rmse = self.volume.rmse(golden) * to_hu;
-        }
-        rmse
-    }
-}
-
-/// RMSE between matching slices, in HU (helper for tests/examples).
-pub fn slice_rmse_hu(v: &Volume, z: usize, golden: &Image) -> f32 {
-    rmse_hu(&v.slice(z), golden)
 }
 
 #[cfg(test)]

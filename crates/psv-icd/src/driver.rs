@@ -2,18 +2,19 @@
 
 use crate::atomic_image::AtomicImage;
 use crate::cpu_model::{CpuModel, SvWork};
-use ct_core::hu::rmse_hu;
 use ct_core::image::{Image, Neighbors8};
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::{ColumnView, SystemMatrix};
-use mbir::convergence::ConvergenceTrace;
+use mbir::convergence::TracePoint;
 use mbir::prior::{clique_weight, Prior};
 use mbir::sequential::{IcdConfig, IcdStats};
+use mbir::stopping::Driver;
 use mbir_simd::AColumn;
 use mbir_telemetry::{ConvergencePoint, IterationSample, KernelSpan, ProfileSink, RecordingSink};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::sync::Arc;
 use supervoxel::checkerboard::checkerboard_groups;
 use supervoxel::plan::{PlanConfig, SvPlanSet};
@@ -95,6 +96,13 @@ pub struct PsvIterationReport {
     pub abs_delta: f64,
     /// Modeled 16-core seconds for this iteration.
     pub modeled_seconds: f64,
+}
+
+/// A report's work counters, as the stop rules read them.
+impl From<PsvIterationReport> for IcdStats {
+    fn from(r: PsvIterationReport) -> IcdStats {
+        IcdStats { updates: r.updates, skipped: r.skipped, total_abs_delta: r.abs_delta }
+    }
 }
 
 /// Per-SV visit bookkeeping shared between worker threads.
@@ -331,9 +339,7 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
         report.modeled_seconds = self.model.iteration_time(&works);
         let start_seconds = self.modeled_seconds;
         self.modeled_seconds += report.modeled_seconds;
-        self.stats.updates += report.updates;
-        self.stats.skipped += report.skipped;
-        self.stats.total_abs_delta += report.abs_delta;
+        self.stats += IcdStats::from(report);
         if let Some(sink) = &self.sink {
             // The whole iteration is one modeled "launch" on the CPU:
             // there is no per-kernel breakdown, so GPU-only counters
@@ -384,44 +390,6 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
         report
     }
 
-    /// Iterate until RMSE against `golden` drops below `threshold_hu`,
-    /// recording a convergence trace in modeled seconds. Stops after
-    /// `max_iters` regardless.
-    pub fn run_to_rmse(
-        &mut self,
-        golden: &Image,
-        threshold_hu: f32,
-        max_iters: usize,
-    ) -> ConvergenceTrace {
-        let mut trace = ConvergenceTrace::default();
-        let img = self.image.to_image();
-        trace.record(self.equits(), self.modeled_seconds, &img, golden);
-        self.emit_convergence(&trace);
-        for _ in 0..max_iters {
-            if rmse_hu(&self.image.to_image(), golden) < threshold_hu {
-                break;
-            }
-            self.iteration();
-            let img = self.image.to_image();
-            trace.record(self.equits(), self.modeled_seconds, &img, golden);
-            self.emit_convergence(&trace);
-        }
-        trace
-    }
-
-    /// Forward the newest trace point to the sink, if profiling.
-    fn emit_convergence(&self, trace: &ConvergenceTrace) {
-        if let Some(sink) = &self.sink {
-            let p = trace.last().expect("point just recorded");
-            sink.convergence(&ConvergencePoint {
-                iter: self.iter,
-                equits: p.equits,
-                seconds: p.seconds,
-                rmse_hu: p.rmse_hu as f64,
-            });
-        }
-    }
-
     /// Current reconstruction (copied out of the shared image).
     pub fn image(&self) -> Image {
         self.image.to_image()
@@ -437,14 +405,40 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
         self.stats.equits(self.image.grid().num_voxels())
     }
 
-    /// Cumulative counters.
-    pub fn stats(&self) -> IcdStats {
-        self.stats
-    }
-
     /// Total modeled 16-core seconds so far.
     pub fn modeled_seconds(&self) -> f64 {
         self.modeled_seconds
+    }
+}
+
+/// One step is one outer iteration; the image is copied out of the
+/// shared atomic image, and golden trace points go to the profile sink.
+impl<P: Prior> Driver for PsvIcd<'_, P> {
+    type Report = PsvIterationReport;
+    fn step(&mut self) -> PsvIterationReport {
+        self.iteration()
+    }
+    fn stats(&self) -> IcdStats {
+        self.stats
+    }
+    fn image(&self) -> Cow<'_, Image> {
+        Cow::Owned(self.image.to_image())
+    }
+    fn seconds(&self) -> f64 {
+        self.modeled_seconds
+    }
+    fn cost(&self) -> f64 {
+        mbir::convergence::cost(&self.image.to_image(), &self.error, self.weights, self.prior)
+    }
+    fn trace_point(&self, p: &TracePoint) {
+        if let Some(sink) = &self.sink {
+            sink.convergence(&ConvergencePoint {
+                iter: self.iter,
+                equits: p.equits,
+                seconds: p.seconds,
+                rmse_hu: p.rmse_hu as f64,
+            });
+        }
     }
 }
 
@@ -490,6 +484,7 @@ mod tests {
     use ct_core::project::{scan, NoiseModel, Scan};
     use mbir::prior::QggmrfPrior;
     use mbir::sequential::golden_image;
+    use mbir::stopping::{run, BoundaryAction, Stop};
 
     fn setup() -> (Geometry, SystemMatrix, Scan) {
         let g = Geometry::tiny_scale();
@@ -510,7 +505,8 @@ mod tests {
         let init = fbp::reconstruct(&g, &s.y);
         let golden = golden_image(&a, &s.y, &s.weights, &prior, init.clone(), 40.0);
         let mut psv = PsvIcd::new(&a, &s.y, &s.weights, &prior, init, config());
-        let trace = psv.run_to_rmse(&golden, 10.0, 60);
+        let stop = Stop::Golden { image: &golden, hu: 10.0 };
+        let trace = run(&mut psv, stop, 60, |_, _| BoundaryAction::Continue).trace;
         let last = trace.last().unwrap();
         assert!(last.rmse_hu < 10.0, "rmse {} after {} iters", last.rmse_hu, trace.points.len());
         assert!(psv.modeled_seconds() > 0.0);

@@ -188,7 +188,8 @@ pub struct ExchangeRecord {
     pub bytes: u64,
 }
 
-/// One convergence-trace sample (recorded by `run_to_rmse`).
+/// One convergence-trace sample: a golden-stopped run records one before
+/// its first iteration and one after each.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct ConvergencePoint {
     /// Iterations completed when the sample was taken.

@@ -16,6 +16,7 @@ use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::golden_image;
+use mbir::stopping::{run, BoundaryAction, Stop};
 
 fn main() {
     let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1);
@@ -40,9 +41,10 @@ fn main() {
                     ..Default::default()
                 };
                 let mut gpu = GpuIcd::new(&a, &s.y, &s.weights, &prior, init.clone(), opts);
-                let trace = gpu.run_to_rmse(&golden, 10.0, 150);
+                let stop = Stop::Golden { image: &golden, hu: 10.0 };
+                let out = run(&mut gpu, stop, 150, |_, _| BoundaryAction::Continue);
                 tried += 1;
-                if trace.last().map(|p| p.rmse_hu < 10.0).unwrap_or(false) {
+                if out.converged {
                     let t = gpu.modeled_seconds();
                     if best.as_ref().map(|(bt, _)| t < *bt).unwrap_or(true) {
                         println!(

@@ -16,6 +16,7 @@ use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::{golden_image, IcdConfig, SequentialIcd};
+use mbir::stopping::{run, BoundaryAction, Driver, Stop};
 use psv_icd::{PsvConfig, PsvIcd};
 
 fn main() {
@@ -39,7 +40,9 @@ fn main() {
     // Sequential ICD (single core).
     let mut seq =
         SequentialIcd::new(&a, &s.y, &s.weights, &prior, init.clone(), IcdConfig::default());
-    seq.run_to_rmse(&golden, 10.0, 40);
+    // Every driver runs to the paper's criterion through the same loop.
+    let stop = Stop::Golden { image: &golden, hu: 10.0 };
+    run(&mut seq, stop, 40, |_, _| BoundaryAction::Continue);
     let seq_entries = seq.stats().updates as f64 * a.nnz() as f64 / geom.grid.num_voxels() as f64;
     let seq_time = psv_icd::CpuModel::paper_baseline().sequential_time(seq_entries);
 
@@ -52,13 +55,13 @@ fn main() {
         init.clone(),
         PsvConfig { sv_side: 6, threads: 2, ..Default::default() },
     );
-    psv.run_to_rmse(&golden, 10.0, 200);
+    run(&mut psv, stop, 200, |_, _| BoundaryAction::Continue);
 
     // GPU-ICD (simulated Titan X).
     let opts =
         GpuOptions { sv_side: 8, threadblocks_per_sv: 12, svs_per_batch: 16, ..Default::default() };
     let mut gpu = GpuIcd::new(&a, &s.y, &s.weights, &prior, init, opts);
-    gpu.run_to_rmse(&golden, 10.0, 300);
+    run(&mut gpu, stop, 300, |_, _| BoundaryAction::Continue);
 
     println!(
         "\n{:<16} {:>14} {:>10} {:>14}",

@@ -14,6 +14,7 @@ use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::golden_image;
+use mbir::stopping::{run, BoundaryAction, Stop};
 
 fn main() {
     // 1. Describe the scanner: parallel-beam, 96 views over 180
@@ -41,15 +42,19 @@ fn main() {
     let mut gpu = GpuIcd::new(&a, &s.y, &s.weights, &prior, init.clone(), opts);
 
     // Converge to the paper's criterion: RMSE < 10 HU against a
-    // 40-equit sequential golden image.
+    // 40-equit sequential golden image. `run` is the one loop every
+    // ICD driver runs to its stop through; the hook sees each
+    // iteration and could stop the run early.
     let golden = golden_image(&a, &s.y, &s.weights, &prior, init, 40.0);
-    let trace = gpu.run_to_rmse(&golden, 10.0, 200);
+    let stop = Stop::Golden { image: &golden, hu: 10.0 };
+    let out = run(&mut gpu, stop, 200, |_, _| BoundaryAction::Continue);
 
     println!("FBP init RMSE vs truth: {:.1} HU", rmse_hu(&fbp::reconstruct(&geom, &s.y), &truth));
     println!(
-        "GPU-ICD RMSE vs golden: {:.2} HU after {:.1} equits",
-        trace.last().unwrap().rmse_hu,
-        gpu.equits()
+        "GPU-ICD RMSE vs golden: {:.2} HU after {:.1} equits (converged: {})",
+        out.trace.last().unwrap().rmse_hu,
+        gpu.equits(),
+        out.converged
     );
     println!("GPU-ICD RMSE vs truth:  {:.1} HU", rmse_hu(gpu.image(), &truth));
     println!("modeled Titan X time:   {:.2} ms", gpu.modeled_seconds() * 1e3);

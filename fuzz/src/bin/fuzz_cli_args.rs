@@ -19,6 +19,9 @@ mbir_fuzz::fuzz_target!(|data: &[u8]| {
         let _ = args.get_or(name, 0usize);
         let _ = args.get_or(name, 0u64);
         let _ = args.get_or(name, 0.0f32);
+        if let Ok(v) = args.positive_or(name, 1.0) {
+            assert!(v.is_finite() && v > 0.0, "--{name} accepted {v}");
+        }
         match args.get(name) {
             Ok(Some(v)) => assert!(present && !v.starts_with("--"), "--{name} took flag {v}"),
             Ok(None) => assert!(!present, "--{name} present but valueless read as absent"),

@@ -24,7 +24,7 @@ use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::{IcdConfig, SequentialIcd};
-use mbir::stopping::StopRule;
+use mbir::stopping::{run, BoundaryAction, Driver, Stop, StopRule};
 use psv_icd::{PsvConfig, PsvIcd};
 
 /// Which reconstruction algorithm to run.
@@ -50,6 +50,9 @@ pub struct ReconResult {
     /// Modeled execution seconds on the algorithm's platform
     /// (0 for FBP and sequential wall-clock-less paths).
     pub modeled_seconds: f64,
+    /// Whether the stopping rule fired within the pass budget (always
+    /// true for FBP, a direct method).
+    pub converged: bool,
 }
 
 /// Builder for a reconstruction run.
@@ -137,6 +140,7 @@ impl Reconstructor {
                 image: fbp::reconstruct(&self.geom, y),
                 equits: 0.0,
                 modeled_seconds: 0.0,
+                converged: true,
             };
         }
 
@@ -152,47 +156,12 @@ impl Reconstructor {
         match self.algorithm {
             Algorithm::Fbp => unreachable!(),
             Algorithm::SequentialIcd => {
-                let mut icd = SequentialIcd::new(&a, y, &w, &prior, init, IcdConfig::default());
-                icd.run_until(self.stop, self.max_passes);
-                let equits = icd.equits();
-                ReconResult { image: icd.into_image(), equits, modeled_seconds: 0.0 }
+                self.solve(SequentialIcd::new(&a, y, &w, &prior, init, IcdConfig::default()))
             }
             Algorithm::PsvIcd => {
                 let side = self.sv_side.unwrap_or(cpu_side);
-                let mut psv = PsvIcd::new(
-                    &a,
-                    y,
-                    &w,
-                    &prior,
-                    init,
-                    PsvConfig { sv_side: side, threads: 2, ..Default::default() },
-                );
-                // PSV drives off its own iteration loop with the same
-                // golden-free rule applied to per-iteration updates.
-                let mut state = mbir::stopping::StopState::new(self.stop);
-                for _ in 0..self.max_passes {
-                    let r = psv.iteration();
-                    let pass = mbir::sequential::IcdStats {
-                        updates: r.updates,
-                        skipped: r.skipped,
-                        total_abs_delta: r.abs_delta,
-                    };
-                    let stats = psv.stats();
-                    state.observe(&pass, &stats, 0.0, self.geom.grid.num_voxels());
-                    if let StopRule::MaxEquits { equits } = self.stop {
-                        if psv.equits() >= equits {
-                            break;
-                        }
-                    }
-                    if state.should_stop() {
-                        break;
-                    }
-                }
-                ReconResult {
-                    image: psv.image(),
-                    equits: psv.equits(),
-                    modeled_seconds: psv.modeled_seconds(),
-                }
+                let config = PsvConfig { sv_side: side, threads: 2, ..Default::default() };
+                self.solve(PsvIcd::new(&a, y, &w, &prior, init, config))
             }
             Algorithm::GpuIcd => {
                 let opts = self.gpu_options.unwrap_or(GpuOptions {
@@ -205,14 +174,18 @@ impl Reconstructor {
                     batch_threshold: false,
                     ..Default::default()
                 });
-                let mut gpu = GpuIcd::new(&a, y, &w, &prior, init, opts);
-                gpu.run_until(self.stop, self.max_passes);
-                ReconResult {
-                    image: gpu.image().clone(),
-                    equits: gpu.equits(),
-                    modeled_seconds: gpu.modeled_seconds(),
-                }
+                self.solve(GpuIcd::new(&a, y, &w, &prior, init, opts))
             }
         }
+    }
+
+    /// Run `driver` until the stopping rule fires or the pass budget
+    /// runs out.
+    fn solve<D: Driver>(&self, mut driver: D) -> ReconResult {
+        let stop = Stop::Rule(self.stop);
+        let out = run(&mut driver, stop, self.max_passes, |_, _| BoundaryAction::Continue);
+        let image = driver.image().into_owned();
+        let equits = driver.stats().equits(image.grid().num_voxels());
+        ReconResult { image, equits, modeled_seconds: driver.seconds(), converged: out.converged }
     }
 }

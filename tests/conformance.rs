@@ -29,7 +29,7 @@ use std::path::PathBuf;
 
 use ct_core::phantom::Phantom;
 use gpu_icd::{AMatrixMode, Checkpoint, GpuIcd, GpuOptions, Layout};
-use mbir_bench::{gpu_options_for, run_gpu, run_psv, run_sequential, Pipeline, Scale};
+use mbir_bench::{gpu_options_for, run_gpu, run_psv, run_sequential, to_golden, Pipeline, Scale};
 use mbir_fleet::FaultSpec;
 
 /// Bitwise golden ledger: every `check_*` call records the actual
@@ -165,7 +165,7 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
     ] {
         let opts = GpuOptions { amatrix: mode, ..base };
         let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
-        gpu.run_to_rmse(&p.golden, 10.0, 300);
+        to_golden(&mut gpu, &p, 300);
 
         // The profiled run must be bitwise identical to the unprofiled
         // one — the structural invariant repro_table2 asserts — and its
@@ -173,7 +173,7 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
         let opts = GpuOptions { amatrix: mode, profile: true, ..base };
         let mut prof =
             GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
-        prof.run_to_rmse(&p.golden, 10.0, 300);
+        to_golden(&mut prof, &p, 300);
         assert_eq!(gpu.modeled_seconds().to_bits(), prof.modeled_seconds().to_bits());
         assert_eq!(gpu.image(), prof.image());
         let report = prof.recording().expect("profile on").report("gpu-icd");

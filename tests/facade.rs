@@ -83,6 +83,29 @@ fn cost_plateau_rule_terminates() {
 }
 
 #[test]
+fn cost_plateau_judges_every_algorithm_by_its_map_cost() {
+    // A tighter tolerance must cost more work on every ICD driver; a
+    // rule fed a constant cost would stop each at its second iteration.
+    let (geom, y, _) = measurement();
+    for algo in [Algorithm::SequentialIcd, Algorithm::PsvIcd, Algorithm::GpuIcd] {
+        let run = |tol: f64, passes: usize| {
+            let stop = StopRule::CostPlateau { tol };
+            Reconstructor::new(geom).algorithm(algo).stop(stop).max_passes(passes).run(&y)
+        };
+        let (loose, tight) = (run(1e-2, 200), run(1e-12, 200));
+        assert!(loose.converged && tight.converged, "{algo:?} hit the pass budget");
+        assert!(
+            tight.equits > loose.equits,
+            "{algo:?}: tol 1e-12 took {} equits, tol 1e-2 took {}",
+            tight.equits,
+            loose.equits
+        );
+        // One pass can never show a plateau: the budget ends the run.
+        assert!(!run(1e-2, 1).converged, "{algo:?} claimed a plateau after one pass");
+    }
+}
+
+#[test]
 fn gpu_options_override_applies() {
     let (geom, y, _) = measurement();
     let opts = gpu_icd::GpuOptions {

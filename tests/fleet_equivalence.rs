@@ -17,6 +17,7 @@ use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::golden_image;
+use mbir::stopping::{self, BoundaryAction, Stop};
 use mbir_fleet::FleetSpec;
 use mbir_telemetry::json;
 
@@ -58,7 +59,8 @@ struct RunResult {
 
 fn run(s: &Setup, o: GpuOptions) -> RunResult {
     let mut gpu = GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), o);
-    gpu.run_to_rmse(&s.golden, 10.0, 40);
+    let stop = Stop::Golden { image: &s.golden, hu: 10.0 };
+    stopping::run(&mut gpu, stop, 40, |_, _| BoundaryAction::Continue);
     RunResult {
         image: gpu.image().clone(),
         error: gpu.error().clone(),

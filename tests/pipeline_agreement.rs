@@ -11,6 +11,7 @@ use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::{golden_image, IcdConfig, SequentialIcd};
+use mbir::stopping::{self, BoundaryAction, Stop};
 use psv_icd::{PsvConfig, PsvIcd};
 
 struct Setup {
@@ -49,7 +50,9 @@ fn all_three_algorithms_converge_and_agree() {
         s.init.clone(),
         IcdConfig::default(),
     );
-    let seq_rmse = seq.run_to_rmse(&s.golden, 10.0, 30);
+    let stop = Stop::Golden { image: &s.golden, hu: 10.0 };
+    let out = stopping::run(&mut seq, stop, 30, |_, _| BoundaryAction::Continue);
+    let seq_rmse = out.trace.last().unwrap().rmse_hu;
     assert!(seq_rmse < 10.0, "sequential rmse {seq_rmse}");
 
     let mut psv = PsvIcd::new(
@@ -60,13 +63,13 @@ fn all_three_algorithms_converge_and_agree() {
         s.init.clone(),
         PsvConfig { sv_side: 6, threads: 2, ..Default::default() },
     );
-    psv.run_to_rmse(&s.golden, 10.0, 80);
+    stopping::run(&mut psv, stop, 80, |_, _| BoundaryAction::Continue);
     let psv_rmse = rmse_hu(&psv.image(), &s.golden);
     assert!(psv_rmse < 10.0, "psv rmse {psv_rmse}");
 
     let mut gpu =
         GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), gpu_opts());
-    gpu.run_to_rmse(&s.golden, 10.0, 120);
+    stopping::run(&mut gpu, stop, 120, |_, _| BoundaryAction::Continue);
     let gpu_rmse = rmse_hu(gpu.image(), &s.golden);
     assert!(gpu_rmse < 10.0, "gpu rmse {gpu_rmse}");
 

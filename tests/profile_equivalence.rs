@@ -12,6 +12,7 @@ use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::golden_image;
+use mbir::stopping::{self, BoundaryAction, Stop};
 use mbir_telemetry::{chrome_trace, json, ProfileReport};
 use psv_icd::{PsvConfig, PsvIcd};
 use serde::json::Value;
@@ -48,7 +49,8 @@ fn gpu_opts(profile: bool) -> GpuOptions {
 fn run_gpu(s: &Setup, profile: bool) -> (ct_core::image::Image, f64, Option<ProfileReport>) {
     let mut gpu =
         GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), gpu_opts(profile));
-    gpu.run_to_rmse(&s.golden, 10.0, 40);
+    let stop = Stop::Golden { image: &s.golden, hu: 10.0 };
+    stopping::run(&mut gpu, stop, 40, |_, _| BoundaryAction::Continue);
     let report = gpu.recording().map(|r| r.report("gpu-icd"));
     (gpu.image().clone(), gpu.modeled_seconds(), report)
 }
@@ -146,7 +148,8 @@ fn psv_profiled_run_is_bitwise_identical_and_valid() {
         let config = PsvConfig { sv_side: 6, threads: 2, profile, ..Default::default() };
         let mut psv =
             PsvIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), config);
-        psv.run_to_rmse(&s.golden, 10.0, 60);
+        let stop = Stop::Golden { image: &s.golden, hu: 10.0 };
+        stopping::run(&mut psv, stop, 60, |_, _| BoundaryAction::Continue);
         let report = psv.recording().map(|r| r.report("psv-icd"));
         (psv.image(), psv.modeled_seconds(), report)
     };
@@ -195,7 +198,8 @@ fn external_sink_sees_the_same_events() {
     let mut gpu2 =
         GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), gpu_opts(false));
     gpu2.set_profile_sink(Arc::new(RecordingSink::new()));
-    gpu2.run_to_rmse(&s.golden, 10.0, 40);
+    let stop = Stop::Golden { image: &s.golden, hu: 10.0 };
+    stopping::run(&mut gpu2, stop, 40, |_, _| BoundaryAction::Continue);
     assert_eq!(gpu2.image(), &img_plain);
     assert_eq!(gpu2.modeled_seconds().to_bits(), secs_plain.to_bits());
 }

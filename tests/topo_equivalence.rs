@@ -19,6 +19,7 @@ use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::golden_image;
+use mbir::stopping::{self, BoundaryAction, Stop};
 use mbir_fleet::FaultSpec;
 use mbir_telemetry::json;
 use mbir_topo::ClusterSpec;
@@ -64,7 +65,8 @@ fn run_cluster(s: &Setup, o: GpuOptions, cluster: Option<ClusterSpec>) -> RunRes
     if let Some(c) = cluster {
         gpu.set_cluster_spec(c).expect("valid cluster spec");
     }
-    gpu.run_to_rmse(&s.golden, 10.0, 40);
+    let stop = Stop::Golden { image: &s.golden, hu: 10.0 };
+    stopping::run(&mut gpu, stop, 40, |_, _| BoundaryAction::Continue);
     RunResult {
         image: gpu.image().clone(),
         error: gpu.error().clone(),
@@ -104,7 +106,8 @@ fn degenerate_single_node_cluster_matches_the_flat_fleet_timeline() {
         let mut gpu =
             GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), opts(4));
         gpu.set_fleet_spec(cluster.flatten()).expect("valid fleet spec");
-        gpu.run_to_rmse(&s.golden, 10.0, 40);
+        let stop = Stop::Golden { image: &s.golden, hu: 10.0 };
+        stopping::run(&mut gpu, stop, 40, |_, _| BoundaryAction::Continue);
         (gpu.image().clone(), gpu.modeled_seconds())
     };
     let hier = run_cluster(&s, opts(4), Some(cluster));
@@ -247,7 +250,8 @@ fn cluster_rejects_size_mismatch_and_composes_with_faults_and_restore() {
     cluster_first.set_cluster_spec(cluster()).expect("cluster installs");
     cluster_first.set_fault_spec(faults).expect("faults install on a cluster");
     for gpu in [&mut faults_first, &mut cluster_first] {
-        gpu.run_to_rmse(&s.golden, 10.0, 40);
+        let stop = Stop::Golden { image: &s.golden, hu: 10.0 };
+        stopping::run(gpu, stop, 40, |_, _| BoundaryAction::Continue);
         assert_eq!(gpu.image(), &healthy.image);
         assert_eq!(gpu.image(), &base.image);
         assert_eq!(gpu.error(), &base.error);
