@@ -1,9 +1,7 @@
-//! Plan-cache benchmarks: the one-time per-SV plan build, the per-scan
-//! driver build on a shared plan, and one GPU-ICD iteration with the
-//! cache on vs off (outputs are bitwise identical — see
-//! tests/plan_cache_equivalence.rs — so the delta is pure wall-clock).
+//! Plan benchmarks: the one-time per-SV plan build and the per-scan
+//! driver build on a shared plan.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use ct_core::fbp;
 use ct_core::geometry::Geometry;
 use ct_core::image::Image;
@@ -82,32 +80,5 @@ fn bench_driver_build(c: &mut Criterion) {
     group.finish();
 }
 
-/// One GPU-ICD iteration, plan cache on vs off. The driver is rebuilt
-/// per sample (iter_batched) so the measured region is iteration-only;
-/// the cached driver reads the plan, the uncached one re-quantizes and
-/// re-chunks every column it visits.
-fn bench_iteration_cached_vs_uncached(c: &mut Criterion) {
-    let su = setup();
-    let prior = QggmrfPrior::standard(0.002);
-    let mut group = c.benchmark_group("iteration_cached_vs_uncached");
-    group.sample_size(10);
-    for (label, plan_cache) in [("cached", true), ("uncached", false)] {
-        let o = GpuOptions { plan_cache, ..opts() };
-        group.bench_function(&format!("gpu_icd_iteration_64_{label}"), |b| {
-            b.iter_batched(
-                || GpuIcd::new(&su.a, &su.s.y, &su.s.weights, &prior, su.init.clone(), o),
-                |mut gpu| black_box(gpu.iteration()),
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_sv_plan_build,
-    bench_driver_build,
-    bench_iteration_cached_vs_uncached
-);
+criterion_group!(benches, bench_sv_plan_build, bench_driver_build);
 criterion_main!(benches);

@@ -329,7 +329,7 @@ fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirErr
                 psv.equits(),
                 psv.modeled_seconds()
             );
-            (psv.image(), note, out, psv.recording().cloned())
+            (psv.image().clone(), note, out, psv.recording().cloned())
         }
         _ => {
             let opts = gpu_icd::GpuOptions {

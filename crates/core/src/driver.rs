@@ -19,56 +19,39 @@ use crate::error::MbirError;
 use crate::fleet::{BatchContext, FleetState};
 use crate::model::{BatchTiming, GpuWorkModel, ProfileSkeleton};
 use crate::opts::{GpuOptions, Layout};
+use crate::sv_update::update_sv;
 use crate::tally::{BatchTally, SvTally};
-use ct_core::image::{Image, SharedImage};
+use ct_core::image::Image;
 use ct_core::sinogram::Sinogram;
-use ct_core::sysmat::{ColumnView, SystemMatrix};
+use ct_core::sysmat::SystemMatrix;
 use gpu_sim::timing::KernelTiming;
 use mbir::convergence::TracePoint;
-use mbir::prior::{clique_weight, Prior};
+use mbir::prior::Prior;
 use mbir::sequential::IcdStats;
 use mbir::stopping::{run, BoundaryAction, Driver, Stop};
-use mbir::update::Thetas;
 use mbir_fleet::{FaultSpec, FleetReport, FleetSpec};
-use mbir_simd::AColumn;
 use mbir_telemetry::{ConvergencePoint, IterationSample, ProfileSink, RecordingSink};
 use mbir_topo::ClusterSpec;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::borrow::Cow;
 use std::sync::Arc;
 use supervoxel::checkerboard::checkerboard_groups;
-use supervoxel::chunks::chunk_tally;
-use supervoxel::plan::{PlanConfig, SvPlan, SvPlanSet, VoxelPlan};
-use supervoxel::quant::QuantizedColumn;
+use supervoxel::plan::{PlanConfig, SvPlanSet};
 use supervoxel::selection::{select_svs, Selection};
 use supervoxel::svb::{Svb, SvbLayout};
 use supervoxel::tiling::Tiling;
 
-/// The [`PlanConfig`] implied by a set of GPU options.
-///
-/// With `plan_cache` on, the plan carries everything iterations reuse
-/// (chunk tallies, quantized columns). With it off, the plan degrades
-/// to the band shapes alone, so the uncached baseline pays no plan
-/// build cost beyond what the old driver already did at setup.
+/// The [`PlanConfig`] implied by a set of GPU options: the layout's
+/// buffers, its chunk width when chunked, and the A-matrix bit width
+/// when quantized — everything iterations reuse.
 pub fn plan_config(opts: &GpuOptions) -> PlanConfig {
-    let layout = match opts.layout {
-        Layout::Naive => SvbLayout::SensorMajor,
-        Layout::Chunked { .. } => SvbLayout::Transposed,
+    let (chunk_width, layout) = match opts.layout {
+        Layout::Naive => (None, SvbLayout::SensorMajor),
+        Layout::Chunked { width } => (Some(width as usize), SvbLayout::Transposed),
     };
-    if opts.plan_cache {
-        PlanConfig {
-            chunk_width: match opts.layout {
-                Layout::Chunked { width } => Some(width as usize),
-                Layout::Naive => None,
-            },
-            quant_bits: if opts.amatrix.quantized() { Some(opts.amatrix_bits) } else { None },
-            layout,
-        }
-    } else {
-        PlanConfig { chunk_width: None, quant_bits: None, layout }
-    }
+    let quant_bits = opts.amatrix.quantized().then_some(opts.amatrix_bits);
+    PlanConfig { chunk_width, quant_bits, layout }
 }
 
 /// What one outer iteration did.
@@ -225,7 +208,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
 
     /// Initialize with a pre-built plan set (shared via `Arc` across
     /// drivers/runs). The plan must have been built for the same
-    /// geometry, an identical tiling, and `plan_config(&opts)`; it holds
+    /// geometry, SV side, and `plan_config(&opts)`; it holds
     /// nothing scan-dependent, so one plan serves every scan of its
     /// geometry and this constructor only projects `init`.
     pub fn with_plan(
@@ -240,7 +223,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         let tiling = Tiling::new(init.grid(), opts.sv_side);
         assert_eq!(plan.geometry(), a.geometry(), "plan built for a different geometry");
         assert_eq!(plan.config(), plan_config(&opts), "plan built for different options");
-        assert_eq!(plan.plans().len(), tiling.len(), "plan built for different tiling");
+        assert_eq!(plan.tiling().sv_side(), opts.sv_side, "plan built for different tiling");
         let ax = a.forward(&init);
         let mut error = y.clone();
         for (e, axv) in error.data_mut().iter_mut().zip(ax.data()) {
@@ -466,10 +449,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     /// rounds, scatter all deltas, and model the three kernels.
     /// Returns the batch's wall seconds on the modeled timeline.
     fn process_batch(&mut self, batch: &[usize], report: &mut GpuIterationReport) -> f64 {
-        let layout = match self.opts.layout {
-            Layout::Naive => SvbLayout::SensorMajor,
-            Layout::Chunked { .. } => SvbLayout::Transposed,
-        };
+        let layout = self.plan.config().layout;
         let allow_skip = self.opts.zero_skip && self.iter > 1;
         let rounds = self.opts.blocks_per_sv() as usize;
 
@@ -744,171 +724,6 @@ impl<P: Prior + Sync> Driver for GpuIcd<'_, P> {
             });
         }
     }
-}
-
-/// Update one SV's voxels in rounds of `rounds` concurrent updates
-/// (free function so the driver can split its field borrows; takes the
-/// shared image view so batch SVs can run on worker threads).
-///
-/// When `opts.plan_cache` is on, every iteration-invariant quantity
-/// (chunk tallies, quantized columns) comes from the [`SvPlan`];
-/// otherwise it is recomputed per visit exactly as the pre-cache driver
-/// did. Band geometry and offsets always come from the plan. Both paths
-/// are bitwise identical.
-#[allow(clippy::too_many_arguments)]
-fn update_sv<P: Prior>(
-    a: &SystemMatrix,
-    image: &SharedImage<'_>,
-    prior: &P,
-    opts: &GpuOptions,
-    plan: &SvPlan,
-    iter: u64,
-    svb: &mut Svb<'_>,
-    rounds: usize,
-    allow_skip: bool,
-) -> SvTally {
-    let sv = plan.sv;
-    let vox = plan.voxels();
-    // Shuffle indices into the plan's voxel list. Fisher-Yates is
-    // element-type-independent, so this yields the same permutation the
-    // old driver got shuffling the voxel ids themselves.
-    let mut order: Vec<u32> = (0..vox.len() as u32).collect();
-    let mut rng = StdRng::seed_from_u64(
-        opts.seed ^ iter.wrapping_mul(131) ^ (sv as u64).wrapping_mul(0x9e3779b9),
-    );
-    order.shuffle(&mut rng);
-
-    let cached = opts.plan_cache;
-    let chunk_width = match opts.layout {
-        Layout::Chunked { width } => Some(width as usize),
-        Layout::Naive => None,
-    };
-    let quantized = if opts.amatrix.quantized() { Some(opts.amatrix_bits) } else { None };
-    // Resolve the lane-kernel backend once per SV (the env fallback is
-    // not free) and hand the concrete choice to every voxel visit.
-    let simd = mbir_simd::resolve(opts.simd);
-    let nviews = plan.shape.num_views();
-
-    let mut t = SvTally {
-        sv,
-        svb_bytes: plan.svb_bytes,
-        band_width: plan.band_width,
-        max_block_share: 1.0 / rounds as f64,
-        ..Default::default()
-    };
-
-    // Static-distribution imbalance: blocks own contiguous ranges of
-    // the voxel list; measure the heaviest block's update share.
-    let mut static_updates = vec![0u64; rounds];
-    let range_len = order.len().div_ceil(rounds);
-
-    // Concurrency emulation: with `rounds` blocks in flight, a voxel's
-    // theta pass misses the commits of the other in-flight updates —
-    // on average half of them, since blocks progress in staggered
-    // phases and atomics land as each block finishes. Model this as a
-    // FIFO of delayed commits of depth `rounds / 2`: a voxel's update
-    // becomes visible to updates starting that much later. Depth 1
-    // degenerates to sequential Gauss-Seidel semantics.
-    //
-    // The depth is additionally capped at 1/16 of the SV's voxels: when
-    // many blocks squeeze into a small SV, their atomic updates to the
-    // narrow shared band contend and serialize (the contention the
-    // paper reports for small SV sides), which throttles the *effective*
-    // concurrency — without the cap the emulation over-penalizes
-    // extreme block-to-voxel ratios that the hardware self-limits.
-    let window = (rounds / 2).clamp(1, (order.len() / 16).max(1));
-    let mut fifo: std::collections::VecDeque<(u32, f32)> = std::collections::VecDeque::new();
-    let commit = |svb: &mut Svb<'_>, oi: u32, delta: f32| {
-        if delta != 0.0 {
-            let vp = &vox[oi as usize];
-            image.set(vp.voxel, image.get(vp.voxel) + delta);
-            let col = a.column(vp.voxel);
-            with_entries(vp, &col, quantized, cached, |e| {
-                svb.apply_delta(&col, e, plan.offsets(vp), delta, simd)
-            });
-        }
-    };
-    for (pos, &oi) in order.iter().enumerate() {
-        let vp = &vox[oi as usize];
-        let j = vp.voxel;
-        if allow_skip && image.zero_skippable(j) {
-            t.skipped += 1;
-            continue;
-        }
-        if fifo.len() >= window {
-            let (oj, d) = fifo.pop_front().expect("window >= 1");
-            commit(svb, oj, d);
-        }
-        let col = a.column(j);
-        let th = with_entries(vp, &col, quantized, cached, |e| {
-            svb.thetas(&col, e, plan.offsets(vp), simd)
-        });
-        let delta = compute_delta(image, prior, opts.positivity, j, th);
-        t.updates += 1;
-        t.abs_delta += delta.abs() as f64;
-        t.nnz += vp.nnz as f64;
-        if cached {
-            // Integer tallies are exact in f64, so the cached sums are
-            // bitwise what the per-visit recomputation accumulates.
-            t.dense += vp.dense as f64;
-            t.descriptors += vp.descriptors as f64;
-        } else if let Some(w) = chunk_width {
-            let (dense, descriptors) = chunk_tally(&col, w);
-            t.dense += dense as f64;
-            t.descriptors += descriptors as f64;
-        } else {
-            t.dense += col.nnz() as f64;
-            t.descriptors += nviews as f64;
-        }
-        static_updates[(pos / range_len.max(1)).min(rounds - 1)] += 1;
-        fifo.push_back((oi, delta));
-    }
-    for (oj, d) in fifo {
-        commit(svb, oj, d);
-    }
-
-    if t.updates > 0 {
-        let max_static = *static_updates.iter().max().unwrap() as f64;
-        t.max_block_share = (max_static / t.updates as f64).max(1.0 / rounds as f64);
-    }
-    t
-}
-
-/// The A entries a visit reads: the plan's cached u8 codes, codes
-/// quantized afresh (the uncached baseline re-quantizes on every
-/// visit), or the f32 column.
-fn with_entries<R>(
-    vp: &VoxelPlan,
-    col: &ColumnView<'_>,
-    quantized: Option<u32>,
-    cached: bool,
-    f: impl FnOnce(AColumn<'_>) -> R,
-) -> R {
-    match quantized {
-        Some(_) if cached => f(vp.quant.as_ref().expect("plan caches quantized columns").entries()),
-        Some(bits) => f(QuantizedColumn::quantize_bits(col, bits).entries()),
-        None => f(AColumn::F32(col.values_flat())),
-    }
-}
-
-/// Compute a voxel's step from its thetas without committing it (the
-/// prior against the current image).
-fn compute_delta<P: Prior>(
-    image: &SharedImage<'_>,
-    prior: &P,
-    positivity: bool,
-    j: usize,
-    th: Thetas,
-) -> f32 {
-    let v = image.get(j);
-    let nb = image.neighbors8(j);
-    let mut neigh = nb.iter().map(|(k, edge)| (image.get(k), clique_weight(edge)));
-    let mut delta = prior.step(v, th.theta1, th.theta2, &mut neigh);
-    drop(neigh);
-    if positivity && v + delta < 0.0 {
-        delta = -v;
-    }
-    delta
 }
 
 #[cfg(test)]

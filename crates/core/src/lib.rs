@@ -28,7 +28,8 @@
 //!   paper's Section 5 (Tables 2-3, Figs. 6-7).
 //! - [`driver`]: Algorithm 3 — selection, checkerboarding, batching,
 //!   the three kernels per batch (SVB create, MBIR update, error
-//!   write-back).
+//!   write-back), fleet wiring, and checkpoint plumbing. Its per-SV
+//!   MBIR update kernel lives in the private `sv_update` module.
 //! - [`tally`]: work counters collected during functional execution.
 //! - [`model`]: turning tallies into [`gpu_sim::KernelProfile`]s.
 //! - [`fleet`]: sharding batches across `opts.devices` simulated
@@ -49,6 +50,7 @@ pub mod fleet;
 pub mod kernels;
 pub mod model;
 pub mod opts;
+pub(crate) mod sv_update;
 pub mod tally;
 
 pub use args::{gpu_options_for, Args, Scale};

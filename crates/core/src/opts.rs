@@ -132,11 +132,6 @@ pub struct GpuOptions {
     /// modeled timeline changes, which above 1 prices per-device kernel
     /// spans plus the inter-device exchanges.
     pub devices: usize,
-    /// Reuse the iteration-invariant per-SV plan (shapes, chunk
-    /// tallies, quantized columns) across iterations instead of
-    /// recomputing it per voxel visit. Purely a host wall-clock
-    /// optimization — results are bitwise identical either way.
-    pub plan_cache: bool,
     /// Record per-kernel-launch spans and per-iteration telemetry into
     /// an internal [`mbir_telemetry::RecordingSink`]. Observe-only:
     /// results and modeled seconds are bitwise identical either way,
@@ -173,7 +168,6 @@ impl Default for GpuOptions {
             amatrix_bits: 8,
             l2_read: L2ReadWidth::Double,
             registers: RegisterMode::SharedMem32,
-            plan_cache: true,
             threads: 0,
             devices: 1,
             profile: false,

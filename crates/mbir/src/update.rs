@@ -135,11 +135,29 @@ pub fn zero_skippable(image: &Image, j: usize) -> bool {
     image.get(j) == 0.0 && image.neighbors8(j).iter().all(|(k, _)| image.get(k) == 0.0)
 }
 
+/// The 1-D solve of Algorithm 1 (steps 7-8): the prior's step for a
+/// voxel at value `v` with data-term coefficients `th` and its
+/// neighbours as `(value, clique weight)` pairs. `positivity` clips
+/// the step so the voxel stays at or above zero, the standard MBIR
+/// constraint for attenuation images. Every ICD driver solves through
+/// this one function.
+pub fn voxel_step<P: Prior>(
+    prior: &P,
+    v: f32,
+    th: Thetas,
+    neighbors: &mut dyn Iterator<Item = (f32, f32)>,
+    positivity: bool,
+) -> f32 {
+    let delta = prior.step(v, th.theta1, th.theta2, neighbors);
+    if positivity && v + delta < 0.0 {
+        -v
+    } else {
+        delta
+    }
+}
+
 /// Perform one full voxel update (Algorithm 1): returns the applied
 /// step `delta` (0 when the solve yields no movement).
-///
-/// `positivity` clips the voxel at zero, the standard MBIR constraint
-/// for attenuation images.
 pub fn update_voxel<E: WeightedError, P: Prior>(
     j: usize,
     image: &mut Image,
@@ -152,11 +170,7 @@ pub fn update_voxel<E: WeightedError, P: Prior>(
     let th = compute_thetas(col, ew);
     let nb = image.neighbors8(j);
     let mut neigh = nb.iter().map(|(k, edge)| (image.get(k), clique_weight(edge)));
-    let mut delta = prior.step(v, th.theta1, th.theta2, &mut neigh);
-    drop(neigh);
-    if positivity && v + delta < 0.0 {
-        delta = -v;
-    }
+    let delta = voxel_step(prior, v, th, &mut neigh, positivity);
     if delta != 0.0 {
         image.set(j, v + delta);
         apply_delta(col, ew, delta);
@@ -269,6 +283,26 @@ mod tests {
         let delta = update_voxel(j, &mut image, &a.column(j), &mut pair, &prior, true);
         assert_eq!(delta, 0.0);
         assert_eq!(image.get(j), 0.0);
+    }
+
+    #[test]
+    fn voxel_step_clips_only_under_positivity() {
+        let prior = QuadraticPrior { sigma: 0.01 };
+        let neigh = [(0.2f32, 0.1f32), (0.0, 0.07), (0.3, 0.1)];
+        let step = |v: f32, theta1: f32, positivity: bool| {
+            let th = Thetas { theta1, theta2: 50.0 };
+            voxel_step(&prior, v, th, &mut neigh.iter().copied(), positivity)
+        };
+        let raw = |v: f32, theta1: f32| prior.step(v, theta1, 50.0, &mut neigh.iter().copied());
+        // A large positive theta1 drives the step far below zero.
+        let (v, pull) = (0.05f32, 1.0e4f32);
+        assert!(v + raw(v, pull) < 0.0);
+        assert_eq!(step(v, pull, true).to_bits(), (-v).to_bits());
+        assert_eq!(step(v, pull, false).to_bits(), raw(v, pull).to_bits());
+        // An unclipped step is the prior's own, bit for bit.
+        let push = -30.0f32;
+        assert!(v + raw(v, push) >= 0.0);
+        assert_eq!(step(v, push, true).to_bits(), raw(v, push).to_bits());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   with the same guarantees as PSV-ICD's SV checkerboard.
 
 use crate::prior::Prior;
-use crate::update::{compute_thetas, SinogramPair};
+use crate::update::{compute_thetas, voxel_step, SinogramPair};
 use ct_core::image::Image;
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::SystemMatrix;
@@ -86,17 +86,10 @@ impl<'a, P: Prior> VolumeIcd<'a, P> {
             let pair = SinogramPair { e: &mut self.errors[z], w: &self.weights[z] };
             compute_thetas(&col, &pair)
         };
-        let neigh: Vec<(f32, f32)> = self
-            .volume
-            .neighbors26(z, j)
-            .into_iter()
-            .map(|(zz, jj, class)| (self.volume.get(zz, jj), class.weight()))
-            .collect();
-        let mut it = neigh.iter().copied();
-        let mut delta = self.prior.step(v, th.theta1, th.theta2, &mut it);
-        if v + delta < 0.0 {
-            delta = -v;
-        }
+        let neigh = self.volume.neighbors26(z, j);
+        let mut it =
+            neigh.into_iter().map(|(zz, jj, class)| (self.volume.get(zz, jj), class.weight()));
+        let delta = voxel_step(self.prior, v, th, &mut it, true);
         if delta != 0.0 {
             self.volume.set(z, j, v + delta);
             let mut pair = SinogramPair { e: &mut self.errors[z], w: &self.weights[z] };
@@ -161,19 +154,12 @@ impl<'a, P: Prior> VolumeIcd<'a, P> {
                         // 3-D neighbours: in-slab reads come from
                         // this worker's own image; cross-slab reads
                         // from the frozen shared volume.
-                        let neigh: Vec<(f32, f32)> = volume
-                            .neighbors26(z, j)
-                            .into_iter()
-                            .map(|(zz, jj, class)| {
+                        let mut neigh =
+                            volume.neighbors26(z, j).into_iter().map(|(zz, jj, class)| {
                                 let val = if zz == z { img.get(jj) } else { volume.get(zz, jj) };
                                 (val, class.weight())
-                            })
-                            .collect();
-                        let mut it = neigh.iter().copied();
-                        let mut delta = prior.step(v, th.theta1, th.theta2, &mut it);
-                        if v + delta < 0.0 {
-                            delta = -v;
-                        }
+                            });
+                        let delta = voxel_step(prior, v, th, &mut neigh, true);
                         if delta != 0.0 {
                             img.set(j, v + delta);
                             let mut pair = SinogramPair { e: &mut err, w: &weights[z] };

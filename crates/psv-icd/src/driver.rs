@@ -1,14 +1,14 @@
 //! The PSV-ICD algorithm (paper Algorithm 2), with real threads.
 
-use crate::atomic_image::AtomicImage;
 use crate::cpu_model::{CpuModel, SvWork};
-use ct_core::image::{Image, Neighbors8};
+use ct_core::image::{Image, SharedImage};
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::{ColumnView, SystemMatrix};
 use mbir::convergence::TracePoint;
 use mbir::prior::{clique_weight, Prior};
 use mbir::sequential::{IcdConfig, IcdStats};
 use mbir::stopping::Driver;
+use mbir::update::voxel_step;
 use mbir_simd::AColumn;
 use mbir_telemetry::{ConvergencePoint, IterationSample, KernelSpan, ProfileSink, RecordingSink};
 use rand::rngs::StdRng;
@@ -33,11 +33,6 @@ pub struct PsvConfig {
     /// *modeled* platform is [`CpuModel`]'s 16 cores). `0` defers to
     /// the process-wide setting (`mbir_parallel::threads()`).
     pub threads: usize,
-    /// Read iteration-invariant per-SV state (voxel lists, entry
-    /// counts) from the plan built at setup instead of re-deriving it
-    /// per visit. Purely a wall-clock toggle — results are bitwise
-    /// identical either way.
-    pub plan_cache: bool,
     /// Stream-selector seed for the per-iteration SV-selection RNG.
     /// Each iteration draws from
     /// `StdRng::seed_from_u64(icd.seed ^ (selection_seed ^ iter) * GOLDEN)`
@@ -64,7 +59,6 @@ impl Default for PsvConfig {
             sv_side: 13,
             fraction: 0.20,
             threads: 0,
-            plan_cache: true,
             selection_seed: 0xc0ffee,
             profile: false,
             simd: mbir_simd::SimdBackend::Auto,
@@ -122,7 +116,7 @@ pub struct PsvIcd<'a, P: Prior> {
     config: PsvConfig,
     tiling: Tiling,
     plan: Arc<SvPlanSet>,
-    image: AtomicImage,
+    image: Image,
     error: Sinogram,
     update_amount: Vec<f64>,
     iter: u64,
@@ -152,8 +146,8 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
 
     /// Initialize with a pre-built plan set (shared via `Arc` across
     /// drivers/runs). The plan must have been built for the same
-    /// geometry, an identical tiling, and [`psv_plan_config`]; one plan
-    /// serves every scan of its geometry.
+    /// geometry, SV side, and [`psv_plan_config`]; one plan serves
+    /// every scan of its geometry.
     pub fn with_plan(
         a: &'a SystemMatrix,
         y: &Sinogram,
@@ -166,7 +160,7 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
         let tiling = Tiling::new(init.grid(), config.sv_side);
         assert_eq!(plan.geometry(), a.geometry(), "plan built for a different geometry");
         assert_eq!(plan.config(), psv_plan_config(), "plan built for different options");
-        assert_eq!(plan.plans().len(), tiling.len(), "plan built for different tiling");
+        assert_eq!(plan.tiling().sv_side(), config.sv_side, "plan built for different tiling");
         let ax = a.forward(&init);
         let mut error = y.clone();
         for (e, axv) in error.data_mut().iter_mut().zip(ax.data()) {
@@ -182,7 +176,7 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
             config,
             tiling,
             plan,
-            image: AtomicImage::from_image(&init),
+            image: init,
             error,
             update_amount: vec![0.0; n],
             iter: 0,
@@ -265,12 +259,11 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
             // checkerboard group never share boundary voxels, so the
             // shared-image writes and neighbour reads are disjoint and
             // the result is independent of scheduling.
-            let image = &self.image;
+            let image = self.image.as_shared();
             let a = self.a;
             let prior = self.prior;
             let seed = self.config.icd.seed;
             let iter = self.iter;
-            let cached = self.config.plan_cache;
             let randomize = self.config.icd.randomize;
             let positivity = self.config.icd.positivity;
             // Resolve the lane-kernel backend once per group (the env
@@ -302,8 +295,9 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
                         let col = a.column(j);
                         let delta = update_voxel_shared(
                             j,
-                            image,
+                            &image,
                             &col,
+                            vp.entries(&col),
                             plan.plan(sv).offsets(vp),
                             &mut svb,
                             prior,
@@ -312,9 +306,7 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
                         );
                         visit.updates += 1;
                         visit.abs_delta += delta.abs() as f64;
-                        // Entry counts are integers, exact in f64: the
-                        // cached tally is bitwise the fresh one.
-                        visit.entries += if cached { vp.nnz as f64 } else { col.nnz() as f64 };
+                        visit.entries += vp.nnz as f64;
                     }
                     (svb, visit)
                 });
@@ -390,9 +382,9 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
         report
     }
 
-    /// Current reconstruction (copied out of the shared image).
-    pub fn image(&self) -> Image {
-        self.image.to_image()
+    /// Current reconstruction.
+    pub fn image(&self) -> &Image {
+        &self.image
     }
 
     /// Current error sinogram.
@@ -411,8 +403,8 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
     }
 }
 
-/// One step is one outer iteration; the image is copied out of the
-/// shared atomic image, and golden trace points go to the profile sink.
+/// One step is one outer iteration; golden trace points go to the
+/// profile sink.
 impl<P: Prior> Driver for PsvIcd<'_, P> {
     type Report = PsvIterationReport;
     fn step(&mut self) -> PsvIterationReport {
@@ -422,13 +414,13 @@ impl<P: Prior> Driver for PsvIcd<'_, P> {
         self.stats
     }
     fn image(&self) -> Cow<'_, Image> {
-        Cow::Owned(self.image.to_image())
+        Cow::Borrowed(&self.image)
     }
     fn seconds(&self) -> f64 {
         self.modeled_seconds
     }
     fn cost(&self) -> f64 {
-        mbir::convergence::cost(&self.image.to_image(), &self.error, self.weights, self.prior)
+        mbir::convergence::cost(&self.image, &self.error, self.weights, self.prior)
     }
     fn trace_point(&self, p: &TracePoint) {
         if let Some(sink) = &self.sink {
@@ -443,15 +435,17 @@ impl<P: Prior> Driver for PsvIcd<'_, P> {
 }
 
 /// The single-voxel update against a shared image and a private SVB —
-/// Algorithm 1 with the image reads/writes going through atomics. The
-/// theta/apply inner loops dispatch on the already-resolved `simd`
-/// backend (bitwise identical for every choice); `offsets` are the
-/// voxel's band offsets from the SV's plan.
+/// Algorithm 1 with the image reads/writes going through the shared
+/// view's atomics. The theta/apply inner loops dispatch on the
+/// already-resolved `simd` backend (bitwise identical for every
+/// choice); `entries` and `offsets` are the voxel's A entries and band
+/// offsets from the SV's plan.
 #[allow(clippy::too_many_arguments)]
 fn update_voxel_shared<P: Prior>(
     j: usize,
-    image: &AtomicImage,
+    image: &SharedImage<'_>,
     col: &ColumnView<'_>,
+    entries: AColumn<'_>,
     offsets: &[u32],
     svb: &mut Svb<'_>,
     prior: &P,
@@ -459,18 +453,13 @@ fn update_voxel_shared<P: Prior>(
     simd: mbir_simd::SimdBackend,
 ) -> f32 {
     let v = image.get(j);
-    let a = AColumn::F32(col.values_flat());
-    let th = svb.thetas(col, a, offsets, simd);
-    let nb = Neighbors8::of_grid(image.grid(), j);
+    let th = svb.thetas(col, entries, offsets, simd);
+    let nb = image.neighbors8(j);
     let mut neigh = nb.iter().map(|(k, edge)| (image.get(k), clique_weight(edge)));
-    let mut delta = prior.step(v, th.theta1, th.theta2, &mut neigh);
-    drop(neigh);
-    if positivity && v + delta < 0.0 {
-        delta = -v;
-    }
+    let delta = voxel_step(prior, v, th, &mut neigh, positivity);
     if delta != 0.0 {
         image.set(j, v + delta);
-        svb.apply_delta(col, a, offsets, delta, simd);
+        svb.apply_delta(col, entries, offsets, delta, simd);
     }
     delta
 }
@@ -529,7 +518,7 @@ mod tests {
             for _ in 0..4 {
                 psv.iteration();
             }
-            psv.image()
+            psv.image().clone()
         };
         assert_eq!(run(1), run(4));
     }
@@ -573,8 +562,7 @@ mod tests {
         for _ in 0..3 {
             psv.iteration();
         }
-        let img = psv.image();
-        let ax = a.forward(&img);
+        let ax = a.forward(psv.image());
         for i in 0..s.y.data().len() {
             let expect = s.y.data()[i] - ax.data()[i];
             assert!(
@@ -604,7 +592,7 @@ mod tests {
                 psv.iteration();
             }
             let rec = psv.recording().map(|r| (r.spans().len(), r.iterations().len()));
-            (psv.image(), psv.modeled_seconds(), rec)
+            (psv.image().clone(), psv.modeled_seconds(), rec)
         };
         let (img_off, secs_off, rec_off) = run(false);
         let (img_on, secs_on, rec_on) = run(true);
@@ -633,10 +621,23 @@ mod tests {
             for _ in 0..3 {
                 psv.iteration();
             }
-            psv.image()
+            psv.image().clone()
         };
         assert_eq!(run(0xc0ffee), run(0xc0ffee));
         assert_ne!(run(0xc0ffee), run(0xdead_beef));
+    }
+
+    #[test]
+    fn driver_image_borrows_the_live_image() {
+        // The run loop reads the image at every golden trace point; it
+        // must see the driver's own image, not a copy.
+        let (g, a, s) = setup();
+        let prior = QggmrfPrior::standard(0.002);
+        let mut psv = PsvIcd::new(&a, &s.y, &s.weights, &prior, Image::zeros(g.grid), config());
+        psv.iteration();
+        let img = Driver::image(&psv);
+        assert!(matches!(img, Cow::Borrowed(_)));
+        assert_eq!(&*img, psv.image());
     }
 
     #[test]

@@ -15,19 +15,18 @@
 //!   boundary voxels — Rust's aliasing rules reject PSV-ICD's "rare
 //!   benign race" on boundary voxels, and the paper itself calls the
 //!   collision probability negligible at CPU concurrency levels.
-//! - [`atomic_image`]: the shared reconstruction image with atomic
-//!   f32 cells (disjoint writers, racing readers are the prior's
-//!   neighbour reads).
+//!   Each group updates the image through
+//!   `ct_core::image::SharedImage`, the relaxed-atomic view GPU-ICD
+//!   uses too (disjoint writers; the prior's neighbour reads only
+//!   reach SVs frozen for the group).
 //! - [`cpu_model`]: the analytic 16-core Xeon timing model used to
 //!   report paper-comparable execution times (this machine has one
 //!   core; see DESIGN.md's substitution table).
 
 #![warn(missing_docs)]
 
-pub mod atomic_image;
 pub mod cpu_model;
 pub mod driver;
 
-pub use atomic_image::AtomicImage;
 pub use cpu_model::{CpuModel, CpuSpec, SvWork};
 pub use driver::{psv_plan_config, PsvConfig, PsvIcd, PsvIterationReport};

@@ -10,15 +10,14 @@
 //! `mbir-parallel` engine) and is then shared by reference across
 //! iterations by both the GPU-ICD and PSV-ICD drivers.
 //!
-//! A plan is purely a cache: every cached quantity is byte-for-byte
-//! what the per-visit recomputation would produce, so cached and
-//! uncached runs are bitwise identical (enforced by the
-//! `plan_cache_equivalence` regression test).
+//! The plan is the only path: a voxel visit reads its chunk tallies,
+//! its quantized column and its band offsets from the plan, never
+//! re-deriving them.
 //!
 //! A plan depends on the geometry alone, never on a scan: the weights
 //! and the measurement enter at visit time. One plan set therefore
-//! serves every scan of its geometry, and it records that geometry so
-//! a driver can refuse a plan built for another.
+//! serves every scan of its geometry, and it records that geometry and
+//! its tiling so a driver can refuse a plan built for another.
 
 use crate::chunks::chunk_tally;
 use crate::lanes::fill_offsets;
@@ -26,9 +25,9 @@ use crate::quant::QuantizedColumn;
 use crate::svb::{SvbLayout, SvbShape};
 use crate::tiling::Tiling;
 use ct_core::geometry::Geometry;
-use ct_core::sysmat::SystemMatrix;
+use ct_core::sysmat::{ColumnView, SystemMatrix};
 use gpu_sim::coalesce::affine_transactions;
-use mbir_simd::LANES;
+use mbir_simd::{AColumn, LANES};
 
 /// The iteration-invariant knobs a plan set is specialized for —
 /// derived from the driver's options at construction.
@@ -57,12 +56,24 @@ pub struct VoxelPlan {
     /// Chunk descriptors read per visit (chunk count when chunking,
     /// else the view count).
     pub descriptors: u32,
-    /// The column quantized once, replacing the two per-visit
-    /// `quantize_bits` calls (theta accumulation + write-back).
+    /// The column quantized once at build time, when the plan's
+    /// config asks for u8 entries (see [`VoxelPlan::entries`]).
     pub quant: Option<QuantizedColumn>,
     /// Where this voxel's band offsets start in its SV's
     /// [`SvPlan::band_offsets`] (see [`SvPlan::offsets`]).
     pub offsets_start: u32,
+}
+
+impl VoxelPlan {
+    /// The A entries a visit reads: the plan's u8 codes when the plan
+    /// quantized the column, else the column's f32 values.
+    #[inline]
+    pub fn entries<'a>(&'a self, col: &ColumnView<'a>) -> AColumn<'a> {
+        match &self.quant {
+            Some(q) => q.entries(),
+            None => AColumn::F32(col.values_flat()),
+        }
+    }
 }
 
 /// Warp transaction counts for streaming one row of the transformed

@@ -95,11 +95,6 @@ impl SvbShape {
         SvbShape { first, width, row_offset, padded_width }
     }
 
-    /// Compute shapes for every SV of a tiling.
-    pub fn compute_all(a: &SystemMatrix, tiling: &Tiling) -> Vec<SvbShape> {
-        (0..tiling.len()).map(|sv| SvbShape::compute(a, tiling, sv)).collect()
-    }
-
     /// Number of views.
     pub fn num_views(&self) -> usize {
         self.width.len()
@@ -189,16 +184,6 @@ impl<'a> Svb<'a> {
             bw[base..base + wd].copy_from_slice(&wv[fc..fc + wd]);
         }
         Svb { shape, layout, e: be, w: bw }
-    }
-
-    /// The shape this buffer was gathered with.
-    pub fn shape(&self) -> &SvbShape {
-        self.shape
-    }
-
-    /// The layout in use.
-    pub fn layout(&self) -> SvbLayout {
-        self.layout
     }
 
     /// Buffer index of `(view, channel)`; `channel` is absolute.

@@ -79,7 +79,7 @@ fn main() {
         "psv-icd (16c)",
         psv.modeled_seconds() * 1e3,
         psv.equits(),
-        rmse_hu(&psv.image(), &golden)
+        rmse_hu(psv.image(), &golden)
     );
     println!(
         "{:<16} {:>12.2}ms {:>10.1} {:>11.2} HU",

@@ -366,9 +366,7 @@ fn checked_in_result_files_are_structurally_valid() {
     for required in [
         "BENCH_cluster.json",
         "BENCH_fault_tolerance.json",
-        "BENCH_host_parallel.json",
         "BENCH_multi_gpu.json",
-        "BENCH_plan_cache.json",
         "BENCH_serve.json",
         "BENCH_simd.json",
     ] {

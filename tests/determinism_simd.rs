@@ -109,7 +109,7 @@ fn psv_driver_is_bitwise_identical_across_simd_backends() {
         for _ in 0..6 {
             psv.iteration();
         }
-        (psv.image(), psv.modeled_seconds())
+        (psv.image().clone(), psv.modeled_seconds())
     };
     let (img_s, t_s) = run(SimdBackend::Scalar);
     let (img_l, t_l) = run(SimdBackend::Lanes);

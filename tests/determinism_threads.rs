@@ -94,7 +94,7 @@ fn psv_driver_is_bitwise_identical_across_thread_counts() {
         for _ in 0..6 {
             psv.iteration();
         }
-        (psv.image(), psv.modeled_seconds())
+        (psv.image().clone(), psv.modeled_seconds())
     };
     let (img1, t1) = run(1);
     let (img8, t8) = run(8);

@@ -64,7 +64,7 @@ fn all_three_algorithms_converge_and_agree() {
         PsvConfig { sv_side: 6, threads: 2, ..Default::default() },
     );
     stopping::run(&mut psv, stop, 80, |_, _| BoundaryAction::Continue);
-    let psv_rmse = rmse_hu(&psv.image(), &s.golden);
+    let psv_rmse = rmse_hu(psv.image(), &s.golden);
     assert!(psv_rmse < 10.0, "psv rmse {psv_rmse}");
 
     let mut gpu =
@@ -74,9 +74,9 @@ fn all_three_algorithms_converge_and_agree() {
     assert!(gpu_rmse < 10.0, "gpu rmse {gpu_rmse}");
 
     // All three land in the same 20 HU neighbourhood of each other.
-    assert!(rmse_hu(seq.image(), &psv.image()) < 20.0);
+    assert!(rmse_hu(seq.image(), psv.image()) < 20.0);
     assert!(rmse_hu(seq.image(), gpu.image()) < 20.0);
-    assert!(rmse_hu(&psv.image(), gpu.image()) < 20.0);
+    assert!(rmse_hu(psv.image(), gpu.image()) < 20.0);
 }
 
 #[test]
@@ -94,7 +94,7 @@ fn error_sinogram_invariants_hold_across_algorithms() {
     for _ in 0..3 {
         psv.iteration();
     }
-    let ax = s.a.forward(&psv.image());
+    let ax = s.a.forward(psv.image());
     for i in 0..s.scan.y.data().len() {
         let expect = s.scan.y.data()[i] - ax.data()[i];
         assert!((psv.error().data()[i] - expect).abs() < 5e-3, "psv e drift at {i}");

@@ -1,21 +1,17 @@
-//! The SV plan cache must be a pure wall-clock optimization: running
-//! either driver with `plan_cache` on or off has to produce
-//! bitwise-identical images, error sinograms, iteration reports, and
-//! modeled seconds — at any host thread count. Every cached quantity
-//! (quantized columns, chunk tallies, band geometry, voxel orders) is
-//! byte-for-byte what the per-visit recomputation produces, so the
-//! comparisons here are exact equality, not tolerances.
-//!
-//! A plan is also scan-independent: one set serves every scan of its
-//! geometry under either SIMD backend, and a driver refuses a plan
-//! built for another geometry.
+//! The SV plan is built once per geometry and is the only source of
+//! every iteration-invariant quantity a voxel visit reads (quantized
+//! columns, chunk tallies, band offsets). A plan holds nothing
+//! scan-dependent: one set serves every scan of its geometry under
+//! either SIMD backend, bitwise equal to a driver that builds its own,
+//! and a driver refuses a plan built for another geometry or another
+//! SV side. The comparisons here are exact equality, not tolerances.
 
 use ct_core::fbp;
 use ct_core::geometry::Geometry;
 use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel, Scan};
 use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{plan_config, AMatrixMode, GpuIcd, GpuIterationReport, GpuOptions, Layout};
+use gpu_icd::{plan_config, GpuIcd, GpuIterationReport, GpuOptions};
 use mbir::prior::QggmrfPrior;
 use mbir_simd::SimdBackend;
 use psv_icd::{psv_plan_config, PsvConfig, PsvIcd, PsvIterationReport};
@@ -39,83 +35,8 @@ fn setup() -> Setup {
     Setup { a, scan: s, prior, init }
 }
 
-fn run_gpu(
-    s: &Setup,
-    base: GpuOptions,
-    plan_cache: bool,
-    threads: usize,
-    iters: usize,
-) -> (GpuIcd<'_, QggmrfPrior>, Vec<GpuIterationReport>) {
-    let opts = GpuOptions { plan_cache, threads, ..base };
-    let mut gpu = GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), opts);
-    let reports = (0..iters).map(|_| gpu.iteration()).collect();
-    (gpu, reports)
-}
-
-fn assert_gpu_equivalent(s: &Setup, base: GpuOptions, label: &str) {
-    for threads in [1usize, 8] {
-        let (cached, rep_c) = run_gpu(s, base, true, threads, 5);
-        let (fresh, rep_f) = run_gpu(s, base, false, threads, 5);
-        assert_eq!(cached.image(), fresh.image(), "[{label}] image differs at {threads} threads");
-        assert_eq!(
-            cached.error().data(),
-            fresh.error().data(),
-            "[{label}] error sinogram differs at {threads} threads"
-        );
-        assert_eq!(rep_c, rep_f, "[{label}] iteration reports differ at {threads} threads");
-        assert_eq!(
-            cached.modeled_seconds(),
-            fresh.modeled_seconds(),
-            "[{label}] modeled seconds differ at {threads} threads"
-        );
-    }
-}
-
 fn small_opts() -> GpuOptions {
     GpuOptions { sv_side: 6, threadblocks_per_sv: 4, svs_per_batch: 4, ..Default::default() }
-}
-
-#[test]
-fn gpu_cached_matches_uncached_default_config() {
-    // The paper's tuned path: chunked layout + TextureU8 quantized A —
-    // the configuration where the cache replaces the most per-visit
-    // work (two quantizations + one chunking per update).
-    let s = setup();
-    assert_gpu_equivalent(&s, small_opts(), "chunked+u8");
-}
-
-#[test]
-fn gpu_cached_matches_uncached_f32_chunked() {
-    let s = setup();
-    let base = GpuOptions { amatrix: AMatrixMode::GlobalF32, ..small_opts() };
-    assert_gpu_equivalent(&s, base, "chunked+f32");
-}
-
-#[test]
-fn gpu_cached_matches_uncached_naive_layout() {
-    let s = setup();
-    let base = GpuOptions { layout: Layout::Naive, ..small_opts() };
-    assert_gpu_equivalent(&s, base, "naive");
-}
-
-#[test]
-fn psv_cached_matches_uncached() {
-    let s = setup();
-    let run = |plan_cache: bool, threads: usize| {
-        let config = PsvConfig { sv_side: 6, threads, plan_cache, ..Default::default() };
-        let mut psv =
-            PsvIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), config);
-        let reports: Vec<PsvIterationReport> = (0..5).map(|_| psv.iteration()).collect();
-        (psv.image(), psv.error().data().to_vec(), reports, psv.modeled_seconds())
-    };
-    for threads in [1usize, 8] {
-        let (img_c, err_c, rep_c, sec_c) = run(true, threads);
-        let (img_f, err_f, rep_f, sec_f) = run(false, threads);
-        assert_eq!(img_c, img_f, "psv image differs at {threads} threads");
-        assert_eq!(err_c, err_f, "psv error sinogram differs at {threads} threads");
-        assert_eq!(rep_c, rep_f, "psv iteration reports differ at {threads} threads");
-        assert_eq!(sec_c, sec_f, "psv modeled seconds differ at {threads} threads");
-    }
 }
 
 #[test]
@@ -124,7 +45,9 @@ fn prebuilt_plan_matches_internally_built() {
     // amortize the build; it must be indistinguishable from `new`.
     let s = setup();
     let opts = small_opts();
-    let (gpu_new, rep_new) = run_gpu(&s, opts, true, 1, 4);
+    let one = GpuOptions { threads: 1, ..opts };
+    let mut gpu_new = GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), one);
+    let rep_new: Vec<GpuIterationReport> = (0..4).map(|_| gpu_new.iteration()).collect();
     let plan = std::sync::Arc::clone(gpu_new.plan());
     let mut gpu_shared =
         GpuIcd::with_plan(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), opts, plan);
@@ -267,4 +190,31 @@ fn psv_rejects_a_plan_built_for_more_channels() {
 fn psv_rejects_a_plan_built_for_more_views() {
     let tiny = Geometry::tiny_scale();
     psv_with_foreign_plan(2 * tiny.num_views, tiny.num_channels);
+}
+
+// On the 24x24 tiny grid, SV sides 6 and 7 both tile 16 SVs, so a
+// plan's SV count cannot tell them apart; its recorded side can.
+
+#[test]
+#[should_panic(expected = "plan built for different tiling")]
+fn gpu_rejects_a_plan_built_for_another_sv_side() {
+    let s = setup();
+    let opts = small_opts();
+    let tiling = Tiling::new(s.init.grid(), opts.sv_side);
+    assert_eq!(Tiling::new(s.init.grid(), 7).len(), tiling.len());
+    let plan = Arc::new(SvPlanSet::build(&s.a, &tiling, plan_config(&opts), 1));
+    let seven = GpuOptions { sv_side: 7, ..opts };
+    GpuIcd::with_plan(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), seven, plan);
+}
+
+#[test]
+#[should_panic(expected = "plan built for different tiling")]
+fn psv_rejects_a_plan_built_for_another_sv_side() {
+    let s = setup();
+    let config = PsvConfig { sv_side: 6, ..Default::default() };
+    let tiling = Tiling::new(s.init.grid(), config.sv_side);
+    assert_eq!(Tiling::new(s.init.grid(), 7).len(), tiling.len());
+    let plan = Arc::new(SvPlanSet::build(&s.a, &tiling, psv_plan_config(), 1));
+    let seven = PsvConfig { sv_side: 7, ..config };
+    PsvIcd::with_plan(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), seven, plan);
 }

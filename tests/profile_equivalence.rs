@@ -151,7 +151,7 @@ fn psv_profiled_run_is_bitwise_identical_and_valid() {
         let stop = Stop::Golden { image: &s.golden, hu: 10.0 };
         stopping::run(&mut psv, stop, 60, |_, _| BoundaryAction::Continue);
         let report = psv.recording().map(|r| r.report("psv-icd"));
-        (psv.image(), psv.modeled_seconds(), report)
+        (psv.image().clone(), psv.modeled_seconds(), report)
     };
     let (img_off, secs_off, rep_off) = run(false);
     let (img_on, secs_on, rep_on) = run(true);
