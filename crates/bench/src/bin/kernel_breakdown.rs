@@ -6,7 +6,7 @@
 //! ```
 
 use ct_core::phantom::Phantom;
-use gpu_icd::{Args, GpuIcd, MbirError};
+use gpu_icd::{Args, MbirError};
 use mbir_bench::{gpu_options_for, to_golden, Pipeline};
 
 fn main() -> Result<(), MbirError> {
@@ -14,7 +14,7 @@ fn main() -> Result<(), MbirError> {
     let scale = args.scale()?;
     let p = Pipeline::build(scale, &Phantom::baggage(args.get_or("seed", 0u64)?), 1000, None);
     let opts = gpu_options_for(scale);
-    let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
+    let mut gpu = p.case.gpu(opts);
     let trace = to_golden(&mut gpu, &p, 300).trace;
 
     println!(

@@ -19,7 +19,7 @@
 use ct_core::image::Image;
 use ct_core::phantom::Phantom;
 use ct_core::sinogram::Sinogram;
-use gpu_icd::{Args, GpuIcd, GpuOptions, MbirError};
+use gpu_icd::{Args, GpuOptions, MbirError};
 use mbir_bench::{gpu_options_for, Pipeline};
 use mbir_fleet::FleetReport;
 use mbir_topo::ClusterSpec;
@@ -74,7 +74,7 @@ enum Topo {
 
 fn run(p: &Pipeline, base: GpuOptions, devices: usize, topo: Option<Topo>, iters: usize) -> RunOut {
     let opts = GpuOptions { devices, ..base };
-    let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
+    let mut gpu = p.case.gpu(opts);
     match topo {
         Some(Topo::Hierarchical(c)) => gpu.set_cluster_spec(c).expect("valid cluster spec"),
         Some(Topo::FlatRing(c)) => gpu.set_fleet_spec(c.flatten()).expect("valid fleet spec"),

@@ -17,7 +17,7 @@
 use ct_core::image::Image;
 use ct_core::phantom::Phantom;
 use ct_core::sinogram::Sinogram;
-use gpu_icd::{Args, Checkpoint, GpuIcd, GpuOptions, MbirError};
+use gpu_icd::{Args, Checkpoint, GpuOptions, MbirError};
 use mbir_bench::{gpu_options_for, Pipeline};
 use mbir_fleet::FaultSpec;
 use serde::Serialize;
@@ -65,7 +65,7 @@ struct RunOut {
 }
 
 fn run(p: &Pipeline, opts: GpuOptions, faults: Option<&str>, iters: usize) -> RunOut {
-    let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
+    let mut gpu = p.case.gpu(opts);
     if let Some(text) = faults {
         let spec = FaultSpec::parse(text, opts.devices).expect("valid fault schedule");
         gpu.set_fault_spec(spec).expect("fault spec installs");
@@ -139,7 +139,7 @@ fn main() -> Result<(), MbirError> {
     // driver, and demand bitwise identity in image AND modeled time.
     let storm = &schedules[4].1;
     let make = || {
-        let mut g = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
+        let mut g = p.case.gpu(opts);
         g.set_fault_spec(FaultSpec::parse(storm, devices).unwrap()).expect("spec installs");
         g
     };

@@ -12,7 +12,7 @@
 //! Omit `--panel` to run all four.
 
 use ct_core::phantom::Phantom;
-use gpu_icd::{Args, GpuIcd, GpuOptions, MbirError};
+use gpu_icd::{Args, GpuOptions, MbirError};
 use mbir_bench::{gpu_options_for, to_golden, Pipeline, Scale};
 use serde::Serialize;
 
@@ -27,7 +27,7 @@ struct Point {
 }
 
 fn run(p: &Pipeline, opts: GpuOptions) -> (f64, f64, f64, bool) {
-    let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
+    let mut gpu = p.case.gpu(opts);
     let trace = to_golden(&mut gpu, p, 400).trace;
     let converged = trace.last().map(|pt| pt.rmse_hu < 10.0).unwrap_or(false);
     (gpu.modeled_seconds(), gpu.equits(), gpu.run_stats().mbir.l2_gbps(), converged)

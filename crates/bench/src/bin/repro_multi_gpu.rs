@@ -17,7 +17,7 @@
 use ct_core::image::Image;
 use ct_core::phantom::Phantom;
 use ct_core::sinogram::Sinogram;
-use gpu_icd::{Args, GpuIcd, GpuOptions, MbirError};
+use gpu_icd::{Args, GpuOptions, MbirError};
 use mbir_bench::{gpu_options_for, mean, Pipeline};
 use mbir_fleet::{FleetReport, FleetSpec};
 use serde::Serialize;
@@ -69,7 +69,7 @@ fn run(
     iters: usize,
 ) -> RunOut {
     let opts = GpuOptions { devices, ..base };
-    let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
+    let mut gpu = p.case.gpu(opts);
     if let Some(spec) = spec {
         gpu.set_fleet_spec(spec).expect("valid fleet spec");
     }

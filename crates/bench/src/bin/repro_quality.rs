@@ -7,15 +7,12 @@
 //! cargo run --release -p mbir-bench --bin repro_quality -- --scale test
 //! ```
 
-use ct_core::fbp;
 use ct_core::hu::rmse_hu;
-use ct_core::image::Image;
 use ct_core::metrics::{cnr_disc, ssim_global};
 use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel};
-use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{Args, GpuIcd, MbirError};
-use mbir::prior::QggmrfPrior;
+use gpu_icd::pipeline::{Case, Setup};
+use gpu_icd::{Args, MbirError};
 use mbir::stopping::{run, BoundaryAction, Stop, StopRule};
 use mbir_bench::gpu_options_for;
 use serde::Serialize;
@@ -33,7 +30,7 @@ fn main() -> Result<(), MbirError> {
     let args = Args::capture(&["scale"])?;
     let scale = args.scale()?;
     let geom = scale.geometry();
-    let a = SystemMatrix::compute(&geom);
+    let setup = Setup::new(geom);
     let truth = Phantom::contrast_disks().render(geom.grid, 2);
 
     // The weakest insert (20 HU) sits at angle 3*pi/2 + 0.4 on radius
@@ -52,16 +49,13 @@ fn main() -> Result<(), MbirError> {
     );
     let mut rows = Vec::new();
     for i0 in [1.0e3f32, 5.0e3, 2.0e4, 1.0e5] {
-        let s = scan(&a, &truth, Some(NoiseModel { i0 }), 77);
-        let fbp_img = fbp::reconstruct(&geom, &s.y);
-
-        let prior = QggmrfPrior::standard(0.002);
-        let mut gpu =
-            GpuIcd::new(&a, &s.y, &s.weights, &prior, fbp_img.clone(), gpu_options_for(scale));
+        let s = scan(setup.a(), &truth, Some(NoiseModel { i0 }), 77);
+        let case = Case::new(setup.clone(), s.y, s.weights, 0.002);
+        let mut gpu = case.gpu(gpu_options_for(scale));
         let stop = Stop::Rule(StopRule::MeanUpdate { hu: 0.3 });
         run(&mut gpu, stop, 100, |_, _| BoundaryAction::Continue);
 
-        for (algo, img) in [("fbp", &fbp_img), ("mbir", gpu.image())] {
+        for (algo, img) in [("fbp", &case.init), ("mbir", gpu.image())] {
             let row = Row {
                 i0,
                 algo,
@@ -78,6 +72,5 @@ fn main() -> Result<(), MbirError> {
     }
     println!("\nMBIR's statistical weighting buys CNR and SSIM, most at low dose —");
     println!("the reason the paper calls its image quality 'state-of-the-art'.");
-    let _ = Image::zeros(geom.grid);
     mbir_bench::write_json("quality", &rows)
 }

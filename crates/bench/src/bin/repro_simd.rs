@@ -11,7 +11,7 @@
 use ct_core::fbp;
 use ct_core::phantom::Phantom;
 use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{Args, GpuIcd, GpuOptions, MbirError};
+use gpu_icd::{Args, GpuOptions, MbirError};
 use mbir_bench::{gpu_options_for, Pipeline};
 use mbir_simd::SimdBackend;
 use serde::Serialize;
@@ -74,7 +74,7 @@ fn main() -> Result<(), MbirError> {
     // measures iteration-only work on identical starting state.
     let run_gpu = |simd: SimdBackend| {
         let opts = GpuOptions { simd, threads, ..base };
-        let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
+        let mut gpu = p.case.gpu(opts);
         let t0 = Instant::now();
         for _ in 0..iters {
             gpu.iteration();
@@ -95,13 +95,14 @@ fn main() -> Result<(), MbirError> {
     let (ss, sa) = best_of(reps, || SystemMatrix::compute(&p.geom));
     mbir_simd::set_backend(SimdBackend::Lanes);
     let (sl, la) = best_of(reps, || SystemMatrix::compute(&p.geom));
-    let sysmat_build = path("sysmat_build", ss, sl, sa.forward(&p.init) == la.forward(&p.init));
+    let sysmat_build =
+        path("sysmat_build", ss, sl, sa.forward(&p.case.init) == la.forward(&p.case.init));
 
     // FBP (ramp filter + back projection).
     mbir_simd::set_backend(SimdBackend::Scalar);
-    let (fs, fr) = best_of(reps, || fbp::reconstruct(&p.geom, &p.scan.y));
+    let (fs, fr) = best_of(reps, || fbp::reconstruct(&p.geom, &p.case.y));
     mbir_simd::set_backend(SimdBackend::Lanes);
-    let (fl, lr) = best_of(reps, || fbp::reconstruct(&p.geom, &p.scan.y));
+    let (fl, lr) = best_of(reps, || fbp::reconstruct(&p.geom, &p.case.y));
     mbir_simd::set_backend(SimdBackend::Auto);
     let fbp_report = path("fbp_reconstruct", fs, fl, fr == lr);
 

@@ -10,14 +10,12 @@
 //! cargo run --release -p mbir-bench --bin repro_sparse_views -- --scale test
 //! ```
 
-use ct_core::fbp;
 use ct_core::geometry::Geometry;
 use ct_core::hu::rmse_hu;
 use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel};
-use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{Args, GpuIcd, MbirError};
-use mbir::prior::QggmrfPrior;
+use gpu_icd::pipeline::{Case, Setup};
+use gpu_icd::{Args, MbirError};
 use mbir::stopping::{run, BoundaryAction, Stop, StopRule};
 use mbir_bench::gpu_options_for;
 use serde::Serialize;
@@ -43,18 +41,15 @@ fn main() -> Result<(), MbirError> {
     while base.num_views / divisor >= 12 {
         let views = base.num_views / divisor;
         let geom = Geometry::new(views, base.num_channels, base.channel_spacing, base.grid);
-        let a = SystemMatrix::compute(&geom);
+        let setup = Setup::new(geom);
         let truth = Phantom::shepp_logan().render(geom.grid, 2);
-        let s = scan(&a, &truth, Some(NoiseModel::default_dose()), 21);
-
-        let fbp_img = fbp::reconstruct(&geom, &s.y);
-        let prior = QggmrfPrior::standard(0.002);
-        let mut gpu =
-            GpuIcd::new(&a, &s.y, &s.weights, &prior, fbp_img.clone(), gpu_options_for(scale));
+        let s = scan(setup.a(), &truth, Some(NoiseModel::default_dose()), 21);
+        let case = Case::new(setup, s.y, s.weights, 0.002);
+        let mut gpu = case.gpu(gpu_options_for(scale));
         let stop = Stop::Rule(StopRule::MeanUpdate { hu: 0.3 });
         run(&mut gpu, stop, 120, |_, _| BoundaryAction::Continue);
 
-        let fbp_err = rmse_hu(&fbp_img, &truth);
+        let fbp_err = rmse_hu(&case.init, &truth);
         let mbir_err = rmse_hu(gpu.image(), &truth);
         println!("{views:>8} {fbp_err:>12.1} {mbir_err:>12.1} {:>15.2}x", fbp_err / mbir_err);
         rows.push(Row {

@@ -38,9 +38,9 @@ fn main() -> Result<(), MbirError> {
     );
 
     let mut records = Vec::new();
-    let mut shared_a = None;
+    let mut shared = None;
     for (i, phantom) in Phantom::baggage_suite(cases).iter().enumerate() {
-        let p = Pipeline::build(scale, phantom, 1000 + i as u64, shared_a.take());
+        let p = Pipeline::build(scale, phantom, 1000 + i as u64, shared.take());
         let seq = run_sequential(&p, 60);
         let psv = run_psv(&p, cpu_side, 200);
         let gpu = run_gpu(&p, gpu_opts, 300);
@@ -58,7 +58,7 @@ fn main() -> Result<(), MbirError> {
             psv_equits: psv.equits,
             gpu_equits: gpu.equits,
         });
-        shared_a = Some(p.a);
+        shared = Some(p.case.setup);
     }
 
     let psv_times: Vec<f64> = records.iter().map(|r| r.psv_seconds).collect();

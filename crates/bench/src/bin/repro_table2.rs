@@ -12,7 +12,7 @@
 //! ```
 
 use ct_core::phantom::Phantom;
-use gpu_icd::{AMatrixMode, Args, GpuIcd, GpuOptions, GpuWorkModel, MbirError};
+use gpu_icd::{AMatrixMode, Args, GpuOptions, GpuWorkModel, MbirError};
 use mbir_bench::{gpu_options_for, to_golden, Pipeline};
 use serde::Serialize;
 
@@ -60,14 +60,13 @@ fn main() -> Result<(), MbirError> {
         // Unprofiled reference run: its modeled seconds are the table's
         // time column and the baseline for the bitwise-identity check.
         let opts = GpuOptions { amatrix: mode, ..base };
-        let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
+        let mut gpu = p.case.gpu(opts);
         to_golden(&mut gpu, &p, 300);
 
         // Profiled run: the sink observes every kernel launch; the
         // counter columns are recovered from its spans.
         let opts = GpuOptions { amatrix: mode, profile: true, ..base };
-        let mut prof =
-            GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
+        let mut prof = p.case.gpu(opts);
         to_golden(&mut prof, &p, 300);
         assert_eq!(
             gpu.modeled_seconds().to_bits(),

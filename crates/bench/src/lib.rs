@@ -9,21 +9,19 @@
 
 #![warn(missing_docs)]
 
-use ct_core::fbp;
 use ct_core::geometry::Geometry;
 use ct_core::hu::CONVERGENCE_HU;
 use ct_core::image::Image;
 use ct_core::phantom::Phantom;
-use ct_core::project::{scan, NoiseModel, Scan};
-use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{GpuIcd, GpuOptions, MbirError};
+use ct_core::project::{scan, NoiseModel};
+use gpu_icd::pipeline::{Case, Setup};
+use gpu_icd::{GpuOptions, MbirError};
 use mbir::convergence::ConvergenceTrace;
-use mbir::prior::QggmrfPrior;
-use mbir::sequential::{golden_image, IcdConfig, SequentialIcd};
 use mbir::stopping::{run, BoundaryAction, Driver, RunOutcome, Stop};
 use psv_icd::cpu_model::CpuModel;
-use psv_icd::{PsvConfig, PsvIcd};
+use psv_icd::PsvConfig;
 use serde::Serialize;
+use std::sync::Arc;
 
 /// The scale presets live with the strict argument parser in
 /// `gpu-icd`; re-exported here for the harness's existing callers.
@@ -33,35 +31,29 @@ pub use gpu_icd::{gpu_options_for, Scale};
 pub struct Pipeline {
     /// Geometry used.
     pub geom: Geometry,
-    /// System matrix.
-    pub a: SystemMatrix,
-    /// Noisy scan + weights + ground truth.
-    pub scan: Scan,
-    /// The prior shared by all algorithms.
-    pub prior: QggmrfPrior,
-    /// FBP initialization image.
-    pub init: Image,
+    /// The noisy scan, with its weights, prior and FBP start, on the
+    /// geometry's shared set-up.
+    pub case: Case,
     /// 40-equit sequential golden image.
     pub golden: Image,
 }
 
 impl Pipeline {
-    /// Build a pipeline for one phantom. The system matrix can be
-    /// shared across cases of the same geometry via `reuse`.
+    /// Build a pipeline for one phantom. The system matrix and plans can
+    /// be shared across cases of the same geometry via `reuse`.
     pub fn build(
         scale: Scale,
         phantom: &Phantom,
         seed: u64,
-        reuse: Option<SystemMatrix>,
+        reuse: Option<Arc<Setup>>,
     ) -> Pipeline {
         let geom = scale.geometry();
-        let a = reuse.unwrap_or_else(|| SystemMatrix::compute(&geom));
+        let setup = reuse.unwrap_or_else(|| Setup::new(geom));
         let truth = phantom.render(geom.grid, 2);
-        let s = scan(&a, &truth, Some(NoiseModel::default_dose()), seed);
-        let prior = QggmrfPrior::standard(0.002);
-        let init = fbp::reconstruct(&geom, &s.y);
-        let golden = golden_image(&a, &s.y, &s.weights, &prior, init.clone(), 40.0);
-        Pipeline { geom, a, scan: s, prior, init, golden }
+        let s = scan(setup.a(), &truth, Some(NoiseModel::default_dose()), seed);
+        let case = Case::new(setup, s.y, s.weights, 0.002);
+        let golden = case.golden(40.0);
+        Pipeline { geom, case, golden }
     }
 }
 
@@ -103,15 +95,8 @@ impl RunResult {
 /// Run sequential ICD to convergence, modeling single-core time.
 pub fn run_sequential(p: &Pipeline, max_passes: usize) -> RunResult {
     let model = CpuModel::paper_baseline();
-    let mean_nnz = p.a.nnz() as f64 / p.geom.grid.num_voxels() as f64;
-    let mut icd = SequentialIcd::new(
-        &p.a,
-        &p.scan.y,
-        &p.scan.weights,
-        &p.prior,
-        p.init.clone(),
-        IcdConfig::default(),
-    );
+    let mean_nnz = p.case.setup.a().nnz() as f64 / p.geom.grid.num_voxels() as f64;
+    let mut icd = p.case.sequential();
     let mut result = RunResult::measure("sequential-icd", &mut icd, p, max_passes);
     result.seconds = model.sequential_time(icd.stats().updates as f64 * mean_nnz);
     result
@@ -119,14 +104,13 @@ pub fn run_sequential(p: &Pipeline, max_passes: usize) -> RunResult {
 
 /// Run PSV-ICD to convergence, modeling 16-core time.
 pub fn run_psv(p: &Pipeline, sv_side: usize, max_iters: usize) -> RunResult {
-    let config = PsvConfig { sv_side, threads: 2, ..Default::default() };
-    let mut psv = PsvIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), config);
+    let mut psv = p.case.psv(PsvConfig { sv_side, ..Default::default() });
     RunResult::measure("psv-icd", &mut psv, p, max_iters)
 }
 
 /// Run GPU-ICD to convergence on the simulated Titan X.
 pub fn run_gpu(p: &Pipeline, opts: GpuOptions, max_iters: usize) -> RunResult {
-    let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
+    let mut gpu = p.case.gpu(opts);
     RunResult::measure("gpu-icd", &mut gpu, p, max_iters)
 }
 

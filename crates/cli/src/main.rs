@@ -13,17 +13,17 @@ use ct_core::image::Image;
 use ct_core::io;
 use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel};
-use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{gpu_options_for, Args, BoundaryAction, Checkpoint, GpuIcd, MbirError};
+use gpu_icd::pipeline::{Case, Setup};
+use gpu_icd::{gpu_options_for, psv_options_for, Args, BoundaryAction, Checkpoint, GpuIcd};
+use gpu_icd::{GpuOptions, MbirError};
 use mbir::prior::QggmrfPrior;
-use mbir::sequential::{golden_image, IcdConfig, SequentialIcd};
 use mbir::stopping::{run, RunOutcome, Stop};
 use mbir_fleet::{FaultSpec, FleetSpec};
 use mbir_simd::SimdBackend;
 use mbir_telemetry::{chrome_trace, ProfileReport};
 use mbir_topo::ClusterSpec;
-use psv_icd::{PsvConfig, PsvIcd};
+use psv_icd::PsvConfig;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -212,7 +212,6 @@ fn cmd_reconstruct(args: &Args) -> Result<(), MbirError> {
 /// `sino_path`.
 fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirError> {
     let scale = args.scale()?;
-    let geom = scale.geometry();
     let algo = args.get("algo")?.unwrap_or("gpu");
     if !matches!(algo, "fbp" | "sequential" | "psv" | "gpu") {
         return Err(usage_err(format!("unknown algorithm '{algo}' (fbp, sequential, psv, gpu)")));
@@ -272,57 +271,31 @@ fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirErr
         usage_err(format!("unknown --simd backend '{simd_str}' (auto, scalar, lanes)"))
     })?;
     let i0 = args.positive_or("i0", 2.0e4)?;
-    let prior = QggmrfPrior::standard(args.positive_or("sigma", 0.002)?);
+    let sigma = args.positive_or("sigma", 0.002)?;
     let max_iters: usize = args.get_or("max-iters", 200)?;
     mbir_simd::set_backend(simd);
 
     let y = io::read_sinogram_csv(sino_path).map_err(|e| MbirError::io(sino_path, e))?;
-    if y.num_views() != geom.num_views || y.num_channels() != geom.num_channels {
-        return Err(MbirError::InvalidData(format!(
-            "sinogram is {}x{} but --scale {:?} expects {}x{}",
-            y.num_views(),
-            y.num_channels(),
-            scale,
-            geom.num_views,
-            geom.num_channels
-        )));
-    }
+    let case = Case::measured(Setup::new(scale.geometry()), y, i0, sigma)?;
     let simd_name = mbir_simd::resolve(simd).name();
     if algo == "fbp" {
-        return Ok((fbp::reconstruct(&geom, &y), format!("FBP (direct method), simd {simd_name}")));
+        return Ok((case.init, format!("FBP (direct method), simd {simd_name}")));
     }
-    eprintln!("computing system matrix...");
-    let a = SystemMatrix::compute_parallel(&geom, 0);
-    // Approximate the statistical weights from the measurement itself
-    // (w = I0 exp(-y); the usual move when raw counts are unavailable).
-    let mut w = Sinogram::zeros(&geom);
-    for (wi, &yi) in w.data_mut().iter_mut().zip(y.data()) {
-        *wi = i0 * (-yi.max(0.0)).exp();
-    }
-    let init = fbp::reconstruct(&geom, &y);
-
-    eprintln!("computing 40-equit golden for the convergence criterion...");
-    let golden = golden_image(&a, &y, &w, &prior, init.clone(), 40.0);
+    eprintln!("computing system matrix and 40-equit golden for the convergence criterion...");
+    let golden = case.golden(40.0);
     let stop = Stop::Golden { image: &golden, hu: CONVERGENCE_HU };
 
     let (img, mut note, out, recording) = match algo {
         "sequential" => {
-            let mut icd = SequentialIcd::new(&a, &y, &w, &prior, init, IcdConfig::default());
+            let mut icd = case.sequential();
             let out = run(&mut icd, stop, max_iters, |_, _| BoundaryAction::Continue);
             let rmse = out.trace.last().expect("a golden run traces").rmse_hu;
             let note = format!("sequential ICD, {:.1} equits, final {rmse:.1} HU", icd.equits());
             (icd.into_image(), note, out, None)
         }
         "psv" => {
-            let (cpu_side, _) = scale.sv_sides();
-            let config = PsvConfig {
-                sv_side: cpu_side,
-                threads: 0,
-                profile: profile.is_some(),
-                simd,
-                ..Default::default()
-            };
-            let mut psv = PsvIcd::new(&a, &y, &w, &prior, init, config);
+            let config = PsvConfig { profile: profile.is_some(), simd, ..psv_options_for(scale) };
+            let mut psv = case.psv(config);
             let out = run(&mut psv, stop, max_iters, |_, _| BoundaryAction::Continue);
             let note = format!(
                 "PSV-ICD, {:.1} equits, modeled 16-core time {:.3} s, simd {simd_name}",
@@ -332,13 +305,9 @@ fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirErr
             (psv.image().clone(), note, out, psv.recording().cloned())
         }
         _ => {
-            let opts = gpu_icd::GpuOptions {
-                profile: profile.is_some(),
-                devices,
-                simd,
-                ..gpu_options_for(scale)
-            };
-            let mut gpu = GpuIcd::new(&a, &y, &w, &prior, init, opts);
+            let opts =
+                GpuOptions { profile: profile.is_some(), devices, simd, ..gpu_options_for(scale) };
+            let mut gpu = case.gpu(opts);
             if let Some(cluster) = cluster {
                 gpu.set_cluster_spec(cluster)?;
             }

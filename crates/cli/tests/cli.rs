@@ -278,6 +278,85 @@ fn a_capped_run_says_it_did_not_converge() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A sinogram shaped for another scale fails before any work, naming
+/// both shapes.
+#[test]
+fn a_sinogram_of_another_scale_is_rejected_naming_both_shapes() {
+    let dir = temp_dir("wrong-scale");
+    let sino = dir.join("s.csv");
+    let sino = sino.to_str().unwrap();
+    let out = mbirctl(&["scan", "--scale", "tiny", "--phantom", "water", "--out", sino]);
+    assert!(out.status.success(), "scan: {}", String::from_utf8_lossy(&out.stderr));
+    let img = dir.join("r.pgm");
+    let out = mbirctl(&[
+        "reconstruct",
+        "--scale",
+        "test",
+        "--sino",
+        sino,
+        "--out",
+        img.to_str().unwrap(),
+    ]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("sinogram has 24x40") && err.contains("geometry has 96x96"), "{err}");
+    assert!(!err.contains("system matrix"), "set-up started before the check: {err}");
+    assert!(!img.exists(), "a rejected sinogram wrote an image");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The facade and `mbirctl reconstruct` set a scan up through one
+/// pipeline at one set of presets: one sinogram gives one image and one
+/// modeled time.
+#[test]
+fn facade_and_mbirctl_agree_on_one_sinogram() {
+    use gpu_icd::pipeline::{Algorithm, Reconstructor};
+    use mbir::stopping::StopRule;
+    let dir = temp_dir("agree");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let sino = path("s.csv");
+    let out = mbirctl(&["scan", "--scale", "test", "--phantom", "baggage:2", "--out", &sino]);
+    assert!(out.status.success(), "scan: {}", String::from_utf8_lossy(&out.stderr));
+    let y = ct_core::io::read_sinogram_csv(std::path::Path::new(&sino)).expect("scan written");
+    for (algo, tag) in [
+        (Algorithm::SequentialIcd, "sequential"),
+        (Algorithm::PsvIcd, "psv"),
+        (Algorithm::GpuIcd, "gpu"),
+    ] {
+        let (img, csv, prof) = (path("r.pgm"), path(&format!("{tag}.csv")), path("p.json"));
+        let mut argv = vec!["reconstruct", "--scale", "test", "--sino", &sino, "--algo", tag];
+        argv.extend(["--max-iters", "3", "--out", &img, "--csv", &csv]);
+        if tag != "sequential" {
+            argv.extend(["--profile", &prof]);
+        }
+        let out = mbirctl(&argv);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{tag}: {err}");
+        assert!(err.contains("reached --max-iters 3 without converging"), "{tag}: {err}");
+
+        let facade = Reconstructor::new(ct_core::Geometry::test_scale())
+            .algorithm(algo)
+            .stop(StopRule::MaxEquits { equits: f64::INFINITY })
+            .max_passes(3)
+            .run(&y)
+            .expect("a test-scale sinogram");
+        let cli = ct_core::io::read_image_csv(std::path::Path::new(&csv), 1.0).expect("csv");
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(cli.data()), bits(facade.image.data()), "{tag}: images differ");
+        if tag != "sequential" {
+            // The driver's modeled clock is its iteration lane summed in
+            // order; `totals.seconds` sums kernel spans in launch order,
+            // which rounds differently.
+            let text = std::fs::read_to_string(&prof).expect("profile written");
+            let clock = text.split("\"modeled_seconds\": ").skip(1).fold(0.0, |t: f64, v| {
+                t + v[..v.find(',').expect("more fields")].parse::<f64>().expect("a number")
+            });
+            assert_eq!(clock.to_bits(), facade.modeled_seconds.to_bits(), "{tag}: modeled time");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn profile_rejects_unprofiled_algorithms() {
     let out = mbirctl(&[

@@ -1,12 +1,13 @@
 //! The command-line boundary shared by `mbirctl`, the serve layer and
 //! the `repro_*` binaries: the problem-scale presets ([`Scale`],
-//! [`gpu_options_for`]) and one strict `--flag value` parser
-//! ([`Args`]) whose every failure is a [`MbirError::Usage`] naming the
-//! flag, never a fallback to a default.
+//! [`gpu_options_for`], [`psv_options_for`]) and one strict
+//! `--flag value` parser ([`Args`]) whose every failure is a
+//! [`MbirError::Usage`] naming the flag, never a fallback to a default.
 
 use crate::GpuOptions;
 use crate::MbirError::{self, Usage};
-use ct_core::geometry::Geometry;
+use ct_core::geometry::{Geometry, ImageGrid};
+use psv_icd::PsvConfig;
 use std::str::FromStr;
 
 /// Problem scales selectable from the command line.
@@ -48,6 +49,15 @@ impl Scale {
         }
     }
 
+    /// The preset for `grid`: the one whose grid is the widest not
+    /// wider than it, or [`Scale::Tiny`] below the test grid.
+    pub fn for_grid(grid: ImageGrid) -> Scale {
+        [Scale::Paper, Scale::Harness, Scale::Test]
+            .into_iter()
+            .find(|s| s.geometry().grid.nx <= grid.nx)
+            .unwrap_or(Scale::Tiny)
+    }
+
     /// SV sides scaled from the paper's 13 (CPU) / 33 (GPU) to keep a
     /// comparable number of SVs at smaller grids.
     pub fn sv_sides(self) -> (usize, usize) {
@@ -77,6 +87,12 @@ pub fn gpu_options_for(scale: Scale) -> GpuOptions {
         _ => 40,
     };
     GpuOptions { sv_side: gpu_side, svs_per_batch, threadblocks_per_sv, ..Default::default() }
+}
+
+/// PSV-ICD options adapted to a scale: the CPU SV side of
+/// [`Scale::sv_sides`].
+pub fn psv_options_for(scale: Scale) -> PsvConfig {
+    PsvConfig { sv_side: scale.sv_sides().0, ..Default::default() }
 }
 
 /// `--flag [value]` arguments, checked against the flags a command
@@ -195,6 +211,25 @@ mod tests {
         assert_eq!("tiny".parse(), Ok(Scale::Tiny));
         assert_eq!("paper".parse(), Ok(Scale::Paper));
         assert!("nope".parse::<Scale>().unwrap_err().contains("unknown scale 'nope'"));
+    }
+
+    #[test]
+    fn every_grid_maps_to_the_widest_preset_that_fits() {
+        for (side, scale) in [
+            (8, Scale::Tiny),
+            (24, Scale::Tiny),
+            (63, Scale::Tiny),
+            (64, Scale::Test),
+            (255, Scale::Test),
+            (256, Scale::Harness),
+            (512, Scale::Paper),
+            (1024, Scale::Paper),
+        ] {
+            assert_eq!(Scale::for_grid(ImageGrid::square(side, 1.0)), scale, "{side}");
+        }
+        for s in [Scale::Tiny, Scale::Test, Scale::Harness, Scale::Paper] {
+            assert_eq!(Scale::for_grid(s.geometry().grid), s);
+        }
     }
 
     #[test]

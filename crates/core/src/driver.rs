@@ -34,7 +34,6 @@ use mbir_telemetry::{ConvergencePoint, IterationSample, ProfileSink, RecordingSi
 use mbir_topo::ClusterSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::borrow::Cow;
 use std::sync::Arc;
 use supervoxel::checkerboard::checkerboard_groups;
 use supervoxel::plan::{PlanConfig, SvPlanSet};
@@ -705,8 +704,8 @@ impl<P: Prior + Sync> Driver for GpuIcd<'_, P> {
     fn stats(&self) -> IcdStats {
         self.stats
     }
-    fn image(&self) -> Cow<'_, Image> {
-        Cow::Borrowed(&self.image)
+    fn image(&self) -> &Image {
+        &self.image
     }
     fn seconds(&self) -> f64 {
         self.modeled_seconds
@@ -867,6 +866,30 @@ mod tests {
             let r = gpu2.iteration();
             assert_eq!(r.svs_updated, r.svs_selected);
         }
+    }
+
+    #[test]
+    fn a_golden_free_run_ends_on_an_iteration_that_updated() {
+        // At the tiny preset (8 SVs per batch, threshold 2) the batch
+        // threshold can skip every batch of an iteration; that empty
+        // iteration must not read as converged.
+        let g = Geometry::tiny_scale();
+        let a = SystemMatrix::compute(&g);
+        let truth = Phantom::water_cylinder(0.55).render(g.grid, 2);
+        let s = scan(&a, &truth, Some(NoiseModel::default_dose()), 3);
+        let prior = QggmrfPrior::standard(0.002);
+        let init = fbp::reconstruct(&g, &s.y);
+        let o = crate::gpu_options_for(crate::Scale::Tiny);
+        let mut gpu = GpuIcd::new(&a, &s.y, &s.weights, &prior, init, o);
+        let mut last = None;
+        let stop = Stop::Rule(mbir::stopping::StopRule::MeanUpdate { hu: 0.3 });
+        let out = run(&mut gpu, stop, 200, |_, r| {
+            last = Some(*r);
+            BoundaryAction::Continue
+        });
+        let last = last.expect("the run iterated");
+        assert!(out.converged, "capped at {} iterations", out.iterations);
+        assert!(last.svs_updated > 0, "stopped on an empty iteration: {last:?}");
     }
 
     #[test]

@@ -39,6 +39,9 @@
 //!   execution.
 //! - [`args`]: the scale presets and the strict command-line parser
 //!   every binary shares.
+//! - [`pipeline`]: the one place every front end sets a scan up — the
+//!   shared system matrix and plans, the weights, the FBP start, the
+//!   golden image and every driver — plus the `Reconstructor` facade.
 
 #![warn(missing_docs)]
 
@@ -50,10 +53,11 @@ pub mod fleet;
 pub mod kernels;
 pub mod model;
 pub mod opts;
+pub mod pipeline;
 pub(crate) mod sv_update;
 pub mod tally;
 
-pub use args::{gpu_options_for, Args, Scale};
+pub use args::{gpu_options_for, psv_options_for, Args, Scale};
 pub use checkpoint::Checkpoint;
 pub use driver::{plan_config, GpuIcd, GpuIterationReport};
 pub use error::MbirError;

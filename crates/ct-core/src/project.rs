@@ -37,7 +37,8 @@ impl NoiseModel {
 pub struct Scan {
     /// Measured (noisy) line integrals `y`.
     pub y: Sinogram,
-    /// Normalized inverse-variance weights `w`, in `(0, 1]`.
+    /// Inverse-variance weights `w = i0·exp(-l)` of the noiseless line
+    /// integrals `l` (all 1 for a noiseless scan).
     pub weights: Sinogram,
     /// The image the measurement was generated from.
     pub ground_truth: Image,

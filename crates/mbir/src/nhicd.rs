@@ -19,7 +19,6 @@ use ct_core::sysmat::SystemMatrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::borrow::Cow;
 
 /// NH-ICD configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -174,8 +173,8 @@ impl<P: Prior> Driver for NhIcd<'_, P> {
     fn stats(&self) -> IcdStats {
         self.stats
     }
-    fn image(&self) -> Cow<'_, Image> {
-        Cow::Borrowed(&self.image)
+    fn image(&self) -> &Image {
+        &self.image
     }
     fn cost(&self) -> f64 {
         crate::convergence::cost(&self.image, &self.error, self.weights, self.prior)

@@ -16,7 +16,6 @@ use ct_core::sysmat::SystemMatrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use std::borrow::Cow;
 
 /// Knobs shared by the ICD drivers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -185,8 +184,8 @@ impl<P: Prior> Driver for SequentialIcd<'_, P> {
     fn stats(&self) -> IcdStats {
         self.stats
     }
-    fn image(&self) -> Cow<'_, Image> {
-        Cow::Borrowed(&self.image)
+    fn image(&self) -> &Image {
+        &self.image
     }
     fn cost(&self) -> f64 {
         crate::convergence::cost(&self.image, &self.error, self.weights, self.prior)

@@ -21,7 +21,6 @@
 use crate::convergence::{ConvergenceTrace, TracePoint};
 use crate::sequential::IcdStats;
 use ct_core::image::Image;
-use std::borrow::Cow;
 
 /// When to stop iterating.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -155,9 +154,8 @@ pub trait Driver {
     fn step(&mut self) -> Self::Report;
     /// Cumulative work counters.
     fn stats(&self) -> IcdStats;
-    /// The current image: borrowed, or a copy where the driver holds it
-    /// in another form.
-    fn image(&self) -> Cow<'_, Image>;
+    /// The current image.
+    fn image(&self) -> &Image;
     /// Seconds elapsed on the driver's modeled clock; zero for a driver
     /// without one.
     fn seconds(&self) -> f64 {
@@ -192,12 +190,16 @@ pub fn run<D: Driver>(
     while !out.converged && out.iterations < max_iters {
         let report = driver.step();
         out.iterations += 1;
-        if let Some(state) = &mut state {
+        let pass: IcdStats = report.into();
+        // An iteration that visited no voxel (GPU-ICD's batch threshold
+        // can skip every batch) moves neither the image nor the cost, so
+        // it says nothing about convergence: the rule does not see it.
+        if let Some(state) = state.as_mut().filter(|_| pass.updates + pass.skipped > 0) {
             let cost = match state.rule() {
                 StopRule::CostPlateau { .. } => driver.cost(),
                 _ => 0.0,
             };
-            state.observe(&report.into(), &driver.stats(), cost, nvox);
+            state.observe(&pass, &driver.stats(), cost, nvox);
             out.converged = state.should_stop();
         } else if let Stop::Golden { image, hu } = stop {
             out.converged = record(driver, &mut out.trace, image, nvox) < hu;
@@ -212,7 +214,7 @@ pub fn run<D: Driver>(
 /// Append the driver's RMSE against `golden` to `trace`, hand the
 /// point to the driver, and return the RMSE.
 fn record<D: Driver>(driver: &D, trace: &mut ConvergenceTrace, golden: &Image, nvox: usize) -> f32 {
-    trace.record(driver.stats().equits(nvox), driver.seconds(), &driver.image(), golden);
+    trace.record(driver.stats().equits(nvox), driver.seconds(), driver.image(), golden);
     let point = trace.last().expect("point just recorded");
     driver.trace_point(&point);
     point.rmse_hu
@@ -258,12 +260,15 @@ mod tests {
     }
 
     /// A driver whose image halves its distance to zero every step, one
-    /// equit per step, with a scripted MAP cost per step.
+    /// equit per step, with a scripted MAP cost per step; step `idle`
+    /// (1-based, 0 for none) visits nothing.
     struct Fake {
         image: Image,
         stats: IcdStats,
         costs: Vec<f64>,
         points: std::cell::RefCell<Vec<TracePoint>>,
+        steps: usize,
+        idle: usize,
     }
 
     impl Fake {
@@ -275,6 +280,8 @@ mod tests {
                 stats: IcdStats::default(),
                 costs: costs.to_vec(),
                 points: Default::default(),
+                steps: 0,
+                idle: 0,
             }
         }
     }
@@ -282,6 +289,10 @@ mod tests {
     impl Driver for Fake {
         type Report = IcdStats;
         fn step(&mut self) -> IcdStats {
+            self.steps += 1;
+            if self.steps == self.idle {
+                return IcdStats::default();
+            }
             let v = self.image.get(0);
             self.image.data_mut().iter_mut().for_each(|x| *x = v / 2.0);
             // 4 updates of 0.01 mu each: a 500 HU mean update.
@@ -293,8 +304,8 @@ mod tests {
         fn stats(&self) -> IcdStats {
             self.stats
         }
-        fn image(&self) -> Cow<'_, Image> {
-            Cow::Borrowed(&self.image)
+        fn image(&self) -> &Image {
+            &self.image
         }
         fn cost(&self) -> f64 {
             self.costs[self.stats.updates as usize / 4 - 1]
@@ -368,6 +379,18 @@ mod tests {
         let mut fake = Fake::new(80.0, &[100.0, 90.0, 89.995, 89.99]);
         let out = go(&mut fake, Stop::Rule(StopRule::CostPlateau { tol: 1e-3 }), 10);
         assert_eq!((out.iterations, out.converged), (3, true));
+    }
+
+    #[test]
+    fn an_iteration_that_visited_nothing_is_not_judged() {
+        // Every visiting step updates by 500 HU and drops the cost 10% or
+        // more; only the empty second step looks converged to a rule.
+        for rule in [StopRule::MeanUpdate { hu: 1.0 }, StopRule::CostPlateau { tol: 1e-3 }] {
+            let mut fake = Fake::new(80.0, &[100.0, 90.0, 80.0, 70.0]);
+            fake.idle = 2;
+            let out = go(&mut fake, Stop::Rule(rule), 5);
+            assert_eq!((out.iterations, out.converged), (5, false), "{rule:?}");
+        }
     }
 
     #[test]

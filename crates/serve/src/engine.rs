@@ -28,29 +28,24 @@
 use crate::report::{percentile, JobReport, ServeReport};
 use crate::sink::LeaseSink;
 use crate::spec::{JobSpec, WorkloadSpec};
-use ct_core::fbp;
 use ct_core::image::Image;
 use ct_core::project::{scan, NoiseModel};
-use ct_core::sinogram::Sinogram;
-use ct_core::sysmat::SystemMatrix;
+use gpu_icd::pipeline::{Case, Setup};
 use gpu_icd::{gpu_options_for, plan_config, Checkpoint, GpuIcd, GpuOptions, MbirError, Scale};
 use mbir::prior::QggmrfPrior;
 use mbir_fleet::{FleetSpec, UsageLedger};
 use mbir_telemetry::{JobRecord, ProfileSink, RecordingSink};
 use std::sync::Arc;
 use supervoxel::plan::SvPlanSet;
-use supervoxel::tiling::Tiling;
 
-/// One job, fully prepared to build drivers from: measurement, prior,
-/// FBP init, and the shared system matrix + SV plan for its scale.
+/// One job, fully prepared to build drivers from: its measurement on
+/// the shared set-up of its scale.
 struct Prepared {
-    a: Arc<SystemMatrix>,
-    y: Sinogram,
-    weights: Sinogram,
-    prior: QggmrfPrior,
-    init: Image,
+    case: Case,
     opts: GpuOptions,
-    plan: Arc<SvPlanSet>,
+    /// Held so that every driver of the job, across preemptions, and
+    /// every job of its scale runs on one plan.
+    _plan: Arc<SvPlanSet>,
     /// Seconds after arrival until the job can enter the queue
     /// (streaming ingest overlapped with setup).
     ready_offset: f64,
@@ -59,8 +54,8 @@ struct Prepared {
 }
 
 /// System matrices and SV plans are immutable and scale-determined,
-/// so jobs of the same scale share one of each via `Arc`.
-type PrepCache = Vec<(Scale, Arc<SystemMatrix>, Arc<SvPlanSet>)>;
+/// so jobs of the same scale share one set-up.
+type PrepCache = Vec<(Scale, Arc<Setup>)>;
 
 fn prepare_job(
     fleet: &FleetSpec,
@@ -72,21 +67,19 @@ fn prepare_job(
     opts.seed = spec.seed;
     opts.profile = false;
     let geom = spec.scale.geometry();
-    let (a, plan) = match cache.iter().find(|(s, _, _)| *s == spec.scale) {
-        Some((_, a, plan)) => (a.clone(), plan.clone()),
+    let setup = match cache.iter().find(|(s, _)| *s == spec.scale) {
+        Some((_, setup)) => setup.clone(),
         None => {
-            let a = Arc::new(SystemMatrix::compute_parallel(&geom, opts.threads));
-            let tiling = Tiling::new(geom.grid, opts.sv_side);
-            let plan = Arc::new(SvPlanSet::build(&a, &tiling, plan_config(&opts), opts.threads));
-            cache.push((spec.scale, a.clone(), plan.clone()));
-            (a, plan)
+            let setup = Setup::new(geom);
+            cache.push((spec.scale, setup.clone()));
+            setup
         }
     };
+    let a = setup.a();
+    let plan = setup.plan(opts.sv_side, plan_config(&opts));
     let phantom = spec.resolve_phantom().map_err(MbirError::Usage)?;
     let truth = phantom.render(geom.grid, 2);
-    let s = scan(&a, &truth, Some(NoiseModel::default_dose()), spec.seed);
-    let prior = QggmrfPrior::standard(spec.sigma);
-    let init = fbp::reconstruct(&geom, &s.y);
+    let s = scan(a, &truth, Some(NoiseModel::default_dose()), spec.seed);
 
     // Streaming ingestion, priced as a two-stage pipeline: stage one
     // is view arrival at `view_rate`, stage two is per-view setup
@@ -109,17 +102,8 @@ fn prepare_job(
         None => (setup_seconds, 0.0),
     };
 
-    Ok(Prepared {
-        a,
-        y: s.y,
-        weights: s.weights,
-        prior,
-        init,
-        opts,
-        plan,
-        ready_offset,
-        hidden_seconds,
-    })
+    let case = Case::new(setup, s.y, s.weights, spec.sigma);
+    Ok(Prepared { case, opts, _plan: plan, ready_offset, hidden_seconds })
 }
 
 /// Build (or rebuild) a driver on a lease: carve the sub-fleet when
@@ -130,15 +114,7 @@ fn build_driver<'p>(
     ckp: Option<&Checkpoint>,
     sink: Option<&Arc<LeaseSink>>,
 ) -> Result<GpuIcd<'p, QggmrfPrior>, MbirError> {
-    let mut gpu = GpuIcd::with_plan(
-        p.a.as_ref(),
-        &p.y,
-        &p.weights,
-        &p.prior,
-        p.init.clone(),
-        p.opts,
-        p.plan.clone(),
-    );
+    let mut gpu = p.case.gpu(p.opts);
     if p.opts.devices > 1 {
         gpu.set_fleet_spec(
             fleet.carve(p.opts.devices).map_err(|e| MbirError::Usage(e.to_string()))?,

@@ -8,25 +8,21 @@
 //! cargo run --release --example autotune [seed]
 //! ```
 
-use ct_core::fbp;
 use ct_core::geometry::Geometry;
 use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel};
-use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{GpuIcd, GpuOptions};
-use mbir::prior::QggmrfPrior;
-use mbir::sequential::golden_image;
+use gpu_icd::pipeline::{Case, Setup};
+use gpu_icd::GpuOptions;
 use mbir::stopping::{run, BoundaryAction, Stop};
 
 fn main() {
     let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(1);
     let geom = Geometry::test_scale();
-    let a = SystemMatrix::compute(&geom);
+    let setup = Setup::new(geom);
     let truth = Phantom::baggage(seed).render(geom.grid, 2);
-    let s = scan(&a, &truth, Some(NoiseModel::default_dose()), seed);
-    let prior = QggmrfPrior::standard(0.002);
-    let init = fbp::reconstruct(&geom, &s.y);
-    let golden = golden_image(&a, &s.y, &s.weights, &prior, init.clone(), 40.0);
+    let s = scan(setup.a(), &truth, Some(NoiseModel::default_dose()), seed);
+    let case = Case::new(setup, s.y, s.weights, 0.002);
+    let golden = case.golden(40.0);
 
     let mut best: Option<(f64, GpuOptions)> = None;
     let mut tried = 0usize;
@@ -40,7 +36,7 @@ fn main() {
                     svs_per_batch: batch,
                     ..Default::default()
                 };
-                let mut gpu = GpuIcd::new(&a, &s.y, &s.weights, &prior, init.clone(), opts);
+                let mut gpu = case.gpu(opts);
                 let stop = Stop::Golden { image: &golden, hu: 10.0 };
                 let out = run(&mut gpu, stop, 150, |_, _| BoundaryAction::Continue);
                 tried += 1;

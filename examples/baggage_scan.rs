@@ -7,21 +7,17 @@
 //! cargo run --release --example baggage_scan [seed]
 //! ```
 
-use ct_core::fbp;
-use ct_core::geometry::Geometry;
 use ct_core::hu::{hu_from_mu, rmse_hu};
 use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel};
-use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{GpuIcd, GpuOptions};
-use mbir::prior::QggmrfPrior;
-use mbir::sequential::{golden_image, IcdConfig, SequentialIcd};
+use gpu_icd::pipeline::{Case, Setup};
+use gpu_icd::{gpu_options_for, psv_options_for, Scale};
 use mbir::stopping::{run, BoundaryAction, Driver, Stop};
-use psv_icd::{PsvConfig, PsvIcd};
 
 fn main() {
     let seed: u64 = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(3);
-    let geom = Geometry::test_scale();
+    let scale = Scale::Test;
+    let geom = scale.geometry();
     let bag = Phantom::baggage(seed);
     let truth = bag.render(geom.grid, 2);
     println!(
@@ -31,36 +27,26 @@ fn main() {
         truth.zero_fraction() * 100.0
     );
 
-    let a = SystemMatrix::compute(&geom);
-    let s = scan(&a, &truth, Some(NoiseModel::default_dose()), seed);
-    let prior = QggmrfPrior::standard(0.002);
-    let init = fbp::reconstruct(&geom, &s.y);
-    let golden = golden_image(&a, &s.y, &s.weights, &prior, init.clone(), 40.0);
+    let setup = Setup::new(geom);
+    let s = scan(setup.a(), &truth, Some(NoiseModel::default_dose()), seed);
+    let case = Case::new(setup, s.y, s.weights, 0.002);
+    let golden = case.golden(40.0);
 
     // Sequential ICD (single core).
-    let mut seq =
-        SequentialIcd::new(&a, &s.y, &s.weights, &prior, init.clone(), IcdConfig::default());
+    let mut seq = case.sequential();
     // Every driver runs to the paper's criterion through the same loop.
     let stop = Stop::Golden { image: &golden, hu: 10.0 };
     run(&mut seq, stop, 40, |_, _| BoundaryAction::Continue);
-    let seq_entries = seq.stats().updates as f64 * a.nnz() as f64 / geom.grid.num_voxels() as f64;
+    let nnz = case.setup.a().nnz() as f64;
+    let seq_entries = seq.stats().updates as f64 * nnz / geom.grid.num_voxels() as f64;
     let seq_time = psv_icd::CpuModel::paper_baseline().sequential_time(seq_entries);
 
     // PSV-ICD (16-core model).
-    let mut psv = PsvIcd::new(
-        &a,
-        &s.y,
-        &s.weights,
-        &prior,
-        init.clone(),
-        PsvConfig { sv_side: 6, threads: 2, ..Default::default() },
-    );
+    let mut psv = case.psv(psv_options_for(scale));
     run(&mut psv, stop, 200, |_, _| BoundaryAction::Continue);
 
     // GPU-ICD (simulated Titan X).
-    let opts =
-        GpuOptions { sv_side: 8, threadblocks_per_sv: 12, svs_per_batch: 16, ..Default::default() };
-    let mut gpu = GpuIcd::new(&a, &s.y, &s.weights, &prior, init, opts);
+    let mut gpu = case.gpu(gpu_options_for(scale));
     run(&mut gpu, stop, 300, |_, _| BoundaryAction::Continue);
 
     println!(

@@ -7,18 +7,16 @@
 //! cargo run --release --example medical_slice
 //! ```
 
-use ct_core::fbp;
-use ct_core::geometry::Geometry;
 use ct_core::hu::rmse_hu;
 use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel};
-use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{GpuIcd, GpuOptions};
-use mbir::prior::QggmrfPrior;
+use gpu_icd::pipeline::{Case, Setup};
+use gpu_icd::{gpu_options_for, Scale};
 
 fn main() {
-    let geom = Geometry::test_scale();
-    let a = SystemMatrix::compute(&geom);
+    let scale = Scale::Test;
+    let geom = scale.geometry();
+    let setup = Setup::new(geom);
     let truth = Phantom::shepp_logan().render(geom.grid, 2);
 
     println!(
@@ -26,24 +24,16 @@ fn main() {
         "dose (I0)", "FBP RMSE (HU)", "MBIR RMSE (HU)", "MBIR time"
     );
     for i0 in [5.0e2f32, 2.0e3, 2.0e4, 2.0e5] {
-        let s = scan(&a, &truth, Some(NoiseModel { i0 }), 11);
-        let fbp_img = fbp::reconstruct(&geom, &s.y);
-
-        let prior = QggmrfPrior::standard(0.002);
-        let opts = GpuOptions {
-            sv_side: 8,
-            threadblocks_per_sv: 12,
-            svs_per_batch: 16,
-            ..Default::default()
-        };
-        let mut gpu = GpuIcd::new(&a, &s.y, &s.weights, &prior, fbp_img.clone(), opts);
+        let s = scan(setup.a(), &truth, Some(NoiseModel { i0 }), 11);
+        let case = Case::new(setup.clone(), s.y, s.weights, 0.002);
+        let mut gpu = case.gpu(gpu_options_for(scale));
         for _ in 0..20 {
             gpu.iteration();
         }
 
         println!(
             "{i0:<12.0} {:>16.1} {:>16.1} {:>11.2} ms",
-            rmse_hu(&fbp_img, &truth),
+            rmse_hu(&case.init, &truth),
             rmse_hu(gpu.image(), &truth),
             gpu.modeled_seconds() * 1e3
         );

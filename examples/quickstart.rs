@@ -5,51 +5,47 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ct_core::fbp;
-use ct_core::geometry::Geometry;
 use ct_core::hu::rmse_hu;
 use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel};
-use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{GpuIcd, GpuOptions};
-use mbir::prior::QggmrfPrior;
-use mbir::sequential::golden_image;
+use gpu_icd::pipeline::{Case, Setup};
+use gpu_icd::{gpu_options_for, Scale};
 use mbir::stopping::{run, BoundaryAction, Stop};
 
 fn main() {
     // 1. Describe the scanner: parallel-beam, 96 views over 180
     //    degrees, 96 detector channels, 64x64 image.
-    let geom = Geometry::test_scale();
+    let geom = Scale::Test.geometry();
     println!(
         "geometry: {} views x {} channels, {}x{} image",
         geom.num_views, geom.num_channels, geom.grid.nx, geom.grid.ny
     );
 
-    // 2. Precompute the system matrix A (the scanner model).
-    let a = SystemMatrix::compute(&geom);
+    // 2. One set-up per geometry: it computes the system matrix A (the
+    //    scanner model) on first use and shares it across scans.
+    let setup = Setup::new(geom);
+    let a = setup.a();
     println!("system matrix: {} nonzeros ({:.1} MB)", a.nnz(), a.bytes() as f64 / 1e6);
 
     // 3. Simulate a noisy scan of a water cylinder.
     let truth = Phantom::water_cylinder(0.6).render(geom.grid, 2);
-    let s = scan(&a, &truth, Some(NoiseModel::default_dose()), 7);
+    let s = scan(a, &truth, Some(NoiseModel::default_dose()), 7);
 
-    // 4. Initialize with filtered back projection and reconstruct with
-    //    GPU-ICD using the paper's tuned options (scaled to this grid).
-    let prior = QggmrfPrior::standard(0.002);
-    let init = fbp::reconstruct(&geom, &s.y);
-    let opts =
-        GpuOptions { sv_side: 8, threadblocks_per_sv: 12, svs_per_batch: 16, ..Default::default() };
-    let mut gpu = GpuIcd::new(&a, &s.y, &s.weights, &prior, init.clone(), opts);
+    // 4. The case initializes with filtered back projection; reconstruct
+    //    with GPU-ICD using the paper's tuned options (scaled to this
+    //    grid).
+    let case = Case::new(setup, s.y, s.weights, 0.002);
+    let mut gpu = case.gpu(gpu_options_for(Scale::Test));
 
     // Converge to the paper's criterion: RMSE < 10 HU against a
     // 40-equit sequential golden image. `run` is the one loop every
     // ICD driver runs to its stop through; the hook sees each
     // iteration and could stop the run early.
-    let golden = golden_image(&a, &s.y, &s.weights, &prior, init, 40.0);
+    let golden = case.golden(40.0);
     let stop = Stop::Golden { image: &golden, hu: 10.0 };
     let out = run(&mut gpu, stop, 200, |_, _| BoundaryAction::Continue);
 
-    println!("FBP init RMSE vs truth: {:.1} HU", rmse_hu(&fbp::reconstruct(&geom, &s.y), &truth));
+    println!("FBP init RMSE vs truth: {:.1} HU", rmse_hu(&case.init, &truth));
     println!(
         "GPU-ICD RMSE vs golden: {:.2} HU after {:.1} equits (converged: {})",
         out.trace.last().unwrap().rmse_hu,

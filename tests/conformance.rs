@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use ct_core::phantom::Phantom;
-use gpu_icd::{AMatrixMode, Checkpoint, GpuIcd, GpuOptions, Layout};
+use gpu_icd::{AMatrixMode, Checkpoint, GpuOptions, Layout};
 use mbir_bench::{gpu_options_for, run_gpu, run_psv, run_sequential, to_golden, Pipeline, Scale};
 use mbir_fleet::FaultSpec;
 
@@ -137,9 +137,9 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
     let base = gpu_options_for(scale);
 
     // ---- Table 1: seq vs PSV vs GPU over baggage cases -------------
-    let mut shared_a = None;
+    let mut shared = None;
     for (i, phantom) in Phantom::baggage_suite(2).iter().enumerate() {
-        let p = Pipeline::build(scale, phantom, 1000 + i as u64, shared_a.take());
+        let p = Pipeline::build(scale, phantom, 1000 + i as u64, shared.take());
         let seq = run_sequential(&p, 60);
         let psv = run_psv(&p, cpu_side, 200);
         let gpu = run_gpu(&p, base, 300);
@@ -149,7 +149,7 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
             g.check_f64(&format!("table1.case{i}.{}.equits", r.algo), r.equits);
             g.check_f32(&format!("table1.case{i}.{}.rmse_hu", r.algo), r.rmse_hu);
         }
-        shared_a = Some(p.a);
+        shared = Some(p.case.setup);
     }
 
     // The shared pipeline behind Table 2 and the figure sweeps — the
@@ -164,15 +164,14 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
         (AMatrixMode::TextureU8, "texture_u8"),
     ] {
         let opts = GpuOptions { amatrix: mode, ..base };
-        let mut gpu = GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
+        let mut gpu = p.case.gpu(opts);
         to_golden(&mut gpu, &p, 300);
 
         // The profiled run must be bitwise identical to the unprofiled
         // one — the structural invariant repro_table2 asserts — and its
         // counters are part of the pinned surface.
         let opts = GpuOptions { amatrix: mode, profile: true, ..base };
-        let mut prof =
-            GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), opts);
+        let mut prof = p.case.gpu(opts);
         to_golden(&mut prof, &p, 300);
         assert_eq!(gpu.modeled_seconds().to_bits(), prof.modeled_seconds().to_bits());
         assert_eq!(gpu.image(), prof.image());
@@ -245,8 +244,7 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
     let fleet_opts = GpuOptions { devices, ..base };
     let iters = 8;
     let healthy = {
-        let mut gpu =
-            GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), fleet_opts);
+        let mut gpu = p.case.gpu(fleet_opts);
         for _ in 0..iters {
             gpu.iteration();
         }
@@ -258,8 +256,7 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
         ("straggler", "slow:0@0..24x2.5".to_string()),
         ("storm", "fail:3@8,slow:1@0..16x2,link:4..16x1.5,backoff:0.25".to_string()),
     ] {
-        let mut gpu =
-            GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), fleet_opts);
+        let mut gpu = p.case.gpu(fleet_opts);
         let spec = FaultSpec::parse(&schedule, devices).expect("valid schedule");
         gpu.set_fault_spec(spec).expect("spec installs");
         for _ in 0..iters {
@@ -278,8 +275,7 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
 
     // ---- Checkpoint round-trip at the midpoint ---------------------
     {
-        let mut gpu =
-            GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), fleet_opts);
+        let mut gpu = p.case.gpu(fleet_opts);
         for _ in 0..iters / 2 {
             gpu.iteration();
         }
@@ -288,8 +284,7 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
         g.check_u64("checkpoint.bytes", bytes.len() as u64);
         let back = Checkpoint::from_bytes(&bytes, "conformance").expect("round-trips");
         assert_eq!(back.to_bytes(), bytes, "checkpoint encode/decode/encode drifted");
-        let mut resumed =
-            GpuIcd::new(&p.a, &p.scan.y, &p.scan.weights, &p.prior, p.init.clone(), fleet_opts);
+        let mut resumed = p.case.gpu(fleet_opts);
         resumed.restore(&back).expect("checkpoint restores");
         for _ in iters / 2..iters {
             gpu.iteration();

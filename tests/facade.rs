@@ -22,7 +22,8 @@ fn facade_runs_every_algorithm() {
     let (geom, y, truth) = measurement();
     let mut results = Vec::new();
     for algo in [Algorithm::Fbp, Algorithm::SequentialIcd, Algorithm::PsvIcd, Algorithm::GpuIcd] {
-        let r = Reconstructor::new(geom).algorithm(algo).max_passes(40).run(&y);
+        let r =
+            Reconstructor::new(geom).algorithm(algo).max_passes(40).run(&y).expect("valid input");
         let err = rmse_hu(&r.image, &truth);
         assert!(err < 600.0, "{algo:?} rmse {err}");
         results.push((algo, err, r));
@@ -47,12 +48,14 @@ fn mean_update_rule_stops_early_and_converged() {
         .algorithm(Algorithm::SequentialIcd)
         .stop(StopRule::MeanUpdate { hu: 0.05 })
         .max_passes(60)
-        .run(&y);
+        .run(&y)
+        .expect("valid input");
     let loose = Reconstructor::new(geom)
         .algorithm(Algorithm::SequentialIcd)
         .stop(StopRule::MeanUpdate { hu: 5.0 })
         .max_passes(60)
-        .run(&y);
+        .run(&y)
+        .expect("valid input");
     assert!(loose.equits < tight.equits, "loose {} tight {}", loose.equits, tight.equits);
     // The tight rule's endpoint is close to the loose one's continuation.
     let d = rmse_hu(&tight.image, &loose.image);
@@ -66,7 +69,8 @@ fn max_equits_budget_is_respected() {
         .algorithm(Algorithm::GpuIcd)
         .stop(StopRule::MaxEquits { equits: 3.0 })
         .max_passes(500)
-        .run(&y);
+        .run(&y)
+        .expect("valid input");
     assert!(r.equits >= 3.0, "budget not reached: {}", r.equits);
     assert!(r.equits < 5.0, "budget badly overshot: {}", r.equits);
 }
@@ -78,7 +82,8 @@ fn cost_plateau_rule_terminates() {
         .algorithm(Algorithm::SequentialIcd)
         .stop(StopRule::CostPlateau { tol: 1e-4 })
         .max_passes(100)
-        .run(&y);
+        .run(&y)
+        .expect("valid input");
     assert!(r.equits > 1.0 && r.equits < 60.0, "equits {}", r.equits);
 }
 
@@ -90,7 +95,12 @@ fn cost_plateau_judges_every_algorithm_by_its_map_cost() {
     for algo in [Algorithm::SequentialIcd, Algorithm::PsvIcd, Algorithm::GpuIcd] {
         let run = |tol: f64, passes: usize| {
             let stop = StopRule::CostPlateau { tol };
-            Reconstructor::new(geom).algorithm(algo).stop(stop).max_passes(passes).run(&y)
+            Reconstructor::new(geom)
+                .algorithm(algo)
+                .stop(stop)
+                .max_passes(passes)
+                .run(&y)
+                .expect("valid input")
         };
         let (loose, tight) = (run(1e-2, 200), run(1e-12, 200));
         assert!(loose.converged && tight.converged, "{algo:?} hit the pass budget");
@@ -118,6 +128,28 @@ fn gpu_options_override_applies() {
         .algorithm(Algorithm::GpuIcd)
         .gpu_options(opts)
         .max_passes(40)
-        .run(&y);
+        .run(&y)
+        .expect("valid input");
     assert!(r.modeled_seconds > 0.0);
+}
+
+#[test]
+fn a_sinogram_of_another_geometry_is_an_error() {
+    let (_, y, _) = measurement();
+    let err = Reconstructor::new(Geometry::test_scale()).run(&y).unwrap_err().to_string();
+    assert!(err.contains("sinogram has 24x40") && err.contains("geometry has 96x96"), "{err}");
+}
+
+#[test]
+fn a_dose_that_is_not_positive_is_an_error() {
+    let (geom, y, _) = measurement();
+    let err = Reconstructor::new(geom).dose(-2.0e4).run(&y).unwrap_err().to_string();
+    assert!(err.contains("i0 = -20000 is not finite and positive"), "{err}");
+}
+
+#[test]
+fn a_sigma_that_is_not_positive_is_an_error() {
+    let (geom, y, _) = measurement();
+    let err = Reconstructor::new(geom).sigma(0.0).run(&y).unwrap_err().to_string();
+    assert!(err.contains("sigma = 0 is not finite and positive"), "{err}");
 }
