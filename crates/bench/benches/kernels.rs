@@ -64,15 +64,15 @@ fn bench_kernels(c: &mut Criterion) {
         b.iter(|| black_box(Svb::gather(&shape, SvbLayout::SensorMajor, &y, &w)))
     });
     c.bench_function("svb_scatter_delta", |b| {
-        let orig = Svb::gather(&shape, SvbLayout::Transposed, &y, &w);
-        let mut modified = orig.clone();
-        for v in modified.e.iter_mut() {
-            *v += 0.5;
+        let mut modified = Svb::gather(&shape, SvbLayout::Transposed, &y, &w);
+        for c in modified.cells.iter_mut() {
+            c[0] += 0.5;
         }
+        modified.take_delta(&y);
         b.iter_batched(
             || y.clone(),
             |mut e| {
-                modified.scatter_delta(&orig, &mut e);
+                modified.scatter_delta(&mut e);
                 black_box(e)
             },
             BatchSize::SmallInput,

@@ -15,7 +15,9 @@ use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel};
 use ct_core::sysmat::SystemMatrix;
 use gpu_icd::pipeline::{Case, Setup};
-use gpu_icd::{gpu_options_for, psv_options_for, Args, BoundaryAction, Checkpoint, GpuIcd};
+use gpu_icd::{
+    gpu_options_for, plan_config, psv_options_for, Args, BoundaryAction, Checkpoint, GpuIcd,
+};
 use gpu_icd::{GpuOptions, MbirError};
 use mbir::prior::QggmrfPrior;
 use mbir::stopping::{run, RunOutcome, Stop};
@@ -566,7 +568,8 @@ fn cmd_info(args: &Args) -> Result<(), MbirError> {
     println!("scale {:?}", scale);
     println!("  image: {} x {} voxels of {} mm", geom.grid.nx, geom.grid.ny, geom.grid.pixel_size);
     println!("  views: {} over 180 deg; channels: {}", geom.num_views, geom.num_channels);
-    let a = SystemMatrix::compute_parallel(&geom, 0);
+    let setup = Setup::new(geom);
+    let a = setup.a();
     println!(
         "  system matrix: {} nonzeros, {:.1} MB, {:.2} channels/voxel/view",
         a.nnz(),
@@ -575,5 +578,13 @@ fn cmd_info(args: &Args) -> Result<(), MbirError> {
     );
     let (cpu_side, gpu_side) = scale.sv_sides();
     println!("  tuned SV sides: CPU {cpu_side}, GPU {gpu_side}");
+    let opts = gpu_options_for(scale);
+    let plan = setup.plan(opts.sv_side, plan_config(&opts));
+    println!(
+        "  GPU plan: {:.1} MB, {:.2} B per SV element ({} elements)",
+        plan.bytes() as f64 / 1e6,
+        plan.bytes() as f64 / plan.elements().max(1) as f64,
+        plan.elements()
+    );
     Ok(())
 }

@@ -50,6 +50,23 @@ fn known_flags_pass_validation() {
 }
 
 #[test]
+fn info_prints_the_gpu_plan_footprint() {
+    // The GPU plan holds a u16 band offset and a u8 code per SV
+    // element, plus per-voxel records: a little over 3 B per element.
+    let out = mbirctl(&["info", "--scale", "test"]);
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout.lines().find(|l| l.contains("GPU plan:")).expect("a GPU plan line");
+    let field = |unit: &str| -> f64 {
+        let head = &line[..line.find(unit).expect(unit)];
+        head.rsplit(' ').next().expect("a number").parse().expect("a number")
+    };
+    let (mb, per_element) = (field(" MB"), field(" B per SV element"));
+    assert!(mb > 0.0, "{line}");
+    assert!((3.0..4.0).contains(&per_element), "{line}");
+}
+
+#[test]
 fn malformed_values_are_usage_errors_naming_the_flag() {
     // Each of these used to run on a default (or write a file named
     // after the next flag, or panic); now each exits 1 with usage and
@@ -345,13 +362,23 @@ fn facade_and_mbirctl_agree_on_one_sinogram() {
         assert_eq!(bits(cli.data()), bits(facade.image.data()), "{tag}: images differ");
         if tag != "sequential" {
             // The driver's modeled clock is its iteration lane summed in
-            // order; `totals.seconds` sums kernel spans in launch order,
-            // which rounds differently.
+            // order, and `totals.seconds` folds the kernel spans in the
+            // same grouping: both equal the facade's clock bit for bit.
             let text = std::fs::read_to_string(&prof).expect("profile written");
-            let clock = text.split("\"modeled_seconds\": ").skip(1).fold(0.0, |t: f64, v| {
-                t + v[..v.find(',').expect("more fields")].parse::<f64>().expect("a number")
-            });
+            let number = |v: &str| -> f64 {
+                let end = v.find([',', '\n']).expect("more fields");
+                v[..end].trim().parse().expect("a number")
+            };
+            let clock =
+                text.split("\"modeled_seconds\": ").skip(1).fold(0.0, |t: f64, v| t + number(v));
             assert_eq!(clock.to_bits(), facade.modeled_seconds.to_bits(), "{tag}: modeled time");
+            let totals = &text[text.find("\"totals\"").expect("a totals block")..];
+            let seconds = number(totals.split("\"seconds\": ").nth(1).expect("totals.seconds"));
+            assert_eq!(
+                seconds.to_bits(),
+                facade.modeled_seconds.to_bits(),
+                "{tag}: totals.seconds"
+            );
         }
     }
     std::fs::remove_dir_all(&dir).ok();

@@ -452,41 +452,29 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         let allow_skip = self.opts.zero_skip && self.iter > 1;
         let rounds = self.opts.blocks_per_sv() as usize;
 
-        // Kernel 1 (functional): gather all SVBs from the snapshot.
+        // Kernels 1 and 2 (functional): each SV gathers its SVB from the
+        // batch's error-sinogram snapshot, runs its voxel updates in
+        // rounds, and turns its band into the delta against the same,
+        // still untouched, snapshot — across host worker threads. SVs
+        // of one batch belong to the same checkerboard group, so their
+        // write sets are disjoint and every cross-SV neighbour read
+        // lands in an SV frozen for the whole batch — any thread count
+        // produces bitwise-identical results. The ablation without the
+        // checkerboard loses that guarantee and runs on one thread to
+        // keep its (sequential) semantics reproducible.
         let plan = &*self.plan;
-        let origs: Vec<Svb<'_>> = batch
-            .iter()
-            .map(|&sv| Svb::gather(&plan.plan(sv).shape, layout, &self.error, self.weights))
-            .collect();
-
-        // Kernel 2 (functional): per-SV voxel updates in rounds, run
-        // across host worker threads. SVs of one batch belong to the
-        // same checkerboard group, so their write sets are disjoint and
-        // every cross-SV neighbour read lands in an SV frozen for the
-        // whole batch — any thread count produces bitwise-identical
-        // results. The ablation without the checkerboard loses that
-        // guarantee and runs on one thread to keep its (sequential)
-        // semantics reproducible.
         let a = self.a;
         let prior = self.prior;
         let opts = &self.opts;
         let iter = self.iter;
         let workers = if opts.checkerboard { opts.threads } else { 1 };
+        let (error, weights) = (&self.error, self.weights);
         let shared = self.image.as_shared();
         let results: Vec<(Svb<'_>, SvTally)> = mbir_parallel::par_map(workers, batch.len(), |bi| {
-            let sv = batch[bi];
-            let mut svb = origs[bi].clone();
-            let t = update_sv(
-                a,
-                &shared,
-                prior,
-                opts,
-                plan.plan(sv),
-                iter,
-                &mut svb,
-                rounds,
-                allow_skip,
-            );
+            let sv_plan = plan.plan(batch[bi]);
+            let mut svb = Svb::gather(&sv_plan.shape, layout, error, weights);
+            let t = update_sv(a, &shared, prior, opts, sv_plan, iter, &mut svb, rounds, allow_skip);
+            svb.take_delta(error);
             (svb, t)
         });
 
@@ -504,15 +492,14 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         }
 
         // Kernel 3 (functional): scatter every delta, in batch order.
-        for (bi, (svb, _)) in results.iter().enumerate() {
-            svb.scatter_delta(&origs[bi], &mut self.error);
+        for (svb, _) in &results {
+            svb.scatter_delta(&mut self.error);
         }
 
         let k = BatchContext {
             model: &self.model,
             skeleton: &self.skeleton,
             num_channels: self.a.geometry().num_channels,
-            threads: self.opts.threads,
             sink: self.sink.as_deref(),
             iter: self.iter,
             batch: self.batch_seq,

@@ -53,8 +53,6 @@ pub(crate) struct BatchContext<'a> {
     pub(crate) model: &'a GpuWorkModel,
     pub(crate) skeleton: &'a ProfileSkeleton,
     pub(crate) num_channels: usize,
-    /// Host workers modeling devices concurrently.
-    pub(crate) threads: usize,
     pub(crate) sink: Option<&'a dyn ProfileSink>,
     pub(crate) iter: u64,
     /// Global batch sequence number (fault schedules key on it).
@@ -80,22 +78,24 @@ impl BatchContext<'_> {
         }
     }
 
-    /// Model every device's shard on its own host worker, fold the
-    /// timings into `stats` in device order, and return each device's
-    /// seconds (zero for a device with nothing launched).
+    /// Model every device's shard in device order, fold the timings
+    /// into `stats`, and return each device's seconds (zero for a
+    /// device with nothing launched). Pricing is microseconds of
+    /// arithmetic per device, far below the cost of handing it to
+    /// worker threads.
     fn time_devices(
         &self,
         tallies: &[BatchTally],
         start: f64,
         stats: &mut GpuRunStats,
     ) -> Vec<f64> {
-        let timings = mbir_parallel::par_map(self.threads, tallies.len(), |d| {
-            (!tallies[d].svs.is_empty()).then(|| self.time(&tallies[d], d, start))
-        });
-        for t in timings.iter().flatten() {
-            stats.add(t);
+        let mut seconds = vec![0.0; tallies.len()];
+        for (d, tally) in tallies.iter().enumerate().filter(|(_, t)| !t.svs.is_empty()) {
+            let t = self.time(tally, d, start);
+            stats.add(&t);
+            seconds[d] = t.seconds();
         }
-        timings.iter().map(|t| t.as_ref().map_or(0.0, |t| t.seconds())).collect()
+        seconds
     }
 
     fn exchange(&self, phase: &str, node: Option<usize>, start: f64, seconds: f64, bytes: u64) {

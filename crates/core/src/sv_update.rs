@@ -22,10 +22,12 @@ use supervoxel::svb::Svb;
 /// iteration-invariant quantity (band offsets, chunk tallies, quantized
 /// columns) comes from the SV's [`SvPlan`].
 ///
-/// A visit reads `a.column(j)` for two things only: the Scalar
-/// backend's `(view, channel)` walk over the column's runs, and the f32
-/// entries when the plan holds no u8 codes. The Lanes backend reaches
-/// the band through the plan's offsets alone.
+/// A visit dequantizes its column once, into a buffer that its theta
+/// gather reads and its delayed commit carries. It reads `a.column(j)`
+/// for two things only: the Scalar backend's `(view, channel)` walk
+/// over the column's runs, and the f32 entries when the plan holds no
+/// u8 codes. The Lanes backend reaches the band through the plan's
+/// offsets alone.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn update_sv<P: Prior>(
     a: &SystemMatrix,
@@ -80,15 +82,20 @@ pub(crate) fn update_sv<P: Prior>(
     // paper reports for small SV sides), which throttles the *effective*
     // concurrency — without the cap the emulation over-penalizes
     // extreme block-to-voxel ratios that the hardware self-limits.
+    //
+    // Each delayed commit carries its visit's dequantized column, and
+    // hands the buffer back for a later visit to refill.
     let window = (rounds / 2).clamp(1, (order.len() / 16).max(1));
-    let mut fifo: VecDeque<(u32, f32)> = VecDeque::new();
-    let commit = |svb: &mut Svb<'_>, oi: u32, delta: f32| {
+    let mut fifo: VecDeque<(u32, f32, Vec<f32>)> = VecDeque::new();
+    let mut spare: Vec<Vec<f32>> = Vec::new();
+    let commit = |svb: &mut Svb<'_>, (oi, delta, buf): (u32, f32, Vec<f32>)| {
         if delta != 0.0 {
             let vp = &vox[oi as usize];
             image.set(vp.voxel, image.get(vp.voxel) + delta);
             let col = a.column(vp.voxel);
-            svb.apply_delta(&col, vp.entries(&col), plan.offsets(vp), delta, simd);
+            svb.apply_delta(&col, plan.entries(&col, &buf), plan.offsets(vp), delta, simd);
         }
+        buf
     };
     for (pos, &oi) in order.iter().enumerate() {
         let vp = &vox[oi as usize];
@@ -98,11 +105,12 @@ pub(crate) fn update_sv<P: Prior>(
             continue;
         }
         if fifo.len() >= window {
-            let (oj, d) = fifo.pop_front().expect("window >= 1");
-            commit(svb, oj, d);
+            spare.push(commit(svb, fifo.pop_front().expect("window >= 1")));
         }
         let col = a.column(j);
-        let th = svb.thetas(&col, vp.entries(&col), plan.offsets(vp), simd);
+        let mut buf = spare.pop().unwrap_or_default();
+        plan.dequantize(vp, &mut buf);
+        let th = svb.thetas(&col, plan.entries(&col, &buf), plan.offsets(vp), simd);
         let nb = image.neighbors8(j);
         let mut neigh = nb.iter().map(|(k, edge)| (image.get(k), clique_weight(edge)));
         let delta = voxel_step(prior, image.get(j), th, &mut neigh, opts.positivity);
@@ -112,10 +120,10 @@ pub(crate) fn update_sv<P: Prior>(
         t.dense += vp.dense as f64;
         t.descriptors += vp.descriptors as f64;
         static_updates[(pos / range_len.max(1)).min(rounds - 1)] += 1;
-        fifo.push_back((oi, delta));
+        fifo.push_back((oi, delta, buf));
     }
-    for (oj, d) in fifo {
-        commit(svb, oj, d);
+    for pending in fifo {
+        commit(svb, pending);
     }
 
     if t.updates > 0 {

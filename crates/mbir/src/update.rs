@@ -14,7 +14,6 @@ use crate::prior::{clique_weight, Prior};
 use ct_core::image::Image;
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::ColumnView;
-use mbir_simd::AColumn;
 
 /// The data-term coefficients of one voxel visit.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -59,19 +58,19 @@ impl WeightedError for SinogramPair<'_> {
 /// Accumulate `theta1`, `theta2` over a voxel's footprint
 /// (steps 3-6 of Algorithm 1).
 pub fn compute_thetas<E: WeightedError>(col: &ColumnView<'_>, ew: &E) -> Thetas {
-    column_thetas(col, AColumn::F32(col.values_flat()), ew)
+    column_thetas(col, col.values_flat(), ew)
 }
 
 /// [`compute_thetas`] with the column's A entries supplied apart from
-/// its runs: the f32 values, or a u8-quantized copy in the same flat
+/// its runs: the f32 values, or a dequantized u8 copy in the same flat
 /// order. This is the one scalar reference walk. It goes through the
 /// raw CSR slices, free of per-view iterator construction, and entry
 /// `k` of the flat stream lands in canonical lane `k % 8` of an
 /// [`mbir_simd::ThetaAcc`]. The lane backend's gather kernel
 /// ([`mbir_simd::theta_gather`]) must — and does — match it bitwise.
-pub fn column_thetas<E: WeightedError>(col: &ColumnView<'_>, a: AColumn<'_>, ew: &E) -> Thetas {
+pub fn column_thetas<E: WeightedError>(col: &ColumnView<'_>, a: &[f32], ew: &E) -> Thetas {
     let mut acc = mbir_simd::ThetaAcc::new();
-    for_each_entry(col, a, |view, ch, av| {
+    walk_runs(col, a, |view, ch, av| {
         let (e, w) = ew.get(view, ch);
         acc.push(av, e, w);
     });
@@ -82,39 +81,19 @@ pub fn column_thetas<E: WeightedError>(col: &ColumnView<'_>, a: AColumn<'_>, ew:
 /// Scatter `e -= A * delta` over the voxel's footprint
 /// (steps 9-11 of Algorithm 1).
 pub fn apply_delta<E: WeightedError>(col: &ColumnView<'_>, ew: &mut E, delta: f32) {
-    column_apply(col, AColumn::F32(col.values_flat()), ew, delta);
+    column_apply(col, col.values_flat(), ew, delta);
 }
 
 /// [`apply_delta`] with the A entries supplied apart from the runs,
 /// as in [`column_thetas`].
-pub fn column_apply<E: WeightedError>(
-    col: &ColumnView<'_>,
-    a: AColumn<'_>,
-    ew: &mut E,
-    delta: f32,
-) {
-    for_each_entry(col, a, |view, ch, av| ew.sub(view, ch, av * delta));
+pub fn column_apply<E: WeightedError>(col: &ColumnView<'_>, a: &[f32], ew: &mut E, delta: f32) {
+    walk_runs(col, a, |view, ch, av| ew.sub(view, ch, av * delta));
 }
 
 /// Visit `(view, channel, A)` for every entry of a column in flat
-/// order, resolving the A representation once per column.
+/// order.
 #[inline(always)]
-fn for_each_entry(col: &ColumnView<'_>, a: AColumn<'_>, mut f: impl FnMut(usize, usize, f32)) {
-    match a {
-        AColumn::F32(v) => walk_runs(col, v, |x| x, &mut f),
-        AColumn::U8 { codes, scale, levels } => {
-            walk_runs(col, codes, |c| mbir_simd::dequant(c, scale, levels), &mut f)
-        }
-    }
-}
-
-#[inline(always)]
-fn walk_runs<T: Copy>(
-    col: &ColumnView<'_>,
-    a: &[T],
-    deq: impl Fn(T) -> f32,
-    f: &mut impl FnMut(usize, usize, f32),
-) {
+fn walk_runs(col: &ColumnView<'_>, a: &[f32], mut f: impl FnMut(usize, usize, f32)) {
     assert_eq!(a.len(), col.nnz(), "A entries do not match the column's runs");
     let first = col.first_channels();
     let count = col.counts();
@@ -123,7 +102,7 @@ fn walk_runs<T: Copy>(
         let n = count[view] as usize;
         let fc = first[view] as usize;
         for (k, &av) in a[off..off + n].iter().enumerate() {
-            f(view, fc + k, deq(av));
+            f(view, fc + k, av);
         }
         off += n;
     }

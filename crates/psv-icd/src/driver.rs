@@ -9,7 +9,6 @@ use mbir::prior::{clique_weight, Prior};
 use mbir::sequential::{IcdConfig, IcdStats};
 use mbir::stopping::Driver;
 use mbir::update::voxel_step;
-use mbir_simd::AColumn;
 use mbir_telemetry::{ConvergencePoint, IterationSample, KernelSpan, ProfileSink, RecordingSink};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -239,25 +238,15 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
             if group.is_empty() {
                 continue;
             }
-            // Gather all buffers for the group from the current error
-            // sinogram (deterministic snapshot).
-            let plan = &*self.plan;
-            let origs: Vec<Svb<'_>> = group
-                .iter()
-                .map(|&sv| {
-                    Svb::gather(
-                        &plan.plan(sv).shape,
-                        SvbLayout::SensorMajor,
-                        &self.error,
-                        self.weights,
-                    )
-                })
-                .collect();
-
-            // Parallel SV updates within the group: SVs of one
+            // Parallel SV updates within the group: each SV gathers its
+            // buffer from the group's error-sinogram snapshot, updates
+            // its voxels, and turns the buffer into its delta against
+            // the same, still untouched, snapshot. SVs of one
             // checkerboard group never share boundary voxels, so the
             // shared-image writes and neighbour reads are disjoint and
             // the result is independent of scheduling.
+            let plan = &*self.plan;
+            let (error, weights) = (&self.error, self.weights);
             let image = self.image.as_shared();
             let a = self.a;
             let prior = self.prior;
@@ -271,9 +260,12 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
             let results: Vec<(Svb<'_>, SvVisit)> =
                 mbir_parallel::par_map(self.config.threads, group.len(), |i| {
                     let sv = group[i];
-                    let mut svb = origs[i].clone();
+                    let sv_plan = plan.plan(sv);
+                    let mut svb =
+                        Svb::gather(&sv_plan.shape, SvbLayout::SensorMajor, error, weights);
                     let mut visit = SvVisit::default();
-                    let vox = plan.plan(sv).voxels();
+                    let mut buf = Vec::new();
+                    let vox = sv_plan.voxels();
                     // Shuffling indices into the plan's voxel list is
                     // the same Fisher-Yates permutation the pre-plan
                     // driver applied to the voxel ids themselves.
@@ -292,12 +284,13 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
                             continue;
                         }
                         let col = a.column(j);
+                        sv_plan.dequantize(vp, &mut buf);
                         let delta = update_voxel_shared(
                             j,
                             &image,
                             &col,
-                            vp.entries(&col),
-                            plan.plan(sv).offsets(vp),
+                            sv_plan.entries(&col, &buf),
+                            sv_plan.offsets(vp),
                             &mut svb,
                             prior,
                             positivity,
@@ -307,13 +300,14 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
                         visit.abs_delta += delta.abs() as f64;
                         visit.entries += vp.nnz as f64;
                     }
+                    svb.take_delta(error);
                     (svb, visit)
                 });
 
             // Sequential, ordered merge of the deltas (Alg. 2 lock()).
             for (i, &sv) in group.iter().enumerate() {
                 let (svb, visit) = &results[i];
-                svb.scatter_delta(&origs[i], &mut self.error);
+                svb.scatter_delta(&mut self.error);
                 let visit = *visit;
                 self.update_amount[sv] = visit.abs_delta;
                 report.updates += visit.updates;
@@ -438,14 +432,15 @@ impl<P: Prior> Driver for PsvIcd<'_, P> {
 /// view's atomics. The theta/apply inner loops dispatch on the
 /// already-resolved `simd` backend (bitwise identical for every
 /// choice); `entries` and `offsets` are the voxel's A entries and band
-/// offsets from the SV's plan.
+/// offsets from the SV's plan, and the commit reuses the entries the
+/// theta pass read.
 #[allow(clippy::too_many_arguments)]
 fn update_voxel_shared<P: Prior>(
     j: usize,
     image: &SharedImage<'_>,
     col: &ColumnView<'_>,
-    entries: AColumn<'_>,
-    offsets: &[u32],
+    entries: &[f32],
+    offsets: &[u16],
     svb: &mut Svb<'_>,
     prior: &P,
     positivity: bool,

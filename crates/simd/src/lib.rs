@@ -186,118 +186,58 @@ pub fn dequant(code: u8, scale: f32, levels: f32) -> f32 {
     code as f32 * scale / levels
 }
 
-/// One voxel column's A entries in flat element order, as a visit
-/// reads them: the f32 column, or its u8 codes dequantized per element
-/// by [`dequant`].
-#[derive(Debug, Clone, Copy)]
-pub enum AColumn<'a> {
-    /// Full-precision entries.
-    F32(&'a [f32]),
-    /// Quantized entries with their per-column scale and level count.
-    U8 { codes: &'a [u8], scale: f32, levels: f32 },
+/// Dequantize a column's u8 codes into `out` in one contiguous pass,
+/// each entry by the canonical [`dequant`]. A visit fills this once and
+/// both its theta gather and its delayed commit read the result, so
+/// the divide runs once per element per visit, vectorized.
+pub fn dequantize(codes: &[u8], scale: f32, levels: f32, out: &mut Vec<f32>) {
+    out.clear();
+    out.extend(codes.iter().map(|&c| dequant(c, scale, levels)));
 }
 
-impl AColumn<'_> {
-    fn len(&self) -> usize {
-        match self {
-            AColumn::F32(v) => v.len(),
-            AColumn::U8 { codes, .. } => codes.len(),
-        }
-    }
-}
-
-/// Thetas of one voxel visit, gathered straight from an SV band: entry
-/// `k` of `a` pairs with `e[idx[k]]` and `w[idx[k]]`. Chunked 8-wide
-/// and bitwise-equal to pushing `(a[k], e[idx[k]], w[idx[k]])`
-/// through a [`ThetaAcc`]: lane `l` of chunk `c` holds flat position
-/// `8*c + l`, the tail keeps the lane phase, and each lane computes
-/// `theta1 -= (w*a)*e`, `theta2 += (w*a)*a` — the trees Rust parses
-/// `w * a * e` and `w * a * a` into. Only the product `w*a` is shared
-/// between the two, never re-associated.
-pub fn theta_gather(a: AColumn<'_>, idx: &[u32], e: &[f32], w: &[f32]) -> (f32, f32) {
+/// Thetas of one voxel visit, gathered straight from an SV band of
+/// `(e, w)` cells: entry `k` of `a` pairs with the cell `cells[idx[k]]`,
+/// which one 8-byte load serves. Chunked 8-wide and bitwise-equal to
+/// pushing `(a[k], e, w)` through a [`ThetaAcc`]: lane `l` of chunk `c`
+/// holds flat position `8*c + l`, the tail keeps the lane phase, and
+/// each lane computes `theta1 -= (w*a)*e`, `theta2 += (w*a)*a` — the
+/// trees Rust parses `w * a * e` and `w * a * a` into. Only the product
+/// `w*a` is shared between the two, never re-associated.
+pub fn theta_gather(a: &[f32], idx: &[u16], cells: &[[f32; 2]]) -> (f32, f32) {
     check_len(a.len(), idx.len());
-    check_len(e.len(), w.len());
-    match a {
-        AColumn::F32(v) => theta_gather_with(v, idx, e, w, |x| x),
-        AColumn::U8 { codes, scale, levels } => {
-            theta_gather_with(codes, idx, e, w, |c| dequant(c, scale, levels))
-        }
-    }
-}
-
-/// [`theta_gather`] over one A representation: per chunk, gather the
-/// eight `(a, e, w)` triples, then run the lane arithmetic on them.
-#[inline(always)]
-fn theta_gather_with<T: Copy>(
-    a: &[T],
-    idx: &[u32],
-    e: &[f32],
-    w: &[f32],
-    deq: impl Fn(T) -> f32,
-) -> (f32, f32) {
     let full = idx.len() - idx.len() % LANES;
     let mut t1 = [0.0f32; LANES];
     let mut t2 = [0.0f32; LANES];
     for (ca, ci) in a[..full].chunks_exact(LANES).zip(idx[..full].chunks_exact(LANES)) {
-        let mut av = [0.0f32; LANES];
         let mut ev = [0.0f32; LANES];
         let mut wv = [0.0f32; LANES];
         for l in 0..LANES {
-            let i = ci[l] as usize;
-            av[l] = deq(ca[l]);
-            ev[l] = e[i];
-            wv[l] = w[i];
+            [ev[l], wv[l]] = cells[ci[l] as usize];
         }
         for l in 0..LANES {
-            let wa = wv[l] * av[l];
+            let wa = wv[l] * ca[l];
             t1[l] -= wa * ev[l];
-            t2[l] += wa * av[l];
+            t2[l] += wa * ca[l];
         }
     }
-    for (l, (&c, &i)) in a[full..].iter().zip(&idx[full..]).enumerate() {
-        let av = deq(c);
-        let wa = w[i as usize] * av;
-        t1[l] -= wa * e[i as usize];
+    for (l, (&av, &i)) in a[full..].iter().zip(&idx[full..]).enumerate() {
+        let [e, w] = cells[i as usize];
+        let wa = w * av;
+        t1[l] -= wa * e;
         t2[l] += wa * av;
     }
     (tree_reduce(t1), tree_reduce(t2))
 }
 
 /// The write-back after a voxel commit, through the same offsets:
-/// `e[idx[k]] -= a[k] * delta`. Element-wise with no reduction (a
-/// column's band cells are distinct, so order is immaterial), and the
-/// same `e - (a * delta)` the scalar walk computes.
-pub fn scatter_sub(a: AColumn<'_>, idx: &[u32], e: &mut [f32], delta: f32) {
+/// `e -= a[k] * delta` in cell `cells[idx[k]]`. Element-wise with no
+/// reduction (a column's band cells are distinct, so order is
+/// immaterial), and the same `e - (a * delta)` the scalar walk
+/// computes. Weights are left as they are.
+pub fn scatter_sub(a: &[f32], idx: &[u16], cells: &mut [[f32; 2]], delta: f32) {
     check_len(a.len(), idx.len());
-    match a {
-        AColumn::F32(v) => {
-            for (&av, &i) in v.iter().zip(idx) {
-                e[i as usize] -= av * delta;
-            }
-        }
-        AColumn::U8 { codes, scale, levels } => {
-            for (&c, &i) in codes.iter().zip(idx) {
-                e[i as usize] -= dequant(c, scale, levels) * delta;
-            }
-        }
-    }
-}
-
-/// `dst[k] += new[k] - old[k]` — SVB scatter of locally-updated error
-/// back into the global sinogram. Element-wise (no reduction) and
-/// unconditional: `new - old` for an untouched element is `x - x`,
-/// which is `+0.0` under round-to-nearest, and adding `+0.0` leaves
-/// every value unchanged except a `-0.0` destination, which IEEE 754
-/// normalizes to `+0.0` (`(-0.0) + (+0.0) == +0.0`). That sign
-/// normalization is value-preserving and applied identically by every
-/// backend — one implementation serves them all — so it cannot break
-/// the cross-backend/thread/device bitwise contract.
-#[inline]
-pub fn add_diff(dst: &mut [f32], new: &[f32], old: &[f32]) {
-    check_len(dst.len(), new.len());
-    check_len(dst.len(), old.len());
-    for ((d, &n), &o) in dst.iter_mut().zip(new).zip(old) {
-        *d += n - o;
+    for (&av, &i) in a.iter().zip(idx) {
+        cells[i as usize][0] -= av * delta;
     }
 }
 
@@ -430,8 +370,8 @@ mod tests {
 
     /// Distinct pseudo-random offsets of `n` elements into a band of
     /// `n + pad` cells (a seeded Fisher-Yates prefix).
-    fn scattered_offsets(n: usize, pad: usize, seed: u64) -> Vec<u32> {
-        let mut cells: Vec<u32> = (0..(n + pad) as u32).collect();
+    fn scattered_offsets(n: usize, pad: usize, seed: u64) -> Vec<u16> {
+        let mut cells: Vec<u16> = (0..n + pad).map(|i| i as u16).collect();
         let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
         for i in (1..cells.len()).rev() {
             s ^= s << 13;
@@ -443,22 +383,37 @@ mod tests {
         cells
     }
 
-    /// Entry `k` of a column as the scalar reference reads it.
-    fn entry(a: AColumn<'_>, k: usize) -> f32 {
-        match a {
-            AColumn::F32(v) => v[k],
-            AColumn::U8 { codes, scale, levels } => dequant(codes[k], scale, levels),
-        }
+    /// A band of `len` `(e, w)` cells with seeded finite contents.
+    fn band(len: usize, seed: u64) -> Vec<[f32; 2]> {
+        (0..len as u64)
+            .map(|k| {
+                let e = ((k * 31 + seed) % 997) as f32 * 0.013 - 6.0;
+                let w = ((k * 17 + seed) % 991) as f32 * 0.001;
+                [e, w]
+            })
+            .collect()
     }
 
     /// The reference the gather kernel must match: the scalar
     /// accumulator over the gathered triples.
-    fn acc_over(a: AColumn<'_>, idx: &[u32], e: &[f32], w: &[f32]) -> (f32, f32) {
+    fn acc_over(a: &[f32], idx: &[u16], cells: &[[f32; 2]]) -> (f32, f32) {
         let mut acc = ThetaAcc::new();
-        for (k, &i) in idx.iter().enumerate() {
-            acc.push(entry(a, k), e[i as usize], w[i as usize]);
+        for (&av, &i) in a.iter().zip(idx) {
+            let [e, w] = cells[i as usize];
+            acc.push(av, e, w);
         }
         acc.finish()
+    }
+
+    /// The reference write-back: the per-element walk in flat order.
+    fn sub_per_element(a: &[f32], idx: &[u16], cells: &mut [[f32; 2]], delta: f32) {
+        for (k, &i) in idx.iter().enumerate() {
+            cells[i as usize][0] -= a[k] * delta;
+        }
+    }
+
+    fn bits(cells: &[[f32; 2]]) -> Vec<[u32; 2]> {
+        cells.iter().map(|[e, w]| [e.to_bits(), w.to_bits()]).collect()
     }
 
     #[test]
@@ -466,52 +421,33 @@ mod tests {
         let n = 29; // deliberately n % 8 != 0
         let a: Vec<f32> = (0..n).map(|k| 0.01 + k as f32 * 0.37).collect();
         let idx = scattered_offsets(n, 11, 5);
-        let e: Vec<f32> = (0..n + 11).map(|k| (k as f32).sin()).collect();
-        let w: Vec<f32> = (0..n + 11).map(|k| 1.0 / (1.0 + k as f32)).collect();
-        let r = acc_over(AColumn::F32(&a), &idx, &e, &w);
-        let l = theta_gather(AColumn::F32(&a), &idx, &e, &w);
+        let cells: Vec<[f32; 2]> =
+            (0..n + 11).map(|k| [(k as f32).sin(), 1.0 / (1.0 + k as f32)]).collect();
+        let r = acc_over(&a, &idx, &cells);
+        let l = theta_gather(&a, &idx, &cells);
         assert_eq!(r.0.to_bits(), l.0.to_bits());
         assert_eq!(r.1.to_bits(), l.1.to_bits());
     }
 
     #[test]
     fn gather_kernels_on_an_empty_column_are_no_ops() {
-        let band = [1.0f32, 2.0, 3.0];
-        for a in [AColumn::F32(&[]), AColumn::U8 { codes: &[], scale: 1.0, levels: 255.0 }] {
-            let (t1, t2) = theta_gather(a, &[], &band, &band);
-            assert_eq!((t1.to_bits(), t2.to_bits()), (0.0f32.to_bits(), 0.0f32.to_bits()));
-            let mut e = band;
-            scatter_sub(a, &[], &mut e, 5.0);
-            assert_eq!(e, band);
-        }
+        let band = [[1.0f32, 2.0], [3.0, 4.0]];
+        let (t1, t2) = theta_gather(&[], &[], &band);
+        assert_eq!((t1.to_bits(), t2.to_bits()), (0.0f32.to_bits(), 0.0f32.to_bits()));
+        let mut cells = band;
+        scatter_sub(&[], &[], &mut cells, 5.0);
+        assert_eq!(cells, band);
+        let mut out = vec![9.0f32];
+        dequantize(&[], 1.0, 255.0, &mut out);
+        assert!(out.is_empty());
     }
 
     #[test]
-    fn scatter_sub_matches_per_element() {
+    fn scatter_sub_matches_per_element_and_leaves_weights() {
         let a = [0.5f32, 0.25, 1.5];
-        let mut e = [10.0f32, 20.0, 30.0, 40.0];
-        scatter_sub(AColumn::F32(&a), &[3, 0, 1], &mut e, 2.0);
-        assert_eq!(e, [9.5, 17.0, 30.0, 39.0]);
-    }
-
-    #[test]
-    fn add_diff_on_untouched_elements_is_identity() {
-        let old = [1.5f32, -0.0, 3.25];
-        let new = old;
-        let mut dst = [7.0f32, 11.0, f32::MIN_POSITIVE];
-        let before: Vec<u32> = dst.iter().map(|v| v.to_bits()).collect();
-        add_diff(&mut dst, &new, &old);
-        let after: Vec<u32> = dst.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(before, after);
-    }
-
-    #[test]
-    fn add_diff_normalizes_negative_zero_destinations() {
-        // The one bit pattern a zero diff can change: -0.0 + (+0.0) is
-        // +0.0. Values are untouched; only the zero's sign is.
-        let mut dst = [-0.0f32];
-        add_diff(&mut dst, &[2.0], &[2.0]);
-        assert_eq!(dst[0].to_bits(), 0.0f32.to_bits());
+        let mut cells = [[10.0f32, 1.0], [20.0, 2.0], [30.0, 3.0], [40.0, 4.0]];
+        scatter_sub(&a, &[3, 0, 1], &mut cells, 2.0);
+        assert_eq!(cells, [[9.5, 1.0], [17.0, 2.0], [30.0, 3.0], [39.0, 4.0]]);
     }
 
     mod props {
@@ -535,6 +471,16 @@ mod tests {
             (a, b, c)
         }
 
+        /// A u16 band offset drawn as `(pick, value)`: pick 0 and 1
+        /// pin the two ends of the range, so both are drawn often.
+        fn offset((pick, v): (u8, u16)) -> u16 {
+            match pick {
+                0 => 0,
+                1 => u16::MAX,
+                _ => v,
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -549,64 +495,104 @@ mod tests {
                 let (a, e_run, w_run) = unzip3(t);
                 let n = a.len();
                 let idx = scattered_offsets(n, pad, seed);
-                let mut e = vec![-7.5f32; n + pad];
-                let mut w = vec![0.25f32; n + pad];
+                let mut cells = vec![[-7.5f32, 0.25]; n + pad];
                 for (k, &i) in idx.iter().enumerate() {
-                    e[i as usize] = e_run[k];
-                    w[i as usize] = w_run[k];
+                    cells[i as usize] = [e_run[k], w_run[k]];
                 }
-                let r = acc_over(AColumn::F32(&a), &idx, &e, &w);
-                let l = theta_gather(AColumn::F32(&a), &idx, &e, &w);
+                let r = acc_over(&a, &idx, &cells);
+                let l = theta_gather(&a, &idx, &cells);
                 prop_assert_eq!(r.0.to_bits(), l.0.to_bits());
                 prop_assert_eq!(r.1.to_bits(), l.1.to_bits());
             }
 
             #[test]
-            fn theta_gather_u8_bitwise_equals_acc(
+            fn dequantized_theta_gather_bitwise_equals_inline_dequant(
                 codes in prop::collection::vec(0u8..=255, 0..67),
                 scale in 0.0f32..10.0,
                 bits in 1u32..=8,
                 pad in 0usize..24,
                 seed in 0u64..1000,
             ) {
-                // The inline dequantization must round exactly as the
-                // reference's canonical `code as f32 * scale / levels`.
+                // Gathering over the dequantization pass must round
+                // exactly as the reference dequantizing each entry as
+                // it reads it.
                 let levels = ((1u32 << bits) - 1) as f32;
                 let n = codes.len();
                 let idx = scattered_offsets(n, pad, seed);
-                let e: Vec<f32> = (0..n + pad).map(|k| ((k as u64 * 31 + seed) % 997) as f32 * 0.013 - 6.0).collect();
-                let w: Vec<f32> = (0..n + pad).map(|k| ((k as u64 * 17 + seed) % 991) as f32 * 0.001).collect();
-                let a = AColumn::U8 { codes: &codes, scale, levels };
-                let r = acc_over(a, &idx, &e, &w);
-                let l = theta_gather(a, &idx, &e, &w);
+                let cells = band(n + pad, seed);
+                let mut a = Vec::new();
+                dequantize(&codes, scale, levels, &mut a);
+                let mut acc = ThetaAcc::new();
+                for (&c, &i) in codes.iter().zip(&idx) {
+                    let [e, w] = cells[i as usize];
+                    acc.push(dequant(c, scale, levels), e, w);
+                }
+                let r = acc.finish();
+                let l = theta_gather(&a, &idx, &cells);
                 prop_assert_eq!(r.0.to_bits(), l.0.to_bits());
                 prop_assert_eq!(r.1.to_bits(), l.1.to_bits());
             }
 
             #[test]
-            fn scatter_sub_bitwise_equals_scalar_walk(
-                codes in prop::collection::vec(0u8..=255, 0..67),
-                scale in 0.0f32..10.0,
+            fn scatter_sub_bitwise_equals_per_element(
+                t in triple(67),
                 delta in -2.0f32..2.0,
                 pad in 0usize..24,
                 seed in 0u64..1000,
             ) {
-                let levels = 255.0f32;
-                let n = codes.len();
-                let idx = scattered_offsets(n, pad, seed);
-                let values: Vec<f32> = codes.iter().map(|&c| c as f32 * 0.01).collect();
-                for a in [AColumn::U8 { codes: &codes, scale, levels }, AColumn::F32(&values)] {
-                    let mut e1: Vec<f32> = (0..n + pad).map(|k| k as f32 * 0.11 - 3.0).collect();
-                    let mut e2 = e1.clone();
-                    scatter_sub(a, &idx, &mut e1, delta);
-                    for (k, &i) in idx.iter().enumerate() {
-                        e2[i as usize] -= entry(a, k) * delta;
-                    }
-                    let b1: Vec<u32> = e1.iter().map(|v| v.to_bits()).collect();
-                    let b2: Vec<u32> = e2.iter().map(|v| v.to_bits()).collect();
-                    prop_assert_eq!(b1, b2);
+                let (a, _, _) = unzip3(t);
+                let idx = scattered_offsets(a.len(), pad, seed);
+                let mut c1 = band(a.len() + pad, seed);
+                let mut c2 = c1.clone();
+                scatter_sub(&a, &idx, &mut c1, delta);
+                sub_per_element(&a, &idx, &mut c2, delta);
+                prop_assert_eq!(bits(&c1), bits(&c2));
+            }
+
+            #[test]
+            fn dequantize_equals_dequant_per_element(
+                codes in prop::collection::vec(0u8..=255, 0..67),
+                scale in (prop::bool::ANY, 0.0f32..1e30),
+                bits in 1u32..=8,
+            ) {
+                // Half the cases take scale 0, a degenerate column's.
+                let scale = if scale.0 { 0.0 } else { scale.1 };
+                let levels = ((1u32 << bits) - 1) as f32;
+                let mut out = vec![f32::NAN; 3];
+                dequantize(&codes, scale, levels, &mut out);
+                prop_assert_eq!(out.len(), codes.len());
+                for (&c, &v) in codes.iter().zip(&out) {
+                    prop_assert_eq!(v.to_bits(), dequant(c, scale, levels).to_bits());
                 }
             }
+        }
+
+        proptest! {
+            // A full 65 536-cell band is 512 KB; fewer cases keep it quick.
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn cell_kernels_reach_every_u16_offset(
+                entries in prop::collection::vec((-1e3f32..1e3, (0u8..4, 0u16..=u16::MAX)), 0..68),
+                delta in -2.0f32..2.0,
+                seed in 0u64..1000,
+            ) {
+                let (a, idx): (Vec<f32>, Vec<u16>) =
+                    entries.into_iter().map(|(a, o)| (a, offset(o))).unzip();
+                let mut c1 = band(1 << 16, seed);
+                let r = acc_over(&a, &idx, &c1);
+                let l = theta_gather(&a, &idx, &c1);
+                prop_assert_eq!(r.0.to_bits(), l.0.to_bits());
+                prop_assert_eq!(r.1.to_bits(), l.1.to_bits());
+                let mut c2 = c1.clone();
+                scatter_sub(&a, &idx, &mut c1, delta);
+                sub_per_element(&a, &idx, &mut c2, delta);
+                prop_assert_eq!(bits(&c1), bits(&c2));
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
 
             #[test]
             fn dot_lanes_bitwise_equals_ref(t in triple(67)) {

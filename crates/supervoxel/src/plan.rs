@@ -14,6 +14,12 @@
 //! its quantized column and its band offsets from the plan, never
 //! re-deriving them.
 //!
+//! Each SV element is held at the width the kernel reads it: one `u16`
+//! band offset and, in a quantized plan, one `u8` code, co-indexed in
+//! two flat per-SV arrays — three bytes per element. A `u16` offset
+//! reaches a band of at most 65 536 cells, and [`SvPlan::build`]
+//! refuses a larger one.
+//!
 //! A plan depends on the geometry alone, never on a scan: the weights
 //! and the measurement enter at visit time. One plan set therefore
 //! serves every scan of its geometry, and it records that geometry and
@@ -21,13 +27,16 @@
 
 use crate::chunks::chunk_tally;
 use crate::lanes::fill_offsets;
-use crate::quant::QuantizedColumn;
+use crate::quant::quantize_into;
 use crate::svb::{SvbLayout, SvbShape};
 use crate::tiling::Tiling;
 use ct_core::geometry::Geometry;
 use ct_core::sysmat::{ColumnView, SystemMatrix};
 use gpu_sim::coalesce::affine_transactions;
-use mbir_simd::{AColumn, LANES};
+use mbir_simd::LANES;
+
+/// The most cells a band may hold: its offsets are `u16`.
+const MAX_BAND_CELLS: usize = 1 << 16;
 
 /// The iteration-invariant knobs a plan set is specialized for —
 /// derived from the driver's options at construction.
@@ -56,24 +65,12 @@ pub struct VoxelPlan {
     /// Chunk descriptors read per visit (chunk count when chunking,
     /// else the view count).
     pub descriptors: u32,
-    /// The column quantized once at build time, when the plan's
-    /// config asks for u8 entries (see [`VoxelPlan::entries`]).
-    pub quant: Option<QuantizedColumn>,
-    /// Where this voxel's band offsets start in its SV's
-    /// [`SvPlan::band_offsets`] (see [`SvPlan::offsets`]).
-    pub offsets_start: u32,
-}
-
-impl VoxelPlan {
-    /// The A entries a visit reads: the plan's u8 codes when the plan
-    /// quantized the column, else the column's f32 values.
-    #[inline]
-    pub fn entries<'a>(&'a self, col: &ColumnView<'a>) -> AColumn<'a> {
-        match &self.quant {
-            Some(q) => q.entries(),
-            None => AColumn::F32(col.values_flat()),
-        }
-    }
+    /// Where this voxel's elements start in its SV's co-indexed
+    /// [`SvPlan::band_offsets`] and [`SvPlan::codes`].
+    pub start: u32,
+    /// The column's dequantization scale (0 in a plan that keeps f32
+    /// columns, and for a degenerate column).
+    pub scale: f32,
 }
 
 /// Warp transaction counts for streaming one row of the transformed
@@ -112,48 +109,67 @@ pub struct SvPlan {
     /// voxel after voxel in `voxels` order (see [`crate::lanes`]).
     /// Built for every plan: it depends only on the band shape and the
     /// layout.
-    pub band_offsets: Vec<u32>,
+    pub band_offsets: Vec<u16>,
+    /// The u8 code of every column element, co-indexed with
+    /// `band_offsets`; empty when the plan keeps f32 columns.
+    pub codes: Vec<u8>,
+    /// Quantization levels (`2^bits - 1`), when the plan holds codes.
+    pub levels: Option<f32>,
 }
 
 impl SvPlan {
     /// Build the plan for one SV.
+    ///
+    /// # Panics
+    ///
+    /// If the SV's band holds more than 65 536 cells in the configured
+    /// layout: its offsets would not fit `u16`.
     pub fn build(a: &SystemMatrix, tiling: &Tiling, sv: usize, config: PlanConfig) -> SvPlan {
         let shape = SvbShape::compute(a, tiling, sv);
         let nviews = shape.num_views();
         let svb_bytes = shape.bytes(config.layout) as f64;
         let band_width = shape.width.iter().map(|&w| w as f64).sum::<f64>() / nviews.max(1) as f64;
-        let band_len = shape.bytes(config.layout) / 4;
+        let band_cells = shape.cells(config.layout);
         assert!(
-            u32::try_from(band_len).is_ok(),
-            "SV {sv} band of {band_len} cells overflows u32 offsets"
+            band_cells <= MAX_BAND_CELLS,
+            "SV {sv}: its band holds {band_cells} cells in the {:?} layout, past the {MAX_BAND_CELLS} \
+             that u16 band offsets reach; use a smaller SV side",
+            config.layout
         );
         let bases = shape.row_bases(config.layout);
         let elements: usize = tiling.voxels(sv).map(|j| a.column(j).nnz()).sum();
         assert!(u32::try_from(elements).is_ok(), "SV {sv} has {elements} elements, past u32");
-        let mut band_offsets = vec![0u32; elements + LANES];
+        let mut band_offsets = vec![0u16; elements + LANES];
+        let mut codes = vec![0u8; if config.quant_bits.is_some() { elements } else { 0 }];
         let mut start = 0usize;
         let voxels = tiling
             .voxels(sv)
             .map(|j| {
                 let col = a.column(j);
+                let nnz = col.nnz();
                 fill_offsets(&col, &bases, &mut band_offsets[start..]);
-                let offsets_start = start as u32;
-                start += col.nnz();
+                let scale = config.quant_bits.map_or(0.0, |bits| {
+                    let out = &mut codes[start..start + nnz];
+                    quantize_into(col.values_flat(), col.max_value(), bits, out).0
+                });
                 let (dense, descriptors) = match config.chunk_width {
                     Some(w) => chunk_tally(&col, w),
-                    None => (col.nnz() as u64, nviews as u32),
+                    None => (nnz as u64, nviews as u32),
                 };
-                VoxelPlan {
+                let vp = VoxelPlan {
                     voxel: j,
-                    nnz: col.nnz() as u32,
+                    nnz: nnz as u32,
                     dense,
                     descriptors,
-                    quant: config.quant_bits.map(|bits| QuantizedColumn::quantize_bits(&col, bits)),
-                    offsets_start,
-                }
+                    start: start as u32,
+                    scale,
+                };
+                start += nnz;
+                vp
             })
             .collect();
         band_offsets.truncate(elements);
+        band_offsets.shrink_to_fit();
         let row_tx = config.chunk_width.map(|w| {
             let a_bytes = if config.quant_bits.is_some() { 1 } else { 4 };
             RowTransactions {
@@ -162,13 +178,38 @@ impl SvPlan {
                 a_row: affine_transactions(0, a_bytes, a_bytes, w as u32),
             }
         });
-        SvPlan { sv, shape, voxels, svb_bytes, band_width, row_tx, band_offsets }
+        let levels = config.quant_bits.map(|bits| ((1u32 << bits) - 1) as f32);
+        SvPlan { sv, shape, voxels, svb_bytes, band_width, row_tx, band_offsets, codes, levels }
     }
 
     /// One voxel's band offsets, in its column's flat element order.
     #[inline]
-    pub fn offsets(&self, vp: &VoxelPlan) -> &[u32] {
-        &self.band_offsets[vp.offsets_start as usize..][..vp.nnz as usize]
+    pub fn offsets(&self, vp: &VoxelPlan) -> &[u16] {
+        &self.band_offsets[vp.start as usize..][..vp.nnz as usize]
+    }
+
+    /// Dequantize one voxel's codes into `buf` in one contiguous pass
+    /// ([`mbir_simd::dequantize`]); a plan that keeps f32 columns
+    /// leaves `buf` as it is. A visit calls this once, and its theta
+    /// gather and its commit both read the result through
+    /// [`SvPlan::entries`].
+    #[inline]
+    pub fn dequantize(&self, vp: &VoxelPlan, buf: &mut Vec<f32>) {
+        if let Some(levels) = self.levels {
+            let codes = &self.codes[vp.start as usize..][..vp.nnz as usize];
+            mbir_simd::dequantize(codes, vp.scale, levels, buf);
+        }
+    }
+
+    /// The A entries a visit reads: `buf` as [`SvPlan::dequantize`]
+    /// filled it when the plan holds codes, else the column's own f32
+    /// values.
+    #[inline]
+    pub fn entries<'a>(&self, col: &ColumnView<'a>, buf: &'a [f32]) -> &'a [f32] {
+        match self.levels {
+            Some(_) => buf,
+            None => col.values_flat(),
+        }
     }
 
     /// Per-voxel plans, in `tiling.voxels(sv)` order.
@@ -223,6 +264,12 @@ impl SvPlanSet {
         &self.plans[sv]
     }
 
+    /// SV elements: every SV's column entries, a voxel shared by
+    /// adjacent SVs counted once per SV (each holds its own offsets).
+    pub fn elements(&self) -> usize {
+        self.plans.iter().map(|p| p.band_offsets.len()).sum()
+    }
+
     /// Approximate resident bytes of the cached state (diagnostics).
     pub fn bytes(&self) -> usize {
         self.plans
@@ -230,14 +277,8 @@ impl SvPlanSet {
             .map(|p| {
                 let shape =
                     4 * (p.shape.first.len() + p.shape.width.len()) + 4 * p.shape.row_offset.len();
-                let vox: usize = p
-                    .voxels
-                    .iter()
-                    .map(|v| {
-                        std::mem::size_of::<VoxelPlan>() + v.quant.as_ref().map_or(0, |q| q.bytes())
-                    })
-                    .sum();
-                shape + vox + 4 * p.band_offsets.capacity()
+                let vox = std::mem::size_of_val(p.voxels());
+                shape + vox + 2 * p.band_offsets.capacity() + p.codes.capacity()
             })
             .sum()
     }
@@ -246,6 +287,7 @@ impl SvPlanSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant::QuantizedColumn;
     use ct_core::geometry::Geometry;
     use gpu_sim::coalesce::transactions;
 
@@ -279,10 +321,17 @@ mod tests {
                 let chunks = crate::chunks::chunk_column(&col, 16);
                 assert_eq!(vp.dense, chunks.iter().map(|c| c.len() as u64).sum::<u64>());
                 assert_eq!(vp.descriptors as usize, chunks.len());
-                let q = vp.quant.as_ref().expect("quantized plan");
                 let fresh_q = QuantizedColumn::quantize_bits(&col, 8);
-                assert_eq!(q.scale, fresh_q.scale);
-                assert_eq!(q.codes, fresh_q.codes);
+                assert_eq!(plan.levels, Some(fresh_q.levels));
+                assert_eq!(vp.scale, fresh_q.scale);
+                assert_eq!(plan.codes[vp.start as usize..][..vp.nnz as usize], fresh_q.codes);
+                let mut buf = Vec::new();
+                plan.dequantize(vp, &mut buf);
+                let deq: Vec<u32> = buf.iter().map(|v| v.to_bits()).collect();
+                let fresh: Vec<u32> =
+                    fresh_q.dequantize_all().iter().map(|v| v.to_bits()).collect();
+                assert_eq!(deq, fresh);
+                assert_eq!(plan.entries(&col, &buf).as_ptr(), buf.as_ptr());
             }
         }
     }
@@ -299,13 +348,12 @@ mod tests {
             assert_eq!(p1.shape.first, p8.shape.first);
             assert_eq!(p1.svb_bytes, p8.svb_bytes);
             assert_eq!(p1.band_width, p8.band_width);
+            assert_eq!(p1.band_offsets, p8.band_offsets);
+            assert_eq!(p1.codes, p8.codes);
             for (v1, v8) in p1.voxels().iter().zip(p8.voxels()) {
                 assert_eq!(v1.voxel, v8.voxel);
                 assert_eq!(v1.dense, v8.dense);
-                assert_eq!(
-                    v1.quant.as_ref().map(|q| &q.codes),
-                    v8.quant.as_ref().map(|q| &q.codes)
-                );
+                assert_eq!((v1.start, v1.scale.to_bits()), (v8.start, v8.scale.to_bits()));
             }
         }
     }
@@ -321,10 +369,17 @@ mod tests {
         );
         let plan = set.plan(1);
         assert!(plan.row_tx.is_none());
+        assert!(plan.codes.is_empty() && plan.levels.is_none());
         for vp in plan.voxels() {
             assert_eq!(vp.dense, vp.nnz as u64);
             assert_eq!(vp.descriptors as usize, g.num_views);
-            assert!(vp.quant.is_none());
+            assert_eq!(vp.scale, 0.0);
+            // An f32 plan reads the column itself; the buffer stays put.
+            let col = a.column(vp.voxel);
+            let mut buf = vec![7.0f32];
+            plan.dequantize(vp, &mut buf);
+            assert_eq!(buf, [7.0]);
+            assert_eq!(plan.entries(&col, &buf).as_ptr(), col.values_flat().as_ptr());
         }
     }
 
@@ -363,28 +418,48 @@ mod tests {
 
     #[test]
     fn plan_bytes_count_the_band_offsets() {
-        // Offsets are 4 B per column element, on top of the shapes and
-        // the per-voxel records.
+        // Each SV element costs a u16 offset, plus a u8 code when the
+        // plan quantizes: at most 3 B on top of the shapes and the
+        // per-voxel records.
         let (_, a, t) = setup();
-        let set = SvPlanSet::build(
-            &a,
-            &t,
-            PlanConfig { chunk_width: None, quant_bits: None, layout: SvbLayout::SensorMajor },
-            0,
-        );
-        let mut records = 0usize;
-        let mut elements = 0usize;
-        for p in set.plans() {
-            records += 4 * (p.shape.first.len() + p.shape.width.len() + p.shape.row_offset.len());
-            records += std::mem::size_of_val(p.voxels());
-            elements += p.voxels().iter().map(|v| v.nnz as usize).sum::<usize>();
+        for (quant_bits, per_element) in [(None, 2), (Some(8), 3)] {
+            let config =
+                PlanConfig { chunk_width: None, quant_bits, layout: SvbLayout::SensorMajor };
+            let set = SvPlanSet::build(&a, &t, config, 0);
+            let mut records = 0usize;
+            let mut elements = 0usize;
+            for p in set.plans() {
+                records +=
+                    4 * (p.shape.first.len() + p.shape.width.len() + p.shape.row_offset.len());
+                records += std::mem::size_of_val(p.voxels());
+                elements += p.voxels().iter().map(|v| v.nnz as usize).sum::<usize>();
+            }
+            assert!(elements > 0);
+            assert_eq!(set.elements(), elements);
+            assert!(
+                set.bytes() >= records + per_element * elements,
+                "{} < {records} + {per_element} * {elements}",
+                set.bytes()
+            );
+            assert!(
+                set.bytes() <= records + 3 * elements,
+                "{} > {records} + 3 * {elements}",
+                set.bytes()
+            );
         }
-        assert!(elements > 0);
-        assert!(
-            set.bytes() >= records + 4 * elements,
-            "{} < {records} + 4 * {elements}",
-            set.bytes()
-        );
+    }
+
+    #[test]
+    #[should_panic(expected = "past the 65536 that u16 band offsets reach")]
+    fn a_band_past_u16_offsets_is_refused() {
+        // 4096 views over a 24^2 grid with one SV covering it: every
+        // view's band spans the grid's shadow, far past 65 536 cells.
+        let mut g = Geometry::tiny_scale();
+        g.num_views = 4096;
+        let a = SystemMatrix::compute(&g);
+        let t = Tiling::new(g.grid, g.grid.nx);
+        assert_eq!(t.len(), 1);
+        SvPlan::build(&a, &t, 0, chunked_config());
     }
 
     #[test]

@@ -12,7 +12,6 @@
 //! at a quantization error bounded by `max_A / 510` per entry.
 
 use ct_core::sysmat::ColumnView;
-use mbir_simd::AColumn;
 
 /// One voxel's column quantized to bytes.
 #[derive(Debug, Clone)]
@@ -49,14 +48,8 @@ impl QuantizedColumn {
     /// multiplies before dividing (the order the SIMD paths pin
     /// bitwise), so such a scale would decode top codes to infinity.
     pub fn from_values(values: &[f32], scale: f32, bits: u32) -> QuantizedColumn {
-        assert!((1..=8).contains(&bits));
-        let levels = ((1u32 << bits) - 1) as f32;
-        let overflows = (scale as f64) * (levels as f64) > f32::MAX as f64;
-        if !(scale.is_finite() && scale > 0.0) || overflows {
-            return QuantizedColumn { scale: 0.0, levels, codes: vec![0u8; values.len()] };
-        }
-        let codes =
-            values.iter().map(|&a| ((a / scale) * levels + 0.5).clamp(0.0, levels) as u8).collect();
+        let mut codes = vec![0u8; values.len()];
+        let (scale, levels) = quantize_into(values, scale, bits, &mut codes);
         QuantizedColumn { scale, levels, codes }
     }
 
@@ -64,11 +57,6 @@ impl QuantizedColumn {
     #[inline]
     pub fn dequant(&self, k: usize) -> f32 {
         mbir_simd::dequant(self.codes[k], self.scale, self.levels)
-    }
-
-    /// The codes as the A entries an ICD visit reads.
-    pub fn entries(&self) -> AColumn<'_> {
-        AColumn::U8 { codes: &self.codes, scale: self.scale, levels: self.levels }
     }
 
     /// Dequantize the whole column.
@@ -85,6 +73,26 @@ impl QuantizedColumn {
     pub fn bytes(&self) -> usize {
         self.codes.len() + 4
     }
+}
+
+/// Quantize `values` against `scale` at `bits` into `codes` (one code
+/// per value), with the edge cases of [`QuantizedColumn::from_values`].
+/// Returns the `(scale, levels)` pair that dequantizes the codes. The
+/// SV plans quantize every column straight into their flat code arrays
+/// through this.
+pub(crate) fn quantize_into(values: &[f32], scale: f32, bits: u32, codes: &mut [u8]) -> (f32, f32) {
+    assert!((1..=8).contains(&bits));
+    assert_eq!(values.len(), codes.len(), "one code per value");
+    let levels = ((1u32 << bits) - 1) as f32;
+    let overflows = (scale as f64) * (levels as f64) > f32::MAX as f64;
+    if !(scale.is_finite() && scale > 0.0) || overflows {
+        codes.fill(0);
+        return (0.0, levels);
+    }
+    for (c, &a) in codes.iter_mut().zip(values) {
+        *c = ((a / scale) * levels + 0.5).clamp(0.0, levels) as u8;
+    }
+    (scale, levels)
 }
 
 #[cfg(test)]

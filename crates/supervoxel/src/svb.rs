@@ -16,17 +16,19 @@
 //!   boundaries ("we make the SVB perfectly rectangular by
 //!   zero-padding, and place each row at an aligned address").
 //!
-//! A voxel visit reads and updates the buffer in one of two ways,
-//! bitwise equal: the scalar reference walks the column's runs by
-//! `(view, channel)`, and the lane backend reaches the same cells
-//! through the offsets the SV's plan stores per element
+//! Each buffer cell holds one `(e, w)` pair, so a visit reads an
+//! element's error and weight with one 8-byte load (the paper's
+//! double-width L2 loads, §4.3). A voxel visit reads and updates the
+//! buffer in one of two ways, bitwise equal: the scalar reference walks
+//! the column's runs by `(view, channel)`, and the lane backend reaches
+//! the same cells through the offsets the SV's plan stores per element
 //! ([`crate::lanes`]).
 
 use crate::tiling::Tiling;
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::{ColumnView, SystemMatrix};
 use mbir::update::{Thetas, WeightedError};
-use mbir_simd::{AColumn, SimdBackend};
+use mbir_simd::SimdBackend;
 
 /// Floats per 32-byte alignment sector; padded row widths are rounded
 /// up to this.
@@ -116,12 +118,20 @@ impl SvbShape {
     /// these offsets once per voxel; see [`crate::lanes`]).
     #[inline]
     pub fn index_of(&self, layout: SvbLayout, view: usize, ch: usize) -> usize {
-        let rel = ch - self.first[view] as usize;
-        debug_assert!(rel < self.width[view] as usize, "channel {ch} outside band at view {view}");
-        match layout {
-            SvbLayout::SensorMajor => self.row_offset[view] as usize + rel,
-            SvbLayout::Transposed => view * self.padded_width + rel,
-        }
+        let (fc, wd, base) = self.row(layout, view);
+        debug_assert!(ch - fc < wd, "channel {ch} outside band at view {view}");
+        base + ch - fc
+    }
+
+    /// View `view`'s row: its first channel, its width, and where it
+    /// starts in a buffer of the given layout.
+    #[inline]
+    fn row(&self, layout: SvbLayout, view: usize) -> (usize, usize, usize) {
+        let base = match layout {
+            SvbLayout::SensorMajor => self.row_offset[view] as usize,
+            SvbLayout::Transposed => view * self.padded_width,
+        };
+        (self.first[view] as usize, self.width[view] as usize, base)
     }
 
     /// Per view, the buffer offset of absolute channel 0 in the given
@@ -131,59 +141,50 @@ impl SvbShape {
     pub fn row_bases(&self, layout: SvbLayout) -> Vec<u32> {
         (0..self.num_views())
             .map(|v| {
-                let row = match layout {
-                    SvbLayout::SensorMajor => self.row_offset[v],
-                    SvbLayout::Transposed => (v * self.padded_width) as u32,
-                };
-                row.wrapping_sub(self.first[v])
+                let (fc, _, base) = self.row(layout, v);
+                (base as u32).wrapping_sub(fc as u32)
             })
             .collect()
     }
 
-    /// Bytes of one f32 buffer in the given layout (the paper's SVB
-    /// size; `e` and `w` double it).
-    pub fn bytes(&self, layout: SvbLayout) -> usize {
-        4 * match layout {
+    /// Cells of the band in the given layout, padding included.
+    pub fn cells(&self, layout: SvbLayout) -> usize {
+        match layout {
             SvbLayout::SensorMajor => self.packed_len(),
             SvbLayout::Transposed => self.padded_len(),
         }
     }
+
+    /// Bytes of one f32 plane in the given layout (the paper's SVB
+    /// size; `e` and `w` double it).
+    pub fn bytes(&self, layout: SvbLayout) -> usize {
+        4 * self.cells(layout)
+    }
 }
 
-/// An SVB instance: buffered error and weight bands for one SV.
+/// An SVB instance: the buffered error and weight bands of one SV.
 #[derive(Debug, Clone)]
 pub struct Svb<'a> {
     shape: &'a SvbShape,
     layout: SvbLayout,
-    /// Buffered error band (zero in padding).
-    pub e: Vec<f32>,
-    /// Buffered weight band (zero in padding).
-    pub w: Vec<f32>,
+    /// Buffered `(e, w)` cells: the error and the weight of one band
+    /// cell side by side (zero in padding).
+    pub cells: Vec<[f32; 2]>,
 }
 
 impl<'a> Svb<'a> {
     /// Copy the SV's band out of the global sinograms (the paper's
     /// "create SVBs" kernel / PSV-ICD lines 11-12).
     pub fn gather(shape: &'a SvbShape, layout: SvbLayout, e: &Sinogram, w: &Sinogram) -> Svb<'a> {
-        let len = match layout {
-            SvbLayout::SensorMajor => shape.packed_len(),
-            SvbLayout::Transposed => shape.padded_len(),
-        };
-        let mut be = vec![0.0f32; len];
-        let mut bw = vec![0.0f32; len];
+        let mut cells = vec![[0.0f32; 2]; shape.cells(layout)];
         for v in 0..shape.num_views() {
-            let fc = shape.first[v] as usize;
-            let wd = shape.width[v] as usize;
-            let base = match layout {
-                SvbLayout::SensorMajor => shape.row_offset[v] as usize,
-                SvbLayout::Transposed => v * shape.padded_width,
-            };
-            let ev = e.view(v);
-            let wv = w.view(v);
-            be[base..base + wd].copy_from_slice(&ev[fc..fc + wd]);
-            bw[base..base + wd].copy_from_slice(&wv[fc..fc + wd]);
+            let (fc, wd, base) = shape.row(layout, v);
+            let band = e.view(v)[fc..fc + wd].iter().zip(&w.view(v)[fc..fc + wd]);
+            for (c, (&ev, &wv)) in cells[base..base + wd].iter_mut().zip(band) {
+                *c = [ev, wv];
+            }
         }
-        Svb { shape, layout, e: be, w: bw }
+        Svb { shape, layout, cells }
     }
 
     /// Buffer index of `(view, channel)`; `channel` is absolute.
@@ -192,50 +193,62 @@ impl<'a> Svb<'a> {
         self.shape.index_of(self.layout, view, ch)
     }
 
-    /// Add `self - orig` back into the global error sinogram (PSV-ICD
-    /// lines 16-19 / the GPU-ICD write-back kernel). Additive deltas
-    /// commute across SVs that share boundary sinogram cells.
-    ///
-    /// Scatters through [`mbir_simd::add_diff`] — one element-wise
-    /// kernel shared by every backend (untouched cells add an exact
-    /// `+0.0`; see `add_diff` for the zero-sign note), so the scatter
-    /// is backend-invariant by construction and free to vectorize.
-    pub fn scatter_delta(&self, orig: &Svb<'_>, e: &mut Sinogram) {
-        assert_eq!(self.layout, orig.layout);
+    /// Turn the buffered error into the SV's delta: the e half of every
+    /// band cell becomes `new - old`, with `old` read from `e` — the
+    /// error sinogram the band was gathered from, which nothing may
+    /// have written since. Weights and padding are left as they are.
+    /// Workers call this on their own SV before the ordered
+    /// [`Svb::scatter_delta`], so a batch writes each band once and
+    /// never copies it.
+    pub fn take_delta(&mut self, e: &Sinogram) {
         for v in 0..self.shape.num_views() {
-            let fc = self.shape.first[v] as usize;
-            let wd = self.shape.width[v] as usize;
-            let base = match self.layout {
-                SvbLayout::SensorMajor => self.shape.row_offset[v] as usize,
-                SvbLayout::Transposed => v * self.shape.padded_width,
-            };
-            let row = e.view_mut(v);
-            mbir_simd::add_diff(
-                &mut row[fc..fc + wd],
-                &self.e[base..base + wd],
-                &orig.e[base..base + wd],
-            );
+            let (fc, wd, base) = self.shape.row(self.layout, v);
+            for (c, &old) in self.cells[base..base + wd].iter_mut().zip(&e.view(v)[fc..fc + wd]) {
+                c[0] -= old;
+            }
+        }
+    }
+
+    /// Add the delta [`Svb::take_delta`] left in the band into the
+    /// global error sinogram (PSV-ICD lines 16-19 / the GPU-ICD
+    /// write-back kernel). Additive deltas commute across SVs that
+    /// share boundary sinogram cells.
+    ///
+    /// Each cell adds `new - old`, rounded once: an untouched cell adds
+    /// `x - x`, an exact `+0.0` under round-to-nearest, which leaves
+    /// every value unchanged except a `-0.0` destination, which IEEE 754
+    /// normalizes to `+0.0` (`(-0.0) + (+0.0) == +0.0`). That sign
+    /// normalization is value-preserving and the same for every
+    /// backend, thread count and device count, so it cannot break the
+    /// bitwise contract.
+    pub fn scatter_delta(&self, e: &mut Sinogram) {
+        for v in 0..self.shape.num_views() {
+            let (fc, wd, base) = self.shape.row(self.layout, v);
+            for (d, c) in e.view_mut(v)[fc..fc + wd].iter_mut().zip(&self.cells[base..base + wd]) {
+                *d += c[0];
+            }
         }
     }
 
     /// Theta accumulation over one voxel visit (Algorithm 1 steps
-    /// 3-6), backend-dispatched. `a` holds the column's A entries (f32,
-    /// or u8 codes) and `offsets` their cells in this band, from the
-    /// SV's plan (see [`crate::lanes`]). `Scalar` walks the column's
-    /// runs element at a time ([`mbir::update::column_thetas`], the
-    /// canonical reference); `Lanes` gathers `e` and `w` through the
-    /// offsets into the 8-wide kernel ([`mbir_simd::theta_gather`]).
-    /// Bitwise-identical results either way.
+    /// 3-6), backend-dispatched. `a` holds the column's A entries (the
+    /// f32 column, or the plan's codes dequantized once for the visit)
+    /// and `offsets` their cells in this band, from the SV's plan (see
+    /// [`crate::lanes`]). `Scalar` walks the column's runs element at a
+    /// time ([`mbir::update::column_thetas`], the canonical reference);
+    /// `Lanes` gathers the `(e, w)` cells through the offsets into the
+    /// 8-wide kernel ([`mbir_simd::theta_gather`]). Bitwise-identical
+    /// results either way.
     pub fn thetas(
         &self,
         col: &ColumnView<'_>,
-        a: AColumn<'_>,
-        offsets: &[u32],
+        a: &[f32],
+        offsets: &[u16],
         backend: SimdBackend,
     ) -> Thetas {
         match mbir_simd::resolve(backend) {
             SimdBackend::Lanes => {
-                let (theta1, theta2) = mbir_simd::theta_gather(a, offsets, &self.e, &self.w);
+                let (theta1, theta2) = mbir_simd::theta_gather(a, offsets, &self.cells);
                 Thetas { theta1, theta2 }
             }
             _ => mbir::update::column_thetas(col, a, self),
@@ -249,13 +262,13 @@ impl<'a> Svb<'a> {
     pub fn apply_delta(
         &mut self,
         col: &ColumnView<'_>,
-        a: AColumn<'_>,
-        offsets: &[u32],
+        a: &[f32],
+        offsets: &[u16],
         delta: f32,
         backend: SimdBackend,
     ) {
         match mbir_simd::resolve(backend) {
-            SimdBackend::Lanes => mbir_simd::scatter_sub(a, offsets, &mut self.e, delta),
+            SimdBackend::Lanes => mbir_simd::scatter_sub(a, offsets, &mut self.cells, delta),
             _ => mbir::update::column_apply(col, a, self, delta),
         }
     }
@@ -264,14 +277,14 @@ impl<'a> Svb<'a> {
 impl WeightedError for Svb<'_> {
     #[inline]
     fn get(&self, view: usize, ch: usize) -> (f32, f32) {
-        let i = self.index(view, ch);
-        (self.e[i], self.w[i])
+        let [e, w] = self.cells[self.index(view, ch)];
+        (e, w)
     }
 
     #[inline]
     fn sub(&mut self, view: usize, ch: usize, amount: f32) {
         let i = self.index(view, ch);
-        self.e[i] -= amount;
+        self.cells[i][0] -= amount;
     }
 }
 
@@ -377,12 +390,12 @@ mod tests {
         // Path 2: through an SVB.
         let mut img2 = Image::zeros(g.grid);
         let mut e2 = y.clone();
-        let orig = Svb::gather(&shape, SvbLayout::Transposed, &e2, &w);
-        let mut svb = orig.clone();
+        let mut svb = Svb::gather(&shape, SvbLayout::Transposed, &e2, &w);
         for j in t.voxels(sv) {
             update_voxel(j, &mut img2, &a.column(j), &mut svb, &prior, true);
         }
-        svb.scatter_delta(&orig, &mut e2);
+        svb.take_delta(&e2);
+        svb.scatter_delta(&mut e2);
 
         assert_eq!(img1, img2);
         for i in 0..e1.data().len() {
@@ -394,13 +407,13 @@ mod tests {
     fn scatter_outside_band_untouched() {
         let (g, a, t, y, w) = setup();
         let shape = SvbShape::compute(&a, &t, 0);
-        let orig = Svb::gather(&shape, SvbLayout::SensorMajor, &y, &w);
-        let mut modified = orig.clone();
-        for v in modified.e.iter_mut() {
-            *v += 1.0;
+        let mut modified = Svb::gather(&shape, SvbLayout::SensorMajor, &y, &w);
+        for c in modified.cells.iter_mut() {
+            c[0] += 1.0;
         }
         let mut e = y.clone();
-        modified.scatter_delta(&orig, &mut e);
+        modified.take_delta(&y);
+        modified.scatter_delta(&mut e);
         // Exactly the banded cells moved by +1.
         let mut changed = 0usize;
         for v in 0..g.num_views {
@@ -420,6 +433,31 @@ mod tests {
     }
 
     #[test]
+    fn an_untouched_band_scatters_back_bit_for_bit_but_zero_signs() {
+        // The delta of an untouched cell is `x - x = +0.0`, which leaves
+        // every value's bits alone but turns a -0.0 into +0.0.
+        let (g, a, t, y, w) = setup();
+        let shape = SvbShape::compute(&a, &t, 0);
+        let mut e = y.clone();
+        let (v, ch) = (3, shape.first[3] as usize);
+        *e.at_mut(v, ch) = -0.0;
+        *e.at_mut(v, ch + 1) = f32::MIN_POSITIVE;
+        let before = e.clone();
+        for layout in [SvbLayout::SensorMajor, SvbLayout::Transposed] {
+            let mut svb = Svb::gather(&shape, layout, &e, &w);
+            svb.take_delta(&e);
+            let mut after = e.clone();
+            svb.scatter_delta(&mut after);
+            for view in 0..g.num_views {
+                for c in 0..g.num_channels {
+                    let want = if (view, c) == (v, ch) { 0.0f32 } else { before.at(view, c) };
+                    assert_eq!(after.at(view, c).to_bits(), want.to_bits(), "({view}, {c})");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn thetas_dispatch_matches_generic_walk() {
         // The Scalar backend must be literally the generic
         // compute_thetas walk, and Lanes must equal it bitwise.
@@ -430,12 +468,12 @@ mod tests {
         let bases = shape.row_bases(SvbLayout::Transposed);
         for j in t.voxels(sv) {
             let col = a.column(j);
-            let mut offsets = vec![0u32; col.nnz() + mbir_simd::LANES];
+            let mut offsets = vec![0u16; col.nnz() + mbir_simd::LANES];
             crate::lanes::fill_offsets(&col, &bases, &mut offsets);
             offsets.truncate(col.nnz());
             let reference = compute_thetas(&col, &svb);
             for backend in [SimdBackend::Scalar, SimdBackend::Lanes] {
-                let got = svb.thetas(&col, AColumn::F32(col.values_flat()), &offsets, backend);
+                let got = svb.thetas(&col, col.values_flat(), &offsets, backend);
                 assert_eq!(got.theta1.to_bits(), reference.theta1.to_bits());
                 assert_eq!(got.theta2.to_bits(), reference.theta2.to_bits());
             }

@@ -79,7 +79,9 @@ pub struct KernelClassAgg {
 /// Whole-run totals.
 #[derive(Debug, Clone, Copy, Serialize, Default)]
 pub struct Totals {
-    /// Total modeled seconds across all kernel launches.
+    /// Total modeled seconds across all kernel launches, summed in a
+    /// driver clock's grouping (see [`clock_seconds`]): a one-device
+    /// run's total equals its driver's modeled seconds bit for bit.
     pub seconds: f64,
     /// Total kernel launches.
     pub launches: u64,
@@ -235,7 +237,7 @@ impl ProfileReport {
         }
 
         let totals = Totals {
-            seconds: spans.iter().map(|s| s.seconds).sum(),
+            seconds: clock_seconds(&spans),
             launches: spans.len() as u64,
             iterations: iterations.len() as u64,
             dram_bytes: spans.iter().map(|s| s.dram_bytes).sum(),
@@ -272,6 +274,31 @@ impl ProfileReport {
     pub fn to_json_pretty(&self) -> String {
         serde_json::to_string_pretty(self).expect("value-tree serialization cannot fail")
     }
+}
+
+/// The modeled seconds of `spans`, in report order, summed the way a
+/// driver's clock sums them: each batch's launches in order (GPU-ICD's
+/// `(create + mbir) + writeback`), then each iteration's batches, then
+/// the iterations. Consecutive spans sharing `(device, iteration,
+/// batch)` are one batch. A flat launch-order sum rounds differently,
+/// so it strays from the driver's clock in the last bits.
+fn clock_seconds(spans: &[KernelSpan]) -> f64 {
+    let (mut total, mut iteration, mut batch) = (0.0, 0.0, 0.0);
+    let mut prev: Option<(u64, u64, u64)> = None;
+    for s in spans {
+        let key = (s.device, s.iteration, s.batch);
+        if let Some(p) = prev.filter(|&p| p != key) {
+            iteration += batch;
+            batch = 0.0;
+            if p.1 != s.iteration {
+                total += iteration;
+                iteration = 0.0;
+            }
+        }
+        batch += s.seconds;
+        prev = Some(key);
+    }
+    total + (iteration + batch)
 }
 
 #[cfg(test)]
@@ -471,5 +498,44 @@ mod tests {
         assert_eq!(order, [(0, 0.1), (1, 0.1), (0, 0.2), (1, 0.2)]);
         let other: Vec<(u64, f64)> = rb.spans.iter().map(|s| (s.device, s.start_seconds)).collect();
         assert_eq!(order, other);
+    }
+
+    #[test]
+    fn total_seconds_fold_batches_then_iterations_as_the_driver_clock_does() {
+        // Two iterations: the first runs batches 0 and 1, the second
+        // batch 2, each as (create, mbir, writeback) launches of 0.1 s.
+        let mut spans = Vec::new();
+        let mut start = 0.0;
+        for (iteration, batch) in [(1, 0), (1, 1), (2, 2)] {
+            for kernel in ["svb_create", "mbir_update", "error_writeback"] {
+                let mut s = span(kernel, 0.1, 0, 0);
+                (s.iteration, s.batch, s.start_seconds) = (iteration, batch, start);
+                start += s.seconds;
+                spans.push(s);
+            }
+        }
+        let flat: f64 = spans.iter().map(|s| s.seconds).sum();
+        let r = ProfileReport::from_parts(
+            "t",
+            spans,
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+            Vec::new(),
+        );
+        // The GPU-ICD driver's clock: per batch `(c + m) + w`, summed
+        // into its iteration, each iteration summed into the run.
+        let batch = 0.1f64 + 0.1 + 0.1;
+        let mut first = 0.0;
+        first += batch;
+        first += batch;
+        let mut second = 0.0;
+        second += batch;
+        let mut clock = 0.0;
+        clock += first;
+        clock += second;
+        assert_eq!(r.totals.seconds.to_bits(), clock.to_bits());
+        assert_ne!(flat.to_bits(), clock.to_bits(), "the case must tell the folds apart");
     }
 }

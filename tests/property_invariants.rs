@@ -97,13 +97,13 @@ proptest! {
         for (i, v) in e.data_mut().iter_mut().enumerate() {
             *v = (i % 17) as f32 * 0.1 - 0.8;
         }
-        let orig = Svb::gather(&shape, layout, &e, &e);
-        let mut modified = orig.clone();
-        for v in modified.e.iter_mut() {
-            *v += bump;
+        let mut modified = Svb::gather(&shape, layout, &e, &e);
+        for c in modified.cells.iter_mut() {
+            c[0] += bump;
         }
         let mut e2 = e.clone();
-        modified.scatter_delta(&orig, &mut e2);
+        modified.take_delta(&e);
+        modified.scatter_delta(&mut e2);
         // Banded cells moved by exactly bump; others untouched.
         for view in 0..g.num_views {
             for ch in 0..g.num_channels {
