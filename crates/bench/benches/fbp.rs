@@ -1,15 +1,12 @@
-//! FBP benchmarks: ramp filter and back projection, scalar vs 8-lane
-//! backend. Outputs are bitwise identical (see
-//! tests/determinism_simd.rs); the filter's mirrored-kernel sliding
-//! dot and the backprojector's staged lerp reduce through the same
-//! canonical lane tree either way, so the delta is pure wall-clock.
+//! FBP benchmarks: ramp filter and back projection. The filter's
+//! mirrored-kernel sliding dot and the backprojector's staged lerp both
+//! reduce through the canonical 8-lane tree.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ct_core::fbp;
 use ct_core::geometry::Geometry;
 use ct_core::phantom::Phantom;
 use ct_core::sysmat::SystemMatrix;
-use mbir_simd::SimdBackend;
 use std::hint::black_box;
 
 fn bench_fbp(c: &mut Criterion) {
@@ -21,18 +18,10 @@ fn bench_fbp(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fbp");
     group.sample_size(10);
-    for (label, backend) in [("scalar", SimdBackend::Scalar), ("lanes", SimdBackend::Lanes)] {
-        group.bench_function(&format!("filter_test_scale_{label}"), |b| {
-            mbir_simd::set_backend(backend);
-            b.iter(|| black_box(fbp::filter(&g, &y)));
-            mbir_simd::set_backend(SimdBackend::Auto);
-        });
-        group.bench_function(&format!("backproject_test_scale_{label}"), |b| {
-            mbir_simd::set_backend(backend);
-            b.iter(|| black_box(fbp::backproject(&g, &filtered)));
-            mbir_simd::set_backend(SimdBackend::Auto);
-        });
-    }
+    group.bench_function("filter_test_scale", |b| b.iter(|| black_box(fbp::filter(&g, &y))));
+    group.bench_function("backproject_test_scale", |b| {
+        b.iter(|| black_box(fbp::backproject(&g, &filtered)))
+    });
     group.finish();
 }
 

@@ -10,7 +10,6 @@ use ct_core::project::{scan, NoiseModel, Scan};
 use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{plan_config, GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
-use mbir_simd::SimdBackend;
 use std::hint::black_box;
 use std::sync::Arc;
 use supervoxel::{SvPlanSet, Tiling};
@@ -50,10 +49,10 @@ fn bench_sv_plan_build(c: &mut Criterion) {
     group.finish();
 }
 
-/// What each scan pays on top of the shared plan: `GpuIcd::with_plan`
-/// under each SIMD backend. The plan holds everything scan-invariant,
-/// so this is the forward projection of the initial image and little
-/// else; per-scan work creeping back into the driver shows up here.
+/// What each scan pays on top of the shared plan: `GpuIcd::with_plan`.
+/// The plan holds everything scan-invariant, so this is the forward
+/// projection of the initial image and little else; per-scan work
+/// creeping back into the driver shows up here.
 fn bench_driver_build(c: &mut Criterion) {
     let su = setup();
     let prior = QggmrfPrior::standard(0.002);
@@ -61,22 +60,19 @@ fn bench_driver_build(c: &mut Criterion) {
     let plan = Arc::new(SvPlanSet::build(&su.a, &tiling, plan_config(&opts()), 0));
     let mut group = c.benchmark_group("driver_build");
     group.sample_size(10);
-    for simd in [SimdBackend::Scalar, SimdBackend::Lanes] {
-        let o = GpuOptions { simd, ..opts() };
-        group.bench_function(&format!("with_plan_64_{simd}"), |b| {
-            b.iter(|| {
-                black_box(GpuIcd::with_plan(
-                    &su.a,
-                    &su.s.y,
-                    &su.s.weights,
-                    &prior,
-                    su.init.clone(),
-                    o,
-                    plan.clone(),
-                ))
-            })
-        });
-    }
+    group.bench_function("with_plan_64", |b| {
+        b.iter(|| {
+            black_box(GpuIcd::with_plan(
+                &su.a,
+                &su.s.y,
+                &su.s.weights,
+                &prior,
+                su.init.clone(),
+                opts(),
+                plan.clone(),
+            ))
+        })
+    });
     group.finish();
 }
 

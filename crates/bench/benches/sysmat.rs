@@ -1,26 +1,17 @@
-//! System-matrix build benchmark: scalar vs 8-lane backend. Outputs
-//! are bitwise identical (see tests/determinism_simd.rs), so the
-//! delta is pure wall-clock — the lane build stages each voxel's
-//! per-view trapezoid parameters into flat arrays and evaluates the
-//! branchless cumulative in one straight-line pass.
+//! System-matrix build benchmark: the staged lane build, which gathers
+//! each block's per-view channel offsets into flat arrays and evaluates
+//! the branchless cumulative in one straight-line pass.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ct_core::geometry::Geometry;
 use ct_core::sysmat::SystemMatrix;
-use mbir_simd::SimdBackend;
 use std::hint::black_box;
 
 fn bench_sysmat_build(c: &mut Criterion) {
     let g = Geometry::test_scale();
     let mut group = c.benchmark_group("sysmat_build");
     group.sample_size(10);
-    for (label, backend) in [("scalar", SimdBackend::Scalar), ("lanes", SimdBackend::Lanes)] {
-        group.bench_function(&format!("compute_test_scale_{label}"), |b| {
-            mbir_simd::set_backend(backend);
-            b.iter(|| black_box(SystemMatrix::compute(&g)));
-            mbir_simd::set_backend(SimdBackend::Auto);
-        });
-    }
+    group.bench_function("compute_test_scale", |b| b.iter(|| black_box(SystemMatrix::compute(&g))));
     group.finish();
 }
 

@@ -22,7 +22,6 @@ use gpu_icd::{GpuOptions, MbirError};
 use mbir::prior::QggmrfPrior;
 use mbir::stopping::{run, RunOutcome, Stop};
 use mbir_fleet::{FaultSpec, FleetSpec};
-use mbir_simd::SimdBackend;
 use mbir_telemetry::{chrome_trace, ProfileReport};
 use mbir_topo::ClusterSpec;
 use psv_icd::PsvConfig;
@@ -52,7 +51,6 @@ fn allowed_flags(cmd: &str) -> Option<&'static [&'static str]> {
             "resume",
             "checkpoint-every",
             "faults",
-            "simd",
         ]),
         "fan-demo" => Some(&["out"]),
         "volume" => Some(&["slices", "sigma", "passes", "out"]),
@@ -65,7 +63,7 @@ fn allowed_flags(cmd: &str) -> Option<&'static [&'static str]> {
 fn usage() {
     eprintln!("usage: mbirctl <scan|reconstruct|fan-demo|volume|serve|info> [--scale tiny|test|harness|paper] [--threads N] ...");
     eprintln!("  scan        --phantom shepp-logan|water|baggage:<seed> --out <sino.csv> [--truth <t.pgm>] [--i0 <dose>]");
-    eprintln!("  reconstruct --sino <sino.csv> --algo fbp|sequential|psv|gpu --out <img.pgm> [--csv <img.csv>] [--profile <report.json>] [--devices N] [--simd auto|scalar|lanes]");
+    eprintln!("  reconstruct --sino <sino.csv> --algo fbp|sequential|psv|gpu --out <img.pgm> [--csv <img.csv>] [--profile <report.json>] [--devices N]");
     eprintln!("              [--checkpoint <dir> [--checkpoint-every N] [--resume]] [--faults fail:<d>@<b>,slow:<d>@<a>..<b>x<f>,link:<a>..<b>x<f>,backoff:<s>|random:<seed>]");
     eprintln!("              [--fleet nodes=<N>x<M>[,slabs=<K>] | --fleet <fleet-or-cluster.json>] (multi-node cluster with hierarchical exchange and slab streaming)");
     eprintln!("  fan-demo    (fan acquisition -> rebin -> reconstruction demo)");
@@ -264,24 +262,14 @@ fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirErr
         Some(spec) => Some(FaultSpec::parse(spec, devices).map_err(MbirError::Usage)?),
         None => None,
     };
-    // SIMD lane backend for the hot paths. Every backend is bitwise
-    // identical, so this is a speed knob, never a correctness one; the
-    // process-wide default covers FBP/sysmat while the per-run options
-    // carry the choice into the ICD drivers.
-    let simd_str = args.get("simd")?.unwrap_or("auto");
-    let simd = SimdBackend::parse(simd_str).ok_or_else(|| {
-        usage_err(format!("unknown --simd backend '{simd_str}' (auto, scalar, lanes)"))
-    })?;
     let i0 = args.positive_or("i0", 2.0e4)?;
     let sigma = args.positive_or("sigma", 0.002)?;
     let max_iters: usize = args.get_or("max-iters", 200)?;
-    mbir_simd::set_backend(simd);
 
     let y = io::read_sinogram_csv(sino_path).map_err(|e| MbirError::io(sino_path, e))?;
     let case = Case::measured(Setup::new(scale.geometry()), y, i0, sigma)?;
-    let simd_name = mbir_simd::resolve(simd).name();
     if algo == "fbp" {
-        return Ok((case.init, format!("FBP (direct method), simd {simd_name}")));
+        return Ok((case.init, "FBP (direct method)".to_string()));
     }
     eprintln!("computing system matrix and 40-equit golden for the convergence criterion...");
     let golden = case.golden(40.0);
@@ -296,19 +284,18 @@ fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirErr
             (icd.into_image(), note, out, None)
         }
         "psv" => {
-            let config = PsvConfig { profile: profile.is_some(), simd, ..psv_options_for(scale) };
+            let config = PsvConfig { profile: profile.is_some(), ..psv_options_for(scale) };
             let mut psv = case.psv(config);
             let out = run(&mut psv, stop, max_iters, |_, _| BoundaryAction::Continue);
             let note = format!(
-                "PSV-ICD, {:.1} equits, modeled 16-core time {:.3} s, simd {simd_name}",
+                "PSV-ICD, {:.1} equits, modeled 16-core time {:.3} s",
                 psv.equits(),
                 psv.modeled_seconds()
             );
             (psv.image().clone(), note, out, psv.recording().cloned())
         }
         _ => {
-            let opts =
-                GpuOptions { profile: profile.is_some(), devices, simd, ..gpu_options_for(scale) };
+            let opts = GpuOptions { profile: profile.is_some(), devices, ..gpu_options_for(scale) };
             let mut gpu = case.gpu(opts);
             if let Some(cluster) = cluster {
                 gpu.set_cluster_spec(cluster)?;
@@ -318,7 +305,7 @@ fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirErr
             }
             let out = run_gpu(&mut gpu, stop, max_iters, checkpoint, every, resume)?;
             let mut note = format!(
-                "GPU-ICD, {:.1} equits, modeled Titan X time {:.4} s, simd {simd_name}",
+                "GPU-ICD, {:.1} equits, modeled Titan X time {:.4} s",
                 gpu.equits(),
                 gpu.modeled_seconds()
             );

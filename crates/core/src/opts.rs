@@ -143,12 +143,6 @@ pub struct GpuOptions {
     pub zero_skip: bool,
     /// Positivity constraint enabled.
     pub positivity: bool,
-    /// Host SIMD lane-kernel backend for the functional execution.
-    /// `Auto` defers to the process-wide `mbir_simd` setting. Results
-    /// are bitwise identical for every choice — only host wall-clock
-    /// changes (the canonical 8-lane reduction makes the backends
-    /// interchangeable).
-    pub simd: mbir_simd::SimdBackend,
 }
 
 impl Default for GpuOptions {
@@ -174,7 +168,6 @@ impl Default for GpuOptions {
             seed: 0,
             zero_skip: true,
             positivity: true,
-            simd: mbir_simd::SimdBackend::Auto,
         }
     }
 }

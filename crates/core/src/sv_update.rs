@@ -23,11 +23,9 @@ use supervoxel::svb::Svb;
 /// columns) comes from the SV's [`SvPlan`].
 ///
 /// A visit dequantizes its column once, into a buffer that its theta
-/// gather reads and its delayed commit carries. It reads `a.column(j)`
-/// for two things only: the Scalar backend's `(view, channel)` walk
-/// over the column's runs, and the f32 entries when the plan holds no
-/// u8 codes. The Lanes backend reaches the band through the plan's
-/// offsets alone.
+/// gather reads and its delayed commit carries. It reaches the band
+/// through the plan's offsets alone, and reads `a.column(j)` only for
+/// the f32 entries when the plan holds no u8 codes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn update_sv<P: Prior>(
     a: &SystemMatrix,
@@ -50,10 +48,6 @@ pub(crate) fn update_sv<P: Prior>(
         opts.seed ^ iter.wrapping_mul(131) ^ (sv as u64).wrapping_mul(0x9e3779b9),
     );
     order.shuffle(&mut rng);
-
-    // Resolve the lane-kernel backend once per SV (the env fallback is
-    // not free) and hand the concrete choice to every voxel visit.
-    let simd = mbir_simd::resolve(opts.simd);
 
     let mut t = SvTally {
         sv,
@@ -93,7 +87,7 @@ pub(crate) fn update_sv<P: Prior>(
             let vp = &vox[oi as usize];
             image.set(vp.voxel, image.get(vp.voxel) + delta);
             let col = a.column(vp.voxel);
-            svb.apply_delta(&col, plan.entries(&col, &buf), plan.offsets(vp), delta, simd);
+            svb.apply_delta(plan.entries(&col, &buf), plan.offsets(vp), delta);
         }
         buf
     };
@@ -110,7 +104,7 @@ pub(crate) fn update_sv<P: Prior>(
         let col = a.column(j);
         let mut buf = spare.pop().unwrap_or_default();
         plan.dequantize(vp, &mut buf);
-        let th = svb.thetas(&col, plan.entries(&col, &buf), plan.offsets(vp), simd);
+        let th = svb.thetas(plan.entries(&col, &buf), plan.offsets(vp));
         let nb = image.neighbors8(j);
         let mut neigh = nb.iter().map(|(k, edge)| (image.get(k), clique_weight(edge)));
         let delta = voxel_step(prior, image.get(j), th, &mut neigh, opts.positivity);

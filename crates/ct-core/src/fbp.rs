@@ -20,13 +20,11 @@ pub fn reconstruct(geom: &Geometry, y: &Sinogram) -> Image {
 ///
 /// Each output sample is a sliding-window dot of the mirrored full
 /// kernel against the view row, reduced with the canonical 8-lane tree
-/// ([`mbir_simd::dot`]) and dispatched on the process-wide SIMD
-/// backend — bitwise-identical output for every backend. Zero taps
-/// (even nonzero `k`) participate in the dot: a `hk * p` term of `+0.0`
-/// or `-0.0` added to a lane partial never changes its value, and the
-/// partials start at `+0.0`, which no mix of `±0.0` additions can flip
-/// to `-0.0` — so including them is bit-safe and keeps the inner loop
-/// branch-free.
+/// ([`mbir_simd::dot`]). Zero taps (even nonzero `k`) participate in
+/// the dot: a `hk * p` term of `+0.0` or `-0.0` added to a lane partial
+/// never changes its value, and the partials start at `+0.0`, which no
+/// mix of `±0.0` additions can flip to `-0.0` — so including them is
+/// bit-safe and keeps the inner loop branch-free.
 pub fn filter(geom: &Geometry, y: &Sinogram) -> Sinogram {
     let c = geom.num_channels;
     let dc = geom.channel_spacing;
@@ -43,7 +41,6 @@ pub fn filter(geom: &Geometry, y: &Sinogram) -> Sinogram {
     for (k, hf) in hfull.iter_mut().enumerate() {
         *hf = h[k.abs_diff(c - 1)];
     }
-    let backend = mbir_simd::active();
     // Views are independent convolutions: each worker computes whole
     // output rows, so any thread count yields bitwise-identical
     // sinograms.
@@ -53,7 +50,7 @@ pub fn filter(geom: &Geometry, y: &Sinogram) -> Sinogram {
         let mut orow = vec![0.0f32; c];
         for (i, o) in orow.iter_mut().enumerate() {
             let win = &hfull[c - 1 - i..2 * c - 1 - i];
-            *o = mbir_simd::dot(backend, win, row) * dc;
+            *o = mbir_simd::dot(win, row) * dc;
         }
         orow
     });
@@ -82,7 +79,6 @@ pub fn backproject(geom: &Geometry, q: &Sinogram) -> Image {
             (th.cos(), th.sin())
         })
         .collect();
-    let backend = mbir_simd::active();
     // Image rows are independent gathers from the (read-only) filtered
     // sinogram — bitwise identical at any thread count.
     let trig = &trig;
@@ -111,7 +107,7 @@ pub fn backproject(geom: &Geometry, q: &Sinogram) -> Image {
                 bv[v] = if c0 + 1 < geom.num_channels { row_q[c0 + 1] } else { a };
                 fv[v] = ch - c0 as f32;
             }
-            *o = mbir_simd::lerp_sum(backend, &av, &bv, &fv) * scale;
+            *o = mbir_simd::lerp_sum(&av, &bv, &fv) * scale;
         }
         out
     });

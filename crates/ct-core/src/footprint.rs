@@ -78,7 +78,7 @@ impl Trapezoid {
     /// expression is computed and the right one selected, so the result
     /// is bitwise-identical to the branchy form (the proptest below
     /// pins this) while the straight-line body lets the system-matrix
-    /// lane backend vectorize across channels. A degenerate `ramp == 0`
+    /// build vectorize across channels. A degenerate `ramp == 0`
     /// (axis-aligned view) makes the unselected ramp expressions
     /// inf/NaN, which is fine in Rust — they are discarded by the
     /// selects, exactly as the branchy form never evaluates them:

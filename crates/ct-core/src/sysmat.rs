@@ -43,12 +43,6 @@ impl SystemMatrix {
     /// Cost is `O(nvox * num_views)`; at the paper's 512x512/720-view
     /// scale this builds ~500M entries (~2 GB), matching the paper's
     /// observation that the A-matrix stream is the memory bottleneck.
-    ///
-    /// The inner loop dispatches on the process-wide
-    /// [`mbir_simd::active`] backend; every backend produces the
-    /// identical matrix (the lane path's branchless channel math is
-    /// proven bitwise-equal to the branchy scalar form), so the knob
-    /// only changes build wall-clock.
     pub fn compute(geom: &Geometry) -> Self {
         Self::compute_range(geom, 0, geom.grid.num_voxels())
     }
@@ -60,22 +54,19 @@ impl SystemMatrix {
     /// scales nearly linearly.
     /// `threads == 0` defers to the process-wide setting
     /// ([`mbir_parallel::threads`]).
+    ///
+    /// The voxels split into `threads.min(nvox)` balanced ranges, none
+    /// of them empty, built by [`mbir_parallel::par_map`] and
+    /// concatenated in order.
     pub fn compute_parallel(geom: &Geometry, threads: usize) -> Self {
-        let threads = mbir_parallel::resolve(threads);
-        if threads == 1 {
+        let nvox = geom.grid.num_voxels();
+        let parts = mbir_parallel::resolve(threads).min(nvox);
+        if parts <= 1 {
             return Self::compute(geom);
         }
-        let nvox = geom.grid.num_voxels();
-        let chunk = nvox.div_ceil(threads);
-        let parts: Vec<SystemMatrix> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = t * chunk;
-                    let hi = ((t + 1) * chunk).min(nvox);
-                    s.spawn(move || Self::compute_range(geom, lo, hi))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
+        let bound = |p: usize| p * nvox / parts;
+        let pieces: Vec<SystemMatrix> = mbir_parallel::par_map(parts, parts, |p| {
+            Self::compute_range(geom, bound(p), bound(p + 1))
         });
 
         // Concatenate the per-range pieces.
@@ -83,32 +74,19 @@ impl SystemMatrix {
         let mut voxel_offset = Vec::with_capacity(nvox + 1);
         let mut first_channel = Vec::with_capacity(nvox * nviews);
         let mut count = Vec::with_capacity(nvox * nviews);
-        let mut values = Vec::new();
+        let mut values = Vec::with_capacity(pieces.iter().map(|p| p.values.len()).sum());
         voxel_offset.push(0u64);
-        for part in parts {
+        for piece in pieces {
             let base = values.len() as u64;
-            voxel_offset.extend(part.voxel_offset[1..].iter().map(|&o| o + base));
-            first_channel.extend_from_slice(&part.first_channel);
-            count.extend_from_slice(&part.count);
-            values.extend_from_slice(&part.values);
+            voxel_offset.extend(piece.voxel_offset[1..].iter().map(|&o| o + base));
+            first_channel.extend_from_slice(&piece.first_channel);
+            count.extend_from_slice(&piece.count);
+            values.extend_from_slice(&piece.values);
         }
         SystemMatrix { geom: *geom, voxel_offset, first_channel, count, values }
     }
 
-    /// Compute the columns of voxels `lo..hi` only (a building block of
-    /// [`SystemMatrix::compute_parallel`]; offsets are local),
-    /// dispatching on the process-wide SIMD backend. Backends are
-    /// bitwise-identical, so even a mid-build backend switch (another
-    /// thread flipping the knob between chunks) cannot change results.
-    fn compute_range(geom: &Geometry, lo: usize, hi: usize) -> Self {
-        match mbir_simd::active() {
-            mbir_simd::SimdBackend::Lanes => Self::compute_range_lanes(geom, lo, hi),
-            _ => Self::compute_range_scalar(geom, lo, hi),
-        }
-    }
-
-    /// Per-view trig and footprints — voxel-independent, shared by both
-    /// build backends.
+    /// Per-view trig and footprints — voxel-independent.
     fn per_view_traps(geom: &Geometry) -> Vec<(f32, f32, Trapezoid)> {
         (0..geom.num_views)
             .map(|v| {
@@ -119,72 +97,24 @@ impl SystemMatrix {
             .collect()
     }
 
-    /// Scalar build: the canonical per-channel walk — branchy
-    /// [`Trapezoid::mean_over`] per candidate channel, pushing the run
-    /// as it goes.
-    fn compute_range_scalar(geom: &Geometry, lo: usize, hi: usize) -> Self {
-        let nviews = geom.num_views;
-        let per_view = Self::per_view_traps(geom);
-        let n = hi - lo;
-        let mut voxel_offset = Vec::with_capacity(n + 1);
-        let mut first_channel = vec![0u16; n * nviews];
-        let mut count = vec![0u16; n * nviews];
-        let mut values = Vec::with_capacity(n * nviews * 3);
-        voxel_offset.push(0u64);
-        let half_c = geom.channel_spacing / 2.0;
-        for (local, j) in (lo..hi).enumerate() {
-            let (row, col) = geom.grid.row_col(j);
-            let x = geom.grid.x_of(col);
-            let y = geom.grid.y_of(row);
-            for (v, &(cv, sv, trap)) in per_view.iter().enumerate() {
-                let tc = x * cv + y * sv;
-                let lo_ch = geom.channel_of(tc - trap.half_base);
-                let hi_ch = geom.channel_of(tc + trap.half_base);
-                let c0 = (lo_ch.floor().max(0.0)) as usize;
-                let c1 = (hi_ch.ceil() as isize).min(geom.num_channels as isize - 1);
-                let mut first = 0usize;
-                let mut nrun = 0usize;
-                if c1 >= c0 as isize {
-                    for ch in c0..=(c1 as usize) {
-                        let t0 = geom.channel_center(ch) - half_c - tc;
-                        let a = trap.mean_over(t0, t0 + geom.channel_spacing);
-                        if a > MIN_ENTRY {
-                            if nrun == 0 {
-                                first = ch;
-                            }
-                            values.push(a);
-                            nrun += 1;
-                        } else if nrun > 0 {
-                            break;
-                        }
-                    }
-                }
-                let idx = local * nviews + v;
-                first_channel[idx] = first as u16;
-                count[idx] = nrun as u16;
-            }
-            voxel_offset.push(values.len() as u64);
-        }
-        SystemMatrix { geom: *geom, voxel_offset, first_channel, count, values }
-    }
-
-    /// Voxel block size of the lane build's view-outer staging. Big
-    /// enough that one view's staged candidates (~3 per voxel) fill the
-    /// vector units, small enough that the staging buffers stay in L1.
+    /// Voxel block size of the build's view-outer staging. Big enough
+    /// that one view's staged candidates (~3 per voxel) fill the vector
+    /// units, small enough that the staging buffers stay in L1.
     const LANE_BLOCK: usize = 64;
 
-    /// Lane build: process voxels in blocks with the *view* loop
-    /// outermost. For one view, every candidate channel of the block
-    /// shares the same trapezoid, so only the channel offset `t0` is
-    /// staged — the footprint constants stay in registers and the
-    /// integral pass over the view's staged range is a straight-line
-    /// branchless loop ([`Trapezoid::cumulative_select`], bitwise-equal
-    /// to the branchy form; the packed divides are where the lane
-    /// throughput is). Per-view spans then drive a voxel-major run
-    /// extraction with the same threshold/break logic as the scalar
-    /// build, so the output bits and entry order are identical by
-    /// construction.
-    fn compute_range_lanes(geom: &Geometry, lo: usize, hi: usize) -> Self {
+    /// Compute the columns of voxels `lo..hi` only (offsets are local):
+    /// process voxels in blocks with the *view* loop outermost. For one
+    /// view, every candidate channel of the block shares the same
+    /// trapezoid, so only the channel offset `t0` is staged — the
+    /// footprint constants stay in registers and the integral pass over
+    /// the view's staged range is a straight-line branchless loop
+    /// ([`Trapezoid::cumulative_select`], bitwise-equal to the branchy
+    /// form; the packed divides are where the lane throughput is).
+    /// Per-view spans then drive a voxel-major run extraction with the
+    /// threshold/break logic of the canonical per-channel walk, so the
+    /// output bits and entry order are that walk's by construction
+    /// (pinned by the test `lane_build_is_bit_identical_to_scalar`).
+    fn compute_range(geom: &Geometry, lo: usize, hi: usize) -> Self {
         let nviews = geom.num_views;
         let per_view = Self::per_view_traps(geom);
         let n = hi - lo;
@@ -228,7 +158,7 @@ impl SystemMatrix {
                 // Uniform per-voxel setup — no data-dependent control
                 // flow, so the projections and channel-range clamps
                 // pack across the block. The range clamps run in i32
-                // (saturating casts agree with the scalar build's isize
+                // (saturating casts agree with the reference walk's isize
                 // path for every representable channel index).
                 for b in 0..bn {
                     let tc = xs[b] * cv + ys[b] * sv;
@@ -628,14 +558,63 @@ mod tests {
         assert!((1.5..=3.5).contains(&m), "mean {m}");
     }
 
+    /// The reference build: the canonical per-channel walk — branchy
+    /// [`Trapezoid::mean_over`] per candidate channel, pushing the run
+    /// as it goes.
+    fn compute_range_scalar(geom: &Geometry, lo: usize, hi: usize) -> SystemMatrix {
+        let nviews = geom.num_views;
+        let per_view = SystemMatrix::per_view_traps(geom);
+        let n = hi - lo;
+        let mut voxel_offset = Vec::with_capacity(n + 1);
+        let mut first_channel = vec![0u16; n * nviews];
+        let mut count = vec![0u16; n * nviews];
+        let mut values = Vec::with_capacity(n * nviews * 3);
+        voxel_offset.push(0u64);
+        let half_c = geom.channel_spacing / 2.0;
+        for (local, j) in (lo..hi).enumerate() {
+            let (row, col) = geom.grid.row_col(j);
+            let x = geom.grid.x_of(col);
+            let y = geom.grid.y_of(row);
+            for (v, &(cv, sv, trap)) in per_view.iter().enumerate() {
+                let tc = x * cv + y * sv;
+                let lo_ch = geom.channel_of(tc - trap.half_base);
+                let hi_ch = geom.channel_of(tc + trap.half_base);
+                let c0 = (lo_ch.floor().max(0.0)) as usize;
+                let c1 = (hi_ch.ceil() as isize).min(geom.num_channels as isize - 1);
+                let mut first = 0usize;
+                let mut nrun = 0usize;
+                if c1 >= c0 as isize {
+                    for ch in c0..=(c1 as usize) {
+                        let t0 = geom.channel_center(ch) - half_c - tc;
+                        let a = trap.mean_over(t0, t0 + geom.channel_spacing);
+                        if a > MIN_ENTRY {
+                            if nrun == 0 {
+                                first = ch;
+                            }
+                            values.push(a);
+                            nrun += 1;
+                        } else if nrun > 0 {
+                            break;
+                        }
+                    }
+                }
+                let idx = local * nviews + v;
+                first_channel[idx] = first as u16;
+                count[idx] = nrun as u16;
+            }
+            voxel_offset.push(values.len() as u64);
+        }
+        SystemMatrix { geom: *geom, voxel_offset, first_channel, count, values }
+    }
+
     #[test]
     fn lane_build_is_bit_identical_to_scalar() {
-        // The tentpole invariant for the build: the staged branchless
-        // backend reproduces the branchy walk bit for bit, including a
+        // The invariant for the build: the staged branchless build
+        // reproduces the branchy walk bit for bit, including a
         // detector-clipped geometry where corner runs are truncated.
         for g in [Geometry::tiny_scale(), Geometry::new(16, 36, 1.0, ImageGrid::square(24, 1.0))] {
-            let scalar = SystemMatrix::compute_range_scalar(&g, 0, g.grid.num_voxels());
-            let lanes = SystemMatrix::compute_range_lanes(&g, 0, g.grid.num_voxels());
+            let scalar = compute_range_scalar(&g, 0, g.grid.num_voxels());
+            let lanes = SystemMatrix::compute_range(&g, 0, g.grid.num_voxels());
             assert_eq!(scalar.voxel_offset, lanes.voxel_offset);
             assert_eq!(scalar.first_channel, lanes.first_channel);
             assert_eq!(scalar.count, lanes.count);
@@ -649,7 +628,9 @@ mod tests {
     fn parallel_build_is_bit_identical() {
         let g = Geometry::tiny_scale();
         let seq = SystemMatrix::compute(&g);
-        for threads in [1usize, 2, 3, 5] {
+        // 30 threads over 576 voxels: ceil-sized chunks would start the
+        // last worker past the grid.
+        for threads in [1usize, 2, 3, 5, 30] {
             let par = SystemMatrix::compute_parallel(&g, threads);
             assert_eq!(par.voxel_offset, seq.voxel_offset, "{threads} threads");
             assert_eq!(par.first_channel, seq.first_channel);
@@ -660,7 +641,7 @@ mod tests {
 
     #[test]
     fn parallel_build_handles_uneven_splits() {
-        // 24x24 = 576 voxels over 7 threads: ragged last chunk.
+        // 24x24 = 576 voxels over 7 threads: ranges of 82 and 83 voxels.
         let g = Geometry::tiny_scale();
         let seq = SystemMatrix::compute(&g);
         let par = SystemMatrix::compute_parallel(&g, 7);

@@ -66,8 +66,10 @@ pub fn compute_thetas<E: WeightedError>(col: &ColumnView<'_>, ew: &E) -> Thetas 
 /// order. This is the one scalar reference walk. It goes through the
 /// raw CSR slices, free of per-view iterator construction, and entry
 /// `k` of the flat stream lands in canonical lane `k % 8` of an
-/// [`mbir_simd::ThetaAcc`]. The lane backend's gather kernel
-/// ([`mbir_simd::theta_gather`]) must — and does — match it bitwise.
+/// [`mbir_simd::ThetaAcc`]. The gather kernel every GPU-ICD and
+/// PSV-ICD visit runs ([`mbir_simd::theta_gather`]) must — and does —
+/// match it bitwise; sequential ICD, NH-ICD and `VolumeIcd` run this
+/// walk itself.
 pub fn column_thetas<E: WeightedError>(col: &ColumnView<'_>, a: &[f32], ew: &E) -> Thetas {
     let mut acc = mbir_simd::ThetaAcc::new();
     walk_runs(col, a, |view, ch, av| {

@@ -3,7 +3,7 @@
 use crate::cpu_model::{CpuModel, SvWork};
 use ct_core::image::{Image, SharedImage};
 use ct_core::sinogram::Sinogram;
-use ct_core::sysmat::{ColumnView, SystemMatrix};
+use ct_core::sysmat::SystemMatrix;
 use mbir::convergence::TracePoint;
 use mbir::prior::{clique_weight, Prior};
 use mbir::sequential::{IcdConfig, IcdStats};
@@ -43,10 +43,6 @@ pub struct PsvConfig {
     /// [`RecordingSink`]. Observe-only: results and modeled seconds are
     /// bitwise identical either way.
     pub profile: bool,
-    /// Host SIMD lane-kernel backend for the functional execution.
-    /// `Auto` defers to the process-wide `mbir_simd` setting; results
-    /// are bitwise identical for every choice.
-    pub simd: mbir_simd::SimdBackend,
     /// Shared ICD knobs.
     pub icd: IcdConfig,
 }
@@ -59,7 +55,6 @@ impl Default for PsvConfig {
             threads: 0,
             selection_seed: 0xc0ffee,
             profile: false,
-            simd: mbir_simd::SimdBackend::Auto,
             icd: IcdConfig::default(),
         }
     }
@@ -254,9 +249,6 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
             let iter = self.iter;
             let randomize = self.config.icd.randomize;
             let positivity = self.config.icd.positivity;
-            // Resolve the lane-kernel backend once per group (the env
-            // fallback is not free) and hand it to every voxel visit.
-            let simd = mbir_simd::resolve(self.config.simd);
             let results: Vec<(Svb<'_>, SvVisit)> =
                 mbir_parallel::par_map(self.config.threads, group.len(), |i| {
                     let sv = group[i];
@@ -288,13 +280,11 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
                         let delta = update_voxel_shared(
                             j,
                             &image,
-                            &col,
                             sv_plan.entries(&col, &buf),
                             sv_plan.offsets(vp),
                             &mut svb,
                             prior,
                             positivity,
-                            simd,
                         );
                         visit.updates += 1;
                         visit.abs_delta += delta.abs() as f64;
@@ -429,31 +419,26 @@ impl<P: Prior> Driver for PsvIcd<'_, P> {
 
 /// The single-voxel update against a shared image and a private SVB —
 /// Algorithm 1 with the image reads/writes going through the shared
-/// view's atomics. The theta/apply inner loops dispatch on the
-/// already-resolved `simd` backend (bitwise identical for every
-/// choice); `entries` and `offsets` are the voxel's A entries and band
-/// offsets from the SV's plan, and the commit reuses the entries the
-/// theta pass read.
-#[allow(clippy::too_many_arguments)]
+/// view's atomics. `entries` and `offsets` are the voxel's A entries
+/// and band offsets from the SV's plan, and the commit reuses the
+/// entries the theta pass read.
 fn update_voxel_shared<P: Prior>(
     j: usize,
     image: &SharedImage<'_>,
-    col: &ColumnView<'_>,
     entries: &[f32],
     offsets: &[u16],
     svb: &mut Svb<'_>,
     prior: &P,
     positivity: bool,
-    simd: mbir_simd::SimdBackend,
 ) -> f32 {
     let v = image.get(j);
-    let th = svb.thetas(col, entries, offsets, simd);
+    let th = svb.thetas(entries, offsets);
     let nb = image.neighbors8(j);
     let mut neigh = nb.iter().map(|(k, edge)| (image.get(k), clique_weight(edge)));
     let delta = voxel_step(prior, v, th, &mut neigh, positivity);
     if delta != 0.0 {
         image.set(j, v + delta);
-        svb.apply_delta(col, entries, offsets, delta, simd);
+        svb.apply_delta(entries, offsets, delta);
     }
     delta
 }

@@ -768,6 +768,6 @@ mod tests {
         assert!(spans.iter().all(|s| s.device < 2), "span on a device outside the fleet");
         let report = sink.report("serve");
         assert_eq!(report.totals.jobs, 2);
-        assert!(report.to_json_pretty().contains("\"schema_version\": 6"));
+        assert!(report.to_json_pretty().contains("\"schema_version\": 7"));
     }
 }

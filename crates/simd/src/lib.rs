@@ -10,125 +10,43 @@
 //! ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
 //! ```
 //!
-//! Both backends — the scalar fallback that processes one element at a
-//! time, and the lane backend that processes `chunks_exact(8)` with an
-//! autovectorized inner loop — perform, per lane, *the same f32
-//! additions in the same order* (lane `L` sees elements `L`, `L+8`,
-//! `L+16`, …). f32 addition is deterministic and rustc never contracts
-//! separate mul/add into an FMA, so the two backends are
-//! bitwise-identical by construction, at any input length (tails are
-//! handled element-wise, continuing the lane phase). This extends the
-//! thread-count and device-count determinism invariants to SIMD width:
-//! the `--simd` knob can never change a reconstruction, only its speed.
-//!
-//! Backend resolution order mirrors `mbir-parallel`'s thread knob:
-//! explicit [`set_backend`] call, else the `MBIR_SIMD` environment
-//! variable, else [`SimdBackend::Lanes`]. Callers that carry a
-//! per-driver setting ([`SimdBackend::Auto`] by default) resolve it
-//! once with [`resolve`] and pass the concrete backend down.
-
-use std::fmt;
-use std::sync::atomic::{AtomicU8, Ordering};
-
-use serde::{Deserialize, Serialize};
+//! The kernels process `chunks_exact(8)` with an autovectorized inner
+//! loop, and per lane they perform *the same f32 additions in the same
+//! order* as an element-at-a-time walk (lane `L` sees elements `L`,
+//! `L+8`, `L+16`, …; tails continue the lane phase element-wise). f32
+//! addition is deterministic and rustc never contracts separate mul/add
+//! into an FMA, so a kernel's bits are fixed by that order at any input
+//! length and any ISA width. Each kernel's unit tests pin it bitwise to
+//! an element-at-a-time reference: [`ThetaAcc`] for the ICD gather,
+//! and test-only scalar walks for the FBP dot and lerp sum.
 
 /// Lane width of the canonical reduction tree. Fixed at 8 (one AVX
 /// f32 register); changing it would change every reduction's bits.
 pub const LANES: usize = 8;
 
-/// Which kernel implementation services the lane primitives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// Compatibility shim only: there is one lane path and no backend to
+/// choose. It keeps the benchmark harness's run descriptor
+/// (`perfbench/src/main.rs:147` and `:199`) compiling unchanged, still
+/// printing `"simd": "lanes"`, and goes when that harness is next edited.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
 pub enum SimdBackend {
-    /// Defer to the process-wide setting ([`backend`]), else `Lanes`.
-    #[default]
     Auto,
-    /// Element-at-a-time reference kernels (same bits).
-    Scalar,
-    /// Chunked 8-wide kernels (the ICD walk gathers through offsets).
-    Lanes,
 }
 
 impl SimdBackend {
-    /// Parse a CLI/env spelling; `None` for anything unrecognized.
-    pub fn parse(s: &str) -> Option<SimdBackend> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(SimdBackend::Auto),
-            "scalar" => Some(SimdBackend::Scalar),
-            "lanes" => Some(SimdBackend::Lanes),
-            _ => None,
-        }
-    }
-
-    /// The canonical lowercase spelling.
     pub fn name(self) -> &'static str {
-        match self {
-            SimdBackend::Auto => "auto",
-            SimdBackend::Scalar => "scalar",
-            SimdBackend::Lanes => "lanes",
-        }
+        "lanes"
     }
 }
 
-impl fmt::Display for SimdBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
+#[doc(hidden)]
+pub fn resolve(b: SimdBackend) -> SimdBackend {
+    b
 }
 
-/// Process-wide backend; 0 = unset (fall through to `MBIR_SIMD`).
-static BACKEND: AtomicU8 = AtomicU8::new(0);
-
-/// Pin the process-wide backend. `Auto` restores env/default fallback.
-pub fn set_backend(b: SimdBackend) {
-    let code = match b {
-        SimdBackend::Auto => 0,
-        SimdBackend::Scalar => 1,
-        SimdBackend::Lanes => 2,
-    };
-    BACKEND.store(code, Ordering::Relaxed);
-}
-
-/// The process-wide backend setting: the value from [`set_backend`],
-/// else `MBIR_SIMD`, else `Auto` (which [`resolve`] maps to `Lanes`).
-pub fn backend() -> SimdBackend {
-    match BACKEND.load(Ordering::Relaxed) {
-        1 => return SimdBackend::Scalar,
-        2 => return SimdBackend::Lanes,
-        _ => {}
-    }
-    match std::env::var("MBIR_SIMD") {
-        Err(std::env::VarError::NotPresent) => SimdBackend::Auto,
-        v => parse_backend_env(v.as_deref().unwrap_or("<non-UTF-8>"))
-            .unwrap_or_else(|e| panic!("{e}")),
-    }
-}
-
-/// Parse an `MBIR_SIMD` value. Anything but a backend name is an error
-/// naming the variable, so a typo'd CI leg cannot silently test the
-/// default backend twice.
-fn parse_backend_env(v: &str) -> Result<SimdBackend, String> {
-    SimdBackend::parse(v)
-        .ok_or_else(|| format!("MBIR_SIMD={v:?} is not a SIMD backend (auto, scalar, lanes)"))
-}
-
-/// Resolve a caller-supplied backend request to a concrete backend:
-/// `Auto` defers to the process-wide setting ([`backend`]), and an
-/// unset process falls back to `Lanes`. Resolving an already-concrete
-/// backend is free (no env lookup), so hot loops may re-resolve.
-pub fn resolve(requested: SimdBackend) -> SimdBackend {
-    match requested {
-        SimdBackend::Auto => match backend() {
-            SimdBackend::Auto => SimdBackend::Lanes,
-            b => b,
-        },
-        b => b,
-    }
-}
-
-/// The concrete backend a caller with no setting of its own gets.
-pub fn active() -> SimdBackend {
-    resolve(SimdBackend::Auto)
-}
+#[doc(hidden)]
+pub fn set_backend(_: SimdBackend) {}
 
 /// The canonical combination of the eight lane partials.
 #[inline]
@@ -241,18 +159,9 @@ pub fn scatter_sub(a: &[f32], idx: &[u16], cells: &mut [[f32; 2]], delta: f32) {
     }
 }
 
-/// Weighted dot `Σ x[k] * y[k]`, scalar reference order.
-pub fn dot_ref(x: &[f32], y: &[f32]) -> f32 {
-    check_len(x.len(), y.len());
-    let mut acc = [0.0f32; LANES];
-    for (k, (&xv, &yv)) in x.iter().zip(y).enumerate() {
-        acc[k % LANES] += xv * yv;
-    }
-    tree_reduce(acc)
-}
-
-/// Weighted dot, chunked 8-wide; bitwise-equal to [`dot_ref`].
-pub fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
+/// Weighted dot `Σ x[k] * y[k]`, chunked 8-wide through the canonical
+/// lane tree.
+pub fn dot(x: &[f32], y: &[f32]) -> f32 {
     check_len(x.len(), y.len());
     let full = x.len() - x.len() % LANES;
     let (xh, xt) = x.split_at(full);
@@ -269,29 +178,10 @@ pub fn dot_lanes(x: &[f32], y: &[f32]) -> f32 {
     tree_reduce(acc)
 }
 
-/// Backend-dispatched weighted dot.
-#[inline]
-pub fn dot(backend: SimdBackend, x: &[f32], y: &[f32]) -> f32 {
-    match resolve(backend) {
-        SimdBackend::Lanes => dot_lanes(x, y),
-        _ => dot_ref(x, y),
-    }
-}
-
 /// Linear-interpolation sum `Σ a[k] + frac[k] * (b[k] - a[k])` (FBP
-/// backprojection inner reduction), scalar reference order.
-pub fn lerp_sum_ref(a: &[f32], b: &[f32], frac: &[f32]) -> f32 {
-    check_len(a.len(), b.len());
-    check_len(a.len(), frac.len());
-    let mut acc = [0.0f32; LANES];
-    for k in 0..a.len() {
-        acc[k % LANES] += a[k] + frac[k] * (b[k] - a[k]);
-    }
-    tree_reduce(acc)
-}
-
-/// Lerp sum, chunked 8-wide; bitwise-equal to [`lerp_sum_ref`].
-pub fn lerp_sum_lanes(a: &[f32], b: &[f32], frac: &[f32]) -> f32 {
+/// backprojection inner reduction), chunked 8-wide through the
+/// canonical lane tree.
+pub fn lerp_sum(a: &[f32], b: &[f32], frac: &[f32]) -> f32 {
     check_len(a.len(), b.len());
     check_len(a.len(), frac.len());
     let full = a.len() - a.len() % LANES;
@@ -312,53 +202,30 @@ pub fn lerp_sum_lanes(a: &[f32], b: &[f32], frac: &[f32]) -> f32 {
     tree_reduce(acc)
 }
 
-/// Backend-dispatched lerp sum.
-#[inline]
-pub fn lerp_sum(backend: SimdBackend, a: &[f32], b: &[f32], frac: &[f32]) -> f32 {
-    match resolve(backend) {
-        SimdBackend::Lanes => lerp_sum_lanes(a, b, frac),
-        _ => lerp_sum_ref(a, b, frac),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn parse_and_display_round_trip() {
-        for b in [SimdBackend::Auto, SimdBackend::Scalar, SimdBackend::Lanes] {
-            assert_eq!(SimdBackend::parse(b.name()), Some(b));
-            assert_eq!(format!("{b}"), b.name());
+    /// The scalar reference for [`dot`]: one element at a time, into
+    /// canonical lane `k % 8`.
+    fn dot_ref(x: &[f32], y: &[f32]) -> f32 {
+        check_len(x.len(), y.len());
+        let mut acc = [0.0f32; LANES];
+        for (k, (&xv, &yv)) in x.iter().zip(y).enumerate() {
+            acc[k % LANES] += xv * yv;
         }
-        assert_eq!(SimdBackend::parse(" Lanes "), Some(SimdBackend::Lanes));
-        assert_eq!(SimdBackend::parse("avx512"), None);
-        assert_eq!(SimdBackend::parse(""), None);
+        tree_reduce(acc)
     }
 
-    #[test]
-    fn simd_env_values_parse_or_name_the_variable() {
-        assert_eq!(parse_backend_env("scalar"), Ok(SimdBackend::Scalar));
-        assert_eq!(parse_backend_env(" LANES"), Ok(SimdBackend::Lanes));
-        assert_eq!(parse_backend_env("auto"), Ok(SimdBackend::Auto));
-        for bad in ["lane", "", "avx2"] {
-            let err = parse_backend_env(bad).unwrap_err();
-            assert!(err.contains("MBIR_SIMD") && err.contains("auto, scalar, lanes"), "{err}");
+    /// The scalar reference for [`lerp_sum`], in the same order.
+    fn lerp_sum_ref(a: &[f32], b: &[f32], frac: &[f32]) -> f32 {
+        check_len(a.len(), b.len());
+        check_len(a.len(), frac.len());
+        let mut acc = [0.0f32; LANES];
+        for k in 0..a.len() {
+            acc[k % LANES] += a[k] + frac[k] * (b[k] - a[k]);
         }
-    }
-
-    #[test]
-    fn resolve_prefers_explicit_then_process_then_lanes() {
-        assert_eq!(resolve(SimdBackend::Scalar), SimdBackend::Scalar);
-        assert_eq!(resolve(SimdBackend::Lanes), SimdBackend::Lanes);
-        set_backend(SimdBackend::Scalar);
-        assert_eq!(resolve(SimdBackend::Auto), SimdBackend::Scalar);
-        // An explicit request still beats the process setting.
-        assert_eq!(resolve(SimdBackend::Lanes), SimdBackend::Lanes);
-        set_backend(SimdBackend::Auto);
-        if std::env::var("MBIR_SIMD").is_err() {
-            assert_eq!(resolve(SimdBackend::Auto), SimdBackend::Lanes);
-        }
+        tree_reduce(acc)
     }
 
     #[test]
@@ -597,7 +464,7 @@ mod tests {
             #[test]
             fn dot_lanes_bitwise_equals_ref(t in triple(67)) {
                 let (x, y, _w) = unzip3(t);
-                prop_assert_eq!(dot_ref(&x, &y).to_bits(), dot_lanes(&x, &y).to_bits());
+                prop_assert_eq!(dot_ref(&x, &y).to_bits(), dot(&x, &y).to_bits());
             }
 
             #[test]
@@ -605,7 +472,7 @@ mod tests {
                 // frac in [0, 1e3) is fine: the identity is bitwise, not geometric.
                 let (a, b, f) = unzip3(t);
                 let r = lerp_sum_ref(&a, &b, &f);
-                let l = lerp_sum_lanes(&a, &b, &f);
+                let l = lerp_sum(&a, &b, &f);
                 prop_assert_eq!(r.to_bits(), l.to_bits());
             }
         }

@@ -1,13 +1,14 @@
-//! Plan-owned band offsets for the SIMD lane backend's ICD walk.
+//! Plan-owned band offsets for the ICD lane walk.
 //!
 //! A voxel visit folds three streams per column element:
 //! `theta1 -= w * A * e` and `theta2 += w * A * A`, then writes back
-//! `e -= A * delta`. The scalar reference walks the column run by run
+//! `e -= A * delta`. The scalar reference walk
+//! ([`mbir::update::column_thetas`]) goes through the column run by run
 //! and addresses the SV's buffered band through `(view, channel)`; at
 //! ~2-3 channels per run, that per-view bookkeeping is where the time
-//! goes. The lane backend instead reads every element through its flat
-//! offset in the band, so a visit is two branchless loops: gather the
-//! `(e, w)` cell at each offset into the 8-wide theta kernel, then
+//! goes. A GPU-ICD or PSV-ICD visit instead reads every element through
+//! its flat offset in the band, so it is two branchless loops: gather
+//! the `(e, w)` cell at each offset into the 8-wide theta kernel, then
 //! scatter the committed step back through the same offsets
 //! ([`mbir_simd::theta_gather`], [`mbir_simd::scatter_sub`]).
 //!
@@ -28,8 +29,8 @@
 //! ([`crate::SvPlan::dequantize`]). Rust parses `w * a * e` as
 //! `(w * a) * e`, so the kernel's per-element trees are the scalar
 //! walk's and the results are bitwise equal — pinned by the gather
-//! proptests in `mbir-simd` and end to end by
-//! `tests/determinism_simd.rs`.
+//! proptests in `mbir-simd` and, over every SV of real plans, by this
+//! module's tests.
 
 use ct_core::sysmat::ColumnView;
 use mbir_simd::LANES;
@@ -71,7 +72,7 @@ mod tests {
     use ct_core::phantom::Phantom;
     use ct_core::sinogram::Sinogram;
     use ct_core::sysmat::SystemMatrix;
-    use mbir_simd::SimdBackend;
+    use mbir::update::{column_apply, column_thetas};
 
     fn setup() -> (SystemMatrix, Tiling, Sinogram, Sinogram) {
         let g = Geometry::tiny_scale();
@@ -158,15 +159,15 @@ mod tests {
                         sp.dequantize(vp, &mut buf);
                         let entries = sp.entries(&col, &buf);
                         let offsets = sp.offsets(vp);
-                        let s = scalar.thetas(&col, entries, offsets, SimdBackend::Scalar);
-                        let l = lanes.thetas(&col, entries, offsets, SimdBackend::Lanes);
+                        let s = column_thetas(&col, entries, &scalar);
+                        let l = lanes.thetas(entries, offsets);
                         let tag =
                             format!("sv {} voxel {} {layout:?} {quant_bits:?}", sp.sv, vp.voxel);
                         assert_eq!(s.theta1.to_bits(), l.theta1.to_bits(), "{tag}");
                         assert_eq!(s.theta2.to_bits(), l.theta2.to_bits(), "{tag}");
                         let delta = 0.001 + (step % 5) as f32 * 1e-4;
-                        scalar.apply_delta(&col, entries, offsets, delta, SimdBackend::Scalar);
-                        lanes.apply_delta(&col, entries, offsets, delta, SimdBackend::Lanes);
+                        column_apply(&col, entries, &mut scalar, delta);
+                        lanes.apply_delta(entries, offsets, delta);
                         let bits = |svb: &Svb<'_>| -> Vec<[u32; 2]> {
                             svb.cells.iter().map(|[e, w]| [e.to_bits(), w.to_bits()]).collect()
                         };

@@ -20,8 +20,8 @@
 //!   tallies, quantized columns, band offsets, and row coalescing
 //!   counts computed once per geometry and shared across iterations
 //!   and scans.
-//! - [`lanes`]: the per-element band offsets the SIMD lane backend
-//!   gathers through.
+//! - [`lanes`]: the per-element band offsets a voxel visit gathers
+//!   through.
 
 #![warn(missing_docs)]
 

@@ -18,17 +18,16 @@
 //!
 //! Each buffer cell holds one `(e, w)` pair, so a visit reads an
 //! element's error and weight with one 8-byte load (the paper's
-//! double-width L2 loads, §4.3). A voxel visit reads and updates the
-//! buffer in one of two ways, bitwise equal: the scalar reference walks
-//! the column's runs by `(view, channel)`, and the lane backend reaches
-//! the same cells through the offsets the SV's plan stores per element
-//! ([`crate::lanes`]).
+//! double-width L2 loads, §4.3). A voxel visit reaches its cells
+//! through the offsets the SV's plan stores per element
+//! ([`crate::lanes`]); the `(view, channel)` walk of
+//! [`mbir::update::column_thetas`] over the same buffer is the
+//! reference it equals bit for bit.
 
 use crate::tiling::Tiling;
 use ct_core::sinogram::Sinogram;
-use ct_core::sysmat::{ColumnView, SystemMatrix};
+use ct_core::sysmat::SystemMatrix;
 use mbir::update::{Thetas, WeightedError};
-use mbir_simd::SimdBackend;
 
 /// Floats per 32-byte alignment sector; padded row widths are rounded
 /// up to this.
@@ -218,9 +217,8 @@ impl<'a> Svb<'a> {
     /// `x - x`, an exact `+0.0` under round-to-nearest, which leaves
     /// every value unchanged except a `-0.0` destination, which IEEE 754
     /// normalizes to `+0.0` (`(-0.0) + (+0.0) == +0.0`). That sign
-    /// normalization is value-preserving and the same for every
-    /// backend, thread count and device count, so it cannot break the
-    /// bitwise contract.
+    /// normalization is value-preserving and the same for every thread
+    /// count and device count, so it cannot break the bitwise contract.
     pub fn scatter_delta(&self, e: &mut Sinogram) {
         for v in 0..self.shape.num_views() {
             let (fc, wd, base) = self.shape.row(self.layout, v);
@@ -231,46 +229,21 @@ impl<'a> Svb<'a> {
     }
 
     /// Theta accumulation over one voxel visit (Algorithm 1 steps
-    /// 3-6), backend-dispatched. `a` holds the column's A entries (the
-    /// f32 column, or the plan's codes dequantized once for the visit)
-    /// and `offsets` their cells in this band, from the SV's plan (see
-    /// [`crate::lanes`]). `Scalar` walks the column's runs element at a
-    /// time ([`mbir::update::column_thetas`], the canonical reference);
-    /// `Lanes` gathers the `(e, w)` cells through the offsets into the
-    /// 8-wide kernel ([`mbir_simd::theta_gather`]). Bitwise-identical
-    /// results either way.
-    pub fn thetas(
-        &self,
-        col: &ColumnView<'_>,
-        a: &[f32],
-        offsets: &[u16],
-        backend: SimdBackend,
-    ) -> Thetas {
-        match mbir_simd::resolve(backend) {
-            SimdBackend::Lanes => {
-                let (theta1, theta2) = mbir_simd::theta_gather(a, offsets, &self.cells);
-                Thetas { theta1, theta2 }
-            }
-            _ => mbir::update::column_thetas(col, a, self),
-        }
+    /// 3-6). `a` holds the column's A entries (the f32 column, or the
+    /// plan's codes dequantized once for the visit) and `offsets` their
+    /// cells in this band, from the SV's plan (see [`crate::lanes`]):
+    /// the `(e, w)` cells are gathered through the offsets into the
+    /// 8-wide kernel ([`mbir_simd::theta_gather`]).
+    pub fn thetas(&self, a: &[f32], offsets: &[u16]) -> Thetas {
+        let (theta1, theta2) = mbir_simd::theta_gather(a, offsets, &self.cells);
+        Thetas { theta1, theta2 }
     }
 
     /// Scatter `e -= A * delta` over the voxel's footprint (Algorithm 1
-    /// steps 9-11), dispatched like [`Svb::thetas`]. The update is
-    /// element-wise (no reduction), so both backends perform identical
-    /// ops; `Lanes` addresses the cells through the plan's offsets.
-    pub fn apply_delta(
-        &mut self,
-        col: &ColumnView<'_>,
-        a: &[f32],
-        offsets: &[u16],
-        delta: f32,
-        backend: SimdBackend,
-    ) {
-        match mbir_simd::resolve(backend) {
-            SimdBackend::Lanes => mbir_simd::scatter_sub(a, offsets, &mut self.cells, delta),
-            _ => mbir::update::column_apply(col, a, self, delta),
-        }
+    /// steps 9-11), through the same offsets as [`Svb::thetas`]
+    /// ([`mbir_simd::scatter_sub`]).
+    pub fn apply_delta(&mut self, a: &[f32], offsets: &[u16], delta: f32) {
+        mbir_simd::scatter_sub(a, offsets, &mut self.cells, delta);
     }
 }
 
@@ -291,11 +264,12 @@ impl WeightedError for Svb<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::quant::QuantizedColumn;
     use ct_core::geometry::Geometry;
     use ct_core::image::Image;
     use ct_core::phantom::Phantom;
     use mbir::prior::QuadraticPrior;
-    use mbir::update::{compute_thetas, update_voxel, SinogramPair};
+    use mbir::update::{column_thetas, compute_thetas, update_voxel, SinogramPair};
 
     fn setup() -> (Geometry, SystemMatrix, Tiling, Sinogram, Sinogram) {
         let g = Geometry::tiny_scale();
@@ -458,24 +432,30 @@ mod tests {
     }
 
     #[test]
-    fn thetas_dispatch_matches_generic_walk() {
-        // The Scalar backend must be literally the generic
-        // compute_thetas walk, and Lanes must equal it bitwise.
+    fn gathered_thetas_match_generic_walk() {
+        // The gather through the plan's offsets must equal the generic
+        // column_thetas walk bit for bit, in both layouts, for every SV,
+        // on f32 entries and on u8 codes dequantized once.
         let (_, a, t, y, w) = setup();
-        let sv = 2;
-        let shape = SvbShape::compute(&a, &t, sv);
-        let svb = Svb::gather(&shape, SvbLayout::Transposed, &y, &w);
-        let bases = shape.row_bases(SvbLayout::Transposed);
-        for j in t.voxels(sv) {
-            let col = a.column(j);
-            let mut offsets = vec![0u16; col.nnz() + mbir_simd::LANES];
-            crate::lanes::fill_offsets(&col, &bases, &mut offsets);
-            offsets.truncate(col.nnz());
-            let reference = compute_thetas(&col, &svb);
-            for backend in [SimdBackend::Scalar, SimdBackend::Lanes] {
-                let got = svb.thetas(&col, col.values_flat(), &offsets, backend);
-                assert_eq!(got.theta1.to_bits(), reference.theta1.to_bits());
-                assert_eq!(got.theta2.to_bits(), reference.theta2.to_bits());
+        for layout in [SvbLayout::SensorMajor, SvbLayout::Transposed] {
+            for sv in 0..t.len() {
+                let shape = SvbShape::compute(&a, &t, sv);
+                let svb = Svb::gather(&shape, layout, &y, &w);
+                let bases = shape.row_bases(layout);
+                for j in t.voxels(sv) {
+                    let col = a.column(j);
+                    let mut offsets = vec![0u16; col.nnz() + mbir_simd::LANES];
+                    crate::lanes::fill_offsets(&col, &bases, &mut offsets);
+                    offsets.truncate(col.nnz());
+                    let u8_entries = QuantizedColumn::quantize(&col).dequantize_all();
+                    for entries in [col.values_flat(), &u8_entries] {
+                        let reference = column_thetas(&col, entries, &svb);
+                        let got = svb.thetas(entries, &offsets);
+                        let tag = format!("sv {sv} voxel {j} {layout:?}");
+                        assert_eq!(got.theta1.to_bits(), reference.theta1.to_bits(), "{tag}");
+                        assert_eq!(got.theta2.to_bits(), reference.theta2.to_bits(), "{tag}");
+                    }
+                }
             }
         }
     }

@@ -11,16 +11,16 @@ use serde::Serialize;
 /// (start time, device) rather than raw emission order.
 /// v3: reports carry a `faults` lane (injected fault / recovery
 /// events on the modeled fleet timeline) and `totals.faults`.
-/// v4: reports carry a `backend` field naming the SIMD lane backend
-/// ("scalar" or "lanes") the run resolved to — a speed label only,
-/// since every backend produces bitwise-identical results.
+/// v4: reports carried a `backend` field naming the SIMD lane backend
+/// ("scalar" or "lanes") the run resolved to.
 /// v5: reports carry a `jobs` lane (job-lifecycle events on the serve
 /// layer's shared timeline: submission, admission, leases, preemption,
 /// completion) and `totals.jobs` counting completed jobs.
 /// v6: reports carry an `exchanges` lane (cluster data-movement phases
 /// on the modeled timeline: hierarchical-reduce phases, slab streaming
 /// loads, seam halos) and `totals.exchanges` counting the records.
-pub const SCHEMA_VERSION: u64 = 6;
+/// v7: the `backend` field is gone; there is one lane path.
+pub const SCHEMA_VERSION: u64 = 7;
 
 /// Per-kernel-class aggregate over every launch of that kernel — the
 /// run-level analogue of the paper's Table 2/3 counter columns.
@@ -113,9 +113,6 @@ pub struct ProfileReport {
     pub schema_version: u64,
     /// Run label (algorithm / scale, chosen by the producer).
     pub name: String,
-    /// Resolved SIMD lane backend the process ran with ("scalar" or
-    /// "lanes"). Purely informational: backends are bitwise-identical.
-    pub backend: String,
     /// Per-kernel-class aggregates, in order of first appearance.
     pub kernels: Vec<KernelClassAgg>,
     /// Every recorded kernel launch, ordered by modeled start time
@@ -253,7 +250,6 @@ impl ProfileReport {
         ProfileReport {
             schema_version: SCHEMA_VERSION,
             name: name.to_string(),
-            backend: mbir_simd::active().name().to_string(),
             kernels,
             spans,
             iterations,
@@ -380,9 +376,9 @@ mod tests {
         assert_eq!(r.totals.exchanges, 0);
         // Zero-division edges must stay finite all the way to JSON.
         let s = r.to_json_pretty();
-        assert!(s.contains("\"schema_version\": 6"));
-        // Reports name the SIMD backend they resolved to.
-        assert!(s.contains("\"backend\": \"scalar\"") || s.contains("\"backend\": \"lanes\""));
+        assert!(s.contains("\"schema_version\": 7"));
+        // There is one lane path: no report names a backend.
+        assert!(!s.contains("\"backend\""), "{s}");
     }
 
     #[test]

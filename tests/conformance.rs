@@ -363,7 +363,6 @@ fn checked_in_result_files_are_structurally_valid() {
         "BENCH_fault_tolerance.json",
         "BENCH_multi_gpu.json",
         "BENCH_serve.json",
-        "BENCH_simd.json",
     ] {
         assert!(dir.join(required).exists(), "missing results/{required}");
     }

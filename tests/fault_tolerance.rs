@@ -199,7 +199,7 @@ fn fault_lane_lands_in_the_versioned_profile_and_validates() {
     let g = run(&s, o, Some("fail:1@2,slow:0@0..3x2,link:1..4x1.5,backoff:0.25"), 3);
     let report = g.recording().expect("profile on").report("gpu-icd-faulted");
 
-    assert_eq!(mbir_telemetry::SCHEMA_VERSION, 6);
+    assert_eq!(mbir_telemetry::SCHEMA_VERSION, 7);
     let kinds: Vec<&str> = report.faults.iter().map(|f| f.kind.as_str()).collect();
     assert!(kinds.contains(&"device_failure"), "kinds: {kinds:?}");
     assert!(kinds.contains(&"straggler"), "kinds: {kinds:?}");
@@ -217,7 +217,7 @@ fn fault_lane_lands_in_the_versioned_profile_and_validates() {
 
     // The report (with its fault lane) validates against schema v3.
     let text = report.to_json_pretty();
-    assert!(text.contains("\"schema_version\": 6"));
+    assert!(text.contains("\"schema_version\": 7"));
     let value = json::parse(&text).expect("report JSON parses");
     let schema_text = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),

@@ -1,9 +1,8 @@
 //! The SV plan is built once per geometry and is the only source of
 //! every iteration-invariant quantity a voxel visit reads (quantized
 //! columns, chunk tallies, band offsets). A plan holds nothing
-//! scan-dependent: one set serves every scan of its geometry under
-//! either SIMD backend, bitwise equal to a driver that builds its own,
-//! and a driver refuses a plan built for another geometry or another
+//! scan-dependent: one set serves every scan of its geometry, bitwise
+//! equal to a driver that builds its own, and a driver refuses a plan built for another geometry or another
 //! SV side. The comparisons here are exact equality, not tolerances.
 
 use ct_core::fbp;
@@ -13,7 +12,6 @@ use ct_core::project::{scan, NoiseModel, Scan};
 use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{plan_config, GpuIcd, GpuIterationReport, GpuOptions};
 use mbir::prior::QggmrfPrior;
-use mbir_simd::SimdBackend;
 use psv_icd::{psv_plan_config, PsvConfig, PsvIcd, PsvIterationReport};
 use std::sync::Arc;
 use supervoxel::{SvPlanSet, Tiling};
@@ -76,57 +74,51 @@ fn scans(a: &SystemMatrix) -> Vec<(Scan, ct_core::image::Image)> {
 #[test]
 fn one_gpu_plan_serves_many_scans() {
     // A plan holds nothing scan-dependent: one set built up front must
-    // reproduce, scan after scan and under either SIMD backend, what a
-    // driver building its own plan computes.
+    // reproduce, scan after scan, what a driver building its own plan
+    // computes.
     let s = setup();
-    let base = small_opts();
-    let tiling = Tiling::new(s.init.grid(), base.sv_side);
-    let plan = Arc::new(SvPlanSet::build(&s.a, &tiling, plan_config(&base), 1));
-    for simd in [SimdBackend::Scalar, SimdBackend::Lanes] {
-        let opts = GpuOptions { simd, ..base };
-        for (i, (sc, init)) in scans(&s.a).into_iter().enumerate() {
-            let tag = format!("scan {i} under {simd}");
-            let mut own = GpuIcd::new(&s.a, &sc.y, &sc.weights, &s.prior, init.clone(), opts);
-            let mut shared =
-                GpuIcd::with_plan(&s.a, &sc.y, &sc.weights, &s.prior, init, opts, plan.clone());
-            let rep_own: Vec<GpuIterationReport> = (0..4).map(|_| own.iteration()).collect();
-            let rep_shared: Vec<GpuIterationReport> = (0..4).map(|_| shared.iteration()).collect();
-            assert_eq!(own.image(), shared.image(), "[{tag}] image differs");
-            assert_eq!(own.error().data(), shared.error().data(), "[{tag}] error differs");
-            assert_eq!(rep_own, rep_shared, "[{tag}] iteration reports differ");
-            assert_eq!(
-                own.modeled_seconds().to_bits(),
-                shared.modeled_seconds().to_bits(),
-                "[{tag}] modeled seconds differ"
-            );
-        }
+    let opts = small_opts();
+    let tiling = Tiling::new(s.init.grid(), opts.sv_side);
+    let plan = Arc::new(SvPlanSet::build(&s.a, &tiling, plan_config(&opts), 1));
+    for (i, (sc, init)) in scans(&s.a).into_iter().enumerate() {
+        let tag = format!("scan {i}");
+        let mut own = GpuIcd::new(&s.a, &sc.y, &sc.weights, &s.prior, init.clone(), opts);
+        let mut shared =
+            GpuIcd::with_plan(&s.a, &sc.y, &sc.weights, &s.prior, init, opts, plan.clone());
+        let rep_own: Vec<GpuIterationReport> = (0..4).map(|_| own.iteration()).collect();
+        let rep_shared: Vec<GpuIterationReport> = (0..4).map(|_| shared.iteration()).collect();
+        assert_eq!(own.image(), shared.image(), "[{tag}] image differs");
+        assert_eq!(own.error().data(), shared.error().data(), "[{tag}] error differs");
+        assert_eq!(rep_own, rep_shared, "[{tag}] iteration reports differ");
+        assert_eq!(
+            own.modeled_seconds().to_bits(),
+            shared.modeled_seconds().to_bits(),
+            "[{tag}] modeled seconds differ"
+        );
     }
 }
 
 #[test]
 fn one_psv_plan_serves_many_scans() {
     let s = setup();
-    let base = PsvConfig { sv_side: 6, threads: 2, ..Default::default() };
-    let tiling = Tiling::new(s.init.grid(), base.sv_side);
+    let config = PsvConfig { sv_side: 6, threads: 2, ..Default::default() };
+    let tiling = Tiling::new(s.init.grid(), config.sv_side);
     let plan = Arc::new(SvPlanSet::build(&s.a, &tiling, psv_plan_config(), 1));
-    for simd in [SimdBackend::Scalar, SimdBackend::Lanes] {
-        let config = PsvConfig { simd, ..base };
-        for (i, (sc, init)) in scans(&s.a).into_iter().enumerate() {
-            let tag = format!("scan {i} under {simd}");
-            let mut own = PsvIcd::new(&s.a, &sc.y, &sc.weights, &s.prior, init.clone(), config);
-            let mut shared =
-                PsvIcd::with_plan(&s.a, &sc.y, &sc.weights, &s.prior, init, config, plan.clone());
-            let rep_own: Vec<PsvIterationReport> = (0..4).map(|_| own.iteration()).collect();
-            let rep_shared: Vec<PsvIterationReport> = (0..4).map(|_| shared.iteration()).collect();
-            assert_eq!(own.image(), shared.image(), "[{tag}] image differs");
-            assert_eq!(own.error().data(), shared.error().data(), "[{tag}] error differs");
-            assert_eq!(rep_own, rep_shared, "[{tag}] iteration reports differ");
-            assert_eq!(
-                own.modeled_seconds().to_bits(),
-                shared.modeled_seconds().to_bits(),
-                "[{tag}] modeled seconds differ"
-            );
-        }
+    for (i, (sc, init)) in scans(&s.a).into_iter().enumerate() {
+        let tag = format!("scan {i}");
+        let mut own = PsvIcd::new(&s.a, &sc.y, &sc.weights, &s.prior, init.clone(), config);
+        let mut shared =
+            PsvIcd::with_plan(&s.a, &sc.y, &sc.weights, &s.prior, init, config, plan.clone());
+        let rep_own: Vec<PsvIterationReport> = (0..4).map(|_| own.iteration()).collect();
+        let rep_shared: Vec<PsvIterationReport> = (0..4).map(|_| shared.iteration()).collect();
+        assert_eq!(own.image(), shared.image(), "[{tag}] image differs");
+        assert_eq!(own.error().data(), shared.error().data(), "[{tag}] error differs");
+        assert_eq!(rep_own, rep_shared, "[{tag}] iteration reports differ");
+        assert_eq!(
+            own.modeled_seconds().to_bits(),
+            shared.modeled_seconds().to_bits(),
+            "[{tag}] modeled seconds differ"
+        );
     }
 }
 

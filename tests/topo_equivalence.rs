@@ -201,8 +201,8 @@ fn check_profiled_cluster_run(faults: Option<&str>) {
         assert!(e.duration_seconds >= 0.0);
     }
 
-    // And the report validates against the checked-in v6 schema.
-    assert!(text1.contains("\"schema_version\": 6"));
+    // And the report validates against the checked-in v7 schema.
+    assert!(text1.contains("\"schema_version\": 7"));
     let value = json::parse(&text1).expect("report JSON parses");
     let schema_text = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
