@@ -43,7 +43,7 @@ fn bench_kernels(c: &mut Criterion) {
             || (Image::zeros(g.grid), y.clone()),
             |(mut img, mut e)| {
                 let mut pair = SinogramPair { e: &mut e, w: &w };
-                black_box(update_voxel(j, &mut img, &a.column(j), &mut pair, &prior, true))
+                black_box(update_voxel(j, &mut img, &a.column(j), &mut pair, &prior))
             },
             BatchSize::SmallInput,
         )

@@ -10,7 +10,7 @@ use ct_core::project::{scan, NoiseModel, Scan};
 use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
-use mbir::sequential::{IcdConfig, SequentialIcd};
+use mbir::sequential::SequentialIcd;
 use psv_icd::{PsvConfig, PsvIcd};
 use std::hint::black_box;
 
@@ -39,16 +39,7 @@ fn bench_reconstruction(c: &mut Criterion) {
 
     group.bench_function("sequential_icd_pass_64", |b| {
         b.iter_batched(
-            || {
-                SequentialIcd::new(
-                    &su.a,
-                    &su.s.y,
-                    &su.s.weights,
-                    &prior,
-                    su.init.clone(),
-                    IcdConfig::default(),
-                )
-            },
+            || SequentialIcd::new(&su.a, &su.s.y, &su.s.weights, &prior, su.init.clone()),
             |mut icd| {
                 icd.pass();
                 black_box(icd.equits())
@@ -66,7 +57,7 @@ fn bench_reconstruction(c: &mut Criterion) {
                     &su.s.weights,
                     &prior,
                     su.init.clone(),
-                    PsvConfig { sv_side: 6, threads: 2, ..Default::default() },
+                    PsvConfig { sv_side: 6, threads: 2 },
                 )
             },
             |mut psv| black_box(psv.iteration()),
@@ -93,18 +84,9 @@ fn bench_reconstruction(c: &mut Criterion) {
     });
 
     group.bench_function("nhicd_cycle_64", |b| {
-        use mbir::nhicd::{NhConfig, NhIcd};
+        use mbir::nhicd::NhIcd;
         b.iter_batched(
-            || {
-                NhIcd::new(
-                    &su.a,
-                    &su.s.y,
-                    &su.s.weights,
-                    &prior,
-                    su.init.clone(),
-                    NhConfig::default(),
-                )
-            },
+            || NhIcd::new(&su.a, &su.s.y, &su.s.weights, &prior, su.init.clone()),
             |mut nh| {
                 nh.cycle();
                 black_box(nh.equits())

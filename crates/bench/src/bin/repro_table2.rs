@@ -14,7 +14,9 @@
 use ct_core::phantom::Phantom;
 use gpu_icd::{AMatrixMode, Args, GpuOptions, GpuWorkModel, MbirError};
 use mbir_bench::{gpu_options_for, to_golden, Pipeline};
+use mbir_telemetry::RecordingSink;
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 struct Row {
@@ -65,8 +67,9 @@ fn main() -> Result<(), MbirError> {
 
         // Profiled run: the sink observes every kernel launch; the
         // counter columns are recovered from its spans.
-        let opts = GpuOptions { amatrix: mode, profile: true, ..base };
         let mut prof = p.case.gpu(opts);
+        let sink = Arc::new(RecordingSink::new());
+        prof.set_profile_sink(sink.clone());
         to_golden(&mut prof, &p, 300);
         assert_eq!(
             gpu.modeled_seconds().to_bits(),
@@ -74,7 +77,7 @@ fn main() -> Result<(), MbirError> {
             "profiled run must be bitwise identical to the unprofiled one"
         );
         assert_eq!(gpu.image(), prof.image(), "profiled image diverged");
-        let report = prof.recording().expect("profile on").report("gpu-icd");
+        let report = sink.report("gpu-icd");
         let mbir = report.kernel("mbir_update").expect("mbir_update spans recorded");
 
         let tex = gpu.run_stats().mbir.tex_gbps();

@@ -39,7 +39,11 @@ fn main() -> Result<(), MbirError> {
             GpuOptions { registers: RegisterMode::Regs44, ..base_opts },
             1.124,
         ),
-        ("Exploiting Intra-SV Parallelism", GpuOptions { intra_sv: false, ..base_opts }, 6.251),
+        (
+            "Exploiting Intra-SV Parallelism",
+            GpuOptions { threadblocks_per_sv: 1, ..base_opts },
+            6.251,
+        ),
         ("Dynamic voxel distribution", GpuOptions { dynamic_voxels: false, ..base_opts }, 1.064),
         (
             "Setting threshold for batch sizes",

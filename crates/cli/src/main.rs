@@ -22,11 +22,11 @@ use gpu_icd::{GpuOptions, MbirError};
 use mbir::prior::QggmrfPrior;
 use mbir::stopping::{run, RunOutcome, Stop};
 use mbir_fleet::{FaultSpec, FleetSpec};
-use mbir_telemetry::{chrome_trace, ProfileReport};
+use mbir_telemetry::{chrome_trace, ProfileReport, RecordingSink};
 use mbir_topo::ClusterSpec;
-use psv_icd::PsvConfig;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 /// Flags every subcommand accepts, plus each subcommand's own. Any
 /// other `--flag` is rejected up front, and every value is read and
@@ -275,28 +275,33 @@ fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirErr
     let golden = case.golden(40.0);
     let stop = Stop::Golden { image: &golden, hu: CONVERGENCE_HU };
 
-    let (img, mut note, out, recording) = match algo {
+    let recording = profile.map(|_| Arc::new(RecordingSink::new()));
+    let (img, mut note, out) = match algo {
         "sequential" => {
             let mut icd = case.sequential();
             let out = run(&mut icd, stop, max_iters, |_, _| BoundaryAction::Continue);
             let rmse = out.trace.last().expect("a golden run traces").rmse_hu;
             let note = format!("sequential ICD, {:.1} equits, final {rmse:.1} HU", icd.equits());
-            (icd.into_image(), note, out, None)
+            (icd.into_image(), note, out)
         }
         "psv" => {
-            let config = PsvConfig { profile: profile.is_some(), ..psv_options_for(scale) };
-            let mut psv = case.psv(config);
+            let mut psv = case.psv(psv_options_for(scale));
+            if let Some(rec) = &recording {
+                psv.set_profile_sink(rec.clone());
+            }
             let out = run(&mut psv, stop, max_iters, |_, _| BoundaryAction::Continue);
             let note = format!(
                 "PSV-ICD, {:.1} equits, modeled 16-core time {:.3} s",
                 psv.equits(),
                 psv.modeled_seconds()
             );
-            (psv.image().clone(), note, out, psv.recording().cloned())
+            (psv.image().clone(), note, out)
         }
         _ => {
-            let opts = GpuOptions { profile: profile.is_some(), devices, ..gpu_options_for(scale) };
-            let mut gpu = case.gpu(opts);
+            let mut gpu = case.gpu(GpuOptions { devices, ..gpu_options_for(scale) });
+            if let Some(rec) = &recording {
+                gpu.set_profile_sink(rec.clone());
+            }
             if let Some(cluster) = cluster {
                 gpu.set_cluster_spec(cluster)?;
             }
@@ -325,13 +330,10 @@ fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirErr
                     ));
                 }
             }
-            (gpu.image().clone(), note, out, gpu.recording().cloned())
+            (gpu.image().clone(), note, out)
         }
     };
-    if let Some(path) = profile {
-        let rec = recording.ok_or_else(|| {
-            MbirError::Profile(format!("--algo {algo} ran without its recording sink"))
-        })?;
+    if let (Some(path), Some(rec)) = (profile, &recording) {
         write_profile(path, &rec.report(&format!("{algo}-icd")))?;
     }
     if !out.converged {
@@ -466,8 +468,6 @@ fn cmd_volume(args: &Args) -> Result<(), MbirError> {
 
 fn cmd_serve(args: &Args) -> Result<(), MbirError> {
     use mbir_serve::{Server, WorkloadSpec};
-    use mbir_telemetry::RecordingSink;
-    use std::sync::Arc;
     if args.has("fleet") && args.has("devices") {
         return Err(usage_err("pass either --devices or --fleet, not both"));
     }

@@ -30,7 +30,7 @@ use mbir::prior::Prior;
 use mbir::sequential::IcdStats;
 use mbir::stopping::{run, BoundaryAction, Driver, Stop};
 use mbir_fleet::{FaultSpec, FleetReport, FleetSpec};
-use mbir_telemetry::{ConvergencePoint, IterationSample, ProfileSink, RecordingSink};
+use mbir_telemetry::{ConvergencePoint, IterationSample, ProfileSink};
 use mbir_topo::ClusterSpec;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -184,7 +184,6 @@ pub struct GpuIcd<'a, P: Prior> {
     modeled_seconds: f64,
     run_stats: GpuRunStats,
     sink: Option<Arc<dyn ProfileSink>>,
-    recording: Option<Arc<RecordingSink>>,
     batch_seq: u64,
     fleet: Option<FleetState>,
 }
@@ -223,17 +222,12 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         assert_eq!(plan.geometry(), a.geometry(), "plan built for a different geometry");
         assert_eq!(plan.config(), plan_config(&opts), "plan built for different options");
         assert_eq!(plan.tiling().sv_side(), opts.sv_side, "plan built for different tiling");
-        let ax = a.forward(&init);
-        let mut error = y.clone();
-        for (e, axv) in error.data_mut().iter_mut().zip(ax.data()) {
-            *e -= axv;
-        }
+        assert!(opts.devices >= 1, "devices must be at least 1");
+        assert!(opts.svs_per_batch >= 1, "svs_per_batch must be at least 1");
+        let error = a.residual(y, &init);
         let n = tiling.len();
         let model = GpuWorkModel::titan_x();
         let skeleton = model.skeleton(&opts);
-        let recording = opts.profile.then(|| Arc::new(RecordingSink::new()));
-        let sink = recording.clone().map(|r| r as Arc<dyn ProfileSink>);
-        assert!(opts.devices >= 1, "devices must be at least 1");
         let fleet = (opts.devices > 1).then(|| {
             FleetState::new(
                 &model,
@@ -261,8 +255,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
             model,
             modeled_seconds: 0.0,
             run_stats: GpuRunStats::default(),
-            sink,
-            recording,
+            sink: None,
             batch_seq: 0,
             fleet,
         }
@@ -346,18 +339,13 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         self.fleet.as_ref().map(|f| f.report())
     }
 
-    /// Install an external profiling sink (replacing the internal
-    /// recorder `opts.profile` would create). The sink only observes:
-    /// reconstruction results are bitwise identical with or without it.
+    /// Route kernel spans, iteration samples, convergence points and
+    /// fleet records to `sink`, the one way to profile a run. The sink
+    /// only observes: reconstruction results are bitwise identical with
+    /// or without it, and without one the driver pays a single `Option`
+    /// branch per batch.
     pub fn set_profile_sink(&mut self, sink: Arc<dyn ProfileSink>) {
         self.sink = Some(sink);
-        self.recording = None;
-    }
-
-    /// The internal recording sink, present when the driver was built
-    /// with `opts.profile` (and no external sink has replaced it).
-    pub fn recording(&self) -> Option<&Arc<RecordingSink>> {
-        self.recording.as_ref()
     }
 
     /// The shared per-SV plan set.
@@ -449,7 +437,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     /// Returns the batch's wall seconds on the modeled timeline.
     fn process_batch(&mut self, batch: &[usize], report: &mut GpuIterationReport) -> f64 {
         let layout = self.plan.config().layout;
-        let allow_skip = self.opts.zero_skip && self.iter > 1;
+        let allow_skip = self.iter > 1;
         let rounds = self.opts.blocks_per_sv() as usize;
 
         // Kernels 1 and 2 (functional): each SV gathers its SVB from the
@@ -465,15 +453,14 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         let plan = &*self.plan;
         let a = self.a;
         let prior = self.prior;
-        let opts = &self.opts;
-        let iter = self.iter;
-        let workers = if opts.checkerboard { opts.threads } else { 1 };
+        let (seed, iter) = (self.opts.seed, self.iter);
+        let workers = if self.opts.checkerboard { self.opts.threads } else { 1 };
         let (error, weights) = (&self.error, self.weights);
         let shared = self.image.as_shared();
         let results: Vec<(Svb<'_>, SvTally)> = mbir_parallel::par_map(workers, batch.len(), |bi| {
             let sv_plan = plan.plan(batch[bi]);
             let mut svb = Svb::gather(&sv_plan.shape, layout, error, weights);
-            let t = update_sv(a, &shared, prior, opts, sv_plan, iter, &mut svb, rounds, allow_skip);
+            let t = update_sv(a, &shared, prior, seed, sv_plan, iter, &mut svb, rounds, allow_skip);
             svb.take_delta(error);
             (svb, t)
         });
@@ -805,7 +792,7 @@ mod tests {
         let init = fbp::reconstruct(&g, &s.y);
         let golden = golden_image(&a, &s.y, &s.weights, &prior, init.clone(), 40.0);
         let run = |blocks: u32| {
-            let o = GpuOptions { threadblocks_per_sv: blocks, intra_sv: blocks > 1, ..opts() };
+            let o = GpuOptions { threadblocks_per_sv: blocks, ..opts() };
             let mut gpu = GpuIcd::new(&a, &s.y, &s.weights, &prior, init.clone(), o);
             let stop = Stop::Golden { image: &golden, hu: 10.0 };
             mbir::stopping::run(&mut gpu, stop, 120, |_, _| BoundaryAction::Continue);
@@ -877,6 +864,16 @@ mod tests {
         let last = last.expect("the run iterated");
         assert!(out.converged, "capped at {} iterations", out.iterations);
         assert!(last.svs_updated > 0, "stopped on an empty iteration: {last:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "svs_per_batch must be at least 1")]
+    fn an_empty_batch_size_is_refused() {
+        // Zero SVs per batch would never advance the batch loop.
+        let (g, a, s) = setup();
+        let prior = QggmrfPrior::standard(0.002);
+        let o = GpuOptions { svs_per_batch: 0, ..opts() };
+        GpuIcd::new(&a, &s.y, &s.weights, &prior, Image::zeros(g.grid), o).iteration();
     }
 
     #[test]

@@ -28,8 +28,6 @@ pub enum MbirError {
     /// (bad flag combination, mis-sized fleet spec, malformed fault
     /// schedule).
     Usage(String),
-    /// Profile plumbing failed (a sink that should exist does not).
-    Profile(String),
     /// A checkpoint could not be written, read, or applied (format
     /// mismatch, wrong run, corrupt payload).
     Checkpoint(String),
@@ -48,7 +46,6 @@ impl fmt::Display for MbirError {
             MbirError::Io { path, source } => write!(f, "{}: {source}", path.display()),
             MbirError::InvalidData(msg) => write!(f, "invalid data: {msg}"),
             MbirError::Usage(msg) => write!(f, "{msg}"),
-            MbirError::Profile(msg) => write!(f, "profile: {msg}"),
             MbirError::Checkpoint(msg) => write!(f, "checkpoint: {msg}"),
         }
     }

@@ -41,7 +41,7 @@ use crate::model::{BatchTiming, GpuWorkModel, ProfileSkeleton};
 use crate::opts::GpuOptions;
 use crate::tally::{BatchTally, SvTally};
 use mbir_fleet::{FaultEvent, FaultSpec, Fleet, FleetReport, ShardPlan};
-use mbir_telemetry::{ExchangeRecord, FaultRecord, ProfileSink};
+use mbir_telemetry::{ExchangeRecord, FaultRecord, LaunchCtx, ProfileSink};
 use mbir_topo::{ClusterSpec, SlabPlan, SlabStreamer, Topology};
 use supervoxel::plan::{SvPlan, SvPlanSet};
 use supervoxel::tiling::Tiling;
@@ -63,19 +63,14 @@ impl BatchContext<'_> {
     /// Model `device`'s kernels for `tally`, profiled spans starting at
     /// `start` on the modeled timeline.
     pub(crate) fn time(&self, tally: &BatchTally, device: usize, start: f64) -> BatchTiming {
-        match self.sink {
-            Some(s) => self.model.batch_profiled(
-                self.skeleton,
-                tally,
-                self.num_channels,
-                s,
-                device as u64,
-                self.iter,
-                self.batch,
-                start,
-            ),
-            None => self.model.batch_with(self.skeleton, tally, self.num_channels),
-        }
+        let ctx = LaunchCtx {
+            device: device as u64,
+            iteration: self.iter,
+            batch: self.batch,
+            start_seconds: start,
+            ..LaunchCtx::default()
+        };
+        self.model.batch(self.skeleton, tally, self.num_channels, self.sink.map(|s| (s, ctx)))
     }
 
     /// Model every device's shard in device order, fold the timings
@@ -567,7 +562,7 @@ pub fn sv_costs(
         .iter()
         .map(|plan| {
             let tally = BatchTally { svs: vec![sv_tally(plan, opts)] };
-            model.batch_with(skeleton, &tally, num_channels).seconds()
+            model.batch(skeleton, &tally, num_channels, None).seconds()
         })
         .collect()
 }

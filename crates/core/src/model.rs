@@ -166,9 +166,8 @@ impl GpuWorkModel {
     }
 
     /// Hoist every options-derived field of the MBIR profile into a
-    /// reusable skeleton. `batch_with` fills in only the per-batch
-    /// tallies; building the skeleton fresh per batch (as [`Self::batch`]
-    /// does) yields identical results.
+    /// reusable skeleton; [`Self::batch`] fills in only the per-batch
+    /// tallies.
     pub fn skeleton(&self, opts: &GpuOptions) -> ProfileSkeleton {
         let chunked = matches!(opts.layout, Layout::Chunked { .. });
         // Quantized modes stream `amatrix_bits / 8` bytes per entry
@@ -226,76 +225,38 @@ impl GpuWorkModel {
         }
     }
 
-    /// Model one batch's kernels.
-    pub fn batch(&self, tally: &BatchTally, opts: &GpuOptions, num_channels: usize) -> BatchTiming {
-        self.batch_with(&self.skeleton(opts), tally, num_channels)
-    }
-
-    /// Model one batch's kernels from a prebuilt skeleton (the cached
-    /// driver path — bitwise identical to [`Self::batch`]).
-    pub fn batch_with(
+    /// Model one batch's kernels from a prebuilt skeleton. With
+    /// `spans`, each of the three launches also emits one
+    /// [`mbir_telemetry::KernelSpan`] to the sink, tagged with the
+    /// context's device, iteration and batch and laid out back-to-back
+    /// from its `start_seconds` (create, then MBIR, then write-back: the
+    /// serial launch order of Algorithm 3). The sink only observes: the
+    /// returned timing is the same either way.
+    pub fn batch(
         &self,
         skeleton: &ProfileSkeleton,
         tally: &BatchTally,
         num_channels: usize,
+        spans: Option<(&dyn ProfileSink, LaunchCtx)>,
     ) -> BatchTiming {
         let nsv = tally.svs.len().max(1);
         let resident = 2.0 * tally.svb_bytes(); // e + w planes
         let l2f = self.l2_pressure_factor(resident);
-
-        BatchTiming {
-            create: self.timing.time(&self.create_profile(tally, l2f)),
-            mbir: self.timing.time(&self.mbir_profile(tally, skeleton, l2f)),
-            writeback: self.timing.time(&self.writeback_profile(tally, l2f, nsv, num_channels)),
-        }
-    }
-
-    /// Like [`Self::batch_with`], but emits one [`mbir_telemetry::KernelSpan`]
-    /// per kernel launch to `sink`. Span starts are laid out
-    /// back-to-back from `start_seconds` (create, then MBIR, then
-    /// write-back), matching the serial launch order of Algorithm 3.
-    /// The returned timing is bitwise identical to [`Self::batch_with`]:
-    /// the sink only observes. `device` tags the emitted spans with the
-    /// simulated device running the batch (0 for single-device runs).
-    #[allow(clippy::too_many_arguments)]
-    pub fn batch_profiled(
-        &self,
-        skeleton: &ProfileSkeleton,
-        tally: &BatchTally,
-        num_channels: usize,
-        sink: &dyn ProfileSink,
-        device: u64,
-        iteration: u64,
-        batch: u64,
-        start_seconds: f64,
-    ) -> BatchTiming {
-        let nsv = tally.svs.len().max(1);
-        let resident = 2.0 * tally.svb_bytes();
-        let l2f = self.l2_pressure_factor(resident);
         let svs = tally.svs.len() as u64;
-        let ctx = |start: f64, tex_hit_rate: f64| LaunchCtx {
-            device,
-            iteration,
-            batch,
-            start_seconds: start,
-            svs,
-            tex_hit_rate,
+        let mut start = spans.map_or(0.0, |(_, ctx)| ctx.start_seconds);
+        let mut launch = |profile: KernelProfile, tex_hit_rate: f64| {
+            let ctx =
+                spans.map(|(_, ctx)| LaunchCtx { start_seconds: start, svs, tex_hit_rate, ..ctx });
+            let t = self.timing.time_with(&profile, spans.map(|(sink, _)| sink).zip(ctx.as_ref()));
+            start += t.seconds;
+            t
         };
-
-        let create = self
-            .timing
-            .time_with(&self.create_profile(tally, l2f), Some((sink, &ctx(start_seconds, 0.0))));
+        let create = launch(self.create_profile(tally, l2f), 0.0);
         // Only the MBIR kernel reads through the texture path, and only
         // when the A-matrix mode asks for it.
         let mbir_hit = if skeleton.tex { skeleton.tex_hit } else { 0.0 };
-        let mbir = self.timing.time_with(
-            &self.mbir_profile(tally, skeleton, l2f),
-            Some((sink, &ctx(start_seconds + create.seconds, mbir_hit))),
-        );
-        let writeback = self.timing.time_with(
-            &self.writeback_profile(tally, l2f, nsv, num_channels),
-            Some((sink, &ctx(start_seconds + create.seconds + mbir.seconds, 0.0))),
-        );
+        let mbir = launch(self.mbir_profile(tally, skeleton, l2f), mbir_hit);
+        let writeback = launch(self.writeback_profile(tally, l2f, nsv, num_channels), 0.0);
         BatchTiming { create, mbir, writeback }
     }
 
@@ -510,6 +471,11 @@ mod tests {
     use crate::opts::{AMatrixMode, L2ReadWidth};
     use crate::tally::SvTally;
 
+    /// Modeled seconds of `tally` under `opts`, unprofiled.
+    fn seconds(m: &GpuWorkModel, tally: &BatchTally, opts: &GpuOptions) -> f64 {
+        m.batch(&m.skeleton(opts), tally, 1024, None).seconds()
+    }
+
     fn paper_scale_batch(opts: &GpuOptions) -> BatchTally {
         // 32 SVs of side 33 at 512^2/720 views: ~1156 voxels each,
         // ~1944 sparse entries per voxel, ~11x padding at width 32.
@@ -538,8 +504,7 @@ mod tests {
         // is 0.07 s, so a batch should cost ~5-20 ms.
         let m = GpuWorkModel::titan_x();
         let opts = GpuOptions::default();
-        let t = m.batch(&paper_scale_batch(&opts), &opts, 1024);
-        let ms = t.seconds() * 1e3;
+        let ms = seconds(&m, &paper_scale_batch(&opts), &opts) * 1e3;
         assert!((2.0..40.0).contains(&ms), "batch {ms} ms");
     }
 
@@ -549,8 +514,8 @@ mod tests {
         let m = GpuWorkModel::titan_x();
         let chunked = GpuOptions::default();
         let naive = GpuOptions { layout: Layout::Naive, ..Default::default() };
-        let tc = m.batch(&paper_scale_batch(&chunked), &chunked, 1024).seconds();
-        let tn = m.batch(&paper_scale_batch(&naive), &naive, 1024).seconds();
+        let tc = seconds(&m, &paper_scale_batch(&chunked), &chunked);
+        let tn = seconds(&m, &paper_scale_batch(&naive), &naive);
         let speedup = tn / tc;
         assert!((1.2..5.0).contains(&speedup), "speedup {speedup}");
     }
@@ -567,7 +532,7 @@ mod tests {
             AMatrixMode::TextureU8,
         ] {
             let opts = GpuOptions { amatrix: mode, ..Default::default() };
-            times.push(m.batch(&paper_scale_batch(&opts), &opts, 1024).seconds());
+            times.push(seconds(&m, &paper_scale_batch(&opts), &opts));
         }
         assert!(times[0] > times[1], "tex f32 should beat global f32");
         assert!(times[1] > times[3], "u8 tex should beat f32 tex");
@@ -578,18 +543,18 @@ mod tests {
     fn table3_toggles_all_slow_down() {
         let m = GpuWorkModel::titan_x();
         let base_opts = GpuOptions::default();
-        let base = m.batch(&paper_scale_batch(&base_opts), &base_opts, 1024).seconds();
+        let base = seconds(&m, &paper_scale_batch(&base_opts), &base_opts);
         // Float L2 reads.
         let o1 = GpuOptions { l2_read: L2ReadWidth::Float, ..Default::default() };
-        assert!(m.batch(&paper_scale_batch(&o1), &o1, 1024).seconds() > base);
+        assert!(seconds(&m, &paper_scale_batch(&o1), &o1) > base);
         // Register modes.
         let o2 = GpuOptions { registers: RegisterMode::Regs44, ..Default::default() };
-        assert!(m.batch(&paper_scale_batch(&o2), &o2, 1024).seconds() > base);
+        assert!(seconds(&m, &paper_scale_batch(&o2), &o2) > base);
         let o2b = GpuOptions { registers: RegisterMode::CompilerSpill32, ..Default::default() };
-        assert!(m.batch(&paper_scale_batch(&o2b), &o2b, 1024).seconds() > base);
+        assert!(seconds(&m, &paper_scale_batch(&o2b), &o2b) > base);
         // Intra-SV parallelism off: one block per SV.
-        let o3 = GpuOptions { intra_sv: false, ..Default::default() };
-        let t3 = m.batch(&paper_scale_batch(&o3), &o3, 1024).seconds();
+        let o3 = GpuOptions { threadblocks_per_sv: 1, ..Default::default() };
+        let t3 = seconds(&m, &paper_scale_batch(&o3), &o3);
         assert!(t3 > 3.0 * base, "intra-SV off only {}x", t3 / base);
         // Static voxel distribution with measured imbalance.
         let o4 = GpuOptions { dynamic_voxels: false, ..Default::default() };
@@ -597,7 +562,7 @@ mod tests {
         for sv in &mut t.svs {
             sv.max_block_share = 3.0 / o4.blocks_per_sv() as f64; // skewed
         }
-        assert!(m.batch(&t, &o4, 1024).seconds() > base);
+        assert!(seconds(&m, &t, &o4) > base);
     }
 
     #[test]
@@ -616,8 +581,8 @@ mod tests {
         let m = GpuWorkModel::titan_x();
         let o44 = GpuOptions { registers: RegisterMode::Regs44, ..Default::default() };
         let ospill = GpuOptions { registers: RegisterMode::CompilerSpill32, ..Default::default() };
-        let t44 = m.batch(&paper_scale_batch(&o44), &o44, 1024).seconds();
-        let tspill = m.batch(&paper_scale_batch(&ospill), &ospill, 1024).seconds();
+        let t44 = seconds(&m, &paper_scale_batch(&o44), &o44);
+        let tspill = seconds(&m, &paper_scale_batch(&ospill), &ospill);
         assert!(tspill < t44, "spill {tspill} vs 44regs {t44}");
     }
 }

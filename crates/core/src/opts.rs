@@ -3,7 +3,8 @@
 //! Defaults are the paper's tuned configuration (Table 1: SV side 33,
 //! chunk width 32, 40 threadblocks per SV, 32 SVs per batch, 25% SV
 //! fraction; Sections 4.2-4.3: shared-memory register spilling, u8
-//! A-matrix via texture, double-width L2 reads).
+//! A-matrix via texture, double-width L2 reads). Zero-skipping and
+//! positivity are always on, as in the paper's Algorithms 1-3.
 
 use serde::{Deserialize, Serialize};
 
@@ -91,20 +92,18 @@ pub struct GpuOptions {
     pub sv_side: usize,
     /// Fraction of SVs updated per iteration (25%).
     pub fraction: f32,
-    /// Threadblocks per SV = intra-SV parallelism degree (Fig. 7b).
+    /// Threadblocks per SV = intra-SV parallelism degree (Fig. 7b);
+    /// 1 turns intra-SV parallelism off (Table 3 row 3).
     pub threadblocks_per_sv: u32,
     /// Threads per threadblock = intra-voxel parallelism (Fig. 7c).
     pub threads_per_block: u32,
-    /// Max SVs per kernel batch (Fig. 7d).
+    /// Max SVs per kernel batch (Fig. 7d); at least 1.
     pub svs_per_batch: usize,
     /// Skip batches smaller than `svs_per_batch / 4` (Table 3 row 5).
     pub batch_threshold: bool,
     /// Dynamic (atomic-queue) voxel distribution across blocks
     /// (Table 3 row 4); `false` = static partitioning.
     pub dynamic_voxels: bool,
-    /// Exploit intra-SV parallelism (Table 3 row 3); `false` degrades
-    /// to one block per SV.
-    pub intra_sv: bool,
     /// Partition concurrent SVs into the four checkerboard groups
     /// (paper Fig. 3). `false` lets adjacent SVs share a batch — the
     /// boundary-voxel corruption the checkerboard exists to prevent
@@ -132,17 +131,8 @@ pub struct GpuOptions {
     /// modeled timeline changes, which above 1 prices per-device kernel
     /// spans plus the inter-device exchanges.
     pub devices: usize,
-    /// Record per-kernel-launch spans and per-iteration telemetry into
-    /// an internal [`mbir_telemetry::RecordingSink`]. Observe-only:
-    /// results and modeled seconds are bitwise identical either way,
-    /// and when off the driver pays a single `Option` branch per batch.
-    pub profile: bool,
     /// RNG seed (voxel orders, random SV selection).
     pub seed: u64,
-    /// Zero-skipping enabled.
-    pub zero_skip: bool,
-    /// Positivity constraint enabled.
-    pub positivity: bool,
 }
 
 impl Default for GpuOptions {
@@ -155,7 +145,6 @@ impl Default for GpuOptions {
             svs_per_batch: 32,
             batch_threshold: true,
             dynamic_voxels: true,
-            intra_sv: true,
             checkerboard: true,
             layout: Layout::Chunked { width: 32 },
             amatrix: AMatrixMode::TextureU8,
@@ -164,10 +153,7 @@ impl Default for GpuOptions {
             registers: RegisterMode::SharedMem32,
             threads: 0,
             devices: 1,
-            profile: false,
             seed: 0,
-            zero_skip: true,
-            positivity: true,
         }
     }
 }
@@ -175,11 +161,7 @@ impl Default for GpuOptions {
 impl GpuOptions {
     /// The effective number of blocks working on one SV.
     pub fn blocks_per_sv(&self) -> u32 {
-        if self.intra_sv {
-            self.threadblocks_per_sv.max(1)
-        } else {
-            1
-        }
+        self.threadblocks_per_sv.max(1)
     }
 
     /// The minimum batch size launched when the threshold is on.
@@ -210,8 +192,8 @@ mod tests {
     }
 
     #[test]
-    fn intra_sv_off_means_one_block() {
-        let o = GpuOptions { intra_sv: false, ..Default::default() };
+    fn one_threadblock_per_sv_turns_intra_sv_off() {
+        let o = GpuOptions { threadblocks_per_sv: 1, ..Default::default() };
         assert_eq!(o.blocks_per_sv(), 1);
     }
 

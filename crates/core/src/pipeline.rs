@@ -17,7 +17,7 @@ use ct_core::image::Image;
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::SystemMatrix;
 use mbir::prior::QggmrfPrior;
-use mbir::sequential::{golden_image, IcdConfig, SequentialIcd};
+use mbir::sequential::{golden_image, SequentialIcd};
 use mbir::stopping::{run, BoundaryAction, Driver, Stop, StopRule};
 use psv_icd::{psv_plan_config, PsvConfig, PsvIcd};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
@@ -125,7 +125,7 @@ impl Case {
     /// A sequential ICD driver.
     pub fn sequential(&self) -> SequentialIcd<'_, QggmrfPrior> {
         let (a, init) = (self.setup.a(), self.init.clone());
-        SequentialIcd::new(a, &self.y, &self.weights, &self.prior, init, IcdConfig::default())
+        SequentialIcd::new(a, &self.y, &self.weights, &self.prior, init)
     }
 
     /// A PSV-ICD driver on the set-up's plan for `config.sv_side`.

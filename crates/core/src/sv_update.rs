@@ -3,7 +3,6 @@
 //! of them in flight. The driver fans the SVs of a batch out across
 //! host workers and commits their tallies and buffers in SV order.
 
-use crate::opts::GpuOptions;
 use crate::tally::SvTally;
 use ct_core::image::SharedImage;
 use ct_core::sysmat::SystemMatrix;
@@ -16,9 +15,10 @@ use std::collections::VecDeque;
 use supervoxel::plan::SvPlan;
 use supervoxel::svb::Svb;
 
-/// Update one SV's voxels in rounds of `rounds` concurrent updates
-/// (free function so the driver can split its field borrows; takes the
-/// shared image view so batch SVs can run on worker threads). Every
+/// Update one SV's voxels in rounds of `rounds` concurrent updates, in
+/// the order `seed` shuffles for `iter` (free function so the driver
+/// can split its field borrows; takes the shared image view so batch
+/// SVs can run on worker threads). Every
 /// iteration-invariant quantity (band offsets, chunk tallies, quantized
 /// columns) comes from the SV's [`SvPlan`].
 ///
@@ -31,7 +31,7 @@ pub(crate) fn update_sv<P: Prior>(
     a: &SystemMatrix,
     image: &SharedImage<'_>,
     prior: &P,
-    opts: &GpuOptions,
+    seed: u64,
     plan: &SvPlan,
     iter: u64,
     svb: &mut Svb<'_>,
@@ -44,9 +44,8 @@ pub(crate) fn update_sv<P: Prior>(
     // element-type-independent, so this yields the same permutation the
     // old driver got shuffling the voxel ids themselves.
     let mut order: Vec<u32> = (0..vox.len() as u32).collect();
-    let mut rng = StdRng::seed_from_u64(
-        opts.seed ^ iter.wrapping_mul(131) ^ (sv as u64).wrapping_mul(0x9e3779b9),
-    );
+    let mut rng =
+        StdRng::seed_from_u64(seed ^ iter.wrapping_mul(131) ^ (sv as u64).wrapping_mul(0x9e3779b9));
     order.shuffle(&mut rng);
 
     let mut t = SvTally {
@@ -107,7 +106,7 @@ pub(crate) fn update_sv<P: Prior>(
         let th = svb.thetas(plan.entries(&col, &buf), plan.offsets(vp));
         let nb = image.neighbors8(j);
         let mut neigh = nb.iter().map(|(k, edge)| (image.get(k), clique_weight(edge)));
-        let delta = voxel_step(prior, image.get(j), th, &mut neigh, opts.positivity);
+        let delta = voxel_step(prior, image.get(j), th, &mut neigh);
         t.updates += 1;
         t.abs_delta += delta.abs() as f64;
         t.nnz += vp.nnz as f64;

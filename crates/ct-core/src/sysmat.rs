@@ -309,6 +309,17 @@ impl SystemMatrix {
         y
     }
 
+    /// The residual `e = y - A x`, the error sinogram every ICD driver
+    /// starts from and keeps up to date.
+    pub fn residual(&self, y: &Sinogram, x: &Image) -> Sinogram {
+        let ax = self.forward(x);
+        let mut e = y.clone();
+        for (ev, axv) in e.data_mut().iter_mut().zip(ax.data()) {
+            *ev -= axv;
+        }
+        e
+    }
+
     /// Scatter the contributions of voxels `lo..hi` into `y`.
     fn forward_range(&self, image: &Image, lo: usize, hi: usize, y: &mut Sinogram) {
         for j in lo..hi {
@@ -495,6 +506,16 @@ mod tests {
         let (g, a) = small();
         let y = a.forward(&Image::zeros(g.grid));
         assert_eq!(y.max_abs(), 0.0);
+    }
+
+    #[test]
+    fn residual_of_the_projected_image_is_zero() {
+        let (g, a) = small();
+        let mut img = Image::zeros(g.grid);
+        img.set(g.grid.index(10, 12), 0.5);
+        let y = a.forward(&img);
+        assert_eq!(a.residual(&y, &img).max_abs(), 0.0);
+        assert_eq!(a.residual(&y, &Image::zeros(g.grid)), y);
     }
 
     #[test]

@@ -34,9 +34,9 @@ pub mod update;
 pub mod volume_icd;
 
 pub use convergence::{cost, ConvergenceTrace};
-pub use nhicd::{NhConfig, NhIcd};
+pub use nhicd::NhIcd;
 pub use prior::{Prior, QggmrfPrior, QuadraticPrior};
-pub use sequential::{IcdConfig, IcdStats, SequentialIcd};
+pub use sequential::{IcdStats, SequentialIcd};
 pub use stopping::{StopRule, StopState};
 pub use update::{
     apply_delta, compute_thetas, update_voxel, zero_skippable, SinogramPair, Thetas, WeightedError,

@@ -20,31 +20,17 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-/// NH-ICD configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NhConfig {
-    /// Fraction of voxels revisited in each partial pass.
-    pub fraction: f32,
-    /// Partial passes between full passes.
-    pub partials_per_full: usize,
-    /// Zero-skipping on full passes.
-    pub zero_skip: bool,
-    /// RNG seed.
-    pub seed: u64,
-}
+/// Fraction of voxels revisited in each partial pass.
+const FRACTION: f32 = 0.10;
 
-impl Default for NhConfig {
-    fn default() -> Self {
-        NhConfig { fraction: 0.10, partials_per_full: 3, zero_skip: true, seed: 0 }
-    }
-}
+/// Partial passes between full passes.
+const PARTIALS_PER_FULL: u64 = 3;
 
 /// The NH-ICD driver.
 pub struct NhIcd<'a, P: Prior> {
     a: &'a SystemMatrix,
     prior: &'a P,
     weights: &'a Sinogram,
-    config: NhConfig,
     image: Image,
     error: Sinogram,
     /// |delta| of each voxel's most recent update (the VSC).
@@ -61,20 +47,13 @@ impl<'a, P: Prior> NhIcd<'a, P> {
         weights: &'a Sinogram,
         prior: &'a P,
         init: Image,
-        config: NhConfig,
     ) -> Self {
-        assert!(config.fraction > 0.0 && config.fraction <= 1.0);
-        let ax = a.forward(&init);
-        let mut error = y.clone();
-        for (e, axv) in error.data_mut().iter_mut().zip(ax.data()) {
-            *e -= axv;
-        }
+        let error = a.residual(y, &init);
         let n = init.grid().num_voxels();
         NhIcd {
             a,
             prior,
             weights,
-            config,
             image: init,
             error,
             last_delta: vec![0.0; n],
@@ -86,7 +65,7 @@ impl<'a, P: Prior> NhIcd<'a, P> {
     fn visit(&mut self, j: usize, pass: &mut IcdStats) {
         let col = self.a.column(j);
         let mut pair = SinogramPair { e: &mut self.error, w: self.weights };
-        let delta = update_voxel(j, &mut self.image, &col, &mut pair, self.prior, true);
+        let delta = update_voxel(j, &mut self.image, &col, &mut pair, self.prior);
         self.last_delta[j] = delta.abs();
         pass.updates += 1;
         pass.total_abs_delta += delta.abs() as f64;
@@ -98,10 +77,8 @@ impl<'a, P: Prior> NhIcd<'a, P> {
         self.rounds += 1;
         let n = self.image.grid().num_voxels();
         let mut order: Vec<u32> = (0..n as u32).collect();
-        let mut rng =
-            StdRng::seed_from_u64(self.config.seed ^ self.rounds.wrapping_mul(0x9e3779b9));
-        order.shuffle(&mut rng);
-        let allow_skip = self.config.zero_skip && self.rounds > 1;
+        order.shuffle(&mut StdRng::seed_from_u64(self.rounds.wrapping_mul(0x9e3779b9)));
+        let allow_skip = self.rounds > 1;
         let mut pass = IcdStats::default();
         for &j in &order {
             let j = j as usize;
@@ -115,12 +92,12 @@ impl<'a, P: Prior> NhIcd<'a, P> {
         pass
     }
 
-    /// One partial pass: revisit the top-`fraction` voxels by VSC.
+    /// One partial pass: revisit the top 10% of voxels by VSC.
     /// Returns the pass's own counters.
     pub fn partial_pass(&mut self) -> IcdStats {
         self.rounds += 1;
         let n = self.image.grid().num_voxels();
-        let count = ((n as f32 * self.config.fraction).ceil() as usize).clamp(1, n);
+        let count = ((n as f32 * FRACTION).ceil() as usize).clamp(1, n);
         let mut ids: Vec<u32> = (0..n as u32).collect();
         ids.sort_by(|&a, &b| {
             self.last_delta[b as usize]
@@ -128,9 +105,7 @@ impl<'a, P: Prior> NhIcd<'a, P> {
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         ids.truncate(count);
-        let mut rng =
-            StdRng::seed_from_u64(self.config.seed ^ self.rounds.wrapping_mul(0xc2b2ae35));
-        ids.shuffle(&mut rng);
+        ids.shuffle(&mut StdRng::seed_from_u64(self.rounds.wrapping_mul(0xc2b2ae35)));
         let mut pass = IcdStats::default();
         for &j in &ids {
             self.visit(j as usize, &mut pass);
@@ -139,11 +114,11 @@ impl<'a, P: Prior> NhIcd<'a, P> {
         pass
     }
 
-    /// One NH-ICD *cycle*: a full pass followed by the configured
-    /// number of partial passes.
+    /// One NH-ICD *cycle*: a full pass followed by three partial
+    /// passes.
     pub fn cycle(&mut self) {
         self.full_pass();
-        for _ in 0..self.config.partials_per_full {
+        for _ in 0..PARTIALS_PER_FULL {
             self.partial_pass();
         }
     }
@@ -159,12 +134,12 @@ impl<'a, P: Prior> NhIcd<'a, P> {
     }
 }
 
-/// One step is the next pass of the cycle: a full pass, then
-/// `partials_per_full` partial passes.
+/// One step is the next pass of the cycle: a full pass, then three
+/// partial passes.
 impl<P: Prior> Driver for NhIcd<'_, P> {
     type Report = IcdStats;
     fn step(&mut self) -> IcdStats {
-        if self.rounds.is_multiple_of(1 + self.config.partials_per_full as u64) {
+        if self.rounds.is_multiple_of(1 + PARTIALS_PER_FULL) {
             self.full_pass()
         } else {
             self.partial_pass()
@@ -185,7 +160,7 @@ impl<P: Prior> Driver for NhIcd<'_, P> {
 mod tests {
     use super::*;
     use crate::prior::QggmrfPrior;
-    use crate::sequential::{golden_image, IcdConfig, SequentialIcd};
+    use crate::sequential::{golden_image, SequentialIcd};
     use crate::stopping::{run, BoundaryAction, Stop};
     use ct_core::fbp;
     use ct_core::geometry::Geometry;
@@ -208,7 +183,7 @@ mod tests {
         let prior = QggmrfPrior::standard(0.002);
         let init = fbp::reconstruct(&g, &s.y);
         let golden = golden_image(&a, &s.y, &s.weights, &prior, init.clone(), 40.0);
-        let mut nh = NhIcd::new(&a, &s.y, &s.weights, &prior, init, NhConfig::default());
+        let mut nh = NhIcd::new(&a, &s.y, &s.weights, &prior, init);
         let stop = Stop::Golden { image: &golden, hu: 10.0 };
         let out = run(&mut nh, stop, 60, |_, _| BoundaryAction::Continue);
         let rmse = out.trace.last().unwrap().rmse_hu;
@@ -218,31 +193,18 @@ mod tests {
     #[test]
     fn uses_fewer_equits_than_plain_icd() {
         // The NH-ICD claim: focusing updates where they matter reaches
-        // the same quality with less total work.
+        // the same quality with less total work. Both drivers
+        // zero-skip, as they always do.
         let (g, a, s) = setup();
         let prior = QggmrfPrior::standard(0.002);
         let init = fbp::reconstruct(&g, &s.y);
         let golden = golden_image(&a, &s.y, &s.weights, &prior, init.clone(), 40.0);
 
-        let mut plain = SequentialIcd::new(
-            &a,
-            &s.y,
-            &s.weights,
-            &prior,
-            init.clone(),
-            IcdConfig { zero_skip: false, ..Default::default() },
-        );
+        let mut plain = SequentialIcd::new(&a, &s.y, &s.weights, &prior, init.clone());
         let stop = Stop::Golden { image: &golden, hu: 10.0 };
         run(&mut plain, stop, 60, |_, _| BoundaryAction::Continue);
 
-        let mut nh = NhIcd::new(
-            &a,
-            &s.y,
-            &s.weights,
-            &prior,
-            init,
-            NhConfig { zero_skip: false, ..Default::default() },
-        );
+        let mut nh = NhIcd::new(&a, &s.y, &s.weights, &prior, init);
         run(&mut nh, stop, 200, |_, _| BoundaryAction::Continue);
 
         assert!(
@@ -257,14 +219,8 @@ mod tests {
     fn partial_passes_cost_a_fraction() {
         let (g, a, s) = setup();
         let prior = QggmrfPrior::standard(0.002);
-        let mut nh = NhIcd::new(
-            &a,
-            &s.y,
-            &s.weights,
-            &prior,
-            Image::zeros(g.grid),
-            NhConfig { fraction: 0.1, zero_skip: false, ..Default::default() },
-        );
+        let mut nh = NhIcd::new(&a, &s.y, &s.weights, &prior, Image::zeros(g.grid));
+        // The first full pass skips nothing.
         nh.full_pass();
         let after_full = nh.stats().updates;
         nh.partial_pass();
@@ -278,15 +234,14 @@ mod tests {
     fn partial_pass_targets_largest_updates() {
         let (g, a, s) = setup();
         let prior = QggmrfPrior::standard(0.002);
-        let mut nh =
-            NhIcd::new(&a, &s.y, &s.weights, &prior, Image::zeros(g.grid), NhConfig::default());
+        let mut nh = NhIcd::new(&a, &s.y, &s.weights, &prior, Image::zeros(g.grid));
         nh.full_pass();
         // The threshold VSC of the selected set, from a snapshot taken
         // before the partial pass overwrites `last_delta`.
         let pre_vsc = nh.last_delta.clone();
         let mut deltas = pre_vsc.clone();
         deltas.sort_by(|p, q| q.partial_cmp(p).unwrap());
-        let count = ((g.grid.num_voxels() as f32 * nh.config.fraction).ceil()) as usize;
+        let count = ((g.grid.num_voxels() as f32 * FRACTION).ceil()) as usize;
         let cutoff = deltas[count - 1];
         let before = nh.image().clone();
         nh.partial_pass();
@@ -309,8 +264,7 @@ mod tests {
         let (_, a, s) = setup();
         let prior = QggmrfPrior::standard(0.002);
         let g = Geometry::tiny_scale();
-        let mut nh =
-            NhIcd::new(&a, &s.y, &s.weights, &prior, Image::zeros(g.grid), NhConfig::default());
+        let mut nh = NhIcd::new(&a, &s.y, &s.weights, &prior, Image::zeros(g.grid));
         nh.cycle();
         let ax = a.forward(nh.image());
         for i in 0..s.y.data().len() {

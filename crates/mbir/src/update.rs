@@ -118,19 +118,18 @@ pub fn zero_skippable(image: &Image, j: usize) -> bool {
 
 /// The 1-D solve of Algorithm 1 (steps 7-8): the prior's step for a
 /// voxel at value `v` with data-term coefficients `th` and its
-/// neighbours as `(value, clique weight)` pairs. `positivity` clips
-/// the step so the voxel stays at or above zero, the standard MBIR
-/// constraint for attenuation images. Every ICD driver solves through
-/// this one function.
+/// neighbours as `(value, clique weight)` pairs, clipped so the voxel
+/// stays at or above zero (positivity, the standard MBIR constraint for
+/// attenuation images). Every ICD driver solves through this one
+/// function.
 pub fn voxel_step<P: Prior>(
     prior: &P,
     v: f32,
     th: Thetas,
     neighbors: &mut dyn Iterator<Item = (f32, f32)>,
-    positivity: bool,
 ) -> f32 {
     let delta = prior.step(v, th.theta1, th.theta2, neighbors);
-    if positivity && v + delta < 0.0 {
+    if v + delta < 0.0 {
         -v
     } else {
         delta
@@ -145,13 +144,12 @@ pub fn update_voxel<E: WeightedError, P: Prior>(
     col: &ColumnView<'_>,
     ew: &mut E,
     prior: &P,
-    positivity: bool,
 ) -> f32 {
     let v = image.get(j);
     let th = compute_thetas(col, ew);
     let nb = image.neighbors8(j);
     let mut neigh = nb.iter().map(|(k, edge)| (image.get(k), clique_weight(edge)));
-    let delta = voxel_step(prior, v, th, &mut neigh, positivity);
+    let delta = voxel_step(prior, v, th, &mut neigh);
     if delta != 0.0 {
         image.set(j, v + delta);
         apply_delta(col, ew, delta);
@@ -179,12 +177,8 @@ mod tests {
     #[test]
     fn thetas_zero_when_error_zero() {
         let (g, a, truth, y, w) = setup();
-        let mut e = y.clone();
         // e = y - A x with x = truth gives exactly zero error.
-        let ax = a.forward(&truth);
-        for (ei, axi) in e.data_mut().iter_mut().zip(ax.data()) {
-            *ei -= axi;
-        }
+        let mut e = a.residual(&y, &truth);
         let j = g.grid.index(12, 12);
         let pair = SinogramPair { e: &mut e, w: &w };
         let th = compute_thetas(&a.column(j), &pair);
@@ -213,7 +207,7 @@ mod tests {
         {
             let mut pair = SinogramPair { e: &mut e, w: &w };
             for j in (0..g.grid.num_voxels()).step_by(3) {
-                update_voxel(j, &mut image, &a.column(j), &mut pair, &prior, true);
+                update_voxel(j, &mut image, &a.column(j), &mut pair, &prior);
             }
         }
         let ax = a.forward(&image);
@@ -246,7 +240,7 @@ mod tests {
         let before = cost(&e, &image);
         let j = g.grid.index(12, 12);
         let mut pair = SinogramPair { e: &mut e, w: &w };
-        let delta = update_voxel(j, &mut image, &a.column(j), &mut pair, &prior, true);
+        let delta = update_voxel(j, &mut image, &a.column(j), &mut pair, &prior);
         assert!(delta > 0.0); // the cylinder is positive there
         let after = cost(&e, &image);
         assert!(after < before, "before {before} after {after}");
@@ -261,29 +255,28 @@ mod tests {
         let prior = QuadraticPrior { sigma: 0.01 };
         let j = g.grid.index(12, 12);
         let mut pair = SinogramPair { e: &mut e, w: &w };
-        let delta = update_voxel(j, &mut image, &a.column(j), &mut pair, &prior, true);
+        let delta = update_voxel(j, &mut image, &a.column(j), &mut pair, &prior);
         assert_eq!(delta, 0.0);
         assert_eq!(image.get(j), 0.0);
     }
 
     #[test]
-    fn voxel_step_clips_only_under_positivity() {
+    fn voxel_step_clips_only_below_zero() {
         let prior = QuadraticPrior { sigma: 0.01 };
         let neigh = [(0.2f32, 0.1f32), (0.0, 0.07), (0.3, 0.1)];
-        let step = |v: f32, theta1: f32, positivity: bool| {
+        let step = |v: f32, theta1: f32| {
             let th = Thetas { theta1, theta2: 50.0 };
-            voxel_step(&prior, v, th, &mut neigh.iter().copied(), positivity)
+            voxel_step(&prior, v, th, &mut neigh.iter().copied())
         };
         let raw = |v: f32, theta1: f32| prior.step(v, theta1, 50.0, &mut neigh.iter().copied());
         // A large positive theta1 drives the step far below zero.
         let (v, pull) = (0.05f32, 1.0e4f32);
         assert!(v + raw(v, pull) < 0.0);
-        assert_eq!(step(v, pull, true).to_bits(), (-v).to_bits());
-        assert_eq!(step(v, pull, false).to_bits(), raw(v, pull).to_bits());
+        assert_eq!(step(v, pull).to_bits(), (-v).to_bits());
         // An unclipped step is the prior's own, bit for bit.
         let push = -30.0f32;
         assert!(v + raw(v, push) >= 0.0);
-        assert_eq!(step(v, push, true).to_bits(), raw(v, push).to_bits());
+        assert_eq!(step(v, push).to_bits(), raw(v, push).to_bits());
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub struct VolumeIcd<'a, P: Prior> {
     weights: &'a [Sinogram],
     volume: Volume,
     errors: Vec<Sinogram>,
-    seed: u64,
     pass_count: u64,
     updates: u64,
 }
@@ -48,19 +47,8 @@ impl<'a, P: Prior> VolumeIcd<'a, P> {
     ) -> Self {
         assert_eq!(ys.len(), init.nz(), "one sinogram per slice");
         assert_eq!(weights.len(), init.nz());
-        let errors = ys
-            .iter()
-            .enumerate()
-            .map(|(z, y)| {
-                let ax = a.forward(&init.slice(z));
-                let mut e = y.clone();
-                for (ev, axv) in e.data_mut().iter_mut().zip(ax.data()) {
-                    *ev -= axv;
-                }
-                e
-            })
-            .collect();
-        VolumeIcd { a, prior, weights, volume: init, errors, seed: 0, pass_count: 0, updates: 0 }
+        let errors = ys.iter().enumerate().map(|(z, y)| a.residual(y, &init.slice(z))).collect();
+        VolumeIcd { a, prior, weights, volume: init, errors, pass_count: 0, updates: 0 }
     }
 
     /// Current volume.
@@ -89,7 +77,7 @@ impl<'a, P: Prior> VolumeIcd<'a, P> {
         let neigh = self.volume.neighbors26(z, j);
         let mut it =
             neigh.into_iter().map(|(zz, jj, class)| (self.volume.get(zz, jj), class.weight()));
-        let delta = voxel_step(self.prior, v, th, &mut it, true);
+        let delta = voxel_step(self.prior, v, th, &mut it);
         if delta != 0.0 {
             self.volume.set(z, j, v + delta);
             let mut pair = SinogramPair { e: &mut self.errors[z], w: &self.weights[z] };
@@ -103,8 +91,7 @@ impl<'a, P: Prior> VolumeIcd<'a, P> {
         self.pass_count += 1;
         let n = self.volume.grid().num_voxels();
         let mut order: Vec<u32> = (0..(n * self.volume.nz()) as u32).collect();
-        let mut rng = StdRng::seed_from_u64(self.seed ^ self.pass_count.wrapping_mul(0x9e3779b9));
-        order.shuffle(&mut rng);
+        order.shuffle(&mut StdRng::seed_from_u64(self.pass_count.wrapping_mul(0x9e3779b9)));
         for lin in order {
             let z = lin as usize / n;
             let j = lin as usize % n;
@@ -130,7 +117,6 @@ impl<'a, P: Prior> VolumeIcd<'a, P> {
             let a = self.a;
             let prior = self.prior;
             let weights = self.weights;
-            let seed = self.seed;
             let pass = self.pass_count;
             let results: Vec<(usize, Image, Sinogram, u64)> =
                 mbir_parallel::par_map(threads, slab.len(), |i| {
@@ -139,7 +125,7 @@ impl<'a, P: Prior> VolumeIcd<'a, P> {
                     let mut err = errors[z].clone();
                     let mut order: Vec<u32> = (0..n as u32).collect();
                     let mut rng = StdRng::seed_from_u64(
-                        seed ^ pass.wrapping_mul(97) ^ (z as u64).wrapping_mul(0x9e3779b9),
+                        pass.wrapping_mul(97) ^ (z as u64).wrapping_mul(0x9e3779b9),
                     );
                     order.shuffle(&mut rng);
                     let mut updates = 0u64;
@@ -159,7 +145,7 @@ impl<'a, P: Prior> VolumeIcd<'a, P> {
                                 let val = if zz == z { img.get(jj) } else { volume.get(zz, jj) };
                                 (val, class.weight())
                             });
-                        let delta = voxel_step(prior, v, th, &mut neigh, true);
+                        let delta = voxel_step(prior, v, th, &mut neigh);
                         if delta != 0.0 {
                             img.set(j, v + delta);
                             let mut pair = SinogramPair { e: &mut err, w: &weights[z] };

@@ -6,10 +6,10 @@ use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::SystemMatrix;
 use mbir::convergence::TracePoint;
 use mbir::prior::{clique_weight, Prior};
-use mbir::sequential::{IcdConfig, IcdStats};
+use mbir::sequential::IcdStats;
 use mbir::stopping::Driver;
 use mbir::update::voxel_step;
-use mbir_telemetry::{ConvergencePoint, IterationSample, KernelSpan, ProfileSink, RecordingSink};
+use mbir_telemetry::{ConvergencePoint, IterationSample, KernelSpan, ProfileSink};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -20,43 +20,31 @@ use supervoxel::selection::{select_svs, Selection};
 use supervoxel::svb::{Svb, SvbLayout};
 use supervoxel::tiling::Tiling;
 
-/// PSV-ICD configuration (paper Table 1 defaults).
+/// Fraction of SVs updated per iteration after the first (paper
+/// Table 1: 20%).
+const FRACTION: f32 = 0.20;
+
+/// Stream selector of the per-iteration SV-selection RNG: iteration
+/// `iter` draws from `StdRng::seed_from_u64((SELECTION_STREAM ^ iter)
+/// * 0x9e3779b97f4a7c15)`, the stream behind EXPERIMENTS.md Table 1's
+/// `*` footnote.
+const SELECTION_STREAM: u64 = 0xc0ffee;
+
+/// PSV-ICD configuration (paper Table 1 defaults). Zero-skipping,
+/// positivity and shuffled voxel orders are always on.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PsvConfig {
     /// SuperVoxel side (the paper tunes 13 for the CPU).
     pub sv_side: usize,
-    /// Fraction of SVs updated per iteration after the first (20%).
-    pub fraction: f32,
     /// Real worker threads used for the functional execution (the
     /// *modeled* platform is [`CpuModel`]'s 16 cores). `0` defers to
     /// the process-wide setting (`mbir_parallel::threads()`).
     pub threads: usize,
-    /// Stream-selector seed for the per-iteration SV-selection RNG.
-    /// Each iteration draws from
-    /// `StdRng::seed_from_u64(icd.seed ^ (selection_seed ^ iter) * GOLDEN)`
-    /// where `GOLDEN = 0x9e3779b97f4a7c15`; the default keeps the
-    /// historical stream (EXPERIMENTS.md Table 1's `*` footnote) while
-    /// making the seed an explicit, documented input instead of a magic
-    /// constant.
-    pub selection_seed: u64,
-    /// Record per-iteration telemetry into an internal
-    /// [`RecordingSink`]. Observe-only: results and modeled seconds are
-    /// bitwise identical either way.
-    pub profile: bool,
-    /// Shared ICD knobs.
-    pub icd: IcdConfig,
 }
 
 impl Default for PsvConfig {
     fn default() -> Self {
-        PsvConfig {
-            sv_side: 13,
-            fraction: 0.20,
-            threads: 0,
-            selection_seed: 0xc0ffee,
-            profile: false,
-            icd: IcdConfig::default(),
-        }
+        PsvConfig { sv_side: 13, threads: 0 }
     }
 }
 
@@ -117,7 +105,6 @@ pub struct PsvIcd<'a, P: Prior> {
     model: CpuModel,
     modeled_seconds: f64,
     sink: Option<Arc<dyn ProfileSink>>,
-    recording: Option<Arc<RecordingSink>>,
 }
 
 impl<'a, P: Prior> PsvIcd<'a, P> {
@@ -154,14 +141,8 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
         assert_eq!(plan.geometry(), a.geometry(), "plan built for a different geometry");
         assert_eq!(plan.config(), psv_plan_config(), "plan built for different options");
         assert_eq!(plan.tiling().sv_side(), config.sv_side, "plan built for different tiling");
-        let ax = a.forward(&init);
-        let mut error = y.clone();
-        for (e, axv) in error.data_mut().iter_mut().zip(ax.data()) {
-            *e -= axv;
-        }
+        let error = a.residual(y, &init);
         let n = tiling.len();
-        let recording = config.profile.then(|| Arc::new(RecordingSink::new()));
-        let sink = recording.clone().map(|r| r as Arc<dyn ProfileSink>);
         PsvIcd {
             a,
             weights,
@@ -176,22 +157,14 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
             stats: IcdStats::default(),
             model: CpuModel::paper_baseline(),
             modeled_seconds: 0.0,
-            sink,
-            recording,
+            sink: None,
         }
     }
 
-    /// Route telemetry to an external sink instead of the internal
-    /// recording one. Observe-only: the sink never influences results.
+    /// Route telemetry to `sink`, the one way to profile a run.
+    /// Observe-only: the sink never influences results.
     pub fn set_profile_sink(&mut self, sink: Arc<dyn ProfileSink>) {
         self.sink = Some(sink);
-        self.recording = None;
-    }
-
-    /// The internal recording sink, when `config.profile` is on and no
-    /// external sink has replaced it.
-    pub fn recording(&self) -> Option<&Arc<RecordingSink>> {
-        self.recording.as_ref()
     }
 
     /// The shared per-SV plan set.
@@ -209,15 +182,12 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
     /// update voxels, and merge the error delta back.
     pub fn iteration(&mut self) -> PsvIterationReport {
         self.iter += 1;
-        let mut rng = StdRng::seed_from_u64(
-            self.config.icd.seed
-                ^ (self.config.selection_seed ^ self.iter).wrapping_mul(0x9e3779b97f4a7c15),
-        );
-        let (selection, ids) =
-            select_svs(self.iter, self.config.fraction, &self.update_amount, &mut rng);
+        let mut rng =
+            StdRng::seed_from_u64((SELECTION_STREAM ^ self.iter).wrapping_mul(0x9e3779b97f4a7c15));
+        let (selection, ids) = select_svs(self.iter, FRACTION, &self.update_amount, &mut rng);
         let groups = checkerboard_groups(&self.tiling, &ids);
 
-        let allow_skip = self.config.icd.zero_skip && self.iter > 1;
+        let allow_skip = self.iter > 1;
         let mut report = PsvIterationReport {
             iter: self.iter,
             selection,
@@ -245,10 +215,7 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
             let image = self.image.as_shared();
             let a = self.a;
             let prior = self.prior;
-            let seed = self.config.icd.seed;
             let iter = self.iter;
-            let randomize = self.config.icd.randomize;
-            let positivity = self.config.icd.positivity;
             let results: Vec<(Svb<'_>, SvVisit)> =
                 mbir_parallel::par_map(self.config.threads, group.len(), |i| {
                     let sv = group[i];
@@ -262,12 +229,9 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
                     // the same Fisher-Yates permutation the pre-plan
                     // driver applied to the voxel ids themselves.
                     let mut order: Vec<u32> = (0..vox.len() as u32).collect();
-                    if randomize {
-                        let mut r = StdRng::seed_from_u64(
-                            seed ^ iter.wrapping_mul(31) ^ (sv as u64).wrapping_mul(0x9e3779b9),
-                        );
-                        order.shuffle(&mut r);
-                    }
+                    order.shuffle(&mut StdRng::seed_from_u64(
+                        iter.wrapping_mul(31) ^ (sv as u64).wrapping_mul(0x9e3779b9),
+                    ));
                     for oi in order {
                         let vp = &vox[oi as usize];
                         let j = vp.voxel;
@@ -284,7 +248,6 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
                             sv_plan.offsets(vp),
                             &mut svb,
                             prior,
-                            positivity,
                         );
                         visit.updates += 1;
                         visit.abs_delta += delta.abs() as f64;
@@ -429,13 +392,12 @@ fn update_voxel_shared<P: Prior>(
     offsets: &[u16],
     svb: &mut Svb<'_>,
     prior: &P,
-    positivity: bool,
 ) -> f32 {
     let v = image.get(j);
     let th = svb.thetas(entries, offsets);
     let nb = image.neighbors8(j);
     let mut neigh = nb.iter().map(|(k, edge)| (image.get(k), clique_weight(edge)));
-    let delta = voxel_step(prior, v, th, &mut neigh, positivity);
+    let delta = voxel_step(prior, v, th, &mut neigh);
     if delta != 0.0 {
         image.set(j, v + delta);
         svb.apply_delta(entries, offsets, delta);
@@ -453,6 +415,7 @@ mod tests {
     use mbir::prior::QggmrfPrior;
     use mbir::sequential::golden_image;
     use mbir::stopping::{run, BoundaryAction, Stop};
+    use mbir_telemetry::RecordingSink;
 
     fn setup() -> (Geometry, SystemMatrix, Scan) {
         let g = Geometry::tiny_scale();
@@ -463,7 +426,7 @@ mod tests {
     }
 
     fn config() -> PsvConfig {
-        PsvConfig { sv_side: 6, threads: 3, ..Default::default() }
+        PsvConfig { sv_side: 6, threads: 3 }
     }
 
     #[test]
@@ -492,7 +455,7 @@ mod tests {
                 &s.weights,
                 &prior,
                 init.clone(),
-                PsvConfig { sv_side: 6, threads, ..Default::default() },
+                PsvConfig { sv_side: 6, threads },
             );
             for _ in 0..4 {
                 psv.iteration();
@@ -525,7 +488,7 @@ mod tests {
         psv.iteration();
         let r2 = psv.iteration();
         assert_eq!(r2.selection, Selection::Top);
-        let expect = ((psv.tiling().len() as f32) * 0.20).ceil() as usize;
+        let expect = ((psv.tiling().len() as f32) * FRACTION).ceil() as usize;
         assert_eq!(r2.svs_updated, expect);
         let r3 = psv.iteration();
         assert_eq!(r3.selection, Selection::Random);
@@ -559,18 +522,15 @@ mod tests {
         let prior = QggmrfPrior::standard(0.002);
         let init = fbp::reconstruct(&g, &s.y);
         let run = |profile: bool| {
-            let mut psv = PsvIcd::new(
-                &a,
-                &s.y,
-                &s.weights,
-                &prior,
-                init.clone(),
-                PsvConfig { profile, ..config() },
-            );
+            let mut psv = PsvIcd::new(&a, &s.y, &s.weights, &prior, init.clone(), config());
+            let rec = profile.then(|| Arc::new(RecordingSink::new()));
+            if let Some(r) = &rec {
+                psv.set_profile_sink(r.clone());
+            }
             for _ in 0..3 {
                 psv.iteration();
             }
-            let rec = psv.recording().map(|r| (r.spans().len(), r.iterations().len()));
+            let rec = rec.map(|r| (r.spans().len(), r.iterations().len()));
             (psv.image().clone(), psv.modeled_seconds(), rec)
         };
         let (img_off, secs_off, rec_off) = run(false);
@@ -579,31 +539,6 @@ mod tests {
         assert_eq!(secs_off.to_bits(), secs_on.to_bits());
         assert_eq!(rec_off, None);
         assert_eq!(rec_on, Some((3, 3)));
-    }
-
-    #[test]
-    fn selection_seed_default_reproduces_historical_stream() {
-        // The explicit seed at its default must pick the same random
-        // SV subsets the old hard-coded constant did; a different seed
-        // must change the iteration-3 (Random) pick on some iteration.
-        let (g, a, s) = setup();
-        let prior = QggmrfPrior::standard(0.002);
-        let run = |seed: u64| {
-            let mut psv = PsvIcd::new(
-                &a,
-                &s.y,
-                &s.weights,
-                &prior,
-                Image::zeros(g.grid),
-                PsvConfig { selection_seed: seed, ..config() },
-            );
-            for _ in 0..3 {
-                psv.iteration();
-            }
-            psv.image().clone()
-        };
-        assert_eq!(run(0xc0ffee), run(0xc0ffee));
-        assert_ne!(run(0xc0ffee), run(0xdead_beef));
     }
 
     #[test]

@@ -62,10 +62,7 @@ fn prepare_job(
     spec: &JobSpec,
     cache: &mut PrepCache,
 ) -> Result<Prepared, MbirError> {
-    let mut opts = gpu_options_for(spec.scale);
-    opts.devices = spec.devices;
-    opts.seed = spec.seed;
-    opts.profile = false;
+    let opts = GpuOptions { devices: spec.devices, seed: spec.seed, ..gpu_options_for(spec.scale) };
     let geom = spec.scale.geometry();
     let setup = match cache.iter().find(|(s, _)| *s == spec.scale) {
         Some((_, setup)) => setup.clone(),

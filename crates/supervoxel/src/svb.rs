@@ -357,7 +357,7 @@ mod tests {
         {
             let mut pair = SinogramPair { e: &mut e1, w: &w };
             for j in t.voxels(sv) {
-                update_voxel(j, &mut img1, &a.column(j), &mut pair, &prior, true);
+                update_voxel(j, &mut img1, &a.column(j), &mut pair, &prior);
             }
         }
 
@@ -366,7 +366,7 @@ mod tests {
         let mut e2 = y.clone();
         let mut svb = Svb::gather(&shape, SvbLayout::Transposed, &e2, &w);
         for j in t.voxels(sv) {
-            update_voxel(j, &mut img2, &a.column(j), &mut svb, &prior, true);
+            update_voxel(j, &mut img2, &a.column(j), &mut svb, &prior);
         }
         svb.take_delta(&e2);
         svb.scatter_delta(&mut e2);

@@ -7,8 +7,8 @@
 //! cargo test --features conformance --test conformance
 //! ```
 //!
-//! The suite regenerates the Table 1 / Table 2 comparisons, the
-//! fig5–7 sweeps, and the fault-recovery ledger at `tiny` scale and
+//! The suite regenerates the Table 1 / Table 2 / Table 3 comparisons,
+//! the fig5–7 sweeps, and the fault-recovery ledger at `tiny` scale and
 //! compares every modeled number *bitwise* against the checked-in
 //! golden file (`tests/conformance/golden_tiny.txt`). Any drift — an
 //! innocent-looking refactor of the work model, a float reassociation,
@@ -28,9 +28,11 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use ct_core::phantom::Phantom;
-use gpu_icd::{AMatrixMode, Checkpoint, GpuOptions, Layout};
+use gpu_icd::{AMatrixMode, Checkpoint, GpuOptions, L2ReadWidth, Layout, RegisterMode};
 use mbir_bench::{gpu_options_for, run_gpu, run_psv, run_sequential, to_golden, Pipeline, Scale};
 use mbir_fleet::FaultSpec;
+use mbir_telemetry::RecordingSink;
+use std::sync::Arc;
 
 /// Bitwise golden ledger: every `check_*` call records the actual
 /// value under a key; `finish()` either rewrites the golden file
@@ -127,8 +129,8 @@ impl Golden {
     }
 }
 
-/// Table 1, Table 2, fig5–7, and the fault ledger at tiny scale,
-/// every modeled number pinned bitwise.
+/// Tables 1-3, fig5–7, and the fault ledger at tiny scale, every
+/// modeled number pinned bitwise.
 #[test]
 fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
     let mut g = Golden::open("golden_tiny.txt");
@@ -170,12 +172,13 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
         // The profiled run must be bitwise identical to the unprofiled
         // one — the structural invariant repro_table2 asserts — and its
         // counters are part of the pinned surface.
-        let opts = GpuOptions { amatrix: mode, profile: true, ..base };
         let mut prof = p.case.gpu(opts);
+        let sink = Arc::new(RecordingSink::new());
+        prof.set_profile_sink(sink.clone());
         to_golden(&mut prof, &p, 300);
         assert_eq!(gpu.modeled_seconds().to_bits(), prof.modeled_seconds().to_bits());
         assert_eq!(gpu.image(), prof.image());
-        let report = prof.recording().expect("profile on").report("gpu-icd");
+        let report = sink.report("gpu-icd");
         let mbir = report.kernel("mbir_update").expect("mbir_update spans");
 
         g.check_f64(&format!("table2.{tag}.seconds"), gpu.modeled_seconds());
@@ -211,6 +214,23 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
     // crosses 10 HU first. The ordering claim lives in the repro
     // binaries at test scale and up; here the crossings are pinned
     // bitwise instead.)
+
+    // ---- Table 3: each GPU optimization turned off ------------------
+    // The rows and iteration caps of repro_table3; its baseline is the
+    // fig. 5 GPU run.
+    g.check_f64("table3.baseline.seconds", gpu.seconds);
+    g.check_f64("table3.baseline.equits", gpu.equits);
+    for (tag, opts) in [
+        ("l2_float", GpuOptions { l2_read: L2ReadWidth::Float, ..base }),
+        ("regs44", GpuOptions { registers: RegisterMode::Regs44, ..base }),
+        ("no_intra_sv", GpuOptions { threadblocks_per_sv: 1, ..base }),
+        ("static_voxels", GpuOptions { dynamic_voxels: false, ..base }),
+        ("no_batch_threshold", GpuOptions { batch_threshold: false, ..base }),
+    ] {
+        let r = run_gpu(&p, opts, 400);
+        g.check_f64(&format!("table3.{tag}.seconds"), r.seconds);
+        g.check_f64(&format!("table3.{tag}.equits"), r.equits);
+    }
 
     // ---- Fig. 6: chunked layout sweep ------------------------------
     let naive = run_gpu(&p, GpuOptions { layout: Layout::Naive, ..base }, 300);

@@ -89,7 +89,7 @@ fn psv_driver_is_bitwise_identical_across_thread_counts() {
             &s.scan.weights,
             &s.prior,
             s.init.clone(),
-            PsvConfig { sv_side: 6, threads, ..Default::default() },
+            PsvConfig { sv_side: 6, threads },
         );
         for _ in 0..6 {
             psv.iteration();

@@ -16,8 +16,9 @@ use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{GpuIcd, GpuOptions, MbirError};
 use mbir::prior::QggmrfPrior;
 use mbir_fleet::FaultSpec;
-use mbir_telemetry::json;
+use mbir_telemetry::{json, RecordingSink};
 use mbir_topo::ClusterSpec;
+use std::sync::Arc;
 
 struct Setup {
     a: SystemMatrix,
@@ -56,17 +57,32 @@ fn run<'a>(
     faults: Option<&str>,
     iters: usize,
 ) -> GpuIcd<'a, QggmrfPrior> {
-    run_on(s, o, None, faults, iters)
+    run_on(s, o, None, None, faults, iters)
+}
+
+/// [`run`] with a recording sink attached before the first iteration.
+fn profiled<'a>(
+    s: &'a Setup,
+    o: GpuOptions,
+    faults: Option<&str>,
+    iters: usize,
+) -> (GpuIcd<'a, QggmrfPrior>, Arc<RecordingSink>) {
+    let sink = Arc::new(RecordingSink::new());
+    (run_on(s, o, None, Some(&sink), faults, iters), sink)
 }
 
 fn run_on<'a>(
     s: &'a Setup,
     o: GpuOptions,
     cluster: Option<ClusterSpec>,
+    sink: Option<&Arc<RecordingSink>>,
     faults: Option<&str>,
     iters: usize,
 ) -> GpuIcd<'a, QggmrfPrior> {
     let mut g = driver(s, o);
+    if let Some(sink) = sink {
+        g.set_profile_sink(sink.clone());
+    }
     if let Some(c) = cluster {
         g.set_cluster_spec(c).expect("cluster installs");
     }
@@ -100,13 +116,13 @@ fn any_fault_schedule_leaves_the_image_bitwise_identical() {
     // Flat fleets, a pinned 2x2 cluster, and the streaming regime
     // (more slabs than devices).
     for (devices, shape) in [(2, None), (4, None), (4, cluster(2, 2, 2)), (2, cluster(1, 2, 4))] {
-        let healthy = run_on(&s, opts(devices), shape.clone(), None, 4);
+        let healthy = run_on(&s, opts(devices), shape.clone(), None, None, 4);
         assert_eq!(healthy.image(), one.image(), "{devices} devices {shape:?}");
         for schedule in schedules {
             if FaultSpec::parse(schedule, devices).is_err() {
                 continue; // fail:2@3 needs > 2 devices
             }
-            let faulted = run_on(&s, opts(devices), shape.clone(), Some(schedule), 4);
+            let faulted = run_on(&s, opts(devices), shape.clone(), None, Some(schedule), 4);
             let tag = format!("{devices} devices {shape:?}, `{schedule}`");
             assert_eq!(healthy.image(), faulted.image(), "{tag} changed the image");
             assert_eq!(one.error(), faulted.error(), "{tag} changed the error");
@@ -128,10 +144,8 @@ fn recovery_ledger_accounts_for_the_failure() {
     // a profiled healthy run — a device that idles through the failed
     // batch would lose zero seconds, which is correct but proves
     // nothing.
-    let probe = run(&s, GpuOptions { profile: true, ..opts(4) }, None, 3);
+    let (_, probe) = profiled(&s, opts(4), None, 3);
     let span = probe
-        .recording()
-        .unwrap()
         .report("probe")
         .spans
         .iter()
@@ -170,9 +184,8 @@ fn recovery_ledger_accounts_for_the_failure() {
 #[test]
 fn dead_devices_receive_no_work_after_the_failure() {
     let s = setup();
-    let o = GpuOptions { profile: true, ..opts(3) };
-    let g = run(&s, o, Some("fail:1@2"), 4);
-    let report = g.recording().expect("profile on").report("gpu-icd-faulted");
+    let (_, sink) = profiled(&s, opts(3), Some("fail:1@2"), 4);
+    let report = sink.report("gpu-icd-faulted");
 
     let mut saw_device_1_before = false;
     for sp in &report.spans {
@@ -195,9 +208,9 @@ fn dead_devices_receive_no_work_after_the_failure() {
 #[test]
 fn fault_lane_lands_in_the_versioned_profile_and_validates() {
     let s = setup();
-    let o = GpuOptions { profile: true, ..opts(4) };
-    let g = run(&s, o, Some("fail:1@2,slow:0@0..3x2,link:1..4x1.5,backoff:0.25"), 3);
-    let report = g.recording().expect("profile on").report("gpu-icd-faulted");
+    let schedule = "fail:1@2,slow:0@0..3x2,link:1..4x1.5,backoff:0.25";
+    let (_, sink) = profiled(&s, opts(4), Some(schedule), 3);
+    let report = sink.report("gpu-icd-faulted");
 
     assert_eq!(mbir_telemetry::SCHEMA_VERSION, 7);
     let kinds: Vec<&str> = report.faults.iter().map(|f| f.kind.as_str()).collect();
@@ -239,9 +252,9 @@ fn fault_lane_lands_in_the_versioned_profile_and_validates() {
 fn faulted_profiled_runs_are_deterministic() {
     let s = setup();
     let render = |threads: usize| {
-        let o = GpuOptions { profile: true, threads, ..opts(4) };
-        let g = run(&s, o, Some("random:11"), 3);
-        (g.image().clone(), g.recording().unwrap().report("gpu-icd-faulted").to_json_pretty())
+        let o = GpuOptions { threads, ..opts(4) };
+        let (g, sink) = profiled(&s, o, Some("random:11"), 3);
+        (g.image().clone(), sink.report("gpu-icd-faulted").to_json_pretty())
     };
     let (img1, rep1) = render(1);
     let (img4, rep4) = render(4);

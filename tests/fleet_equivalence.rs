@@ -19,7 +19,8 @@ use mbir::prior::QggmrfPrior;
 use mbir::sequential::golden_image;
 use mbir::stopping::{self, BoundaryAction, Stop};
 use mbir_fleet::FleetSpec;
-use mbir_telemetry::json;
+use mbir_telemetry::{json, RecordingSink};
+use std::sync::Arc;
 
 struct Setup {
     a: SystemMatrix,
@@ -156,12 +157,14 @@ fn nvlink_never_loses_to_pcie() {
 fn profiled_fleet_run_is_deterministic_and_valid() {
     let s = setup();
     let profiled = |threads: usize| {
-        let o = GpuOptions { profile: true, threads, ..opts(2) };
+        let o = GpuOptions { threads, ..opts(2) };
         let mut gpu = GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), o);
+        let sink = Arc::new(RecordingSink::new());
+        gpu.set_profile_sink(sink.clone());
         for _ in 0..3 {
             gpu.iteration();
         }
-        (gpu.image().clone(), gpu.recording().expect("profile on").report("gpu-icd-fleet"))
+        (gpu.image().clone(), sink.report("gpu-icd-fleet"))
     };
     let (img1, rep1) = profiled(1);
     let (img4, rep4) = profiled(4);

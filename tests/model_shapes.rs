@@ -74,7 +74,7 @@ fn table3_every_optimization_helps() {
     let cases: Vec<(&str, GpuOptions)> = vec![
         ("float-l2", GpuOptions { l2_read: L2ReadWidth::Float, ..base_opts }),
         ("regs44", GpuOptions { registers: RegisterMode::Regs44, ..base_opts }),
-        ("no-intra-sv", GpuOptions { intra_sv: false, ..base_opts }),
+        ("no-intra-sv", GpuOptions { threadblocks_per_sv: 1, ..base_opts }),
         ("static-voxels", GpuOptions { dynamic_voxels: false, ..base_opts }),
     ];
     for (name, opts) in cases {
@@ -88,7 +88,7 @@ fn table3_every_optimization_helps() {
         );
     }
     // Intra-SV parallelism is the big one (paper: 6.25X).
-    let no_intra = run_gpu(p, GpuOptions { intra_sv: false, ..base_opts }, 400);
+    let no_intra = run_gpu(p, GpuOptions { threadblocks_per_sv: 1, ..base_opts }, 400);
     assert!(
         no_intra.seconds > 1.5 * base.seconds,
         "intra-SV off only cost {:.2}X",

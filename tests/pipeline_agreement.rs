@@ -10,7 +10,7 @@ use ct_core::project::{scan, NoiseModel, Scan};
 use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
-use mbir::sequential::{golden_image, IcdConfig, SequentialIcd};
+use mbir::sequential::{golden_image, SequentialIcd};
 use mbir::stopping::{self, BoundaryAction, Stop};
 use psv_icd::{PsvConfig, PsvIcd};
 
@@ -42,14 +42,7 @@ fn gpu_opts() -> GpuOptions {
 fn all_three_algorithms_converge_and_agree() {
     let s = setup(Phantom::water_cylinder(0.55), 7);
 
-    let mut seq = SequentialIcd::new(
-        &s.a,
-        &s.scan.y,
-        &s.scan.weights,
-        &s.prior,
-        s.init.clone(),
-        IcdConfig::default(),
-    );
+    let mut seq = SequentialIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone());
     let stop = Stop::Golden { image: &s.golden, hu: 10.0 };
     let out = stopping::run(&mut seq, stop, 30, |_, _| BoundaryAction::Continue);
     let seq_rmse = out.trace.last().unwrap().rmse_hu;
@@ -61,7 +54,7 @@ fn all_three_algorithms_converge_and_agree() {
         &s.scan.weights,
         &s.prior,
         s.init.clone(),
-        PsvConfig { sv_side: 6, threads: 2, ..Default::default() },
+        PsvConfig { sv_side: 6, threads: 2 },
     );
     stopping::run(&mut psv, stop, 80, |_, _| BoundaryAction::Continue);
     let psv_rmse = rmse_hu(psv.image(), &s.golden);
@@ -89,7 +82,7 @@ fn error_sinogram_invariants_hold_across_algorithms() {
         &s.scan.weights,
         &s.prior,
         s.init.clone(),
-        PsvConfig { sv_side: 6, threads: 3, ..Default::default() },
+        PsvConfig { sv_side: 6, threads: 3 },
     );
     for _ in 0..3 {
         psv.iteration();

@@ -101,7 +101,7 @@ fn one_gpu_plan_serves_many_scans() {
 #[test]
 fn one_psv_plan_serves_many_scans() {
     let s = setup();
-    let config = PsvConfig { sv_side: 6, threads: 2, ..Default::default() };
+    let config = PsvConfig { sv_side: 6, threads: 2 };
     let tiling = Tiling::new(s.init.grid(), config.sv_side);
     let plan = Arc::new(SvPlanSet::build(&s.a, &tiling, psv_plan_config(), 1));
     for (i, (sc, init)) in scans(&s.a).into_iter().enumerate() {

@@ -1,5 +1,6 @@
-//! The telemetry layer must be observe-only: a profiled reconstruction
-//! is bitwise identical to an unprofiled one, for both drivers. On top
+//! The telemetry layer must be observe-only: a reconstruction with a
+//! sink attached through `set_profile_sink` is bitwise identical to one
+//! without, for both drivers. On top
 //! of that, a profiled GPU-ICD run has to emit a well-formed report —
 //! valid against `schemas/profile.schema.json`, with nonzero counters
 //! for every kernel class — and a parseable Chrome trace.
@@ -13,9 +14,10 @@ use gpu_icd::{GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::golden_image;
 use mbir::stopping::{self, BoundaryAction, Stop};
-use mbir_telemetry::{chrome_trace, json, ProfileReport};
+use mbir_telemetry::{chrome_trace, json, ProfileReport, RecordingSink};
 use psv_icd::{PsvConfig, PsvIcd};
 use serde::json::Value;
+use std::sync::Arc;
 
 struct Setup {
     a: SystemMatrix,
@@ -36,22 +38,20 @@ fn setup() -> Setup {
     Setup { a, scan: s, prior, init, golden }
 }
 
-fn gpu_opts(profile: bool) -> GpuOptions {
-    GpuOptions {
-        sv_side: 6,
-        threadblocks_per_sv: 4,
-        svs_per_batch: 4,
-        profile,
-        ..Default::default()
-    }
+fn gpu_opts() -> GpuOptions {
+    GpuOptions { sv_side: 6, threadblocks_per_sv: 4, svs_per_batch: 4, ..Default::default() }
 }
 
 fn run_gpu(s: &Setup, profile: bool) -> (ct_core::image::Image, f64, Option<ProfileReport>) {
     let mut gpu =
-        GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), gpu_opts(profile));
+        GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), gpu_opts());
+    let sink = profile.then(|| Arc::new(RecordingSink::new()));
+    if let Some(sink) = &sink {
+        gpu.set_profile_sink(sink.clone());
+    }
     let stop = Stop::Golden { image: &s.golden, hu: 10.0 };
     stopping::run(&mut gpu, stop, 40, |_, _| BoundaryAction::Continue);
-    let report = gpu.recording().map(|r| r.report("gpu-icd"));
+    let report = sink.map(|r| r.report("gpu-icd"));
     (gpu.image().clone(), gpu.modeled_seconds(), report)
 }
 
@@ -145,12 +145,16 @@ fn gpu_profile_report_is_valid_and_complete() {
 fn psv_profiled_run_is_bitwise_identical_and_valid() {
     let s = setup();
     let run = |profile: bool| {
-        let config = PsvConfig { sv_side: 6, threads: 2, profile, ..Default::default() };
+        let config = PsvConfig { sv_side: 6, threads: 2 };
         let mut psv =
             PsvIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), config);
+        let sink = profile.then(|| Arc::new(RecordingSink::new()));
+        if let Some(sink) = &sink {
+            psv.set_profile_sink(sink.clone());
+        }
         let stop = Stop::Golden { image: &s.golden, hu: 10.0 };
         stopping::run(&mut psv, stop, 60, |_, _| BoundaryAction::Continue);
-        let report = psv.recording().map(|r| r.report("psv-icd"));
+        let report = sink.map(|r| r.report("psv-icd"));
         (psv.image().clone(), psv.modeled_seconds(), report)
     };
     let (img_off, secs_off, rep_off) = run(false);
@@ -180,23 +184,20 @@ fn psv_profiled_run_is_bitwise_identical_and_valid() {
 
 #[test]
 fn external_sink_sees_the_same_events() {
-    // `set_profile_sink` reroutes emission without touching results.
-    use mbir_telemetry::RecordingSink;
-    use std::sync::Arc;
+    // `set_profile_sink` routes emission without touching results.
     let s = setup();
     let sink = Arc::new(RecordingSink::new());
     let mut gpu =
-        GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), gpu_opts(false));
+        GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), gpu_opts());
     gpu.set_profile_sink(sink.clone());
     gpu.iteration();
     gpu.iteration();
-    assert!(gpu.recording().is_none(), "external sink replaces the internal recorder");
     assert!(!sink.spans().is_empty());
     assert_eq!(sink.iterations().len(), 2);
 
     let (img_plain, secs_plain, _) = run_gpu(&s, false);
     let mut gpu2 =
-        GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), gpu_opts(false));
+        GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), gpu_opts());
     gpu2.set_profile_sink(Arc::new(RecordingSink::new()));
     let stop = Stop::Golden { image: &s.golden, hu: 10.0 };
     stopping::run(&mut gpu2, stop, 40, |_, _| BoundaryAction::Continue);

@@ -45,7 +45,7 @@ proptest! {
         {
             let mut pair = SinogramPair { e: &mut e, w: &w };
             for &j in &voxels {
-                update_voxel(j, &mut image, &a.column(j), &mut pair, &prior, true);
+                update_voxel(j, &mut image, &a.column(j), &mut pair, &prior);
             }
         }
         let ax = a.forward(&image);
@@ -75,7 +75,7 @@ proptest! {
         };
         let before = cost(&e, &image);
         let mut pair = SinogramPair { e: &mut e, w: &w };
-        update_voxel(j, &mut image, &a.column(j), &mut pair, &prior, true);
+        update_voxel(j, &mut image, &a.column(j), &mut pair, &prior);
         let after = cost(&e, &image);
         prop_assert!(after <= before + before.abs() * 1e-6, "{before} -> {after}");
     }

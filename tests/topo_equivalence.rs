@@ -21,8 +21,9 @@ use mbir::prior::QggmrfPrior;
 use mbir::sequential::golden_image;
 use mbir::stopping::{self, BoundaryAction, Stop};
 use mbir_fleet::FaultSpec;
-use mbir_telemetry::json;
+use mbir_telemetry::{json, RecordingSink};
 use mbir_topo::ClusterSpec;
+use std::sync::Arc;
 
 struct Setup {
     a: SystemMatrix,
@@ -159,8 +160,10 @@ fn profiled_cluster_run_is_deterministic_and_valid() {
 fn check_profiled_cluster_run(faults: Option<&str>) {
     let s = setup();
     let profiled = |threads: usize| {
-        let o = GpuOptions { profile: true, threads, ..opts(4) };
+        let o = GpuOptions { threads, ..opts(4) };
         let mut gpu = GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), o);
+        let sink = Arc::new(RecordingSink::new());
+        gpu.set_profile_sink(sink.clone());
         gpu.set_cluster_spec(ClusterSpec::titan_x_cluster(2, 2).with_slabs(2)).expect("cluster");
         if let Some(text) = faults {
             gpu.set_fault_spec(FaultSpec::parse(text, 4).expect("schedule")).expect("installs");
@@ -168,7 +171,7 @@ fn check_profiled_cluster_run(faults: Option<&str>) {
         for _ in 0..3 {
             gpu.iteration();
         }
-        (gpu.image().clone(), gpu.recording().expect("profile on").report("gpu-icd-cluster"))
+        (gpu.image().clone(), sink.report("gpu-icd-cluster"))
     };
     let (img1, rep1) = profiled(1);
     let (img4, rep4) = profiled(4);
