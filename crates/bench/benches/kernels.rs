@@ -14,7 +14,7 @@ use mbir::update::{compute_thetas, update_voxel, SinogramPair};
 use std::hint::black_box;
 use supervoxel::chunks::{chunk_column, PaddedColumn};
 use supervoxel::quant::QuantizedColumn;
-use supervoxel::svb::{Svb, SvbLayout, SvbShape};
+use supervoxel::svb::{Svb, SvbShape};
 use supervoxel::tiling::Tiling;
 
 fn setup() -> (Geometry, SystemMatrix, Sinogram, Sinogram) {
@@ -57,14 +57,9 @@ fn bench_kernels(c: &mut Criterion) {
 
     let tiling = Tiling::new(g.grid, 8);
     let shape = SvbShape::compute(&a, &tiling, tiling.len() / 2);
-    c.bench_function("svb_gather_transposed", |b| {
-        b.iter(|| black_box(Svb::gather(&shape, SvbLayout::Transposed, &y, &w)))
-    });
-    c.bench_function("svb_gather_sensor_major", |b| {
-        b.iter(|| black_box(Svb::gather(&shape, SvbLayout::SensorMajor, &y, &w)))
-    });
+    c.bench_function("svb_gather", |b| b.iter(|| black_box(Svb::gather(&shape, &y, &w))));
     c.bench_function("svb_scatter_delta", |b| {
-        let mut modified = Svb::gather(&shape, SvbLayout::Transposed, &y, &w);
+        let mut modified = Svb::gather(&shape, &y, &w);
         for c in modified.cells.iter_mut() {
             c[0] += 0.5;
         }

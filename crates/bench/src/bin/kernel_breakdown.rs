@@ -8,6 +8,8 @@
 use ct_core::phantom::Phantom;
 use gpu_icd::{Args, MbirError};
 use mbir_bench::{gpu_options_for, to_golden, Pipeline};
+use mbir_telemetry::RecordingSink;
+use std::sync::Arc;
 
 fn main() -> Result<(), MbirError> {
     let args = Args::capture(&["scale", "seed"])?;
@@ -15,6 +17,8 @@ fn main() -> Result<(), MbirError> {
     let p = Pipeline::build(scale, &Phantom::baggage(args.get_or("seed", 0u64)?), 1000, None);
     let opts = gpu_options_for(scale);
     let mut gpu = p.case.gpu(opts);
+    let sink = Arc::new(RecordingSink::new());
+    gpu.set_profile_sink(sink.clone());
     let trace = to_golden(&mut gpu, &p, 300).trace;
 
     println!(
@@ -23,24 +27,24 @@ fn main() -> Result<(), MbirError> {
         gpu.equits(),
         trace.last().unwrap().rmse_hu
     );
-    let rs = gpu.run_stats();
+    let report = sink.report("gpu-icd");
+    let kernel = |name| report.kernel(name).unwrap_or_else(|| panic!("{name} spans recorded"));
+    let (create, mbir, writeback) =
+        (kernel("svb_create"), kernel("mbir_update"), kernel("error_writeback"));
     println!(
         "create:    {:.5}s x{:<4} (l2 {:>5.0} GB/s, dram {:>5.0} GB/s)",
-        rs.create.seconds,
-        rs.create.launches,
-        rs.create.l2_gbps(),
-        rs.create.dram_gbps()
+        create.seconds, create.launches, create.l2_gbps, create.dram_gbps
     );
     println!(
         "mbir:      {:.5}s x{:<4} (l2 {:>5.0}, tex {:>5.0}, dram {:>5.0}, shared {:>5.0} GB/s)",
-        rs.mbir.seconds,
-        rs.mbir.launches,
-        rs.mbir.l2_gbps(),
-        rs.mbir.tex_gbps(),
-        rs.mbir.dram_gbps(),
-        rs.mbir.shared_gbps()
+        mbir.seconds,
+        mbir.launches,
+        mbir.l2_gbps,
+        mbir.tex_gbps,
+        mbir.dram_gbps,
+        mbir.shared_bytes / mbir.seconds / 1e9
     );
-    println!("writeback: {:.5}s x{:<4}", rs.writeback.seconds, rs.writeback.launches);
+    println!("writeback: {:.5}s x{:<4}", writeback.seconds, writeback.launches);
     println!("\nconvergence trace (every 4th point):");
     for pt in trace.points.iter().step_by(4) {
         println!("  eq {:6.2}  t {:9.5}s  rmse {:9.3} HU", pt.equits, pt.seconds, pt.rmse_hu);

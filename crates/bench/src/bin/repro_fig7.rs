@@ -14,7 +14,9 @@
 use ct_core::phantom::Phantom;
 use gpu_icd::{Args, GpuOptions, MbirError};
 use mbir_bench::{gpu_options_for, to_golden, Pipeline, Scale};
+use mbir_telemetry::RecordingSink;
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 struct Point {
@@ -28,9 +30,12 @@ struct Point {
 
 fn run(p: &Pipeline, opts: GpuOptions) -> (f64, f64, f64, bool) {
     let mut gpu = p.case.gpu(opts);
+    let sink = Arc::new(RecordingSink::new());
+    gpu.set_profile_sink(sink.clone());
     let trace = to_golden(&mut gpu, p, 400).trace;
     let converged = trace.last().map(|pt| pt.rmse_hu < 10.0).unwrap_or(false);
-    (gpu.modeled_seconds(), gpu.equits(), gpu.run_stats().mbir.l2_gbps(), converged)
+    let l2 = sink.report("gpu-icd").kernel("mbir_update").expect("mbir_update spans").l2_gbps;
+    (gpu.modeled_seconds(), gpu.equits(), l2, converged)
 }
 
 fn main() -> Result<(), MbirError> {

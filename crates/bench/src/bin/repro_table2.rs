@@ -80,7 +80,7 @@ fn main() -> Result<(), MbirError> {
         let report = sink.report("gpu-icd");
         let mbir = report.kernel("mbir_update").expect("mbir_update spans recorded");
 
-        let tex = gpu.run_stats().mbir.tex_gbps();
+        let tex = mbir.tex_gbps;
         let hit = if mode.uses_texture() {
             100.0 * if mode.quantized() { model.tex_hit_u8 } else { model.tex_hit_f32 }
         } else {

@@ -22,10 +22,10 @@
 //! trailer length (exactly 0 or `8 × devices` bytes) before
 //! allocating, and report [`MbirError::Checkpoint`] — never a panic —
 //! on anything malformed. Not captured (and documented as such): the
-//! per-kernel `run_stats` aggregates and the fleet's per-device busy
-//! ledger, which restart at zero and then cover only the post-resume
-//! stretch; the fleet wall clock *is* restored so profiled spans
-//! continue on the same timeline.
+//! fleet's per-device busy ledger, which restarts at zero and then
+//! covers only the post-resume stretch; per-kernel aggregates live in a
+//! profile sink, outside the driver. The fleet wall clock *is* restored
+//! so profiled spans continue on the same timeline.
 
 use crate::error::MbirError;
 use ct_core::geometry::ImageGrid;

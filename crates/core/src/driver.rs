@@ -6,9 +6,9 @@
 //!   snapshot, and all write-backs happen after the batch's voxel
 //!   updates finish (the paper defers the global error update to a
 //!   separate kernel to avoid cache pollution);
-//! - within an SV, `blocks_per_sv` voxel updates are in flight at a
-//!   time: each *round* of that many voxels computes its thetas against
-//!   the same SVB/image state before any of them commits — the
+//! - within an SV, `threadblocks_per_sv` voxel updates are in flight
+//!   at a time: each *round* of that many voxels computes its thetas
+//!   against the same SVB/image state before any of them commits — the
 //!   deterministic stand-in for the hardware's interleaving, and the
 //!   source of the extra equits the paper reports for GPU-ICD;
 //! - SVs of one checkerboard group never share boundary voxels, so the
@@ -17,14 +17,13 @@
 use crate::checkpoint::{Checkpoint, NO_SLAB};
 use crate::error::MbirError;
 use crate::fleet::{BatchContext, FleetState};
-use crate::model::{BatchTiming, GpuWorkModel, ProfileSkeleton};
+use crate::model::{GpuWorkModel, ProfileSkeleton};
 use crate::opts::{GpuOptions, Layout};
 use crate::sv_update::update_sv;
 use crate::tally::{BatchTally, SvTally};
 use ct_core::image::Image;
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::SystemMatrix;
-use gpu_sim::timing::KernelTiming;
 use mbir::convergence::TracePoint;
 use mbir::prior::Prior;
 use mbir::sequential::IcdStats;
@@ -38,19 +37,19 @@ use std::sync::Arc;
 use supervoxel::checkerboard::checkerboard_groups;
 use supervoxel::plan::{PlanConfig, SvPlanSet};
 use supervoxel::selection::{select_svs, Selection};
-use supervoxel::svb::{Svb, SvbLayout};
+use supervoxel::svb::Svb;
 use supervoxel::tiling::Tiling;
 
-/// The [`PlanConfig`] implied by a set of GPU options: the layout's
-/// buffers, its chunk width when chunked, and the A-matrix bit width
-/// when quantized — everything iterations reuse.
+/// The [`PlanConfig`] implied by a set of GPU options: the chunk width
+/// when chunked, and the A-matrix bit width when quantized — everything
+/// iterations reuse.
 pub fn plan_config(opts: &GpuOptions) -> PlanConfig {
-    let (chunk_width, layout) = match opts.layout {
-        Layout::Naive => (None, SvbLayout::SensorMajor),
-        Layout::Chunked { width } => (Some(width as usize), SvbLayout::Transposed),
+    let chunk_width = match opts.layout {
+        Layout::Naive => None,
+        Layout::Chunked { width } => Some(width as usize),
     };
     let quant_bits = opts.amatrix.quantized().then_some(opts.amatrix_bits);
-    PlanConfig { chunk_width, quant_bits, layout }
+    PlanConfig { chunk_width, quant_bits }
 }
 
 /// What one outer iteration did.
@@ -83,89 +82,6 @@ impl From<GpuIterationReport> for IcdStats {
     }
 }
 
-/// Time/traffic aggregation for one kernel type across launches.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct KernelAgg {
-    /// Total modeled seconds.
-    pub seconds: f64,
-    /// Launches.
-    pub launches: u64,
-    l2_bytes: f64,
-    tex_bytes: f64,
-    dram_bytes: f64,
-    shared_bytes: f64,
-}
-
-impl KernelAgg {
-    fn add(&mut self, t: &KernelTiming) {
-        self.seconds += t.seconds;
-        self.launches += 1;
-        // The timing carries exact byte totals; reconstructing them
-        // from the rounded bandwidths (gbps x seconds) used to drop
-        // bytes entirely for zero-duration launches and accumulated
-        // round-off elsewhere.
-        self.l2_bytes += t.l2_bytes;
-        self.tex_bytes += t.tex_bytes;
-        self.dram_bytes += t.dram_bytes;
-        self.shared_bytes += t.shared_bytes;
-    }
-
-    /// Time-averaged achieved L2 bandwidth, GB/s.
-    pub fn l2_gbps(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.l2_bytes / self.seconds / 1e9
-        } else {
-            0.0
-        }
-    }
-
-    /// Time-averaged achieved texture-path bandwidth, GB/s.
-    pub fn tex_gbps(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.tex_bytes / self.seconds / 1e9
-        } else {
-            0.0
-        }
-    }
-
-    /// Time-averaged achieved DRAM bandwidth, GB/s.
-    pub fn dram_gbps(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.dram_bytes / self.seconds / 1e9
-        } else {
-            0.0
-        }
-    }
-
-    /// Time-averaged achieved shared-memory bandwidth, GB/s.
-    pub fn shared_gbps(&self) -> f64 {
-        if self.seconds > 0.0 {
-            self.shared_bytes / self.seconds / 1e9
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Per-kernel aggregates for a whole run (Table 2/3 reporting).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct GpuRunStats {
-    /// SVB gather kernel.
-    pub create: KernelAgg,
-    /// MBIR update kernel.
-    pub mbir: KernelAgg,
-    /// Error write-back kernel.
-    pub writeback: KernelAgg,
-}
-
-impl GpuRunStats {
-    pub(crate) fn add(&mut self, b: &BatchTiming) {
-        self.create.add(&b.create);
-        self.mbir.add(&b.mbir);
-        self.writeback.add(&b.writeback);
-    }
-}
-
 /// The GPU-ICD reconstruction state.
 pub struct GpuIcd<'a, P: Prior> {
     a: &'a SystemMatrix,
@@ -182,7 +98,6 @@ pub struct GpuIcd<'a, P: Prior> {
     stats: IcdStats,
     model: GpuWorkModel,
     modeled_seconds: f64,
-    run_stats: GpuRunStats,
     sink: Option<Arc<dyn ProfileSink>>,
     batch_seq: u64,
     fleet: Option<FleetState>,
@@ -191,6 +106,10 @@ pub struct GpuIcd<'a, P: Prior> {
 impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     /// Initialize from a measurement and starting image, building the
     /// per-SV plans (in parallel on `opts.threads` workers).
+    ///
+    /// # Panics
+    ///
+    /// If `opts` is out of range ([`GpuOptions::validate`]).
     pub fn new(
         a: &'a SystemMatrix,
         y: &Sinogram,
@@ -199,6 +118,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         init: Image,
         opts: GpuOptions,
     ) -> Self {
+        opts.validate().unwrap_or_else(|e| panic!("{e}"));
         let tiling = Tiling::new(init.grid(), opts.sv_side);
         let plan = Arc::new(SvPlanSet::build(a, &tiling, plan_config(&opts), opts.threads));
         Self::with_plan(a, y, weights, prior, init, opts, plan)
@@ -209,6 +129,11 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     /// geometry, SV side, and `plan_config(&opts)`; it holds
     /// nothing scan-dependent, so one plan serves every scan of its
     /// geometry and this constructor only projects `init`.
+    ///
+    /// # Panics
+    ///
+    /// If `opts` is out of range ([`GpuOptions::validate`]), or the plan
+    /// was built for another geometry, SV side or plan configuration.
     pub fn with_plan(
         a: &'a SystemMatrix,
         y: &Sinogram,
@@ -218,12 +143,11 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         opts: GpuOptions,
         plan: Arc<SvPlanSet>,
     ) -> Self {
+        opts.validate().unwrap_or_else(|e| panic!("{e}"));
         let tiling = Tiling::new(init.grid(), opts.sv_side);
         assert_eq!(plan.geometry(), a.geometry(), "plan built for a different geometry");
         assert_eq!(plan.config(), plan_config(&opts), "plan built for different options");
         assert_eq!(plan.tiling().sv_side(), opts.sv_side, "plan built for different tiling");
-        assert!(opts.devices >= 1, "devices must be at least 1");
-        assert!(opts.svs_per_batch >= 1, "svs_per_batch must be at least 1");
         let error = a.residual(y, &init);
         let n = tiling.len();
         let model = GpuWorkModel::titan_x();
@@ -254,7 +178,6 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
             stats: IcdStats::default(),
             model,
             modeled_seconds: 0.0,
-            run_stats: GpuRunStats::default(),
             sink: None,
             batch_seq: 0,
             fleet,
@@ -340,9 +263,12 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     }
 
     /// Route kernel spans, iteration samples, convergence points and
-    /// fleet records to `sink`, the one way to profile a run. The sink
-    /// only observes: reconstruction results are bitwise identical with
-    /// or without it, and without one the driver pays a single `Option`
+    /// fleet records to `sink`, the one way to profile a run and the one
+    /// per-kernel ledger: a [`mbir_telemetry::RecordingSink`]'s report
+    /// aggregates every launch per kernel class
+    /// ([`mbir_telemetry::ProfileReport::kernel`]). The sink only
+    /// observes: reconstruction results are bitwise identical with or
+    /// without it, and without one the driver pays a single `Option`
     /// branch per batch.
     pub fn set_profile_sink(&mut self, sink: Arc<dyn ProfileSink>) {
         self.sink = Some(sink);
@@ -403,10 +329,8 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 }
                 let end = (i + self.opts.svs_per_batch).min(group.len());
                 let batch = &group[i..end];
-                // process_batch accumulates run_stats itself (the fleet
-                // path books several per-device timings per batch) and
-                // returns the batch's wall-clock span on the modeled
-                // timeline — kernels plus, above one device, exchanges.
+                // The batch's span on the modeled timeline: kernels
+                // plus, above one device, exchanges.
                 report.modeled_seconds += self.process_batch(batch, &mut report);
                 report.batches += 1;
                 report.svs_updated += batch.len();
@@ -436,9 +360,8 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     /// rounds, scatter all deltas, and model the three kernels.
     /// Returns the batch's wall seconds on the modeled timeline.
     fn process_batch(&mut self, batch: &[usize], report: &mut GpuIterationReport) -> f64 {
-        let layout = self.plan.config().layout;
         let allow_skip = self.iter > 1;
-        let rounds = self.opts.blocks_per_sv() as usize;
+        let rounds = self.opts.threadblocks_per_sv as usize;
 
         // Kernels 1 and 2 (functional): each SV gathers its SVB from the
         // batch's error-sinogram snapshot, runs its voxel updates in
@@ -459,7 +382,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         let shared = self.image.as_shared();
         let results: Vec<(Svb<'_>, SvTally)> = mbir_parallel::par_map(workers, batch.len(), |bi| {
             let sv_plan = plan.plan(batch[bi]);
-            let mut svb = Svb::gather(&sv_plan.shape, layout, error, weights);
+            let mut svb = Svb::gather(&sv_plan.shape, error, weights);
             let t = update_sv(a, &shared, prior, seed, sv_plan, iter, &mut svb, rounds, allow_skip);
             svb.take_delta(error);
             (svb, t)
@@ -493,14 +416,12 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         };
         self.batch_seq += 1;
         if let Some(fs) = self.fleet.as_mut() {
-            return fs.price_batch(&k, &tally, batch, &mut self.run_stats);
+            return fs.price_batch(&k, &tally, batch);
         }
         // One device: the batch starts where the previous one ended on
         // the modeled timeline — completed iterations plus the batches
         // already accumulated into this iteration's report.
-        let t = k.time(&tally, 0, self.modeled_seconds + report.modeled_seconds);
-        self.run_stats.add(&t);
-        t.seconds()
+        k.time(&tally, 0, self.modeled_seconds + report.modeled_seconds).seconds()
     }
 
     /// Run up to `max_iters` further iterations under [`Stop::Cap`],
@@ -578,10 +499,11 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     /// if fault injection is in play, install the same schedule via
     /// [`GpuIcd::set_fault_spec`] *before* this call) — resuming then
     /// continues bitwise identically to a run that was never
-    /// interrupted. Per-kernel `run_stats` and the fleet's per-device
-    /// busy ledger restart at zero and cover only the post-resume
-    /// stretch; the fleet wall clock fast-forwards so the timeline (and
-    /// any profiled spans) continues where it left off, any failures
+    /// interrupted. The fleet's per-device busy ledger restarts at zero
+    /// and covers only the post-resume stretch (so does a profile sink
+    /// attached to the resumed driver); the fleet wall clock
+    /// fast-forwards so the timeline (and any profiled spans) continues
+    /// where it left off, any failures
     /// the schedule placed before the checkpoint are replayed so the
     /// shard plan matches the interrupted run's, and a slab-streaming
     /// run reinstalls each device's resident slab from the trailer.
@@ -660,11 +582,6 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     /// Total modeled GPU seconds.
     pub fn modeled_seconds(&self) -> f64 {
         self.modeled_seconds
-    }
-
-    /// Per-kernel aggregates (bandwidths, time split).
-    pub fn run_stats(&self) -> GpuRunStats {
-        self.run_stats
     }
 }
 
@@ -889,18 +806,25 @@ mod tests {
     }
 
     #[test]
-    fn run_stats_accumulate() {
+    fn profiled_kernels_sum_to_the_modeled_clock() {
+        // One device, one launch of each kernel per batch: the profile's
+        // per-kernel seconds add up to the driver's modeled clock.
         let (g, a, s) = setup();
         let prior = QggmrfPrior::standard(0.002);
         let mut gpu = GpuIcd::new(&a, &s.y, &s.weights, &prior, Image::zeros(g.grid), opts());
-        gpu.iteration();
-        let rs = gpu.run_stats();
-        assert!(rs.mbir.seconds > 0.0);
-        assert!(rs.create.seconds > 0.0);
-        assert!(rs.writeback.seconds > 0.0);
-        assert!(rs.mbir.launches >= 1);
-        let total = rs.mbir.seconds + rs.create.seconds + rs.writeback.seconds;
-        assert!((total - gpu.modeled_seconds()).abs() / total < 1e-9);
+        let sink = Arc::new(mbir_telemetry::RecordingSink::new());
+        gpu.set_profile_sink(sink.clone());
+        let batches: usize = (0..3).map(|_| gpu.iteration().batches).sum();
+        let report = sink.report("gpu-icd");
+        let mut total = 0.0;
+        for name in ["svb_create", "mbir_update", "error_writeback"] {
+            let k = report.kernel(name).unwrap_or_else(|| panic!("{name} spans"));
+            assert!(k.seconds > 0.0, "{name}");
+            assert_eq!(k.launches, batches as u64, "{name}");
+            total += k.seconds;
+        }
+        assert_eq!(report.kernels.len(), 3);
+        assert!((total - gpu.modeled_seconds()).abs() / total < 1e-12, "{total}");
     }
 
     /// A fresh two-device driver on one node streaming `slabs` slabs.

@@ -36,7 +36,6 @@
 //! interior SV's work.
 
 use crate::checkpoint::{Checkpoint, NO_SLAB};
-use crate::driver::GpuRunStats;
 use crate::model::{BatchTiming, GpuWorkModel, ProfileSkeleton};
 use crate::opts::GpuOptions;
 use crate::tally::{BatchTally, SvTally};
@@ -73,22 +72,14 @@ impl BatchContext<'_> {
         self.model.batch(self.skeleton, tally, self.num_channels, self.sink.map(|s| (s, ctx)))
     }
 
-    /// Model every device's shard in device order, fold the timings
-    /// into `stats`, and return each device's seconds (zero for a
-    /// device with nothing launched). Pricing is microseconds of
-    /// arithmetic per device, far below the cost of handing it to
-    /// worker threads.
-    fn time_devices(
-        &self,
-        tallies: &[BatchTally],
-        start: f64,
-        stats: &mut GpuRunStats,
-    ) -> Vec<f64> {
+    /// Model every device's shard in device order and return each
+    /// device's seconds (zero for a device with nothing launched).
+    /// Pricing is microseconds of arithmetic per device, far below the
+    /// cost of handing it to worker threads.
+    fn time_devices(&self, tallies: &[BatchTally], start: f64) -> Vec<f64> {
         let mut seconds = vec![0.0; tallies.len()];
         for (d, tally) in tallies.iter().enumerate().filter(|(_, t)| !t.svs.is_empty()) {
-            let t = self.time(tally, d, start);
-            stats.add(&t);
-            seconds[d] = t.seconds();
+            seconds[d] = self.time(tally, d, start).seconds();
         }
         seconds
     }
@@ -262,14 +253,13 @@ impl FleetState {
 
     /// Price one batch whose functional results are already committed
     /// (see the module docs for the booking order) and return its span
-    /// on the modeled timeline. Per-device kernel timings accumulate
-    /// into `stats`, which therefore sums *device*-seconds.
+    /// on the modeled timeline. Every device's kernels emit their own
+    /// spans, so a profile's per-kernel seconds sum *device*-seconds.
     pub(crate) fn price_batch(
         &mut self,
         k: &BatchContext<'_>,
         tally: &BatchTally,
         batch: &[usize],
-        stats: &mut GpuRunStats,
     ) -> f64 {
         self.note_episode_onsets(k);
         let bw = 1.0 / self.faults.link_factor(k.batch);
@@ -277,15 +267,13 @@ impl FleetState {
         let every: Vec<usize> = (0..batch.len()).collect();
 
         let mut span = self.book_loads(k, batch, &owner, &every, bw);
-        let kernel_seconds = self.time_entries(k, tally, &owner, &every, stats);
+        let kernel_seconds = self.time_entries(k, tally, &owner, &every);
         span += self.fleet.span(&kernel_seconds);
 
         let failed: Vec<usize> =
             self.faults.failures_at(k.batch).into_iter().filter(|&d| self.live[d]).collect();
         if !failed.is_empty() {
-            for part in
-                self.recover(k, tally, batch, &mut owner, &failed, &kernel_seconds, bw, stats)
-            {
+            for part in self.recover(k, tally, batch, &mut owner, &failed, &kernel_seconds, bw) {
                 span += part;
             }
         }
@@ -343,7 +331,6 @@ impl FleetState {
         failed: &[usize],
         kernel_seconds: &[f64],
         bw: f64,
-        stats: &mut GpuRunStats,
     ) -> [f64; 3] {
         let barrier = self.fleet.wall_seconds();
         let backoff = self.faults.backoff_seconds;
@@ -363,7 +350,7 @@ impl FleetState {
             owner[bi] = self.device_of(batch[bi]);
         }
         let loads = self.book_loads(k, batch, owner, &lost, bw);
-        let retry_seconds = self.time_entries(k, tally, owner, &lost, stats);
+        let retry_seconds = self.time_entries(k, tally, owner, &lost);
         let retry_span = self.fleet.span(&retry_seconds);
         let retry = loads + retry_span;
         self.fleet.record_recovery(retry);
@@ -388,14 +375,13 @@ impl FleetState {
         tally: &BatchTally,
         owner: &[usize],
         entries: &[usize],
-        stats: &mut GpuRunStats,
     ) -> Vec<f64> {
         let mut tallies: Vec<BatchTally> =
             (0..self.live.len()).map(|_| BatchTally::default()).collect();
         for &bi in entries {
             tallies[owner[bi]].svs.push(tally.svs[bi]);
         }
-        let mut seconds = k.time_devices(&tallies, self.fleet.wall_seconds(), stats);
+        let mut seconds = k.time_devices(&tallies, self.fleet.wall_seconds());
         for (d, s) in seconds.iter_mut().enumerate() {
             *s *= self.faults.slowdown(d, k.batch);
         }
@@ -576,7 +562,7 @@ fn sv_tally(plan: &SvPlan, opts: &GpuOptions) -> SvTally {
         updates: plan.voxels().len() as u64,
         svb_bytes: plan.svb_bytes,
         band_width: plan.band_width,
-        max_block_share: 1.0 / opts.blocks_per_sv() as f64,
+        max_block_share: 1.0 / opts.threadblocks_per_sv as f64,
         ..Default::default()
     };
     for vp in plan.voxels() {

@@ -267,9 +267,9 @@ mod validation {
             nnz: col.nnz() as f64,
             dense: chunks.iter().map(|c| c.len() as f64).sum(),
             descriptors: chunks.len() as f64,
-            svb_bytes: shape.bytes(supervoxel::svb::SvbLayout::Transposed) as f64,
+            svb_bytes: (4 * shape.padded_len()) as f64,
             band_width: 10.0,
-            max_block_share: 1.0 / opts.blocks_per_sv() as f64,
+            max_block_share: 1.0 / opts.threadblocks_per_sv as f64,
         }
     }
 

@@ -212,7 +212,7 @@ impl GpuWorkModel {
             width,
             aligned,
             align_issue,
-            blocks_per_sv: opts.blocks_per_sv(),
+            blocks_per_sv: opts.threadblocks_per_sv,
             threads_per_block: opts.threads_per_block,
             dynamic_voxels: opts.dynamic_voxels,
             registers: opts.registers,
@@ -493,7 +493,7 @@ mod tests {
             descriptors: 1156.0 * 20.0,
             svb_bytes: 56.0 * 4.0 * 720.0,
             band_width: 50.0,
-            max_block_share: 1.0 / opts.blocks_per_sv() as f64,
+            max_block_share: 1.0 / opts.threadblocks_per_sv as f64,
         };
         BatchTally { svs: vec![per_sv; 32] }
     }
@@ -560,7 +560,7 @@ mod tests {
         let o4 = GpuOptions { dynamic_voxels: false, ..Default::default() };
         let mut t = paper_scale_batch(&o4);
         for sv in &mut t.svs {
-            sv.max_block_share = 3.0 / o4.blocks_per_sv() as f64; // skewed
+            sv.max_block_share = 3.0 / o4.threadblocks_per_sv as f64; // skewed
         }
         assert!(seconds(&m, &t, &o4) > base);
     }

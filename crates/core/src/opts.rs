@@ -6,7 +6,10 @@
 //! A-matrix via texture, double-width L2 reads). Zero-skipping and
 //! positivity are always on, as in the paper's Algorithms 1-3.
 
+use crate::error::MbirError;
+use gpu_sim::GpuSpec;
 use serde::{Deserialize, Serialize};
+use std::fmt::Display;
 
 /// Data layout used by the MBIR kernel (paper Section 4.1 / Fig. 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -158,10 +161,41 @@ impl Default for GpuOptions {
     }
 }
 
+/// A [`MbirError::Usage`] naming `field` and its `range` unless `ok`.
+pub(crate) fn check(
+    ok: bool,
+    field: &str,
+    range: &str,
+    got: impl Display,
+) -> Result<(), MbirError> {
+    if ok {
+        Ok(())
+    } else {
+        Err(MbirError::Usage(format!("{field} must be {range}, got {got}")))
+    }
+}
+
 impl GpuOptions {
-    /// The effective number of blocks working on one SV.
-    pub fn blocks_per_sv(&self) -> u32 {
-        self.threadblocks_per_sv.max(1)
+    /// Check every field against the range the driver runs, naming the
+    /// first one outside it. [`crate::pipeline::Reconstructor::run`]
+    /// returns this error before building anything, and
+    /// [`crate::GpuIcd::with_plan`] panics with its message.
+    pub fn validate(&self) -> Result<(), MbirError> {
+        let max_threads = GpuSpec::titan_x_maxwell().max_threads_per_block;
+        let (sv, f) = (self.sv_side, self.fraction);
+        check(sv >= 2, "sv_side", "at least 2", sv)?;
+        check(f.is_finite() && f > 0.0 && f <= 1.0, "fraction", "finite and in (0, 1]", f)?;
+        let tb = self.threadblocks_per_sv;
+        check(tb >= 1, "threadblocks_per_sv", "at least 1", tb)?;
+        let tpb = self.threads_per_block;
+        let threads = format!("in 1..={max_threads}");
+        check((1..=max_threads).contains(&tpb), "threads_per_block", &threads, tpb)?;
+        check(self.svs_per_batch >= 1, "svs_per_batch", "at least 1", self.svs_per_batch)?;
+        if let Layout::Chunked { width } = self.layout {
+            check(width >= 1, "layout chunk width", "at least 1", width)?;
+        }
+        check((1..=8).contains(&self.amatrix_bits), "amatrix_bits", "in 1..=8", self.amatrix_bits)?;
+        check(self.devices >= 1, "devices", "at least 1", self.devices)
     }
 
     /// The minimum batch size launched when the threshold is on.
@@ -192,9 +226,24 @@ mod tests {
     }
 
     #[test]
-    fn one_threadblock_per_sv_turns_intra_sv_off() {
-        let o = GpuOptions { threadblocks_per_sv: 1, ..Default::default() };
-        assert_eq!(o.blocks_per_sv(), 1);
+    fn the_defaults_and_every_preset_validate() {
+        use crate::Scale;
+        GpuOptions::default().validate().expect("defaults are in range");
+        for scale in [Scale::Tiny, Scale::Test, Scale::Harness, Scale::Paper] {
+            crate::gpu_options_for(scale).validate().expect("presets are in range");
+        }
+        let edges = GpuOptions {
+            sv_side: 2,
+            fraction: 1.0,
+            threadblocks_per_sv: 1,
+            threads_per_block: 1024,
+            svs_per_batch: 1,
+            layout: Layout::Chunked { width: 1 },
+            amatrix_bits: 1,
+            devices: 1,
+            ..Default::default()
+        };
+        edges.validate().expect("every range is inclusive at its edges");
     }
 
     #[test]

@@ -10,6 +10,7 @@
 //! - [`Reconstructor`] is the facade: one builder call from sinogram to
 //!   image, at the [`Scale::for_grid`] presets that `mbirctl` uses.
 
+use crate::opts::check;
 use crate::{gpu_options_for, plan_config, psv_options_for, GpuIcd, GpuOptions, MbirError, Scale};
 use ct_core::fbp;
 use ct_core::geometry::Geometry;
@@ -136,7 +137,12 @@ impl Case {
     }
 
     /// A GPU-ICD driver on the set-up's plan for `opts`.
+    ///
+    /// # Panics
+    ///
+    /// If `opts` is out of range ([`GpuOptions::validate`]).
     pub fn gpu(&self, opts: GpuOptions) -> GpuIcd<'_, QggmrfPrior> {
+        opts.validate().unwrap_or_else(|e| panic!("{e}"));
         let plan = self.setup.plan(opts.sv_side, plan_config(&opts));
         let (a, init) = (self.setup.a(), self.init.clone());
         GpuIcd::with_plan(a, &self.y, &self.weights, &self.prior, init, opts, plan)
@@ -245,26 +251,30 @@ impl Reconstructor {
         self
     }
 
-    /// Run on a measurement sinogram. A sinogram of another geometry,
-    /// or a dose or sigma that is not finite and positive, is an error.
+    /// Run on a measurement sinogram. Driver options out of range
+    /// ([`GpuOptions::validate`], or a PSV-ICD SV side below 2), a
+    /// sinogram of another geometry, or a dose or sigma that is not
+    /// finite and positive is an error, returned before anything is
+    /// built.
     pub fn run(&self, y: &Sinogram) -> Result<ReconResult, MbirError> {
-        let case = Case::measured(Setup::new(self.geom), y.clone(), self.dose, self.sigma)?;
         let scale = Scale::for_grid(self.geom.grid);
+        let (psv, gpu) = (psv_options_for(scale), gpu_options_for(scale));
+        let psv = PsvConfig { sv_side: self.sv_side.unwrap_or(psv.sv_side), ..psv };
+        let gpu = GpuOptions { sv_side: self.sv_side.unwrap_or(gpu.sv_side), ..gpu };
+        let gpu = self.gpu_options.unwrap_or(gpu);
+        match self.algorithm {
+            Algorithm::PsvIcd => check(psv.sv_side >= 2, "sv_side", "at least 2", psv.sv_side)?,
+            Algorithm::GpuIcd => gpu.validate()?,
+            Algorithm::Fbp | Algorithm::SequentialIcd => {}
+        }
+        let case = Case::measured(Setup::new(self.geom), y.clone(), self.dose, self.sigma)?;
         Ok(match self.algorithm {
             Algorithm::Fbp => {
                 ReconResult { image: case.init, equits: 0.0, modeled_seconds: 0.0, converged: true }
             }
             Algorithm::SequentialIcd => self.solve(case.sequential()),
-            Algorithm::PsvIcd => {
-                let preset = psv_options_for(scale);
-                let sv_side = self.sv_side.unwrap_or(preset.sv_side);
-                self.solve(case.psv(PsvConfig { sv_side, ..preset }))
-            }
-            Algorithm::GpuIcd => {
-                let preset = gpu_options_for(scale);
-                let sv_side = self.sv_side.unwrap_or(preset.sv_side);
-                self.solve(case.gpu(self.gpu_options.unwrap_or(GpuOptions { sv_side, ..preset })))
-            }
+            Algorithm::PsvIcd => self.solve(case.psv(psv)),
+            Algorithm::GpuIcd => self.solve(case.gpu(gpu)),
         })
     }
 

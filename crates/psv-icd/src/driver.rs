@@ -17,7 +17,7 @@ use std::sync::Arc;
 use supervoxel::checkerboard::checkerboard_groups;
 use supervoxel::plan::{PlanConfig, SvPlanSet};
 use supervoxel::selection::{select_svs, Selection};
-use supervoxel::svb::{Svb, SvbLayout};
+use supervoxel::svb::Svb;
 use supervoxel::tiling::Tiling;
 
 /// Fraction of SVs updated per iteration after the first (paper
@@ -48,10 +48,10 @@ impl Default for PsvConfig {
     }
 }
 
-/// The plan configuration PSV-ICD uses: sensor-major buffers, no chunk
-/// or quantization state (the CPU algorithm reads A as f32 runs).
+/// The plan configuration PSV-ICD uses: no chunk or quantization state
+/// (the CPU algorithm reads A as f32 runs).
 pub fn psv_plan_config() -> PlanConfig {
-    PlanConfig { chunk_width: None, quant_bits: None, layout: SvbLayout::SensorMajor }
+    PlanConfig { chunk_width: None, quant_bits: None }
 }
 
 /// What one outer iteration did.
@@ -220,8 +220,7 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
                 mbir_parallel::par_map(self.config.threads, group.len(), |i| {
                     let sv = group[i];
                     let sv_plan = plan.plan(sv);
-                    let mut svb =
-                        Svb::gather(&sv_plan.shape, SvbLayout::SensorMajor, error, weights);
+                    let mut svb = Svb::gather(&sv_plan.shape, error, weights);
                     let mut visit = SvVisit::default();
                     let mut buf = Vec::new();
                     let vox = sv_plan.voxels();

@@ -13,11 +13,11 @@
 //! ([`mbir_simd::theta_gather`], [`mbir_simd::scatter_sub`]).
 //!
 //! The offsets depend only on the column's runs and the SV's band
-//! shape and layout — the geometry, never a scan — so [`fill_offsets`]
+//! shape — the geometry, never a scan — so [`fill_offsets`]
 //! runs once per geometry, inside [`crate::SvPlan::build`]'s per-voxel
 //! pass, and every scan of that geometry shares them. Each is a `u16`,
-//! which reaches every cell of a band of up to 65 536 cells (the plan
-//! refuses larger bands). Each SV stores its voxels' offsets back to
+//! which reaches every cell of a packed band of up to 65 536 cells (the
+//! plan refuses larger bands). Each SV stores its voxels' offsets back to
 //! back in one array ([`crate::SvPlan::offsets`] slices out a voxel's),
 //! keyed by the SV and not by voxel id: adjacent SVs share boundary
 //! voxels, and a shared voxel's offsets are relative to the band of the
@@ -41,7 +41,7 @@ use mbir_simd::LANES;
 /// most 65 536 cells: offsets are the bases' wrapping sums taken mod
 /// 2^16, exact for every cell of such a band.
 ///
-/// A run's offsets are consecutive in either layout, so each run is
+/// A run's offsets are consecutive, so each run is
 /// written with one fixed 8-wide store from its first cell (runs
 /// average ~2-3 channels; longer ones finish element-wise). The next
 /// run overwrites the overhang, so `out` must hold `col.nnz() + LANES`
@@ -66,7 +66,7 @@ pub fn fill_offsets(col: &ColumnView<'_>, bases: &[u32], out: &mut [u16]) {
 #[cfg(test)]
 mod tests {
     use crate::plan::{PlanConfig, SvPlanSet};
-    use crate::svb::{Svb, SvbLayout};
+    use crate::svb::Svb;
     use crate::tiling::Tiling;
     use ct_core::geometry::Geometry;
     use ct_core::phantom::Phantom;
@@ -89,43 +89,30 @@ mod tests {
         (a, t, y, w)
     }
 
-    fn plan_for(a: &SystemMatrix, t: &Tiling, layout: SvbLayout, threads: usize) -> SvPlanSet {
-        quant_plan_for(a, t, layout, None, threads)
-    }
-
-    fn quant_plan_for(
+    fn plan_for(
         a: &SystemMatrix,
         t: &Tiling,
-        layout: SvbLayout,
         quant_bits: Option<u32>,
         threads: usize,
     ) -> SvPlanSet {
-        SvPlanSet::build(a, t, PlanConfig { chunk_width: None, quant_bits, layout }, threads)
+        SvPlanSet::build(a, t, PlanConfig { chunk_width: None, quant_bits }, threads)
     }
 
     #[test]
-    fn offsets_equal_index_of_per_element_in_both_layouts() {
+    fn offsets_equal_index_of_per_element() {
         let (a, t, _, _) = setup();
-        for layout in [SvbLayout::SensorMajor, SvbLayout::Transposed] {
-            let plan = plan_for(&a, &t, layout, 1);
-            for sp in plan.plans() {
-                for vp in sp.voxels() {
-                    let col = a.column(vp.voxel);
-                    let mut expect = Vec::with_capacity(col.nnz());
-                    for seg in col.segments() {
-                        for k in 0..seg.values.len() {
-                            let i = sp.shape.index_of(layout, seg.view, seg.first_channel + k);
-                            expect.push(u16::try_from(i).expect("a band within u16 reach"));
-                        }
+        let plan = plan_for(&a, &t, None, 1);
+        for sp in plan.plans() {
+            for vp in sp.voxels() {
+                let col = a.column(vp.voxel);
+                let mut expect = Vec::with_capacity(col.nnz());
+                for seg in col.segments() {
+                    for k in 0..seg.values.len() {
+                        let i = sp.shape.index_of(seg.view, seg.first_channel + k);
+                        expect.push(u16::try_from(i).expect("a band within u16 reach"));
                     }
-                    assert_eq!(
-                        sp.offsets(vp),
-                        expect,
-                        "sv {} voxel {} {layout:?}",
-                        sp.sv,
-                        vp.voxel
-                    );
                 }
+                assert_eq!(sp.offsets(vp), expect, "sv {} voxel {}", sp.sv, vp.voxel);
             }
         }
     }
@@ -133,8 +120,8 @@ mod tests {
     #[test]
     fn offsets_are_thread_count_invariant() {
         let (a, t, _, _) = setup();
-        let p1 = plan_for(&a, &t, SvbLayout::Transposed, 1);
-        let p4 = plan_for(&a, &t, SvbLayout::Transposed, 4);
+        let p1 = plan_for(&a, &t, None, 1);
+        let p4 = plan_for(&a, &t, None, 4);
         for (s1, s4) in p1.plans().iter().zip(p4.plans()) {
             assert_eq!(s1.band_offsets, s4.band_offsets, "sv {}", s1.sv);
         }
@@ -142,37 +129,34 @@ mod tests {
 
     #[test]
     fn gathered_thetas_and_write_back_match_the_scalar_walk_bitwise() {
-        // Every SV of a real plan, both layouts, f32 and u8 plans:
-        // thetas and the committed write-back through the offsets must
-        // equal the scalar walk bit for bit, visit after visit, with
-        // both reading the one dequantization pass of the visit.
+        // Every SV of a real plan, f32 and u8 plans: thetas and the
+        // committed write-back through the offsets must equal the scalar
+        // walk bit for bit, visit after visit, with both reading the one
+        // dequantization pass of the visit.
         let (a, t, y, w) = setup();
-        for layout in [SvbLayout::SensorMajor, SvbLayout::Transposed] {
-            for quant_bits in [None, Some(8)] {
-                let plan = quant_plan_for(&a, &t, layout, quant_bits, 1);
-                let mut buf = Vec::new();
-                for sp in plan.plans() {
-                    let mut lanes = Svb::gather(&sp.shape, layout, &y, &w);
-                    let mut scalar = lanes.clone();
-                    for (step, vp) in sp.voxels().iter().enumerate() {
-                        let col = a.column(vp.voxel);
-                        sp.dequantize(vp, &mut buf);
-                        let entries = sp.entries(&col, &buf);
-                        let offsets = sp.offsets(vp);
-                        let s = column_thetas(&col, entries, &scalar);
-                        let l = lanes.thetas(entries, offsets);
-                        let tag =
-                            format!("sv {} voxel {} {layout:?} {quant_bits:?}", sp.sv, vp.voxel);
-                        assert_eq!(s.theta1.to_bits(), l.theta1.to_bits(), "{tag}");
-                        assert_eq!(s.theta2.to_bits(), l.theta2.to_bits(), "{tag}");
-                        let delta = 0.001 + (step % 5) as f32 * 1e-4;
-                        column_apply(&col, entries, &mut scalar, delta);
-                        lanes.apply_delta(entries, offsets, delta);
-                        let bits = |svb: &Svb<'_>| -> Vec<[u32; 2]> {
-                            svb.cells.iter().map(|[e, w]| [e.to_bits(), w.to_bits()]).collect()
-                        };
-                        assert_eq!(bits(&scalar), bits(&lanes), "{tag} write-back");
-                    }
+        for quant_bits in [None, Some(8)] {
+            let plan = plan_for(&a, &t, quant_bits, 1);
+            let mut buf = Vec::new();
+            for sp in plan.plans() {
+                let mut lanes = Svb::gather(&sp.shape, &y, &w);
+                let mut scalar = lanes.clone();
+                for (step, vp) in sp.voxels().iter().enumerate() {
+                    let col = a.column(vp.voxel);
+                    sp.dequantize(vp, &mut buf);
+                    let entries = sp.entries(&col, &buf);
+                    let offsets = sp.offsets(vp);
+                    let s = column_thetas(&col, entries, &scalar);
+                    let l = lanes.thetas(entries, offsets);
+                    let tag = format!("sv {} voxel {} {quant_bits:?}", sp.sv, vp.voxel);
+                    assert_eq!(s.theta1.to_bits(), l.theta1.to_bits(), "{tag}");
+                    assert_eq!(s.theta2.to_bits(), l.theta2.to_bits(), "{tag}");
+                    let delta = 0.001 + (step % 5) as f32 * 1e-4;
+                    column_apply(&col, entries, &mut scalar, delta);
+                    lanes.apply_delta(entries, offsets, delta);
+                    let bits = |svb: &Svb<'_>| -> Vec<[u32; 2]> {
+                        svb.cells.iter().map(|[e, w]| [e.to_bits(), w.to_bits()]).collect()
+                    };
+                    assert_eq!(bits(&scalar), bits(&lanes), "{tag} write-back");
                 }
             }
         }

@@ -3,10 +3,10 @@
 //!
 //! - [`tiling`]: partition the image into square SuperVoxels (SVs) with
 //!   shared boundary voxels, and map voxels to SVs.
-//! - [`svb`]: SuperVoxel buffers (SVBs) — per-SV copies of the error
-//!   and weight sinogram bands, in the original sensor-major layout or
-//!   the transposed/zero-padded layout of paper Fig. 4b, with
-//!   gather/scatter against the global sinogram.
+//! - [`svb`]: SuperVoxel buffers (SVBs) — per-SV packed copies of the
+//!   error and weight sinogram bands, with gather/scatter against the
+//!   global sinogram. The transposed, zero-padded layout of paper
+//!   Fig. 4b is priced for the modeled GPU by the plan, not allocated.
 //! - [`chunks`]: the per-voxel chunk decomposition of the transformed
 //!   layout (rectangular `(views x chunk_width)` blocks with zero-padded
 //!   A-matrix chunks) that produces coalesced accesses.
@@ -39,5 +39,5 @@ pub use chunks::{chunk_column, chunk_tally, Chunk, PaddedColumn};
 pub use plan::{PlanConfig, RowTransactions, SvPlan, SvPlanSet, VoxelPlan};
 pub use quant::QuantizedColumn;
 pub use selection::{select_svs, Selection};
-pub use svb::{Svb, SvbLayout, SvbShape};
+pub use svb::{Svb, SvbShape};
 pub use tiling::{SuperVoxel, Tiling};

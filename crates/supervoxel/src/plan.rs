@@ -17,8 +17,12 @@
 //! Each SV element is held at the width the kernel reads it: one `u16`
 //! band offset and, in a quantized plan, one `u8` code, co-indexed in
 //! two flat per-SV arrays — three bytes per element. A `u16` offset
-//! reaches a band of at most 65 536 cells, and [`SvPlan::build`]
+//! reaches a band of at most 65 536 host cells, and [`SvPlan::build`]
 //! refuses a larger one.
+//!
+//! The host buffers every band packed ([`crate::svb`]); the paper's
+//! transposed, zero-padded layout is what a chunked plan prices for the
+//! modeled GPU ([`SvPlan::svb_bytes`], [`SvPlan::row_tx`]).
 //!
 //! A plan depends on the geometry alone, never on a scan: the weights
 //! and the measurement enter at visit time. One plan set therefore
@@ -28,7 +32,7 @@
 use crate::chunks::chunk_tally;
 use crate::lanes::fill_offsets;
 use crate::quant::quantize_into;
-use crate::svb::{SvbLayout, SvbShape};
+use crate::svb::SvbShape;
 use crate::tiling::Tiling;
 use ct_core::geometry::Geometry;
 use ct_core::sysmat::{ColumnView, SystemMatrix};
@@ -43,13 +47,12 @@ const MAX_BAND_CELLS: usize = 1 << 16;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanConfig {
     /// Chunk decomposition width of the transformed layout, or `None`
-    /// for the naive layout (no chunk tallies cached).
+    /// for the naive layout (no chunk tallies cached, and the modeled
+    /// SVB is packed rather than padded).
     pub chunk_width: Option<usize>,
     /// A-matrix quantization bit width, or `None` to keep f32 columns
     /// (no quantized chunks cached).
     pub quant_bits: Option<u32>,
-    /// SVB layout the driver gathers with; fixes the cached byte sizes.
-    pub layout: SvbLayout,
 }
 
 /// Everything about one voxel's column that iterations reuse.
@@ -97,8 +100,9 @@ pub struct SvPlan {
     pub shape: SvbShape,
     /// Per-voxel cached state, in `tiling.voxels(sv)` order.
     pub voxels: Vec<VoxelPlan>,
-    /// One f32 buffer's bytes in the configured layout
-    /// (`shape.bytes(config.layout)`).
+    /// Bytes of one f32 plane of the modeled GPU's SVB: the transposed,
+    /// zero-padded plane (`4 * shape.padded_len()`) when chunking, else
+    /// the packed one (`4 * shape.packed_len()`).
     pub svb_bytes: f64,
     /// Mean band width in channels over views.
     pub band_width: f64,
@@ -107,8 +111,7 @@ pub struct SvPlan {
     pub row_tx: Option<RowTransactions>,
     /// The offset of every column element in this SV's buffered band,
     /// voxel after voxel in `voxels` order (see [`crate::lanes`]).
-    /// Built for every plan: it depends only on the band shape and the
-    /// layout.
+    /// Built for every plan: it depends only on the band shape.
     pub band_offsets: Vec<u16>,
     /// The u8 code of every column element, co-indexed with
     /// `band_offsets`; empty when the plan keeps f32 columns.
@@ -122,21 +125,22 @@ impl SvPlan {
     ///
     /// # Panics
     ///
-    /// If the SV's band holds more than 65 536 cells in the configured
-    /// layout: its offsets would not fit `u16`.
+    /// If the SV's band holds more than 65 536 cells: its offsets
+    /// would not fit `u16`.
     pub fn build(a: &SystemMatrix, tiling: &Tiling, sv: usize, config: PlanConfig) -> SvPlan {
         let shape = SvbShape::compute(a, tiling, sv);
         let nviews = shape.num_views();
-        let svb_bytes = shape.bytes(config.layout) as f64;
+        let modeled_cells =
+            if config.chunk_width.is_some() { shape.padded_len() } else { shape.packed_len() };
+        let svb_bytes = (4 * modeled_cells) as f64;
         let band_width = shape.width.iter().map(|&w| w as f64).sum::<f64>() / nviews.max(1) as f64;
-        let band_cells = shape.cells(config.layout);
+        let band_cells = shape.packed_len();
         assert!(
             band_cells <= MAX_BAND_CELLS,
-            "SV {sv}: its band holds {band_cells} cells in the {:?} layout, past the {MAX_BAND_CELLS} \
-             that u16 band offsets reach; use a smaller SV side",
-            config.layout
+            "SV {sv}: its band holds {band_cells} cells, past the {MAX_BAND_CELLS} that u16 band \
+             offsets reach; use a smaller SV side"
         );
-        let bases = shape.row_bases(config.layout);
+        let bases = shape.row_bases();
         let elements: usize = tiling.voxels(sv).map(|j| a.column(j).nnz()).sum();
         assert!(u32::try_from(elements).is_ok(), "SV {sv} has {elements} elements, past u32");
         let mut band_offsets = vec![0u16; elements + LANES];
@@ -299,7 +303,7 @@ mod tests {
     }
 
     fn chunked_config() -> PlanConfig {
-        PlanConfig { chunk_width: Some(16), quant_bits: Some(8), layout: SvbLayout::Transposed }
+        PlanConfig { chunk_width: Some(16), quant_bits: Some(8) }
     }
 
     #[test]
@@ -312,7 +316,7 @@ mod tests {
             let fresh_shape = SvbShape::compute(&a, &t, sv);
             assert_eq!(plan.shape.first, fresh_shape.first);
             assert_eq!(plan.shape.width, fresh_shape.width);
-            assert_eq!(plan.svb_bytes, fresh_shape.bytes(config.layout) as f64);
+            assert_eq!(plan.svb_bytes, (4 * fresh_shape.padded_len()) as f64);
             for (vp, j) in plan.voxels().iter().zip(t.voxels(sv)) {
                 assert_eq!(vp.voxel, j);
                 let col = a.column(j);
@@ -361,14 +365,11 @@ mod tests {
     #[test]
     fn naive_config_caches_view_tallies() {
         let (g, a, t) = setup();
-        let set = SvPlanSet::build(
-            &a,
-            &t,
-            PlanConfig { chunk_width: None, quant_bits: None, layout: SvbLayout::SensorMajor },
-            0,
-        );
+        let set = SvPlanSet::build(&a, &t, PlanConfig { chunk_width: None, quant_bits: None }, 0);
         let plan = set.plan(1);
         assert!(plan.row_tx.is_none());
+        // No chunk width (GPU naive, PSV-ICD): the modeled plane is packed.
+        assert_eq!(plan.svb_bytes, (4 * plan.shape.packed_len()) as f64);
         assert!(plan.codes.is_empty() && plan.levels.is_none());
         for vp in plan.voxels() {
             assert_eq!(vp.dense, vp.nnz as u64);
@@ -407,12 +408,8 @@ mod tests {
     fn plan_bytes_accounts_quantized_columns() {
         let (_, a, t) = setup();
         let quant = SvPlanSet::build(&a, &t, chunked_config(), 0);
-        let plain = SvPlanSet::build(
-            &a,
-            &t,
-            PlanConfig { chunk_width: Some(16), quant_bits: None, layout: SvbLayout::Transposed },
-            0,
-        );
+        let plain =
+            SvPlanSet::build(&a, &t, PlanConfig { chunk_width: Some(16), quant_bits: None }, 0);
         assert!(quant.bytes() > plain.bytes());
     }
 
@@ -423,12 +420,12 @@ mod tests {
         // per-voxel records.
         let (_, a, t) = setup();
         for (quant_bits, per_element) in [(None, 2), (Some(8), 3)] {
-            let config =
-                PlanConfig { chunk_width: None, quant_bits, layout: SvbLayout::SensorMajor };
+            let config = PlanConfig { chunk_width: None, quant_bits };
             let set = SvPlanSet::build(&a, &t, config, 0);
             let mut records = 0usize;
             let mut elements = 0usize;
             for p in set.plans() {
+                assert_eq!(p.svb_bytes, (4 * p.shape.packed_len()) as f64, "sv {}", p.sv);
                 records +=
                     4 * (p.shape.first.len() + p.shape.width.len() + p.shape.row_offset.len());
                 records += std::mem::size_of_val(p.voxels());

@@ -6,15 +6,13 @@
 //! pattern (PPoPP 2016, Fig. 2 of the paper). Both the error and the
 //! weight sinograms are buffered.
 //!
-//! Two layouts are supported, mirroring paper Section 4.1:
-//!
-//! - [`SvbLayout::SensorMajor`]: the original packed layout — each
-//!   view's band stored back to back with no padding (rows start at
-//!   arbitrary offsets; GPU accesses are uncoalesced).
-//! - [`SvbLayout::Transposed`]: the transformed layout — one row per
-//!   view, all rows padded to the same width and aligned to 32-byte
-//!   boundaries ("we make the SVB perfectly rectangular by
-//!   zero-padding, and place each row at an aligned address").
+//! The host holds one layout: each view's band stored back to back with
+//! no padding. The paper's transposed layout (Section 4.1, Fig. 4b:
+//! "we make the SVB perfectly rectangular by zero-padding, and place
+//! each row at an aligned address") changes only how the GPU coalesces
+//! its reads, so it lives in the model: [`SvbShape::padded_width`] and
+//! [`SvbShape::padded_len`] size the modeled rows, and the SV's plan
+//! prices them ([`crate::SvPlan::svb_bytes`], [`crate::RowTransactions`]).
 //!
 //! Each buffer cell holds one `(e, w)` pair, so a visit reads an
 //! element's error and weight with one 8-byte load (the paper's
@@ -33,16 +31,6 @@ use mbir::update::{Thetas, WeightedError};
 /// up to this.
 const ALIGN_F32: usize = 8;
 
-/// How an SVB lays out its `(view, channel)` band in memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SvbLayout {
-    /// Packed per-view bands, no padding (the CPU/naive-GPU layout).
-    SensorMajor,
-    /// Rectangular, zero-padded, 32B-aligned rows (the transformed
-    /// layout of paper Fig. 4b).
-    Transposed,
-}
-
 /// The geometry-static footprint of one SV's band over the sinogram.
 #[derive(Debug, Clone)]
 pub struct SvbShape {
@@ -50,10 +38,11 @@ pub struct SvbShape {
     pub first: Vec<u32>,
     /// Per view: band width in channels (unpadded).
     pub width: Vec<u32>,
-    /// Per view: offset of the view's band in the packed layout
-    /// (length `num_views + 1`).
+    /// Per view: offset of the view's band in the buffer (length
+    /// `num_views + 1`).
     pub row_offset: Vec<u32>,
-    /// Max band width over views, rounded up for row alignment.
+    /// Max band width over views, rounded up for row alignment: the row
+    /// width of the modeled GPU's transposed buffer.
     pub padded_width: usize,
 }
 
@@ -101,63 +90,41 @@ impl SvbShape {
         self.width.len()
     }
 
-    /// Entries in the packed layout.
+    /// Cells of the buffer: the band's cells, no padding.
     pub fn packed_len(&self) -> usize {
         *self.row_offset.last().unwrap() as usize
     }
 
-    /// Entries in the padded rectangular layout.
+    /// Cells of the modeled GPU's transposed buffer: every view's row
+    /// zero-padded to [`SvbShape::padded_width`].
     pub fn padded_len(&self) -> usize {
         self.padded_width * self.num_views()
     }
 
-    /// Buffer offset of `(view, channel)` in the given layout;
-    /// `channel` is absolute. The pure-shape form of [`Svb::index`],
-    /// usable before any buffer is gathered (the plan precomputes
-    /// these offsets once per voxel; see [`crate::lanes`]).
+    /// Buffer offset of `(view, channel)`; `channel` is absolute. The
+    /// pure-shape form of [`Svb::index`], usable before any buffer is
+    /// gathered (the plan precomputes these offsets once per voxel;
+    /// see [`crate::lanes`]).
     #[inline]
-    pub fn index_of(&self, layout: SvbLayout, view: usize, ch: usize) -> usize {
-        let (fc, wd, base) = self.row(layout, view);
+    pub fn index_of(&self, view: usize, ch: usize) -> usize {
+        let (fc, wd, base) = self.row(view);
         debug_assert!(ch - fc < wd, "channel {ch} outside band at view {view}");
         base + ch - fc
     }
 
     /// View `view`'s row: its first channel, its width, and where it
-    /// starts in a buffer of the given layout.
+    /// starts in the buffer.
     #[inline]
-    fn row(&self, layout: SvbLayout, view: usize) -> (usize, usize, usize) {
-        let base = match layout {
-            SvbLayout::SensorMajor => self.row_offset[view] as usize,
-            SvbLayout::Transposed => view * self.padded_width,
-        };
-        (self.first[view] as usize, self.width[view] as usize, base)
+    fn row(&self, view: usize) -> (usize, usize, usize) {
+        (self.first[view] as usize, self.width[view] as usize, self.row_offset[view] as usize)
     }
 
-    /// Per view, the buffer offset of absolute channel 0 in the given
-    /// layout, wrapped so that `(view, ch)` in the band sits at
+    /// Per view, the buffer offset of absolute channel 0, wrapped so
+    /// that `(view, ch)` in the band sits at
     /// `bases[view].wrapping_add(ch)` — [`SvbShape::index_of`] with the
-    /// layout and the band's first channel folded out of the loop.
-    pub fn row_bases(&self, layout: SvbLayout) -> Vec<u32> {
-        (0..self.num_views())
-            .map(|v| {
-                let (fc, _, base) = self.row(layout, v);
-                (base as u32).wrapping_sub(fc as u32)
-            })
-            .collect()
-    }
-
-    /// Cells of the band in the given layout, padding included.
-    pub fn cells(&self, layout: SvbLayout) -> usize {
-        match layout {
-            SvbLayout::SensorMajor => self.packed_len(),
-            SvbLayout::Transposed => self.padded_len(),
-        }
-    }
-
-    /// Bytes of one f32 plane in the given layout (the paper's SVB
-    /// size; `e` and `w` double it).
-    pub fn bytes(&self, layout: SvbLayout) -> usize {
-        4 * self.cells(layout)
+    /// band's first channel folded out of the loop.
+    pub fn row_bases(&self) -> Vec<u32> {
+        (0..self.num_views()).map(|v| self.row_offset[v].wrapping_sub(self.first[v])).collect()
     }
 }
 
@@ -165,43 +132,40 @@ impl SvbShape {
 #[derive(Debug, Clone)]
 pub struct Svb<'a> {
     shape: &'a SvbShape,
-    layout: SvbLayout,
     /// Buffered `(e, w)` cells: the error and the weight of one band
-    /// cell side by side (zero in padding).
+    /// cell side by side.
     pub cells: Vec<[f32; 2]>,
 }
 
 impl<'a> Svb<'a> {
     /// Copy the SV's band out of the global sinograms (the paper's
     /// "create SVBs" kernel / PSV-ICD lines 11-12).
-    pub fn gather(shape: &'a SvbShape, layout: SvbLayout, e: &Sinogram, w: &Sinogram) -> Svb<'a> {
-        let mut cells = vec![[0.0f32; 2]; shape.cells(layout)];
+    pub fn gather(shape: &'a SvbShape, e: &Sinogram, w: &Sinogram) -> Svb<'a> {
+        let mut cells = Vec::with_capacity(shape.packed_len());
         for v in 0..shape.num_views() {
-            let (fc, wd, base) = shape.row(layout, v);
+            let (fc, wd, _) = shape.row(v);
             let band = e.view(v)[fc..fc + wd].iter().zip(&w.view(v)[fc..fc + wd]);
-            for (c, (&ev, &wv)) in cells[base..base + wd].iter_mut().zip(band) {
-                *c = [ev, wv];
-            }
+            cells.extend(band.map(|(&ev, &wv)| [ev, wv]));
         }
-        Svb { shape, layout, cells }
+        Svb { shape, cells }
     }
 
     /// Buffer index of `(view, channel)`; `channel` is absolute.
     #[inline]
     pub fn index(&self, view: usize, ch: usize) -> usize {
-        self.shape.index_of(self.layout, view, ch)
+        self.shape.index_of(view, ch)
     }
 
     /// Turn the buffered error into the SV's delta: the e half of every
     /// band cell becomes `new - old`, with `old` read from `e` — the
     /// error sinogram the band was gathered from, which nothing may
-    /// have written since. Weights and padding are left as they are.
+    /// have written since. Weights are left as they are.
     /// Workers call this on their own SV before the ordered
     /// [`Svb::scatter_delta`], so a batch writes each band once and
     /// never copies it.
     pub fn take_delta(&mut self, e: &Sinogram) {
         for v in 0..self.shape.num_views() {
-            let (fc, wd, base) = self.shape.row(self.layout, v);
+            let (fc, wd, base) = self.shape.row(v);
             for (c, &old) in self.cells[base..base + wd].iter_mut().zip(&e.view(v)[fc..fc + wd]) {
                 c[0] -= old;
             }
@@ -221,7 +185,7 @@ impl<'a> Svb<'a> {
     /// count and device count, so it cannot break the bitwise contract.
     pub fn scatter_delta(&self, e: &mut Sinogram) {
         for v in 0..self.shape.num_views() {
-            let (fc, wd, base) = self.shape.row(self.layout, v);
+            let (fc, wd, base) = self.shape.row(v);
             for (d, c) in e.view_mut(v)[fc..fc + wd].iter_mut().zip(&self.cells[base..base + wd]) {
                 *d += c[0];
             }
@@ -309,18 +273,17 @@ mod tests {
     }
 
     #[test]
-    fn gather_roundtrips_both_layouts() {
+    fn gather_roundtrips() {
         let (g, a, t, y, w) = setup();
         let shape = SvbShape::compute(&a, &t, 4);
-        for layout in [SvbLayout::SensorMajor, SvbLayout::Transposed] {
-            let svb = Svb::gather(&shape, layout, &y, &w);
-            for v in 0..g.num_views {
-                for k in 0..shape.width[v] as usize {
-                    let ch = shape.first[v] as usize + k;
-                    let (e, wt) = svb.get(v, ch);
-                    assert_eq!(e, y.at(v, ch));
-                    assert_eq!(wt, w.at(v, ch));
-                }
+        let svb = Svb::gather(&shape, &y, &w);
+        assert_eq!(svb.cells.len(), shape.packed_len());
+        for v in 0..g.num_views {
+            for k in 0..shape.width[v] as usize {
+                let ch = shape.first[v] as usize + k;
+                let (e, wt) = svb.get(v, ch);
+                assert_eq!(e, y.at(v, ch));
+                assert_eq!(wt, w.at(v, ch));
             }
         }
     }
@@ -330,7 +293,7 @@ mod tests {
         let (_, a, t, y, w) = setup();
         let sv = 4;
         let shape = SvbShape::compute(&a, &t, sv);
-        let svb = Svb::gather(&shape, SvbLayout::Transposed, &y, &w);
+        let svb = Svb::gather(&shape, &y, &w);
         let mut e = y.clone();
         let pair = SinogramPair { e: &mut e, w: &w };
         for j in t.voxels(sv) {
@@ -364,7 +327,7 @@ mod tests {
         // Path 2: through an SVB.
         let mut img2 = Image::zeros(g.grid);
         let mut e2 = y.clone();
-        let mut svb = Svb::gather(&shape, SvbLayout::Transposed, &e2, &w);
+        let mut svb = Svb::gather(&shape, &e2, &w);
         for j in t.voxels(sv) {
             update_voxel(j, &mut img2, &a.column(j), &mut svb, &prior);
         }
@@ -381,7 +344,7 @@ mod tests {
     fn scatter_outside_band_untouched() {
         let (g, a, t, y, w) = setup();
         let shape = SvbShape::compute(&a, &t, 0);
-        let mut modified = Svb::gather(&shape, SvbLayout::SensorMajor, &y, &w);
+        let mut modified = Svb::gather(&shape, &y, &w);
         for c in modified.cells.iter_mut() {
             c[0] += 1.0;
         }
@@ -417,16 +380,14 @@ mod tests {
         *e.at_mut(v, ch) = -0.0;
         *e.at_mut(v, ch + 1) = f32::MIN_POSITIVE;
         let before = e.clone();
-        for layout in [SvbLayout::SensorMajor, SvbLayout::Transposed] {
-            let mut svb = Svb::gather(&shape, layout, &e, &w);
-            svb.take_delta(&e);
-            let mut after = e.clone();
-            svb.scatter_delta(&mut after);
-            for view in 0..g.num_views {
-                for c in 0..g.num_channels {
-                    let want = if (view, c) == (v, ch) { 0.0f32 } else { before.at(view, c) };
-                    assert_eq!(after.at(view, c).to_bits(), want.to_bits(), "({view}, {c})");
-                }
+        let mut svb = Svb::gather(&shape, &e, &w);
+        svb.take_delta(&e);
+        let mut after = e.clone();
+        svb.scatter_delta(&mut after);
+        for view in 0..g.num_views {
+            for c in 0..g.num_channels {
+                let want = if (view, c) == (v, ch) { 0.0f32 } else { before.at(view, c) };
+                assert_eq!(after.at(view, c).to_bits(), want.to_bits(), "({view}, {c})");
             }
         }
     }
@@ -434,27 +395,25 @@ mod tests {
     #[test]
     fn gathered_thetas_match_generic_walk() {
         // The gather through the plan's offsets must equal the generic
-        // column_thetas walk bit for bit, in both layouts, for every SV,
-        // on f32 entries and on u8 codes dequantized once.
+        // column_thetas walk bit for bit, for every SV, on f32 entries
+        // and on u8 codes dequantized once.
         let (_, a, t, y, w) = setup();
-        for layout in [SvbLayout::SensorMajor, SvbLayout::Transposed] {
-            for sv in 0..t.len() {
-                let shape = SvbShape::compute(&a, &t, sv);
-                let svb = Svb::gather(&shape, layout, &y, &w);
-                let bases = shape.row_bases(layout);
-                for j in t.voxels(sv) {
-                    let col = a.column(j);
-                    let mut offsets = vec![0u16; col.nnz() + mbir_simd::LANES];
-                    crate::lanes::fill_offsets(&col, &bases, &mut offsets);
-                    offsets.truncate(col.nnz());
-                    let u8_entries = QuantizedColumn::quantize(&col).dequantize_all();
-                    for entries in [col.values_flat(), &u8_entries] {
-                        let reference = column_thetas(&col, entries, &svb);
-                        let got = svb.thetas(entries, &offsets);
-                        let tag = format!("sv {sv} voxel {j} {layout:?}");
-                        assert_eq!(got.theta1.to_bits(), reference.theta1.to_bits(), "{tag}");
-                        assert_eq!(got.theta2.to_bits(), reference.theta2.to_bits(), "{tag}");
-                    }
+        for sv in 0..t.len() {
+            let shape = SvbShape::compute(&a, &t, sv);
+            let svb = Svb::gather(&shape, &y, &w);
+            let bases = shape.row_bases();
+            for j in t.voxels(sv) {
+                let col = a.column(j);
+                let mut offsets = vec![0u16; col.nnz() + mbir_simd::LANES];
+                crate::lanes::fill_offsets(&col, &bases, &mut offsets);
+                offsets.truncate(col.nnz());
+                let u8_entries = QuantizedColumn::quantize(&col).dequantize_all();
+                for entries in [col.values_flat(), &u8_entries] {
+                    let reference = column_thetas(&col, entries, &svb);
+                    let got = svb.thetas(entries, &offsets);
+                    let tag = format!("sv {sv} voxel {j}");
+                    assert_eq!(got.theta1.to_bits(), reference.theta1.to_bits(), "{tag}");
+                    assert_eq!(got.theta2.to_bits(), reference.theta2.to_bits(), "{tag}");
                 }
             }
         }
@@ -465,6 +424,6 @@ mod tests {
         // Sanity for the paper's claim that SVBs fit the 3MB GPU L2.
         let (_, a, t, _, _) = setup();
         let shape = SvbShape::compute(&a, &t, t.len() / 2);
-        assert!(shape.bytes(SvbLayout::Transposed) < 3 * 1024 * 1024);
+        assert!(4 * shape.padded_len() < 3 * 1024 * 1024);
     }
 }

@@ -11,6 +11,8 @@ use ct_core::project::{scan, NoiseModel};
 use gpu_icd::pipeline::{Case, Setup};
 use gpu_icd::{gpu_options_for, Scale};
 use mbir::stopping::{run, BoundaryAction, Stop};
+use mbir_telemetry::RecordingSink;
+use std::sync::Arc;
 
 fn main() {
     // 1. Describe the scanner: parallel-beam, 96 views over 180
@@ -36,6 +38,10 @@ fn main() {
     //    grid).
     let case = Case::new(setup, s.y, s.weights, 0.002);
     let mut gpu = case.gpu(gpu_options_for(Scale::Test));
+    // A recording sink keeps every kernel launch; its report sums them
+    // per kernel.
+    let sink = Arc::new(RecordingSink::new());
+    gpu.set_profile_sink(sink.clone());
 
     // Converge to the paper's criterion: RMSE < 10 HU against a
     // 40-equit sequential golden image. `run` is the one loop every
@@ -54,11 +60,13 @@ fn main() {
     );
     println!("GPU-ICD RMSE vs truth:  {:.1} HU", rmse_hu(gpu.image(), &truth));
     println!("modeled Titan X time:   {:.2} ms", gpu.modeled_seconds() * 1e3);
-    let rs = gpu.run_stats();
+    let report = sink.report("gpu-icd");
+    let share =
+        |name| 100.0 * report.kernel(name).map_or(0.0, |k| k.seconds) / gpu.modeled_seconds();
     println!(
         "kernel split: create {:.0}% / mbir {:.0}% / writeback {:.0}%",
-        100.0 * rs.create.seconds / gpu.modeled_seconds(),
-        100.0 * rs.mbir.seconds / gpu.modeled_seconds(),
-        100.0 * rs.writeback.seconds / gpu.modeled_seconds()
+        share("svb_create"),
+        share("mbir_update"),
+        share("error_writeback")
     );
 }

@@ -11,7 +11,7 @@
 use ct_core::geometry::Geometry;
 use ct_core::sysmat::SystemMatrix;
 use supervoxel::chunks::PaddedColumn;
-use supervoxel::svb::{SvbLayout, SvbShape};
+use supervoxel::svb::SvbShape;
 use supervoxel::tiling::Tiling;
 
 fn main() {
@@ -53,7 +53,7 @@ fn main() {
         "packed SVB: {} entries; padded rectangular SVB: {} entries ({} B aligned rows)\n",
         shape.packed_len(),
         shape.padded_len(),
-        shape.bytes(SvbLayout::Transposed)
+        4 * shape.padded_len()
     );
 
     // --- Fig. 4: chunk decomposition of one voxel's column.

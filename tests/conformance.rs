@@ -182,7 +182,7 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
         let mbir = report.kernel("mbir_update").expect("mbir_update spans");
 
         g.check_f64(&format!("table2.{tag}.seconds"), gpu.modeled_seconds());
-        g.check_f64(&format!("table2.{tag}.tex_gbps"), gpu.run_stats().mbir.tex_gbps());
+        g.check_f64(&format!("table2.{tag}.tex_gbps"), mbir.tex_gbps);
         g.check_u64(&format!("table2.{tag}.tex_transactions"), mbir.tex_transactions);
         g.check_u64(&format!("table2.{tag}.l2_transactions"), mbir.l2_transactions);
     }
@@ -250,9 +250,16 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
     // ---- Fig. 7: tuning sweeps (panels a and d at tiny) ------------
     let no_thresh = GpuOptions { batch_threshold: false, ..base };
     for side in [4usize, 6, 8, 12] {
-        let r = run_gpu(&p, GpuOptions { sv_side: side, ..no_thresh }, 400);
-        g.check_f64(&format!("fig7a.side{side}.seconds"), r.seconds);
-        g.check_f64(&format!("fig7a.side{side}.equits"), r.equits);
+        let mut gpu = p.case.gpu(GpuOptions { sv_side: side, ..no_thresh });
+        let sink = Arc::new(RecordingSink::new());
+        gpu.set_profile_sink(sink.clone());
+        let out = to_golden(&mut gpu, &p, 400);
+        let equits = out.trace.last().expect("a golden run traces").equits;
+        let report = sink.report("gpu-icd");
+        let mbir = report.kernel("mbir_update").expect("mbir_update spans");
+        g.check_f64(&format!("fig7a.side{side}.seconds"), gpu.modeled_seconds());
+        g.check_f64(&format!("fig7a.side{side}.equits"), equits);
+        g.check_f64(&format!("fig7a.side{side}.l2_gbps"), mbir.l2_gbps);
     }
     for batch in [4usize, 8, 16] {
         let r = run_gpu(&p, GpuOptions { svs_per_batch: batch, ..no_thresh }, 400);

@@ -13,7 +13,9 @@ use ct_core::project::{scan, NoiseModel, Scan};
 use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{GpuIcd, GpuIterationReport, GpuOptions};
 use mbir::prior::QggmrfPrior;
+use mbir_telemetry::RecordingSink;
 use psv_icd::{PsvConfig, PsvIcd};
+use std::sync::Arc;
 
 struct Setup {
     a: SystemMatrix,
@@ -32,11 +34,12 @@ fn setup() -> Setup {
     Setup { a, scan: s, prior, init }
 }
 
+/// A profiled GPU-ICD run of `iters` iterations on `threads` workers.
 fn run_gpu(
     s: &Setup,
     threads: usize,
     iters: usize,
-) -> (GpuIcd<'_, QggmrfPrior>, Vec<GpuIterationReport>) {
+) -> (GpuIcd<'_, QggmrfPrior>, Vec<GpuIterationReport>, Arc<RecordingSink>) {
     let opts = GpuOptions {
         sv_side: 6,
         threadblocks_per_sv: 4,
@@ -45,16 +48,18 @@ fn run_gpu(
         ..Default::default()
     };
     let mut gpu = GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), opts);
+    let sink = Arc::new(RecordingSink::new());
+    gpu.set_profile_sink(sink.clone());
     let reports = (0..iters).map(|_| gpu.iteration()).collect();
-    (gpu, reports)
+    (gpu, reports, sink)
 }
 
 #[test]
 fn gpu_driver_is_bitwise_identical_across_thread_counts() {
     let s = setup();
-    let (gpu1, reports1) = run_gpu(&s, 1, 6);
+    let (gpu1, reports1, _) = run_gpu(&s, 1, 6);
     for threads in [2usize, 8] {
-        let (gpun, reportsn) = run_gpu(&s, threads, 6);
+        let (gpun, reportsn, _) = run_gpu(&s, threads, 6);
         assert_eq!(gpu1.image(), gpun.image(), "image differs at {threads} threads");
         assert_eq!(gpu1.error(), gpun.error(), "error sinogram differs at {threads} threads");
         assert_eq!(reports1, reportsn, "iteration reports differ at {threads} threads");
@@ -69,14 +74,21 @@ fn gpu_driver_is_bitwise_identical_across_thread_counts() {
 #[test]
 fn gpu_counters_and_stats_match_across_thread_counts() {
     let s = setup();
-    let (gpu1, _) = run_gpu(&s, 1, 4);
-    let (gpu8, _) = run_gpu(&s, 8, 4);
+    let (gpu1, _, sink1) = run_gpu(&s, 1, 4);
+    let (gpu8, _, sink8) = run_gpu(&s, 8, 4);
     assert_eq!(gpu1.stats(), gpu8.stats());
     assert_eq!(gpu1.equits(), gpu8.equits());
-    let (r1, r8) = (gpu1.run_stats(), gpu8.run_stats());
-    assert_eq!(r1.mbir, r8.mbir);
-    assert_eq!(r1.create, r8.create);
-    assert_eq!(r1.writeback, r8.writeback);
+    // Every kernel class: same launches, and the same seconds and bytes
+    // bit for bit.
+    let (r1, r8) = (sink1.report("gpu-icd"), sink8.report("gpu-icd"));
+    assert_eq!(r1.kernels.len(), 3);
+    let bits = |k: &mbir_telemetry::KernelClassAgg| {
+        let sums = [k.seconds, k.l2_bytes, k.tex_bytes, k.dram_bytes, k.shared_bytes];
+        (k.kernel.clone(), k.launches, sums.map(f64::to_bits))
+    };
+    let kernels =
+        |r: &mbir_telemetry::ProfileReport| r.kernels.iter().map(bits).collect::<Vec<_>>();
+    assert_eq!(kernels(&r1), kernels(&r8));
 }
 
 #[test]

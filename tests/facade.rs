@@ -153,3 +153,34 @@ fn a_sigma_that_is_not_positive_is_an_error() {
     let err = Reconstructor::new(geom).sigma(0.0).run(&y).unwrap_err().to_string();
     assert!(err.contains("sigma = 0 is not finite and positive"), "{err}");
 }
+
+#[test]
+fn gpu_options_out_of_range_are_usage_errors_naming_the_field() {
+    use gpu_icd::{GpuOptions, Layout, MbirError};
+    let (geom, y, _) = measurement();
+    let preset = gpu_icd::gpu_options_for(gpu_icd::Scale::Tiny);
+    let rows = [
+        (GpuOptions { sv_side: 1, ..preset }, "sv_side must be at least 2, got 1"),
+        (GpuOptions { fraction: 0.0, ..preset }, "fraction must be finite and in (0, 1], got 0"),
+        (GpuOptions { threadblocks_per_sv: 0, ..preset }, "threadblocks_per_sv must be at least 1"),
+        (GpuOptions { threads_per_block: 0, ..preset }, "threads_per_block must be in 1..=1024"),
+        (GpuOptions { svs_per_batch: 0, ..preset }, "svs_per_batch must be at least 1, got 0"),
+        (
+            GpuOptions { layout: Layout::Chunked { width: 0 }, ..preset },
+            "layout chunk width must be at least 1, got 0",
+        ),
+        (GpuOptions { amatrix_bits: 0, ..preset }, "amatrix_bits must be in 1..=8, got 0"),
+        (GpuOptions { devices: 0, ..preset }, "devices must be at least 1, got 0"),
+    ];
+    for (opts, needle) in rows {
+        match Reconstructor::new(geom).gpu_options(opts).run(&y) {
+            Err(MbirError::Usage(msg)) => assert!(msg.contains(needle), "{msg} lacks {needle:?}"),
+            other => panic!("{needle}: expected a usage error, got {other:?}"),
+        }
+    }
+    let psv = Reconstructor::new(geom).algorithm(Algorithm::PsvIcd).sv_side(1).run(&y);
+    match psv {
+        Err(MbirError::Usage(msg)) => assert!(msg.contains("sv_side must be at least 2"), "{msg}"),
+        other => panic!("PSV sv_side 1: expected a usage error, got {other:?}"),
+    }
+}

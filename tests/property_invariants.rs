@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use std::sync::OnceLock;
 use supervoxel::chunks::PaddedColumn;
 use supervoxel::quant::QuantizedColumn;
-use supervoxel::svb::{Svb, SvbLayout, SvbShape};
+use supervoxel::svb::{Svb, SvbShape};
 use supervoxel::tiling::Tiling;
 
 fn shared() -> &'static (Geometry, SystemMatrix) {
@@ -81,23 +81,21 @@ proptest! {
     }
 
     /// SVB gather/scatter round-trips under random error contents for
-    /// both layouts and any SV.
+    /// any SV.
     #[test]
     fn svb_roundtrip_random_contents(
         sv_pick in 0usize..16,
         bump in -5.0f32..5.0,
-        layout_t in prop::bool::ANY,
     ) {
         let (g, a) = shared();
         let tiling = Tiling::new(g.grid, 6);
         let sv = sv_pick % tiling.len();
         let shape = SvbShape::compute(a, &tiling, sv);
-        let layout = if layout_t { SvbLayout::Transposed } else { SvbLayout::SensorMajor };
         let mut e = Sinogram::zeros(g);
         for (i, v) in e.data_mut().iter_mut().enumerate() {
             *v = (i % 17) as f32 * 0.1 - 0.8;
         }
-        let mut modified = Svb::gather(&shape, layout, &e, &e);
+        let mut modified = Svb::gather(&shape, &e, &e);
         for c in modified.cells.iter_mut() {
             c[0] += bump;
         }
