@@ -64,7 +64,7 @@ struct RunOut {
     image: Image,
     error: Sinogram,
     seconds: f64,
-    fleet: Option<FleetReport>,
+    fleet: FleetReport,
 }
 
 enum Topo {
@@ -87,7 +87,7 @@ fn run(p: &Pipeline, base: GpuOptions, devices: usize, topo: Option<Topo>, iters
         image: gpu.image().clone(),
         error: gpu.error().clone(),
         seconds: gpu.modeled_seconds(),
-        fleet: gpu.fleet_report(),
+        fleet: gpu.fleet_report().expect("every run keeps a fleet ledger"),
     }
 }
 
@@ -105,9 +105,6 @@ fn main() -> Result<(), MbirError> {
         assert!(ok, "{what} diverged — the cluster sharding contract is broken");
         ok
     };
-    let ledger = |out: &RunOut| -> (f64, u64) {
-        out.fleet.as_ref().map_or((0.0, 0), |fr| (fr.exchange_seconds, fr.exchange_bytes))
-    };
 
     // Scaling curve: 8 GPUs per node, 1 to 8 nodes, hierarchical
     // reduce vs the flat ring flattened over the same devices.
@@ -122,7 +119,7 @@ fn main() -> Result<(), MbirError> {
         ] {
             let out = run(&p, base, devices, Some(topo), iters);
             let identical = check(&out, &format!("{nodes}x{dpn} {name}"));
-            let (exchange_seconds, exchange_bytes) = ledger(&out);
+            let exchange_seconds = out.fleet.exchange_seconds;
             shapes.push(ShapeRow {
                 nodes,
                 devices_per_node: dpn,
@@ -133,7 +130,7 @@ fn main() -> Result<(), MbirError> {
                 efficiency: baseline.seconds / out.seconds / devices as f64,
                 exchange_seconds,
                 exchange_share: exchange_seconds / out.seconds,
-                exchange_bytes,
+                exchange_bytes: out.fleet.exchange_bytes,
                 bitwise_identical: identical,
             });
         }
@@ -151,14 +148,13 @@ fn main() -> Result<(), MbirError> {
         let cluster = ClusterSpec::titan_x_cluster(2, 8).with_slabs(slabs);
         let out = run(&p, base, 16, Some(Topo::Hierarchical(cluster)), iters);
         let identical = check(&out, &format!("2x8 slabs={slabs}"));
-        let (_, exchange_bytes) = ledger(&out);
         slab_study.push(SlabRow {
             nodes: 2,
             devices_per_node: 8,
             slabs,
             modeled_seconds: out.seconds,
             overhead_vs_resident: out.seconds / resident - 1.0,
-            exchange_bytes,
+            exchange_bytes: out.fleet.exchange_bytes,
             bitwise_identical: identical,
         });
     }

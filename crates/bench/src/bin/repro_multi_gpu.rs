@@ -58,21 +58,12 @@ struct RunOut {
     image: Image,
     error: Sinogram,
     seconds: f64,
-    fleet: Option<FleetReport>,
+    fleet: FleetReport,
 }
 
-fn run(
-    p: &Pipeline,
-    base: GpuOptions,
-    devices: usize,
-    spec: Option<FleetSpec>,
-    iters: usize,
-) -> RunOut {
-    let opts = GpuOptions { devices, ..base };
-    let mut gpu = p.case.gpu(opts);
-    if let Some(spec) = spec {
-        gpu.set_fleet_spec(spec).expect("valid fleet spec");
-    }
+fn run(p: &Pipeline, base: GpuOptions, spec: FleetSpec, iters: usize) -> RunOut {
+    let mut gpu = p.case.gpu(GpuOptions { devices: spec.devices, ..base });
+    gpu.set_fleet_spec(spec).expect("valid fleet spec");
     for _ in 0..iters {
         gpu.iteration();
     }
@@ -80,7 +71,7 @@ fn run(
         image: gpu.image().clone(),
         error: gpu.error().clone(),
         seconds: gpu.modeled_seconds(),
-        fleet: gpu.fleet_report(),
+        fleet: gpu.fleet_report().expect("every run keeps a fleet ledger"),
     }
 }
 
@@ -93,7 +84,7 @@ fn main() -> Result<(), MbirError> {
     let base = GpuOptions { threads, ..gpu_options_for(scale) };
 
     let device_counts = vec![1usize, 2, 4, 8];
-    let baseline = run(&p, base, 1, None, iters);
+    let baseline = run(&p, base, FleetSpec::titan_x_pcie(1), iters);
 
     let mut configs = Vec::new();
     for &(name, make_spec) in &[
@@ -101,49 +92,36 @@ fn main() -> Result<(), MbirError> {
         ("nvlink1", FleetSpec::titan_x_nvlink as fn(usize) -> FleetSpec),
     ] {
         for &devices in &device_counts {
-            let out = if devices == 1 {
-                // devices = 1 bypasses the fleet entirely — there is no
-                // interconnect to choose, so both arms share the run.
-                RunOut {
-                    image: baseline.image.clone(),
-                    error: baseline.error.clone(),
-                    seconds: baseline.seconds,
-                    fleet: None,
-                }
-            } else {
-                run(&p, base, devices, Some(make_spec(devices)), iters)
-            };
+            let out = run(&p, base, make_spec(devices), iters);
             let identical = out.image == baseline.image && out.error == baseline.error;
             assert!(identical, "{devices}-device {name} run diverged — sharding contract broken");
-            let (exchange_seconds, exchange_bytes, utils, per_device) = match &out.fleet {
-                Some(fr) => (
-                    fr.exchange_seconds,
-                    fr.exchange_bytes,
-                    fr.per_device.iter().map(|d| d.utilization).collect::<Vec<_>>(),
-                    fr.per_device
-                        .iter()
-                        .map(|d| DeviceRow {
-                            device: d.device,
-                            busy_seconds: d.busy_seconds,
-                            idle_seconds: d.idle_seconds,
-                            utilization: d.utilization,
-                        })
-                        .collect(),
-                ),
-                None => (0.0, 0, vec![1.0], Vec::new()),
-            };
+            if devices == 1 {
+                // A fleet of one exchanges nothing, whatever its link.
+                assert_eq!(out.seconds.to_bits(), baseline.seconds.to_bits(), "1-device {name}");
+            }
+            let fr = &out.fleet;
+            let utils: Vec<f64> = fr.per_device.iter().map(|d| d.utilization).collect();
             configs.push(ConfigRow {
                 devices,
                 interconnect: name.to_string(),
                 modeled_seconds: out.seconds,
                 speedup: baseline.seconds / out.seconds,
                 efficiency: baseline.seconds / out.seconds / devices as f64,
-                exchange_seconds,
-                exchange_share: exchange_seconds / out.seconds,
-                exchange_bytes,
+                exchange_seconds: fr.exchange_seconds,
+                exchange_share: fr.exchange_seconds / out.seconds,
+                exchange_bytes: fr.exchange_bytes,
                 mean_utilization: mean(&utils),
                 bitwise_identical: identical,
-                per_device,
+                per_device: fr
+                    .per_device
+                    .iter()
+                    .map(|d| DeviceRow {
+                        device: d.device,
+                        busy_seconds: d.busy_seconds,
+                        idle_seconds: d.idle_seconds,
+                        utilization: d.utilization,
+                    })
+                    .collect(),
             });
         }
     }

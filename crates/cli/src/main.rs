@@ -255,13 +255,10 @@ fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirErr
             return Err(usage_err(format!("--{flag} requires --checkpoint <dir>")));
         }
     }
-    let faults = match args.get("faults")? {
-        Some(_) if devices < 2 => {
-            return Err(usage_err("--faults requires --devices >= 2 (a fleet to degrade)"))
-        }
-        Some(spec) => Some(FaultSpec::parse(spec, devices).map_err(MbirError::Usage)?),
-        None => None,
-    };
+    let faults = args
+        .get("faults")?
+        .map(|spec| FaultSpec::parse(spec, devices).map_err(MbirError::Usage))
+        .transpose()?;
     let i0 = args.positive_or("i0", 2.0e4)?;
     let sigma = args.positive_or("sigma", 0.002)?;
     let max_iters: usize = args.get_or("max-iters", 200)?;
@@ -314,21 +311,22 @@ fn reconstruct(sino_path: &Path, args: &Args) -> Result<(Image, String), MbirErr
                 gpu.equits(),
                 gpu.modeled_seconds()
             );
-            if let Some(fr) = gpu.fleet_report() {
+            let fr = gpu.fleet_report().expect("every GPU-ICD run keeps a fleet ledger");
+            if fr.devices > 1 {
                 let util = fr.per_device.iter().map(|d| d.utilization).sum::<f64>()
-                    / fr.per_device.len().max(1) as f64;
+                    / fr.per_device.len() as f64;
                 note.push_str(&format!(
                     " on {} devices (mean utilization {:.0}%, {:.1} MB exchanged)",
                     fr.devices,
                     100.0 * util,
                     fr.exchange_bytes as f64 / 1e6
                 ));
-                if fr.faults > 0 {
-                    note.push_str(&format!(
-                        "; {} fault(s), {:.3} s recovery, {:.3e} s compute lost",
-                        fr.faults, fr.recovery_seconds, fr.lost_seconds
-                    ));
-                }
+            }
+            if fr.faults > 0 {
+                note.push_str(&format!(
+                    "; {} fault(s), {:.3} s recovery, {:.3e} s compute lost",
+                    fr.faults, fr.recovery_seconds, fr.lost_seconds
+                ));
             }
             (gpu.image().clone(), note, out)
         }

@@ -195,6 +195,61 @@ fn fleet_summary_names_the_device_count() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One device is a fleet of one: `--faults` and `--fleet nodes=1x1`
+/// run on it, a straggler moves only the modeled time, and a failure
+/// that leaves no survivor is a usage error before any work.
+#[test]
+fn one_device_takes_faults_and_a_one_node_fleet() {
+    let dir = temp_dir("one-device");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (sino, img) = (path("s.csv"), path("r.pgm"));
+    let out = mbirctl(&["scan", "--scale", "tiny", "--out", &sino]);
+    assert!(out.status.success(), "scan: {}", String::from_utf8_lossy(&out.stderr));
+    let run = |tag: &str, extra: &[&str]| {
+        let csv = path(&format!("{tag}.csv"));
+        let mut argv = vec!["reconstruct", "--scale", "tiny", "--sino", &sino];
+        argv.extend(["--algo", "gpu", "--out", &img, "--csv", &csv]);
+        argv.extend(extra);
+        let out = mbirctl(&argv);
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(out.status.success(), "{tag}: {err}");
+        let summary = err.lines().find(|l| l.contains("GPU-ICD")).expect("summary").to_string();
+        (std::fs::read(&csv).unwrap(), summary)
+    };
+    let modeled = |summary: &str| -> f64 {
+        let rest = summary.split("modeled Titan X time ").nth(1).expect("modeled time");
+        rest.split(' ').next().unwrap().parse().unwrap()
+    };
+    let (plain, plain_note) = run("plain", &[]);
+    assert!(!plain_note.contains("devices"), "{plain_note}");
+    let (fleet, fleet_note) = run("fleet", &["--fleet", "nodes=1x1"]);
+    assert_eq!(fleet, plain, "nodes=1x1 changed the image");
+    assert_eq!(fleet_note, plain_note);
+    let (slow, slow_note) = run("slow", &["--devices", "1", "--faults", "slow:0@0..40x2"]);
+    assert_eq!(slow, plain, "a straggler changed the image");
+    assert!(slow_note.contains("1 fault(s)"), "{slow_note}");
+    assert!(modeled(&slow_note) > modeled(&plain_note), "{slow_note} vs {plain_note}");
+
+    let out = mbirctl(&[
+        "reconstruct",
+        "--scale",
+        "tiny",
+        "--sino",
+        &sino,
+        "--out",
+        &img,
+        "--devices",
+        "1",
+        "--faults",
+        "fail:0@2",
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("1 device failures leave no survivor in a 1-device fleet"), "{err}");
+    assert!(!err.contains("golden"), "the schedule is checked before any work: {err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// A checkpointed run goes through the same loop as a plain one, so its
 /// profile keeps the convergence lane.
 #[test]

@@ -100,7 +100,7 @@ pub struct GpuIcd<'a, P: Prior> {
     modeled_seconds: f64,
     sink: Option<Arc<dyn ProfileSink>>,
     batch_seq: u64,
-    fleet: Option<FleetState>,
+    fleet: FleetState,
 }
 
 impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
@@ -152,17 +152,15 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         let n = tiling.len();
         let model = GpuWorkModel::titan_x();
         let skeleton = model.skeleton(&opts);
-        let fleet = (opts.devices > 1).then(|| {
-            FleetState::new(
-                &model,
-                &skeleton,
-                &plan,
-                &tiling,
-                &opts,
-                a.geometry().num_channels,
-                ClusterSpec::single_node(FleetSpec::titan_x_pcie(opts.devices)),
-            )
-        });
+        let fleet = FleetState::new(
+            &model,
+            &skeleton,
+            &plan,
+            &tiling,
+            &opts,
+            a.geometry().num_channels,
+            ClusterSpec::single_node(FleetSpec::titan_x_pcie(opts.devices)),
+        );
         GpuIcd {
             a,
             weights,
@@ -198,15 +196,10 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     /// exchange, intra-node broadcast), and slab streaming loads and
     /// seam halos are booked on the same timeline. Must be called
     /// before the first iteration, with a cluster whose total device
-    /// count matches `opts.devices`; a request for a single-device run
-    /// is rejected the same way. An installed fault schedule carries
-    /// over to the new fleet state.
+    /// count matches `opts.devices` — one device is a one-node,
+    /// one-device cluster like any other. An installed fault schedule
+    /// carries over to the new fleet state.
     pub fn set_cluster_spec(&mut self, cluster: ClusterSpec) -> Result<(), MbirError> {
-        let Some(old) = self.fleet.as_ref() else {
-            return Err(MbirError::Usage(
-                "fleet spec applies to multi-device runs only (set --devices > 1)".into(),
-            ));
-        };
         if self.iter != 0 {
             return Err(MbirError::Usage(
                 "fleet spec must be set before the first iteration".into(),
@@ -221,8 +214,8 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 self.opts.devices
             )));
         }
-        let faults = old.faults().clone();
-        let mut fs = FleetState::new(
+        let faults = self.fleet.faults().clone();
+        self.fleet = FleetState::new(
             &self.model,
             &self.skeleton,
             &self.plan,
@@ -231,13 +224,14 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
             self.a.geometry().num_channels,
             cluster,
         );
-        fs.set_faults(faults);
-        self.fleet = Some(fs);
+        self.fleet.set_faults(faults);
         Ok(())
     }
 
-    /// Install a deterministic fault schedule (validated against the
-    /// fleet size). Must be called before the first iteration; the
+    /// Install a deterministic fault schedule, validated against the
+    /// fleet size by [`FaultSpec::validate`] (a one-device run takes
+    /// stragglers and degraded links, but no failure leaves it a
+    /// survivor). Must be called before the first iteration; the
     /// schedule bends only the modeled timeline — the reconstruction
     /// stays bitwise identical to a healthy run.
     pub fn set_fault_spec(&mut self, spec: FaultSpec) -> Result<(), MbirError> {
@@ -246,20 +240,17 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 "fault schedule must be set before the first iteration".into(),
             ));
         }
-        let Some(fs) = self.fleet.as_mut() else {
-            return Err(MbirError::Usage(
-                "fault injection requires a multi-device run (set --devices > 1)".into(),
-            ));
-        };
         spec.validate(self.opts.devices).map_err(MbirError::Usage)?;
-        fs.set_faults(spec);
+        self.fleet.set_faults(spec);
         Ok(())
     }
 
     /// The fleet ledger (per-device utilization, exchange bytes and
-    /// seconds), present when `opts.devices > 1`.
+    /// seconds). Every run has one — a one-device run books no
+    /// exchange and is busy its whole timeline — so this is always
+    /// `Some`.
     pub fn fleet_report(&self) -> Option<FleetReport> {
-        self.fleet.as_ref().map(|f| f.report())
+        Some(self.fleet.report())
     }
 
     /// Route kernel spans, iteration samples, convergence points and
@@ -330,7 +321,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 let end = (i + self.opts.svs_per_batch).min(group.len());
                 let batch = &group[i..end];
                 // The batch's span on the modeled timeline: kernels
-                // plus, above one device, exchanges.
+                // plus exchanges (exact zeros on one device).
                 report.modeled_seconds += self.process_batch(batch, &mut report);
                 report.batches += 1;
                 report.svs_updated += batch.len();
@@ -415,13 +406,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
             batch: self.batch_seq,
         };
         self.batch_seq += 1;
-        if let Some(fs) = self.fleet.as_mut() {
-            return fs.price_batch(&k, &tally, batch);
-        }
-        // One device: the batch starts where the previous one ended on
-        // the modeled timeline — completed iterations plus the batches
-        // already accumulated into this iteration's report.
-        k.time(&tally, 0, self.modeled_seconds + report.modeled_seconds).seconds()
+        self.fleet.price_batch(&k, &tally, batch)
     }
 
     /// Run up to `max_iters` further iterations under [`Stop::Cap`],
@@ -489,7 +474,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
             image: self.image.data().to_vec(),
             error: self.error.data().to_vec(),
             update_amount: self.update_amount.clone(),
-            resident: self.fleet.as_ref().map_or_else(Vec::new, FleetState::residency),
+            resident: self.fleet.residency(),
         }
     }
 
@@ -552,7 +537,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 self.tiling.len()
             )));
         }
-        let slabs = self.fleet.as_ref().map_or(1, FleetState::slabs);
+        let slabs = self.fleet.slabs();
         let trailer = if slabs > 1 { self.opts.devices } else { 0 };
         if ckp.resident.len() != trailer {
             return Err(MbirError::Checkpoint(if slabs > 1 {
@@ -573,9 +558,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         self.batch_seq = ckp.batch_seq;
         self.stats = ckp.stats;
         self.modeled_seconds = ckp.modeled_seconds;
-        if let Some(fs) = self.fleet.as_mut() {
-            fs.restore(ckp);
-        }
+        self.fleet.restore(ckp);
         Ok(())
     }
 
@@ -857,7 +840,7 @@ mod tests {
         let ckp = Checkpoint { resident: vec![0, 0], ..donor.checkpoint() };
         let msg = checkpoint_error(&mut streaming(&g, &a, &s, &prior, 1), &ckp);
         assert!(msg.contains("single slab"), "{msg}");
-        // The fleet-free single-device path holds one slab too.
+        // A one-device run holds one slab too.
         let mut one = GpuIcd::new(&a, &s.y, &s.weights, &prior, Image::zeros(g.grid), opts());
         let ckp = Checkpoint { resident: vec![0], ..one.checkpoint() };
         assert!(checkpoint_error(&mut one, &ckp).contains("single slab"));

@@ -1,12 +1,14 @@
-//! Driver-side fleet state: every multi-device GPU-ICD run is a
-//! cluster, and `FleetState::price_batch` is its one pricing path.
+//! Driver-side fleet state: every GPU-ICD run is a cluster, and
+//! `FleetState::price_batch` is its one pricing path.
 //!
 //! The functional computation is untouched by sharding — SVs of one
 //! batch share no boundary voxels, every device gathers from the same
 //! error-sinogram snapshot, and commits merge in batch order — so the
 //! fleet only re-prices the timeline. A flat fleet is a one-node,
 //! one-slab [`ClusterSpec`] (whose hierarchical reduce is the flat ring
-//! all-gather, bit for bit), and every batch books, in order:
+//! all-gather, bit for bit), one device is a flat fleet of one (its
+//! loads, halos and exchange are exact zeros, so a batch's span is its
+//! kernels' seconds, bit for bit), and every batch books, in order:
 //!
 //! 1. slab loads — first touch or residency switch, slab streaming
 //!    only, concurrent across devices;
@@ -36,7 +38,7 @@
 //! interior SV's work.
 
 use crate::checkpoint::{Checkpoint, NO_SLAB};
-use crate::model::{BatchTiming, GpuWorkModel, ProfileSkeleton};
+use crate::model::{GpuWorkModel, ProfileSkeleton};
 use crate::opts::GpuOptions;
 use crate::tally::{BatchTally, SvTally};
 use mbir_fleet::{FaultEvent, FaultSpec, Fleet, FleetReport, ShardPlan};
@@ -59,27 +61,23 @@ pub(crate) struct BatchContext<'a> {
 }
 
 impl BatchContext<'_> {
-    /// Model `device`'s kernels for `tally`, profiled spans starting at
-    /// `start` on the modeled timeline.
-    pub(crate) fn time(&self, tally: &BatchTally, device: usize, start: f64) -> BatchTiming {
-        let ctx = LaunchCtx {
-            device: device as u64,
-            iteration: self.iter,
-            batch: self.batch,
-            start_seconds: start,
-            ..LaunchCtx::default()
-        };
-        self.model.batch(self.skeleton, tally, self.num_channels, self.sink.map(|s| (s, ctx)))
-    }
-
-    /// Model every device's shard in device order and return each
+    /// Model every device's shard in device order, profiled spans
+    /// starting at `start` on the modeled timeline, and return each
     /// device's seconds (zero for a device with nothing launched).
     /// Pricing is microseconds of arithmetic per device, far below the
     /// cost of handing it to worker threads.
     fn time_devices(&self, tallies: &[BatchTally], start: f64) -> Vec<f64> {
         let mut seconds = vec![0.0; tallies.len()];
         for (d, tally) in tallies.iter().enumerate().filter(|(_, t)| !t.svs.is_empty()) {
-            seconds[d] = self.time(tally, d, start).seconds();
+            let ctx = LaunchCtx {
+                device: d as u64,
+                iteration: self.iter,
+                batch: self.batch,
+                start_seconds: start,
+                ..LaunchCtx::default()
+            };
+            let sink = self.sink.map(|s| (s, ctx));
+            seconds[d] = self.model.batch(self.skeleton, tally, self.num_channels, sink).seconds();
         }
         seconds
     }

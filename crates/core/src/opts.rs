@@ -128,11 +128,12 @@ pub struct GpuOptions {
     /// any value). 0 defers to the process-wide setting
     /// (`mbir_parallel::threads()`).
     pub threads: usize,
-    /// Simulated devices the SV set is sharded across (1 = the plain
-    /// single-device driver, bypassing the fleet path entirely).
-    /// Functional results are bitwise identical at any count — only the
-    /// modeled timeline changes, which above 1 prices per-device kernel
-    /// spans plus the inter-device exchanges.
+    /// Simulated devices the SV set is sharded across. Every count runs
+    /// one pricing path; 1 is a fleet of one, whose loads, halos and
+    /// exchanges are exact zeros. Functional results are bitwise
+    /// identical at any count — only the modeled timeline changes,
+    /// which above 1 prices per-device kernel spans plus the
+    /// inter-device exchanges.
     pub devices: usize,
     /// RNG seed (voxel orders, random SV selection).
     pub seed: u64,

@@ -239,13 +239,17 @@ impl Reconstructor {
         self
     }
 
-    /// Override the GPU options entirely (GPU-ICD only).
+    /// Override the GPU options entirely (GPU-ICD only), in place of
+    /// the preset. An explicit [`Reconstructor::sv_side`] still wins,
+    /// whichever setter is called first.
     pub fn gpu_options(mut self, o: GpuOptions) -> Self {
         self.gpu_options = Some(o);
         self
     }
 
-    /// Override the SV side (PSV-ICD / GPU-ICD).
+    /// Override the SV side (PSV-ICD / GPU-ICD). It applies on top of
+    /// the preset or of [`Reconstructor::gpu_options`], whichever
+    /// setter is called first.
     pub fn sv_side(mut self, side: usize) -> Self {
         self.sv_side = Some(side);
         self
@@ -258,10 +262,10 @@ impl Reconstructor {
     /// built.
     pub fn run(&self, y: &Sinogram) -> Result<ReconResult, MbirError> {
         let scale = Scale::for_grid(self.geom.grid);
-        let (psv, gpu) = (psv_options_for(scale), gpu_options_for(scale));
+        let psv = psv_options_for(scale);
+        let gpu = self.gpu_options.unwrap_or_else(|| gpu_options_for(scale));
         let psv = PsvConfig { sv_side: self.sv_side.unwrap_or(psv.sv_side), ..psv };
         let gpu = GpuOptions { sv_side: self.sv_side.unwrap_or(gpu.sv_side), ..gpu };
-        let gpu = self.gpu_options.unwrap_or(gpu);
         match self.algorithm {
             Algorithm::PsvIcd => check(psv.sv_side >= 2, "sv_side", "at least 2", psv.sv_side)?,
             Algorithm::GpuIcd => gpu.validate()?,

@@ -103,8 +103,9 @@ fn prepare_job(
     Ok(Prepared { case, opts, _plan: plan, ready_offset, hidden_seconds })
 }
 
-/// Build (or rebuild) a driver on a lease: carve the sub-fleet when
-/// the lease spans devices, restore the checkpoint when resuming.
+/// Build (or rebuild) a driver on a lease: carve the lease's sub-fleet
+/// (one device is a fleet of one), restore the checkpoint when
+/// resuming.
 fn build_driver<'p>(
     p: &'p Prepared,
     fleet: &FleetSpec,
@@ -112,11 +113,7 @@ fn build_driver<'p>(
     sink: Option<&Arc<LeaseSink>>,
 ) -> Result<GpuIcd<'p, QggmrfPrior>, MbirError> {
     let mut gpu = p.case.gpu(p.opts);
-    if p.opts.devices > 1 {
-        gpu.set_fleet_spec(
-            fleet.carve(p.opts.devices).map_err(|e| MbirError::Usage(e.to_string()))?,
-        )?;
-    }
+    gpu.set_fleet_spec(fleet.carve(p.opts.devices).map_err(|e| MbirError::Usage(e.to_string()))?)?;
     if let Some(c) = ckp {
         gpu.restore(c)?;
     }

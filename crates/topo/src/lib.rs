@@ -12,8 +12,9 @@
 //! - [`Topology`]: replaces the flat ring all-gather with a
 //!   hierarchical reduce — intra-node gather, inter-node exchange
 //!   among node leaders, intra-node pipelined broadcast — priced
-//!   per phase ([`ExchangeCost`]) against the flat-ring baseline
-//!   (which a multi-node ring pins to the slowest, inter-node hop).
+//!   per phase ([`ExchangeCost`]) against the flat-ring baseline:
+//!   [`ClusterSpec::flatten`] priced as a one-node cluster, its ring
+//!   pinned to the slowest, inter-node hop.
 //! - [`SlabPlan`] / [`SlabStreamer`]: axial slab decomposition so a
 //!   volume larger than one device's modeled memory reconstructs by
 //!   streaming slabs through devices, with halo exchange only at slab

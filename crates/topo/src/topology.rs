@@ -67,14 +67,14 @@ impl ExchangeCost {
     }
 }
 
-/// Prices cluster exchanges: the hierarchical reduce and the flat-ring
-/// baseline it replaces.
+/// Prices cluster exchanges as the hierarchical reduce. The flat-ring
+/// baseline is a one-node cluster of [`ClusterSpec::flatten`], whose
+/// reduce is that ring, bit for bit.
 #[derive(Debug, Clone)]
 pub struct Topology {
     spec: ClusterSpec,
     intra: Interconnect,
     inter: Interconnect,
-    flat: Interconnect,
 }
 
 impl Topology {
@@ -82,8 +82,7 @@ impl Topology {
     pub fn new(spec: ClusterSpec) -> Self {
         let intra = Interconnect::new(spec.node.fleet.interconnect.clone());
         let inter = Interconnect::new(spec.inter.clone());
-        let flat = Interconnect::new(spec.flatten().interconnect);
-        Topology { spec, intra, inter, flat }
+        Topology { spec, intra, inter }
     }
 
     /// The cluster this pricer reads its constants from.
@@ -186,17 +185,6 @@ impl Topology {
             ..cost
         }
     }
-
-    /// The flat-ring baseline over the same payloads: one ring over
-    /// all devices, paced by the slowest hop (see
-    /// [`ClusterSpec::flatten`]).
-    pub fn flat_allgather(&self, payload_bytes: &[u64]) -> PhaseCost {
-        assert_eq!(payload_bytes.len(), self.spec.total_devices(), "one payload per device");
-        PhaseCost {
-            seconds: self.flat.allgather_seconds(payload_bytes),
-            bytes: self.flat.allgather_bytes(payload_bytes),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -209,12 +197,19 @@ mod tests {
         vec![each; cluster.total_devices()]
     }
 
+    /// The flat-ring baseline over the same payloads: the cluster
+    /// flattened into one ring paced by its slowest hop, priced as a
+    /// one-node cluster.
+    fn flat_ring(topo: &Topology, payload_bytes: &[u64]) -> ExchangeCost {
+        Topology::new(ClusterSpec::single_node(topo.spec().flatten())).allgather(payload_bytes)
+    }
+
     #[test]
     fn single_node_degenerates_to_the_flat_intra_ring() {
         let topo = Topology::new(ClusterSpec::titan_x_cluster(1, 8));
         let p = payloads(topo.spec(), 50_000);
         let hier = topo.allgather(&p);
-        let flat = topo.flat_allgather(&p);
+        let flat = flat_ring(&topo, &p);
         assert_eq!(hier.seconds, flat.seconds, "one node: gather IS the flat ring");
         assert_eq!(hier.bytes, flat.bytes);
         assert_eq!(hier.inter_exchange, PhaseCost::default());
@@ -226,7 +221,7 @@ mod tests {
         let topo = Topology::new(ClusterSpec::titan_x_cluster(8, 1));
         let p = payloads(topo.spec(), 50_000);
         let hier = topo.allgather(&p);
-        let flat = topo.flat_allgather(&p);
+        let flat = flat_ring(&topo, &p);
         assert_eq!(hier.seconds, flat.seconds, "1 device/node: leaders ARE the ring");
         assert_eq!(hier.bytes, flat.bytes);
         assert_eq!(hier.gather_span(), 0.0);
@@ -241,7 +236,7 @@ mod tests {
             let topo = Topology::new(ClusterSpec::titan_x_cluster(nodes, dpn));
             let p = payloads(topo.spec(), 50_000);
             let hier = topo.allgather(&p);
-            let flat = topo.flat_allgather(&p);
+            let flat = flat_ring(&topo, &p);
             assert!(
                 hier.seconds < flat.seconds,
                 "{nodes}x{dpn}: hierarchical {} !< flat {}",
@@ -272,7 +267,7 @@ mod tests {
         let topo = Topology::new(ClusterSpec::titan_x_cluster(8, 8));
         let p = payloads(topo.spec(), 65_536);
         let hier = topo.allgather(&p);
-        let flat = topo.flat_allgather(&p);
+        let flat = flat_ring(&topo, &p);
         assert!(hier.inter_exchange.bytes < flat.bytes);
     }
 

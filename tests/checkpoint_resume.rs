@@ -2,8 +2,7 @@
 //! interrupted at ANY iteration boundary and resumed from its saved
 //! checkpoint must produce an image, error sinogram, work counters,
 //! and modeled timeline bitwise identical to the run that was never
-//! interrupted — on the single-device path, on flat fleets and
-//! clusters (slabs pinned to device groups, and streamed through fewer
+//! interrupted — on one device, on flat fleets and clusters (slabs pinned to device groups, and streamed through fewer
 //! devices than slabs), with and without a fault schedule mid-flight
 //! (failure before, at, and after the interruption point).
 
@@ -132,6 +131,15 @@ fn assert_resume_invisible(
 fn single_device_resume_is_bitwise_identical_at_every_boundary() {
     let s = setup();
     assert_resume_invisible(&s, opts(1), None, None, 5, "single");
+}
+
+#[test]
+fn faulted_single_device_resume_is_bitwise_identical_at_every_boundary() {
+    // One device is a fleet of one: its straggler and link episodes
+    // replay across a resume like any fleet's.
+    let s = setup();
+    let faults = "slow:0@0..6x2,link:1..6x1.5";
+    assert_resume_invisible(&s, opts(1), None, Some(faults), 5, "faulted-single");
 }
 
 #[test]

@@ -134,6 +134,24 @@ fn gpu_options_override_applies() {
 }
 
 #[test]
+fn an_explicit_sv_side_wins_over_gpu_options_in_either_order() {
+    let (geom, y, _) = measurement();
+    let scale = gpu_icd::Scale::for_grid(geom.grid);
+    let side6 = gpu_icd::GpuOptions { sv_side: 6, ..gpu_icd::gpu_options_for(scale) };
+    let side4 = Reconstructor::new(geom).sv_side(4).run(&y).expect("valid input");
+    for r in [
+        Reconstructor::new(geom).sv_side(4).gpu_options(side6),
+        Reconstructor::new(geom).gpu_options(side6).sv_side(4),
+    ] {
+        let r = r.run(&y).expect("valid input");
+        assert_eq!(r.image, side4.image);
+        assert_eq!(r.modeled_seconds.to_bits(), side4.modeled_seconds.to_bits());
+    }
+    let side6 = Reconstructor::new(geom).gpu_options(side6).run(&y).expect("valid input");
+    assert_ne!(side6.modeled_seconds.to_bits(), side4.modeled_seconds.to_bits());
+}
+
+#[test]
 fn a_sinogram_of_another_geometry_is_an_error() {
     let (_, y, _) = measurement();
     let err = Reconstructor::new(Geometry::test_scale()).run(&y).unwrap_err().to_string();

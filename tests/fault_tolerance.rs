@@ -265,9 +265,14 @@ fn faulted_profiled_runs_are_deterministic() {
 #[test]
 fn fault_spec_installation_is_validated() {
     let s = setup();
-    // Single-device runs have no fleet to degrade.
+    // One device is a fleet of one: it can straggle, but no failure
+    // leaves it a survivor.
     let mut single = driver(&s, opts(1));
-    assert!(matches!(single.set_fault_spec(FaultSpec::none()), Err(MbirError::Usage(_))));
+    single.set_fault_spec(FaultSpec::parse("slow:0@0..4x2", 1).unwrap()).expect("slow installs");
+    match single.set_fault_spec(FaultSpec::parse("fail:0@1", 2).unwrap()) {
+        Err(MbirError::Usage(msg)) => assert!(msg.contains("no survivor"), "{msg}"),
+        other => panic!("expected a usage error, got {other:?}"),
+    }
 
     // Schedules must validate against the fleet size.
     let mut fleet = driver(&s, opts(2));

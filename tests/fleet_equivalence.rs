@@ -2,10 +2,11 @@
 //! across simulated devices must leave every functional result — the
 //! image, the error sinogram, the work counters — bitwise identical to
 //! the single-device driver, at any device count and any host thread
-//! count. `devices = 1` must be indistinguishable from the plain
-//! driver in modeled seconds too (it bypasses the fleet path), and a
-//! profiled multi-device run must produce one deterministic merged
-//! report that validates against the checked-in schema.
+//! count. One device is a fleet of one on the same pricing path: it
+//! exchanges nothing, so its modeled seconds do not depend on the
+//! link, and a straggler only stretches its timeline. A profiled
+//! multi-device run must produce one deterministic merged report that
+//! validates against the checked-in schema.
 
 use ct_core::fbp;
 use ct_core::geometry::Geometry;
@@ -18,7 +19,7 @@ use gpu_icd::{GpuIcd, GpuOptions};
 use mbir::prior::QggmrfPrior;
 use mbir::sequential::golden_image;
 use mbir::stopping::{self, BoundaryAction, Stop};
-use mbir_fleet::FleetSpec;
+use mbir_fleet::{FaultSpec, FleetSpec};
 use mbir_telemetry::{json, RecordingSink};
 use std::sync::Arc;
 
@@ -59,7 +60,19 @@ struct RunResult {
 }
 
 fn run(s: &Setup, o: GpuOptions) -> RunResult {
+    run_on(s, o, None, None)
+}
+
+/// [`run`] on `spec` in place of the default PCIe fleet, under the
+/// fault schedule `faults`.
+fn run_on(s: &Setup, o: GpuOptions, spec: Option<FleetSpec>, faults: Option<&str>) -> RunResult {
     let mut gpu = GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), o);
+    if let Some(spec) = spec {
+        gpu.set_fleet_spec(spec).expect("valid fleet spec");
+    }
+    if let Some(text) = faults {
+        gpu.set_fault_spec(FaultSpec::parse(text, o.devices).unwrap()).expect("faults install");
+    }
     let stop = Stop::Golden { image: &s.golden, hu: 10.0 };
     stopping::run(&mut gpu, stop, 40, |_, _| BoundaryAction::Continue);
     RunResult {
@@ -71,16 +84,32 @@ fn run(s: &Setup, o: GpuOptions) -> RunResult {
 }
 
 #[test]
-fn one_device_is_bitwise_identical_to_plain_driver() {
-    // The acceptance regression: `--devices 1` must match the existing
-    // single-device GpuIcd path in images AND modeled seconds, bit for
-    // bit (it takes exactly the same code path — no fleet state).
+fn one_device_prices_the_same_on_any_link() {
+    // A fleet of one exchanges nothing, so moving it from the default
+    // PCIe fleet to NVLink changes neither the image nor a bit of its
+    // modeled seconds.
     let s = setup();
-    let plain = run(&s, GpuOptions { devices: 1, ..opts(1) });
-    let one = run(&s, opts(1));
-    assert_eq!(plain.image, one.image);
-    assert_eq!(plain.error, one.error);
-    assert_eq!(plain.modeled_seconds.to_bits(), one.modeled_seconds.to_bits());
+    let pcie = run(&s, opts(1));
+    let nvlink = run_on(&s, opts(1), Some(FleetSpec::titan_x_nvlink(1)), None);
+    assert_eq!(pcie.image, nvlink.image);
+    assert_eq!(pcie.error, nvlink.error);
+    assert_eq!(pcie.modeled_seconds.to_bits(), nvlink.modeled_seconds.to_bits());
+}
+
+#[test]
+fn a_one_device_straggler_only_stretches_the_timeline() {
+    let s = setup();
+    let healthy = run(&s, opts(1));
+    let slow = run_on(&s, opts(1), None, Some("slow:0@0..40x2,link:0..9x1.5"));
+    assert_eq!(healthy.image, slow.image);
+    assert_eq!(healthy.error, slow.error);
+    assert_eq!(healthy.equits.to_bits(), slow.equits.to_bits());
+    assert!(
+        slow.modeled_seconds > healthy.modeled_seconds,
+        "straggler {} vs healthy {}",
+        slow.modeled_seconds,
+        healthy.modeled_seconds
+    );
 }
 
 #[test]
@@ -127,9 +156,17 @@ fn fleet_ledger_is_consistent() {
         assert!((d.busy_seconds + d.idle_seconds - fr.wall_seconds).abs() < 1e-9);
     }
 
-    // Single-device runs have no fleet report.
-    let plain = GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), opts(1));
-    assert!(plain.fleet_report().is_none());
+    // One device is a fleet of one: busy its whole timeline, and it
+    // exchanges nothing.
+    let mut one = GpuIcd::new(&s.a, &s.scan.y, &s.scan.weights, &s.prior, s.init.clone(), opts(1));
+    for _ in 0..3 {
+        one.iteration();
+    }
+    let fr = one.fleet_report().expect("every run has a fleet report");
+    assert_eq!(fr.devices, 1);
+    assert_eq!(fr.per_device[0].utilization, 1.0);
+    assert_eq!(fr.exchange_seconds, 0.0);
+    assert_eq!(fr.exchange_bytes, 0);
 }
 
 #[test]
