@@ -1,6 +1,8 @@
-//! System-matrix build benchmark: the staged lane build, which gathers
-//! each block's per-view channel offsets into flat arrays and evaluates
-//! the branchless cumulative in one straight-line pass.
+//! System-matrix build benchmark: the one build path at test scale, on
+//! one and two worker threads. Each voxel range writes its columns in
+//! place in the final arrays, evaluating a fixed number of candidate
+//! channels per (voxel, view) in straight-line passes and finding each
+//! run from a bitmask; the gaps between ranges close in range order.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ct_core::geometry::Geometry;
@@ -11,7 +13,11 @@ fn bench_sysmat_build(c: &mut Criterion) {
     let g = Geometry::test_scale();
     let mut group = c.benchmark_group("sysmat_build");
     group.sample_size(10);
-    group.bench_function("compute_test_scale", |b| b.iter(|| black_box(SystemMatrix::compute(&g))));
+    for threads in [1usize, 2] {
+        group.bench_function(&format!("compute_test_scale_threads{threads}"), |b| {
+            b.iter(|| black_box(SystemMatrix::compute_parallel(&g, threads)))
+        });
+    }
     group.finish();
 }
 

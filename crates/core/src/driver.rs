@@ -197,7 +197,8 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     /// seam halos are booked on the same timeline. Must be called
     /// before the first iteration, with a cluster whose total device
     /// count matches `opts.devices` — one device is a one-node,
-    /// one-device cluster like any other. An installed fault schedule
+    /// one-device cluster like any other. The per-SV costs priced when
+    /// the driver was built are kept, and an installed fault schedule
     /// carries over to the new fleet state.
     pub fn set_cluster_spec(&mut self, cluster: ClusterSpec) -> Result<(), MbirError> {
         if self.iter != 0 {
@@ -214,17 +215,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 self.opts.devices
             )));
         }
-        let faults = self.fleet.faults().clone();
-        self.fleet = FleetState::new(
-            &self.model,
-            &self.skeleton,
-            &self.plan,
-            &self.tiling,
-            &self.opts,
-            self.a.geometry().num_channels,
-            cluster,
-        );
-        self.fleet.set_faults(faults);
+        self.fleet = self.fleet.recarve(&self.plan, &self.tiling, cluster);
         Ok(())
     }
 
@@ -774,6 +765,23 @@ mod tests {
         let prior = QggmrfPrior::standard(0.002);
         let o = GpuOptions { svs_per_batch: 0, ..opts() };
         GpuIcd::new(&a, &s.y, &s.weights, &prior, Image::zeros(g.grid), o).iteration();
+    }
+
+    #[test]
+    fn a_new_fleet_or_cluster_keeps_the_priced_sv_costs() {
+        // Every SV is priced once, when the driver is built; installing
+        // a fleet or a cluster re-plans around the same costs.
+        let (g, a, s) = setup();
+        let prior = QggmrfPrior::standard(0.002);
+        let o = GpuOptions { devices: 4, ..opts() };
+        let mut gpu = GpuIcd::new(&a, &s.y, &s.weights, &prior, Image::zeros(g.grid), o);
+        let priced = Arc::clone(gpu.fleet.costs());
+        gpu.set_fleet_spec(FleetSpec::titan_x_nvlink(4)).expect("a 4-device fleet");
+        assert!(Arc::ptr_eq(&priced, gpu.fleet.costs()));
+        let cluster = ClusterSpec::titan_x_cluster(2, 2).with_slabs(2);
+        gpu.set_cluster_spec(cluster).expect("a 2x2 cluster");
+        assert!(Arc::ptr_eq(&priced, gpu.fleet.costs()));
+        assert_eq!(gpu.fleet.slabs(), 2, "the cluster's slabs were planned");
     }
 
     #[test]

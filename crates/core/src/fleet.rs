@@ -44,6 +44,7 @@ use crate::tally::{BatchTally, SvTally};
 use mbir_fleet::{FaultEvent, FaultSpec, Fleet, FleetReport, ShardPlan};
 use mbir_telemetry::{ExchangeRecord, FaultRecord, LaunchCtx, ProfileSink};
 use mbir_topo::{ClusterSpec, SlabPlan, SlabStreamer, Topology};
+use std::sync::Arc;
 use supervoxel::plan::{SvPlan, SvPlanSet};
 use supervoxel::tiling::Tiling;
 
@@ -123,12 +124,13 @@ pub struct FleetState {
     /// Per physical device: still alive?
     live: Vec<bool>,
     /// Modeled per-SV cost the shard is balanced by — retained so a
-    /// failure can re-run the partition over the survivors.
-    costs: Vec<f64>,
+    /// failure can re-run the partition over the survivors, and shared
+    /// with every re-carving of the run's fleet ([`FleetState::recarve`]).
+    costs: Arc<[f64]>,
     /// Per SV: bytes the owning device publishes after a batch touching
     /// it — the SV's error-band delta plane plus its boundary-voxel
-    /// image halo.
-    payload_bytes: Vec<u64>,
+    /// image halo. Shared like `costs`.
+    payload_bytes: Arc<[u64]>,
     /// Prices the hierarchical exchange and, through its intra-node
     /// link, slab loads and seam halos.
     topology: Topology,
@@ -151,8 +153,8 @@ pub struct FleetState {
 }
 
 impl FleetState {
-    /// Plan the shard over `cluster` and zero the clocks.
-    /// `cluster.total_devices()` must match `opts.devices`.
+    /// Price every SV, plan the shard over `cluster` and zero the
+    /// clocks. `cluster.total_devices()` must match `opts.devices`.
     pub fn new(
         model: &GpuWorkModel,
         skeleton: &ProfileSkeleton,
@@ -162,9 +164,12 @@ impl FleetState {
         num_channels: usize,
         cluster: ClusterSpec,
     ) -> Self {
-        let devices = cluster.total_devices();
-        assert_eq!(devices, opts.devices, "fleet spec sized for a different device count");
-        let costs = sv_costs(model, skeleton, plans, opts, num_channels);
+        assert_eq!(
+            cluster.total_devices(),
+            opts.devices,
+            "fleet spec sized for a different device count"
+        );
+        let costs = sv_costs(model, skeleton, plans, opts, num_channels).into();
         let payload_bytes = tiling
             .svs()
             .iter()
@@ -176,7 +181,41 @@ impl FleetState {
                 plan.svb_bytes as u64 + halo
             })
             .collect();
+        Self::carve(costs, payload_bytes, plans, tiling, cluster)
+    }
 
+    /// This run's fleet re-planned over `cluster`, which must hold as
+    /// many devices: the per-SV costs and payload bytes, which do not
+    /// depend on the cluster, are shared rather than priced again; the
+    /// shard, topology, slabs, streamer and ledger are planned afresh;
+    /// and the fault schedule carries over.
+    pub(crate) fn recarve(&self, plans: &SvPlanSet, tiling: &Tiling, cluster: ClusterSpec) -> Self {
+        assert_eq!(
+            cluster.total_devices(),
+            self.live.len(),
+            "fleet spec sized for a different device count"
+        );
+        let mut fs = Self::carve(
+            Arc::clone(&self.costs),
+            Arc::clone(&self.payload_bytes),
+            plans,
+            tiling,
+            cluster,
+        );
+        fs.set_faults(self.faults.clone());
+        fs
+    }
+
+    /// Everything that depends on `cluster`, around the per-SV costs
+    /// and payloads.
+    fn carve(
+        costs: Arc<[f64]>,
+        payload_bytes: Arc<[u64]>,
+        plans: &SvPlanSet,
+        tiling: &Tiling,
+        cluster: ClusterSpec,
+    ) -> Self {
+        let devices = cluster.total_devices();
         let (sv_rows, _) = tiling.sv_grid();
         let slabs = SlabPlan::new(sv_rows, cluster.slabs);
         let sv_slab: Vec<usize> =
@@ -212,6 +251,12 @@ impl FleetState {
         }
     }
 
+    /// The per-SV costs the shard is balanced by.
+    #[cfg(test)]
+    pub(crate) fn costs(&self) -> &Arc<[f64]> {
+        &self.costs
+    }
+
     /// The sharding plan in force.
     pub fn shard(&self) -> &ShardPlan {
         &self.shard
@@ -230,11 +275,6 @@ impl FleetState {
     /// Effective slab count (1 unless slabs stream).
     pub fn slabs(&self) -> usize {
         self.slabs.slabs()
-    }
-
-    /// The installed fault schedule.
-    pub(crate) fn faults(&self) -> &FaultSpec {
-        &self.faults
     }
 
     /// Install a fault schedule (validated against the device count).

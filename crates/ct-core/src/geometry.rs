@@ -83,7 +83,17 @@ pub struct Geometry {
 
 impl Geometry {
     /// Build a geometry, checking that the detector covers the grid's
-    /// field of view (otherwise reconstructions are truncated).
+    /// field of view (otherwise reconstructions are truncated) and that
+    /// a voxel's footprint spans no more detector channels than the
+    /// system-matrix build handles
+    /// ([`SystemMatrix::MAX_CANDIDATES`](crate::sysmat::SystemMatrix::MAX_CANDIDATES)
+    /// candidates, which every pixel up to 43 channel spacings wide
+    /// meets; every preset has pixel size equal to spacing).
+    ///
+    /// # Panics
+    ///
+    /// If either check fails; the footprint message names the pixel
+    /// size and the channel spacing.
     pub fn new(
         num_views: usize,
         num_channels: usize,
@@ -99,6 +109,7 @@ impl Geometry {
             channel_spacing,
             grid.bounding_radius()
         );
+        crate::sysmat::SystemMatrix::checked_candidates(&g);
         g
     }
 
@@ -134,7 +145,15 @@ impl Geometry {
     /// Detector coordinate (mm) of the center of channel `ch`.
     #[inline]
     pub fn channel_center(&self, ch: usize) -> f32 {
-        (ch as f32 - (self.num_channels as f32 - 1.0) / 2.0) * self.channel_spacing
+        self.channel_position(ch as f32)
+    }
+
+    /// Detector coordinate (mm) of continuous channel coordinate `ch`,
+    /// the inverse of [`Geometry::channel_of`]; at a whole channel it is
+    /// [`Geometry::channel_center`].
+    #[inline]
+    pub(crate) fn channel_position(&self, ch: f32) -> f32 {
+        (ch - (self.num_channels as f32 - 1.0) / 2.0) * self.channel_spacing
     }
 
     /// Distance (mm) from detector center to its outer edge.

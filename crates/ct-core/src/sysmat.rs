@@ -5,14 +5,23 @@
 //! view `i`. Following the paper, entries are stored **per voxel
 //! column**, contiguous across all views ("all these A-matrix elements,
 //! across all views, are placed in memory in a contiguous fashion,
-//! using a sparse matrix format"), with a per-view starting channel —
-//! the layout the naive GPU kernel reads and the transformed layout of
-//! paper Section 4.1 is derived from.
+//! using a sparse matrix format"), with a per-view starting channel and
+//! a one-byte run count — the layout the naive GPU kernel reads and the
+//! transformed layout of paper Section 4.1 is derived from.
+//!
+//! The build writes every array once, in its final buffer. Each voxel
+//! range owns disjoint slices of the per-voxel arrays and of one value
+//! buffer sized by a bound (every (voxel, view) pair at its most
+//! candidates), so ranges build side by side; the gaps the bound leaves
+//! between ranges are closed in range order afterwards. Within a range,
+//! each view evaluates a fixed number of candidate channels per voxel in
+//! one straight-line pass, and a bitmask over them locates each run.
 
 use crate::footprint::Trapezoid;
 use crate::geometry::Geometry;
 use crate::image::Image;
 use crate::sinogram::Sinogram;
+use std::sync::Mutex;
 
 /// Entries below `MIN_ENTRY` (mm) are dropped from the sparse storage.
 const MIN_ENTRY: f32 = 1e-6;
@@ -32,57 +41,133 @@ pub struct SystemMatrix {
     /// Per `(voxel, view)`: first detector channel with a nonzero entry.
     first_channel: Vec<u16>,
     /// Per `(voxel, view)`: number of contiguous nonzero entries.
-    count: Vec<u16>,
+    count: Vec<u8>,
     /// All entries, voxel-major then view-major then channel-major.
     values: Vec<f32>,
 }
 
+/// One voxel range's disjoint share of the arrays under construction.
+struct RangeOut<'a> {
+    first_channel: &'a mut [u16],
+    count: &'a mut [u8],
+    /// The range's `voxel_offset[lo + 1..=hi]`, relative to `values`.
+    ends: &'a mut [u64],
+    /// The range's bound: room for every pair at its most candidates.
+    values: &'a mut [f32],
+}
+
 impl SystemMatrix {
-    /// Compute the full system matrix for `geom`.
+    /// The most candidate channels per (voxel, view) the build
+    /// evaluates: one bit each of a `u64` run mask, so every run count
+    /// also fits the `u8` it is stored as.
+    pub const MAX_CANDIDATES: usize = 64;
+
+    /// Candidate channels the build evaluates per (voxel, view): the
+    /// most the walk's range `floor(channel_of(tc - hb)) ..=
+    /// ceil(channel_of(tc + hb))` can hold at any view. A span `w`
+    /// channels wide rounds out to at most `⌊w⌋ + 3` channels, so this
+    /// is `⌊2·hb_max / spacing⌋ + 3`, 4 at every preset. The span first
+    /// gains a margin for the rounding of the two `channel_of` calls,
+    /// which moves the count only for a footprint a hair short of a
+    /// whole number of channels.
+    pub(crate) fn candidates(geom: &Geometry) -> usize {
+        let hb_max = Self::per_view_traps(geom).iter().fold(0.0f32, |m, t| m.max(t.2.half_base));
+        let spacing = geom.channel_spacing as f64;
+        let width = 2.0 * hb_max as f64 / spacing;
+        // Each call rounds three times; together they can widen the
+        // span by at most 2^-24 * (6 (R + hb) / spacing + channels),
+        // R the grid's bounding radius, and 2^-21 * reach covers that.
+        let reach =
+            (geom.grid.bounding_radius() + hb_max) as f64 / spacing + geom.num_channels as f64;
+        (width + reach * 2f64.powi(-21)).floor() as usize + 3
+    }
+
+    /// [`Self::candidates`], refusing a geometry whose footprint spans
+    /// more than the build handles ([`Self::MAX_CANDIDATES`]).
+    ///
+    /// # Panics
+    ///
+    /// If the footprint needs more candidates; the message names the
+    /// pixel size and the channel spacing.
+    pub(crate) fn checked_candidates(geom: &Geometry) -> usize {
+        let kc = Self::candidates(geom);
+        assert!(
+            kc <= Self::MAX_CANDIDATES,
+            "a voxel footprint spans up to {kc} candidate channels, more than the {} the \
+             system-matrix build handles: pixel size {} mm against channel spacing {} mm",
+            Self::MAX_CANDIDATES,
+            geom.grid.pixel_size,
+            geom.channel_spacing
+        );
+        kc
+    }
+
+    /// Compute the full system matrix for `geom` on one thread.
     ///
     /// Cost is `O(nvox * num_views)`; at the paper's 512x512/720-view
     /// scale this builds ~500M entries (~2 GB), matching the paper's
     /// observation that the A-matrix stream is the memory bottleneck.
     pub fn compute(geom: &Geometry) -> Self {
-        Self::compute_range(geom, 0, geom.grid.num_voxels())
+        Self::compute_parallel(geom, 1)
     }
 
     /// Compute the system matrix with `threads` worker threads
-    /// (voxel ranges are independent; results are bit-identical to
-    /// [`SystemMatrix::compute`]). At the paper's 512x512/720-view
-    /// scale the single-threaded build takes tens of seconds; this
-    /// scales nearly linearly.
-    /// `threads == 0` defers to the process-wide setting
-    /// ([`mbir_parallel::threads`]).
+    /// (`threads == 0` defers to the process-wide setting,
+    /// [`mbir_parallel::threads`]). The result is bit-identical at any
+    /// thread count.
     ///
     /// The voxels split into `threads.min(nvox)` balanced ranges, none
-    /// of them empty, built by [`mbir_parallel::par_map`] and
-    /// concatenated in order.
+    /// of them empty. Every array is allocated once at its final size
+    /// (`values` at its bound, whose untouched pages cost no memory),
+    /// and each range writes its own disjoint slices in place, its
+    /// entries from the start of its bound. One in-order move per later
+    /// range then closes the gaps, and `values` is cut to its length.
+    /// The ranges build side by side and the moves are serial: on a
+    /// two-vCPU host, two threads cut the harness build's wall time by
+    /// about a quarter and raise its CPU time by about as much
+    /// (EXPERIMENTS.md).
     pub fn compute_parallel(geom: &Geometry, threads: usize) -> Self {
+        let kc = Self::checked_candidates(geom);
         let nvox = geom.grid.num_voxels();
-        let parts = mbir_parallel::resolve(threads).min(nvox);
-        if parts <= 1 {
-            return Self::compute(geom);
-        }
-        let bound = |p: usize| p * nvox / parts;
-        let pieces: Vec<SystemMatrix> = mbir_parallel::par_map(parts, parts, |p| {
-            Self::compute_range(geom, bound(p), bound(p + 1))
-        });
-
-        // Concatenate the per-range pieces.
         let nviews = geom.num_views;
-        let mut voxel_offset = Vec::with_capacity(nvox + 1);
-        let mut first_channel = Vec::with_capacity(nvox * nviews);
-        let mut count = Vec::with_capacity(nvox * nviews);
-        let mut values = Vec::with_capacity(pieces.iter().map(|p| p.values.len()).sum());
-        voxel_offset.push(0u64);
-        for piece in pieces {
-            let base = values.len() as u64;
-            voxel_offset.extend(piece.voxel_offset[1..].iter().map(|&o| o + base));
-            first_channel.extend_from_slice(&piece.first_channel);
-            count.extend_from_slice(&piece.count);
-            values.extend_from_slice(&piece.values);
+        let parts = mbir_parallel::resolve(threads).clamp(1, nvox.max(1));
+        let bound = |p: usize| p * nvox / parts;
+        let per_voxel = nviews * kc;
+        let mut voxel_offset = vec![0u64; nvox + 1];
+        let mut first_channel = vec![0u16; nvox * nviews];
+        let mut count = vec![0u8; nvox * nviews];
+        let mut values = vec![0.0f32; nvox * per_voxel];
+
+        let mut outs = Vec::with_capacity(parts);
+        let (mut fc, mut ct) = (&mut first_channel[..], &mut count[..]);
+        let (mut ends, mut vals) = (&mut voxel_offset[1..], &mut values[..]);
+        for p in 0..parts {
+            let n = bound(p + 1) - bound(p);
+            let (fc_p, fc_rest) = std::mem::take(&mut fc).split_at_mut(n * nviews);
+            let (ct_p, ct_rest) = std::mem::take(&mut ct).split_at_mut(n * nviews);
+            let (ends_p, ends_rest) = std::mem::take(&mut ends).split_at_mut(n);
+            let (vals_p, vals_rest) = std::mem::take(&mut vals).split_at_mut(n * per_voxel);
+            (fc, ct, ends, vals) = (fc_rest, ct_rest, ends_rest, vals_rest);
+            let out = RangeOut { first_channel: fc_p, count: ct_p, ends: ends_p, values: vals_p };
+            outs.push(Mutex::new(Some(out)));
         }
+        let per_view = Self::per_view_traps(geom);
+        let lens = mbir_parallel::par_map(parts, parts, |p| {
+            let out = outs[p].lock().expect("no range writer panicked").take();
+            Self::write_range(geom, &per_view, kc, bound(p), out.expect("each range is built once"))
+        });
+        drop(outs);
+
+        let mut len = lens[0];
+        for (p, &n) in lens.iter().enumerate().skip(1) {
+            values.copy_within(bound(p) * per_voxel..bound(p) * per_voxel + n, len);
+            for o in &mut voxel_offset[bound(p) + 1..=bound(p + 1)] {
+                *o += len as u64;
+            }
+            len += n;
+        }
+        values.truncate(len);
+        values.shrink_to_fit();
         SystemMatrix { geom: *geom, voxel_offset, first_channel, count, values }
     }
 
@@ -98,141 +183,140 @@ impl SystemMatrix {
     }
 
     /// Voxel block size of the build's view-outer staging. Big enough
-    /// that one view's staged candidates (~3 per voxel) fill the vector
-    /// units, small enough that the staging buffers stay in L1.
+    /// that one view's candidates fill the vector units, small enough
+    /// that a block's staged views stay in L2.
     const LANE_BLOCK: usize = 64;
 
-    /// Compute the columns of voxels `lo..hi` only (offsets are local):
-    /// process voxels in blocks with the *view* loop outermost. For one
-    /// view, every candidate channel of the block shares the same
-    /// trapezoid, so only the channel offset `t0` is staged — the
-    /// footprint constants stay in registers and the integral pass over
-    /// the view's staged range is a straight-line branchless loop
-    /// ([`Trapezoid::cumulative_select`], bitwise-equal to the branchy
-    /// form; the packed divides are where the lane throughput is).
-    /// Per-view spans then drive a voxel-major run extraction with the
-    /// threshold/break logic of the canonical per-channel walk, so the
-    /// output bits and entry order are that walk's by construction
-    /// (pinned by the test `lane_build_is_bit_identical_to_scalar`).
-    fn compute_range(geom: &Geometry, lo: usize, hi: usize) -> Self {
+    /// Write the columns of voxels `lo..lo + out.ends.len()` into `out`
+    /// and return how many entries they hold (`out.ends` counts from
+    /// the start of `out.values`).
+    ///
+    /// Voxels go in blocks with the *view* loop outermost. At one view,
+    /// every voxel of the block evaluates exactly `kc` candidate
+    /// channels `c0 .. c0 + kc` from its walk's first channel `c0`,
+    /// candidate-major, so the channel offsets and the integral pass are
+    /// straight-line loops over `kc` full blocks with the view's
+    /// trapezoid in registers ([`Trapezoid::cumulative_select`],
+    /// bitwise-equal to the branchy form). A candidate past the walk's
+    /// last channel is invalid.
+    ///
+    /// The walk keeps the streak of entries above `MIN_ENTRY` that
+    /// starts at the first such channel, and stops at the first entry
+    /// that is not above it (a NaN included) or at its last channel. So
+    /// one bit per valid candidate above the threshold is all a run
+    /// needs: the mask's trailing zeros are the run's start, and the
+    /// trailing ones from there its length. Each run is stored with one
+    /// `kc`-wide copy at the cursor, which then advances by the run's
+    /// length; a pair advances it by at most `kc`, so the copy never
+    /// passes the range's bound. The output bits and entry order are
+    /// the walk's by construction (pinned against the branchy reference
+    /// by this module's tests).
+    fn write_range(
+        geom: &Geometry,
+        per_view: &[(f32, f32, Trapezoid)],
+        kc: usize,
+        lo: usize,
+        out: RangeOut<'_>,
+    ) -> usize {
+        const BLOCK: usize = SystemMatrix::LANE_BLOCK;
         let nviews = geom.num_views;
-        let per_view = Self::per_view_traps(geom);
-        let n = hi - lo;
-        let mut voxel_offset = Vec::with_capacity(n + 1);
-        let mut first_channel = vec![0u16; n * nviews];
-        let mut count = vec![0u16; n * nviews];
-        let mut values = Vec::with_capacity(n * nviews * 3);
-        voxel_offset.push(0u64);
+        let n = out.ends.len();
         let half_c = geom.channel_spacing / 2.0;
         let spacing = geom.channel_spacing;
+        let nch1 = geom.num_channels as f32 - 1.0;
 
-        const BLOCK: usize = SystemMatrix::LANE_BLOCK;
-        // Per-block staging, reused across blocks: candidate channel
-        // offsets (t0) and evaluated entries, view-major within the
-        // block; spans[b * nviews + v] = (first candidate channel,
-        // start, len) into them for voxel b of the block at view v.
-        let mut t0s: Vec<f32> = Vec::with_capacity(BLOCK * nviews * 4);
-        let mut entries: Vec<f32> = Vec::with_capacity(BLOCK * nviews * 4);
-        let mut spans: Vec<(u32, u32, u32)> = vec![(0, 0, 0); BLOCK * nviews];
+        // Per-block staging, reused across blocks, view-major: the
+        // entries of candidate k of voxel b at view v sit at
+        // [(v * kc + k) * BLOCK + b] (one spare view of rows lets a
+        // run's copy read `kc` rows from any start), with the voxel's
+        // run mask and first candidate channel at [v * BLOCK + b].
+        let mut entries = vec![0.0f32; (nviews + 1) * kc * BLOCK];
+        let mut masks = vec![0u64; nviews * BLOCK];
+        let mut c0s = vec![0.0f32; nviews * BLOCK];
         let mut xs = [0.0f32; BLOCK];
         let mut ys = [0.0f32; BLOCK];
         let mut tcs = [0.0f32; BLOCK];
-        let mut c0s = [0i32; BLOCK];
-        let mut c1s = [0i32; BLOCK];
+        let mut valid = [0.0f32; BLOCK];
 
-        let mut block_lo = lo;
-        while block_lo < hi {
-            let bn = (hi - block_lo).min(BLOCK);
-            for (b, item) in xs.iter_mut().take(bn).enumerate() {
-                let (row, col) = geom.grid.row_col(block_lo + b);
-                *item = geom.grid.x_of(col);
+        let mut cursor = 0usize;
+        for block_lo in (0..n).step_by(BLOCK) {
+            let bn = (n - block_lo).min(BLOCK);
+            for (b, x) in xs.iter_mut().take(bn).enumerate() {
+                let (row, col) = geom.grid.row_col(lo + block_lo + b);
+                *x = geom.grid.x_of(col);
                 ys[b] = geom.grid.y_of(row);
             }
 
-            t0s.clear();
-            entries.clear();
+            let mut too_wide = false;
             for (v, &(cv, sv, trap)) in per_view.iter().enumerate() {
-                let vs_start = t0s.len();
                 let hb = trap.half_base;
-                let nch1 = geom.num_channels as i32 - 1;
-                // Uniform per-voxel setup — no data-dependent control
-                // flow, so the projections and channel-range clamps
-                // pack across the block. The range clamps run in i32
-                // (saturating casts agree with the reference walk's isize
-                // path for every representable channel index).
+                let c0v = &mut c0s[v * BLOCK..v * BLOCK + bn];
+                // The walk's channel range, per voxel, kept in f32: its
+                // ends are whole numbers, exact below 2^24, and a range
+                // that is empty in the walk's isize arithmetic has a
+                // count of zero or less here too.
                 for b in 0..bn {
                     let tc = xs[b] * cv + ys[b] * sv;
                     let lo_ch = geom.channel_of(tc - hb);
                     let hi_ch = geom.channel_of(tc + hb);
+                    let c0 = lo_ch.floor().max(0.0);
+                    let c1 = hi_ch.ceil().min(nch1);
                     tcs[b] = tc;
-                    c0s[b] = (lo_ch.floor().max(0.0)) as i32;
-                    c1s[b] = (hi_ch.ceil() as i32).min(nch1);
+                    c0v[b] = c0;
+                    valid[b] = c1 - c0 + 1.0;
+                    too_wide |= valid[b] > kc as f32;
                 }
-                for b in 0..bn {
-                    let tc = tcs[b];
-                    let (c0, c1) = (c0s[b], c1s[b]);
-                    let start = t0s.len();
-                    if c1 >= c0 {
-                        // Exclusive range: c0 >= 0 rules out overflow,
-                        // and its TrustedLen extend skips the inclusive
-                        // range's per-step exhaustion flag.
-                        t0s.extend(
-                            (c0..c1 + 1).map(|ch| geom.channel_center(ch as usize) - half_c - tc),
-                        );
+                // The canonical mean_over(t0, t0 + spacing) per
+                // candidate, with cumulative() replaced by its
+                // bitwise-equal select form; then the run masks. Channel
+                // c0 + k is whole and below 2^24, so its f32 is exact and
+                // channel_position gives channel_center's bits.
+                let stage = &mut entries[v * kc * BLOCK..(v + 1) * kc * BLOCK];
+                let mv = &mut masks[v * BLOCK..v * BLOCK + bn];
+                mv.fill(0);
+                for (k, row) in stage.chunks_exact_mut(BLOCK).enumerate() {
+                    for b in 0..bn {
+                        let a = geom.channel_position(c0v[b] + k as f32) - half_c - tcs[b];
+                        let bb = a + spacing;
+                        let w = bb - a;
+                        let integral =
+                            (trap.cumulative_select(bb) - trap.cumulative_select(a)).max(0.0);
+                        let e = if w <= 0.0 { 0.0 } else { integral / w };
+                        row[b] = e;
                     }
-                    spans[b * nviews + v] = (c0 as u32, start as u32, (t0s.len() - start) as u32);
                 }
-                // Evaluate this view's staged range in one branchless
-                // pass: the canonical mean_over(t0, t0 + spacing)
-                // arithmetic with cumulative() replaced by its
-                // bitwise-equal select form and the view's trapezoid
-                // held in registers. Written through a pre-sized slice
-                // (not push) so the loop stays free of capacity checks
-                // and the lanes pack.
-                entries.resize(t0s.len(), 0.0);
-                for (o, &a) in entries[vs_start..].iter_mut().zip(&t0s[vs_start..]) {
-                    let b = a + spacing;
-                    let w = b - a;
-                    let integral = (trap.cumulative_select(b) - trap.cumulative_select(a)).max(0.0);
-                    let e = integral / w;
-                    *o = if w <= 0.0 { 0.0 } else { e };
+                for (k, row) in stage.chunks_exact(BLOCK).enumerate() {
+                    for b in 0..bn {
+                        mv[b] |= ((row[b] > MIN_ENTRY && (k as f32) < valid[b]) as u64) << k;
+                    }
                 }
             }
+            assert!(!too_wide, "a channel range exceeds the {kc} candidates of this geometry");
 
-            // Voxel-major run extraction: the scalar walk keeps the
-            // contiguous streak of above-threshold entries starting at
-            // the first qualifying channel and stops at the first gap.
-            // Locating the streak bounds first lets the entries land as
-            // one slice copy instead of per-element pushes.
+            // Voxel-major output: each (voxel, view) stores its run and
+            // copies `kc` staged entries from the run's start.
             for b in 0..bn {
-                let local = block_lo - lo + b;
+                let local = block_lo + b;
                 for v in 0..nviews {
-                    let (c0, start, len) = spans[b * nviews + v];
-                    let evs = &entries[start as usize..(start + len) as usize];
-                    let mut s = 0usize;
-                    while s < evs.len() && evs[s] <= MIN_ENTRY {
-                        s += 1;
-                    }
-                    let mut e = s;
-                    while e < evs.len() && evs[e] > MIN_ENTRY {
-                        e += 1;
-                    }
+                    let m = masks[v * BLOCK + b];
+                    // An empty mask starts "at" the last candidate, so the
+                    // copy below stays inside the staged rows.
+                    let start = (m | 1 << (kc - 1)).trailing_zeros() as usize;
+                    let len = (!(m >> start)).trailing_zeros() as usize;
                     let idx = local * nviews + v;
-                    if e > s {
-                        first_channel[idx] = (c0 as usize + s) as u16;
-                        count[idx] = (e - s) as u16;
-                        values.extend_from_slice(&evs[s..e]);
-                    } else {
-                        first_channel[idx] = 0;
-                        count[idx] = 0;
+                    let first = c0s[v * BLOCK + b] + start as f32;
+                    out.first_channel[idx] = if len > 0 { first as u16 } else { 0 };
+                    out.count[idx] = len as u8;
+                    let src = entries[(v * kc + start) * BLOCK + b..].iter().step_by(BLOCK);
+                    for (o, &e) in out.values[cursor..cursor + kc].iter_mut().zip(src) {
+                        *o = e;
                     }
+                    cursor += len;
                 }
-                voxel_offset.push(values.len() as u64);
+                out.ends[local] = cursor as u64;
             }
-            block_lo += bn;
         }
-        values.shrink_to_fit();
-        SystemMatrix { geom: *geom, voxel_offset, first_channel, count, values }
+        cursor
     }
 
     /// The geometry this matrix was built for.
@@ -265,11 +349,13 @@ impl SystemMatrix {
         self.nnz() as f32 / (self.geom.grid.num_voxels() * self.geom.num_views) as f32
     }
 
-    /// Approximate resident bytes of the sparse storage (float values).
+    /// Resident bytes of the sparse storage: 4 per entry, 3 per
+    /// (voxel, view) pair (a `u16` first channel and a `u8` run count)
+    /// and 8 per voxel offset.
     pub fn bytes(&self) -> usize {
         self.values.len() * 4
             + self.first_channel.len() * 2
-            + self.count.len() * 2
+            + self.count.len()
             + self.voxel_offset.len() * 8
     }
 
@@ -365,7 +451,7 @@ impl SystemMatrix {
 #[derive(Debug, Clone, Copy)]
 pub struct ColumnView<'a> {
     first_channel: &'a [u16],
-    count: &'a [u16],
+    count: &'a [u8],
     values: &'a [f32],
 }
 
@@ -411,7 +497,7 @@ impl<'a> ColumnView<'a> {
 
     /// Per-view run lengths, co-indexed with [`Self::first_channels`].
     #[inline]
-    pub fn counts(&self) -> &'a [u16] {
+    pub fn counts(&self) -> &'a [u8] {
         self.count
     }
 
@@ -588,7 +674,7 @@ mod tests {
         let n = hi - lo;
         let mut voxel_offset = Vec::with_capacity(n + 1);
         let mut first_channel = vec![0u16; n * nviews];
-        let mut count = vec![0u16; n * nviews];
+        let mut count = vec![0u8; n * nviews];
         let mut values = Vec::with_capacity(n * nviews * 3);
         voxel_offset.push(0u64);
         let half_c = geom.channel_spacing / 2.0;
@@ -621,28 +707,111 @@ mod tests {
                 }
                 let idx = local * nviews + v;
                 first_channel[idx] = first as u16;
-                count[idx] = nrun as u16;
+                count[idx] = u8::try_from(nrun).expect("a run fits its u8 count");
             }
             voxel_offset.push(values.len() as u64);
         }
         SystemMatrix { geom: *geom, voxel_offset, first_channel, count, values }
     }
 
+    /// `got` holds `want`'s offsets, first channels, counts and entry
+    /// bits.
+    fn assert_same_bits(got: &SystemMatrix, want: &SystemMatrix, what: &str) {
+        assert_eq!(got.voxel_offset, want.voxel_offset, "{what}: offsets");
+        assert_eq!(got.first_channel, want.first_channel, "{what}: first channels");
+        assert_eq!(got.count, want.count, "{what}: counts");
+        let bits = |a: &SystemMatrix| a.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(got), bits(want), "{what}: entry bits");
+    }
+
+    /// The fewest channels of pitch `spacing` that cover `grid`'s FOV,
+    /// so corner voxels' runs are clipped at the detector edges.
+    fn covering_channels(grid: ImageGrid, spacing: f32) -> usize {
+        let mut nch = 1usize;
+        while (nch as f32 * spacing / 2.0 + spacing) < grid.bounding_radius() {
+            nch += 1;
+        }
+        nch
+    }
+
     #[test]
     fn lane_build_is_bit_identical_to_scalar() {
-        // The invariant for the build: the staged branchless build
+        // The invariant for the build: the fixed-width branchless build
         // reproduces the branchy walk bit for bit, including a
         // detector-clipped geometry where corner runs are truncated.
         for g in [Geometry::tiny_scale(), Geometry::new(16, 36, 1.0, ImageGrid::square(24, 1.0))] {
             let scalar = compute_range_scalar(&g, 0, g.grid.num_voxels());
-            let lanes = SystemMatrix::compute_range(&g, 0, g.grid.num_voxels());
-            assert_eq!(scalar.voxel_offset, lanes.voxel_offset);
-            assert_eq!(scalar.first_channel, lanes.first_channel);
-            assert_eq!(scalar.count, lanes.count);
-            let sb: Vec<u32> = scalar.values.iter().map(|v| v.to_bits()).collect();
-            let lb: Vec<u32> = lanes.values.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(sb, lb);
+            assert_same_bits(&SystemMatrix::compute(&g), &scalar, "one thread");
         }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Every thread count builds the branchy walk's bits, on
+            /// random small geometries whose detectors just cover the
+            /// FOV: 1-40 views, pixel/spacing from 0.25 to 8, grids up
+            /// to 40x40.
+            #[test]
+            fn every_thread_count_builds_the_reference_bits(
+                views in 1usize..41,
+                nx in 1usize..41,
+                ny in 1usize..41,
+                ratio in 0.25f32..8.0,
+                spacing in 0.5f32..2.0,
+            ) {
+                let grid = ImageGrid { nx, ny, pixel_size: ratio * spacing };
+                let g = Geometry::new(views, covering_channels(grid, spacing), spacing, grid);
+                let want = compute_range_scalar(&g, 0, grid.num_voxels());
+                for threads in 1..=5 {
+                    let got = SystemMatrix::compute_parallel(&g, threads);
+                    assert_same_bits(&got, &want, &format!("{g:?} on {threads} threads"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn widest_accepted_footprint_builds_and_the_next_pixel_is_refused() {
+        // On unit spacing, with a 45-degree view among four: bisect the
+        // f32 pixel sizes for the largest one Geometry::new accepts.
+        let geom = |pixel: f32| {
+            let grid = ImageGrid::square(3, pixel);
+            let nch = covering_channels(grid, 1.0);
+            (Geometry { num_views: 4, num_channels: nch, channel_spacing: 1.0, grid }, nch)
+        };
+        let fits =
+            |pixel: f32| SystemMatrix::candidates(&geom(pixel).0) <= SystemMatrix::MAX_CANDIDATES;
+        let (mut lo, mut hi) = (1.0f32.to_bits(), 100.0f32.to_bits());
+        assert!(fits(f32::from_bits(lo)) && !fits(f32::from_bits(hi)));
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if fits(f32::from_bits(mid)) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+
+        let (widest, nch) = geom(f32::from_bits(lo));
+        let g = Geometry::new(4, nch, 1.0, widest.grid);
+        assert_eq!(SystemMatrix::candidates(&g), SystemMatrix::MAX_CANDIDATES);
+        let want = compute_range_scalar(&g, 0, g.grid.num_voxels());
+        assert!(want.count.iter().any(|&n| n as usize > SystemMatrix::MAX_CANDIDATES - 4));
+        for threads in [1, 2] {
+            assert_same_bits(&SystemMatrix::compute_parallel(&g, threads), &want, "widest");
+        }
+
+        let (refused, nch) = geom(f32::from_bits(hi));
+        let err = std::panic::catch_unwind(|| Geometry::new(4, nch, 1.0, refused.grid))
+            .expect_err("one f32 step wider is refused");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(msg.contains(&format!("pixel size {} mm", refused.grid.pixel_size)), "{msg}");
+        assert!(msg.contains("channel spacing 1 mm"), "{msg}");
     }
 
     #[test]
@@ -653,10 +822,7 @@ mod tests {
         // last worker past the grid.
         for threads in [1usize, 2, 3, 5, 30] {
             let par = SystemMatrix::compute_parallel(&g, threads);
-            assert_eq!(par.voxel_offset, seq.voxel_offset, "{threads} threads");
-            assert_eq!(par.first_channel, seq.first_channel);
-            assert_eq!(par.count, seq.count);
-            assert_eq!(par.values, seq.values);
+            assert_same_bits(&par, &seq, &format!("{threads} threads"));
         }
     }
 

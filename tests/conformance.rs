@@ -28,6 +28,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use ct_core::phantom::Phantom;
+use ct_core::sysmat::SystemMatrix;
 use gpu_icd::{AMatrixMode, Checkpoint, GpuOptions, L2ReadWidth, Layout, RegisterMode};
 use mbir_bench::{gpu_options_for, run_gpu, run_psv, run_sequential, to_golden, Pipeline, Scale};
 use mbir_fleet::FaultSpec;
@@ -300,6 +301,16 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
         g.check_f64(&format!("fault.{name}.exchange_seconds"), fr.exchange_seconds);
     }
 
+    // ---- System matrix: A's bits at every scale the suite and the ---
+    // benchmark build, on one and on three workers.
+    for scale in [Scale::Tiny, Scale::Test, Scale::Harness] {
+        let geom = scale.geometry();
+        let digest = sysmat_digest(&SystemMatrix::compute_parallel(&geom, 1));
+        let split = sysmat_digest(&SystemMatrix::compute_parallel(&geom, 3));
+        assert_eq!(digest, split, "{scale:?}: A differs between 1 and 3 build threads");
+        g.check_u64(&format!("sysmat.{}.digest", format!("{scale:?}").to_lowercase()), digest);
+    }
+
     // ---- Checkpoint round-trip at the midpoint ---------------------
     {
         let mut gpu = p.case.gpu(fleet_opts);
@@ -325,6 +336,26 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
     }
 
     g.finish();
+}
+
+/// FNV-1a over every voxel's per-view first channels, run counts and
+/// entry bits. Channels and counts enter as `u32` values, so the digest
+/// pins what A holds, not the width it is stored at.
+fn sysmat_digest(a: &SystemMatrix) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |word: u32| {
+        for byte in word.to_le_bytes() {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for j in 0..a.geometry().grid.num_voxels() {
+        let col = a.column(j);
+        col.first_channels().iter().for_each(|&c| eat(c as u32));
+        col.counts().iter().for_each(|&n| eat(n as u32));
+        col.values_flat().iter().for_each(|v| eat(v.to_bits()));
+    }
+    h
 }
 
 /// Structural invariants over the checked-in `results/*.json` files:
