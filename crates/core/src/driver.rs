@@ -6,11 +6,11 @@
 //!   snapshot, and all write-backs happen after the batch's voxel
 //!   updates finish (the paper defers the global error update to a
 //!   separate kernel to avoid cache pollution);
-//! - within an SV, `threadblocks_per_sv` voxel updates are in flight
-//!   at a time: each *round* of that many voxels computes its thetas
-//!   against the same SVB/image state before any of them commits — the
-//!   deterministic stand-in for the hardware's interleaving, and the
-//!   source of the extra equits the paper reports for GPU-ICD;
+//! - within an SV, about `threadblocks_per_sv / 2` voxel updates are
+//!   in flight before each commits (`in_flight`) — the deterministic
+//!   stand-in for the hardware's interleaving, and the source of the
+//!   extra equits the paper reports for GPU-ICD. The SV visit is
+//!   [`supervoxel::sweep`], the one PSV-ICD runs with none in flight;
 //! - SVs of one checkerboard group never share boundary voxels, so the
 //!   emulation order within a batch cannot change results.
 
@@ -19,8 +19,7 @@ use crate::error::MbirError;
 use crate::fleet::{BatchContext, FleetState};
 use crate::model::{GpuWorkModel, ProfileSkeleton};
 use crate::opts::{GpuOptions, Layout};
-use crate::sv_update::update_sv;
-use crate::tally::{BatchTally, SvTally};
+use crate::tally::BatchTally;
 use ct_core::image::Image;
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::SystemMatrix;
@@ -37,7 +36,7 @@ use std::sync::Arc;
 use supervoxel::checkerboard::checkerboard_groups;
 use supervoxel::plan::{PlanConfig, SvPlanSet};
 use supervoxel::selection::{select_svs, Selection};
-use supervoxel::svb::Svb;
+use supervoxel::sweep::{sweep, Visit};
 use supervoxel::tiling::Tiling;
 
 /// The [`PlanConfig`] implied by a set of GPU options: the chunk width
@@ -338,56 +337,41 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         report
     }
 
-    /// Process one batch: gather SVBs, update every SV's voxels in
-    /// rounds, scatter all deltas, and model the three kernels.
-    /// Returns the batch's wall seconds on the modeled timeline.
+    /// Process one batch: run the three kernels functionally as one
+    /// [`sweep`] (SVB create, MBIR update, error write-back in batch
+    /// order), then model them. Returns the batch's wall seconds on the
+    /// modeled timeline.
     fn process_batch(&mut self, batch: &[usize], report: &mut GpuIterationReport) -> f64 {
-        let allow_skip = self.iter > 1;
-        let rounds = self.opts.threadblocks_per_sv as usize;
-
-        // Kernels 1 and 2 (functional): each SV gathers its SVB from the
-        // batch's error-sinogram snapshot, runs its voxel updates in
-        // rounds, and turns its band into the delta against the same,
-        // still untouched, snapshot — across host worker threads. SVs
-        // of one batch belong to the same checkerboard group, so their
-        // write sets are disjoint and every cross-SV neighbour read
-        // lands in an SV frozen for the whole batch — any thread count
-        // produces bitwise-identical results. The ablation without the
-        // checkerboard loses that guarantee and runs on one thread to
-        // keep its (sequential) semantics reproducible.
-        let plan = &*self.plan;
-        let a = self.a;
-        let prior = self.prior;
         let (seed, iter) = (self.opts.seed, self.iter);
+        let blocks = self.opts.threadblocks_per_sv as usize;
+        // The ablation without the checkerboard loses the sweep's
+        // disjointness guarantee and runs on one thread to keep its
+        // (sequential) semantics reproducible.
         let workers = if self.opts.checkerboard { self.opts.threads } else { 1 };
-        let (error, weights) = (&self.error, self.weights);
-        let shared = self.image.as_shared();
-        let results: Vec<(Svb<'_>, SvTally)> = mbir_parallel::par_map(workers, batch.len(), |bi| {
-            let sv_plan = plan.plan(batch[bi]);
-            let mut svb = Svb::gather(&sv_plan.shape, error, weights);
-            let t = update_sv(a, &shared, prior, seed, sv_plan, iter, &mut svb, rounds, allow_skip);
-            svb.take_delta(error);
-            (svb, t)
-        });
-
-        // Commit tallies and deltas sequentially in batch (SV) order —
-        // the fixed-order reduction that keeps reports and the error
-        // sinogram independent of thread scheduling.
-        let mut tally = BatchTally::default();
-        for (bi, &sv) in batch.iter().enumerate() {
-            let t = results[bi].1;
+        let svs = sweep(
+            &self.plan,
+            batch,
+            self.a,
+            self.prior,
+            &mut self.image,
+            &mut self.error,
+            self.weights,
+            &mut self.update_amount,
+            workers,
+            |sv, plan| Visit {
+                order_seed: seed ^ iter.wrapping_mul(131) ^ (sv as u64).wrapping_mul(0x9e3779b9),
+                in_flight: in_flight(blocks, plan.voxels().len()),
+                blocks,
+                allow_skip: iter > 1,
+            },
+        );
+        for t in &svs {
             report.updates += t.updates;
             report.skipped += t.skipped;
             report.abs_delta += t.abs_delta;
-            self.update_amount[sv] = t.abs_delta;
-            tally.svs.push(t);
         }
 
-        // Kernel 3 (functional): scatter every delta, in batch order.
-        for (svb, _) in &results {
-            svb.scatter_delta(&mut self.error);
-        }
-
+        let tally = BatchTally { svs };
         let k = BatchContext {
             model: &self.model,
             skeleton: &self.skeleton,
@@ -557,6 +541,26 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     pub fn modeled_seconds(&self) -> f64 {
         self.modeled_seconds
     }
+}
+
+/// Voxel updates in flight in an SV of `voxels` voxels visited by
+/// `blocks` threadblocks.
+///
+/// With `blocks` blocks in flight, a voxel's theta pass misses the
+/// commits of the other in-flight updates — on average half of them,
+/// since blocks progress in staggered phases and atomics land as each
+/// block finishes. Model this as a FIFO of delayed commits of depth
+/// `blocks / 2`: a voxel's update becomes visible to updates starting
+/// that much later.
+///
+/// The depth is additionally capped at 1/16 of the SV's voxels: when
+/// many blocks squeeze into a small SV, their atomic updates to the
+/// narrow shared band contend and serialize (the contention the paper
+/// reports for small SV sides), which throttles the *effective*
+/// concurrency — without the cap the emulation over-penalizes extreme
+/// block-to-voxel ratios that the hardware self-limits.
+fn in_flight(blocks: usize, voxels: usize) -> usize {
+    (blocks / 2).clamp(1, (voxels / 16).max(1))
 }
 
 /// One step is one outer iteration; golden trace points go to the

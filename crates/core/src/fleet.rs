@@ -40,12 +40,13 @@
 use crate::checkpoint::{Checkpoint, NO_SLAB};
 use crate::model::{GpuWorkModel, ProfileSkeleton};
 use crate::opts::GpuOptions;
-use crate::tally::{BatchTally, SvTally};
+use crate::tally::BatchTally;
 use mbir_fleet::{FaultEvent, FaultSpec, Fleet, FleetReport, ShardPlan};
 use mbir_telemetry::{ExchangeRecord, FaultRecord, LaunchCtx, ProfileSink};
 use mbir_topo::{ClusterSpec, SlabPlan, SlabStreamer, Topology};
 use std::sync::Arc;
 use supervoxel::plan::{SvPlan, SvPlanSet};
+use supervoxel::sweep::SvTally;
 use supervoxel::tiling::Tiling;
 
 /// What pricing one batch needs from the driver: the work model that

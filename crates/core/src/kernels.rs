@@ -243,11 +243,12 @@ pub fn naive_voxel_program(
 mod validation {
     use super::*;
     use crate::model::GpuWorkModel;
-    use crate::tally::{BatchTally, SvTally};
+    use crate::tally::BatchTally;
     use ct_core::geometry::Geometry;
     use ct_core::sysmat::SystemMatrix;
     use gpu_sim::kernel::TraceExecutor;
     use supervoxel::svb::SvbShape;
+    use supervoxel::sweep::SvTally;
     use supervoxel::tiling::Tiling;
 
     fn setup() -> (Geometry, SystemMatrix, Tiling) {

@@ -18,18 +18,20 @@
 //! the texture cache, and `double`-width L2 reads.
 //!
 //! Execution here is **functionally exact and deterministic**: the
-//! concurrent schedule is emulated in rounds (all in-flight voxel
-//! updates read the same SVB state, then commit), which reproduces the
-//! convergence drag of intra-SV parallelism the paper reports. All
-//! *performance* comes from the [`gpu_sim`] timing model fed by the
-//! work tallies of the functional run.
+//! concurrent schedule is emulated by a fixed window of voxel updates
+//! in flight (a voxel's theta pass misses the commits still pending),
+//! which reproduces the convergence drag of intra-SV parallelism the
+//! paper reports. All *performance* comes from the [`gpu_sim`] timing
+//! model fed by the work tallies of the functional run.
 //!
 //! - [`opts`]: every tuning parameter and optimization toggle of the
 //!   paper's Section 5 (Tables 2-3, Figs. 6-7).
 //! - [`driver`]: Algorithm 3 — selection, checkerboarding, batching,
 //!   the three kernels per batch (SVB create, MBIR update, error
-//!   write-back), fleet wiring, and checkpoint plumbing. Its per-SV
-//!   MBIR update kernel lives in the private `sv_update` module.
+//!   write-back), fleet wiring, and checkpoint plumbing. Its MBIR
+//!   update kernel is `supervoxel::sweep`, the SV update PSV-ICD
+//!   runs too, with about `threadblocks_per_sv / 2` voxel updates in
+//!   flight.
 //! - [`tally`]: work counters collected during functional execution.
 //! - [`model`]: turning tallies into [`gpu_sim::KernelProfile`]s.
 //! - [`fleet`]: sharding batches across `opts.devices` simulated
@@ -54,7 +56,6 @@ pub mod kernels;
 pub mod model;
 pub mod opts;
 pub mod pipeline;
-pub(crate) mod sv_update;
 pub mod tally;
 
 pub use args::{gpu_options_for, psv_options_for, Args, Scale};
@@ -65,4 +66,4 @@ pub use fleet::FleetState;
 pub use mbir::stopping::BoundaryAction;
 pub use model::{GpuWorkModel, ProfileSkeleton};
 pub use opts::{AMatrixMode, GpuOptions, L2ReadWidth, Layout, RegisterMode};
-pub use tally::{BatchTally, SvTally};
+pub use tally::BatchTally;

@@ -469,7 +469,7 @@ impl GpuWorkModel {
 mod tests {
     use super::*;
     use crate::opts::{AMatrixMode, L2ReadWidth};
-    use crate::tally::SvTally;
+    use supervoxel::sweep::SvTally;
 
     /// Modeled seconds of `tally` under `opts`, unprofiled.
     fn seconds(m: &GpuWorkModel, tally: &BatchTally, opts: &GpuOptions) -> f64 {

@@ -1,37 +1,11 @@
 //! Work tallies collected during functional GPU-ICD execution.
 //!
-//! The driver counts, per SV visit, exactly the quantities the paper's
-//! kernels would move through the machine; [`crate::model`] converts
-//! them into [`gpu_sim::KernelProfile`]s.
+//! Each SV visit counts exactly the quantities the paper's kernels
+//! would move through the machine ([`supervoxel::sweep::SvTally`]);
+//! [`crate::model`] converts a batch of them into
+//! [`gpu_sim::KernelProfile`]s.
 
-/// Counters for one SV's visit within a batch.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SvTally {
-    /// SV id.
-    pub sv: usize,
-    /// Voxel updates performed.
-    pub updates: u64,
-    /// Voxel visits zero-skipped.
-    pub skipped: u64,
-    /// Sum of |delta| over updates (selection metric).
-    pub abs_delta: f64,
-    /// Sparse footprint entries processed (sum of column nnz).
-    pub nnz: f64,
-    /// Dense elements processed under the chunked layout (nnz plus
-    /// padding); equals `nnz` for the naive layout.
-    pub dense: f64,
-    /// Chunk descriptors read (chunked layout) or per-view start
-    /// look-ups (naive layout).
-    pub descriptors: f64,
-    /// Bytes of the SV's buffer in the active layout (one f32 plane).
-    pub svb_bytes: f64,
-    /// Mean band width of the SVB in channels (atomic-conflict model).
-    pub band_width: f64,
-    /// Fraction of the SV's entries carried by its heaviest block:
-    /// `1/blocks` under dynamic distribution; larger under static
-    /// distribution when zero-skipping skews the split (Table 3 row 4).
-    pub max_block_share: f64,
-}
+use supervoxel::sweep::SvTally;
 
 /// Counters for one kernel batch (up to `svs_per_batch` SVs of one
 /// checkerboard group).

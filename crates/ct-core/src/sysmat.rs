@@ -26,10 +26,9 @@ use std::sync::Mutex;
 /// Entries below `MIN_ENTRY` (mm) are dropped from the sparse storage.
 const MIN_ENTRY: f32 = 1e-6;
 
-/// Voxel-chunk granularity of the parallel forward projection. Grids
-/// at or below this size (the tiny 24x24 and test 64x64 scales) take
-/// the single-chunk sequential path, preserving the historical
-/// bit-exact sinograms; larger grids reduce fixed chunks in order.
+/// Voxel-chunk granularity of the parallel forward projection: chunk
+/// partials are reduced in chunk order, so a grid of at most this many
+/// voxels (the tiny 24x24 and test 64x64 scales) is one chunk.
 pub const FORWARD_CHUNK: usize = 4096;
 
 /// Sparse system matrix in per-voxel column format.
@@ -361,38 +360,33 @@ impl SystemMatrix {
 
     /// Forward projection `y = A x`.
     ///
-    /// Grids up to [`FORWARD_CHUNK`] voxels (the tiny and test scales)
-    /// run the historical single-pass accumulation. Larger grids split
-    /// into fixed `FORWARD_CHUNK`-voxel chunks whose partial sinograms
-    /// are computed in parallel and reduced in chunk order — the
-    /// partitioning depends only on the grid, never on the worker
-    /// count, so the result is identical for any number of threads.
+    /// The grid splits into fixed `FORWARD_CHUNK`-voxel chunks whose
+    /// partial sinograms are computed in parallel and reduced in chunk
+    /// order — the partitioning depends only on the grid, never on the
+    /// worker count, so the result is identical for any number of
+    /// threads. The reduction starts from the first partial: every
+    /// partial accumulates from `+0.0` and so never holds `-0.0`, which
+    /// makes one chunk's sinogram its single-pass accumulation, bit for
+    /// bit.
     pub fn forward(&self, image: &Image) -> Sinogram {
         assert_eq!(image.grid(), self.geom.grid);
         let nvox = self.geom.grid.num_voxels();
-        if nvox <= FORWARD_CHUNK {
-            let mut y = Sinogram::zeros(&self.geom);
-            self.forward_range(image, 0, nvox, &mut y);
-            return y;
-        }
-        let nchunks = nvox.div_ceil(FORWARD_CHUNK);
-        let parts: Vec<Sinogram> = mbir_parallel::par_map(0, nchunks, |c| {
+        let parts = mbir_parallel::par_map(0, nvox.div_ceil(FORWARD_CHUNK), |c| {
             let lo = c * FORWARD_CHUNK;
             let hi = ((c + 1) * FORWARD_CHUNK).min(nvox);
             let mut part = Sinogram::zeros(&self.geom);
             self.forward_range(image, lo, hi, &mut part);
             part
         });
-        // Ordered reduction: chunk partials are summed in chunk order,
-        // so floating-point reassociation happens only at the fixed
-        // chunk boundaries.
-        let mut y = Sinogram::zeros(&self.geom);
-        for part in &parts {
-            for (o, &p) in y.data_mut().iter_mut().zip(part.data()) {
-                *o += p;
-            }
-        }
-        y
+        parts
+            .into_iter()
+            .reduce(|mut y, part| {
+                for (o, &p) in y.data_mut().iter_mut().zip(part.data()) {
+                    *o += p;
+                }
+                y
+            })
+            .unwrap_or_else(|| Sinogram::zeros(&self.geom))
     }
 
     /// The residual `e = y - A x`, the error sinogram every ICD driver

@@ -7,10 +7,9 @@
 //! hop — `latency + bytes / bandwidth` — of the largest chunk in
 //! flight during that step (which, with every chunk moving every step,
 //! is the largest live payload). A single device never exchanges
-//! anything. Fault episodes plug in through the `_among` variants and
-//! the bandwidth factors: a dead device drops out of the ring (fewer
-//! chunks *and* fewer steps) and a degraded link scales the bandwidth
-//! term.
+//! anything. Fault episodes plug in through the liveness masks and the
+//! bandwidth factors: a dead device drops out of the ring (fewer chunks
+//! *and* fewer steps) and a degraded link scales the bandwidth term.
 
 use crate::spec::InterconnectSpec;
 
@@ -31,18 +30,12 @@ impl Interconnect {
         &self.spec
     }
 
-    /// Seconds to move `bytes` point-to-point over one link:
-    /// `latency + bytes / bandwidth`. Zero bytes still pays the
-    /// latency (a zero-length transfer is still a transfer).
-    pub fn transfer_seconds(&self, bytes: u64) -> f64 {
-        self.transfer_seconds_scaled(bytes, 1.0)
-    }
-
-    /// [`Interconnect::transfer_seconds`] with the link bandwidth
-    /// scaled by `bandwidth_factor` (1 = nominal, 0.5 = half speed —
-    /// a degraded-link episode). Latency is a property of the fabric
-    /// and does not scale. A factor of exactly 1 prices bitwise
-    /// identically to the unscaled path.
+    /// Seconds to move `bytes` point-to-point over one link with its
+    /// bandwidth scaled by `bandwidth_factor` (1 = nominal, 0.5 = half
+    /// speed — a degraded-link episode): `latency + bytes / (bandwidth
+    /// × factor)`. Latency is a property of the fabric and does not
+    /// scale, and zero bytes still pays it (a zero-length transfer is
+    /// still a transfer).
     pub fn transfer_seconds_scaled(&self, bytes: u64, bandwidth_factor: f64) -> f64 {
         assert!(
             bandwidth_factor > 0.0 && bandwidth_factor.is_finite(),
@@ -51,30 +44,26 @@ impl Interconnect {
         self.spec.latency_us * 1e-6 + bytes as f64 / (self.spec.link_gbps * 1e9 * bandwidth_factor)
     }
 
-    /// Seconds for a ring all-gather across `devices` devices where
-    /// each device `d` contributes `payload_bytes[d]` bytes.
+    /// Seconds for a ring all-gather over the devices marked `true` in
+    /// `live` (all of them when `live` is `None`), where device `d`
+    /// contributes `payload_bytes[d]` bytes, with bandwidth scaled by
+    /// `bandwidth_factor`.
     ///
-    /// Each of the `devices - 1` synchronous steps is priced by the
-    /// largest chunk actually in flight during that step. In a ring
-    /// all-gather every device forwards the chunk it most recently
-    /// received on every step, so *all* chunks are in flight at every
-    /// step and the per-step maximum is the global maximum payload —
-    /// the total, `(N-1) × T(max)`, is therefore *exact* for the
-    /// synchronous ring, not merely an upper bound. It is also a lower
-    /// bound for any asynchronous schedule: the largest chunk must
-    /// make `N-1` serial hops to reach every peer. One device (or
-    /// none) costs zero: there is nothing to exchange.
-    pub fn allgather_seconds(&self, payload_bytes: &[u64]) -> f64 {
-        self.allgather_seconds_among(payload_bytes, None, 1.0)
-    }
-
-    /// [`Interconnect::allgather_seconds`] over the sub-ring of
-    /// devices marked `true` in `live` (all of them when `live` is
-    /// `None`), with bandwidth scaled by `bandwidth_factor`. Dead
-    /// devices neither contribute chunks nor extend the ring, so a
+    /// Each of the `N - 1` synchronous steps over `N` live devices is
+    /// priced by the largest chunk actually in flight during that
+    /// step. In a ring all-gather every device forwards the chunk it
+    /// most recently received on every step, so *all* chunks are in
+    /// flight at every step and the per-step maximum is the global
+    /// maximum payload — the total, `(N-1) × T(max)`, is therefore
+    /// *exact* for the synchronous ring, not merely an upper bound. It
+    /// is also a lower bound for any asynchronous schedule: the largest
+    /// chunk must make `N-1` serial hops to reach every peer. One live
+    /// device (or none) costs zero: there is nothing to exchange.
+    ///
+    /// Dead devices neither contribute chunks nor extend the ring, so a
     /// shrunken ring runs fewer steps — this is what the recovery path
-    /// prices after a device failure. `live` all-`true` with factor 1
-    /// prices bitwise identically to the full-ring call.
+    /// prices after a device failure. `live` all-`true` prices bitwise
+    /// identically to `None`.
     pub fn allgather_seconds_among(
         &self,
         payload_bytes: &[u64],
@@ -120,14 +109,9 @@ impl Interconnect {
         bytes * hops as u64
     }
 
-    /// Total bytes a ring all-gather moves across all links: every
-    /// device's payload crosses `devices - 1` links.
-    pub fn allgather_bytes(&self, payload_bytes: &[u64]) -> u64 {
-        self.allgather_bytes_among(payload_bytes, None)
-    }
-
-    /// [`Interconnect::allgather_bytes`] over the sub-ring of live
-    /// devices: every live payload crosses `live_count - 1` links.
+    /// Total bytes a ring all-gather over the devices marked `true` in
+    /// `live` (all of them when `live` is `None`) moves across all
+    /// links: every live payload crosses `live_count - 1` links.
     pub fn allgather_bytes_among(&self, payload_bytes: &[u64], live: Option<&[bool]>) -> u64 {
         let chunks = live_chunks(payload_bytes, live);
         let devices = chunks.len() as u64;
@@ -160,39 +144,39 @@ mod tests {
 
     #[test]
     fn single_device_exchanges_nothing() {
-        assert_eq!(pcie().allgather_seconds(&[1 << 20]), 0.0);
-        assert_eq!(pcie().allgather_seconds(&[]), 0.0);
-        assert_eq!(pcie().allgather_bytes(&[1 << 20]), 0);
+        assert_eq!(pcie().allgather_seconds_among(&[1 << 20], None, 1.0), 0.0);
+        assert_eq!(pcie().allgather_seconds_among(&[], None, 1.0), 0.0);
+        assert_eq!(pcie().allgather_bytes_among(&[1 << 20], None), 0);
     }
 
     #[test]
     fn transfer_cost_is_latency_plus_bandwidth_term() {
         let ic = pcie();
         let spec = ic.spec().clone();
-        let secs = ic.transfer_seconds(12_000_000);
+        let secs = ic.transfer_seconds_scaled(12_000_000, 1.0);
         // 12 MB over 12 GB/s = 1 ms, plus the latency.
         let expect = spec.latency_us * 1e-6 + 1e-3;
         assert!((secs - expect).abs() < 1e-12, "{secs} vs {expect}");
         // Zero bytes still pays the latency.
-        assert_eq!(ic.transfer_seconds(0), spec.latency_us * 1e-6);
+        assert_eq!(ic.transfer_seconds_scaled(0, 1.0), spec.latency_us * 1e-6);
     }
 
     #[test]
     fn allgather_scales_with_steps_and_max_payload() {
         let ic = pcie();
-        let two = ic.allgather_seconds(&[1000, 4000]);
-        let four = ic.allgather_seconds(&[1000, 4000, 2000, 3000]);
-        assert!((two - ic.transfer_seconds(4000)).abs() < 1e-15);
-        assert!((four - 3.0 * ic.transfer_seconds(4000)).abs() < 1e-15);
+        let two = ic.allgather_seconds_among(&[1000, 4000], None, 1.0);
+        let four = ic.allgather_seconds_among(&[1000, 4000, 2000, 3000], None, 1.0);
+        assert!((two - ic.transfer_seconds_scaled(4000, 1.0)).abs() < 1e-15);
+        assert!((four - 3.0 * ic.transfer_seconds_scaled(4000, 1.0)).abs() < 1e-15);
         assert!(four > two, "more devices, more ring steps");
     }
 
     #[test]
     fn allgather_is_monotone_in_payload_and_devices() {
         let ic = pcie();
-        let base = ic.allgather_seconds(&[1 << 16, 1 << 16]);
-        assert!(ic.allgather_seconds(&[1 << 17, 1 << 16]) > base);
-        assert!(ic.allgather_seconds(&[1 << 16, 1 << 16, 1 << 16]) > base);
+        let base = ic.allgather_seconds_among(&[1 << 16, 1 << 16], None, 1.0);
+        assert!(ic.allgather_seconds_among(&[1 << 17, 1 << 16], None, 1.0) > base);
+        assert!(ic.allgather_seconds_among(&[1 << 16, 1 << 16, 1 << 16], None, 1.0) > base);
     }
 
     #[test]
@@ -214,14 +198,14 @@ mod tests {
                 })
                 .max()
                 .unwrap();
-            expect += ic.transfer_seconds(in_flight);
+            expect += ic.transfer_seconds_scaled(in_flight, 1.0);
         }
-        let got = ic.allgather_seconds(&payloads);
+        let got = ic.allgather_seconds_among(&payloads, None, 1.0);
         assert_eq!(got, expect);
         // (N-1) x T(max) is exact, not an upper bound: the max chunk
         // needs N-1 serial hops, which the synchronous schedule
         // achieves with no idle steps.
-        assert!((got - 3.0 * ic.transfer_seconds(1 << 22)).abs() < 1e-12);
+        assert!((got - 3.0 * ic.transfer_seconds_scaled(1 << 22, 1.0)).abs() < 1e-12);
     }
 
     #[test]
@@ -232,9 +216,9 @@ mod tests {
         // chunk from every step AND removes one step.
         let live = [true, false, true, true];
         let among = ic.allgather_seconds_among(&payloads, Some(&live), 1.0);
-        let expect = ic.allgather_seconds(&[1 << 20, 1 << 18, 1 << 19]);
+        let expect = ic.allgather_seconds_among(&[1 << 20, 1 << 18, 1 << 19], None, 1.0);
         assert_eq!(among, expect);
-        assert!(among < ic.allgather_seconds(&payloads));
+        assert!(among < ic.allgather_seconds_among(&payloads, None, 1.0));
         assert_eq!(
             ic.allgather_bytes_among(&payloads, Some(&live)),
             ((1u64 << 20) + (1 << 18) + (1 << 19)) * 2
@@ -252,7 +236,7 @@ mod tests {
         let live = [true, true, true];
         assert_eq!(
             ic.allgather_seconds_among(&payloads, Some(&live), 1.0),
-            ic.allgather_seconds(&payloads),
+            ic.allgather_seconds_among(&payloads, None, 1.0),
         );
     }
 
@@ -261,14 +245,17 @@ mod tests {
         let ic = pcie();
         let spec = ic.spec().clone();
         // Half bandwidth doubles the byte term; latency is untouched.
-        let nominal = ic.transfer_seconds(12_000_000);
+        let nominal = ic.transfer_seconds_scaled(12_000_000, 1.0);
         let degraded = ic.transfer_seconds_scaled(12_000_000, 0.5);
         let expect = spec.latency_us * 1e-6 + 2e-3;
         assert!((degraded - expect).abs() < 1e-12, "{degraded} vs {expect}");
         assert!(degraded > nominal);
         // And it propagates through the ring pricing.
         let payloads = [1u64 << 20, 1 << 20];
-        assert!(ic.allgather_seconds_among(&payloads, None, 0.5) > ic.allgather_seconds(&payloads));
+        assert!(
+            ic.allgather_seconds_among(&payloads, None, 0.5)
+                > ic.allgather_seconds_among(&payloads, None, 1.0)
+        );
     }
 
     #[test]
@@ -288,18 +275,21 @@ mod tests {
         assert_eq!(ic.broadcast_bytes(12_000_000, 3), 36_000_000);
         // A chain broadcast beats relaying the payload hop by serial
         // hop, which would pay the byte term per hop.
-        assert!(secs < 3.0 * ic.transfer_seconds(12_000_000));
+        assert!(secs < 3.0 * ic.transfer_seconds_scaled(12_000_000, 1.0));
     }
 
     #[test]
     fn nvlink_beats_pcie() {
         let nv = Interconnect::new(InterconnectSpec::nvlink1());
         let payloads = [1 << 22, 1 << 21, 1 << 22, 1 << 20];
-        assert!(nv.allgather_seconds(&payloads) < pcie().allgather_seconds(&payloads));
+        assert!(
+            nv.allgather_seconds_among(&payloads, None, 1.0)
+                < pcie().allgather_seconds_among(&payloads, None, 1.0)
+        );
     }
 
     #[test]
     fn total_bytes_count_every_link_crossing() {
-        assert_eq!(pcie().allgather_bytes(&[100, 200, 300]), 600 * 2);
+        assert_eq!(pcie().allgather_bytes_among(&[100, 200, 300], None), 600 * 2);
     }
 }

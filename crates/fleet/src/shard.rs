@@ -18,41 +18,21 @@ pub struct ShardPlan {
 
 impl ShardPlan {
     /// Greedy LPT partition of `costs` (indexed by SV id) over
-    /// `devices` devices: visit SVs in decreasing cost order and give
-    /// each to the least-loaded device. Ties break deterministically —
-    /// equal costs go in SV-id order, equal loads to the lowest device
-    /// id — so the plan is a pure function of its inputs.
+    /// `devices` devices: [`ShardPlan::balanced_within`] with every SV
+    /// free to land on any device.
     pub fn balanced(costs: &[f64], devices: usize) -> Self {
-        assert!(devices >= 1, "a shard plan needs at least one device");
-        assert!(
-            costs.iter().all(|c| c.is_finite() && *c >= 0.0),
-            "SV costs must be finite and non-negative"
-        );
-        let mut order: Vec<usize> = (0..costs.len()).collect();
-        order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]).then(a.cmp(&b)));
-
-        let mut assignment = vec![0usize; costs.len()];
-        let mut loads = vec![0.0f64; devices];
-        for sv in order {
-            let device = loads
-                .iter()
-                .enumerate()
-                .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                .map(|(d, _)| d)
-                .unwrap();
-            assignment[sv] = device;
-            loads[device] += costs[sv];
-        }
-        ShardPlan { assignment, loads }
+        Self::balanced_within(costs, devices, &vec![(0, devices); costs.len()])
     }
 
-    /// [`ShardPlan::balanced`] with placement constraints: SV `sv` may
-    /// only land on devices in the half-open range `allowed[sv]`. The
-    /// topology layer's slab-aware sharding uses this to keep each
-    /// slab's SVs within the device group holding that slab resident.
-    /// Visit order and tie-breaks are identical to the unconstrained
-    /// planner, so a constraint of `(0, devices)` for every SV
-    /// produces the exact same plan as [`ShardPlan::balanced`].
+    /// Greedy LPT partition of `costs` (indexed by SV id) over
+    /// `devices` devices, SV `sv` landing only on a device in the
+    /// half-open range `allowed[sv]`: visit SVs in decreasing cost
+    /// order and give each to the least-loaded device of its range.
+    /// Ties break deterministically — equal costs go in SV-id order,
+    /// equal loads to the lowest device id — so the plan is a pure
+    /// function of its inputs. The topology layer's slab-aware sharding
+    /// uses the ranges to keep each slab's SVs within the device group
+    /// holding that slab resident.
     pub fn balanced_within(costs: &[f64], devices: usize, allowed: &[(usize, usize)]) -> Self {
         assert!(devices >= 1, "a shard plan needs at least one device");
         assert_eq!(allowed.len(), costs.len(), "one device range per SV");
@@ -102,32 +82,19 @@ impl ShardPlan {
     pub fn load(&self, device: usize) -> f64 {
         self.loads[device]
     }
-
-    /// Split an already-ordered batch of SV ids into per-device shards.
-    /// Each shard preserves the batch's order, so merging the shards
-    /// back by walking the batch and popping from the owning device's
-    /// results reproduces the single-device commit order exactly.
-    pub fn shard_batch(&self, batch: &[usize]) -> Vec<Vec<usize>> {
-        let mut shards = vec![Vec::new(); self.devices()];
-        for &sv in batch {
-            shards[self.assignment[sv]].push(sv);
-        }
-        shards
-    }
-
-    /// The LPT makespan bound: `total/N + max_cost`. Every plan built
-    /// by [`ShardPlan::balanced`] satisfies `max_load <= bound`.
-    pub fn balance_bound(costs: &[f64], devices: usize) -> f64 {
-        let total: f64 = costs.iter().sum();
-        let max = costs.iter().fold(0.0f64, |a, &b| a.max(b));
-        total / devices as f64 + max
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The LPT makespan bound: `total/N + max_cost`.
+    fn balance_bound(costs: &[f64], devices: usize) -> f64 {
+        let total: f64 = costs.iter().sum();
+        let max = costs.iter().fold(0.0f64, |a, &b| a.max(b));
+        total / devices as f64 + max
+    }
 
     #[test]
     fn single_device_takes_everything() {
@@ -144,30 +111,6 @@ mod tests {
         // Decreasing-cost order is SV-id order here; least-loaded
         // tie-break is lowest device id, so the assignment cycles.
         assert_eq!((0..6).map(|sv| plan.device_of(sv)).collect::<Vec<_>>(), [0, 1, 2, 0, 1, 2]);
-    }
-
-    #[test]
-    fn shard_batch_preserves_batch_order() {
-        let plan = ShardPlan::balanced(&[4.0, 1.0, 3.0, 2.0], 2);
-        let shards = plan.shard_batch(&[2, 0, 3, 1]);
-        let mut seen: Vec<usize> = Vec::new();
-        for shard in &shards {
-            // Within a shard, order follows the batch.
-            let mut positions = shard.iter().map(|sv| [2, 0, 3, 1].iter().position(|b| b == sv));
-            assert!(positions.clone().all(|p| p.is_some()));
-            let pos: Vec<_> = positions.by_ref().map(|p| p.unwrap()).collect();
-            assert!(pos.windows(2).all(|w| w[0] < w[1]), "shard out of batch order: {shard:?}");
-            seen.extend_from_slice(shard);
-        }
-        seen.sort_unstable();
-        assert_eq!(seen, [0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn unconstrained_ranges_reproduce_the_plain_planner_exactly() {
-        let costs = [4.0, 1.0, 3.0, 2.0, 2.0, 5.0];
-        let allowed = vec![(0usize, 3usize); costs.len()];
-        assert_eq!(ShardPlan::balanced_within(&costs, 3, &allowed), ShardPlan::balanced(&costs, 3),);
     }
 
     #[test]
@@ -197,7 +140,7 @@ mod tests {
         let plan = ShardPlan::balanced(&[], 4);
         assert_eq!(plan.svs(), 0);
         assert_eq!(plan.devices(), 4);
-        assert!(plan.shard_batch(&[]).iter().all(|s| s.is_empty()));
+        assert!((0..4).all(|d| plan.load(d) == 0.0));
     }
 
     proptest! {
@@ -211,14 +154,15 @@ mod tests {
             let costs: Vec<f64> = raw.iter().map(|&c| c as f64 / 16.0).collect();
             let plan = ShardPlan::balanced(&costs, devices);
             // assignment[sv] is total (one device per SV, by type); it
-            // must also be in range, and sharding the full SV set must
-            // produce a disjoint cover.
+            // must also be in range, and the loads must be what the
+            // assignment puts on each device (the costs are sixteenths,
+            // so every sum is exact in any order).
             prop_assert!((0..costs.len()).all(|sv| plan.device_of(sv) < devices));
-            let batch: Vec<usize> = (0..costs.len()).collect();
-            let shards = plan.shard_batch(&batch);
-            let mut all: Vec<usize> = shards.into_iter().flatten().collect();
-            all.sort_unstable();
-            prop_assert_eq!(all, batch);
+            for d in 0..devices {
+                let mine: f64 = (0..costs.len()).filter(|&sv| plan.device_of(sv) == d)
+                    .map(|sv| costs[sv]).sum();
+                prop_assert_eq!(plan.load(d).to_bits(), mine.to_bits());
+            }
         }
 
         #[test]
@@ -228,7 +172,7 @@ mod tests {
         ) {
             let costs: Vec<f64> = raw.iter().map(|&c| c as f64 / 16.0).collect();
             let plan = ShardPlan::balanced(&costs, devices);
-            let bound = ShardPlan::balance_bound(&costs, devices);
+            let bound = balance_bound(&costs, devices);
             let max_load = (0..devices).map(|d| plan.load(d)).fold(0.0f64, f64::max);
             // Tiny epsilon for summation order; the combinatorial bound
             // itself is exact.

@@ -116,37 +116,9 @@ where
     out.into_iter().map(|slot| slot.expect("worker left a slot unfilled")).collect()
 }
 
-/// Run `f` for every index in `0..n` on `threads` workers (work
-/// stealing), for loops whose effects live in `f` itself (e.g. writes
-/// to disjoint rows of a shared buffer). Same threading rules as
-/// [`par_map`].
-pub fn par_for_each<F>(threads: usize, n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    let workers = resolve(threads).min(n.max(1));
-    if workers <= 1 || n <= 1 {
-        (0..n).for_each(f);
-        return;
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                f(i);
-            });
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn thread_env_values_parse_or_name_the_variable() {
@@ -171,15 +143,6 @@ mod tests {
     fn par_map_handles_empty_and_single() {
         assert_eq!(par_map(4, 0, |i| i), Vec::<usize>::new());
         assert_eq!(par_map(4, 1, |i| i + 10), vec![10]);
-    }
-
-    #[test]
-    fn par_for_each_visits_every_index_once() {
-        let hits: Vec<AtomicU64> = (0..257).map(|_| AtomicU64::new(0)).collect();
-        par_for_each(8, 257, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
     }
 
     #[test]

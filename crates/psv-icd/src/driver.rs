@@ -1,23 +1,21 @@
 //! The PSV-ICD algorithm (paper Algorithm 2), with real threads.
 
 use crate::cpu_model::{CpuModel, SvWork};
-use ct_core::image::{Image, SharedImage};
+use ct_core::image::Image;
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::SystemMatrix;
 use mbir::convergence::TracePoint;
-use mbir::prior::{clique_weight, Prior};
+use mbir::prior::Prior;
 use mbir::sequential::IcdStats;
 use mbir::stopping::Driver;
-use mbir::update::voxel_step;
 use mbir_telemetry::{ConvergencePoint, IterationSample, KernelSpan, ProfileSink};
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::sync::Arc;
 use supervoxel::checkerboard::checkerboard_groups;
 use supervoxel::plan::{PlanConfig, SvPlanSet};
 use supervoxel::selection::{select_svs, Selection};
-use supervoxel::svb::Svb;
+use supervoxel::sweep::{sweep, Visit};
 use supervoxel::tiling::Tiling;
 
 /// Fraction of SVs updated per iteration after the first (paper
@@ -78,15 +76,6 @@ impl From<PsvIterationReport> for IcdStats {
     fn from(r: PsvIterationReport) -> IcdStats {
         IcdStats { updates: r.updates, skipped: r.skipped, total_abs_delta: r.abs_delta }
     }
-}
-
-/// Per-SV visit bookkeeping shared between worker threads.
-#[derive(Debug, Default, Clone, Copy)]
-struct SvVisit {
-    updates: u64,
-    skipped: u64,
-    abs_delta: f64,
-    entries: f64,
 }
 
 /// The PSV-ICD reconstruction state.
@@ -179,7 +168,7 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
 
     /// One outer iteration of Algorithm 2: select SVs, then for each
     /// (in checkerboard groups, parallel within a group) gather SVBs,
-    /// update voxels, and merge the error delta back.
+    /// update voxels one at a time, and merge the error delta back.
     pub fn iteration(&mut self) -> PsvIterationReport {
         self.iter += 1;
         let mut rng =
@@ -187,7 +176,7 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
         let (selection, ids) = select_svs(self.iter, FRACTION, &self.update_amount, &mut rng);
         let groups = checkerboard_groups(&self.tiling, &ids);
 
-        let allow_skip = self.iter > 1;
+        let iter = self.iter;
         let mut report = PsvIterationReport {
             iter: self.iter,
             selection,
@@ -198,78 +187,33 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
             modeled_seconds: 0.0,
         };
         let mut works: Vec<SvWork> = Vec::with_capacity(ids.len());
-
         for group in &groups {
-            if group.is_empty() {
-                continue;
-            }
-            // Parallel SV updates within the group: each SV gathers its
-            // buffer from the group's error-sinogram snapshot, updates
-            // its voxels, and turns the buffer into its delta against
-            // the same, still untouched, snapshot. SVs of one
-            // checkerboard group never share boundary voxels, so the
-            // shared-image writes and neighbour reads are disjoint and
-            // the result is independent of scheduling.
-            let plan = &*self.plan;
-            let (error, weights) = (&self.error, self.weights);
-            let image = self.image.as_shared();
-            let a = self.a;
-            let prior = self.prior;
-            let iter = self.iter;
-            let results: Vec<(Svb<'_>, SvVisit)> =
-                mbir_parallel::par_map(self.config.threads, group.len(), |i| {
-                    let sv = group[i];
-                    let sv_plan = plan.plan(sv);
-                    let mut svb = Svb::gather(&sv_plan.shape, error, weights);
-                    let mut visit = SvVisit::default();
-                    let mut buf = Vec::new();
-                    let vox = sv_plan.voxels();
-                    // Shuffling indices into the plan's voxel list is
-                    // the same Fisher-Yates permutation the pre-plan
-                    // driver applied to the voxel ids themselves.
-                    let mut order: Vec<u32> = (0..vox.len() as u32).collect();
-                    order.shuffle(&mut StdRng::seed_from_u64(
-                        iter.wrapping_mul(31) ^ (sv as u64).wrapping_mul(0x9e3779b9),
-                    ));
-                    for oi in order {
-                        let vp = &vox[oi as usize];
-                        let j = vp.voxel;
-                        if allow_skip && image.zero_skippable(j) {
-                            visit.skipped += 1;
-                            continue;
-                        }
-                        let col = a.column(j);
-                        sv_plan.dequantize(vp, &mut buf);
-                        let delta = update_voxel_shared(
-                            j,
-                            &image,
-                            sv_plan.entries(&col, &buf),
-                            sv_plan.offsets(vp),
-                            &mut svb,
-                            prior,
-                        );
-                        visit.updates += 1;
-                        visit.abs_delta += delta.abs() as f64;
-                        visit.entries += vp.nnz as f64;
-                    }
-                    svb.take_delta(error);
-                    (svb, visit)
-                });
-
-            // Sequential, ordered merge of the deltas (Alg. 2 lock()).
-            for (i, &sv) in group.iter().enumerate() {
-                let (svb, visit) = &results[i];
-                svb.scatter_delta(&mut self.error);
-                let visit = *visit;
-                self.update_amount[sv] = visit.abs_delta;
-                report.updates += visit.updates;
-                report.skipped += visit.skipped;
-                report.abs_delta += visit.abs_delta;
-                works.push(SvWork {
-                    entries: visit.entries,
-                    // e+w gathered, e scattered back: 3 packed copies.
-                    svb_bytes: 3.0 * plan.plan(sv).svb_bytes,
-                });
+            // Parallel SV updates within the group, each SV's voxels
+            // updated one at a time against its private buffer; the
+            // sweep's ordered merge of the deltas is Alg. 2's lock().
+            let svs = sweep(
+                &self.plan,
+                group,
+                self.a,
+                self.prior,
+                &mut self.image,
+                &mut self.error,
+                self.weights,
+                &mut self.update_amount,
+                self.config.threads,
+                |sv, _| Visit {
+                    order_seed: iter.wrapping_mul(31) ^ (sv as u64).wrapping_mul(0x9e3779b9),
+                    in_flight: 0,
+                    blocks: 1,
+                    allow_skip: iter > 1,
+                },
+            );
+            for t in svs {
+                report.updates += t.updates;
+                report.skipped += t.skipped;
+                report.abs_delta += t.abs_delta;
+                // e+w gathered, e scattered back: 3 packed copies.
+                works.push(SvWork { entries: t.nnz, svb_bytes: 3.0 * t.svb_bytes });
             }
         }
 
@@ -286,31 +230,17 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
             let svb_bytes: f64 = works.iter().map(|w| w.svb_bytes).sum();
             sink.kernel(&KernelSpan {
                 kernel: "psv_iteration".into(),
-                device: 0,
                 iteration: self.iter,
                 batch: self.iter - 1,
                 svs: report.svs_updated as u64,
                 start_seconds,
                 seconds: report.modeled_seconds,
-                cycles: 0.0,
                 occupancy: 1.0,
                 utilization: 1.0,
                 blocks: works.len() as u64,
                 instructions: entries,
-                flops: 0.0,
-                l2_bytes: 0.0,
-                tex_bytes: 0.0,
                 dram_bytes: svb_bytes,
-                shared_bytes: 0.0,
-                atomics: 0.0,
-                l2_transactions: 0,
-                tex_transactions: 0,
-                l1_hits: 0,
-                l1_misses: 0,
-                l2_hits: 0,
-                l2_misses: 0,
-                tex_hit_rate: 0.0,
-                l2_hit_rate: 0.0,
+                ..KernelSpan::default()
             });
             sink.iteration(&IterationSample {
                 iter: self.iter,
@@ -377,31 +307,6 @@ impl<P: Prior> Driver for PsvIcd<'_, P> {
             });
         }
     }
-}
-
-/// The single-voxel update against a shared image and a private SVB —
-/// Algorithm 1 with the image reads/writes going through the shared
-/// view's atomics. `entries` and `offsets` are the voxel's A entries
-/// and band offsets from the SV's plan, and the commit reuses the
-/// entries the theta pass read.
-fn update_voxel_shared<P: Prior>(
-    j: usize,
-    image: &SharedImage<'_>,
-    entries: &[f32],
-    offsets: &[u16],
-    svb: &mut Svb<'_>,
-    prior: &P,
-) -> f32 {
-    let v = image.get(j);
-    let th = svb.thetas(entries, offsets);
-    let nb = image.neighbors8(j);
-    let mut neigh = nb.iter().map(|(k, edge)| (image.get(k), clique_weight(edge)));
-    let delta = voxel_step(prior, v, th, &mut neigh);
-    if delta != 0.0 {
-        image.set(j, v + delta);
-        svb.apply_delta(entries, offsets, delta);
-    }
-    delta
 }
 
 #[cfg(test)]

@@ -8,20 +8,18 @@
 //! voxels are updated sequentially against the buffer, and the buffer
 //! delta is merged back into the global error sinogram under a lock.
 //!
-//! - [`driver`]: the algorithm, executed with real threads
-//!   (`mbir_parallel`'s work-stealing `par_map`). One deliberate
-//!   deviation from the 2016 paper, documented in DESIGN.md: SVs run in
-//!   checkerboard groups so concurrently updated SVs never share
-//!   boundary voxels — Rust's aliasing rules reject PSV-ICD's "rare
-//!   benign race" on boundary voxels, and the paper itself calls the
-//!   collision probability negligible at CPU concurrency levels.
-//!   Each group updates the image through
-//!   `ct_core::image::SharedImage`, the relaxed-atomic view GPU-ICD
-//!   uses too (disjoint writers; the prior's neighbour reads only
-//!   reach SVs frozen for the group).
+//! - [`driver`]: the algorithm, executed with real threads. One
+//!   deliberate deviation from the 2016 paper, documented in
+//!   DESIGN.md: SVs run in checkerboard groups so concurrently updated
+//!   SVs never share boundary voxels — Rust's aliasing rules reject
+//!   PSV-ICD's "rare benign race" on boundary voxels, and the paper
+//!   itself calls the collision probability negligible at CPU
+//!   concurrency levels. Each group is one `supervoxel::sweep`, the SV
+//!   update GPU-ICD runs too, here with no voxel update in flight: each
+//!   SV's voxels are updated one at a time (sequential Gauss-Seidel).
 //! - [`cpu_model`]: the analytic 16-core Xeon timing model used to
-//!   report paper-comparable execution times (this machine has one
-//!   core; see DESIGN.md's substitution table).
+//!   report paper-comparable execution times (a host's few cores
+//!   cannot show 16-core scaling; see DESIGN.md's substitution table).
 
 #![warn(missing_docs)]
 

@@ -17,11 +17,14 @@
 //! - [`selection`]: the per-iteration SV working-set policies (all /
 //!   top-f% by update amount / random f%).
 //! - [`plan`]: geometry-invariant per-SV plans — shapes, chunk
-//!   tallies, quantized columns, band offsets, and row coalescing
-//!   counts computed once per geometry and shared across iterations
-//!   and scans.
+//!   tallies, quantized columns and band offsets computed once per
+//!   geometry and shared across iterations and scans.
 //! - [`lanes`]: the per-element band offsets a voxel visit gathers
 //!   through.
+//! - [`sweep`]: the one SV update of PSV-ICD and GPU-ICD — a batch of
+//!   SVs gathered from one error-sinogram snapshot, each visited at
+//!   the driver's in-flight depth, their deltas scattered in batch
+//!   order.
 
 #![warn(missing_docs)]
 
@@ -32,12 +35,14 @@ pub mod plan;
 pub mod quant;
 pub mod selection;
 pub mod svb;
+pub mod sweep;
 pub mod tiling;
 
 pub use checkerboard::checkerboard_groups;
 pub use chunks::{chunk_column, chunk_tally, Chunk, PaddedColumn};
-pub use plan::{PlanConfig, RowTransactions, SvPlan, SvPlanSet, VoxelPlan};
+pub use plan::{PlanConfig, SvPlan, SvPlanSet, VoxelPlan};
 pub use quant::QuantizedColumn;
 pub use selection::{select_svs, Selection};
 pub use svb::{Svb, SvbShape};
+pub use sweep::{SvTally, Visit};
 pub use tiling::{SuperVoxel, Tiling};

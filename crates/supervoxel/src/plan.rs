@@ -22,7 +22,7 @@
 //!
 //! The host buffers every band packed ([`crate::svb`]); the paper's
 //! transposed, zero-padded layout is what a chunked plan prices for the
-//! modeled GPU ([`SvPlan::svb_bytes`], [`SvPlan::row_tx`]).
+//! modeled GPU ([`SvPlan::svb_bytes`]).
 //!
 //! A plan depends on the geometry alone, never on a scan: the weights
 //! and the measurement enter at visit time. One plan set therefore
@@ -36,7 +36,6 @@ use crate::svb::SvbShape;
 use crate::tiling::Tiling;
 use ct_core::geometry::Geometry;
 use ct_core::sysmat::{ColumnView, SystemMatrix};
-use gpu_sim::coalesce::affine_transactions;
 use mbir_simd::LANES;
 
 /// The most cells a band may hold: its offsets are `u16`.
@@ -76,21 +75,6 @@ pub struct VoxelPlan {
     pub scale: f32,
 }
 
-/// Warp transaction counts for streaming one row of the transformed
-/// per-SV data, precomputed from the closed-form coalescer. These are
-/// properties of the padded layout alone — the whole point of the
-/// transform is that they stay small and fixed across iterations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RowTransactions {
-    /// Transactions for one padded SVB error row read as f64 pairs.
-    pub e_row: u32,
-    /// Transactions for one padded SVB weight row read as f32.
-    pub w_row: u32,
-    /// Transactions for one A-chunk row (`chunk_width` lanes) at the
-    /// quantized (u8) or full (f32) element width.
-    pub a_row: u32,
-}
-
 /// One SuperVoxel's immutable plan.
 #[derive(Debug, Clone)]
 pub struct SvPlan {
@@ -106,9 +90,6 @@ pub struct SvPlan {
     pub svb_bytes: f64,
     /// Mean band width in channels over views.
     pub band_width: f64,
-    /// Coalescing transaction counts of the SV's padded rows (only
-    /// when chunking; the naive layout has no fixed row shape).
-    pub row_tx: Option<RowTransactions>,
     /// The offset of every column element in this SV's buffered band,
     /// voxel after voxel in `voxels` order (see [`crate::lanes`]).
     /// Built for every plan: it depends only on the band shape.
@@ -174,16 +155,8 @@ impl SvPlan {
             .collect();
         band_offsets.truncate(elements);
         band_offsets.shrink_to_fit();
-        let row_tx = config.chunk_width.map(|w| {
-            let a_bytes = if config.quant_bits.is_some() { 1 } else { 4 };
-            RowTransactions {
-                e_row: affine_transactions(0, 8, 8, (shape.padded_width / 2).max(1) as u32),
-                w_row: affine_transactions(0, 4, 4, shape.padded_width.max(1) as u32),
-                a_row: affine_transactions(0, a_bytes, a_bytes, w as u32),
-            }
-        });
         let levels = config.quant_bits.map(|bits| ((1u32 << bits) - 1) as f32);
-        SvPlan { sv, shape, voxels, svb_bytes, band_width, row_tx, band_offsets, codes, levels }
+        SvPlan { sv, shape, voxels, svb_bytes, band_width, band_offsets, codes, levels }
     }
 
     /// One voxel's band offsets, in its column's flat element order.
@@ -293,7 +266,6 @@ mod tests {
     use super::*;
     use crate::quant::QuantizedColumn;
     use ct_core::geometry::Geometry;
-    use gpu_sim::coalesce::transactions;
 
     fn setup() -> (Geometry, SystemMatrix, Tiling) {
         let g = Geometry::tiny_scale();
@@ -367,7 +339,6 @@ mod tests {
         let (g, a, t) = setup();
         let set = SvPlanSet::build(&a, &t, PlanConfig { chunk_width: None, quant_bits: None }, 0);
         let plan = set.plan(1);
-        assert!(plan.row_tx.is_none());
         // No chunk width (GPU naive, PSV-ICD): the modeled plane is packed.
         assert_eq!(plan.svb_bytes, (4 * plan.shape.packed_len()) as f64);
         assert!(plan.codes.is_empty() && plan.levels.is_none());
@@ -381,26 +352,6 @@ mod tests {
             plan.dequantize(vp, &mut buf);
             assert_eq!(buf, [7.0]);
             assert_eq!(plan.entries(&col, &buf).as_ptr(), col.values_flat().as_ptr());
-        }
-    }
-
-    #[test]
-    fn row_transactions_match_materialized_addresses() {
-        let (_, a, t) = setup();
-        let set = SvPlanSet::build(&a, &t, chunked_config(), 0);
-        for sv in [0usize, t.len() - 1] {
-            let plan = set.plan(sv);
-            let tx = plan.row_tx.expect("chunked plan has row transactions");
-            let pw = plan.shape.padded_width;
-            // e row: padded_width/2 lanes of f64 pairs.
-            let e_addrs: Vec<u64> = (0..(pw / 2).max(1) as u64).map(|i| i * 8).collect();
-            assert_eq!(tx.e_row, transactions(&e_addrs, 8));
-            // w row: padded_width lanes of f32.
-            let w_addrs: Vec<u64> = (0..pw.max(1) as u64).map(|i| i * 4).collect();
-            assert_eq!(tx.w_row, transactions(&w_addrs, 4));
-            // A chunk row: chunk_width lanes of u8.
-            let a_addrs: Vec<u64> = (0..16u64).collect();
-            assert_eq!(tx.a_row, transactions(&a_addrs, 1));
         }
     }
 

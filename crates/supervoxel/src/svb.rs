@@ -12,7 +12,7 @@
 //! each row at an aligned address") changes only how the GPU coalesces
 //! its reads, so it lives in the model: [`SvbShape::padded_width`] and
 //! [`SvbShape::padded_len`] size the modeled rows, and the SV's plan
-//! prices them ([`crate::SvPlan::svb_bytes`], [`crate::RowTransactions`]).
+//! prices them ([`crate::SvPlan::svb_bytes`]).
 //!
 //! Each buffer cell holds one `(e, w)` pair, so a visit reads an
 //! element's error and weight with one 8-byte load (the paper's

@@ -29,7 +29,7 @@ pub struct LaunchCtx {
 /// transaction counts divide them into 32-byte sectors; per-level
 /// hit/miss counts follow the modeled hit rates (L2 misses are exactly
 /// the sectors that reach DRAM).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct KernelSpan {
     /// Kernel name (`svb_create`, `mbir_update`, `error_writeback`,
     /// `psv_iteration`).

@@ -96,22 +96,16 @@ impl Topology {
         &self.intra
     }
 
-    /// Price the hierarchical reduce for one batch, `payload_bytes[g]`
-    /// being what global device `g` must publish.
-    pub fn allgather(&self, payload_bytes: &[u64]) -> ExchangeCost {
-        self.allgather_among(payload_bytes, &vec![true; payload_bytes.len()], 1.0)
-    }
-
-    /// [`Topology::allgather`] over the devices marked `true` in
-    /// `live`, with every link's bandwidth scaled by
+    /// Price the hierarchical reduce for one batch over the devices
+    /// marked `true` in `live`, `payload_bytes[g]` being what global
+    /// device `g` must publish, with every link's bandwidth scaled by
     /// `bandwidth_factor` (degraded-link episodes pass `1/factor`).
     /// Dead devices publish nothing and leave their node's ring; a
     /// node's lowest live device leads it on the inter-node link (so a
     /// dead leader hands the link to the next live device), and a node
     /// with no live device leaves the inter-node ring and receives no
-    /// broadcast. Every device live at factor 1 is exactly
-    /// [`Topology::allgather`]; one node is exactly the flat intra-node
-    /// ring over the live devices.
+    /// broadcast. One node is exactly the flat intra-node ring over the
+    /// live devices.
     pub fn allgather_among(
         &self,
         payload_bytes: &[u64],
@@ -197,18 +191,23 @@ mod tests {
         vec![each; cluster.total_devices()]
     }
 
+    /// The reduce with every device live, at nominal bandwidth.
+    fn all_live(topo: &Topology, payload_bytes: &[u64]) -> ExchangeCost {
+        topo.allgather_among(payload_bytes, &vec![true; payload_bytes.len()], 1.0)
+    }
+
     /// The flat-ring baseline over the same payloads: the cluster
     /// flattened into one ring paced by its slowest hop, priced as a
     /// one-node cluster.
     fn flat_ring(topo: &Topology, payload_bytes: &[u64]) -> ExchangeCost {
-        Topology::new(ClusterSpec::single_node(topo.spec().flatten())).allgather(payload_bytes)
+        all_live(&Topology::new(ClusterSpec::single_node(topo.spec().flatten())), payload_bytes)
     }
 
     #[test]
     fn single_node_degenerates_to_the_flat_intra_ring() {
         let topo = Topology::new(ClusterSpec::titan_x_cluster(1, 8));
         let p = payloads(topo.spec(), 50_000);
-        let hier = topo.allgather(&p);
+        let hier = all_live(&topo, &p);
         let flat = flat_ring(&topo, &p);
         assert_eq!(hier.seconds, flat.seconds, "one node: gather IS the flat ring");
         assert_eq!(hier.bytes, flat.bytes);
@@ -220,7 +219,7 @@ mod tests {
     fn single_device_nodes_degenerate_to_the_flat_inter_ring() {
         let topo = Topology::new(ClusterSpec::titan_x_cluster(8, 1));
         let p = payloads(topo.spec(), 50_000);
-        let hier = topo.allgather(&p);
+        let hier = all_live(&topo, &p);
         let flat = flat_ring(&topo, &p);
         assert_eq!(hier.seconds, flat.seconds, "1 device/node: leaders ARE the ring");
         assert_eq!(hier.bytes, flat.bytes);
@@ -235,7 +234,7 @@ mod tests {
         for (nodes, dpn) in [(2, 8), (4, 8), (8, 8), (4, 4), (2, 2)] {
             let topo = Topology::new(ClusterSpec::titan_x_cluster(nodes, dpn));
             let p = payloads(topo.spec(), 50_000);
-            let hier = topo.allgather(&p);
+            let hier = all_live(&topo, &p);
             let flat = flat_ring(&topo, &p);
             assert!(
                 hier.seconds < flat.seconds,
@@ -250,7 +249,7 @@ mod tests {
     fn phase_spans_sum_to_the_total() {
         let topo = Topology::new(ClusterSpec::titan_x_cluster(4, 4));
         let p: Vec<u64> = (0..16).map(|g| 10_000 + 1_000 * g).collect();
-        let cost = topo.allgather(&p);
+        let cost = all_live(&topo, &p);
         let sum = cost.gather_span() + cost.inter_exchange.seconds + cost.broadcast_span();
         assert_eq!(cost.seconds, sum);
         let bytes: u64 = cost.intra_gather.iter().map(|x| x.bytes).sum::<u64>()
@@ -266,7 +265,7 @@ mod tests {
         // pushes node aggregates across n-1.
         let topo = Topology::new(ClusterSpec::titan_x_cluster(8, 8));
         let p = payloads(topo.spec(), 65_536);
-        let hier = topo.allgather(&p);
+        let hier = all_live(&topo, &p);
         let flat = flat_ring(&topo, &p);
         assert!(hier.inter_exchange.bytes < flat.bytes);
     }
@@ -276,7 +275,7 @@ mod tests {
         // All payloads on node 0: the other nodes receive everything,
         // node 0's own broadcast covers only foreign bytes — zero.
         let topo = Topology::new(ClusterSpec::titan_x_cluster(2, 2));
-        let cost = topo.allgather(&[1 << 20, 1 << 20, 0, 0]);
+        let cost = all_live(&topo, &[1 << 20, 1 << 20, 0, 0]);
         assert_eq!(cost.intra_broadcast[0], PhaseCost::default());
         assert!(cost.intra_broadcast[1].seconds > 0.0);
     }
@@ -284,7 +283,7 @@ mod tests {
     #[test]
     fn per_node_gather_is_priced_on_each_nodes_own_payloads() {
         let topo = Topology::new(ClusterSpec::titan_x_cluster(2, 2));
-        let cost = topo.allgather(&[1 << 22, 1 << 22, 16, 16]);
+        let cost = all_live(&topo, &[1 << 22, 1 << 22, 16, 16]);
         assert!(cost.intra_gather[0].seconds > cost.intra_gather[1].seconds);
         assert_eq!(cost.gather_span(), cost.intra_gather[0].seconds);
     }
@@ -299,21 +298,11 @@ mod tests {
         spec.node.fleet.interconnect =
             InterconnectSpec { name: "slow intra".into(), link_gbps: 1.0, latency_us: 50.0 };
         let topo = Topology::new(spec);
-        let cost = topo.allgather(&[1 << 20; 4]);
-        let fast_intra = Topology::new(ClusterSpec::titan_x_cluster(2, 2)).allgather(&[1 << 20; 4]);
+        let cost = all_live(&topo, &[1 << 20; 4]);
+        let fast_intra =
+            all_live(&Topology::new(ClusterSpec::titan_x_cluster(2, 2)), &[1 << 20; 4]);
         assert!(cost.gather_span() > fast_intra.gather_span());
         assert_eq!(cost.inter_exchange, fast_intra.inter_exchange);
-    }
-
-    #[test]
-    fn all_live_at_nominal_bandwidth_is_the_plain_reduce() {
-        for (nodes, dpn) in [(1, 4), (2, 2), (4, 3), (8, 1)] {
-            let topo = Topology::new(ClusterSpec::titan_x_cluster(nodes, dpn));
-            let p: Vec<u64> = (0..(nodes * dpn) as u64).map(|g| 4096 + 512 * g).collect();
-            let among = topo.allgather_among(&p, &vec![true; p.len()], 1.0);
-            assert_eq!(among, topo.allgather(&p), "{nodes}x{dpn}");
-            assert_eq!(among.seconds.to_bits(), topo.allgather(&p).seconds.to_bits());
-        }
     }
 
     #[test]
@@ -328,13 +317,16 @@ mod tests {
         let node0 = (1u64 << 18) + (1 << 19);
         let node1 = (1u64 << 17) + (1 << 16) + (1 << 15);
         let inter = Interconnect::new(InterconnectSpec::net_100gbe());
-        assert_eq!(cost.inter_exchange.seconds, inter.allgather_seconds(&[node0, node1]));
-        assert_eq!(cost.inter_exchange.bytes, inter.allgather_bytes(&[node0, node1]));
+        assert_eq!(
+            cost.inter_exchange.seconds,
+            inter.allgather_seconds_among(&[node0, node1], None, 1.0)
+        );
+        assert_eq!(cost.inter_exchange.bytes, inter.allgather_bytes_among(&[node0, node1], None));
         assert_eq!(cost.intra_broadcast[0].seconds, topo.intra().broadcast_seconds(node1, 1, 1.0));
         assert_eq!(cost.intra_broadcast[1].seconds, topo.intra().broadcast_seconds(node0, 2, 1.0));
         assert_eq!(
             cost.intra_gather[0].seconds,
-            topo.intra().allgather_seconds(&[1 << 18, 1 << 19]),
+            topo.intra().allgather_seconds_among(&[1 << 18, 1 << 19], None, 1.0),
             "the dead device's chunk leaves node 0's ring"
         );
     }
@@ -347,7 +339,10 @@ mod tests {
         assert_eq!(cost.intra_gather[1], PhaseCost::default());
         assert_eq!(cost.inter_exchange, PhaseCost::default(), "one node left: no inter ring");
         assert_eq!(cost.intra_broadcast, vec![PhaseCost::default(); 2]);
-        assert_eq!(cost.seconds, topo.intra().allgather_seconds(&[1 << 20, 1 << 19]));
+        assert_eq!(
+            cost.seconds,
+            topo.intra().allgather_seconds_among(&[1 << 20, 1 << 19], None, 1.0)
+        );
     }
 
     #[test]

@@ -27,12 +27,19 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
+use ct_core::image::Image;
 use ct_core::phantom::Phantom;
+use ct_core::project::{scan, NoiseModel};
+use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::SystemMatrix;
-use gpu_icd::{AMatrixMode, Checkpoint, GpuOptions, L2ReadWidth, Layout, RegisterMode};
+use gpu_icd::pipeline::{Case, Setup};
+use gpu_icd::{
+    psv_options_for, AMatrixMode, Checkpoint, GpuOptions, L2ReadWidth, Layout, RegisterMode,
+};
 use mbir_bench::{gpu_options_for, run_gpu, run_psv, run_sequential, to_golden, Pipeline, Scale};
 use mbir_fleet::FaultSpec;
 use mbir_telemetry::RecordingSink;
+use psv_icd::PsvConfig;
 use std::sync::Arc;
 
 /// Bitwise golden ledger: every `check_*` call records the actual
@@ -311,6 +318,34 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
         g.check_u64(&format!("sysmat.{}.digest", format!("{scale:?}").to_lowercase()), digest);
     }
 
+    // ---- The SV sweep: PSV-ICD and GPU-ICD at the test-scale presets,
+    // six iterations on one and on three workers.
+    {
+        let scale = Scale::Test;
+        let setup = Setup::new(scale.geometry());
+        let truth = Phantom::baggage(0).render(setup.geometry().grid, 2);
+        let s = scan(setup.a(), &truth, Some(NoiseModel::default_dose()), 42);
+        let case = Case::new(setup, s.y, s.weights, 0.002);
+        let run = |threads: usize| {
+            let mut psv = case.psv(PsvConfig { threads, ..psv_options_for(scale) });
+            let mut gpu = case.gpu(GpuOptions { threads, ..gpu_options_for(scale) });
+            for _ in 0..6 {
+                psv.iteration();
+                gpu.iteration();
+            }
+            [
+                ("psv", state_digest(psv.image(), psv.error()), psv.modeled_seconds().to_bits()),
+                ("gpu", state_digest(gpu.image(), gpu.error()), gpu.modeled_seconds().to_bits()),
+            ]
+        };
+        let one = run(1);
+        assert_eq!(one, run(3), "the sweep differs between 1 and 3 workers");
+        for (algo, digest, seconds) in one {
+            g.check_u64(&format!("sweep.test.{algo}.digest"), digest);
+            g.check_f64(&format!("sweep.test.{algo}.seconds"), f64::from_bits(seconds));
+        }
+    }
+
     // ---- Checkpoint round-trip at the midpoint ---------------------
     {
         let mut gpu = p.case.gpu(fleet_opts);
@@ -338,24 +373,32 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
     g.finish();
 }
 
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv1a(words: impl IntoIterator<Item = u32>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for byte in words.into_iter().flat_map(u32::to_le_bytes) {
+        h ^= byte as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// FNV-1a over every voxel's per-view first channels, run counts and
 /// entry bits. Channels and counts enter as `u32` values, so the digest
 /// pins what A holds, not the width it is stored at.
 fn sysmat_digest(a: &SystemMatrix) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    let mut eat = |word: u32| {
-        for byte in word.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    for j in 0..a.geometry().grid.num_voxels() {
+    fnv1a((0..a.geometry().grid.num_voxels()).flat_map(|j| {
         let col = a.column(j);
-        col.first_channels().iter().for_each(|&c| eat(c as u32));
-        col.counts().iter().for_each(|&n| eat(n as u32));
-        col.values_flat().iter().for_each(|v| eat(v.to_bits()));
-    }
-    h
+        let channels = col.first_channels().iter().map(|&c| c as u32);
+        let counts = col.counts().iter().map(|&n| n as u32);
+        let values = col.values_flat().iter().map(|v| v.to_bits());
+        channels.chain(counts).chain(values).collect::<Vec<_>>()
+    }))
+}
+
+/// FNV-1a over an image's bits, then an error sinogram's.
+fn state_digest(image: &Image, error: &Sinogram) -> u64 {
+    fnv1a(image.data().iter().chain(error.data()).map(|v| v.to_bits()))
 }
 
 /// Structural invariants over the checked-in `results/*.json` files:
