@@ -12,7 +12,7 @@ use ct_core::sysmat::SystemMatrix;
 use mbir::prior::{Prior, QggmrfPrior, QuadraticPrior};
 use mbir::update::{compute_thetas, update_voxel, SinogramPair};
 use std::hint::black_box;
-use supervoxel::chunks::{chunk_column, PaddedColumn};
+use supervoxel::chunks::chunk_column;
 use supervoxel::quant::QuantizedColumn;
 use supervoxel::svb::{Svb, SvbShape};
 use supervoxel::tiling::Tiling;
@@ -77,10 +77,6 @@ fn bench_kernels(c: &mut Criterion) {
     c.bench_function("chunk_decomposition_w32", |b| {
         let col = a.column(j);
         b.iter(|| black_box(chunk_column(&col, 32)))
-    });
-    c.bench_function("padded_column_build_w32", |b| {
-        let col = a.column(j);
-        b.iter(|| black_box(PaddedColumn::build(&col, 32)))
     });
     c.bench_function("quantize_column_u8", |b| {
         let col = a.column(j);

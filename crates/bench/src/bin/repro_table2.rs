@@ -12,7 +12,8 @@
 //! ```
 
 use ct_core::phantom::Phantom;
-use gpu_icd::{AMatrixMode, Args, GpuOptions, GpuWorkModel, MbirError};
+use gpu_icd::model::{TEX_HIT_F32, TEX_HIT_U8};
+use gpu_icd::{AMatrixMode, Args, GpuOptions, MbirError};
 use mbir_bench::{gpu_options_for, to_golden, Pipeline};
 use mbir_telemetry::RecordingSink;
 use serde::Serialize;
@@ -39,7 +40,6 @@ fn main() -> Result<(), MbirError> {
     let scale = args.scale()?;
     let base = gpu_options_for(scale);
     let p = Pipeline::build(scale, &Phantom::baggage(0), 42, None);
-    let model = GpuWorkModel::titan_x();
 
     println!("Table 2: Reading the A-matrix via memory path and type");
     println!("{:-<96}", "");
@@ -82,7 +82,7 @@ fn main() -> Result<(), MbirError> {
 
         let tex = mbir.tex_gbps;
         let hit = if mode.uses_texture() {
-            100.0 * if mode.quantized() { model.tex_hit_u8 } else { model.tex_hit_f32 }
+            100.0 * if mode.quantized() { TEX_HIT_U8 } else { TEX_HIT_F32 }
         } else {
             0.0
         };

@@ -145,11 +145,11 @@ impl Checkpoint {
     /// Parse and validate a checkpoint from in-memory bytes. `source`
     /// names the origin (a path, "fuzz input", ...) in error messages.
     ///
-    /// Every dimension is validated against both [`MAX_ELEMS`] *and*
-    /// the actual byte count on hand before any payload allocation:
-    /// a hostile header claiming a huge (but under-cap) image over a
-    /// 100-byte file must fail on the length check, not allocate a
-    /// gigabyte and then discover EOF.
+    /// Every dimension is validated against both a cap of 2^28 elements
+    /// *and* the actual byte count on hand before any payload
+    /// allocation: a hostile header claiming a huge (but under-cap)
+    /// image over a 100-byte file must fail on the length check, not
+    /// allocate a gigabyte and then discover EOF.
     pub fn from_bytes(bytes: &[u8], source: &str) -> Result<Checkpoint, MbirError> {
         let corrupt = |msg: &str| MbirError::Checkpoint(format!("{source}: {msg}"));
         if bytes.len() < MAGIC.len() {

@@ -16,10 +16,9 @@
 
 use crate::checkpoint::{Checkpoint, NO_SLAB};
 use crate::error::MbirError;
-use crate::fleet::{BatchContext, FleetState};
-use crate::model::{GpuWorkModel, ProfileSkeleton};
+use crate::fleet::FleetState;
+use crate::model::GpuWorkModel;
 use crate::opts::{GpuOptions, Layout};
-use crate::tally::BatchTally;
 use ct_core::image::Image;
 use ct_core::sinogram::Sinogram;
 use ct_core::sysmat::SystemMatrix;
@@ -87,18 +86,15 @@ pub struct GpuIcd<'a, P: Prior> {
     weights: &'a Sinogram,
     prior: &'a P,
     opts: GpuOptions,
-    tiling: Tiling,
     plan: Arc<SvPlanSet>,
-    skeleton: ProfileSkeleton,
     image: Image,
     error: Sinogram,
     update_amount: Vec<f64>,
     iter: u64,
     stats: IcdStats,
-    model: GpuWorkModel,
     modeled_seconds: f64,
     sink: Option<Arc<dyn ProfileSink>>,
-    batch_seq: u64,
+    /// Owns the run's work model and prices every batch.
     fleet: FleetState,
 }
 
@@ -108,7 +104,8 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     ///
     /// # Panics
     ///
-    /// If `opts` is out of range ([`GpuOptions::validate`]).
+    /// If `opts` is out of range ([`GpuOptions::validate`]), or `y` or
+    /// `weights` is not shaped for `a`'s geometry.
     pub fn new(
         a: &'a SystemMatrix,
         y: &Sinogram,
@@ -131,8 +128,9 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     ///
     /// # Panics
     ///
-    /// If `opts` is out of range ([`GpuOptions::validate`]), or the plan
-    /// was built for another geometry, SV side or plan configuration.
+    /// If `opts` is out of range ([`GpuOptions::validate`]), the plan
+    /// was built for another geometry, SV side or plan configuration, or
+    /// `y` or `weights` is not shaped for `a`'s geometry.
     pub fn with_plan(
         a: &'a SystemMatrix,
         y: &Sinogram,
@@ -143,40 +141,27 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         plan: Arc<SvPlanSet>,
     ) -> Self {
         opts.validate().unwrap_or_else(|e| panic!("{e}"));
-        let tiling = Tiling::new(init.grid(), opts.sv_side);
         assert_eq!(plan.geometry(), a.geometry(), "plan built for a different geometry");
         assert_eq!(plan.config(), plan_config(&opts), "plan built for different options");
         assert_eq!(plan.tiling().sv_side(), opts.sv_side, "plan built for different tiling");
+        weights.assert_shaped_for(a.geometry(), "weights");
         let error = a.residual(y, &init);
-        let n = tiling.len();
-        let model = GpuWorkModel::titan_x();
-        let skeleton = model.skeleton(&opts);
-        let fleet = FleetState::new(
-            &model,
-            &skeleton,
-            &plan,
-            &tiling,
-            &opts,
-            a.geometry().num_channels,
-            ClusterSpec::single_node(FleetSpec::titan_x_pcie(opts.devices)),
-        );
+        let model = GpuWorkModel::new(&opts, a.geometry().num_channels);
+        let cluster = ClusterSpec::single_node(FleetSpec::titan_x_pcie(opts.devices));
+        let fleet = FleetState::new(model, &plan, cluster);
         GpuIcd {
             a,
             weights,
             prior,
             opts,
-            tiling,
+            update_amount: vec![0.0; plan.tiling().len()],
             plan,
-            skeleton,
             image: init,
             error,
-            update_amount: vec![0.0; n],
             iter: 0,
             stats: IcdStats::default(),
-            model,
             modeled_seconds: 0.0,
             sink: None,
-            batch_seq: 0,
             fleet,
         }
     }
@@ -214,7 +199,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 self.opts.devices
             )));
         }
-        self.fleet = self.fleet.recarve(&self.plan, &self.tiling, cluster);
+        self.fleet = self.fleet.recarve(&self.plan, cluster);
         Ok(())
     }
 
@@ -260,9 +245,9 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         &self.plan
     }
 
-    /// The SV tiling in use.
+    /// The SV tiling in use: the plan set's.
     pub fn tiling(&self) -> &Tiling {
-        &self.tiling
+        self.plan.tiling()
     }
 
     /// The active options.
@@ -279,7 +264,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         let (selection, ids) =
             select_svs(self.iter, self.opts.fraction, &self.update_amount, &mut rng);
         let groups: [Vec<usize>; 4] = if self.opts.checkerboard {
-            checkerboard_groups(&self.tiling, &ids)
+            checkerboard_groups(self.plan.tiling(), &ids)
         } else {
             // Ablation: no checkerboard — adjacent SVs share batches
             // and their shared boundary voxels get updated from
@@ -339,8 +324,8 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
 
     /// Process one batch: run the three kernels functionally as one
     /// [`sweep`] (SVB create, MBIR update, error write-back in batch
-    /// order), then model them. Returns the batch's wall seconds on the
-    /// modeled timeline.
+    /// order), then have the fleet price them. Returns the batch's wall
+    /// seconds on the modeled timeline.
     fn process_batch(&mut self, batch: &[usize], report: &mut GpuIterationReport) -> f64 {
         let (seed, iter) = (self.opts.seed, self.iter);
         let blocks = self.opts.threadblocks_per_sv as usize;
@@ -370,18 +355,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
             report.skipped += t.skipped;
             report.abs_delta += t.abs_delta;
         }
-
-        let tally = BatchTally { svs };
-        let k = BatchContext {
-            model: &self.model,
-            skeleton: &self.skeleton,
-            num_channels: self.a.geometry().num_channels,
-            sink: self.sink.as_deref(),
-            iter: self.iter,
-            batch: self.batch_seq,
-        };
-        self.batch_seq += 1;
-        self.fleet.price_batch(&k, &tally, batch)
+        self.fleet.price_batch(&svs, batch, self.iter, self.sink.as_deref())
     }
 
     /// Run up to `max_iters` further iterations under [`Stop::Cap`],
@@ -441,7 +415,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
             num_views: self.error.num_views(),
             num_channels: self.error.num_channels(),
             iter: self.iter,
-            batch_seq: self.batch_seq,
+            batch_seq: self.fleet.batch_seq(),
             stats: self.stats,
             modeled_seconds: self.modeled_seconds,
             seed: self.opts.seed,
@@ -505,11 +479,11 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 ckp.devices, self.opts.devices
             )));
         }
-        if ckp.update_amount.len() != self.tiling.len() {
+        if ckp.update_amount.len() != self.update_amount.len() {
             return Err(MbirError::Checkpoint(format!(
                 "checkpoint has {} SV amounts, run tiles {} SVs (different sv_side?)",
                 ckp.update_amount.len(),
-                self.tiling.len()
+                self.update_amount.len()
             )));
         }
         let slabs = self.fleet.slabs();
@@ -530,7 +504,6 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         self.error.data_mut().copy_from_slice(&ckp.error);
         self.update_amount.copy_from_slice(&ckp.update_amount);
         self.iter = ckp.iter;
-        self.batch_seq = ckp.batch_seq;
         self.stats = ckp.stats;
         self.modeled_seconds = ckp.modeled_seconds;
         self.fleet.restore(ckp);
@@ -759,6 +732,24 @@ mod tests {
         let last = last.expect("the run iterated");
         assert!(out.converged, "capped at {} iterations", out.iterations);
         assert!(last.svs_updated > 0, "stopped on an empty iteration: {last:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "sinogram is 24x48 (views x channels), but the geometry is 24x40")]
+    fn a_sinogram_of_another_geometry_is_refused() {
+        let (g, a, s) = setup();
+        let prior = QggmrfPrior::standard(0.002);
+        let y = Sinogram::from_vec(24, 48, vec![0.0; 24 * 48]);
+        GpuIcd::new(&a, &y, &s.weights, &prior, Image::zeros(g.grid), opts());
+    }
+
+    #[test]
+    #[should_panic(expected = "weights is 24x48 (views x channels), but the geometry is 24x40")]
+    fn weights_of_another_geometry_are_refused() {
+        let (g, a, s) = setup();
+        let prior = QggmrfPrior::standard(0.002);
+        let w = Sinogram::from_vec(24, 48, vec![1.0; 24 * 48]);
+        GpuIcd::new(&a, &s.y, &w, &prior, Image::zeros(g.grid), opts());
     }
 
     #[test]

@@ -29,61 +29,34 @@
 //! scales its device's ledger kernel seconds, a degraded link divides
 //! the bandwidth of every transfer in the batch.
 //!
-//! The shard itself is planned from *modeled per-SV cost*: each SV's
-//! plan is priced as a one-SV batch through the same [`GpuWorkModel`]
-//! that prices real batches, and [`ShardPlan::balanced_within`]
+//! The fleet owns the run's [`GpuWorkModel`], the one pricer of its
+//! kernels. The shard is planned from *modeled per-SV cost*: each SV's
+//! plan is priced as a one-SV batch ([`GpuWorkModel::sv_cost`]) by the
+//! same model that prices real batches, and [`ShardPlan::balanced_within`]
 //! balances those costs with its LPT partition inside each SV's slab
 //! device group. Balancing by cost rather than SV count matters at
 //! ragged image edges, where clipped SVs carry a fraction of an
 //! interior SV's work.
 
 use crate::checkpoint::{Checkpoint, NO_SLAB};
-use crate::model::{GpuWorkModel, ProfileSkeleton};
-use crate::opts::GpuOptions;
-use crate::tally::BatchTally;
+use crate::model::GpuWorkModel;
 use mbir_fleet::{FaultEvent, FaultSpec, Fleet, FleetReport, ShardPlan};
 use mbir_telemetry::{ExchangeRecord, FaultRecord, LaunchCtx, ProfileSink};
 use mbir_topo::{ClusterSpec, SlabPlan, SlabStreamer, Topology};
 use std::sync::Arc;
-use supervoxel::plan::{SvPlan, SvPlanSet};
+use supervoxel::plan::SvPlanSet;
 use supervoxel::sweep::SvTally;
-use supervoxel::tiling::Tiling;
 
-/// What pricing one batch needs from the driver: the work model that
-/// times kernels, the batch's identity, and the sink its spans and
+/// The batch being priced: its identity, and the sink its spans and
 /// records go to.
-pub(crate) struct BatchContext<'a> {
-    pub(crate) model: &'a GpuWorkModel,
-    pub(crate) skeleton: &'a ProfileSkeleton,
-    pub(crate) num_channels: usize,
-    pub(crate) sink: Option<&'a dyn ProfileSink>,
-    pub(crate) iter: u64,
+struct BatchContext<'a> {
+    sink: Option<&'a dyn ProfileSink>,
+    iter: u64,
     /// Global batch sequence number (fault schedules key on it).
-    pub(crate) batch: u64,
+    batch: u64,
 }
 
 impl BatchContext<'_> {
-    /// Model every device's shard in device order, profiled spans
-    /// starting at `start` on the modeled timeline, and return each
-    /// device's seconds (zero for a device with nothing launched).
-    /// Pricing is microseconds of arithmetic per device, far below the
-    /// cost of handing it to worker threads.
-    fn time_devices(&self, tallies: &[BatchTally], start: f64) -> Vec<f64> {
-        let mut seconds = vec![0.0; tallies.len()];
-        for (d, tally) in tallies.iter().enumerate().filter(|(_, t)| !t.svs.is_empty()) {
-            let ctx = LaunchCtx {
-                device: d as u64,
-                iteration: self.iter,
-                batch: self.batch,
-                start_seconds: start,
-                ..LaunchCtx::default()
-            };
-            let sink = self.sink.map(|s| (s, ctx));
-            seconds[d] = self.model.batch(self.skeleton, tally, self.num_channels, sink).seconds();
-        }
-        seconds
-    }
-
     fn exchange(&self, phase: &str, node: Option<usize>, start: f64, seconds: f64, bytes: u64) {
         if let Some(sink) = self.sink {
             sink.exchange(&ExchangeRecord {
@@ -113,9 +86,12 @@ impl BatchContext<'_> {
     }
 }
 
-/// Sharding plan, per-SV exchange payloads, slab residency, liveness,
-/// fault schedule, and the fleet ledger for one GPU-ICD run.
+/// The work model, sharding plan, per-SV exchange payloads, slab
+/// residency, liveness, fault schedule, batch counter and fleet ledger
+/// of one GPU-ICD run.
 pub struct FleetState {
+    /// Prices every device's kernels.
+    model: GpuWorkModel,
     /// Partition of SVs over *shard slots*; `device_ids` maps a slot
     /// to the physical device holding it.
     shard: ShardPlan,
@@ -151,27 +127,18 @@ pub struct FleetState {
     /// Per fault event: already surfaced to the telemetry fault lane?
     /// (Episodes spanning many batches are reported once, at onset.)
     episode_emitted: Vec<bool>,
+    /// Batches priced so far over the whole run, resumes included: the
+    /// next batch's sequence number, which fault schedules key on.
+    batch_seq: u64,
 }
 
 impl FleetState {
-    /// Price every SV, plan the shard over `cluster` and zero the
-    /// clocks. `cluster.total_devices()` must match `opts.devices`.
-    pub fn new(
-        model: &GpuWorkModel,
-        skeleton: &ProfileSkeleton,
-        plans: &SvPlanSet,
-        tiling: &Tiling,
-        opts: &GpuOptions,
-        num_channels: usize,
-        cluster: ClusterSpec,
-    ) -> Self {
-        assert_eq!(
-            cluster.total_devices(),
-            opts.devices,
-            "fleet spec sized for a different device count"
-        );
-        let costs = sv_costs(model, skeleton, plans, opts, num_channels).into();
-        let payload_bytes = tiling
+    /// Price every SV with `model`, plan the shard over `cluster` and
+    /// zero the clocks.
+    pub fn new(model: GpuWorkModel, plans: &SvPlanSet, cluster: ClusterSpec) -> Self {
+        let costs = plans.plans().iter().map(|plan| model.sv_cost(plan)).collect();
+        let payload_bytes = plans
+            .tiling()
             .svs()
             .iter()
             .zip(plans.plans())
@@ -182,41 +149,42 @@ impl FleetState {
                 plan.svb_bytes as u64 + halo
             })
             .collect();
-        Self::carve(costs, payload_bytes, plans, tiling, cluster)
+        Self::carve(model, costs, payload_bytes, plans, cluster)
     }
 
     /// This run's fleet re-planned over `cluster`, which must hold as
-    /// many devices: the per-SV costs and payload bytes, which do not
-    /// depend on the cluster, are shared rather than priced again; the
-    /// shard, topology, slabs, streamer and ledger are planned afresh;
-    /// and the fault schedule carries over.
-    pub(crate) fn recarve(&self, plans: &SvPlanSet, tiling: &Tiling, cluster: ClusterSpec) -> Self {
+    /// many devices: the work model and the per-SV costs and payload
+    /// bytes, which do not depend on the cluster, are kept rather than
+    /// priced again; the shard, topology, slabs, streamer and ledger are
+    /// planned afresh; and the fault schedule carries over.
+    pub(crate) fn recarve(&self, plans: &SvPlanSet, cluster: ClusterSpec) -> Self {
         assert_eq!(
             cluster.total_devices(),
             self.live.len(),
             "fleet spec sized for a different device count"
         );
         let mut fs = Self::carve(
+            self.model.clone(),
             Arc::clone(&self.costs),
             Arc::clone(&self.payload_bytes),
             plans,
-            tiling,
             cluster,
         );
         fs.set_faults(self.faults.clone());
         fs
     }
 
-    /// Everything that depends on `cluster`, around the per-SV costs
-    /// and payloads.
+    /// Everything that depends on `cluster`, around the work model and
+    /// the per-SV costs and payloads.
     fn carve(
+        model: GpuWorkModel,
         costs: Arc<[f64]>,
         payload_bytes: Arc<[u64]>,
         plans: &SvPlanSet,
-        tiling: &Tiling,
         cluster: ClusterSpec,
     ) -> Self {
         let devices = cluster.total_devices();
+        let tiling = plans.tiling();
         let (sv_rows, _) = tiling.sv_grid();
         let slabs = SlabPlan::new(sv_rows, cluster.slabs);
         let sv_slab: Vec<usize> =
@@ -236,6 +204,7 @@ impl FleetState {
         let live = vec![true; devices];
         let (shard, device_ids) = shard_over(&live, &costs, &sv_slab, &slabs);
         FleetState {
+            model,
             shard,
             device_ids,
             live,
@@ -249,6 +218,7 @@ impl FleetState {
             fleet: Fleet::new(devices),
             faults: FaultSpec::none(),
             episode_emitted: Vec::new(),
+            batch_seq: 0,
         }
     }
 
@@ -290,29 +260,40 @@ impl FleetState {
         self.fleet.report()
     }
 
-    /// Price one batch whose functional results are already committed
-    /// (see the module docs for the booking order) and return its span
-    /// on the modeled timeline. Every device's kernels emit their own
-    /// spans, so a profile's per-kernel seconds sum *device*-seconds.
+    /// Batches priced over the whole run (a resumed run counts the
+    /// checkpointed ones too).
+    pub(crate) fn batch_seq(&self) -> u64 {
+        self.batch_seq
+    }
+
+    /// Price one batch of iteration `iter` whose functional results are
+    /// already committed — `svs[i]` is the tally of SV `batch[i]` (see
+    /// the module docs for the booking order) — and return its span on
+    /// the modeled timeline. Spans and records go to `sink`; every
+    /// device's kernels emit their own spans, so a profile's per-kernel
+    /// seconds sum *device*-seconds.
     pub(crate) fn price_batch(
         &mut self,
-        k: &BatchContext<'_>,
-        tally: &BatchTally,
+        svs: &[SvTally],
         batch: &[usize],
+        iter: u64,
+        sink: Option<&dyn ProfileSink>,
     ) -> f64 {
+        let k = &BatchContext { sink, iter, batch: self.batch_seq };
+        self.batch_seq += 1;
         self.note_episode_onsets(k);
         let bw = 1.0 / self.faults.link_factor(k.batch);
         let mut owner: Vec<usize> = batch.iter().map(|&sv| self.device_of(sv)).collect();
         let every: Vec<usize> = (0..batch.len()).collect();
 
         let mut span = self.book_loads(k, batch, &owner, &every, bw);
-        let kernel_seconds = self.time_entries(k, tally, &owner, &every);
+        let kernel_seconds = self.time_entries(k, svs, &owner, &every);
         span += self.fleet.span(&kernel_seconds);
 
         let failed: Vec<usize> =
             self.faults.failures_at(k.batch).into_iter().filter(|&d| self.live[d]).collect();
         if !failed.is_empty() {
-            for part in self.recover(k, tally, batch, &mut owner, &failed, &kernel_seconds, bw) {
+            for part in self.recover(k, svs, batch, &mut owner, &failed, &kernel_seconds, bw) {
                 span += part;
             }
         }
@@ -364,7 +345,7 @@ impl FleetState {
     fn recover(
         &mut self,
         k: &BatchContext<'_>,
-        tally: &BatchTally,
+        svs: &[SvTally],
         batch: &[usize],
         owner: &mut [usize],
         failed: &[usize],
@@ -389,7 +370,7 @@ impl FleetState {
             owner[bi] = self.device_of(batch[bi]);
         }
         let loads = self.book_loads(k, batch, owner, &lost, bw);
-        let retry_seconds = self.time_entries(k, tally, owner, &lost);
+        let retry_seconds = self.time_entries(k, svs, owner, &lost);
         let retry_span = self.fleet.span(&retry_seconds);
         let retry = loads + retry_span;
         self.fleet.record_recovery(retry);
@@ -404,23 +385,37 @@ impl FleetState {
     }
 
     /// Model the batch entries `entries` (indices into the batch) on
-    /// their owners, preserving batch order within each device.
+    /// their owners, device after device, preserving batch order within
+    /// each device, and return each device's seconds (zero for a device
+    /// with nothing launched). Profiled spans start at the fleet clock.
     /// Stragglers stretch the returned *ledger* seconds; profiled spans
     /// keep their nominal kernel durations (the slowdown is an episode
-    /// on the timeline, not a new kernel).
+    /// on the timeline, not a new kernel). Pricing is microseconds of
+    /// arithmetic per device, far below the cost of handing it to
+    /// worker threads.
     fn time_entries(
         &self,
         k: &BatchContext<'_>,
-        tally: &BatchTally,
+        svs: &[SvTally],
         owner: &[usize],
         entries: &[usize],
     ) -> Vec<f64> {
-        let mut tallies: Vec<BatchTally> =
-            (0..self.live.len()).map(|_| BatchTally::default()).collect();
+        let mut shards = vec![Vec::new(); self.live.len()];
         for &bi in entries {
-            tallies[owner[bi]].svs.push(tally.svs[bi]);
+            shards[owner[bi]].push(svs[bi]);
         }
-        let mut seconds = k.time_devices(&tallies, self.fleet.wall_seconds());
+        let start = self.fleet.wall_seconds();
+        let mut seconds = vec![0.0; shards.len()];
+        for (d, shard) in shards.iter().enumerate().filter(|(_, s)| !s.is_empty()) {
+            let ctx = LaunchCtx {
+                device: d as u64,
+                iteration: k.iter,
+                batch: k.batch,
+                start_seconds: start,
+                ..LaunchCtx::default()
+            };
+            seconds[d] = self.model.batch(shard, k.sink.map(|s| (s, ctx)));
+        }
         for (d, s) in seconds.iter_mut().enumerate() {
             *s *= self.faults.slowdown(d, k.batch);
         }
@@ -528,11 +523,13 @@ impl FleetState {
     }
 
     /// Replay the fleet's history up to `ckp` (whose residency trailer
-    /// the driver has validated): fast-forward the clock, re-kill the
+    /// the driver has validated): resume the batch counter, fast-forward
+    /// the clock, re-kill the
     /// devices the schedule failed before it (resharding exactly as the
     /// interrupted run did), mark the episodes it had already surfaced,
     /// and reinstall each device's resident slab.
     pub(crate) fn restore(&mut self, ckp: &Checkpoint) {
+        self.batch_seq = ckp.batch_seq;
         self.fleet.fast_forward_to(ckp.modeled_seconds);
         for (i, ev) in self.faults.events.iter().enumerate() {
             match *ev {
@@ -573,52 +570,15 @@ fn shard_over(
     (ShardPlan::balanced_within(costs, ids.len(), &allowed), ids)
 }
 
-/// Price every SV's plan as a one-SV batch through the work model —
-/// the deterministic per-SV cost the shard is balanced by.
-pub fn sv_costs(
-    model: &GpuWorkModel,
-    skeleton: &ProfileSkeleton,
-    plans: &SvPlanSet,
-    opts: &GpuOptions,
-    num_channels: usize,
-) -> Vec<f64> {
-    plans
-        .plans()
-        .iter()
-        .map(|plan| {
-            let tally = BatchTally { svs: vec![sv_tally(plan, opts)] };
-            model.batch(skeleton, &tally, num_channels, None).seconds()
-        })
-        .collect()
-}
-
-/// A synthetic full-visit tally for one SV: what a batch containing
-/// the SV would tally if every voxel updated (no zero-skips) — the
-/// setup-time stand-in for per-iteration work.
-fn sv_tally(plan: &SvPlan, opts: &GpuOptions) -> SvTally {
-    let mut t = SvTally {
-        sv: plan.sv,
-        updates: plan.voxels().len() as u64,
-        svb_bytes: plan.svb_bytes,
-        band_width: plan.band_width,
-        max_block_share: 1.0 / opts.threadblocks_per_sv as f64,
-        ..Default::default()
-    };
-    for vp in plan.voxels() {
-        t.nnz += vp.nnz as f64;
-        t.dense += vp.dense as f64;
-        t.descriptors += vp.descriptors as f64;
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::driver::plan_config;
+    use crate::opts::GpuOptions;
     use ct_core::geometry::Geometry;
     use ct_core::sysmat::SystemMatrix;
     use mbir_fleet::FleetSpec;
+    use supervoxel::tiling::Tiling;
 
     fn cluster_state(cluster: ClusterSpec) -> (FleetState, usize) {
         let g = Geometry::tiny_scale();
@@ -627,10 +587,7 @@ mod tests {
             GpuOptions { sv_side: 6, devices: cluster.total_devices(), ..Default::default() };
         let tiling = Tiling::new(g.grid, opts.sv_side);
         let plans = SvPlanSet::build(&a, &tiling, plan_config(&opts), 1);
-        let model = GpuWorkModel::titan_x();
-        let skeleton = model.skeleton(&opts);
-        let fs =
-            FleetState::new(&model, &skeleton, &plans, &tiling, &opts, g.num_channels, cluster);
+        let fs = FleetState::new(GpuWorkModel::new(&opts, g.num_channels), &plans, cluster);
         (fs, tiling.len())
     }
 

@@ -243,7 +243,6 @@ pub fn naive_voxel_program(
 mod validation {
     use super::*;
     use crate::model::GpuWorkModel;
-    use crate::tally::BatchTally;
     use ct_core::geometry::Geometry;
     use ct_core::sysmat::SystemMatrix;
     use gpu_sim::kernel::TraceExecutor;
@@ -292,9 +291,8 @@ mod validation {
         let trace = ex.run_block(&progs).to_block_work();
 
         // Analytic profile for a 1-voxel SV, 1 block.
-        let model = GpuWorkModel::titan_x();
-        let tally = BatchTally { svs: vec![tally_for(&col, &shape, &opts)] };
-        let profile = model.mbir_profile_for_test(&tally, &opts, 1.0);
+        let model = GpuWorkModel::new(&opts, g.num_channels);
+        let profile = model.mbir_profile(&[tally_for(&col, &shape, &opts)], 1.0);
         let analytic = &profile.blocks[0];
 
         // SVB bytes: trace counts sectors; analytic counts dense*8.
@@ -370,7 +368,7 @@ mod validation {
         use gpu_sim::timing::KernelProfile;
         let (g, a, t) = setup();
         let opts = GpuOptions { threadblocks_per_sv: 1, ..GpuOptions::default() };
-        let model = GpuWorkModel::titan_x();
+        let model = GpuWorkModel::new(&opts, g.num_channels);
 
         // Trace a handful of voxels and stack them as one block each.
         let mut blocks = Vec::new();
@@ -389,17 +387,15 @@ mod validation {
             blocks.push(work);
             tallies.push(tally_for(&col, &shape, &opts));
         }
+        let analytic = model.mbir_profile(&tallies, 1.0);
         let traced = KernelProfile {
             name: "traced".into(),
-            resources: model
-                .mbir_profile_for_test(&BatchTally { svs: tallies.clone() }, &opts, 1.0)
-                .resources,
+            resources: analytic.resources,
             blocks,
             l2_width_factor: 1.0,
             warp_efficiency: 1.0,
             mem_efficiency: 1.0,
         };
-        let analytic = model.mbir_profile_for_test(&BatchTally { svs: tallies }, &opts, 1.0);
         let t_trace = model.timing.time(&traced).seconds;
         let t_analytic = model.timing.time(&analytic).seconds;
         let ratio = t_trace / t_analytic;

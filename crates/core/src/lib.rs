@@ -32,10 +32,11 @@
 //!   update kernel is `supervoxel::sweep`, the SV update PSV-ICD
 //!   runs too, with about `threadblocks_per_sv / 2` voxel updates in
 //!   flight.
-//! - [`tally`]: work counters collected during functional execution.
-//! - [`model`]: turning tallies into [`gpu_sim::KernelProfile`]s.
-//! - [`fleet`]: sharding batches across `opts.devices` simulated
-//!   devices (timing only — functional results never change).
+//! - [`model`]: the one pricer of a run, turning the sweep's per-SV
+//!   work tallies into [`gpu_sim::KernelProfile`]s and modeled seconds.
+//! - [`fleet`]: the run's one pricing path, which owns the model and
+//!   shards batches across `opts.devices` simulated devices (timing
+//!   only — functional results never change).
 //! - [`kernels`]: the MBIR kernel expressed in the `gpu-sim` warp IR,
 //!   used to cross-validate the analytic model against a trace-driven
 //!   execution.
@@ -56,7 +57,6 @@ pub mod kernels;
 pub mod model;
 pub mod opts;
 pub mod pipeline;
-pub mod tally;
 
 pub use args::{gpu_options_for, psv_options_for, Args, Scale};
 pub use checkpoint::Checkpoint;
@@ -64,6 +64,5 @@ pub use driver::{plan_config, GpuIcd, GpuIterationReport};
 pub use error::MbirError;
 pub use fleet::FleetState;
 pub use mbir::stopping::BoundaryAction;
-pub use model::{GpuWorkModel, ProfileSkeleton};
+pub use model::GpuWorkModel;
 pub use opts::{AMatrixMode, GpuOptions, L2ReadWidth, Layout, RegisterMode};
-pub use tally::BatchTally;

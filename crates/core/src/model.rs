@@ -1,11 +1,14 @@
-//! Turning functional work tallies into GPU kernel profiles.
+//! The one pricer of a GPU-ICD run: functional work tallies in,
+//! modeled GPU seconds out.
 //!
 //! Every batch of Algorithm 3 runs three kernels — SVB create, MBIR
-//! update, error write-back — and this module builds a
-//! [`gpu_sim::KernelProfile`] for each from the batch's [`BatchTally`]
-//! and the active [`GpuOptions`]. The constants below are the model's
-//! calibration and are documented in DESIGN.md; every optimization
-//! toggle changes exactly the quantity the paper attributes to it:
+//! update, error write-back — and [`GpuWorkModel::batch`] builds a
+//! [`gpu_sim::KernelProfile`] for each from the batch's per-SV
+//! [`SvTally`]s and prices it on the Titan X timing model. The model is
+//! built once per run from the active [`GpuOptions`]; the constants
+//! below are its calibration and are documented in DESIGN.md. Every
+//! optimization toggle changes exactly the quantity the paper
+//! attributes to it:
 //!
 //! - **layout** (Fig. 6): the naive layout reads `nnz` entries at one
 //!   32-byte sector each (fully uncoalesced) with ~8% warp efficiency
@@ -26,101 +29,83 @@
 //! - **SV side / batch size** (Fig. 7a/7d): total resident SVB bytes
 //!   pressure the 3 MB L2; small SVs raise intra-SV atomic conflicts.
 
-use crate::opts::{GpuOptions, Layout, RegisterMode};
-use crate::tally::BatchTally;
+use crate::opts::{GpuOptions, L2ReadWidth, Layout, RegisterMode};
 use gpu_sim::occupancy::BlockResources;
-use gpu_sim::timing::{BlockWork, KernelProfile, KernelTiming, TimingModel};
+use gpu_sim::timing::{BlockWork, KernelProfile, TimingModel};
 use gpu_sim::GpuSpec;
 use mbir_telemetry::{LaunchCtx, ProfileSink};
+use supervoxel::plan::SvPlan;
+use supervoxel::sweep::SvTally;
 
-/// Modeled timings of one batch's three kernels.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchTiming {
-    /// SVB gather kernel.
-    pub create: KernelTiming,
-    /// The MBIR update kernel.
-    pub mbir: KernelTiming,
-    /// Error sinogram write-back kernel.
-    pub writeback: KernelTiming,
-}
+/// FLOPs per processed element (dequant + 2 FMAs + addressing).
+const FLOPS_PER_ENTRY: f64 = 8.0;
+/// Warp efficiency of the naive layout (mean run / warp size).
+const NAIVE_WARP_EFFICIENCY: f64 = 0.085;
+/// Memory-system efficiency of the naive layout's scattered accesses
+/// (transaction-issue bound; coalesced access is 1.0).
+const NAIVE_MEM_EFFICIENCY: f64 = 0.25;
+/// Texture hit rate for f32 A entries (paper Table 2: 41.78%).
+pub const TEX_HIT_F32: f64 = 0.42;
+/// Texture hit rate for u8 A entries (paper Table 2: 60.36%).
+pub const TEX_HIT_U8: f64 = 0.60;
+/// L1 hit rate of compiler register spills (paper: "remained poor
+/// (30%)").
+const SPILL_L1_HIT: f64 = 0.30;
+/// Bytes of spill traffic per processed element.
+const SPILL_BYTES_PER_ENTRY: f64 = 4.0;
+/// Shared-memory bytes per thread per voxel for the tree reduction.
+const REDUCTION_BYTES_PER_THREAD: f64 = 16.0;
+/// Scale of intra-SV atomic conflicts (`blocks_active * run /
+/// band_width`).
+const CONFLICT_COEFF: f64 = 0.25;
+/// Mean footprint run length in channels (conflict model input).
+const MEAN_RUN: f64 = 2.7;
+/// Warp instructions per 32-wide chunk-row slice (3 array loads, FMAs,
+/// addressing, loop control).
+const ROW_INSTRUCTIONS: f64 = 12.0;
+/// Warp instructions per chunk descriptor: a dependent look-up of the
+/// chunk's start location plus window setup — the cost that punishes
+/// narrow chunks (paper Fig. 6's left side).
+const CHUNK_INSTRUCTIONS: f64 = 400.0;
+/// Warp instructions per voxel update for the tree reduction and the
+/// surrogate solve.
+const UPDATE_INSTRUCTIONS: f64 = 75.0;
+/// Warp instructions per sparse entry in the naive layout (one thread
+/// per entry with scattered addressing).
+const NAIVE_ENTRY_INSTRUCTIONS: f64 = 0.6;
 
-impl BatchTiming {
-    /// Total modeled seconds of the batch.
-    pub fn seconds(&self) -> f64 {
-        self.create.seconds + self.mbir.seconds + self.writeback.seconds
-    }
-}
-
-/// The options-derived portion of the MBIR kernel profile, hoisted
-/// once per run by [`GpuWorkModel::skeleton`]. Per batch, only the
-/// tally-dependent block work remains to be filled in — the analytic
-/// analogue of the paper's one-time layout transform.
-#[derive(Debug, Clone)]
-pub struct ProfileSkeleton {
-    chunked: bool,
-    a_bpe: f64,
-    tex: bool,
-    tex_hit: f64,
-    resources: BlockResources,
-    width: f64,
-    aligned: bool,
-    align_issue: f64,
-    blocks_per_sv: u32,
-    threads_per_block: u32,
-    dynamic_voxels: bool,
-    registers: RegisterMode,
-    l2_read_factor: f64,
-    warp_efficiency: f64,
-    mem_efficiency: f64,
-}
-
-/// The GPU-ICD work model.
+/// The GPU-ICD work model of one run: the Titan X timing model plus
+/// every options-derived constant of the kernel profiles, hoisted once
+/// per run — the analytic analogue of the paper's one-time layout
+/// transform. Per batch, only the tally-dependent block work remains to
+/// be filled in.
 #[derive(Debug, Clone)]
 pub struct GpuWorkModel {
     /// The machine timing model.
-    pub timing: TimingModel,
-    /// FLOPs per processed element (dequant + 2 FMAs + addressing).
-    pub flops_per_entry: f64,
-    /// Warp efficiency of the naive layout (mean run / warp size).
-    pub naive_warp_efficiency: f64,
-    /// Memory-system efficiency of the naive layout's scattered
-    /// accesses (transaction-issue bound; coalesced access is 1.0).
-    pub naive_mem_efficiency: f64,
-    /// Texture hit rate for f32 A entries (paper Table 2: 41.78%).
-    pub tex_hit_f32: f64,
-    /// Texture hit rate for u8 A entries (paper Table 2: 60.36%).
-    pub tex_hit_u8: f64,
-    /// L1 hit rate of compiler register spills (paper: "remained poor
-    /// (30%)").
-    pub spill_l1_hit: f64,
-    /// Bytes of spill traffic per processed element.
-    pub spill_bytes_per_entry: f64,
-    /// Shared-memory bytes per thread per voxel for the tree reduction.
-    pub reduction_bytes_per_thread: f64,
-    /// Scale of intra-SV atomic conflicts
-    /// (`blocks_active * run / band_width`).
-    pub conflict_coeff: f64,
-    /// Mean footprint run length in channels (conflict model input).
-    pub mean_run: f64,
-    /// Warp instructions per 32-wide chunk-row slice (3 array loads,
-    /// FMAs, addressing, loop control).
-    pub row_instructions: f64,
-    /// Warp instructions per chunk descriptor: a dependent look-up of
-    /// the chunk's start location plus window setup — the cost that
-    /// punishes narrow chunks (paper Fig. 6's left side).
-    pub chunk_instructions: f64,
-    /// Warp instructions per voxel update for the tree reduction and
-    /// the surrogate solve.
-    pub update_instructions: f64,
-    /// Warp instructions per sparse entry in the naive layout (one
-    /// thread per entry with scattered addressing).
-    pub naive_entry_instructions: f64,
+    pub(crate) timing: TimingModel,
+    /// Detector channels (the write-back kernel's band overlap).
+    num_channels: usize,
+    chunked: bool,
+    /// Chunk width in elements (1 for the naive layout).
+    width: f64,
+    /// Chunk rows start at sector-aligned addresses.
+    aligned: bool,
+    /// A-matrix bytes streamed per entry.
+    a_bpe: f64,
+    /// Texture hit rate of the A stream; `None` on the global path.
+    tex_hit: Option<f64>,
+    resources: BlockResources,
+    blocks_per_sv: u32,
+    dynamic_voxels: bool,
+    registers: RegisterMode,
+    l2_read_factor: f64,
 }
 
 impl GpuWorkModel {
-    /// Model for the given machine.
-    pub fn new(spec: GpuSpec) -> Self {
-        let mut timing = TimingModel::new(spec);
+    /// The model of a run under `opts` on the paper's Titan X, with a
+    /// detector of `num_channels` channels.
+    pub fn new(opts: &GpuOptions, num_channels: usize) -> Self {
+        let mut timing = TimingModel::new(GpuSpec::titan_x_maxwell());
         // The MBIR kernel's warps stall on dependent descriptor and
         // address chains, so the issue pipe only saturates with deep
         // warp-level parallelism — near the same occupancy that hides
@@ -130,28 +115,55 @@ impl GpuWorkModel {
         // stays flat, which the paper's small-batch measurements do
         // not show.)
         timing.compute_occupancy_sat = 0.6;
+
+        // Quantized modes stream `amatrix_bits / 8` bytes per entry
+        // (sub-byte widths pack; 8 bits = the paper's u8).
+        let a_bpe = if opts.amatrix.quantized() {
+            opts.amatrix_bits as f64 / 8.0
+        } else {
+            opts.amatrix.bytes_per_entry()
+        };
+        let tex_hit = if opts.amatrix.quantized() { TEX_HIT_U8 } else { TEX_HIT_F32 };
+
+        // Per-thread shared memory: reduction partials plus (for the
+        // paper's manual-spill mode) the relocated locals.
+        let smem_per_thread = match opts.registers {
+            RegisterMode::SharedMem32 => 8 + 32,
+            _ => 8,
+        };
+
+        // Chunk geometry of the transformed layout. Rows of widths that
+        // are a multiple of the warp size start at aligned addresses
+        // (the paper: "widths that are multiples of warp size perform
+        // better because they achieve aligned memory accesses");
+        // other widths pay an extra sector per row and transaction
+        // replays on the issue side.
+        let (chunked, width, aligned) = match opts.layout {
+            Layout::Chunked { width } => (true, width as f64, width % 32 == 0),
+            Layout::Naive => (false, 1.0, true),
+        };
+
         GpuWorkModel {
             timing,
-            flops_per_entry: 8.0,
-            naive_warp_efficiency: 0.085,
-            naive_mem_efficiency: 0.25,
-            tex_hit_f32: 0.42,
-            tex_hit_u8: 0.60,
-            spill_l1_hit: 0.30,
-            spill_bytes_per_entry: 4.0,
-            reduction_bytes_per_thread: 16.0,
-            conflict_coeff: 0.25,
-            mean_run: 2.7,
-            row_instructions: 12.0,
-            chunk_instructions: 400.0,
-            update_instructions: 75.0,
-            naive_entry_instructions: 0.6,
+            num_channels,
+            chunked,
+            width,
+            aligned,
+            a_bpe,
+            tex_hit: opts.amatrix.uses_texture().then_some(tex_hit),
+            resources: BlockResources {
+                threads: opts.threads_per_block,
+                regs_per_thread: opts.registers.regs_per_thread(),
+                shared_mem: opts.threads_per_block * smem_per_thread,
+            },
+            blocks_per_sv: opts.threadblocks_per_sv,
+            dynamic_voxels: opts.dynamic_voxels,
+            registers: opts.registers,
+            l2_read_factor: match opts.l2_read {
+                L2ReadWidth::Double => 1.0,
+                L2ReadWidth::Float => 0.5,
+            },
         }
-    }
-
-    /// Model for the paper's Titan X.
-    pub fn titan_x() -> Self {
-        Self::new(GpuSpec::titan_x_maxwell())
     }
 
     /// L2 capacity-pressure factor: the working set of all SVBs in
@@ -165,107 +177,63 @@ impl GpuWorkModel {
         (cap / resident_bytes.max(1.0)).min(1.0)
     }
 
-    /// Hoist every options-derived field of the MBIR profile into a
-    /// reusable skeleton; [`Self::batch`] fills in only the per-batch
-    /// tallies.
-    pub fn skeleton(&self, opts: &GpuOptions) -> ProfileSkeleton {
-        let chunked = matches!(opts.layout, Layout::Chunked { .. });
-        // Quantized modes stream `amatrix_bits / 8` bytes per entry
-        // (sub-byte widths pack; 8 bits = the paper's u8).
-        let a_bpe = if opts.amatrix.quantized() {
-            opts.amatrix_bits as f64 / 8.0
-        } else {
-            opts.amatrix.bytes_per_entry()
-        };
-        let tex_hit = if opts.amatrix.quantized() { self.tex_hit_u8 } else { self.tex_hit_f32 };
-
-        // Per-thread shared memory: reduction partials plus (for the
-        // paper's manual-spill mode) the relocated locals.
-        let smem_per_thread = match opts.registers {
-            RegisterMode::SharedMem32 => 8 + 32,
-            _ => 8,
-        };
-        let resources = BlockResources {
-            threads: opts.threads_per_block,
-            regs_per_thread: opts.registers.regs_per_thread(),
-            shared_mem: opts.threads_per_block * smem_per_thread,
-        };
-
-        // Chunk geometry of the transformed layout. Rows of widths that
-        // are a multiple of the warp size start at aligned addresses
-        // (the paper: "widths that are multiples of warp size perform
-        // better because they achieve aligned memory accesses");
-        // other widths pay an extra sector per row and transaction
-        // replays on the issue side.
-        let (width, aligned) = match opts.layout {
-            Layout::Chunked { width } => (width as f64, width % 32 == 0),
-            Layout::Naive => (1.0, true),
-        };
-        let align_issue = if aligned { 1.0 } else { 1.5 };
-
-        ProfileSkeleton {
-            chunked,
-            a_bpe,
-            tex: opts.amatrix.uses_texture(),
-            tex_hit,
-            resources,
-            width,
-            aligned,
-            align_issue,
-            blocks_per_sv: opts.threadblocks_per_sv,
-            threads_per_block: opts.threads_per_block,
-            dynamic_voxels: opts.dynamic_voxels,
-            registers: opts.registers,
-            l2_read_factor: match opts.l2_read {
-                crate::opts::L2ReadWidth::Double => 1.0,
-                crate::opts::L2ReadWidth::Float => 0.5,
-            },
-            warp_efficiency: if chunked { 1.0 } else { self.naive_warp_efficiency },
-            mem_efficiency: if chunked { 1.0 } else { self.naive_mem_efficiency },
-        }
-    }
-
-    /// Model one batch's kernels from a prebuilt skeleton. With
+    /// Modeled seconds of one batch of SVs: SVB create, then MBIR
+    /// update, then error write-back, added in that order. With
     /// `spans`, each of the three launches also emits one
     /// [`mbir_telemetry::KernelSpan`] to the sink, tagged with the
     /// context's device, iteration and batch and laid out back-to-back
-    /// from its `start_seconds` (create, then MBIR, then write-back: the
-    /// serial launch order of Algorithm 3). The sink only observes: the
-    /// returned timing is the same either way.
-    pub fn batch(
-        &self,
-        skeleton: &ProfileSkeleton,
-        tally: &BatchTally,
-        num_channels: usize,
-        spans: Option<(&dyn ProfileSink, LaunchCtx)>,
-    ) -> BatchTiming {
-        let nsv = tally.svs.len().max(1);
-        let resident = 2.0 * tally.svb_bytes(); // e + w planes
+    /// from its `start_seconds` (the serial launch order of Algorithm
+    /// 3). The sink only observes: the seconds are the same either way.
+    pub fn batch(&self, svs: &[SvTally], spans: Option<(&dyn ProfileSink, LaunchCtx)>) -> f64 {
+        let resident = 2.0 * svs.iter().map(|s| s.svb_bytes).sum::<f64>(); // e + w planes
         let l2f = self.l2_pressure_factor(resident);
-        let svs = tally.svs.len() as u64;
+        let count = svs.len() as u64;
         let mut start = spans.map_or(0.0, |(_, ctx)| ctx.start_seconds);
         let mut launch = |profile: KernelProfile, tex_hit_rate: f64| {
-            let ctx =
-                spans.map(|(_, ctx)| LaunchCtx { start_seconds: start, svs, tex_hit_rate, ..ctx });
+            let ctx = spans.map(|(_, ctx)| LaunchCtx {
+                start_seconds: start,
+                svs: count,
+                tex_hit_rate,
+                ..ctx
+            });
             let t = self.timing.time_with(&profile, spans.map(|(sink, _)| sink).zip(ctx.as_ref()));
             start += t.seconds;
-            t
+            t.seconds
         };
-        let create = launch(self.create_profile(tally, l2f), 0.0);
+        let create = launch(self.create_profile(svs, l2f), 0.0);
         // Only the MBIR kernel reads through the texture path, and only
         // when the A-matrix mode asks for it.
-        let mbir_hit = if skeleton.tex { skeleton.tex_hit } else { 0.0 };
-        let mbir = launch(self.mbir_profile(tally, skeleton, l2f), mbir_hit);
-        let writeback = launch(self.writeback_profile(tally, l2f, nsv, num_channels), 0.0);
-        BatchTiming { create, mbir, writeback }
+        let mbir = launch(self.mbir_profile(svs, l2f), self.tex_hit.unwrap_or(0.0));
+        let writeback = launch(self.writeback_profile(svs, l2f), 0.0);
+        create + mbir + writeback
+    }
+
+    /// Modeled seconds of `plan`'s SV as a one-SV batch in which every
+    /// voxel updates (no zero-skips) — the setup-time stand-in for
+    /// per-iteration work, and the deterministic per-SV cost the fleet
+    /// balances its shards by.
+    pub fn sv_cost(&self, plan: &SvPlan) -> f64 {
+        let mut t = SvTally {
+            sv: plan.sv,
+            updates: plan.voxels().len() as u64,
+            svb_bytes: plan.svb_bytes,
+            band_width: plan.band_width,
+            max_block_share: 1.0 / self.blocks_per_sv as f64,
+            ..Default::default()
+        };
+        for vp in plan.voxels() {
+            t.nnz += vp.nnz as f64;
+            t.dense += vp.dense as f64;
+            t.descriptors += vp.descriptors as f64;
+        }
+        self.batch(&[t], None)
     }
 
     /// The SVB gather kernel: stream the bands out of the global
     /// sinograms (DRAM-resident at paper scale) into the SVBs (L2).
-    fn create_profile(&self, tally: &BatchTally, l2f: f64) -> KernelProfile {
+    fn create_profile(&self, svs: &[SvTally], l2f: f64) -> KernelProfile {
         // Copies parallelize trivially: 8 blocks per SV.
-        let blocks = tally
-            .svs
+        let blocks = svs
             .iter()
             .flat_map(|sv| {
                 // Read e+w packed bands from global, write both planes.
@@ -292,29 +260,18 @@ impl GpuWorkModel {
         }
     }
 
-    /// Test/validation hook: the MBIR profile construction, exposed so
-    /// the warp-IR trace of `crate::kernels` can be compared against it.
-    pub fn mbir_profile_for_test(
-        &self,
-        tally: &BatchTally,
-        opts: &GpuOptions,
-        l2f: f64,
-    ) -> KernelProfile {
-        self.mbir_profile(tally, &self.skeleton(opts), l2f)
-    }
-
     /// The MBIR update kernel (three-level parallelism). All
-    /// options-derived constants come in through the skeleton; only the
-    /// per-SV tallies vary per batch.
+    /// options-derived constants come from the model; only the per-SV
+    /// tallies vary per batch.
     #[allow(clippy::field_reassign_with_default)]
-    fn mbir_profile(&self, tally: &BatchTally, sk: &ProfileSkeleton, l2f: f64) -> KernelProfile {
-        let chunked = sk.chunked;
-        let (a_bpe, tex, tex_hit) = (sk.a_bpe, sk.tex, sk.tex_hit);
-        let (width, aligned, align_issue) = (sk.width, sk.aligned, sk.align_issue);
+    pub(crate) fn mbir_profile(&self, svs: &[SvTally], l2f: f64) -> KernelProfile {
+        let (chunked, width, aligned, a_bpe) = (self.chunked, self.width, self.aligned, self.a_bpe);
+        let align_issue = if aligned { 1.0 } else { 1.5 };
+        let threads = self.resources.threads as f64;
 
         let mut blocks = Vec::new();
-        for sv in &tally.svs {
-            let b = sk.blocks_per_sv as usize;
+        for sv in svs {
+            let b = self.blocks_per_sv as usize;
             // Elements processed (dense includes chunk padding).
             let elems = if chunked { sv.dense } else { sv.nnz };
             // Chunk rows: one per covered view.
@@ -340,8 +297,7 @@ impl GpuWorkModel {
             let desc_bytes = sv.descriptors * 16.0;
 
             let mut w = BlockWork::default();
-            w.flops =
-                elems * self.flops_per_entry + sv.updates as f64 * sk.threads_per_block as f64;
+            w.flops = elems * FLOPS_PER_ENTRY + sv.updates as f64 * threads;
             // Warp-instruction issue: the pipe that actually binds this
             // latency-heavy kernel on small widths. Chunked: a handful
             // of instructions per 32-wide row slice (3 loads, FMAs,
@@ -349,46 +305,44 @@ impl GpuWorkModel {
             // (the paper's per-chunk start-location look-up); naive:
             // one thread per sparse entry plus per-view look-ups.
             w.instructions = if chunked {
-                rows * self.row_instructions * (width / 32.0).max(1.0).ceil() * align_issue
-                    + sv.descriptors * self.chunk_instructions
-                    + sv.updates as f64 * self.update_instructions
+                rows * ROW_INSTRUCTIONS * (width / 32.0).max(1.0).ceil() * align_issue
+                    + sv.descriptors * CHUNK_INSTRUCTIONS
+                    + sv.updates as f64 * UPDATE_INSTRUCTIONS
             } else {
-                sv.nnz * self.naive_entry_instructions
+                sv.nnz * NAIVE_ENTRY_INSTRUCTIONS
                     + sv.descriptors * 8.0
-                    + sv.updates as f64 * self.update_instructions
+                    + sv.updates as f64 * UPDATE_INSTRUCTIONS
             };
             w.l2_bytes = svb_bus + desc_bytes;
-            if tex {
+            if let Some(tex_hit) = self.tex_hit {
                 w.tex_bytes = a_bus;
                 w.dram_bytes += a_bus * (1.0 - tex_hit);
             } else {
                 w.l2_bytes += a_bus;
                 w.dram_bytes += a_bus; // A streams; far larger than L2.
             }
-            match sk.registers {
+            match self.registers {
                 RegisterMode::SharedMem32 => {
-                    w.shared_bytes += elems * self.spill_bytes_per_entry;
+                    w.shared_bytes += elems * SPILL_BYTES_PER_ENTRY;
                 }
                 RegisterMode::CompilerSpill32 => {
-                    w.l2_bytes += elems * self.spill_bytes_per_entry * (1.0 - self.spill_l1_hit);
+                    w.l2_bytes += elems * SPILL_BYTES_PER_ENTRY * (1.0 - SPILL_L1_HIT);
                 }
                 RegisterMode::Regs44 => {}
             }
-            w.shared_bytes +=
-                sv.updates as f64 * sk.threads_per_block as f64 * self.reduction_bytes_per_thread
-                    / sk.blocks_per_sv as f64;
+            w.shared_bytes += sv.updates as f64 * threads * REDUCTION_BYTES_PER_THREAD
+                / self.blocks_per_sv as f64;
             // Error write-back within the SVB: one atomic per sparse
             // entry; conflicts grow as concurrent blocks squeeze into a
             // narrow band (paper Fig. 7a: small SVs contend more).
             w.atomics = sv.nnz;
             w.atomic_conflict = 1.0
-                + self.conflict_coeff
-                    * (sk.blocks_per_sv as f64 * self.mean_run / sv.band_width.max(1.0));
+                + CONFLICT_COEFF * (self.blocks_per_sv as f64 * MEAN_RUN / sv.band_width.max(1.0));
 
             // Split the SV's work over its blocks.
             let even = 1.0 / b as f64;
             for i in 0..b {
-                let share = if sk.dynamic_voxels {
+                let share = if self.dynamic_voxels {
                     even
                 } else {
                     // Static distribution: the heaviest block carries
@@ -416,32 +370,26 @@ impl GpuWorkModel {
 
         KernelProfile {
             name: "mbir_update".into(),
-            resources: sk.resources,
+            resources: self.resources,
             blocks,
-            l2_width_factor: l2f * sk.l2_read_factor,
-            warp_efficiency: sk.warp_efficiency,
-            mem_efficiency: sk.mem_efficiency,
+            l2_width_factor: l2f * self.l2_read_factor,
+            warp_efficiency: if chunked { 1.0 } else { NAIVE_WARP_EFFICIENCY },
+            mem_efficiency: if chunked { 1.0 } else { NAIVE_MEM_EFFICIENCY },
         }
     }
 
     /// The error write-back kernel: atomically merge every SVB delta
     /// into the global sinogram.
-    fn writeback_profile(
-        &self,
-        tally: &BatchTally,
-        l2f: f64,
-        nsv: usize,
-        num_channels: usize,
-    ) -> KernelProfile {
+    fn writeback_profile(&self, svs: &[SvTally], l2f: f64) -> KernelProfile {
+        let nsv = svs.len().max(1);
         // Merges parallelize trivially: 8 blocks per SV.
-        let blocks = tally
-            .svs
+        let blocks = svs
             .iter()
             .flat_map(|sv| {
                 let entries = sv.svb_bytes / 4.0 / 8.0;
                 // Bands of concurrently merging SVs overlap on shared
                 // sinogram cells.
-                let overlap = (nsv as f64 - 1.0) * sv.band_width / num_channels.max(1) as f64;
+                let overlap = (nsv as f64 - 1.0) * sv.band_width / self.num_channels.max(1) as f64;
                 std::iter::repeat_n(
                     BlockWork {
                         l2_bytes: sv.svb_bytes * 2.0 / 8.0,
@@ -468,15 +416,14 @@ impl GpuWorkModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::opts::{AMatrixMode, L2ReadWidth};
-    use supervoxel::sweep::SvTally;
+    use crate::opts::AMatrixMode;
 
-    /// Modeled seconds of `tally` under `opts`, unprofiled.
-    fn seconds(m: &GpuWorkModel, tally: &BatchTally, opts: &GpuOptions) -> f64 {
-        m.batch(&m.skeleton(opts), tally, 1024, None).seconds()
+    /// Modeled seconds of `svs` under `opts`, unprofiled.
+    fn seconds(svs: &[SvTally], opts: &GpuOptions) -> f64 {
+        GpuWorkModel::new(opts, 1024).batch(svs, None)
     }
 
-    fn paper_scale_batch(opts: &GpuOptions) -> BatchTally {
+    fn paper_scale_batch(opts: &GpuOptions) -> Vec<SvTally> {
         // 32 SVs of side 33 at 512^2/720 views: ~1156 voxels each,
         // ~1944 sparse entries per voxel, ~11x padding at width 32.
         let per_sv = SvTally {
@@ -495,27 +442,25 @@ mod tests {
             band_width: 50.0,
             max_block_share: 1.0 / opts.threadblocks_per_sv as f64,
         };
-        BatchTally { svs: vec![per_sv; 32] }
+        vec![per_sv; 32]
     }
 
     #[test]
     fn default_batch_lands_near_paper_equit_rate() {
         // ~7 batches per equit at paper scale; the paper's time/equit
         // is 0.07 s, so a batch should cost ~5-20 ms.
-        let m = GpuWorkModel::titan_x();
         let opts = GpuOptions::default();
-        let ms = seconds(&m, &paper_scale_batch(&opts), &opts) * 1e3;
+        let ms = seconds(&paper_scale_batch(&opts), &opts) * 1e3;
         assert!((2.0..40.0).contains(&ms), "batch {ms} ms");
     }
 
     #[test]
     fn chunked_beats_naive() {
         // Fig. 6: the transformed layout wins ~2.1x at width 32.
-        let m = GpuWorkModel::titan_x();
         let chunked = GpuOptions::default();
         let naive = GpuOptions { layout: Layout::Naive, ..Default::default() };
-        let tc = seconds(&m, &paper_scale_batch(&chunked), &chunked);
-        let tn = seconds(&m, &paper_scale_batch(&naive), &naive);
+        let tc = seconds(&paper_scale_batch(&chunked), &chunked);
+        let tn = seconds(&paper_scale_batch(&naive), &naive);
         let speedup = tn / tc;
         assert!((1.2..5.0).contains(&speedup), "speedup {speedup}");
     }
@@ -523,7 +468,6 @@ mod tests {
     #[test]
     fn table2_ordering() {
         // (Global,f32) slowest ... (Texture,u8) fastest.
-        let m = GpuWorkModel::titan_x();
         let mut times = Vec::new();
         for mode in [
             AMatrixMode::GlobalF32,
@@ -532,7 +476,7 @@ mod tests {
             AMatrixMode::TextureU8,
         ] {
             let opts = GpuOptions { amatrix: mode, ..Default::default() };
-            times.push(seconds(&m, &paper_scale_batch(&opts), &opts));
+            times.push(seconds(&paper_scale_batch(&opts), &opts));
         }
         assert!(times[0] > times[1], "tex f32 should beat global f32");
         assert!(times[1] > times[3], "u8 tex should beat f32 tex");
@@ -541,33 +485,32 @@ mod tests {
 
     #[test]
     fn table3_toggles_all_slow_down() {
-        let m = GpuWorkModel::titan_x();
         let base_opts = GpuOptions::default();
-        let base = seconds(&m, &paper_scale_batch(&base_opts), &base_opts);
+        let base = seconds(&paper_scale_batch(&base_opts), &base_opts);
         // Float L2 reads.
         let o1 = GpuOptions { l2_read: L2ReadWidth::Float, ..Default::default() };
-        assert!(seconds(&m, &paper_scale_batch(&o1), &o1) > base);
+        assert!(seconds(&paper_scale_batch(&o1), &o1) > base);
         // Register modes.
         let o2 = GpuOptions { registers: RegisterMode::Regs44, ..Default::default() };
-        assert!(seconds(&m, &paper_scale_batch(&o2), &o2) > base);
+        assert!(seconds(&paper_scale_batch(&o2), &o2) > base);
         let o2b = GpuOptions { registers: RegisterMode::CompilerSpill32, ..Default::default() };
-        assert!(seconds(&m, &paper_scale_batch(&o2b), &o2b) > base);
+        assert!(seconds(&paper_scale_batch(&o2b), &o2b) > base);
         // Intra-SV parallelism off: one block per SV.
         let o3 = GpuOptions { threadblocks_per_sv: 1, ..Default::default() };
-        let t3 = seconds(&m, &paper_scale_batch(&o3), &o3);
+        let t3 = seconds(&paper_scale_batch(&o3), &o3);
         assert!(t3 > 3.0 * base, "intra-SV off only {}x", t3 / base);
         // Static voxel distribution with measured imbalance.
         let o4 = GpuOptions { dynamic_voxels: false, ..Default::default() };
         let mut t = paper_scale_batch(&o4);
-        for sv in &mut t.svs {
+        for sv in &mut t {
             sv.max_block_share = 3.0 / o4.threadblocks_per_sv as f64; // skewed
         }
-        assert!(seconds(&m, &t, &o4) > base);
+        assert!(seconds(&t, &o4) > base);
     }
 
     #[test]
     fn l2_pressure_kicks_in_for_huge_svbs() {
-        let m = GpuWorkModel::titan_x();
+        let m = GpuWorkModel::new(&GpuOptions::default(), 1024);
         assert_eq!(m.l2_pressure_factor(1.0e6), 1.0);
         let f10 = m.l2_pressure_factor(10.0e6);
         let f20 = m.l2_pressure_factor(20.0e6);
@@ -578,11 +521,10 @@ mod tests {
     #[test]
     fn compiler_spill_beats_44_regs_slightly() {
         // The paper saw only ~6% improvement from maxrregcount alone.
-        let m = GpuWorkModel::titan_x();
         let o44 = GpuOptions { registers: RegisterMode::Regs44, ..Default::default() };
         let ospill = GpuOptions { registers: RegisterMode::CompilerSpill32, ..Default::default() };
-        let t44 = seconds(&m, &paper_scale_batch(&o44), &o44);
-        let tspill = seconds(&m, &paper_scale_batch(&ospill), &ospill);
+        let t44 = seconds(&paper_scale_batch(&o44), &o44);
+        let tspill = seconds(&paper_scale_batch(&ospill), &ospill);
         assert!(tspill < t44, "spill {tspill} vs 44regs {t44}");
     }
 }

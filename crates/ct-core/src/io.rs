@@ -48,7 +48,7 @@ pub fn write_pgm(path: &Path, img: &Image, lo: f32, hi: f32) -> std::io::Result<
 /// Read a binary 8-bit PGM back into an image on `[lo, hi]`.
 ///
 /// Hardened against hostile headers: dimensions multiply through a
-/// checked path capped at [`MAX_PGM_PIXELS`], zero-sized grids and any
+/// checked path capped at 2^28 pixels, zero-sized grids and any
 /// maxval other than 255 (the only depth [`write_pgm`] produces) are
 /// [`std::io::ErrorKind::InvalidData`] — never a panic or an OOM.
 pub fn read_pgm(path: &Path, pixel_size: f32, lo: f32, hi: f32) -> std::io::Result<Image> {

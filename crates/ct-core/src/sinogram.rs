@@ -115,6 +115,21 @@ impl Sinogram {
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
     }
+
+    /// Panic unless this sinogram is shaped for `geom`, naming it
+    /// `what` and both shapes. Element-wise sinogram arithmetic zips
+    /// without a length check, so a mis-shaped input would otherwise be
+    /// accepted silently.
+    pub fn assert_shaped_for(&self, geom: &Geometry, what: &str) {
+        assert!(
+            self.num_views == geom.num_views && self.num_channels == geom.num_channels,
+            "{what} is {}x{} (views x channels), but the geometry is {}x{}",
+            self.num_views,
+            self.num_channels,
+            geom.num_views,
+            geom.num_channels
+        );
+    }
 }
 
 #[cfg(test)]

@@ -391,7 +391,12 @@ impl SystemMatrix {
 
     /// The residual `e = y - A x`, the error sinogram every ICD driver
     /// starts from and keeps up to date.
+    ///
+    /// # Panics
+    ///
+    /// If `y` is not shaped for this matrix's geometry.
     pub fn residual(&self, y: &Sinogram, x: &Image) -> Sinogram {
+        y.assert_shaped_for(&self.geom, "sinogram");
         let ax = self.forward(x);
         let mut e = y.clone();
         for (ev, axv) in e.data_mut().iter_mut().zip(ax.data()) {
@@ -529,6 +534,16 @@ mod tests {
         let g = Geometry::tiny_scale();
         let a = SystemMatrix::compute(&g);
         (g, a)
+    }
+
+    #[test]
+    #[should_panic(expected = "sinogram is 24x48 (views x channels), but the geometry is 24x40")]
+    fn residual_refuses_a_sinogram_of_another_geometry() {
+        // Zipped element by element against A x, a wider sinogram would
+        // give a wider error sinogram without complaint.
+        let (g, a) = small();
+        let y = Sinogram::from_vec(24, 48, vec![0.0; 24 * 48]);
+        a.residual(&y, &Image::zeros(g.grid));
     }
 
     #[test]

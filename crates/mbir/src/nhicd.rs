@@ -41,6 +41,10 @@ pub struct NhIcd<'a, P: Prior> {
 
 impl<'a, P: Prior> NhIcd<'a, P> {
     /// Initialize (computes `e = y - A init`).
+    ///
+    /// # Panics
+    ///
+    /// If `y` or `weights` is not shaped for `a`'s geometry.
     pub fn new(
         a: &'a SystemMatrix,
         y: &Sinogram,
@@ -48,6 +52,7 @@ impl<'a, P: Prior> NhIcd<'a, P> {
         prior: &'a P,
         init: Image,
     ) -> Self {
+        weights.assert_shaped_for(a.geometry(), "weights");
         let error = a.residual(y, &init);
         let n = init.grid().num_voxels();
         NhIcd {
@@ -175,6 +180,15 @@ mod tests {
         let truth = Phantom::baggage(6).render(g.grid, 2);
         let s = scan(&a, &truth, Some(NoiseModel { i0: 1.0e5 }), 5);
         (g, a, s)
+    }
+
+    #[test]
+    #[should_panic(expected = "weights is 24x48 (views x channels), but the geometry is 24x40")]
+    fn weights_of_another_geometry_are_refused() {
+        let (g, a, s) = setup();
+        let prior = QggmrfPrior::standard(0.002);
+        let w = Sinogram::from_vec(24, 48, vec![1.0; 24 * 48]);
+        NhIcd::new(&a, &s.y, &w, &prior, Image::zeros(g.grid));
     }
 
     #[test]

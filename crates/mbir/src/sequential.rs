@@ -58,6 +58,10 @@ pub struct SequentialIcd<'a, P: Prior> {
 impl<'a, P: Prior> SequentialIcd<'a, P> {
     /// Initialize from a measurement `y` and starting image `init`
     /// (often zeros or an FBP image); computes `e = y - A init`.
+    ///
+    /// # Panics
+    ///
+    /// If `y` or `weights` is not shaped for `a`'s geometry.
     pub fn new(
         a: &'a SystemMatrix,
         y: &Sinogram,
@@ -65,6 +69,7 @@ impl<'a, P: Prior> SequentialIcd<'a, P> {
         prior: &'a P,
         init: Image,
     ) -> Self {
+        weights.assert_shaped_for(a.geometry(), "weights");
         let error = a.residual(y, &init);
         SequentialIcd {
             a,
@@ -188,6 +193,15 @@ mod tests {
         let truth = Phantom::water_cylinder(0.55).render(g.grid, 2);
         let s = scan(&a, &truth, Some(NoiseModel { i0: 1.0e5 }), 7);
         (g, a, s)
+    }
+
+    #[test]
+    #[should_panic(expected = "weights is 24x48 (views x channels), but the geometry is 24x40")]
+    fn weights_of_another_geometry_are_refused() {
+        let (g, a, s) = setup();
+        let prior = QggmrfPrior::standard(0.002);
+        let w = Sinogram::from_vec(24, 48, vec![1.0; 24 * 48]);
+        SequentialIcd::new(&a, &s.y, &w, &prior, Image::zeros(g.grid));
     }
 
     #[test]

@@ -84,7 +84,6 @@ pub struct PsvIcd<'a, P: Prior> {
     weights: &'a Sinogram,
     prior: &'a P,
     config: PsvConfig,
-    tiling: Tiling,
     plan: Arc<SvPlanSet>,
     image: Image,
     error: Sinogram,
@@ -117,6 +116,12 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
     /// drivers/runs). The plan must have been built for the same
     /// geometry, SV side, and [`psv_plan_config`]; one plan serves
     /// every scan of its geometry.
+    ///
+    /// # Panics
+    ///
+    /// If the plan was built for another geometry, SV side or plan
+    /// configuration, or `y` or `weights` is not shaped for `a`'s
+    /// geometry.
     pub fn with_plan(
         a: &'a SystemMatrix,
         y: &Sinogram,
@@ -126,22 +131,20 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
         config: PsvConfig,
         plan: Arc<SvPlanSet>,
     ) -> Self {
-        let tiling = Tiling::new(init.grid(), config.sv_side);
         assert_eq!(plan.geometry(), a.geometry(), "plan built for a different geometry");
         assert_eq!(plan.config(), psv_plan_config(), "plan built for different options");
         assert_eq!(plan.tiling().sv_side(), config.sv_side, "plan built for different tiling");
+        weights.assert_shaped_for(a.geometry(), "weights");
         let error = a.residual(y, &init);
-        let n = tiling.len();
         PsvIcd {
             a,
             weights,
             prior,
             config,
-            tiling,
+            update_amount: vec![0.0; plan.tiling().len()],
             plan,
             image: init,
             error,
-            update_amount: vec![0.0; n],
             iter: 0,
             stats: IcdStats::default(),
             model: CpuModel::paper_baseline(),
@@ -161,9 +164,9 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
         &self.plan
     }
 
-    /// The SV tiling in use.
+    /// The SV tiling in use: the plan set's.
     pub fn tiling(&self) -> &Tiling {
-        &self.tiling
+        self.plan.tiling()
     }
 
     /// One outer iteration of Algorithm 2: select SVs, then for each
@@ -174,7 +177,7 @@ impl<'a, P: Prior> PsvIcd<'a, P> {
         let mut rng =
             StdRng::seed_from_u64((SELECTION_STREAM ^ self.iter).wrapping_mul(0x9e3779b97f4a7c15));
         let (selection, ids) = select_svs(self.iter, FRACTION, &self.update_amount, &mut rng);
-        let groups = checkerboard_groups(&self.tiling, &ids);
+        let groups = checkerboard_groups(self.plan.tiling(), &ids);
 
         let iter = self.iter;
         let mut report = PsvIterationReport {
@@ -443,6 +446,15 @@ mod tests {
         assert_eq!(secs_off.to_bits(), secs_on.to_bits());
         assert_eq!(rec_off, None);
         assert_eq!(rec_on, Some((3, 3)));
+    }
+
+    #[test]
+    #[should_panic(expected = "weights is 24x48 (views x channels), but the geometry is 24x40")]
+    fn weights_of_another_geometry_are_refused() {
+        let (g, a, s) = setup();
+        let prior = QggmrfPrior::standard(0.002);
+        let w = Sinogram::from_vec(24, 48, vec![1.0; 24 * 48]);
+        PsvIcd::new(&a, &s.y, &w, &prior, Image::zeros(g.grid), config());
     }
 
     #[test]

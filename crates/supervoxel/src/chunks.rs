@@ -3,10 +3,12 @@
 //! In the transformed layout, each voxel's SVB data is split into
 //! *chunks*: rectangular `(height views) x (chunk_width channels)`
 //! windows chosen so that every covered view's channel run lies inside
-//! the window. The A-matrix is zero-padded to the same rectangles so a
-//! warp can read whole rows of the SVB and A chunks with perfectly
+//! the window. The GPU's A-matrix is zero-padded to the same rectangles
+//! so a warp can read whole rows of the SVB and A chunks with perfectly
 //! coalesced, element-by-element multiplies — padding entries are zero
-//! in A and therefore never affect the result.
+//! in A and therefore never affect the result. The host never stores
+//! padded chunks: the plan keeps each voxel's [`chunk_tally`], which
+//! the work model prices.
 
 use ct_core::sysmat::ColumnView;
 
@@ -85,85 +87,6 @@ fn chunks<'a>(col: &ColumnView<'a>, width: usize) -> impl Iterator<Item = Chunk>
     })
 }
 
-/// A voxel column materialized in the padded chunk format: for each
-/// chunk, a dense `height x width` block with A values at run positions
-/// and zeros elsewhere.
-#[derive(Debug, Clone)]
-pub struct PaddedColumn {
-    /// The chunk rectangles.
-    pub chunks: Vec<Chunk>,
-    /// Offset of each chunk's dense block in `values`
-    /// (length `chunks.len() + 1`).
-    pub chunk_offset: Vec<u32>,
-    /// Dense zero-padded A values, chunk-major then row-major.
-    pub values: Vec<f32>,
-}
-
-impl PaddedColumn {
-    /// Build the padded representation of `col` with the given chunk
-    /// width.
-    pub fn build(col: &ColumnView<'_>, width: usize) -> PaddedColumn {
-        let chunks = chunk_column(col, width);
-        let total: usize = chunks.iter().map(|c| c.len()).sum();
-        let mut values = vec![0.0f32; total];
-        let mut chunk_offset = Vec::with_capacity(chunks.len() + 1);
-        let mut off = 0usize;
-        chunk_offset.push(0u32);
-        for c in &chunks {
-            for r in 0..c.height as usize {
-                let view = c.view0 as usize + r;
-                let (fc, n) = col.run(view);
-                debug_assert!(n > 0);
-                let seg_vals = segment_values(col, view);
-                let row = &mut values[off + r * c.width as usize..off + (r + 1) * c.width as usize];
-                let rel = fc - c.ch0 as usize;
-                row[rel..rel + n].copy_from_slice(seg_vals);
-            }
-            off += c.len();
-            chunk_offset.push(off as u32);
-        }
-        PaddedColumn { chunks, chunk_offset, values }
-    }
-
-    /// Dense elements stored (reads the GPU must perform).
-    pub fn dense_len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Inflation factor over the sparse storage: dense / nnz. The
-    /// paper's Fig. 6 trade-off — larger widths read and compute more.
-    pub fn padding_ratio(&self, col: &ColumnView<'_>) -> f32 {
-        self.dense_len() as f32 / col.nnz() as f32
-    }
-
-    /// Iterate `(view, absolute_channel, a_value)` over all dense
-    /// elements, including zero padding — exactly what the transformed
-    /// GPU kernel reads.
-    pub fn dense_iter(&self) -> impl Iterator<Item = (usize, usize, f32)> + '_ {
-        self.chunks.iter().zip(self.chunk_offset.windows(2)).flat_map(move |(c, off)| {
-            let base = off[0] as usize;
-            (0..c.height as usize).flat_map(move |r| {
-                let view = c.view0 as usize + r;
-                (0..c.width as usize).map(move |k| {
-                    (view, c.ch0 as usize + k, self.values[base + r * c.width as usize + k])
-                })
-            })
-        })
-    }
-}
-
-/// The values slice of one view's run (helper over `ColumnView`).
-fn segment_values<'a>(col: &ColumnView<'a>, view: usize) -> &'a [f32] {
-    // ColumnView exposes runs via segments(); index to the right one.
-    // Runs are contiguous in flat storage, so compute the offset.
-    let mut off = 0usize;
-    for v in 0..view {
-        off += col.run(v).1;
-    }
-    let n = col.run(view).1;
-    &col.values_flat()[off..off + n]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,46 +159,11 @@ mod tests {
     }
 
     #[test]
-    fn padded_values_match_sparse() {
-        let (_, a) = col_setup();
-        let col = a.column(250);
-        let padded = PaddedColumn::build(&col, 8);
-        // Sum of dense values equals sum of sparse values (padding is 0).
-        let dense_sum: f32 = padded.values.iter().sum();
-        let sparse_sum: f32 = col.values_flat().iter().sum();
-        assert!((dense_sum - sparse_sum).abs() < 1e-4);
-        // Nonzero count matches nnz.
-        let nz = padded.values.iter().filter(|&&v| v != 0.0).count();
-        assert_eq!(nz, col.values_flat().iter().filter(|&&v| v != 0.0).count());
-    }
-
-    #[test]
-    fn dense_iter_positions_are_correct() {
-        let (g, a) = col_setup();
-        let col = a.column(77);
-        let padded = PaddedColumn::build(&col, 8);
-        // Rebuild a (view, channel) -> value map from the sparse column.
-        let mut sparse = std::collections::HashMap::new();
-        for seg in col.segments() {
-            for (k, &v) in seg.values.iter().enumerate() {
-                sparse.insert((seg.view, seg.first_channel + k), v);
-            }
-        }
-        for (view, ch, v) in padded.dense_iter() {
-            assert!(view < g.num_views);
-            match sparse.get(&(view, ch)) {
-                Some(&sv) => assert_eq!(v, sv),
-                None => assert_eq!(v, 0.0, "padding at ({view},{ch}) must be zero"),
-            }
-        }
-    }
-
-    #[test]
     fn padding_ratio_grows_with_width() {
         let (_, a) = col_setup();
         let col = a.column(300);
-        let r8 = PaddedColumn::build(&col, 8).padding_ratio(&col);
-        let r32 = PaddedColumn::build(&col, 32).padding_ratio(&col);
+        let ratio = |width| chunk_tally(&col, width).0 as f32 / col.nnz() as f32;
+        let (r8, r32) = (ratio(8), ratio(32));
         assert!(r8 >= 1.0);
         assert!(r32 > r8);
     }

@@ -9,7 +9,8 @@
 //!   Fig. 4b is priced for the modeled GPU by the plan, not allocated.
 //! - [`chunks`]: the per-voxel chunk decomposition of the transformed
 //!   layout (rectangular `(views x chunk_width)` blocks with zero-padded
-//!   A-matrix chunks) that produces coalesced accesses.
+//!   A-matrix chunks) that produces coalesced accesses — priced from
+//!   its tallies, never stored.
 //! - [`quant`]: the paper's Section 4.3.1 A-matrix compression to
 //!   `u8` with a per-voxel normalization scale.
 //! - [`checkerboard`]: the 4-group checkerboard partition that keeps
@@ -39,7 +40,7 @@ pub mod sweep;
 pub mod tiling;
 
 pub use checkerboard::checkerboard_groups;
-pub use chunks::{chunk_column, chunk_tally, Chunk, PaddedColumn};
+pub use chunks::{chunk_column, chunk_tally, Chunk};
 pub use plan::{PlanConfig, SvPlan, SvPlanSet, VoxelPlan};
 pub use quant::QuantizedColumn;
 pub use selection::{select_svs, Selection};

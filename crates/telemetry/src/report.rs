@@ -80,7 +80,8 @@ pub struct KernelClassAgg {
 #[derive(Debug, Clone, Copy, Serialize, Default)]
 pub struct Totals {
     /// Total modeled seconds across all kernel launches, summed in a
-    /// driver clock's grouping (see [`clock_seconds`]): a one-device
+    /// driver clock's grouping (each batch's launches in order, then
+    /// each iteration's batches, then the iterations): a one-device
     /// run's total equals its driver's modeled seconds bit for bit.
     pub seconds: f64,
     /// Total kernel launches.

@@ -10,6 +10,7 @@
 //! ```text
 //! cargo xtask fmt [--fix]       # rustfmt, main + fuzz workspaces
 //! cargo xtask clippy            # -D warnings, main + fuzz workspaces
+//! cargo xtask doc               # rustdoc, warnings as errors
 //! cargo xtask test              # tier-1: release build + full test suite
 //! cargo xtask fuzz-smoke        # every fuzz target, CI smoke budget
 //! cargo xtask fuzz-smoke --runs 100000 --seed 7   # deeper, custom seed
@@ -32,12 +33,14 @@ fn main() {
     let ok = match cmd {
         "fmt" => fmt(&root, rest.contains(&"--fix".to_string())),
         "clippy" => clippy(&root),
+        "doc" => doc(&root),
         "test" => test(&root),
         "fuzz-smoke" => fuzz_smoke(&root, rest),
         "conformance" => conformance(&root, rest.contains(&"--bless".to_string())),
         "all" => {
             fmt(&root, false)
                 && clippy(&root)
+                && doc(&root)
                 && test(&root)
                 && fuzz_smoke(&root, rest)
                 && conformance(&root, false)
@@ -63,11 +66,12 @@ fn usage() {
          commands:\n  \
          fmt [--fix]                  rustfmt check (or rewrite) on both workspaces\n  \
          clippy                       clippy -D warnings on both workspaces\n  \
+         doc                          rustdoc on the main workspace, warnings as errors\n  \
          test                         release build + full tier-1 test suite\n  \
          fuzz-smoke [--runs N] [--seed S]\n                               \
          build and run every fuzz target (default 2000 runs)\n  \
          conformance [--bless]        bitwise paper-number suite (tests/conformance.rs)\n  \
-         all                          fmt, clippy, test, fuzz-smoke, conformance"
+         all                          fmt, clippy, doc, test, fuzz-smoke, conformance"
     );
 }
 
@@ -119,6 +123,12 @@ fn clippy(root: &Path) -> bool {
     ];
     let fuzz = ["clippy", "--workspace", "--all-targets", "--", "-D", "warnings"];
     cargo(root, &main, &[]) && cargo(&root.join("fuzz"), &fuzz, &[])
+}
+
+/// Document every workspace crate with warnings as errors, so a deleted
+/// or private item cannot leave a broken intra-doc link behind.
+fn doc(root: &Path) -> bool {
+    cargo(root, &["doc", "--workspace", "--no-deps"], &[("RUSTDOCFLAGS", "-D warnings")])
 }
 
 fn test(root: &Path) -> bool {

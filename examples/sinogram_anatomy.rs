@@ -10,7 +10,7 @@
 
 use ct_core::geometry::Geometry;
 use ct_core::sysmat::SystemMatrix;
-use supervoxel::chunks::PaddedColumn;
+use supervoxel::chunks::chunk_tally;
 use supervoxel::svb::SvbShape;
 use supervoxel::tiling::Tiling;
 
@@ -60,12 +60,10 @@ fn main() {
     let j = geom.grid.index(10, 15);
     let col = a.column(j);
     for width in [8usize, 16, 32] {
-        let padded = PaddedColumn::build(&col, width);
+        let (dense, chunks) = chunk_tally(&col, width);
         println!(
-            "voxel {j}: chunk width {width:>2} -> {:>2} chunks, {:>5} dense elements ({:.1}x padding over {} sparse)",
-            padded.chunks.len(),
-            padded.dense_len(),
-            padded.padding_ratio(&col),
+            "voxel {j}: chunk width {width:>2} -> {chunks:>2} chunks, {dense:>5} dense elements ({:.1}x padding over {} sparse)",
+            dense as f32 / col.nnz() as f32,
             col.nnz()
         );
     }

@@ -8,11 +8,12 @@
 //! ```
 //!
 //! The suite regenerates the Table 1 / Table 2 / Table 3 comparisons,
-//! the fig5–7 sweeps, and the fault-recovery ledger at `tiny` scale and
-//! compares every modeled number *bitwise* against the checked-in
-//! golden file (`tests/conformance/golden_tiny.txt`). Any drift — an
-//! innocent-looking refactor of the work model, a float reassociation,
-//! a changed default — fails the suite with a per-key diff.
+//! the fig5–7 sweeps, and the fault-recovery and cluster ledgers at
+//! `tiny` scale and compares every modeled number *bitwise* against the
+//! checked-in golden file (`tests/conformance/golden_tiny.txt`). Any
+//! drift — an innocent-looking refactor of the work model, a float
+//! reassociation, a changed default — fails the suite with a per-key
+//! diff.
 //!
 //! To re-bless after an intentional change:
 //!
@@ -39,6 +40,7 @@ use gpu_icd::{
 use mbir_bench::{gpu_options_for, run_gpu, run_psv, run_sequential, to_golden, Pipeline, Scale};
 use mbir_fleet::FaultSpec;
 use mbir_telemetry::RecordingSink;
+use mbir_topo::ClusterSpec;
 use psv_icd::PsvConfig;
 use std::sync::Arc;
 
@@ -137,7 +139,7 @@ impl Golden {
     }
 }
 
-/// Tables 1-3, fig5–7, and the fault ledger at tiny scale, every
+/// Tables 1-3, fig5–7, and the fault and cluster ledgers at tiny scale, every
 /// modeled number pinned bitwise.
 #[test]
 fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
@@ -231,6 +233,7 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
     for (tag, opts) in [
         ("l2_float", GpuOptions { l2_read: L2ReadWidth::Float, ..base }),
         ("regs44", GpuOptions { registers: RegisterMode::Regs44, ..base }),
+        ("compiler_spill", GpuOptions { registers: RegisterMode::CompilerSpill32, ..base }),
         ("no_intra_sv", GpuOptions { threadblocks_per_sv: 1, ..base }),
         ("static_voxels", GpuOptions { dynamic_voxels: false, ..base }),
         ("no_batch_threshold", GpuOptions { batch_threshold: false, ..base }),
@@ -239,6 +242,11 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
         g.check_f64(&format!("table3.{tag}.seconds"), r.seconds);
         g.check_f64(&format!("table3.{tag}.equits"), r.equits);
     }
+    // The checkerboard ablation of repro_ablation: one unpartitioned
+    // batch stream, swept on one worker.
+    let r = run_gpu(&p, GpuOptions { checkerboard: false, ..base }, 400);
+    g.check_f64("ablation.no_checkerboard.seconds", r.seconds);
+    g.check_f64("ablation.no_checkerboard.equits", r.equits);
 
     // ---- Fig. 6: chunked layout sweep ------------------------------
     let naive = run_gpu(&p, GpuOptions { layout: Layout::Naive, ..base }, 300);
@@ -306,6 +314,23 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
         g.check_f64(&format!("fault.{name}.recovery_seconds"), fr.recovery_seconds);
         g.check_f64(&format!("fault.{name}.lost_seconds"), fr.lost_seconds);
         g.check_f64(&format!("fault.{name}.exchange_seconds"), fr.exchange_seconds);
+    }
+
+    // ---- Cluster: the fault block's case on two nodes of two devices
+    // streaming two slabs — slab loads, seam halos and the hierarchical
+    // exchange all price.
+    {
+        let mut gpu = p.case.gpu(fleet_opts);
+        let cluster = ClusterSpec::titan_x_cluster(2, 2).with_slabs(2);
+        gpu.set_cluster_spec(cluster).expect("a 2x2 cluster");
+        for _ in 0..iters {
+            gpu.iteration();
+        }
+        assert_eq!(gpu.image(), healthy.image(), "the cluster changed the image");
+        let fr = gpu.fleet_report().expect("fleet run");
+        g.check_f64("cluster.2x2_slabs2.seconds", gpu.modeled_seconds());
+        g.check_f64("cluster.2x2_slabs2.exchange_seconds", fr.exchange_seconds);
+        g.check_u64("cluster.2x2_slabs2.exchange_bytes", fr.exchange_bytes);
     }
 
     // ---- System matrix: A's bits at every scale the suite and the ---
