@@ -146,8 +146,9 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
         assert_eq!(plan.tiling().sv_side(), opts.sv_side, "plan built for different tiling");
         weights.assert_shaped_for(a.geometry(), "weights");
         let error = a.residual(y, &init);
-        let model = GpuWorkModel::new(&opts, a.geometry().num_channels);
         let cluster = ClusterSpec::single_node(FleetSpec::titan_x_pcie(opts.devices));
+        let gpu = cluster.node.fleet.gpu.clone();
+        let model = GpuWorkModel::new(&opts, a.geometry().num_channels, gpu);
         let fleet = FleetState::new(model, &plan, cluster);
         GpuIcd {
             a,
@@ -181,9 +182,11 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
     /// seam halos are booked on the same timeline. Must be called
     /// before the first iteration, with a cluster whose total device
     /// count matches `opts.devices` — one device is a one-node,
-    /// one-device cluster like any other. The per-SV costs priced when
-    /// the driver was built are kept, and an installed fault schedule
-    /// carries over to the new fleet state.
+    /// one-device cluster like any other — and whose GPU runs this
+    /// run's blocks. Kernels are priced on the cluster's GPU: on the
+    /// GPU the driver was built for, the per-SV costs priced then are
+    /// kept; on another, every SV is priced anew. An installed fault
+    /// schedule carries over to the new fleet state.
     pub fn set_cluster_spec(&mut self, cluster: ClusterSpec) -> Result<(), MbirError> {
         if self.iter != 0 {
             return Err(MbirError::Usage(
@@ -199,7 +202,7 @@ impl<'a, P: Prior + Sync> GpuIcd<'a, P> {
                 self.opts.devices
             )));
         }
-        self.fleet = self.fleet.recarve(&self.plan, cluster);
+        self.fleet = self.fleet.recarve(&self.plan, cluster).map_err(MbirError::Usage)?;
         Ok(())
     }
 
@@ -777,6 +780,61 @@ mod tests {
         gpu.set_cluster_spec(cluster).expect("a 2x2 cluster");
         assert!(Arc::ptr_eq(&priced, gpu.fleet.costs()));
         assert_eq!(gpu.fleet.slabs(), 2, "the cluster's slabs were planned");
+    }
+
+    #[test]
+    fn a_slower_gpu_prices_the_same_image_slower() {
+        // The fleet's GPU times the kernels. A Titan X preset installed
+        // over the default fleet keeps the model and the SV costs, bit
+        // for bit; six SMMs at a tenth of the bandwidth re-price every
+        // SV and every batch higher, and leave the image and the error
+        // as they are.
+        let (g, a, s) = setup();
+        let prior = QggmrfPrior::standard(0.002);
+        let titan = FleetSpec::titan_x_pcie(2);
+        let mut slow = titan.clone();
+        slow.gpu.num_smm = 6;
+        for gbps in [&mut slow.gpu.dram_gbps, &mut slow.gpu.l2_gbps, &mut slow.gpu.tex_gbps] {
+            *gbps /= 10.0;
+        }
+        let run = |fleet: Option<FleetSpec>| {
+            let o = GpuOptions { devices: 2, ..opts() };
+            let mut gpu = GpuIcd::new(&a, &s.y, &s.weights, &prior, Image::zeros(g.grid), o);
+            let priced = Arc::clone(gpu.fleet.costs());
+            if let Some(fleet) = fleet {
+                gpu.set_fleet_spec(fleet).expect("a 2-device fleet");
+            }
+            let kept = Arc::ptr_eq(&priced, gpu.fleet.costs());
+            let cost: f64 = gpu.fleet.costs().iter().sum();
+            for _ in 0..3 {
+                gpu.iteration();
+            }
+            (gpu.image().clone(), gpu.error().clone(), gpu.modeled_seconds(), cost, kept)
+        };
+        let default = run(None);
+        let preset = run(Some(titan));
+        assert!(preset.4, "the same GPU keeps the priced SV costs");
+        assert_eq!(preset.2.to_bits(), default.2.to_bits());
+        let slower = run(Some(slow));
+        assert!(!slower.4, "another GPU re-prices the SVs");
+        assert!(slower.3 > default.3, "SV costs {} vs {}", slower.3, default.3);
+        assert!(slower.2 > default.2, "modeled {} vs {}", slower.2, default.2);
+        assert_eq!((slower.0, slower.1), (default.0, default.1));
+    }
+
+    #[test]
+    fn a_gpu_that_cannot_hold_the_blocks_is_a_usage_error() {
+        // The copy kernels launch 256-thread blocks whatever the
+        // options, so a GPU capped below that cannot price this run.
+        let (g, a, s) = setup();
+        let prior = QggmrfPrior::standard(0.002);
+        let o = GpuOptions { threads_per_block: 128, ..opts() };
+        let mut gpu = GpuIcd::new(&a, &s.y, &s.weights, &prior, Image::zeros(g.grid), o);
+        let mut fleet = FleetSpec::titan_x_pcie(1);
+        fleet.gpu.max_threads_per_block = 192;
+        let err = gpu.set_fleet_spec(fleet).unwrap_err().to_string();
+        assert!(err.contains("runs at most 192 threads per block"), "{err}");
+        assert!(err.contains("this run launches 256"), "{err}");
     }
 
     #[test]

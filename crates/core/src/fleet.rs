@@ -133,10 +133,10 @@ pub struct FleetState {
 }
 
 impl FleetState {
-    /// Price every SV with `model`, plan the shard over `cluster` and
-    /// zero the clocks.
+    /// Price every SV with `model`, which prices `cluster`'s GPU, plan
+    /// the shard over `cluster` and zero the clocks.
     pub fn new(model: GpuWorkModel, plans: &SvPlanSet, cluster: ClusterSpec) -> Self {
-        let costs = plans.plans().iter().map(|plan| model.sv_cost(plan)).collect();
+        let costs = sv_costs(&model, plans);
         let payload_bytes = plans
             .tiling()
             .svs()
@@ -153,25 +153,30 @@ impl FleetState {
     }
 
     /// This run's fleet re-planned over `cluster`, which must hold as
-    /// many devices: the work model and the per-SV costs and payload
-    /// bytes, which do not depend on the cluster, are kept rather than
-    /// priced again; the shard, topology, slabs, streamer and ledger are
-    /// planned afresh; and the fault schedule carries over.
-    pub(crate) fn recarve(&self, plans: &SvPlanSet, cluster: ClusterSpec) -> Self {
+    /// many devices. The work model and the per-SV costs depend on the
+    /// cluster only through its GPU: on the same GPU both are kept
+    /// rather than priced again, and on another the model is rebuilt
+    /// for it and every SV priced anew. The payload bytes are kept; the
+    /// shard, topology, slabs, streamer and ledger are planned afresh;
+    /// and the fault schedule carries over. Refuses a GPU that cannot
+    /// run this run's kernels ([`GpuWorkModel::on`]).
+    pub(crate) fn recarve(&self, plans: &SvPlanSet, cluster: ClusterSpec) -> Result<Self, String> {
         assert_eq!(
             cluster.total_devices(),
             self.live.len(),
             "fleet spec sized for a different device count"
         );
-        let mut fs = Self::carve(
-            self.model.clone(),
-            Arc::clone(&self.costs),
-            Arc::clone(&self.payload_bytes),
-            plans,
-            cluster,
-        );
+        let gpu = &cluster.node.fleet.gpu;
+        let (model, costs) = if self.model.gpu() == gpu {
+            (self.model.clone(), Arc::clone(&self.costs))
+        } else {
+            let model = self.model.on(gpu.clone())?;
+            let costs = sv_costs(&model, plans);
+            (model, costs)
+        };
+        let mut fs = Self::carve(model, costs, Arc::clone(&self.payload_bytes), plans, cluster);
         fs.set_faults(self.faults.clone());
-        fs
+        Ok(fs)
     }
 
     /// Everything that depends on `cluster`, around the work model and
@@ -553,6 +558,11 @@ impl FleetState {
     }
 }
 
+/// Every SV's plan priced by `model` as a one-SV batch.
+fn sv_costs(model: &GpuWorkModel, plans: &SvPlanSet) -> Arc<[f64]> {
+    plans.plans().iter().map(|plan| model.sv_cost(plan)).collect()
+}
+
 /// Plan the shard over the live devices: slots map to live ids in
 /// ascending order, each SV may only land in its slab's device group
 /// over the live count ([`SlabPlan::device_group`]), and the per-SV
@@ -587,7 +597,8 @@ mod tests {
             GpuOptions { sv_side: 6, devices: cluster.total_devices(), ..Default::default() };
         let tiling = Tiling::new(g.grid, opts.sv_side);
         let plans = SvPlanSet::build(&a, &tiling, plan_config(&opts), 1);
-        let fs = FleetState::new(GpuWorkModel::new(&opts, g.num_channels), &plans, cluster);
+        let model = GpuWorkModel::new(&opts, g.num_channels, cluster.node.fleet.gpu.clone());
+        let fs = FleetState::new(model, &plans, cluster);
         (fs, tiling.len())
     }
 

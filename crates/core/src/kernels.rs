@@ -246,6 +246,7 @@ mod validation {
     use ct_core::geometry::Geometry;
     use ct_core::sysmat::SystemMatrix;
     use gpu_sim::kernel::TraceExecutor;
+    use gpu_sim::GpuSpec;
     use supervoxel::svb::SvbShape;
     use supervoxel::sweep::SvTally;
     use supervoxel::tiling::Tiling;
@@ -291,7 +292,7 @@ mod validation {
         let trace = ex.run_block(&progs).to_block_work();
 
         // Analytic profile for a 1-voxel SV, 1 block.
-        let model = GpuWorkModel::new(&opts, g.num_channels);
+        let model = GpuWorkModel::new(&opts, g.num_channels, GpuSpec::titan_x_maxwell());
         let profile = model.mbir_profile(&[tally_for(&col, &shape, &opts)], 1.0);
         let analytic = &profile.blocks[0];
 
@@ -368,7 +369,7 @@ mod validation {
         use gpu_sim::timing::KernelProfile;
         let (g, a, t) = setup();
         let opts = GpuOptions { threadblocks_per_sv: 1, ..GpuOptions::default() };
-        let model = GpuWorkModel::new(&opts, g.num_channels);
+        let model = GpuWorkModel::new(&opts, g.num_channels, GpuSpec::titan_x_maxwell());
 
         // Trace a handful of voxels and stack them as one block each.
         let mut blocks = Vec::new();

@@ -4,8 +4,9 @@
 //! Every batch of Algorithm 3 runs three kernels — SVB create, MBIR
 //! update, error write-back — and [`GpuWorkModel::batch`] builds a
 //! [`gpu_sim::KernelProfile`] for each from the batch's per-SV
-//! [`SvTally`]s and prices it on the Titan X timing model. The model is
-//! built once per run from the active [`GpuOptions`]; the constants
+//! [`SvTally`]s and prices it on the timing model of the fleet's GPU
+//! (the paper's Titan X in every preset). The model is built once per
+//! run from the active [`GpuOptions`] and that GPU; the constants
 //! below are its calibration and are documented in DESIGN.md. Every
 //! optimization toggle changes exactly the quantity the paper
 //! attributes to it:
@@ -37,6 +38,9 @@ use mbir_telemetry::{LaunchCtx, ProfileSink};
 use supervoxel::plan::SvPlan;
 use supervoxel::sweep::SvTally;
 
+/// Threads per block of the two copy kernels, SVB create and error
+/// write-back.
+const COPY_BLOCK_THREADS: u32 = 256;
 /// FLOPs per processed element (dequant + 2 FMAs + addressing).
 const FLOPS_PER_ENTRY: f64 = 8.0;
 /// Warp efficiency of the naive layout (mean run / warp size).
@@ -74,7 +78,7 @@ const UPDATE_INSTRUCTIONS: f64 = 75.0;
 /// per entry with scattered addressing).
 const NAIVE_ENTRY_INSTRUCTIONS: f64 = 0.6;
 
-/// The GPU-ICD work model of one run: the Titan X timing model plus
+/// The GPU-ICD work model of one run: its GPU's timing model plus
 /// every options-derived constant of the kernel profiles, hoisted once
 /// per run — the analytic analogue of the paper's one-time layout
 /// transform. Per batch, only the tally-dependent block work remains to
@@ -102,20 +106,9 @@ pub struct GpuWorkModel {
 }
 
 impl GpuWorkModel {
-    /// The model of a run under `opts` on the paper's Titan X, with a
-    /// detector of `num_channels` channels.
-    pub fn new(opts: &GpuOptions, num_channels: usize) -> Self {
-        let mut timing = TimingModel::new(GpuSpec::titan_x_maxwell());
-        // The MBIR kernel's warps stall on dependent descriptor and
-        // address chains, so the issue pipe only saturates with deep
-        // warp-level parallelism — near the same occupancy that hides
-        // memory latency. (The gpu-sim default of 0.25 describes
-        // ILP-rich streaming kernels; with it, a half-empty launch
-        // would enjoy 3x the per-block issue rate while L2 bandwidth
-        // stays flat, which the paper's small-batch measurements do
-        // not show.)
-        timing.compute_occupancy_sat = 0.6;
-
+    /// The model of a run under `opts` on `gpu` (the fleet's device),
+    /// with a detector of `num_channels` channels.
+    pub fn new(opts: &GpuOptions, num_channels: usize, gpu: GpuSpec) -> Self {
         // Quantized modes stream `amatrix_bits / 8` bytes per entry
         // (sub-byte widths pack; 8 bits = the paper's u8).
         let a_bpe = if opts.amatrix.quantized() {
@@ -144,7 +137,7 @@ impl GpuWorkModel {
         };
 
         GpuWorkModel {
-            timing,
+            timing: Self::timing_on(gpu),
             num_channels,
             chunked,
             width,
@@ -164,6 +157,42 @@ impl GpuWorkModel {
                 L2ReadWidth::Float => 0.5,
             },
         }
+    }
+
+    /// The timing model of `gpu`, saturating issue where this run's
+    /// kernels do.
+    fn timing_on(gpu: GpuSpec) -> TimingModel {
+        let mut timing = TimingModel::new(gpu);
+        // The MBIR kernel's warps stall on dependent descriptor and
+        // address chains, so the issue pipe only saturates with deep
+        // warp-level parallelism — near the same occupancy that hides
+        // memory latency. (The gpu-sim default of 0.25 describes
+        // ILP-rich streaming kernels; with it, a half-empty launch
+        // would enjoy 3x the per-block issue rate while L2 bandwidth
+        // stays flat, which the paper's small-batch measurements do
+        // not show.)
+        timing.compute_occupancy_sat = 0.6;
+        timing
+    }
+
+    /// The device this model prices kernels on.
+    pub(crate) fn gpu(&self) -> &GpuSpec {
+        &self.timing.spec
+    }
+
+    /// The same run's model on another device: every options-derived
+    /// constant kept, the timing model rebuilt for `gpu`. Refuses a
+    /// `gpu` whose blocks hold fewer threads than this run's kernels
+    /// launch.
+    pub(crate) fn on(&self, gpu: GpuSpec) -> Result<Self, String> {
+        let threads = self.resources.threads.max(COPY_BLOCK_THREADS);
+        if threads > gpu.max_threads_per_block {
+            return Err(format!(
+                "the fleet's GPU ({}) runs at most {} threads per block; this run launches {threads}",
+                gpu.name, gpu.max_threads_per_block
+            ));
+        }
+        Ok(GpuWorkModel { timing: Self::timing_on(gpu), ..self.clone() })
     }
 
     /// L2 capacity-pressure factor: the working set of all SVBs in
@@ -252,7 +281,11 @@ impl GpuWorkModel {
             .collect();
         KernelProfile {
             name: "svb_create".into(),
-            resources: BlockResources { threads: 256, regs_per_thread: 24, shared_mem: 0 },
+            resources: BlockResources {
+                threads: COPY_BLOCK_THREADS,
+                regs_per_thread: 24,
+                shared_mem: 0,
+            },
             blocks,
             l2_width_factor: l2f,
             warp_efficiency: 1.0,
@@ -404,7 +437,11 @@ impl GpuWorkModel {
             .collect();
         KernelProfile {
             name: "error_writeback".into(),
-            resources: BlockResources { threads: 256, regs_per_thread: 24, shared_mem: 0 },
+            resources: BlockResources {
+                threads: COPY_BLOCK_THREADS,
+                regs_per_thread: 24,
+                shared_mem: 0,
+            },
             blocks,
             l2_width_factor: l2f * 0.5, // atomic adds cannot be double
             warp_efficiency: 1.0,
@@ -420,7 +457,7 @@ mod tests {
 
     /// Modeled seconds of `svs` under `opts`, unprofiled.
     fn seconds(svs: &[SvTally], opts: &GpuOptions) -> f64 {
-        GpuWorkModel::new(opts, 1024).batch(svs, None)
+        GpuWorkModel::new(opts, 1024, GpuSpec::titan_x_maxwell()).batch(svs, None)
     }
 
     fn paper_scale_batch(opts: &GpuOptions) -> Vec<SvTally> {
@@ -510,7 +547,7 @@ mod tests {
 
     #[test]
     fn l2_pressure_kicks_in_for_huge_svbs() {
-        let m = GpuWorkModel::new(&GpuOptions::default(), 1024);
+        let m = GpuWorkModel::new(&GpuOptions::default(), 1024, GpuSpec::titan_x_maxwell());
         assert_eq!(m.l2_pressure_factor(1.0e6), 1.0);
         let f10 = m.l2_pressure_factor(10.0e6);
         let f20 = m.l2_pressure_factor(20.0e6);

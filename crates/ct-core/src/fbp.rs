@@ -63,14 +63,24 @@ pub fn filter(geom: &Geometry, y: &Sinogram) -> Sinogram {
 
 /// Back-project filtered views with linear interpolation.
 ///
-/// Per pixel, the per-view interpolation endpoints `(a, b, frac)` are
-/// staged into flat per-row buffers and reduced with the canonical
-/// 8-lane lerp sum ([`mbir_simd::lerp_sum`]); views whose ray falls
-/// outside the detector contribute an exact-zero `(0, 0, 0)` term —
-/// lane partials are unchanged by `+0.0` adds, so the staged form
-/// keeps every view's lane assignment while matching the historical
-/// "skip out-of-range views" semantics.
+/// Each pixel is the canonical 8-lane lerp sum ([`mbir_simd::lerp_sum`])
+/// of its per-view terms `a + frac * (b - a)`, scaled: term `v` goes
+/// into lane `v % 8`, and the lanes combine by the canonical tree
+/// ([`mbir_simd::tree_reduce`]). A view whose ray falls outside the
+/// detector contributes an exact-zero `(0, 0, 0)` term, whose `+0.0`
+/// leaves its lane as it was — a lane starts at `+0.0` and no sum of
+/// terms turns it to `-0.0` — which keeps the historical "skip
+/// out-of-range views" semantics.
+///
+/// A row is computed with the views outermost, in three branch-free
+/// passes over its pixels per view: the channel coordinate, its floor,
+/// whether it lies on the detector and the cell it clamps to; the two
+/// interpolation endpoints; and the lerp, added into the view's lane of
+/// a lane-major accumulator. Every term is the same arithmetic on the
+/// same values as the per-pixel form, and each lane adds its views'
+/// terms in view order, so the bits are too.
 pub fn backproject(geom: &Geometry, q: &Sinogram) -> Image {
+    const LANES: usize = mbir_simd::LANES;
     let mut img = Image::zeros(geom.grid);
     let scale = std::f32::consts::PI / geom.num_views as f32;
     let trig: Vec<(f32, f32)> = (0..geom.num_views)
@@ -79,37 +89,48 @@ pub fn backproject(geom: &Geometry, q: &Sinogram) -> Image {
             (th.cos(), th.sin())
         })
         .collect();
+    let nx = geom.grid.nx;
+    let nch = geom.num_channels;
+    let last = (nch - 1) as f32;
+    let xs: Vec<f32> = (0..nx).map(|col| geom.grid.x_of(col)).collect();
     // Image rows are independent gathers from the (read-only) filtered
     // sinogram — bitwise identical at any thread count.
-    let trig = &trig;
+    let (trig, xs) = (&trig, &xs);
     let rows: Vec<Vec<f32>> = mbir_parallel::par_map(0, geom.grid.ny, |row| {
         let yy = geom.grid.y_of(row);
-        let nv = trig.len();
-        let mut av = vec![0.0f32; nv];
-        let mut bv = vec![0.0f32; nv];
-        let mut fv = vec![0.0f32; nv];
-        let mut out = vec![0.0f32; geom.grid.nx];
-        for (col, o) in out.iter_mut().enumerate() {
-            let xx = geom.grid.x_of(col);
-            for (v, &(cv, sv)) in trig.iter().enumerate() {
-                let t = xx * cv + yy * sv;
-                let ch = geom.channel_of(t);
-                if ch < 0.0 || ch > (geom.num_channels - 1) as f32 {
-                    av[v] = 0.0;
-                    bv[v] = 0.0;
-                    fv[v] = 0.0;
-                    continue;
-                }
-                let c0 = ch.floor() as usize;
-                let row_q = q.view(v);
-                let a = row_q[c0];
-                av[v] = a;
-                bv[v] = if c0 + 1 < geom.num_channels { row_q[c0 + 1] } else { a };
-                fv[v] = ch - c0 as f32;
+        let mut cell = vec![0u32; nx];
+        let mut keep = vec![0u32; nx];
+        let mut fv = vec![0.0f32; nx];
+        let mut av = vec![0.0f32; nx];
+        let mut bv = vec![0.0f32; nx];
+        let mut acc = vec![0.0f32; LANES * nx];
+        for (v, &(cv, sv)) in trig.iter().enumerate() {
+            let ysv = yy * sv;
+            for (col, &xx) in xs.iter().enumerate() {
+                let ch = geom.channel_of(xx * cv + ysv);
+                let valid = !(ch < 0.0 || ch > last);
+                // In range the floor is a whole channel below 2^24, so
+                // the i32 cast is exact; off the detector it is cell 0.
+                let c0 = if valid { ch.floor() } else { 0.0 } as i32;
+                cell[col] = c0 as u32;
+                keep[col] = 0u32.wrapping_sub(valid as u32);
+                fv[col] = if valid { ch - c0 as f32 } else { 0.0 };
             }
-            *o = mbir_simd::lerp_sum(&av, &bv, &fv) * scale;
+            let row_q = q.view(v);
+            for col in 0..nx {
+                let c0 = cell[col] as usize;
+                let c1 = (c0 + 1).min(nch - 1);
+                av[col] = f32::from_bits(row_q[c0].to_bits() & keep[col]);
+                bv[col] = f32::from_bits(row_q[c1].to_bits() & keep[col]);
+            }
+            let lane = &mut acc[(v % LANES) * nx..(v % LANES + 1) * nx];
+            for (((o, &a), &b), &f) in lane.iter_mut().zip(&av).zip(&bv).zip(&fv) {
+                *o += a + f * (b - a);
+            }
         }
-        out
+        (0..nx)
+            .map(|col| mbir_simd::tree_reduce(std::array::from_fn(|l| acc[l * nx + col])) * scale)
+            .collect()
     });
     for (row, vals) in rows.iter().enumerate() {
         for (col, &v) in vals.iter().enumerate() {
@@ -122,8 +143,100 @@ pub fn backproject(geom: &Geometry, q: &Sinogram) -> Image {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::geometry::ImageGrid;
     use crate::phantom::{Phantom, MU_WATER};
     use crate::sysmat::SystemMatrix;
+
+    /// The reference backprojection: per pixel, stage every view's
+    /// interpolation endpoints — `(0, 0, 0)` off the detector — and
+    /// reduce them with the canonical lerp sum.
+    fn backproject_staged(geom: &Geometry, q: &Sinogram) -> Image {
+        let mut img = Image::zeros(geom.grid);
+        let scale = std::f32::consts::PI / geom.num_views as f32;
+        let nv = geom.num_views;
+        let (mut av, mut bv, mut fv) = (vec![0.0f32; nv], vec![0.0f32; nv], vec![0.0f32; nv]);
+        for row in 0..geom.grid.ny {
+            let yy = geom.grid.y_of(row);
+            for col in 0..geom.grid.nx {
+                let xx = geom.grid.x_of(col);
+                for v in 0..nv {
+                    let th = geom.angle(v);
+                    let t = xx * th.cos() + yy * th.sin();
+                    let ch = geom.channel_of(t);
+                    if ch < 0.0 || ch > (geom.num_channels - 1) as f32 {
+                        (av[v], bv[v], fv[v]) = (0.0, 0.0, 0.0);
+                        continue;
+                    }
+                    let c0 = ch.floor() as usize;
+                    let row_q = q.view(v);
+                    av[v] = row_q[c0];
+                    bv[v] = if c0 + 1 < geom.num_channels { row_q[c0 + 1] } else { av[v] };
+                    fv[v] = ch - c0 as f32;
+                }
+                img.set(geom.grid.index(row, col), mbir_simd::lerp_sum(&av, &bv, &fv) * scale);
+            }
+        }
+        img
+    }
+
+    /// An image's bits, every NaN as one: Rust fixes no NaN's sign or
+    /// payload, so two equal computations may differ there alone.
+    fn image_bits(img: &Image) -> Vec<u32> {
+        img.data().iter().map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits()).collect()
+    }
+
+    #[test]
+    fn backprojection_matches_the_staged_lerp_sum_at_the_presets() {
+        for g in [Geometry::tiny_scale(), Geometry::test_scale()] {
+            let a = SystemMatrix::compute(&g);
+            let y = a.forward(&Phantom::shepp_logan().render(g.grid, 2));
+            let q = filter(&g, &y);
+            assert_eq!(image_bits(&backproject(&g, &q)), image_bits(&backproject_staged(&g, &q)));
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// The three-pass backprojection adds the staged lerp sum's
+            /// bits on random geometries: 1-20 views (most not a
+            /// multiple of 8), detectors from a few channels — so many
+            /// rays leave it — to wider than the grid, and sinograms
+            /// mixing exact zeros, `-0.0`, subnormals and negatives.
+            /// In half the cases every 13th cell is infinite, which a
+            /// ray off the detector must not read.
+            #[test]
+            fn backprojection_adds_the_staged_bits(
+                views in 1usize..21,
+                nx in 1usize..30,
+                ny in 1usize..30,
+                channels in 1usize..50,
+                spacing in 0.3f32..3.0,
+                seed in 0u64..1000,
+            ) {
+                let grid = ImageGrid { nx, ny, pixel_size: 1.0 };
+                let g = Geometry {
+                    num_views: views,
+                    num_channels: channels,
+                    channel_spacing: spacing,
+                    grid,
+                };
+                let mut cells = crate::awkward_values(seed, views * channels);
+                if seed % 2 == 0 {
+                    for (i, c) in cells.iter_mut().enumerate().step_by(13) {
+                        *c = if i % 2 == 0 { f32::INFINITY } else { f32::NEG_INFINITY };
+                    }
+                }
+                let q = Sinogram::from_vec(views, channels, cells);
+                let want = image_bits(&backproject_staged(&g, &q));
+                prop_assert_eq!(image_bits(&backproject(&g, &q)), want);
+            }
+        }
+    }
 
     #[test]
     fn water_cylinder_recovers_center_value() {

@@ -47,3 +47,25 @@ pub use phantom::Phantom;
 pub use sinogram::Sinogram;
 pub use sysmat::{ColumnView, SystemMatrix};
 pub use volume::{NeighborClass, Volume};
+
+/// `n` values that bit-exact kernels must carry through unchanged:
+/// exact zeros, `-0.0`, subnormals of both signs and values in
+/// `[-2, 2]`, drawn from a seeded xorshift.
+#[cfg(test)]
+pub(crate) fn awkward_values(seed: u64, n: usize) -> Vec<f32> {
+    let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    (0..n)
+        .map(|_| {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            match s % 8 {
+                0 => 0.0,
+                1 => -0.0,
+                2 => f32::from_bits((s >> 8) as u32 & 0x007f_ffff),
+                3 => -f32::from_bits((s >> 8) as u32 & 0x007f_ffff),
+                _ => ((s >> 16) % 4001) as f32 / 1000.0 - 2.0,
+            }
+        })
+        .collect()
+}

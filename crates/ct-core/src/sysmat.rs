@@ -367,26 +367,29 @@ impl SystemMatrix {
     /// threads. The reduction starts from the first partial: every
     /// partial accumulates from `+0.0` and so never holds `-0.0`, which
     /// makes one chunk's sinogram its single-pass accumulation, bit for
-    /// bit.
+    /// bit. Each (voxel, view) pair adds a fixed window of masked
+    /// products, as wide as the build's candidate channels (4 at every
+    /// preset), into its partial, whose rows are padded by that width;
+    /// the padding is dropped after the reduction.
     pub fn forward(&self, image: &Image) -> Sinogram {
         assert_eq!(image.grid(), self.geom.grid);
         let nvox = self.geom.grid.num_voxels();
+        let (nviews, nch) = (self.geom.num_views, self.geom.num_channels);
+        let kc = Self::candidates(&self.geom);
         let parts = mbir_parallel::par_map(0, nvox.div_ceil(FORWARD_CHUNK), |c| {
             let lo = c * FORWARD_CHUNK;
             let hi = ((c + 1) * FORWARD_CHUNK).min(nvox);
-            let mut part = Sinogram::zeros(&self.geom);
-            self.forward_range(image, lo, hi, &mut part);
-            part
+            self.forward_range(image, lo, hi, kc)
         });
-        parts
-            .into_iter()
-            .reduce(|mut y, part| {
-                for (o, &p) in y.data_mut().iter_mut().zip(part.data()) {
-                    *o += p;
-                }
-                y
-            })
-            .unwrap_or_else(|| Sinogram::zeros(&self.geom))
+        let sum = parts.into_iter().reduce(|mut y, part| {
+            for (o, &p) in y.iter_mut().zip(&part) {
+                *o += p;
+            }
+            y
+        });
+        let Some(sum) = sum else { return Sinogram::zeros(&self.geom) };
+        let data = sum.chunks_exact(nch + kc).flat_map(|row| &row[..nch]).copied().collect();
+        Sinogram::from_vec(nviews, nch, data)
     }
 
     /// The residual `e = y - A x`, the error sinogram every ICD driver
@@ -405,20 +408,53 @@ impl SystemMatrix {
         e
     }
 
-    /// Scatter the contributions of voxels `lo..hi` into `y`.
-    fn forward_range(&self, image: &Image, lo: usize, hi: usize, y: &mut Sinogram) {
+    /// The partial sinogram of voxels `lo..hi`, in rows of
+    /// `num_channels + kc` cells, `kc` = [`Self::candidates`].
+    ///
+    /// Each (voxel, view) pair with a nonzero voxel adds a fixed window
+    /// of `kc` products `a * x` into cells `first_channel ..
+    /// first_channel + kc`, reading `a` from the pair's offset in the
+    /// flat `values` — its run, then the next pairs' entries. A lane
+    /// past the run masks its product's bits to an exact `+0.0`, so no
+    /// step branches on the run length. The cells start at `+0.0` and
+    /// only sums of products reach them, so no cell ever holds `-0.0`,
+    /// and adding `+0.0` leaves every cell's bits as they are: each
+    /// cell sees the same additions, in the same voxel order, as the
+    /// walk over the runs alone. The row padding holds a window that
+    /// starts near the detector's last channel; the last pairs of A,
+    /// where fewer than `kc` values remain, add their runs alone.
+    fn forward_range(&self, image: &Image, lo: usize, hi: usize, kc: usize) -> Vec<f32> {
+        let nviews = self.geom.num_views;
+        let stride = self.geom.num_channels + kc;
+        let mut part = vec![0.0f32; nviews * stride];
         for j in lo..hi {
             let xj = image.get(j);
             if xj == 0.0 {
                 continue;
             }
-            for seg in self.column(j).segments() {
-                let row = y.view_mut(seg.view);
-                for (k, &a) in seg.values.iter().enumerate() {
-                    row[seg.first_channel + k] += a * xj;
+            let runs = j * nviews..(j + 1) * nviews;
+            let mut off = self.voxel_offset[j] as usize;
+            let pairs = self.first_channel[runs.clone()].iter().zip(&self.count[runs]);
+            for (row, (&c, &n)) in part.chunks_exact_mut(stride).zip(pairs) {
+                let (c, n) = (c as usize, n as usize);
+                let cells = &mut row[c..c + kc];
+                match self.values.get(off..off + kc) {
+                    Some(window) => {
+                        for (k, (o, &a)) in cells.iter_mut().zip(window).enumerate() {
+                            let keep = 0u32.wrapping_sub((k < n) as u32);
+                            *o += f32::from_bits((a * xj).to_bits() & keep);
+                        }
+                    }
+                    None => {
+                        for (o, &a) in cells.iter_mut().zip(&self.values[off..off + n]) {
+                            *o += a * xj;
+                        }
+                    }
                 }
+                off += n;
             }
         }
+        part
     }
 
     /// Back projection `A^T s` (used to verify adjointness and by FBP
@@ -781,6 +817,26 @@ mod tests {
                     assert_same_bits(&got, &want, &format!("{g:?} on {threads} threads"));
                 }
             }
+
+            /// The windowed forward projection adds the walk's bits, on
+            /// random geometries (footprints up to 8 candidates wide,
+            /// grids up to 80x80, past `FORWARD_CHUNK`) and images
+            /// mixing exact zeros, `-0.0`, subnormals of both signs and
+            /// negatives.
+            #[test]
+            fn forward_adds_the_walks_bits(
+                views in 1usize..14,
+                nx in 1usize..81,
+                ny in 1usize..81,
+                ratio in 0.25f32..4.0,
+                seed in 0u64..1000,
+            ) {
+                let grid = ImageGrid { nx, ny, pixel_size: ratio };
+                let g = Geometry::new(views, covering_channels(grid, 1.0), 1.0, grid);
+                let a = SystemMatrix::compute(&g);
+                let img = Image::from_vec(grid, crate::awkward_values(seed, grid.num_voxels()));
+                prop_assert_eq!(sino_bits(&a.forward(&img)), sino_bits(&forward_walk(&a, &img)));
+            }
         }
     }
 
@@ -847,6 +903,43 @@ mod tests {
         }
     }
 
+    /// The reference forward walk: scatter the runs of voxels `lo..hi`
+    /// into `y`, one entry at a time, skipping zero voxels.
+    fn forward_range_walk(a: &SystemMatrix, image: &Image, lo: usize, hi: usize, y: &mut Sinogram) {
+        for j in lo..hi {
+            let xj = image.get(j);
+            if xj == 0.0 {
+                continue;
+            }
+            for seg in a.column(j).segments() {
+                let row = y.view_mut(seg.view);
+                for (k, &v) in seg.values.iter().enumerate() {
+                    row[seg.first_channel + k] += v * xj;
+                }
+            }
+        }
+    }
+
+    /// The reference forward projection: the walk's `FORWARD_CHUNK`
+    /// partials, reduced sequentially in chunk order.
+    fn forward_walk(a: &SystemMatrix, image: &Image) -> Sinogram {
+        let g = a.geometry();
+        let nvox = g.grid.num_voxels();
+        let mut want = Sinogram::zeros(g);
+        for lo in (0..nvox).step_by(FORWARD_CHUNK) {
+            let mut part = Sinogram::zeros(g);
+            forward_range_walk(a, image, lo, (lo + FORWARD_CHUNK).min(nvox), &mut part);
+            for (o, &p) in want.data_mut().iter_mut().zip(part.data()) {
+                *o += p;
+            }
+        }
+        want
+    }
+
+    fn sino_bits(s: &Sinogram) -> Vec<u32> {
+        s.data().iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn forward_chunked_matches_ordered_reduction() {
         // 72x72 = 5184 voxels exceeds FORWARD_CHUNK, exercising the
@@ -858,25 +951,13 @@ mod tests {
             img.set(j, ((j * 2654435761) % 101) as f32 / 101.0);
         }
         let got = a.forward(&img);
-        // Reference: the same fixed-chunk ordered reduction, run
+        // Reference: the walk's fixed-chunk ordered reduction, run
         // sequentially — must match bitwise at any worker count.
-        let nvox = g.grid.num_voxels();
-        let mut want = Sinogram::zeros(&g);
-        let mut lo = 0;
-        while lo < nvox {
-            let hi = (lo + FORWARD_CHUNK).min(nvox);
-            let mut part = Sinogram::zeros(&g);
-            a.forward_range(&img, lo, hi, &mut part);
-            for (o, &p) in want.data_mut().iter_mut().zip(part.data()) {
-                *o += p;
-            }
-            lo = hi;
-        }
-        assert_eq!(got.data(), want.data());
+        assert_eq!(sino_bits(&got), sino_bits(&forward_walk(&a, &img)));
         // And the chunked sum stays numerically close to the unchunked
         // single pass (reassociation only at chunk boundaries).
         let mut seq = Sinogram::zeros(&g);
-        a.forward_range(&img, 0, nvox, &mut seq);
+        forward_range_walk(&a, &img, 0, g.grid.num_voxels(), &mut seq);
         for (p, q) in got.data().iter().zip(seq.data()) {
             assert!((p - q).abs() <= 1e-4 * q.abs().max(1.0), "{p} vs {q}");
         }

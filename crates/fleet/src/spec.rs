@@ -163,24 +163,27 @@ impl FleetSpec {
     }
 }
 
+/// Every count of the machine must be at least 1: the timing model
+/// divides by the warp size and the allocation granularities, and
+/// schedules blocks onto SMMs.
 fn read_gpu(f: &mut Fields<'_>) -> Result<GpuSpec, String> {
     Ok(GpuSpec {
         name: f.req("name")?,
-        num_smm: f.req("num_smm")?,
-        cores_per_smm: f.req("cores_per_smm")?,
-        clock_mhz: f.req("clock_mhz")?,
-        warp_size: f.req("warp_size")?,
-        max_threads_per_smm: f.req("max_threads_per_smm")?,
-        max_blocks_per_smm: f.req("max_blocks_per_smm")?,
-        max_threads_per_block: f.req("max_threads_per_block")?,
-        registers_per_smm: f.req("registers_per_smm")?,
-        register_granularity: f.req("register_granularity")?,
-        shared_mem_per_smm: f.req("shared_mem_per_smm")?,
-        shared_mem_per_block: f.req("shared_mem_per_block")?,
-        shared_mem_granularity: f.req("shared_mem_granularity")?,
-        l1_tex_bytes_per_smm: f.req("l1_tex_bytes_per_smm")?,
-        l2_bytes: f.req("l2_bytes")?,
-        sector_bytes: f.req("sector_bytes")?,
+        num_smm: f.req_count("num_smm")?,
+        cores_per_smm: f.req_count("cores_per_smm")?,
+        clock_mhz: f.req_count("clock_mhz")?,
+        warp_size: f.req_count("warp_size")?,
+        max_threads_per_smm: f.req_count("max_threads_per_smm")?,
+        max_blocks_per_smm: f.req_count("max_blocks_per_smm")?,
+        max_threads_per_block: f.req_count("max_threads_per_block")?,
+        registers_per_smm: f.req_count("registers_per_smm")?,
+        register_granularity: f.req_count("register_granularity")?,
+        shared_mem_per_smm: f.req_count("shared_mem_per_smm")?,
+        shared_mem_per_block: f.req_count("shared_mem_per_block")?,
+        shared_mem_granularity: f.req_count("shared_mem_granularity")?,
+        l1_tex_bytes_per_smm: f.req_count("l1_tex_bytes_per_smm")?,
+        l2_bytes: f.req_count("l2_bytes")?,
+        sector_bytes: f.req_count("sector_bytes")?,
         dram_gbps: f.req("dram_gbps")?,
         l2_gbps: f.req("l2_gbps")?,
         tex_gbps: f.req("tex_gbps")?,
@@ -285,6 +288,15 @@ mod tests {
     fn zero_devices_in_json_is_rejected() {
         let err = parse_with("devices", "0").unwrap_err();
         assert!(err.contains("devices"), "{err}");
+    }
+
+    #[test]
+    fn a_zero_gpu_count_is_rejected_with_its_path() {
+        // Kernel pricing divides by these and schedules onto SMMs.
+        for field in ["num_smm", "warp_size", "register_granularity", "shared_mem_granularity"] {
+            let err = parse_with(field, "0").unwrap_err();
+            assert_eq!(err, format!("field 'gpu.{field}' must be at least 1"));
+        }
     }
 
     #[test]

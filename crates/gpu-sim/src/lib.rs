@@ -18,7 +18,8 @@
 //!   for the unified L1/texture path and L2 studies (paper Table 2).
 //! - [`exec`]: block scheduling across SMMs and makespan under
 //!   occupancy-limited concurrency (load imbalance: dynamic voxel
-//!   distribution, batch thresholds — paper Table 3).
+//!   distribution, batch thresholds — paper Table 3), a greedy list
+//!   schedule kept in a binary heap of slots.
 //! - [`timing`]: the kernel time roll-up from work/traffic tallies,
 //!   with the latency-hiding-vs-occupancy factor and per-level
 //!   achievable bandwidths (paper Section 5's bandwidth accounting).

@@ -398,6 +398,16 @@ impl<'v> Fields<'v> {
         self.convert(key, v)
     }
 
+    /// A required integer field that must be at least 1: a count the
+    /// program divides by or schedules onto.
+    pub fn req_count<T: Field + Copy + Into<u64>>(&mut self, key: &str) -> Result<T, String> {
+        let v: T = self.req(key)?;
+        if v.into() == 0 {
+            return Err(format!("field '{}' must be at least 1", self.path(key)));
+        }
+        Ok(v)
+    }
+
     /// An optional scalar field; `null` means absent.
     pub fn opt<T: Field>(&mut self, key: &str) -> Result<Option<T>, String> {
         match self.find(key) {

@@ -28,6 +28,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
+use ct_core::fbp;
 use ct_core::image::Image;
 use ct_core::phantom::Phantom;
 use ct_core::project::{scan, NoiseModel};
@@ -334,13 +335,22 @@ fn paper_numbers_are_bitwise_stable_at_tiny_scale() {
     }
 
     // ---- System matrix: A's bits at every scale the suite and the ---
-    // benchmark build, on one and on three workers.
+    // benchmark build, on one and on three workers; then the per-scan
+    // host kernels on a noisy baggage scan: the FBP start x0 and A·x0.
     for scale in [Scale::Tiny, Scale::Test, Scale::Harness] {
         let geom = scale.geometry();
-        let digest = sysmat_digest(&SystemMatrix::compute_parallel(&geom, 1));
+        let name = format!("{scale:?}").to_lowercase();
+        let a = SystemMatrix::compute_parallel(&geom, 1);
+        let digest = sysmat_digest(&a);
         let split = sysmat_digest(&SystemMatrix::compute_parallel(&geom, 3));
         assert_eq!(digest, split, "{scale:?}: A differs between 1 and 3 build threads");
-        g.check_u64(&format!("sysmat.{}.digest", format!("{scale:?}").to_lowercase()), digest);
+        g.check_u64(&format!("sysmat.{name}.digest"), digest);
+
+        let truth = Phantom::baggage(0).render(geom.grid, 2);
+        let s = scan(&a, &truth, Some(NoiseModel::default_dose()), 42);
+        let x0 = fbp::reconstruct(&geom, &s.y);
+        g.check_u64(&format!("fbp.{name}.digest"), bits_digest(x0.data()));
+        g.check_u64(&format!("forward.{name}.digest"), bits_digest(a.forward(&x0).data()));
     }
 
     // ---- The SV sweep: PSV-ICD and GPU-ICD at the test-scale presets,
@@ -424,6 +434,11 @@ fn sysmat_digest(a: &SystemMatrix) -> u64 {
 /// FNV-1a over an image's bits, then an error sinogram's.
 fn state_digest(image: &Image, error: &Sinogram) -> u64 {
     fnv1a(image.data().iter().chain(error.data()).map(|v| v.to_bits()))
+}
+
+/// FNV-1a over the bits of `values`.
+fn bits_digest(values: &[f32]) -> u64 {
+    fnv1a(values.iter().map(|v| v.to_bits()))
 }
 
 /// Structural invariants over the checked-in `results/*.json` files:
